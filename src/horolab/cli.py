@@ -3,8 +3,13 @@
 Subcommands: growth, schedule, diamond, process, graphing, touching,
 prop13, all.  Each run writes CSV/JSON artifacts plus a long-format
 plot.csv (series, x, y, y_err) into the output directory, and a manifest
-echoing the fully resolved configuration; timestamps live only in the
-manifest, so reruns with the same master seed are byte-identical.
+echoing the fully resolved configuration.  Timestamps live only in the
+manifest, and elapsed seconds only there and in acceptance.txt; every
+other artifact is byte-identical across reruns with the same master seed.
+
+`all` runs every subcommand and then the acceptance suite.  It hands the
+graphing sweep to the suite, which reuses it for criteria 7 and 9 when
+the graphing config matches the suite's pinned sweep (the defaults do).
 
 Exit codes: 0 success, 1 invariant violation, 2 config error, 3 resource
 cap.
@@ -17,6 +22,7 @@ import csv
 import datetime
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,11 +444,29 @@ def run_process(cfg, out: Path) -> dict:
     return summary
 
 
-def run_graphing(cfg, out: Path) -> dict:
+def _graphing_key(cfg, sched, kernel) -> acceptance.SweepKey:
+    sub = cfg["graphing"]
+    return acceptance.sweep_key(
+        _resolved_groups(cfg),
+        sched,
+        kernel,
+        sub["n"],
+        sub["window_radius"],
+        sub["margin"],
+        sub["eps_list"],
+        sub["eps"],
+        sub["seeds"],
+        cfg["master_seed"],
+    )
+
+
+def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
+    """When `sweeps` is a list, the finished sweep is appended to it."""
     sub = cfg["graphing"]
     sched, _, _ = _schedule_for(cfg, cfg["schedule"]["horizon"])
     spec1, spec2 = _resolved_groups(cfg)
     metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
+    t0 = time.time()
     ctx = GraphingContext(
         metric, sched, sub["n"], sub["window_radius"], sub["margin"], cfg["enum_cap"]
     )
@@ -454,6 +478,9 @@ def run_graphing(cfg, out: Path) -> dict:
         cfg["master_seed"],
         threads=cfg["threads"],
     )
+    if sweeps is not None:
+        key = _graphing_key(cfg, sched, ctx.kernel)
+        sweeps.append(acceptance.GraphingSweep(key, rep, time.time() - t0))
     write_json(out / "cost_report.json", rep.to_json_dict())
     write_csv(
         out / "runs.csv",
@@ -656,16 +683,19 @@ RUNNERS = {
 
 def run_all(cfg, out: Path) -> dict:
     summary = {}
+    sweeps = []  # filled by run_graphing, offered to the acceptance suite
     for name, runner in RUNNERS.items():
         subdir = out / name
         subdir.mkdir(parents=True, exist_ok=True)
-        summary[name] = runner(cfg, subdir)
+        extra = {"sweeps": sweeps} if name == "graphing" else {}
+        summary[name] = runner(cfg, subdir, **extra)
     if cfg["acceptance_checks"]:
         lines = []
         results = acceptance.run_all(
             master_seed=cfg["master_seed"],
             threads=cfg["threads"],
             echo=lambda s: (lines.append(s), print(s)),
+            sweeps=sweeps,
         )
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
         summary["acceptance_passed"] = all(r.passed for r in results)

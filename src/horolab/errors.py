@@ -6,7 +6,9 @@ InputError -> 2, ResourceCapError -> 3.
 
 
 class HorolabError(Exception):
-    pass
+    def at_seed(self, seed_index: int) -> "HorolabError":
+        """The same error class, its message led by the sweep's seed index."""
+        return type(self)(f"seed {seed_index}: {self}")
 
 
 class InputError(HorolabError):
@@ -21,8 +23,15 @@ class ResourceCapError(HorolabError):
     """An enumeration exceeded the configured memory cap."""
 
     def __init__(self, what, cap):
-        super().__init__(f"{what} exceeded the enumeration cap of {cap} elements")
+        super().__init__(what, cap)  # args rebuild the error when unpickled
+        self.what = what
         self.cap = cap
+
+    def __str__(self):
+        return f"{self.what} exceeded the enumeration cap of {self.cap} elements"
+
+    def at_seed(self, seed_index: int) -> "ResourceCapError":
+        return ResourceCapError(f"seed {seed_index}: {self.what}", self.cap)
 
 
 class ApproximationError(HorolabError):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation, MarkCollisionError
+from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries
 from .horoboundary import GeodesicRay, LazyWindowHorofunction, ProductHorofunction
 from .product import ProductMetric, ProductSpace
@@ -80,11 +80,6 @@ class PercolationKernel:
 
     def prob_nums(self, rho_nums: np.ndarray) -> np.ndarray:
         return self.lut[rho_nums]
-
-    def window_mass_rows(self, rho_num_matrix: np.ndarray) -> np.ndarray:
-        """Per-point kernel mass reachable inside the window."""
-        probs = self.lut[rho_num_matrix]
-        return probs.sum(axis=1)
 
 
 class GraphingContext:
@@ -342,8 +337,9 @@ def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
     overlap label among the copies sorted by mark."""
     ctx = mw.ctx
     keep = np.zeros(mw.n_vertices, dtype=bool)
-    pd = ctx.pctx.point_digests
-    for pid, copies in mw.copies_at.items():
+    pids = np.fromiter(mw.copies_at, dtype=np.int64, count=len(mw.copies_at))
+    labels = rng.uniforms(ctx.pctx.point_digests[pids], STREAM_OVERLAP).tolist()
+    for copies, w in zip(mw.copies_at.values(), labels):
         ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
         k = len(ranked)
         if k > 1:
@@ -352,7 +348,6 @@ def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
                 raise MarkCollisionError(
                     "overlapping diamonds drew identical marks; reject this seed"
                 )
-        w = rng.uniform(int(pd[pid]), STREAM_OVERLAP)
         keep[ranked[surviving_index(k, w) - 1]] = True
     return keep
 
@@ -708,6 +703,8 @@ def _seed_job(args):
         )
     except MarkCollisionError:
         return SeedStats(seed_index=seed_index, rejected=True)
+    except HorolabError as exc:
+        raise exc.at_seed(seed_index) from exc
 
 
 def cost_report(
@@ -720,16 +717,16 @@ def cost_report(
 ) -> CostReport:
     keys = [(s, seed_digest(master_seed, s)) for s in range(seeds)]
     jobs = [(key, tuple(eps_list), primary_eps, s) for s, key in keys]
-    if threads > 1:
-        import multiprocessing as mp
+    _WORKER["ctx"] = ctx  # inherited by fork, avoids pickling the context
+    try:
+        if threads > 1:
+            import multiprocessing as mp
 
-        _WORKER["ctx"] = ctx  # inherited by fork, avoids pickling the context
-        with mp.get_context("fork").Pool(threads) as pool:
-            runs = pool.map(_seed_job, jobs)
-        _WORKER.clear()
-    else:
-        _WORKER["ctx"] = ctx
-        runs = [_seed_job(job) for job in jobs]
+            with mp.get_context("fork").Pool(threads) as pool:
+                runs = pool.map(_seed_job, jobs)
+        else:
+            runs = [_seed_job(job) for job in jobs]
+    finally:
         _WORKER.clear()
     runs.sort(key=lambda st: st.seed_index)
     rejected = sum(1 for r in runs if r.rejected)

@@ -178,9 +178,6 @@ class Horofunction:
             )
         return best
 
-    def materialize(self) -> dict:
-        return {x: self.value(x) for x in self.window}
-
     def to_csv(self, path):
         rows = sorted(
             ((self.oracle.word_str(x), self.value(x)) for x in self.window),

@@ -288,14 +288,6 @@ class ProductSpace:
     def mask_within(self, radius) -> np.ndarray:
         return self.rho_num <= self.metric.radius_num(radius)
 
-    def translate(self, pid: int, g):
-        """Universe id of g'' * point (left translation), or None outside."""
-        el = self.element(pid)
-        return self.lookup_elements(
-            self.metric.first.multiply(g[0], el[0]),
-            self.metric.second.multiply(g[1], el[1]),
-        )
-
 
 def check_triangle_inequality(metric: ProductMetric, points, samples=200, seed=7):
     """Spot-check rho_c axioms on sampled triples; raises on violation."""

@@ -88,12 +88,6 @@ class SeededRandomness:
     def uniform(self, digest: int, tag: str) -> float:
         return float(self.uniforms(np.uint64(digest), tag))
 
-    def child(self, label: str) -> "SeededRandomness":
-        """Derived generator for an independent sub-experiment."""
-        return SeededRandomness(
-            digest_str(f"child:{self.master_seed}:{label}")
-        )
-
 
 def seed_digest(master_seed: int, seed_index: int) -> int:
     """Per-seed key for multi-seed sweeps, mixed from the master seed."""

@@ -1,8 +1,12 @@
+import copy
 import json
 
 import pytest
 
-from horolab import cli
+from horolab import acceptance, cli
+from horolab.graphing import PercolationKernel
+from horolab.groups import make_oracle
+from horolab.product import ProductMetric
 
 SMALL = {
     "acceptance_checks": False,
@@ -112,3 +116,37 @@ def test_lattice_group_config(tmp_path):
     # linear schedule on Z x Z: l1 balls 1, 5, 13, 25
     assert vol[1].split(",")[3] == "1"
     assert vol[3].split(",")[3] == "13"
+
+
+def _default_graphing_key(**graphing):
+    cfg = copy.deepcopy(cli.DEFAULTS)
+    cfg["graphing"].update(graphing)
+    sched, _, _ = cli._schedule_for(cfg, cfg["schedule"]["horizon"])
+    spec1, spec2 = cli._resolved_groups(cfg)
+    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
+    wr = cfg["graphing"]["window_radius"]
+    kernel = PercolationKernel(metric, sched.growth, sched.growth2, 2 * wr)
+    return cli._graphing_key(cfg, sched, kernel)
+
+
+def test_default_graphing_sweep_is_the_acceptance_sweep():
+    suite_key = acceptance.SuiteContext(master_seed=20260810).graphing_key()
+    assert _default_graphing_key() == suite_key
+    assert _default_graphing_key(seeds=50) != suite_key
+
+
+def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
+    offered = []
+
+    def fake_suite(master_seed, threads, echo, sweeps):
+        offered.extend(sweeps)
+        return []
+
+    monkeypatch.setattr(acceptance, "run_all", fake_suite)
+    overrides = dict(SMALL, acceptance_checks=True)
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    (sweep,) = offered
+    assert (sweep.key.seeds, sweep.key.window_radius) == (4, 4)
+    assert sweep.elapsed > 0
+    written = (tmp_path / "graphing" / "cost_report.json").read_text()
+    assert written == json.dumps(sweep.report.to_json_dict(), indent=2, sort_keys=True) + "\n"

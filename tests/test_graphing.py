@@ -20,6 +20,7 @@ from horolab.graphing import (
     run_seed,
     surviving_index,
 )
+from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import sample_diamond_process
 from horolab.product import ProductMetric
@@ -218,6 +219,80 @@ def test_mark_collision_rejects_seed(f2_ctx):
     mw.marks[k2] = mw.marks[k1]
     with pytest.raises(MarkCollisionError):
         break_overlaps(mw, SeededRandomness(seed_digest(35, 0)))
+
+
+def _overlap_window(ctx):
+    """The first seed window (master seed 35) with a multiply covered point."""
+    for s in range(20):
+        mw = _seed_window(ctx, seed_digest(35, s))
+        if any(len(copies) >= 2 for copies in mw.copies_at.values()):
+            return mw, seed_digest(35, s)
+    pytest.fail("no overlapping diamonds in 20 seeds")
+
+
+def test_break_overlaps_matches_scalar_labels(f2_ctx):
+    from horolab.graphing import break_overlaps
+    from horolab.randomness import STREAM_OVERLAP
+
+    for s in range(3):
+        key = seed_digest(36, s)
+        mw = _seed_window(f2_ctx, key)
+        rng = SeededRandomness(key)
+        expected = np.zeros(mw.n_vertices, dtype=bool)
+        pd = f2_ctx.pctx.point_digests
+        for pid, copies in mw.copies_at.items():
+            ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
+            w = rng.uniform(int(pd[pid]), STREAM_OVERLAP)
+            expected[ranked[surviving_index(len(ranked), w) - 1]] = True
+        np.testing.assert_array_equal(break_overlaps(mw, rng), expected)
+
+
+def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
+    from horolab.errors import MarkCollisionError
+    from horolab.graphing import break_overlaps
+
+    mw, key = _overlap_window(f2_ctx)
+    last = [copies for copies in mw.copies_at.values() if len(copies) >= 2][-1]
+    mw.marks[int(mw.v_k[last[1]])] = mw.marks[int(mw.v_k[last[0]])]
+    with pytest.raises(MarkCollisionError):
+        break_overlaps(mw, SeededRandomness(key))
+
+
+def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
+    from horolab import graphing
+
+    def tied_window(ctx, process):
+        mw = build_marked_window(ctx, process)
+        for copies in mw.copies_at.values():
+            if len(copies) >= 2:
+                mw.marks[int(mw.v_k[copies[1]])] = mw.marks[int(mw.v_k[copies[0]])]
+        return mw
+
+    monkeypatch.setattr(graphing, "build_marked_window", tied_window)
+    rep = cost_report(f2_ctx, 3, [0.05], 0.05, 35)
+    overlapping = [r for r in rep.runs if r.rejected]
+    assert overlapping and rep.rejected_seeds == len(overlapping)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "error",
+    [InvariantViolation("no geodesic step"), ResourceCapError("ball enumeration", 50)],
+    ids=lambda e: type(e).__name__,
+)
+def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
+    from horolab import graphing
+    from horolab.graphing import SeedStats
+
+    def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0):
+        if seed_index == 3:
+            raise error
+        return SeedStats(seed_index=seed_index)
+
+    monkeypatch.setattr(graphing, "run_seed", failing_run_seed)
+    with pytest.raises(type(error), match=r"^seed 3: ") as info:
+        cost_report(f2_ctx, 5, [0.05], 0.05, 1, threads=threads)
+    assert str(error) in str(info.value)
 
 
 def test_s0_projects_bijectively(f2_ctx):
