@@ -9,6 +9,10 @@ Criteria 7 and 9 read one pinned 200-seed graphing sweep.  A caller that
 already ran a sweep may offer it as a GraphingSweep; the suite reuses it
 only when its SweepKey equals the pinned sweep's key, and sweeps itself
 otherwise.
+
+Criteria 6 and 8 check the scenarios built by `sandwich_scenarios` and
+`touching_scenarios`; the CLI's `diamond` and `touching` runners write
+the same scenarios out for the configured groups.
 """
 
 from __future__ import annotations
@@ -285,48 +289,59 @@ def criterion_5_corner_decay(sc: SuiteContext) -> CriterionResult:
     return CriterionResult(5, "corner decay and dominance", passed, elapsed, detail, 60.0)
 
 
-def criterion_6_sandwich(sc: SuiteContext) -> CriterionResult:
-    def body():
-        # Exact lattice geometry: linear schedule, half-plane horoballs.
-        oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
-        gz = growth_series(Z1, 40)
-        mz = ProductMetric(oz1, oz2, 1)
-        lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
-        win = ProductSpace(mz, 5)
-        wpts = [win.element(i) for i in range(len(win))]
-        hz = product_horofunction(
-            horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
-            horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
-            Fraction(1),
+def sandwich_scenarios(spec1, spec2, c) -> dict:
+    """The horoball-sandwich scenarios, as SandwichReports by name.
+
+    "lattice" always runs: Z x Z at c = 1, a linear schedule and
+    half-plane horoballs.  "tree" runs on spec1 x spec2 at slope c, window
+    radius 4 and centers escaping along A^-M, when both factors are free.
+    """
+    oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
+    gz = growth_series(Z1, 40)
+    mz = ProductMetric(oz1, oz2, 1)
+    lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
+    win = ProductSpace(mz, 5)
+    hz = product_horofunction(
+        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
+        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
+        1,
+    )
+    centers = []
+    for n in range(20, 29):
+        N = (lsched.r[n] + 2) // 2 + 1
+        centers.append((n, ((-N,), (-N,))))
+    wpts = [win.element(i) for i in range(len(win))]
+    reports = {"lattice": sandwich_check(mz, lsched, hz, centers, wpts)}
+    if spec1.kind == "free" and spec2.kind == "free":
+        o1, o2 = make_oracle(spec1), make_oracle(spec2)
+        sched = build_schedule(growth_series(spec1, 26), growth_series(spec2, 26), c, 26)
+        m = ProductMetric(o1, o2, c)
+        w4 = ProductSpace(m, 4)
+        hh = product_horofunction(
+            horofunction_from_ray(o1, ["A"], [el for el, _ in ball(o1, 5)]),
+            horofunction_from_ray(o2, ["A"], [el for el, _ in ball(o2, 5)]),
+            c,
         )
         centers = []
-        for n in range(20, 29):
-            N = (lsched.r[n] + 2) // 2 + 1
-            centers.append((n, ((-N,), (-N,))))
-        rep = sandwich_check(mz, lsched, hz, centers, wpts)
+        for n in range(16, min(25, len(sched.r))):
+            M = sched.r[n] // 2
+            centers.append((n, (o1.canon(["A"] * M), o2.canon(["A"] * M))))
+        pts4 = [w4.element(i) for i in range(len(w4))]
+        reports["tree"] = sandwich_check(m, sched, hh, centers, pts4)
+    return reports
+
+
+def criterion_6_sandwich(sc: SuiteContext) -> CriterionResult:
+    def body():
+        reports = sandwich_scenarios(F2, F2, 1)
+        rep = reports["lattice"]
         lattice_ok = (
             all(r.lower_ok and r.upper_ok for r in rep.rows)
             and any(not r.vacuous for r in rep.rows)
         )
         if not lattice_ok:
             return False, "lattice inclusions violated"
-        # Tree geometry: window radius 4, centers escaping along a^-N.
-        o1, o2 = make_oracle(F2), make_oracle(F2)
-        g = growth_series(F2, 26)
-        sched = build_schedule(g, g, 1, 26)
-        m = ProductMetric(o1, o2, 1)
-        w4 = ProductSpace(m, 4)
-        pts4 = [w4.element(i) for i in range(len(w4))]
-        hh = product_horofunction(
-            horofunction_from_ray(o1, ["A"], [el for el, _ in ball(o1, 5)]),
-            horofunction_from_ray(o2, ["A"], [el for el, _ in ball(o2, 5)]),
-            Fraction(1),
-        )
-        centers = []
-        for n in range(16, 25):
-            M = sched.r[n] // 2
-            centers.append((n, (o1.canon(["A"] * M), o2.canon(["A"] * M))))
-        rep2 = sandwich_check(m, sched, hh, centers, pts4)
+        rep2 = reports["tree"]
         viol = sum(r.lower_violations + r.upper_violations for r in rep2.rows)
         ok = rep2.first_sandwiched_n is not None and viol == 0
         return ok and lattice_ok, (
@@ -355,42 +370,57 @@ def criterion_7_pi1_forest(sc: SuiteContext) -> CriterionResult:
     return CriterionResult(7, "descent forest out-degrees", passed, elapsed, detail)
 
 
+def touching_scenarios(spec1, spec2) -> dict:
+    """The touching-path scenarios, as TouchingTraces by name, all at c = 1.
+
+    "tree_k2_kp1" (x1 = (aa, e), x2 = (e, a)) and "degenerate" (identical
+    points and horofunction) run on spec1 x spec2 when both factors are
+    free and on F2 x F2 otherwise; "lattice" runs on Z x Z between the
+    half-plane horoballs of y1 = (-2, 0) and y2 = (1, -1).
+    """
+    if spec1.kind != "free" or spec2.kind != "free":
+        spec1 = spec2 = F2
+    o1, o2 = make_oracle(spec1), make_oracle(spec2)
+    m = ProductMetric(o1, o2, 1)
+    h_a1 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["a"], ["a"]))
+    h_b1 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["b"], ["b"]))
+    h_b2 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["b"], ["b"]))
+    h_a2 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["a"], ["a"]))
+    hh1 = product_horofunction(h_a1, h_b1, 1)
+    hh2 = product_horofunction(h_b2, h_a2, 1)
+    x1 = (o1.canon(["a", "a"]), o2.identity)
+    x2 = (o1.identity, o2.canon(["a"]))
+    eta, k = connect_then_descend(o1, x2[0], x1[0], h_a1, 12)
+    etap, kp = connect_then_descend(o2, x1[1], x2[1], h_a2, 12)
+    eta0, k0 = connect_then_descend(o1, x1[0], x1[0], h_a1, 8)
+    etap0, kp0 = connect_then_descend(o2, x1[1], x1[1], h_b1, 8)
+    oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
+    mz = ProductMetric(oz1, oz2, 1)
+    hz1 = LazyWindowHorofunction(oz1, GeodesicRay(oz1, ["X"], ["X"]))
+    hz2 = LazyWindowHorofunction(oz2, GeodesicRay(oz2, ["X"], ["X"]))
+    hzz = product_horofunction(hz1, hz2, 1)
+    y1, y2 = ((-2,), (0,)), ((1,), (-1,))
+    etaz, kz = connect_then_descend(oz1, y2[0], y1[0], hz1, 10)
+    etazp, kzp = connect_then_descend(oz2, y1[1], y2[1], hz2, 10)
+    return {
+        "tree_k2_kp1": touching_paths(m, hh1, hh2, eta, k, etap, kp),
+        "degenerate": touching_paths(m, hh1, hh1, eta0, k0, etap0, kp0),
+        "lattice": touching_paths(mz, hzz, hzz, etaz, kz, etazp, kzp),
+    }
+
+
 def criterion_8_touching(sc: SuiteContext) -> CriterionResult:
     def body():
-        o1, o2 = make_oracle(F2), make_oracle(F2)
-        m = ProductMetric(o1, o2, 1)
-        h_a1 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["a"], ["a"]))
-        h_b1 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["b"], ["b"]))
-        h_b2 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["b"], ["b"]))
-        h_a2 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["a"], ["a"]))
-        hh1 = product_horofunction(h_a1, h_b1, Fraction(1))
-        hh2 = product_horofunction(h_b2, h_a2, Fraction(1))
-        x1 = (o1.canon(["a", "a"]), o2.identity)
-        x2 = (o1.identity, o2.canon(["a"]))
-        eta, k = connect_then_descend(o1, x2[0], x1[0], h_a1, 12)
-        etap, kp = connect_then_descend(o2, x1[1], x2[1], h_a2, 12)
-        tr = touching_paths(m, hh1, hh2, eta, k, etap, kp)
+        traces = touching_scenarios(F2, F2)
+        tr = traces["tree_k2_kp1"]
         if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
             return False, "tree trace failed"
-        if not (k == 2 and kp == 1 and max(tr.rho_values) <= 3):
-            return False, f"k={k}, k'={kp}, max rho {max(tr.rho_values)}"
-        # Degenerate configuration: identical points and horofunction.
-        eta0, k0 = connect_then_descend(o1, x1[0], x1[0], h_a1, 8)
-        etap0, kp0 = connect_then_descend(o2, x1[1], x1[1], h_b1, 8)
-        tr0 = touching_paths(m, hh1, hh1, eta0, k0, etap0, kp0)
+        if not (tr.k == 2 and tr.k_prime == 1 and max(tr.rho_values) <= 3):
+            return False, f"k={tr.k}, k'={tr.k_prime}, max rho {max(tr.rho_values)}"
+        tr0 = traces["degenerate"]
         if max(tr0.rho_values) != 0 or not (tr0.monotone1 and tr0.monotone2):
             return False, "degenerate trace not identically zero"
-        # Lattice half-plane horoballs.
-        oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
-        mz = ProductMetric(oz1, oz2, 1)
-        hz_m1 = LazyWindowHorofunction(oz1, GeodesicRay(oz1, ["X"], ["X"]))
-        hz_m2 = LazyWindowHorofunction(oz2, GeodesicRay(oz2, ["X"], ["X"]))
-        hzz = product_horofunction(hz_m1, hz_m2, Fraction(1))
-        y1 = ((-2,), (0,))
-        y2 = ((1,), (-1,))
-        etaz, kz = connect_then_descend(oz1, y2[0], y1[0], hz_m1, 10)
-        etazp, kzp = connect_then_descend(oz2, y1[1], y2[1], hz_m2, 10)
-        trz = touching_paths(mz, hzz, hzz, etaz, kz, etazp, kzp)
+        trz = traces["lattice"]
         ok = trz.bound_ok and trz.monotone1 and trz.monotone2
         return ok, (
             f"tree max rho {max(tr.rho_values)} <= 3; lattice max rho "
@@ -446,6 +476,8 @@ def criterion_10_baseline(sc: SuiteContext) -> CriterionResult:
 
 def criterion_11_determinism(sc: SuiteContext) -> CriterionResult:
     """Byte-identical reruns of the artifact suite at a reduced scale."""
+    import contextlib
+    import io
     import tempfile
     from pathlib import Path
 
@@ -462,10 +494,11 @@ def criterion_11_determinism(sc: SuiteContext) -> CriterionResult:
         digests = []
         for run in range(2):
             with tempfile.TemporaryDirectory() as tmp:
-                rc = cli.main(
-                    ["all", "--out", tmp, "--seed", str(sc.master_seed)],
-                    config_overrides=small,
-                )
+                with contextlib.redirect_stdout(io.StringIO()):  # keep the suite's output clean
+                    rc = cli.main(
+                        ["all", "--out", tmp, "--seed", str(sc.master_seed)],
+                        config_overrides=small,
+                    )
                 if rc != 0:
                     return False, f"reduced suite exited {rc}"
                 blob = {}

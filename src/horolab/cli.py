@@ -22,6 +22,7 @@ import csv
 import datetime
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,6 @@ from .diamonds import (
     dominance_table_to_csv,
     growth_dominance,
     corner_table_to_csv,
-    sandwich_check,
 )
 from .errors import (
     ApproximationError,
@@ -47,19 +47,11 @@ from .errors import (
 from .graphing import (
     GraphingContext,
     coset_line_baseline,
-    connect_then_descend,
     cost_report,
     edges_to_csv,
     run_seed,
-    touching_paths,
 )
-from .groups import GroupSpec, ball, ball_to_csv, growth_series, make_oracle
-from .horoboundary import (
-    GeodesicRay,
-    LazyWindowHorofunction,
-    horofunction_from_ray,
-    product_horofunction,
-)
+from .groups import GroupSpec, ball_to_csv, growth_series, make_oracle
 from .point_process import (
     ProcessContext,
     corner_event_probability,
@@ -68,7 +60,7 @@ from .point_process import (
     incidence_stats,
     sample_diamond_process,
 )
-from .product import ProductMetric, ProductSpace, diamond_to_csv, perfect_diamond
+from .product import ProductMetric, as_slope, diamond_to_csv, perfect_diamond
 from .randomness import seed_digest
 from .schedule import build_schedule, linear_schedule
 
@@ -154,7 +146,7 @@ def _resolved_groups(cfg):
 
 def _resolve_c(cfg, g1, g2):
     if cfg["c"] is not None:
-        return Fraction(str(cfg["c"]))
+        return as_slope(str(cfg["c"]))  # a JSON 1.5 reads as "1.5", i.e. 3/2
     a, b = g1.exact_rate, g2.exact_rate
     if a is not None and b is not None and a == b:
         return Fraction(1)
@@ -290,65 +282,19 @@ def run_diamond(cfg, out: Path) -> dict:
         plot.append(["dominance_ratio", r.n, float(r.ratio), 0])
     summary = {"n_values": n_values, "schedule_source": sched.source}
     if sub["sandwich"]:
-        summary["sandwich"] = _run_sandwich_scenarios(cfg, out)
+        summary["sandwich"] = _run_sandwich_scenarios(cfg, out, sched.c)
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     write_json(out / "summary.json", summary)
     return summary
 
 
-def _run_sandwich_scenarios(cfg, out: Path) -> dict:
+def _run_sandwich_scenarios(cfg, out: Path, c) -> dict:
     results = {}
-    # Exact lattice scenario (always available).
-    z = GroupSpec("integer_lattice", dim=1)
-    oz1, oz2 = make_oracle(z), make_oracle(z)
-    gz = growth_series(z, 40)
-    mz = ProductMetric(oz1, oz2, 1)
-    lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
-    win = ProductSpace(mz, 5)
-    wpts = [win.element(i) for i in range(len(win))]
-    hz = product_horofunction(
-        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
-        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
-        Fraction(1),
-    )
-    centers = []
-    for n in range(20, 29):
-        N = (lsched.r[n] + 2) // 2 + 1
-        centers.append((n, ((-N,), (-N,))))
-    rep = sandwich_check(mz, lsched, hz, centers, wpts)
-    _sandwich_to_csv(rep, out / "sandwich_lattice.csv")
-    results["lattice"] = {
-        "first_sandwiched_n": rep.first_sandwiched_n,
-        "violations": sum(r.lower_violations + r.upper_violations for r in rep.rows),
-    }
-    spec1, spec2 = _resolved_groups(cfg)
-    if spec1.kind == "free" and spec2.kind == "free":
-        o1, o2 = make_oracle(spec1), make_oracle(spec2)
-        g1 = growth_series(spec1, 26)
-        g2 = growth_series(spec2, 26)
-        c = _resolve_c(cfg, g1, g2)
-        sched = build_schedule(g1, g2, c, 26)
-        m = ProductMetric(o1, o2, c)
-        w4 = ProductSpace(m, 4)
-        pts4 = [w4.element(i) for i in range(len(w4))]
-        hh = product_horofunction(
-            horofunction_from_ray(o1, ["A"], [el for el, _ in ball(o1, 5)]),
-            horofunction_from_ray(o2, ["A"], [el for el, _ in ball(o2, 5)]),
-            c,
-        )
-        centers = []
-        for n in range(16, 25):
-            if n >= len(sched.r):
-                break
-            M = sched.r[n] // 2
-            centers.append((n, (o1.canon(["A"] * M), o2.canon(["A"] * M))))
-        rep2 = sandwich_check(m, sched, hh, centers, pts4)
-        _sandwich_to_csv(rep2, out / "sandwich_tree.csv")
-        results["tree"] = {
-            "first_sandwiched_n": rep2.first_sandwiched_n,
-            "violations": sum(
-                r.lower_violations + r.upper_violations for r in rep2.rows
-            ),
+    for name, rep in acceptance.sandwich_scenarios(*_resolved_groups(cfg), c).items():
+        _sandwich_to_csv(rep, out / f"sandwich_{name}.csv")
+        results[name] = {
+            "first_sandwiched_n": rep.first_sandwiched_n,
+            "violations": sum(r.lower_violations + r.upper_violations for r in rep.rows),
         }
     return results
 
@@ -556,40 +502,10 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
 
 
 def run_touching(cfg, out: Path) -> dict:
-    spec1, spec2 = _resolved_groups(cfg)
-    if spec1.kind != "free" or spec2.kind != "free":
-        spec1 = spec2 = GroupSpec("free", rank=2)
-    o1, o2 = make_oracle(spec1), make_oracle(spec2)
-    m = ProductMetric(o1, o2, 1)
-    scenarios = []
-    h_a1 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["a"], ["a"]))
-    h_b1 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["b"], ["b"]))
-    h_b2 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["b"], ["b"]))
-    h_a2 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["a"], ["a"]))
-    hh1 = product_horofunction(h_a1, h_b1, Fraction(1))
-    hh2 = product_horofunction(h_b2, h_a2, Fraction(1))
-    x1 = (o1.canon(["a", "a"]), o2.identity)
-    x2 = (o1.identity, o2.canon(["a"]))
-    eta, k = connect_then_descend(o1, x2[0], x1[0], h_a1, 12)
-    etap, kp = connect_then_descend(o2, x1[1], x2[1], h_a2, 12)
-    scenarios.append(("tree_k2_kp1", m, hh1, hh2, eta, k, etap, kp))
-    eta0, k0 = connect_then_descend(o1, x1[0], x1[0], h_a1, 8)
-    etap0, kp0 = connect_then_descend(o2, x1[1], x1[1], h_b1, 8)
-    scenarios.append(("degenerate", m, hh1, hh1, eta0, k0, etap0, kp0))
-    z = GroupSpec("integer_lattice", dim=1)
-    oz1, oz2 = make_oracle(z), make_oracle(z)
-    mz = ProductMetric(oz1, oz2, 1)
-    hz1 = LazyWindowHorofunction(oz1, GeodesicRay(oz1, ["X"], ["X"]))
-    hz2 = LazyWindowHorofunction(oz2, GeodesicRay(oz2, ["X"], ["X"]))
-    hzz = product_horofunction(hz1, hz2, Fraction(1))
-    etaz, kz = connect_then_descend(oz1, (1,), (-2,), hz1, 10)
-    etazp, kzp = connect_then_descend(oz2, (0,), (-1,), hz2, 10)
-    scenarios.append(("lattice", mz, hzz, hzz, etaz, kz, etazp, kzp))
     rows = []
     plot = []
     summary = {}
-    for name, mm, ha, hb, e1, kk, e2, kk2 in scenarios:
-        tr = touching_paths(mm, ha, hb, e1, kk, e2, kk2)
+    for name, tr in acceptance.touching_scenarios(*_resolved_groups(cfg)).items():
         for j, rho in enumerate(tr.rho_values):
             rows.append(
                 [name, j, str(rho), str(tr.xi1_values[j]), str(tr.xi2_values[j])]
@@ -743,10 +659,10 @@ def main(argv=None, config_overrides=None) -> int:
         print(f"horolab {args.command}: artifacts written to {out}")
         return 0
     except InputError as exc:
-        print(f"config error: {exc}")
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
-        print(f"resource cap: {exc}")
+        print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except (
         InvariantViolation,
@@ -754,10 +670,10 @@ def main(argv=None, config_overrides=None) -> int:
         ApproximationError,
         WindowExhaustedError,
     ) as exc:
-        print(f"invariant violation: {exc}")
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except HorolabError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,6 +9,7 @@ which the enumeration oracle must reproduce.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,13 +243,12 @@ def sandwich_check(
         raise InputError("sandwich window is empty")
     wr = max(metric.rho(metric.origin, y) for y in window_points)
     rows = []
-    c = metric.c
-    two_over_c = Fraction(2) / Fraction(c) if metric.exact else 2.0 / c
-    one_over_c = Fraction(1) / Fraction(c) if metric.exact else 1.0 / c
+    two_over_c = 2 / metric.c
+    one_over_c = 1 / metric.c
     for n, center in centers:
         d1 = metric.first.length(center[0])
         d2 = metric.second.length(center[1])
-        if min(d1, d2) < 2 * _radius_int(wr):
+        if min(d1, d2) < 2 * math.ceil(wr):
             raise InputError(
                 "sandwich centers must satisfy d(x_n, o), d'(x'_n, o') >= 2 x window radius"
             )
@@ -301,8 +301,3 @@ def sandwich_check(
             first = rows[i].n
             break
     return SandwichReport(rows=rows, first_sandwiched_n=first)
-
-
-def _radius_int(wr) -> int:
-    f = Fraction(wr)
-    return -((-f.numerator) // f.denominator)  # ceil

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,8 +55,6 @@ class PercolationKernel:
         growth2: GrowthSeries,
         max_radius,
     ):
-        if not metric.exact:
-            raise InputError("percolation kernel requires a rational slope c")
         p, q = metric.c.numerator, metric.c.denominator
         max_num = metric.radius_num(max_radius)
         counts = {}
@@ -443,17 +442,18 @@ class UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def largest_component_fraction(n: int, edges) -> float:
-    if n == 0:
-        return 0.0
+def _component_roots(n: int, edges) -> list:
+    """Union-find root of every vertex of the graph on range(n)."""
     uf = UnionFind(n)
     for a, b in edges:
         uf.union(a, b)
-    sizes = {}
-    for v in range(n):
-        r = uf.find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return max(sizes.values()) / n
+    return [uf.find(v) for v in range(n)]
+
+
+def largest_component_fraction(n: int, edges) -> float:
+    if n == 0:
+        return 0.0
+    return max(Counter(_component_roots(n, edges)).values()) / n
 
 
 @dataclass
@@ -522,12 +522,13 @@ def run_seed(
     prev = -1.0
     for e in sorted(opens):
         edges_e, _, _ = pi3_edges(mw, pi1, opens[e])
+        if e == float(primary_eps):
+            edges = edges_e
         frac = largest_component_fraction(mw.n_vertices, edges_e)
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
             st.monotone_ok = False
         prev = frac
-    edges, _, _ = pi3_edges(mw, pi1, opens[float(primary_eps)])
     deg = np.zeros(mw.n_vertices, dtype=np.int64)
     for a, b in edges:
         deg[a] += 1
@@ -566,7 +567,8 @@ def run_seed(
             s0_mask=s0_mask,
         )
     flagged = set(stages["flagged_vertices"])
-    st.flagged_components = _component_count(mw.n_vertices, edges, flagged)
+    roots = _component_roots(mw.n_vertices, edges)
+    st.flagged_components = len({roots[v] for v in flagged})
     ok_interior = [v for v in interior.tolist() if v not in flagged]
     s0_interior = [v for v in ok_interior if s0_mask[v]]
     st.n_sprime_interior = len(ok_interior)
@@ -594,50 +596,21 @@ def run_seed(
         st.pi5_se = se_lhs + se_palm / lam
         st.pi5_checked = True
         st.pi5_ok = st.pi5_lhs <= st.pi5_rhs + 3.0 * st.pi5_se + 1e-9
-    st.pi5_connected_ok = _pi5_connected(mw, edges, stages, flagged)
+    st.pi5_connected_ok = _pi5_connected(roots, stages)
     return st
 
 
-def _component_count(n, edges, flagged) -> int:
-    if not flagged:
-        return 0
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    return len({uf.find(v) for v in flagged})
-
-
-def _pi5_connected(mw, edges, stages, flagged) -> bool:
-    """Pi5 restricted to each covered Pi3 component must be connected."""
-    n = mw.n_vertices
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    comp_of = {}
-    s0_by_comp = {}
-    for v in range(n):
-        if v in flagged:
-            continue
-        comp_of[v] = uf.find(v)
-    dist = stages["dist"]
-    best = stages["best"]
-    for v in comp_of:
-        if dist[v] == 0:
-            s0_by_comp.setdefault(comp_of[v], []).append(v)
-    pi5_uf = {}
-    for comp, verts in s0_by_comp.items():
-        local = UnionFind(len(verts))
-        idx = {v: i for i, v in enumerate(verts)}
-        pi5_uf[comp] = (local, idx)
+def _pi5_connected(roots, stages) -> bool:
+    """Pi5 restricted to each covered Pi3 component must be connected;
+    `roots` labels the Pi3 components.  Sources (dist 0) are never
+    flagged, so every source lies in a covered component."""
+    uf = UnionFind(len(roots))
     for sa, sb in stages["pi4"]:
-        comp = comp_of.get(sa)
-        if comp is None or comp_of.get(sb) != comp:
-            continue
-        local, idx = pi5_uf[comp]
-        local.union(idx[sa], idx[sb])
-    for comp, (local, idx) in pi5_uf.items():
-        roots = {local.find(i) for i in range(len(idx))}
-        if len(roots) > 1:
+        if roots[sa] == roots[sb]:
+            uf.union(sa, sb)
+    first = {}  # Pi3 component -> Pi4 root of its first source
+    for v, d in enumerate(stages["dist"]):
+        if d == 0 and first.setdefault(roots[v], uf.find(v)) != uf.find(v):
             return False
     return True
 
@@ -823,20 +796,15 @@ def touching_paths(
         for a, b in zip(path, path[1:]):
             if oracle.distance(a, b) != 1:
                 raise InputError("touching path steps must be Cayley edges")
-    exact = metric.exact
-    bound = (
-        Fraction(k) + Fraction(k_prime + 1) / Fraction(c)
-        if exact
-        else k + (k_prime + 1) / c
-    )
+    bound = k + Fraction(k_prime + 1) / c
     j = 0
     rho_vals, v1, v2 = [], [], []
     truncated = False
     while True:
         i1 = j + k
-        i2 = _floor_mult(c, j)
+        i2 = math.floor(c * j)
         i3 = j
-        i4 = _ceil_shift(c, j, k_prime)
+        i4 = math.ceil(c * j + k_prime)
         if i1 >= len(eta) or i3 >= len(eta) or i2 >= len(eta_prime) or i4 >= len(
             eta_prime
         ):
@@ -863,19 +831,6 @@ def touching_paths(
         monotone2=monotone2,
         truncated=truncated,
     )
-
-
-def _floor_mult(c, j: int) -> int:
-    if isinstance(c, Fraction):
-        return (c.numerator * j) // c.denominator
-    return math.floor(c * j + 1e-9)
-
-
-def _ceil_shift(c, j: int, k_prime: int) -> int:
-    if isinstance(c, Fraction):
-        x = c * j + k_prime
-        return -((-x.numerator) // x.denominator)
-    return math.ceil(c * j + k_prime - 1e-9)
 
 
 def connect_then_descend(oracle, start, end, h, extra_steps: int) -> tuple:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ApproximationError, InputError, InvariantViolation, WindowExhaustedError
 from .groups import Oracle
-from .product import ProductMetric
+from .product import ProductMetric, as_slope
 
 RAY_PROBE_ATTEMPTS = 3
 
@@ -238,8 +238,7 @@ class ProductHorofunction:
     def __init__(self, h1: Horofunction, h2: Horofunction, c):
         self.h1 = h1
         self.h2 = h2
-        self.c = c
-        self.exact = isinstance(c, Fraction) or isinstance(c, int)
+        self.c = as_slope(c)
 
     def value(self, point):
         y1, y2 = point
@@ -247,9 +246,7 @@ class ProductHorofunction:
             raise InputError("window mismatch: point outside component windows")
         a = self.h1.value(y1)
         b = self.h2.value(y2)
-        if self.exact:
-            return a + Fraction(b) / Fraction(self.c)
-        return a + b / self.c
+        return a + Fraction(b) / self.c
 
     @property
     def backing(self) -> str:

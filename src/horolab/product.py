@@ -2,8 +2,8 @@
 
 rho_c((x,x'),(y,y')) = d(x,y) + d'(x',y')/c.  For rational c = p/q all
 comparisons run on integer numerators (rho * p = d*p + d'*q), so ball and
-diamond membership is exact.  Irrational c falls back to floats with a
-documented comparison epsilon of 1e-9.
+diamond membership is exact.  The slope is rational only: `as_slope` is the
+one place that decides its type, and it rejects floats.
 
 `ProductSpace` materialises one rho_c ball as an indexed point universe
 (pairs of factor-ball indices backed by numpy arrays); windows are index
@@ -23,27 +23,15 @@ import numpy as np
 from .errors import InputError, InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries, Oracle, ball
 
-FLOAT_EPS = 1e-9
 
-
-def as_slope(c) -> object:
-    """Normalise a slope given as int/str/Fraction/float."""
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, float):
-        return c
-    raise InputError(f"cannot interpret slope {c!r}")
-
-
-def floor_scaled(c, t: int) -> int:
-    """floor(c * t), exact for rational c."""
-    if isinstance(c, Fraction):
-        return (c.numerator * t) // c.denominator
-    return math.floor(c * t + FLOAT_EPS)
+def as_slope(c) -> Fraction:
+    """Normalise a slope given as int, str (such as "3/2") or Fraction."""
+    if isinstance(c, (int, str, Fraction)):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"slope {c!r} must be an int, a str such as '3/2' or a Fraction")
 
 
 class ProductMetric:
@@ -58,25 +46,15 @@ class ProductMetric:
         self.c = c
         self.origin = (first.identity, second.identity)
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.c, Fraction)
-
     def rho(self, x, y):
         d1 = self.first.distance(x[0], y[0])
         d2 = self.second.distance(x[1], y[1])
         return self.rho_of_distances(d1, d2)
 
-    def rho_of_distances(self, d1: int, d2: int):
-        if self.exact:
-            return d1 + Fraction(d2) / self.c
-        return d1 + d2 / self.c
+    def rho_of_distances(self, d1: int, d2: int) -> Fraction:
+        return d1 + Fraction(d2) / self.c
 
-    # Integer-numerator arithmetic (rational c = p/q): rho * p = d1*p + d2*q.
-
-    @property
-    def den(self) -> int:
-        return self.c.numerator if self.exact else None
+    # Integer-numerator arithmetic (c = p/q): rho * p = d1*p + d2*q.
 
     def rho_num(self, d1: int, d2: int) -> int:
         c = self.c
@@ -84,15 +62,12 @@ class ProductMetric:
 
     def radius_num(self, r) -> int:
         """Largest integer numerator with value <= r (exact for rational r)."""
-        c = self.c
-        r = Fraction(r) if not isinstance(r, Fraction) else r
-        return (r.numerator * c.numerator) // r.denominator
+        r = Fraction(r)
+        return (r.numerator * self.c.numerator) // r.denominator
 
     def leq(self, d1: int, d2: int, r) -> bool:
-        """rho(d1, d2) <= r with exact or epsilon comparison."""
-        if self.exact:
-            return self.rho_num(d1, d2) <= self.radius_num(r)
-        return d1 + d2 / self.c <= r + FLOAT_EPS
+        """rho(d1, d2) <= r, compared exactly."""
+        return self.rho_num(d1, d2) <= self.radius_num(r)
 
     def multiply(self, x, y):
         return (self.first.multiply(x[0], y[0]), self.second.multiply(x[1], y[1]))
@@ -112,9 +87,8 @@ def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP)
     """
     if radius < 0:
         raise InputError("diamond radius must be >= 0")
-    rmax = Fraction(radius).numerator // Fraction(radius).denominator
-    ball1 = ball(metric.first, rmax, cap)
-    ball2 = ball(metric.second, _floor_value(metric.c, radius), cap)
+    ball1 = ball(metric.first, math.floor(radius), cap)
+    ball2 = ball(metric.second, math.floor(metric.c * radius), cap)
     out = []
     for u, t in ball1:
         for w, t2 in ball2:
@@ -127,15 +101,6 @@ def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP)
                 if len(out) > cap:
                     raise ResourceCapError("diamond enumeration", cap)
     return out
-
-
-def _floor_value(c, radius) -> int:
-    """floor(c * radius) for int/Fraction radius."""
-    r = Fraction(radius)
-    if isinstance(c, Fraction):
-        v = c * r
-        return v.numerator // v.denominator
-    return math.floor(float(c) * float(r) + FLOAT_EPS)
 
 
 def diamond_to_csv(metric: ProductMetric, members, path):
@@ -167,7 +132,7 @@ def ball_slice_volume(
     total = 0
     for t in range(n + 1):
         s = growth.sphere(n - t)
-        v2 = growth2.volume(floor_scaled(metric.c, t))
+        v2 = growth2.volume(math.floor(metric.c * t))
         rows.append((t, s, v2, s * v2))
         total += s * v2
     return SliceVolume(radius=n, total=total, summands=rows)
@@ -223,12 +188,10 @@ class ProductSpace:
     """A rho_c ball in G'' materialised as an indexed point universe."""
 
     def __init__(self, metric: ProductMetric, radius, cap=DEFAULT_ENUM_CAP):
-        if not metric.exact:
-            raise InputError("ProductSpace requires a rational slope c")
         self.metric = metric
         self.radius = Fraction(radius)
-        r1 = self.radius.numerator // self.radius.denominator
-        r2 = _floor_value(metric.c, self.radius)
+        r1 = math.floor(self.radius)
+        r2 = math.floor(metric.c * self.radius)
         self.ball1 = FactorBall(metric.first, r1, cap)
         self.ball2 = FactorBall(metric.second, r2, cap)
         rad_num = metric.radius_num(self.radius)
@@ -255,7 +218,6 @@ class ProductSpace:
         d1 = self.ball1.dist[self.pts1].astype(np.int64)
         d2 = self.ball2.dist[self.pts2].astype(np.int64)
         self.rho_num = d1 * p + d2 * q
-        self.den = p
         key = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
         self.index = {int(k): i for i, k in enumerate(key)}
 

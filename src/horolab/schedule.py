@@ -5,19 +5,20 @@ c*(1 + 1/(n+1)); a segment ends at the first radius where the volume ratio
 v'_{floor(g(x))} / v_x crosses 1 from the corresponding side.  f = floor(g)
 is the integer schedule, r_j the breakpoint radii and r'_j = f(r_j).
 
-All arithmetic is exact (Fractions) for rational slopes.
+All arithmetic is exact: the slope is rational and g holds Fractions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
 from .groups import GrowthSeries, generator_bound, make_oracle
-from .product import as_slope, floor_scaled
+from .product import as_slope
 
 DEFAULT_SEGMENT_CAP = 10_000
 
@@ -73,7 +74,7 @@ class SlopeSchedule:
             if self.f[t] < self.f[t - 1]:
                 raise InvariantViolation("schedule f is not nondecreasing")
         for t, (ft, gt) in enumerate(zip(self.f, self.g)):
-            if ft != _floor(gt):
+            if ft != math.floor(gt):
                 raise InvariantViolation(f"f({t}) != floor(g({t}))")
         if self.source == "lemma":
             for j, ratio in enumerate(self.breakpoint_ratios()):
@@ -170,30 +171,17 @@ class AlmostLinearReport:
         return all(r.holds_within_horizon for r in self.rows)
 
 
-def _floor(x) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if isinstance(x, int):
-        return x
-    import math
-
-    return math.floor(x + 1e-9)
-
-
 def _times(c, m: int):
     return c * m
 
 
 def ratio_within_bounds(ratio: Fraction, M: int, c) -> bool:
-    """1/M <= ratio <= M^(2c), compared exactly for rational c."""
+    """1/M <= ratio <= M^(2c), compared exactly for c = p/q."""
     if ratio * M < 1:
         return False
-    if isinstance(c, Fraction) or isinstance(c, int):
-        c = Fraction(c)
-        # ratio <= M^(2p/q)  <=>  ratio^q <= M^(2p)
-        q, p = c.denominator, c.numerator
-        return (ratio.numerator**q) <= (ratio.denominator**q) * (M ** (2 * p))
-    return float(ratio) <= M ** (2 * c) + 1e-9
+    # ratio <= M^(2p/q)  <=>  ratio^q <= M^(2p)
+    q, p = c.denominator, c.numerator
+    return (ratio.numerator**q) <= (ratio.denominator**q) * (M ** (2 * p))
 
 
 def build_schedule(
@@ -214,8 +202,7 @@ def build_schedule(
         )
     if growth.horizon < horizon:
         raise InputError("first growth series does not cover the schedule horizon")
-    zero = Fraction(0) if isinstance(c, Fraction) else 0.0
-    g = [zero]
+    g = [Fraction(0)]
     r = [0]
     segments = []
     segment_of = [0]
@@ -232,7 +219,7 @@ def build_schedule(
             x += 1
             g.append(g[-1] + slope)
             segment_of.append(len(segments))
-            ft = _floor(g[-1])
+            ft = math.floor(g[-1])
             if ft > growth2.horizon:
                 raise InputError(
                     "second growth series does not cover the schedule's slice radii"
@@ -258,7 +245,7 @@ def build_schedule(
                 )
         if not crossed:
             truncated = True
-    f = [_floor(v) for v in g]
+    f = [math.floor(v) for v in g]
     oracleA = make_oracle(growth.spec)
     oracleB = make_oracle(growth2.spec)
     sched = SlopeSchedule(
@@ -289,12 +276,8 @@ def linear_schedule(
     experiments (lattice windows) and wrong-slope probes.
     """
     c = as_slope(c)
-    if isinstance(c, Fraction):
-        g = [c * t for t in range(horizon + 1)]
-        f = [floor_scaled(c, t) for t in range(horizon + 1)]
-    else:
-        g = [c * t for t in range(horizon + 1)]
-        f = [_floor(v) for v in g]
+    g = [c * t for t in range(horizon + 1)]
+    f = [math.floor(v) for v in g]
     M = 0
     if growth is not None and growth2 is not None:
         M = generator_bound(make_oracle(growth.spec), make_oracle(growth2.spec))

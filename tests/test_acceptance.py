@@ -67,8 +67,9 @@ def test_criterion_10_baseline(sc):
     _check(acceptance.criterion_10_baseline(sc))
 
 
-def test_criterion_11_determinism(sc):
+def test_criterion_11_determinism(sc, capsys):
     _check(acceptance.criterion_11_determinism(sc))
+    assert "artifacts written" not in capsys.readouterr().out
 
 
 # Offered sweeps -------------------------------------------------------------

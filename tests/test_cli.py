@@ -57,12 +57,20 @@ def test_bad_group_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_resource_cap_exits_3(tmp_path):
+def test_bad_slope_exits_2(tmp_path):
+    rc = cli.main(["schedule", "--out", str(tmp_path)], config_overrides={"c": "1/0"})
+    assert rc == 2
+
+
+def test_resource_cap_exits_3(tmp_path, capsys):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],
         config_overrides={"enum_cap": 50, "growth": {"horizon": 6, "method": "bfs"}},
     )
     assert rc == 3
+    captured = capsys.readouterr()
+    assert "resource cap:" in captured.err
+    assert "resource cap:" not in captured.out
 
 
 def test_config_file_merge(tmp_path):
@@ -116,6 +124,34 @@ def test_lattice_group_config(tmp_path):
     # linear schedule on Z x Z: l1 balls 1, 5, 13, 25
     assert vol[1].split(",")[3] == "1"
     assert vol[3].split(",")[3] == "13"
+
+
+def test_tree_scenarios_on_free_groups_of_rank_3(tmp_path):
+    f3 = {"kind": "free", "rank": 3}
+    for command in ("diamond", "touching"):
+        out = tmp_path / command
+        rc = cli.main([command, "--out", str(out)], config_overrides={"group": f3, "group2": f3})
+        assert rc == 0
+    sandwich = json.loads((tmp_path / "diamond" / "summary.json").read_text())["sandwich"]
+    assert set(sandwich) == {"lattice", "tree"}
+    assert sandwich["tree"]["violations"] == 0
+    touching = json.loads((tmp_path / "touching" / "summary.json").read_text())
+    assert set(touching) == {"tree_k2_kp1", "degenerate", "lattice"}
+
+
+def test_all_runners_on_a_rational_slope(tmp_path):
+    overrides = {
+        **SMALL,
+        "group": {"kind": "integer_lattice", "dim": 2},
+        "group2": {"kind": "free", "rank": 2},
+        "c": "1/2",
+    }
+    rc = cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides)
+    assert rc == 0
+    breakpoints = json.loads((tmp_path / "schedule" / "breakpoints.json").read_text())
+    assert breakpoints["c"] == "1/2"
+    assert not (tmp_path / "diamond" / "sandwich_tree.csv").exists()
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["c"] == "1/2"
 
 
 def _default_graphing_key(**graphing):

@@ -7,6 +7,8 @@ import pytest
 
 from horolab.graphing import (
     GraphingContext,
+    _component_roots,
+    _pi5_connected,
     assign_phi,
     build_forest_and_pi45,
     build_marked_window,
@@ -354,6 +356,17 @@ def test_pi45_flagged_component():
     out = build_forest_and_pi45(mw, edges, [True, False, True, False, False], [0.1] * 5)
     assert set(out["flagged_vertices"]) == {3, 4}
     assert out["f_edges"] == [(1, 0)]
+
+
+def test_pi5_connected_joins_the_sources_of_each_component():
+    # Pi3 components {0, 1, 2} (sources 0 and 2) and {3} (source 3)
+    edges = [(0, 1), (1, 2)]
+    mw = _fake_mw(4, [10, 11, 12, 13])
+    out = build_forest_and_pi45(mw, edges, [True, False, True, True], [0.1, 0.2, 0.3, 0.4])
+    assert out["pi4"] == [(0, 2)]
+    roots = _component_roots(4, edges)
+    assert _pi5_connected(roots, out)
+    assert not _pi5_connected(roots, {**out, "pi4": []})
 
 
 def test_forest_accounting_matches_deleted_points(f2_ctx):

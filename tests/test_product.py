@@ -10,6 +10,7 @@ from horolab.product import (
     FactorBall,
     ProductMetric,
     ProductSpace,
+    as_slope,
     ball_slice_volume,
     check_triangle_inequality,
     perfect_diamond,
@@ -147,9 +148,14 @@ def test_product_space_window(m_f2):
 
 
 def test_product_space_requires_rational():
-    m = ProductMetric(make_oracle(F2), make_oracle(F2), 1.37)
+    # Floats are refused where the slope is read, before any window is built.
     with pytest.raises(InputError):
-        ProductSpace(m, 2)
+        as_slope(1.37)
+    with pytest.raises(InputError):
+        ProductMetric(make_oracle(F2), make_oracle(F2), 1.37)
+    with pytest.raises(InputError):
+        as_slope("1/0")
+    assert as_slope("137/100") == Fraction(137, 100)
 
 
 def test_distance_matrix():
