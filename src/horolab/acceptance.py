@@ -39,9 +39,9 @@ from .graphing import (
 from .groups import GroupSpec, ball, growth_series, make_oracle
 from .horoboundary import (
     GeodesicRay,
-    LazyWindowHorofunction,
+    Horofunction,
+    ProductHorofunction,
     horofunction_from_ray,
-    product_horofunction,
 )
 from .point_process import corner_event_probability, eventually_decreasing_split
 from .product import ProductMetric, ProductSpace, ball_slice_volume, perfect_diamond
@@ -301,7 +301,7 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
     mz = ProductMetric(oz1, oz2, 1)
     lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
     win = ProductSpace(mz, 5)
-    hz = product_horofunction(
+    hz = ProductHorofunction(
         horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
         horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
         1,
@@ -317,7 +317,7 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
         sched = build_schedule(growth_series(spec1, 26), growth_series(spec2, 26), c, 26)
         m = ProductMetric(o1, o2, c)
         w4 = ProductSpace(m, 4)
-        hh = product_horofunction(
+        hh = ProductHorofunction(
             horofunction_from_ray(o1, ["A"], [el for el, _ in ball(o1, 5)]),
             horofunction_from_ray(o2, ["A"], [el for el, _ in ball(o2, 5)]),
             c,
@@ -382,12 +382,12 @@ def touching_scenarios(spec1, spec2) -> dict:
         spec1 = spec2 = F2
     o1, o2 = make_oracle(spec1), make_oracle(spec2)
     m = ProductMetric(o1, o2, 1)
-    h_a1 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["a"], ["a"]))
-    h_b1 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["b"], ["b"]))
-    h_b2 = LazyWindowHorofunction(o1, GeodesicRay(o1, ["b"], ["b"]))
-    h_a2 = LazyWindowHorofunction(o2, GeodesicRay(o2, ["a"], ["a"]))
-    hh1 = product_horofunction(h_a1, h_b1, 1)
-    hh2 = product_horofunction(h_b2, h_a2, 1)
+    h_a1 = Horofunction(o1, GeodesicRay(o1, ["a"], ["a"]))
+    h_b1 = Horofunction(o2, GeodesicRay(o2, ["b"], ["b"]))
+    h_b2 = Horofunction(o1, GeodesicRay(o1, ["b"], ["b"]))
+    h_a2 = Horofunction(o2, GeodesicRay(o2, ["a"], ["a"]))
+    hh1 = ProductHorofunction(h_a1, h_b1, 1)
+    hh2 = ProductHorofunction(h_b2, h_a2, 1)
     x1 = (o1.canon(["a", "a"]), o2.identity)
     x2 = (o1.identity, o2.canon(["a"]))
     eta, k = connect_then_descend(o1, x2[0], x1[0], h_a1, 12)
@@ -396,9 +396,9 @@ def touching_scenarios(spec1, spec2) -> dict:
     etap0, kp0 = connect_then_descend(o2, x1[1], x1[1], h_b1, 8)
     oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
     mz = ProductMetric(oz1, oz2, 1)
-    hz1 = LazyWindowHorofunction(oz1, GeodesicRay(oz1, ["X"], ["X"]))
-    hz2 = LazyWindowHorofunction(oz2, GeodesicRay(oz2, ["X"], ["X"]))
-    hzz = product_horofunction(hz1, hz2, 1)
+    hz1 = Horofunction(oz1, GeodesicRay(oz1, ["X"], ["X"]))
+    hz2 = Horofunction(oz2, GeodesicRay(oz2, ["X"], ["X"]))
+    hzz = ProductHorofunction(hz1, hz2, 1)
     y1, y2 = ((-2,), (0,)), ((1,), (-1,))
     etaz, kz = connect_then_descend(oz1, y2[0], y1[0], hz1, 10)
     etazp, kzp = connect_then_descend(oz2, y1[1], y2[1], hz2, 10)

@@ -210,18 +210,12 @@ class SandwichRow:
     lower_violations: int
     upper_violations: int
     vacuous: bool
-    unclassified: bool  # empty or whole-window intersection
 
 
 @dataclass
 class SandwichReport:
     rows: list
     first_sandwiched_n: object  # least tested n from which all checks pass
-
-    def ok_from(self, n: int) -> bool:
-        return all(
-            (r.lower_ok and r.upper_ok) or r.vacuous for r in self.rows if r.n >= n
-        )
 
 
 def sandwich_check(
@@ -265,7 +259,6 @@ def sandwich_check(
                     lower_violations=0,
                     upper_violations=0,
                     vacuous=True,
-                    unclassified=True,
                 )
             )
             continue
@@ -289,7 +282,6 @@ def sandwich_check(
                 lower_violations=lower_bad,
                 upper_violations=upper_bad,
                 vacuous=False,
-                unclassified=len(inside) == len(window_points),
             )
         )
     first = None

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries
-from .horoboundary import GeodesicRay, LazyWindowHorofunction, ProductHorofunction
+from .horoboundary import GeodesicRay, Horofunction, ProductHorofunction, spell
 from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, factor_digests, sample_diamond_process
 from .randomness import (
@@ -138,9 +138,7 @@ class GraphingContext:
         h = self._ray_cache.get(center_fi)
         if h is None:
             ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
-            h = LazyWindowHorofunction(
-                self.metric.first, ray, probe_radius=ball1.radius + 2
-            )
+            h = Horofunction(self.metric.first, ray, probe_radius=ball1.radius + 2)
             self._ray_cache[center_fi] = h
         target = h.descend(ball1.elements[y_fi])
         tfi = ball1.index.get(target, -1)
@@ -450,10 +448,12 @@ def _component_roots(n: int, edges) -> list:
     return [uf.find(v) for v in range(n)]
 
 
-def largest_component_fraction(n: int, edges) -> float:
-    if n == 0:
+def largest_component_fraction(roots) -> float:
+    """Share of the vertices in the largest component, given the root
+    label of every vertex."""
+    if not roots:
         return 0.0
-    return max(Counter(_component_roots(n, edges)).values()) / n
+    return max(Counter(roots).values()) / len(roots)
 
 
 @dataclass
@@ -522,9 +522,10 @@ def run_seed(
     prev = -1.0
     for e in sorted(opens):
         edges_e, _, _ = pi3_edges(mw, pi1, opens[e])
+        roots_e = _component_roots(mw.n_vertices, edges_e)
         if e == float(primary_eps):
-            edges = edges_e
-        frac = largest_component_fraction(mw.n_vertices, edges_e)
+            edges, roots = edges_e, roots_e
+        frac = largest_component_fraction(roots_e)
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
             st.monotone_ok = False
@@ -567,7 +568,6 @@ def run_seed(
             s0_mask=s0_mask,
         )
     flagged = set(stages["flagged_vertices"])
-    roots = _component_roots(mw.n_vertices, edges)
     st.flagged_components = len({roots[v] for v in flagged})
     ok_interior = [v for v in interior.tolist() if v not in flagged]
     s0_interior = [v for v in ok_interior if s0_mask[v]]
@@ -633,6 +633,7 @@ class CostReport:
     largest_fraction_by_eps: dict
     runs: list
     rejected_seeds: int = 0
+    seed0_stages: dict = field(default_factory=dict)  # run_seed's `collect` for seed 0
 
     def to_json_dict(self) -> dict:
         out = {
@@ -668,11 +669,11 @@ def _mean_se(values) -> tuple:
 _WORKER = {}
 
 
-def _seed_job(args):
+def _seed_job(args, collect=None):
     key, eps_list, primary_eps, seed_index = args
     try:
         return run_seed(
-            _WORKER["ctx"], key, eps_list, primary_eps, seed_index=seed_index
+            _WORKER["ctx"], key, eps_list, primary_eps, seed_index=seed_index, collect=collect
         )
     except MarkCollisionError:
         return SeedStats(seed_index=seed_index, rejected=True)
@@ -690,15 +691,19 @@ def cost_report(
 ) -> CostReport:
     keys = [(s, seed_digest(master_seed, s)) for s in range(seeds)]
     jobs = [(key, tuple(eps_list), primary_eps, s) for s, key in keys]
+    seed0_stages = {}
     _WORKER["ctx"] = ctx  # inherited by fork, avoids pickling the context
     try:
         if threads > 1:
             import multiprocessing as mp
 
             with mp.get_context("fork").Pool(threads) as pool:
-                runs = pool.map(_seed_job, jobs)
+                runs = pool.map(_seed_job, jobs[1:])
         else:
-            runs = [_seed_job(job) for job in jobs]
+            runs = [_seed_job(job) for job in jobs[1:]]
+        # Seed 0 runs in this process, so its stages need no pickling; it
+        # runs after the pool, so forked workers do not inherit its memory.
+        runs += [_seed_job(job, collect=seed0_stages) for job in jobs[:1]]
     finally:
         _WORKER.clear()
     runs.sort(key=lambda st: st.seed_index)
@@ -755,6 +760,7 @@ def cost_report(
         rejected_seeds=rejected,
         largest_fraction_by_eps=frac,
         runs=runs,
+        seed0_stages=seed0_stages,
     )
 
 
@@ -836,8 +842,6 @@ def touching_paths(
 def connect_then_descend(oracle, start, end, h, extra_steps: int) -> tuple:
     """Path start -> end along a geodesic word, then `extra_steps` descent
     steps of the factor horofunction h.  Returns (path, k)."""
-    from .horoboundary import spell
-
     word = spell(oracle, oracle.multiply(oracle.inverse(start), end))
     gens = oracle.generator_map()
     path = [start]
@@ -934,7 +938,7 @@ def coset_line_baseline(
                 open_edges = [(int(ia[i]), int(ib[i])) for i in sel.tolist()]
             else:
                 open_edges = []
-            frac = largest_component_fraction(n, line_edges + open_edges)
+            frac = largest_component_fraction(_component_roots(n, line_edges + open_edges))
             perc_deg = np.zeros(n, dtype=np.int64)
             for a, b in open_edges:
                 perc_deg[a] += 1

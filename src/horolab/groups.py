@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import InputError, InvariantViolation, ResourceCapError
 
 DEFAULT_ENUM_CAP = 20_000_000
+SERIES_CHECK_HORIZON = 6  # "auto" growth cross-checks the series by BFS this far
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -588,7 +589,6 @@ def growth_series(
     horizon: int,
     method: str = "auto",
     cap: int = DEFAULT_ENUM_CAP,
-    validate_to: int = 6,
 ) -> GrowthSeries:
     """Growth data for `spec` up to `horizon`.
 
@@ -605,8 +605,8 @@ def growth_series(
         spheres = _spheres_by_bfs(oracle, horizon, cap)
     else:
         spheres = oracle.sphere_sizes(horizon)
-        if method == "auto" and validate_to > 0:
-            probe = min(horizon, validate_to)
+        if method == "auto":
+            probe = min(horizon, SERIES_CHECK_HORIZON)
             check = _spheres_by_bfs(oracle, probe, cap)
             if check != spheres[: probe + 1]:
                 raise InvariantViolation(

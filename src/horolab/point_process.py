@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diamonds import diamond_volume
+from .diamonds import corner_count, diamond_volume
 from .errors import InputError, InvariantViolation
-from .groups import DEFAULT_ENUM_CAP, GrowthSeries
+from .groups import DEFAULT_ENUM_CAP, make_oracle
 from .product import FactorBall, ProductMetric, ProductSpace
 from .randomness import (
     STREAM_CENTERS,
@@ -191,10 +191,6 @@ class IncidenceStats:
     empirical_mean: float
     max_count: int
 
-    @property
-    def deviation(self) -> float:
-        return abs(self.empirical_mean - self.exact_mean)
-
 
 def incidence_stats(process: DiamondProcess) -> IncidenceStats:
     ctx = process.ctx
@@ -228,7 +224,6 @@ def corner_event_probability(
     seeds: int = 0,
     master_seed: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
-    check_decay: bool = True,
 ) -> list:
     """Exact and empirical P(centers hit the corner set A_{n,T}) per n.
 
@@ -240,8 +235,6 @@ def corner_event_probability(
     rule alternates sides, so the interleaved sequence legitimately
     oscillates); shorter ranges skip the check.
     """
-    from .diamonds import corner_count
-
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
     n_range = list(n_range)
@@ -249,8 +242,8 @@ def corner_event_probability(
     if need_emp:
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)
-        b1 = FactorBall(_oracle_of(growth), max(r_max + T - 1, T - 1, 0), cap)
-        b2 = FactorBall(_oracle_of(growth2), max(rp_max + T - 1, T - 1, 0), cap)
+        b1 = FactorBall(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
+        b2 = FactorBall(make_oracle(growth2.spec), max(rp_max + T - 1, T - 1, 0), cap)
         d1 = factor_digests(b1, "G")
         d2 = factor_digests(b2, "G2")
     for n in n_range:
@@ -284,7 +277,7 @@ def corner_event_probability(
                 empirical_probability=emp,
             )
         )
-    if check_decay and len(rows) >= 6 and T > 0:
+    if len(rows) >= 6 and T > 0:
         split = eventually_decreasing_split([r.exact_probability for r in rows])
         if not split["eventually_decreasing"]:
             raise InvariantViolation(
@@ -292,12 +285,6 @@ def corner_event_probability(
                 "decreasing along either breakpoint parity"
             )
     return rows
-
-
-def _oracle_of(growth: GrowthSeries):
-    from .groups import make_oracle
-
-    return make_oracle(growth.spec)
 
 
 def _corner_digests(b1, b2, d1, d2, r_n, rp_n, T) -> np.ndarray:

@@ -57,9 +57,6 @@ class SlopeSchedule:
             )
         return self.f[t]
 
-    def breakpoint_count(self) -> int:
-        return len(self.r)
-
     def breakpoint_ratios(self) -> list:
         """v'_{r'_j} / v_{r_j} at every computed breakpoint."""
         out = []
@@ -91,7 +88,7 @@ class SlopeSchedule:
         """Least N(m) with |f(n+m) - f(n) - c m| <= 1 for all n in [N, horizon-m]."""
         rows = []
         for m in range(m_max + 1):
-            cm = _times(self.c, m)
+            cm = self.c * m
             last_violation = -1
             worst = 0
             for n in range(self.horizon - m + 1):
@@ -169,10 +166,6 @@ class AlmostLinearReport:
 
     def all_hold(self) -> bool:
         return all(r.holds_within_horizon for r in self.rows)
-
-
-def _times(c, m: int):
-    return c * m
 
 
 def ratio_within_bounds(ratio: Fraction, M: int, c) -> bool:

@@ -62,6 +62,18 @@ def test_bad_slope_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_main_leaves_the_defaults_unchanged(tmp_path):
+    before = copy.deepcopy(cli.DEFAULTS)
+    rc = cli.main(
+        ["growth", "--out", str(tmp_path)],
+        config_overrides={"seeds": 3, "growth": {"horizon": 3}},
+    )
+    assert rc == 0
+    assert cli.DEFAULTS == before
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert [config[b]["seeds"] for b in ("process", "graphing", "prop13")] == [3, 3, 3]
+
+
 def test_resource_cap_exits_3(tmp_path, capsys):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],
@@ -184,5 +196,6 @@ def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
     (sweep,) = offered
     assert (sweep.key.seeds, sweep.key.window_radius) == (4, 4)
     assert sweep.elapsed > 0
+    assert sweep.report.seed0_stages == {}  # they would keep the whole context alive
     written = (tmp_path / "graphing" / "cost_report.json").read_text()
     assert written == json.dumps(sweep.report.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -13,7 +13,7 @@ from horolab.diamonds import (
 )
 from horolab.errors import InputError
 from horolab.groups import GroupSpec, ball, growth_series, make_oracle
-from horolab.horoboundary import horofunction_from_ray, product_horofunction
+from horolab.horoboundary import ProductHorofunction, horofunction_from_ray
 from horolab.product import ProductMetric, ProductSpace
 from horolab.schedule import build_schedule, linear_schedule
 
@@ -123,7 +123,7 @@ def test_sandwich_lattice_exact(lattice):
     oz1, oz2 = m.first, m.second
     win = ProductSpace(m, 5)
     pts = [win.element(i) for i in range(len(win))]
-    hz = product_horofunction(
+    hz = ProductHorofunction(
         horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
         horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
         Fraction(1),
@@ -146,7 +146,7 @@ def test_sandwich_vacuous_flag(lattice):
     oz1, oz2 = m.first, m.second
     win = ProductSpace(m, 3)
     pts = [win.element(i) for i in range(len(win))]
-    hz = product_horofunction(
+    hz = ProductHorofunction(
         horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 4)]),
         horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 4)]),
         Fraction(1),
@@ -162,7 +162,7 @@ def test_sandwich_center_distance_guard(lattice):
     oz1, oz2 = m.first, m.second
     win = ProductSpace(m, 3)
     pts = [win.element(i) for i in range(len(win))]
-    hz = product_horofunction(
+    hz = ProductHorofunction(
         horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 4)]),
         horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 4)]),
         Fraction(1),

@@ -286,7 +286,7 @@ def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
     from horolab import graphing
     from horolab.graphing import SeedStats
 
-    def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0):
+    def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0, collect=None):
         if seed_index == 3:
             raise error
         return SeedStats(seed_index=seed_index)
@@ -295,6 +295,23 @@ def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
     with pytest.raises(type(error), match=r"^seed 3: ") as info:
         cost_report(f2_ctx, 5, [0.05], 0.05, 1, threads=threads)
     assert str(error) in str(info.value)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cost_report_keeps_the_stages_of_seed_0(f2_ctx, threads):
+    rep = cost_report(f2_ctx, 3, [0.05, 0.1], 0.05, 8, threads=threads)
+    direct = {}
+    run_seed(f2_ctx, seed_digest(8, 0), [0.05, 0.1], 0.05, collect=direct)
+    stages = rep.seed0_stages
+    assert direct and stages.keys() == direct.keys()
+    for name in direct:
+        if name == "marked_window":
+            assert stages[name].v_pid.tolist() == direct[name].v_pid.tolist()
+            assert stages[name].v_k.tolist() == direct[name].v_k.tolist()
+        elif name == "s0_mask":
+            assert stages[name].tolist() == direct[name].tolist()
+        else:
+            assert stages[name] == direct[name], name
 
 
 def test_s0_projects_bijectively(f2_ctx):
@@ -454,9 +471,11 @@ def test_run_seed_collect_stages(z_ctx):
 
 
 def test_largest_component_fraction():
-    assert largest_component_fraction(4, [(0, 1), (2, 3)]) == 0.5
-    assert largest_component_fraction(3, [(0, 1), (1, 2)]) == 1.0
-    assert largest_component_fraction(0, []) == 0.0
+    assert largest_component_fraction(_component_roots(4, [(0, 1), (2, 3)])) == 0.5
+    assert largest_component_fraction(_component_roots(3, [(0, 1), (1, 2)])) == 1.0
+    assert largest_component_fraction([0, 0, 2, 3]) == 0.5
+    assert largest_component_fraction(_component_roots(0, [])) == 0.0
+    assert largest_component_fraction([]) == 0.0
 
 
 # Baseline -------------------------------------------------------------------

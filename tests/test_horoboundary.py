@@ -6,14 +6,9 @@ from horolab.errors import InputError, WindowExhaustedError
 from horolab.groups import GroupSpec, ball, make_oracle
 from horolab.horoboundary import (
     GeodesicRay,
-    Horoball,
-    LazyWindowHorofunction,
-    classify_boundary_pair,
-    descend,
-    descent_path,
-    horofunction_from_anchor,
+    Horofunction,
+    ProductHorofunction,
     horofunction_from_ray,
-    product_horofunction,
     spell,
 )
 
@@ -61,62 +56,39 @@ def test_non_geodesic_ray_rejected(o, win3):
         horofunction_from_ray(o, ["a", "A"], win3)
 
 
-def test_anchor_horofunction(o):
-    win2 = [el for el, _ in ball(o, 2)]
-    h = horofunction_from_anchor(o, o.canon(["a"] * 4), win2)
-    assert h.value(o.identity) == 0
-    assert h.value(o.canon(["A"])) == 1
-    assert h.backing == "anchor"
-    with pytest.raises(InputError):
-        horofunction_from_anchor(o, o.canon(["a"] * 3), win2)
-
-
-def test_anchor_matches_ray_on_window(o):
-    # with the 2x margin the anchor values agree with the exact ray
-    win2 = [el for el, _ in ball(o, 2)]
-    ray = horofunction_from_ray(o, ["a"], win2)
-    anchor = horofunction_from_anchor(o, o.canon(["a"] * 8), win2)
-    for el in win2:
-        assert ray.value(el) == anchor.value(el)
-
-
-def test_lattice_anchor_line(o):
-    oz = make_oracle(Z1)
-    win = [el for el, _ in ball(oz, 3)]
-    h = horofunction_from_anchor(oz, (9,), win)
-    assert h.value((1,)) == -1
-
-
 def test_descend_examples(o, win3):
     h = horofunction_from_ray(o, ["a"], win3)
-    assert descend(o, h, o.identity) == o.canon(["a"])
-    assert descend(o, h, o.canon(["b"])) == o.identity
+    assert h.descend(o.identity) == o.canon(["a"])
+    assert h.descend(o.canon(["b"])) == o.identity
     oz = make_oracle(Z1)
     hz = horofunction_from_ray(oz, ["x"], [el for el, _ in ball(oz, 7)])
-    assert descend(oz, hz, (5,)) == (6,)
+    assert hz.descend((5,)) == (6,)
 
 
 def test_descend_window_exhausted(o, win3):
     h = horofunction_from_ray(o, ["a"], win3)
     deep = o.canon(["a", "a", "a"])
     with pytest.raises(WindowExhaustedError):
-        descend(o, h, deep)
+        h.descend(deep)
 
 
 def test_descent_path_decrements(o):
     win = [el for el, _ in ball(o, 4)]
     h = horofunction_from_ray(o, ["a"], win)
-    x = o.canon(["b", "a"])
-    path = descent_path(o, h, x)
+    path = [o.canon(["b", "a"])]
+    with pytest.raises(WindowExhaustedError):
+        for _ in range(len(win)):
+            path.append(h.descend(path[-1]))
     vals = [h.value(p) for p in path]
     assert vals == list(range(vals[0], vals[0] - len(vals), -1))
+    assert len(path) > 2 and all(p in h.window for p in path)
 
 
 def test_product_horofunction(o, win3):
     o2 = make_oracle(F2)
     h1 = horofunction_from_ray(o, ["a"], win3)
     h2 = horofunction_from_ray(o2, ["b"], [el for el, _ in ball(o2, 3)])
-    hh = product_horofunction(h1, h2, Fraction(2))
+    hh = ProductHorofunction(h1, h2, Fraction(2))
     assert hh.value((o.identity, o2.identity)) == 0
     y = (o.canon(["a"]), o2.canon(["B"]))
     assert hh.value(y) == -1 + Fraction(1, 2)
@@ -128,30 +100,12 @@ def test_product_is_rho_lipschitz(o, win3):
     o2 = make_oracle(F2)
     h1 = horofunction_from_ray(o, ["a"], win3)
     h2 = horofunction_from_ray(o2, ["a"], win3)
-    hh = product_horofunction(h1, h2, Fraction(1))
+    hh = ProductHorofunction(h1, h2, Fraction(1))
     pts = [(x, y) for x in win3[:9] for y in win3[:9]]
     for i, p in enumerate(pts[:40]):
         for q in pts[i + 1 : i + 9]:
             d = o.distance(p[0], q[0]) + o2.distance(p[1], q[1])
             assert abs(hh.value(p) - hh.value(q)) <= d
-
-
-def test_horoball_nesting(o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
-    small = set(Horoball(h, -1).members(win3))
-    large = set(Horoball(h, 1).members(win3))
-    assert small <= large
-    assert Horoball(h, 0).contains(o.identity)
-
-
-def test_classify(o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
-    ray = GeodesicRay(o, ["b"], ["b"])
-    assert classify_boundary_pair(h, ray).tag == "type_II"
-    assert classify_boundary_pair(o.canon(["a"]), ray).tag == "type_I"
-    assert classify_boundary_pair(h, o.identity).tag == "type_I"
-    with pytest.raises(InputError):
-        classify_boundary_pair(o.identity, o.canon(["a"]))
 
 
 def test_ray_through_free_and_lattice():
@@ -184,7 +138,7 @@ def test_no_ray_in_finite_group():
 
 def test_lazy_horofunction_descends_anywhere():
     o = make_oracle(F2)
-    h = LazyWindowHorofunction(o, GeodesicRay(o, ["a"], ["a"]))
+    h = Horofunction(o, GeodesicRay(o, ["a"], ["a"]))
     far = o.canon(["b"] * 10)
     assert h.value(far) == 10
     path = [far]
@@ -193,10 +147,17 @@ def test_lazy_horofunction_descends_anywhere():
     assert h.value(path[-1]) == -2
 
 
-def test_csv_dump(tmp_path, o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
-    p = tmp_path / "h.csv"
-    h.to_csv(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "word,value,backing_kind"
-    assert len(lines) == len(win3) + 1
+@pytest.mark.parametrize("spec, labels", [(F2, ["a"]), (Z2, ["x"])])
+def test_windowless_matches_windowed(spec, labels):
+    o = make_oracle(spec)
+    win = [el for el, _ in ball(o, 3)]
+    windowed = horofunction_from_ray(o, labels, win)
+    windowless = Horofunction(o, windowed.ray)
+    interior = {el for el, d in ball(o, 2)}
+    for el in win:
+        assert windowless.value(el) == windowed.value(el)
+        assert windowless.contains(el) and windowed.contains(el)
+        if el in interior:
+            assert windowless.descend(el) == windowed.descend(el)
+    assert not windowed.contains(o.canon(labels * 4))
+    assert windowless.contains(o.canon(labels * 4))
