@@ -216,11 +216,11 @@ def criterion_2_slices(sc: SuiteContext) -> CriterionResult:
         m = sc.metric_f2()
         g = sc.growth_f2(12)
         for n in range(5):
-            total = ball_slice_volume(m, g, g, n).total
+            total = ball_slice_volume(m, g, g, n)
             brute = len(perfect_diamond(m, m.origin, n))
             if total != brute:
                 return False, f"n={n}: slice sum {total} != enumeration {brute}"
-        n2 = ball_slice_volume(m, g, g, 2).total
+        n2 = ball_slice_volume(m, g, g, 2)
         return n2 == 49, f"n=2 ball volume {n2}"
 
     passed, elapsed, detail = _timed(body)
@@ -249,11 +249,11 @@ def criterion_4_diamond_volume(sc: SuiteContext) -> CriterionResult:
         sched = sc.schedule_f2(12)
         m = sc.metric_f2()
         for n in range(5):
-            total = diamond_volume(sched, n).total
+            total = diamond_volume(sched, n)
             members = diamond_members(m, sched, n, m.origin)
             if total != len(members) or len(set(members)) != total:
                 return False, f"n={n}: slice sum {total} != enumeration {len(members)}"
-        v2 = diamond_volume(sched, 2).total
+        v2 = diamond_volume(sched, 2)
         return v2 == 33, f"r_n=2 volume {v2}"
 
     passed, elapsed, detail = _timed(body)
@@ -439,13 +439,14 @@ def criterion_9_cost(sc: SuiteContext) -> CriterionResult:
         se = st["pi3"]["half_degree_se"]
         band_hi = 1.0 + 0.05 + 3.0 * se + rep.boundary_deficit
         in_band = 1.0 - 1e-9 <= h3 <= band_hi
-        pi5_ok = rep.pi5_violations == 0
+        pi5_ok = rep.pi5_violations == 0 and rep.pi5_disconnected == 0
         fr = [rep.largest_fraction_by_eps[e] for e in sorted(rep.largest_fraction_by_eps)]
         mono = all(b >= a - 1e-12 for a, b in zip(fr, fr[1:])) and rep.monotone_violations == 0
         ok = in_band and pi5_ok and mono
         return ok, (
             f"half-deg pi3 {h3:.4f} in [1, {band_hi:.4f}], pi5 violations "
-            f"{rep.pi5_violations}, fractions {['%.3f' % f for f in fr]}"
+            f"{rep.pi5_violations}, pi5 disconnected {rep.pi5_disconnected}, "
+            f"fractions {['%.3f' % f for f in fr]}"
         )
 
     passed, elapsed, detail = _timed(body)

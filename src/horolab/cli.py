@@ -108,6 +108,11 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _require_count(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _validate(cfg: dict):
     for block in ("graphing", "prop13"):
         for e in cfg[block].get("eps_list", []):
@@ -115,12 +120,11 @@ def _validate(cfg: dict):
                 raise InputError(f"negative percolation parameter {e} in {block}")
     if cfg["graphing"]["eps"] < 0:
         raise InputError("negative percolation parameter")
+    _require_count(cfg["threads"], "threads")
     for block in ("process", "graphing", "prop13"):
-        if cfg[block]["seeds"] < 1:
-            raise InputError(f"{block}.seeds must be >= 1")
+        _require_count(cfg[block]["seeds"], f"{block}.seeds")
     if cfg["seeds"] is not None:
-        if cfg["seeds"] < 1:
-            raise InputError("seeds must be >= 1")
+        _require_count(cfg["seeds"], "seeds")
         for block in ("process", "graphing", "prop13"):
             cfg[block]["seeds"] = cfg["seeds"]
 
@@ -260,8 +264,8 @@ def run_diamond(cfg, out: Path) -> dict:
     plot = []
     for n in n_values:
         dv = diamond_volume(sched, n)
-        vol_rows.append([n, sched.r[n], sched.r_prime[n], dv.total])
-        plot.append(["diamond_volume", n, dv.total, 0])
+        vol_rows.append([n, sched.r[n], sched.r_prime[n], dv])
+        plot.append(["diamond_volume", n, dv, 0])
     write_csv(out / "volumes.csv", ["n", "r_n", "r_prime_n", "volume"], vol_rows)
     dump_radius = min(2, sched.horizon)
     diamond_to_csv(

@@ -20,28 +20,17 @@ from .product import ProductMetric
 from .schedule import SlopeSchedule
 
 
-@dataclass
-class DiamondVolume:
-    n: int
-    radius: int
-    total: int
-    summands: list  # (t, s_{r_n-t}, v'_{f(t)}, product)
-
-
-def diamond_volume(schedule: SlopeSchedule, n: int) -> DiamondVolume:
+def diamond_volume(schedule: SlopeSchedule, n: int) -> int:
+    """v''_n = Sum_t s_{r_n-t} * v'_{f(t)}: the diamond volume by slices."""
     if schedule.growth is None or schedule.growth2 is None:
         raise InputError("schedule carries no growth series")
     if n >= len(schedule.r):
         raise InputError(f"schedule has no breakpoint index {n}")
     r_n = schedule.r[n]
-    rows = []
-    total = 0
-    for t in range(r_n + 1):
-        s = schedule.growth.sphere(r_n - t)
-        v2 = schedule.growth2.volume(schedule.f_of(t))
-        rows.append((t, s, v2, s * v2))
-        total += s * v2
-    return DiamondVolume(n=n, radius=r_n, total=total, summands=rows)
+    return sum(
+        schedule.growth.sphere(r_n - t) * schedule.growth2.volume(schedule.f_of(t))
+        for t in range(r_n + 1)
+    )
 
 
 def in_diamond(metric: ProductMetric, schedule: SlopeSchedule, n: int, center, y) -> bool:
@@ -127,7 +116,7 @@ def corner_count(schedule: SlopeSchedule, n: int, T: int) -> CornerStats:
             f"corner count {count} exceeds the generator-growth bound {bound}"
         )
     return CornerStats(
-        n=n, T=T, count=count, bound=bound, volume=diamond_volume(schedule, n).total
+        n=n, T=T, count=count, bound=bound, volume=diamond_volume(schedule, n)
     )
 
 
@@ -174,7 +163,7 @@ def growth_dominance(schedule: SlopeSchedule, n_range) -> list:
     M = schedule.M
     rows = []
     for n in n_range:
-        v = diamond_volume(schedule, n).total
+        v = diamond_volume(schedule, n)
         m = max(growth.volume(schedule.r[n]), growth2.volume(schedule.r_prime[n]))
         row = DominanceRow(
             n=n,

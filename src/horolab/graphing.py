@@ -75,7 +75,6 @@ class PercolationKernel:
             self.lut[num] = prob
             self.annuli.append((num, counts[num], prob))
         self.truncation_mass = Fraction(1, 2 ** len(self.nums))
-        self.total_mass = Fraction(1)  # sum over all spheres, closed form
 
     def prob_nums(self, rho_nums: np.ndarray) -> np.ndarray:
         return self.lut[rho_nums]
@@ -169,8 +168,6 @@ def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
     kept = []
     excluded = 0
     for d in process.diamonds:
-        if not len(d.member_ids):
-            continue
         if ctx.keeps_center(d.center_pid):
             kept.append(d)
         else:
@@ -624,6 +621,7 @@ class CostReport:
     pi5_bound_lhs: float
     pi5_bound_rhs: float
     pi5_violations: int
+    pi5_disconnected: int
     boundary_deficit: float
     truncation_mass: float
     excluded_diamond_fraction: float
@@ -644,6 +642,7 @@ class CostReport:
             "pi5_bound_lhs": self.pi5_bound_lhs,
             "pi5_bound_rhs": self.pi5_bound_rhs,
             "pi5_violations": self.pi5_violations,
+            "pi5_disconnected": self.pi5_disconnected,
             "boundary_deficit": self.boundary_deficit,
             "kernel_truncation_mass": self.truncation_mass,
             "excluded_diamond_fraction": self.excluded_diamond_fraction,
@@ -721,10 +720,8 @@ def cost_report(
         frac[e], _ = _mean_se(
             [r.largest_fraction.get(e, float("nan")) for r in runs_ok]
         )
-    masked = [r for r in runs_ok if r.n_diamonds > 0]
-    excl = (
-        sum(r.excluded_diamonds for r in masked)
-        / max(1, sum(r.n_diamonds for r in masked))
+    excl = sum(r.excluded_diamonds for r in runs_ok) / max(
+        1, sum(r.n_diamonds for r in runs_ok)
     )
     stages = [
         {
@@ -751,6 +748,7 @@ def cost_report(
         pi5_bound_lhs=lhs_mean,
         pi5_bound_rhs=rhs_mean,
         pi5_violations=sum(1 for r in runs_ok if r.pi5_checked and not r.pi5_ok),
+        pi5_disconnected=sum(1 for r in runs_ok if not r.pi5_connected_ok),
         boundary_deficit=deficit_mean,
         truncation_mass=float(ctx.kernel.truncation_mass),
         excluded_diamond_fraction=float(excl),

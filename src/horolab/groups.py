@@ -14,7 +14,6 @@ checked against each other in the test suite.
 from __future__ import annotations
 
 import csv
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,10 +66,6 @@ class GroupSpec:
             order=int(data.get("order", 0)),
             dim=int(data.get("dim", 0)),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "GroupSpec":
-        return GroupSpec.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
         if self.kind in ("free_product", "direct_product"):

@@ -1,11 +1,12 @@
 """Bernoulli diamond processes on windows and their finite diagnostics.
 
-Centers are sampled with probability 1/v''_n at every point of an enlarged
-center window W+ (every center whose diamond could meet the observation
-window W lies in W+, so the window restriction is exact).  Marks are
-replicated from the center over all member points.  Incidence counts,
-corner-event probabilities and hit probabilities are the desk-scale
-stand-ins for the tightness and limit criteria of the construction.
+Centers are sampled with probability 1/v''_n at every covering center: a
+point of the enlarged center window W+ whose diamond meets the observation
+window W.  A center that covers no point of W is never observed, so the
+window restriction is exact.  Marks are replicated from the center over
+all member points.  Incidence counts, corner-event probabilities and hit
+probabilities are the desk-scale stand-ins for the tightness and limit
+criteria of the construction.
 """
 
 from __future__ import annotations
@@ -61,63 +62,56 @@ class ProcessContext:
         self.rp_n = schedule.r_prime[n]
         self.window_radius = window_radius
         reach = Fraction(self.r_n) + Fraction(self.rp_n) / Fraction(metric.c)
-        self.reach = reach
         self.space = ProductSpace(metric, Fraction(window_radius) + reach, cap)
         self.window_ids = self.space.ids_within(window_radius)
-        self.window_mask = self.space.mask_within(window_radius)
         self.point_digests = combine_digests(
             factor_digests(self.space.ball1, "G")[self.space.pts1],
             factor_digests(self.space.ball2, "G2")[self.space.pts2],
         )
         self.offsets = self._diamond_offsets()
-        self.volume = diamond_volume(schedule, n).total
-        if self.volume != len(self.offsets):
+        self.volume = diamond_volume(schedule, n)
+        if self.volume != len(self.offsets[0]):
             raise InvariantViolation(
                 "diamond slice-sum volume disagrees with offset enumeration"
             )
         self.covering = self._covering_map()
+        self.centers = np.fromiter(self.covering, dtype=np.int64, count=len(self.covering))
 
     def _diamond_offsets(self):
-        """Member offsets of a diamond centered at the origin, as inverses.
+        """Member offsets (u, w) of a diamond centered at the origin.
 
-        Stored as (u_inv, w_inv) element pairs so that the centers covering
-        y are exactly (y1 * u_inv, y2 * w_inv).
+        Returned as two arrays of factor-ball indices, so that the centers
+        covering y are exactly (y1 * u^-1, y2 * w^-1).
         """
-        sched, metric = self.schedule, self.metric
-        out = []
         b1, b2 = self.space.ball1, self.space.ball2
-        by_dist = {}
-        for i, el in enumerate(b1.elements):
-            by_dist.setdefault(int(b1.dist[i]), []).append(el)
+        off1, off2 = [], []
         for t in range(self.r_n + 1):
-            radius2 = sched.f_of(t)
-            for u in by_dist.get(self.r_n - t, ()):
-                u_inv = metric.first.inverse(u)
-                for j in range(b2.volume(radius2)):
-                    out.append((u_inv, metric.second.inverse(b2.elements[j])))
-        return out
+            lo, hi = b1.volume(self.r_n - t - 1), b1.volume(self.r_n - t)
+            cnt2 = b2.volume(self.schedule.f_of(t))
+            off1.append(np.repeat(np.arange(lo, hi, dtype=np.int64), cnt2))
+            off2.append(np.tile(np.arange(cnt2, dtype=np.int64), hi - lo))
+        return np.concatenate(off1), np.concatenate(off2)
 
     def _covering_map(self):
-        """center universe id -> np.array of member window ids."""
-        first, second = self.metric.first, self.metric.second
-        space = self.space
-        cover = {}
-        for wid in self.window_ids:
-            y1 = space.ball1.elements[int(space.pts1[wid])]
-            y2 = space.ball2.elements[int(space.pts2[wid])]
-            for u_inv, w_inv in self.offsets:
-                pid = space.lookup_elements(
-                    first.multiply(y1, u_inv), second.multiply(y2, w_inv)
-                )
-                if pid is None:
-                    raise InvariantViolation(
-                        "center window W+ does not contain a covering center"
-                    )
-                cover.setdefault(pid, []).append(int(wid))
-        return {
-            pid: np.asarray(sorted(members), dtype=np.int64)
-            for pid, members in cover.items()
-        }
+        """Center pid -> sorted member window ids, for every center whose
+        diamond meets the window (in increasing pid order)."""
+        space, wid = self.space, self.window_ids
+        off1, off2 = self.offsets
+        w1, w2 = space.pts1[wid], space.pts2[wid]
+        q1 = space.ball1.quotient_table(int(w1.max()) + 1, int(off1.max()) + 1)
+        q2 = space.ball2.quotient_table(int(w2.max()) + 1, int(off2.max()) + 1)
+        # A factor quotient outside its ball is -1, which packs to a
+        # negative key and so misses like any center outside W+.
+        pids = space.lookup_keys((q1[w1][:, off1] << 32) | q2[w2][:, off2]).ravel()
+        if (pids < 0).any():
+            raise InvariantViolation(
+                "center window W+ does not contain a covering center"
+            )
+        order = np.argsort(pids, kind="stable")  # members stay in wid order
+        centers, starts = np.unique(pids[order], return_index=True)
+        members = np.split(np.repeat(wid, len(off1))[order], starts[1:])
+        return dict(zip(centers.tolist(), members))
+
 
 @dataclass
 class PointedDiamond:
@@ -135,7 +129,6 @@ class DiamondProcess:
     param: float
     center_pids: np.ndarray
     diamonds: list
-    counts: np.ndarray  # per-universe-point incidence count (W entries used)
 
     def dump_jsonl(self, path):
         with open(path, "w") as fh:
@@ -153,30 +146,21 @@ class DiamondProcess:
                 )
 
 
-def sample_diamond_process(
-    ctx: ProcessContext, seed: int, param_override: float = None
-) -> DiamondProcess:
-    """Deterministic Bernoulli(1/v''_n) sample of pointed marked diamonds."""
+def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
+    """Deterministic Bernoulli(1/v''_n) sample of the pointed marked
+    diamonds that meet the window, drawn over the covering centers."""
     rng = SeededRandomness(seed)
-    param = 1.0 / ctx.volume if param_override is None else float(param_override)
-    u1 = rng.uniforms(ctx.point_digests, STREAM_CENTERS)
-    center_pids = np.flatnonzero(u1 <= param)
-    marks = rng.uniforms(ctx.point_digests[center_pids], STREAM_MARKS)
-    empty = np.zeros(0, dtype=np.int64)
-    diamonds = []
-    counts = np.zeros(len(ctx.space), dtype=np.int32)
-    for pid, mark in zip(center_pids.tolist(), marks.tolist()):
-        members = ctx.covering.get(pid, empty)
-        diamonds.append(PointedDiamond(pid, float(mark), members))
-        if len(members):
-            np.add.at(counts, members, 1)
+    param = 1.0 / ctx.volume
+    digests = ctx.point_digests[ctx.centers]
+    chosen = np.flatnonzero(rng.uniforms(digests, STREAM_CENTERS) <= param)
+    center_pids = ctx.centers[chosen]
+    marks = rng.uniforms(digests[chosen], STREAM_MARKS)
+    diamonds = [
+        PointedDiamond(pid, float(mark), ctx.covering[pid])
+        for pid, mark in zip(center_pids.tolist(), marks.tolist())
+    ]
     return DiamondProcess(
-        ctx=ctx,
-        seed=seed,
-        param=param,
-        center_pids=center_pids,
-        diamonds=diamonds,
-        counts=counts,
+        ctx=ctx, seed=seed, param=param, center_pids=center_pids, diamonds=diamonds
     )
 
 
@@ -184,8 +168,6 @@ def sample_diamond_process(
 class IncidenceStats:
     """Per-window-point diamond counts versus the exact Binomial mean."""
 
-    n: int
-    window_points: int
     counts: np.ndarray
     exact_mean: float
     empirical_mean: float
@@ -194,12 +176,12 @@ class IncidenceStats:
 
 def incidence_stats(process: DiamondProcess) -> IncidenceStats:
     ctx = process.ctx
-    window_counts = process.counts[ctx.window_ids]
+    members = [np.zeros(0, dtype=np.int64)] + [d.member_ids for d in process.diamonds]
+    counts = np.bincount(np.concatenate(members), minlength=len(ctx.space))
+    window_counts = counts[ctx.window_ids]
     # Every window point is covered by exactly v''_n potential centers.
     exact_mean = ctx.volume * process.param
     return IncidenceStats(
-        n=ctx.n,
-        window_points=len(ctx.window_ids),
         counts=window_counts,
         exact_mean=float(exact_mean),
         empirical_mean=float(window_counts.mean()) if len(window_counts) else 0.0,
@@ -248,7 +230,7 @@ def corner_event_probability(
         d2 = factor_digests(b2, "G2")
     for n in n_range:
         stats = corner_count(schedule, n, T)
-        v = diamond_volume(schedule, n).total
+        v = diamond_volume(schedule, n)
         # 1 - (1 - 1/v)^|A| in log space; the direct power saturates at 1.
         exact = -math.expm1(stats.count * math.log1p(-1.0 / v)) if stats.count else 0.0
         emp = float("nan")
@@ -365,7 +347,7 @@ def hit_probability(schedule: SlopeSchedule, n: int, T: int) -> HitProbabilityRo
     total = 0
     for t in range(r_n + 1):
         total += growth.sphere(t) * growth2.volume(schedule.f_of(r_n - t) + T)
-    v = diamond_volume(schedule, n).total
+    v = diamond_volume(schedule, n)
     eps = min(growth.eps_nonamen, growth2.eps_nonamen)
     bound = Fraction(1) / (1 - eps) ** T
     ratio = Fraction(total, v)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -113,29 +112,16 @@ def diamond_to_csv(metric: ProductMetric, members, path):
             )
 
 
-@dataclass
-class SliceVolume:
-    """Eq.-style vertical-slice decomposition of a rho_c ball volume."""
-
-    radius: int
-    total: int
-    summands: list  # (t, sphere_{n-t}, ball'_{floor(ct)}, product)
-
-
 def ball_slice_volume(
     metric: ProductMetric, growth: GrowthSeries, growth2: GrowthSeries, n: int
-) -> SliceVolume:
-    """Sum_t s_{n-t} * v'_{floor(c t)} with the per-slice breakdown."""
+) -> int:
+    """Sum_t s_{n-t} * v'_{floor(c t)}: the rho_c ball volume by slices."""
     if n < 0:
         raise InputError("radius must be >= 0")
-    rows = []
-    total = 0
-    for t in range(n + 1):
-        s = growth.sphere(n - t)
-        v2 = growth2.volume(math.floor(metric.c * t))
-        rows.append((t, s, v2, s * v2))
-        total += s * v2
-    return SliceVolume(radius=n, total=total, summands=rows)
+    return sum(
+        growth.sphere(n - t) * growth2.volume(math.floor(metric.c * t))
+        for t in range(n + 1)
+    )
 
 
 class FactorBall:
@@ -168,6 +154,16 @@ class FactorBall:
 
     def words(self):
         return [self.oracle.word_str(el) for el in self.elements]
+
+    def quotient_table(self, rows: int, cols: int) -> np.ndarray:
+        """Index of elements[i] * elements[j]^-1 for i < rows, j < cols;
+        -1 where the product leaves the ball."""
+        orc = self.oracle
+        inv = [orc.inverse(el) for el in self.elements[:cols]]
+        return np.array(
+            [[self.index.get(orc.multiply(y, v), -1) for v in inv] for y in self.elements[:rows]],
+            dtype=np.int64,
+        )
 
     def distance_matrix(self, count=None) -> np.ndarray:
         """Pairwise word distances among the first `count` elements."""
@@ -218,15 +214,22 @@ class ProductSpace:
         d1 = self.ball1.dist[self.pts1].astype(np.int64)
         d2 = self.ball2.dist[self.pts2].astype(np.int64)
         self.rho_num = d1 * p + d2 * q
-        key = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
-        self.index = {int(k): i for i, k in enumerate(key)}
+        # Packed (i << 32) | j keys; the slice loop emits them in increasing
+        # order, so they index the universe by binary search.
+        self.keys = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
 
     def __len__(self):
         return len(self.pts1)
 
+    def lookup_keys(self, keys) -> np.ndarray:
+        """Universe ids of packed keys (i << 32) | j, -1 where outside."""
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
+
     def lookup(self, i: int, j: int):
         """Universe id of factor-index pair, or None when outside."""
-        return self.index.get((i << 32) | j)
+        pid = int(self.lookup_keys((int(i) << 32) | int(j)))
+        return None if pid < 0 else pid
 
     def lookup_elements(self, el1, el2):
         i = self.ball1.index.get(el1)

@@ -85,6 +85,7 @@ def _clean_report(seeds=200):
         pi5_bound_lhs=2.0,
         pi5_bound_rhs=3.0,
         pi5_violations=0,
+        pi5_disconnected=0,
         boundary_deficit=0.5,
         truncation_mass=0.001,
         excluded_diamond_fraction=0.05,
@@ -146,6 +147,16 @@ def test_offer_with_another_key_is_not_used(monkeypatch, change):
     assert acceptance.criterion_7_pi1_forest(sc).passed
     assert calls == [(200, [0.01, 0.05, 0.1, 0.2], 0.05, 20260810)]
     assert sc.graphing_runs() is not sc.sweeps[0].report
+
+
+def test_a_disconnected_pi5_fails_criterion_9(no_sweep):
+    sc = _offered_suite()
+    sweep = sc.sweeps[0]
+    report = dataclasses.replace(sweep.report, pi5_disconnected=1)
+    sc.sweeps = (dataclasses.replace(sweep, report=report),)
+    c9 = acceptance.criterion_9_cost(sc)
+    assert not c9.passed
+    assert "pi5 disconnected 1" in c9.detail
 
 
 def test_offered_sweep_elapsed_counts_against_the_runtime_limit(no_sweep):

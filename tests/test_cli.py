@@ -49,6 +49,17 @@ def test_negative_eps_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"threads": "2"}, {"threads": 1.5}, {"threads": 0}, {"graphing": {"seeds": "3"}}],
+    ids=["threads-str", "threads-float", "threads-0", "seeds-str"],
+)
+def test_malformed_count_exits_2(tmp_path, capsys, overrides):
+    rc = cli.main(["graphing", "--out", str(tmp_path)], config_overrides=overrides)
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_bad_group_exits_2(tmp_path):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],

@@ -43,9 +43,9 @@ def test_volume_identity(sched, metric):
     for n in range(5):
         dv = diamond_volume(sched, n)
         members = diamond_members(metric, sched, n, metric.origin)
-        assert dv.total == len(members) == len(set(members))
-    assert diamond_volume(sched, 2).total == 33
-    assert diamond_volume(sched, 0).total == 1
+        assert dv == len(members) == len(set(members))
+    assert diamond_volume(sched, 2) == 33
+    assert diamond_volume(sched, 0) == 1
 
 
 def test_volume_identity_lattice(lattice):
@@ -53,9 +53,9 @@ def test_volume_identity_lattice(lattice):
     for n in range(4):
         dv = diamond_volume(lsched, n)
         members = diamond_members(m, lsched, n, m.origin)
-        assert dv.total == len(members)
+        assert dv == len(members)
     # f = identity makes diamonds perfect l1 balls: 2n^2 + 2n + 1
-    assert diamond_volume(lsched, 2).total == 13
+    assert diamond_volume(lsched, 2) == 13
 
 
 def test_members_window_intersection(sched, metric):

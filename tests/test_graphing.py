@@ -54,7 +54,6 @@ def z_ctx():
 
 def test_kernel_total_mass_and_truncation(f2_ctx):
     k = f2_ctx.kernel
-    assert k.total_mass == 1
     enumerated = sum(Fraction(1, 2 ** (j + 1)) for j in range(len(k.nums)))
     assert enumerated + k.truncation_mass == 1
     assert all(p > 0 for _, _, p in k.annuli)
@@ -438,6 +437,17 @@ def test_run_seed_stats_zxz(z_ctx):
         assert st.pi5_ok
     assert st.half_deg_pi1 == pytest.approx(1.0)
     assert st.half_deg_pi3 >= 1.0
+
+
+def test_excluded_fraction_counts_the_diamonds_that_meet_the_window(f2_ctx):
+    rep = cost_report(f2_ctx, 6, [0.05], 0.05, 17)
+    runs = [r for r in rep.runs if not r.rejected]
+    diamonds = sum(r.n_diamonds for r in runs)
+    assert diamonds > 0
+    assert rep.excluded_diamond_fraction == sum(r.excluded_diamonds for r in runs) / diamonds
+    for s in range(6):
+        proc = sample_diamond_process(f2_ctx.pctx, seed_digest(17, s))
+        assert all(len(d.member_ids) for d in proc.diamonds)
 
 
 def test_cost_report_zxz(z_ctx):

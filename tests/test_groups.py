@@ -151,7 +151,7 @@ def test_element_order_total_and_deterministic():
 
 
 def test_spec_json_roundtrip():
-    spec = GroupSpec.from_json(json.dumps(C2C3.to_dict()))
+    spec = GroupSpec.from_dict(json.loads(json.dumps(C2C3.to_dict())))
     assert spec == C2C3
     with pytest.raises(InputError):
         GroupSpec.from_dict({"rank": 2})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from horolab.diamonds import in_diamond
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
     ProcessContext,
@@ -13,8 +14,8 @@ from horolab.point_process import (
     sample_diamond_process,
 )
 from horolab.product import ProductMetric
-from horolab.randomness import seed_digest
-from horolab.schedule import build_schedule
+from horolab.randomness import STREAM_CENTERS, STREAM_MARKS, SeededRandomness, seed_digest
+from horolab.schedule import build_schedule, linear_schedule
 
 F2 = GroupSpec("free", rank=2)
 
@@ -42,18 +43,54 @@ def test_determinism(ctx):
     ).all()
 
 
-def test_forced_bernoulli_one(ctx):
-    p = sample_diamond_process(ctx, seed_digest(5, 0), param_override=1.0)
-    assert len(p.center_pids) == len(ctx.space)
-    inc = incidence_stats(p)
-    # every window point is covered by exactly v'' centers
-    assert (inc.counts == ctx.volume).all()
-    assert inc.empirical_mean == pytest.approx(ctx.volume)
-
-
 def test_covering_map_is_exact(ctx):
-    total = sum(len(v) for v in ctx.covering.values())
-    assert total == ctx.volume * len(ctx.window_ids)
+    members = np.concatenate(list(ctx.covering.values()))
+    counts = np.bincount(members, minlength=len(ctx.space))
+    # every window point is covered by exactly v'' centers, and nothing else is
+    assert (counts[ctx.window_ids] == ctx.volume).all()
+    assert counts.sum() == ctx.volume * len(ctx.window_ids)
+    assert list(ctx.centers) == sorted(ctx.covering)
+    # Every listed pair is a true membership, so with the counts above each
+    # window point lists exactly its v'' covering centers.
+    space = ctx.space
+    for pid, m in ctx.covering.items():
+        assert (np.diff(m) > 0).all()
+        center = space.element(pid)
+        for wid in m.tolist():
+            assert in_diamond(ctx.metric, ctx.schedule, ctx.n, center, space.element(wid))
+
+
+def _full_universe_draw(ctx, seed):
+    """Reference sampler: one center uniform per point of W+, restricted
+    afterwards to the centers whose diamond meets the window."""
+    rng = SeededRandomness(seed)
+    u1 = rng.uniforms(ctx.point_digests, STREAM_CENTERS)
+    drawn = np.flatnonzero(u1 <= 1.0 / ctx.volume)
+    marks = rng.uniforms(ctx.point_digests[drawn], STREAM_MARKS)
+    keep = [k for k, pid in enumerate(drawn.tolist()) if pid in ctx.covering]
+    return drawn[keep], marks[keep]
+
+
+@pytest.fixture(scope="module")
+def z2_ctx():
+    z = GroupSpec("integer_lattice", dim=1)
+    g = growth_series(z, 14)
+    metric = ProductMetric(make_oracle(z), make_oracle(z), 1)
+    return ProcessContext(metric, linear_schedule(1, 12, growth=g, growth2=g), 3, 4)
+
+
+@pytest.mark.parametrize("which", ["f2", "z2"])
+def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, which):
+    c = ctx if which == "f2" else z2_ctx
+    assert len(c.centers) < len(c.space)
+    for s in range(20):
+        proc = sample_diamond_process(c, seed_digest(31, s))
+        pids, marks = _full_universe_draw(c, seed_digest(31, s))
+        assert proc.center_pids.tolist() == pids.tolist()
+        assert [d.mark for d in proc.diamonds] == marks.tolist()
+        for d in proc.diamonds:
+            assert d.member_ids.tolist() == c.covering[d.center_pid].tolist()
+            assert len(d.member_ids)
 
 
 def test_empirical_center_density(ctx):
@@ -75,10 +112,12 @@ def test_incidence_binomial_moments(ctx):
     origin = ctx.space.lookup_elements(
         ctx.metric.first.identity, ctx.metric.second.identity
     )
+    at = int(np.searchsorted(ctx.window_ids, origin))
+    assert ctx.window_ids[at] == origin
     counts = []
     for s in range(seeds):
         proc = sample_diamond_process(ctx, seed_digest(7, s))
-        counts.append(int(proc.counts[origin]))
+        counts.append(int(incidence_stats(proc).counts[at]))
     counts = np.asarray(counts, dtype=np.float64)
     v = ctx.volume
     mean, var = 1.0, (1.0 - 1.0 / v)

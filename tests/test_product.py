@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,16 +69,16 @@ def test_perfect_diamond_lattice_cross():
 def test_slice_identity(m_f2, g_f2):
     for n in range(5):
         sl = ball_slice_volume(m_f2, g_f2, g_f2, n)
-        assert sl.total == len(perfect_diamond(m_f2, m_f2.origin, n))
-    assert ball_slice_volume(m_f2, g_f2, g_f2, 0).total == 1
+        assert sl == len(perfect_diamond(m_f2, m_f2.origin, n))
+    assert ball_slice_volume(m_f2, g_f2, g_f2, 0) == 1
 
 
 def test_slice_identity_lattice():
     mz = ProductMetric(make_oracle(Z1), make_oracle(Z1), 1)
     gz = growth_series(Z1, 8)
-    assert ball_slice_volume(mz, gz, gz, 2).total == 13
+    assert ball_slice_volume(mz, gz, gz, 2) == 13
     for n in range(5):
-        assert ball_slice_volume(mz, gz, gz, n).total == len(
+        assert ball_slice_volume(mz, gz, gz, n) == len(
             perfect_diamond(mz, mz.origin, n)
         )
 
@@ -87,7 +88,7 @@ def test_slice_identity_rational_slope():
     g1 = growth_series(F2, 8)
     g2 = growth_series(Z1, 16)
     for n in range(4):
-        assert ball_slice_volume(m, g1, g2, n).total == len(
+        assert ball_slice_volume(m, g1, g2, n) == len(
             perfect_diamond(m, m.origin, n)
         )
 
@@ -145,6 +146,23 @@ def test_product_space_window(m_f2):
     assert pid is not None
     assert sp.element(pid) == (m_f2.first.canon(["a"]), m_f2.second.identity)
     assert sp.word_str(pid) == "a|e"
+
+
+@pytest.mark.parametrize(
+    "first, second, c",
+    [(F2, F2, 1), (GroupSpec("integer_lattice", dim=2), F2, "1/2")],
+    ids=["f2xf2", "z2xf2-half"],
+)
+def test_product_space_keys_index_the_universe(first, second, c):
+    sp = ProductSpace(ProductMetric(make_oracle(first), make_oracle(second), c), 3)
+    assert (np.diff(sp.keys) > 0).all()
+    for k in range(len(sp)):
+        assert sp.lookup(sp.pts1[k], sp.pts2[k]) == k
+    assert (sp.lookup_keys(sp.keys) == np.arange(len(sp))).all()
+    # Outside either factor ball, and inside both balls but beyond rho_c.
+    assert sp.lookup(len(sp.ball1), 0) is None
+    assert sp.lookup(0, len(sp.ball2)) is None
+    assert sp.lookup(len(sp.ball1) - 1, len(sp.ball2) - 1) is None
 
 
 def test_product_space_requires_rational():
