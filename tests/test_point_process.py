@@ -6,6 +6,8 @@ import pytest
 from horolab.diamonds import in_diamond
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
+    DiamondProcess,
+    PointedDiamond,
     ProcessContext,
     corner_event_probability,
     eventually_decreasing_split,
@@ -41,6 +43,18 @@ def test_determinism(ctx):
     assert len(a.center_pids) != len(c.center_pids) or not (
         a.center_pids == c.center_pids
     ).all()
+
+
+def test_forced_bernoulli_one(ctx):
+    # The process with every covering center drawn (Bernoulli parameter 1).
+    diamonds = [PointedDiamond(pid, 0.5, ctx.covering[pid]) for pid in ctx.centers.tolist()]
+    p = DiamondProcess(ctx, seed_digest(5, 0), 1.0, ctx.centers, diamonds)
+    inc = incidence_stats(p)
+    # every window point is covered by exactly v'' centers
+    assert (inc.counts == ctx.volume).all()
+    assert inc.exact_mean == ctx.volume
+    assert inc.empirical_mean == pytest.approx(ctx.volume)
+    assert inc.max_count == ctx.volume
 
 
 def test_covering_map_is_exact(ctx):
