@@ -108,23 +108,67 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def _require_count(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+# Integer config fields as (block, key, least value); block None is the
+# top level.  Every entry of an integer list field is an integer >= 0.
+_INT_FIELDS = (
+    (None, "enum_cap", 1),
+    (None, "threads", 1),
+    ("growth", "horizon", 1),
+    ("growth", "ball_dump_radius", 0),
+    ("schedule", "horizon", 1),
+    ("schedule", "m_max", 0),
+    ("process", "n", 0),
+    ("process", "window_radius", 0),
+    ("process", "seeds", 1),
+    ("process", "T", 0),
+    ("process", "corner_seeds", 0),
+    ("graphing", "n", 0),
+    ("graphing", "window_radius", 1),
+    ("graphing", "margin", 1),
+    ("graphing", "seeds", 1),
+    ("prop13", "window_radius", 1),
+    ("prop13", "margin", 1),
+    ("prop13", "seeds", 1),
+)
+_INT_LIST_FIELDS = (("process", "n_range"), ("diamond", "n_values"), ("diamond", "T_values"))
+_EPS_LIST_FIELDS = (("graphing", "eps_list"), ("prop13", "eps_list"))
+
+
+def _require_int(value, name: str, least: int = 1):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_eps(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _require_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 def _validate(cfg: dict):
-    for block in ("graphing", "prop13"):
-        for e in cfg[block].get("eps_list", []):
-            if e < 0:
-                raise InputError(f"negative percolation parameter {e} in {block}")
-    if cfg["graphing"]["eps"] < 0:
-        raise InputError("negative percolation parameter")
-    _require_count(cfg["threads"], "threads")
-    for block in ("process", "graphing", "prop13"):
-        _require_count(cfg[block]["seeds"], f"{block}.seeds")
+    def get(block, key):
+        if block is None:
+            return cfg[key], key
+        if not isinstance(cfg[block], dict):
+            raise InputError(f"{block} must be an object, got {cfg[block]!r}")
+        return cfg[block][key], f"{block}.{key}"
+
+    for block, key, least in _INT_FIELDS:
+        _require_int(*get(block, key), least)
+    for block, key in _INT_LIST_FIELDS:
+        for v in _require_list(*get(block, key)):
+            _require_int(v, f"{block}.{key} entry", 0)
+    for block, key in _EPS_LIST_FIELDS:
+        for v in _require_list(*get(block, key)):
+            _require_eps(v, f"{block}.{key} entry")
+    _require_eps(*get("graphing", "eps"))
     if cfg["seeds"] is not None:
-        _require_count(cfg["seeds"], "seeds")
+        _require_int(cfg["seeds"], "seeds")
         for block in ("process", "graphing", "prop13"):
             cfg[block]["seeds"] = cfg["seeds"]
 

@@ -23,8 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
-from .groups import DEFAULT_ENUM_CAP, GrowthSeries
-from .horoboundary import GeodesicRay, Horofunction, ProductHorofunction, spell
+from .groups import DEFAULT_ENUM_CAP, FreeOracle, GrowthSeries
+from .horoboundary import (
+    GeodesicRay,
+    Horofunction,
+    ProductHorofunction,
+    free_ray_step,
+    spell,
+)
 from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, factor_digests, sample_diamond_process
 from .randomness import (
@@ -110,6 +116,7 @@ class GraphingContext:
         )
         self.D1 = space.ball1.distance_matrix(space.ball1.volume(window_radius))
         self.D2 = space.ball2.distance_matrix(space.ball2.volume(self._second_radius()))
+        self._free_first = isinstance(metric.first, FreeOracle)
         self._tau_cache = {}
         self._ray_cache = {}
 
@@ -128,12 +135,20 @@ class GraphingContext:
         return self.first_dist_of_center(pid) > self.interior_radius
 
     def tau(self, center_fi: int, y_fi: int):
-        """First-coordinate descent target toward the center's direction."""
+        """First-coordinate descent target toward the center's direction:
+        the neighbour of y one step down the horofunction of the ray
+        `GeodesicRay.through(center)`, as a first-ball index (-1 outside).
+
+        On a free first factor this is the closed-form `free_ray_step`;
+        other factors descend a memoised `Horofunction` per center."""
+        ball1 = self.pctx.space.ball1
+        if self._free_first:
+            target = free_ray_step(ball1.elements[center_fi], ball1.elements[y_fi])
+            return ball1.index.get(target, -1)
         key = (center_fi, y_fi)
         hit = self._tau_cache.get(key)
         if hit is not None:
             return hit
-        ball1 = self.pctx.space.ball1
         h = self._ray_cache.get(center_fi)
         if h is None:
             ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
@@ -212,30 +227,24 @@ class Pi1Forest:
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
     space = ctx.pctx.space
-    n = mw.n_vertices
-    target = np.full(n, -1, dtype=np.int64)
-    vert_index = {}
-    for vi in range(n):
-        vert_index[(int(mw.v_pid[vi]), int(mw.v_k[vi]))] = vi
+    v_k = mw.v_k.tolist()
+    vert_index = {key: vi for vi, key in enumerate(zip(mw.v_pid.tolist(), v_k))}
+    center_fi = [int(space.pts1[d.center_pid]) for d in mw.diamonds]
+    y_fi = space.pts1[mw.v_pid].tolist()
+    tfi = np.fromiter(
+        (ctx.tau(center_fi[k], yfi) for k, yfi in zip(v_k, y_fi)),
+        dtype=np.int64,
+        count=len(v_k),
+    )
+    # A target outside the first factor ball is -1, which packs to a
+    # negative key and so misses like any point outside the universe.
+    tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid]).tolist()
+    target = np.full(len(v_k), -1, dtype=np.int64)
     stalled = 0
     interior_violations = 0
-    window_num = ctx.metric.radius_num(ctx.window_radius)
     by_group = {}
-    for vi in range(n):
-        pid = int(mw.v_pid[vi])
-        k = int(mw.v_k[vi])
-        cfi = int(space.pts1[mw.diamonds[k].center_pid])
-        yfi = int(space.pts1[pid])
-        tfi = ctx.tau(cfi, yfi)
-        tv = -1
-        if tfi >= 0:
-            tpid = space.lookup(tfi, int(space.pts2[pid]))
-            if (
-                tpid is not None
-                and space.rho_num[tpid] <= window_num
-                and tpid in mw.member_sets[k]
-            ):
-                tv = vert_index[(tpid, k)]
+    for vi, (k, yfi, tpid) in enumerate(zip(v_k, y_fi, tpids)):
+        tv = vert_index[(tpid, k)] if tpid in mw.member_sets[k] else -1
         target[vi] = tv
         if tv < 0:
             stalled += 1

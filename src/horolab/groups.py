@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, InvariantViolation, ResourceCapError
 
 DEFAULT_ENUM_CAP = 20_000_000
@@ -145,6 +147,19 @@ class Oracle:
     def distance(self, a, b) -> int:
         return self.length(self.multiply(self.inverse(a), b))
 
+    def distance_matrix(self, elements) -> np.ndarray:
+        """Pairwise word distances among `elements` (int32, symmetric)."""
+        m = len(elements)
+        out = np.zeros((m, m), dtype=np.int32)
+        inv = [self.inverse(el) for el in elements]
+        for i in range(m):
+            a = inv[i]
+            for j in range(i + 1, m):
+                d = self.length(self.multiply(a, elements[j]))
+                out[i, j] = d
+                out[j, i] = d
+        return out
+
 
 class FreeOracle(Oracle):
     """Free group of rank k; canonical forms are reduced words.
@@ -173,6 +188,27 @@ class FreeOracle(Oracle):
 
     def length(self, a):
         return len(a)
+
+    def distance_matrix(self, elements):
+        """Closed form |x| + |y| - 2 lcp(x, y): the tree path from x to y
+        runs through their longest common prefix."""
+        m = len(elements)
+        lengths = np.fromiter(map(len, elements), dtype=np.int32, count=m)
+        # prefix[i, k] ids the length-(k+1) prefix of elements[i]; past the
+        # word's end each row gets its own id, so only the diagonal matches.
+        prefix = np.empty((m, int(lengths.max(initial=0))), dtype=np.int32)
+        ids = {}
+        for i, el in enumerate(elements):
+            prefix[i] = -1 - i
+            for k in range(len(el)):
+                prefix[i, k] = ids.setdefault(el[: k + 1], len(ids))
+        out = lengths[:, None] + lengths[None, :]
+        eq = np.empty((m, m), dtype=bool)
+        for col in prefix.T:
+            np.equal(col[:, None], col[None, :], out=eq)
+            np.subtract(out, 2, out=out, where=eq)
+        np.fill_diagonal(out, 0)
+        return out
 
     def sort_key(self, a):
         return (len(a), a)
@@ -268,6 +304,15 @@ class LatticeOracle(Oracle):
 
     def length(self, a):
         return sum(abs(x) for x in a)
+
+    def distance_matrix(self, elements):
+        """Closed form: the l1 norm of x - y."""
+        m = len(elements)
+        coords = np.array(elements, dtype=np.int32).reshape(m, self.spec.dim)
+        out = np.zeros((m, m), dtype=np.int32)
+        for col in coords.T:
+            out += np.abs(col[:, None] - col[None, :])
+        return out
 
     def sort_key(self, a):
         return (self.length(a),) + a

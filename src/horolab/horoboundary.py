@@ -109,6 +109,26 @@ class GeodesicRay:
         raise InputError("no geodesic ray continuation exists for this element")
 
 
+def free_ray_step(center: tuple, y: tuple) -> tuple:
+    """Descent step of the horofunction of `GeodesicRay.through(center)` in
+    a free group, in closed form.
+
+    That ray spells `center` and then repeats its last letter (the first
+    generator when center = e).  In the tree the horofunction falls by one
+    only toward the ray's end, so y's descending neighbour is unique: y
+    followed by the ray's next letter when y is a prefix of the ray, and
+    y without its last letter otherwise.
+    """
+    last = center[-1] if center else 1
+    n = len(center)
+    if len(y) < n:
+        on_ray, step = center[: len(y)] == y, center[len(y)]
+    else:
+        on_ray = y[:n] == center and all(x == last for x in y[n:])
+        step = last
+    return y + (step,) if on_ray else y[:-1]
+
+
 class Horofunction:
     """1-Lipschitz function of a geodesic ray, vanishing at the origin.
 

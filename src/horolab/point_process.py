@@ -2,11 +2,14 @@
 
 Centers are sampled with probability 1/v''_n at every covering center: a
 point of the enlarged center window W+ whose diamond meets the observation
-window W.  A center that covers no point of W is never observed, so the
-window restriction is exact.  Marks are replicated from the center over
-all member points.  Incidence counts, corner-event probabilities and hit
-probabilities are the desk-scale stand-ins for the tightness and limit
-criteria of the construction.
+window W.  W+ is the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c),
+the window radius plus the diamond's exact rho-reach from its center (its
+slice at first distance r_n - t reaches f(t) in the second factor), so it
+holds every center whose diamond meets W.  A center that covers no point
+of W is never observed, so the window restriction is exact.  Marks are
+replicated from the center over all member points.  Incidence counts,
+corner-event probabilities and hit probabilities are the desk-scale
+stand-ins for the tightness and limit criteria of the construction.
 """
 
 from __future__ import annotations
@@ -43,7 +46,12 @@ def factor_digests(ball: FactorBall, tag: str) -> np.ndarray:
 
 
 class ProcessContext:
-    """Precomputed window geometry shared by every seed of a sweep."""
+    """Precomputed window geometry shared by every seed of a sweep.
+
+    `space` is W+, the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c):
+    the window radius plus the largest rho_c distance from a diamond's
+    center to one of its members.  `centers` lists the covering centers.
+    """
 
     def __init__(
         self,
@@ -59,10 +67,12 @@ class ProcessContext:
         self.schedule = schedule
         self.n = n
         self.r_n = schedule.r[n]
-        self.rp_n = schedule.r_prime[n]
         self.window_radius = window_radius
-        reach = Fraction(self.r_n) + Fraction(self.rp_n) / Fraction(metric.c)
-        self.space = ProductSpace(metric, Fraction(window_radius) + reach, cap)
+        reach = max(
+            (self.r_n - t) + Fraction(schedule.f_of(t)) / metric.c
+            for t in range(self.r_n + 1)
+        )
+        self.space = ProductSpace(metric, window_radius + reach, cap)
         self.window_ids = self.space.ids_within(window_radius)
         self.point_digests = combine_digests(
             factor_digests(self.space.ball1, "G")[self.space.pts1],
@@ -109,8 +119,11 @@ class ProcessContext:
             )
         order = np.argsort(pids, kind="stable")  # members stay in wid order
         centers, starts = np.unique(pids[order], return_index=True)
-        members = np.split(np.repeat(wid, len(off1))[order], starts[1:])
-        return dict(zip(centers.tolist(), members))
+        members = np.repeat(wid, len(off1))[order]
+        bounds = starts.tolist() + [len(members)]
+        return {
+            c: members[a:b] for c, a, b in zip(centers.tolist(), bounds, bounds[1:])
+        }
 
 
 @dataclass

@@ -8,7 +8,10 @@ one place that decides its type, and it rejects floats.
 `ProductSpace` materialises one rho_c ball as an indexed point universe
 (pairs of factor-ball indices backed by numpy arrays); windows are index
 subsets of the universe, which keeps every downstream Monte-Carlo kernel
-vectorisable.
+vectorisable.  `FactorBall.distance_matrix` tabulates a factor ball's
+pairwise word distances through its oracle: in closed form for free groups
+(|x| + |y| - 2 lcp(x, y)) and lattices (the l1 norm of x - y), by the
+generic multiply-and-length loop for the other families.
 """
 
 from __future__ import annotations
@@ -134,6 +137,7 @@ class FactorBall:
     def __init__(self, oracle: Oracle, radius: int, cap=DEFAULT_ENUM_CAP):
         self.oracle = oracle
         self.radius = radius
+        self.cap = cap
         pairs = ball(oracle, radius, cap)
         self.elements = [el for el, _ in pairs]
         self.dist = np.fromiter((d for _, d in pairs), dtype=np.int32, count=len(pairs))
@@ -166,18 +170,12 @@ class FactorBall:
         )
 
     def distance_matrix(self, count=None) -> np.ndarray:
-        """Pairwise word distances among the first `count` elements."""
+        """Pairwise word distances among the first `count` elements; the
+        m^2 entries count against the enumeration cap."""
         m = len(self.elements) if count is None else count
-        orc = self.oracle
-        out = np.zeros((m, m), dtype=np.int32)
-        inv = [orc.inverse(el) for el in self.elements[:m]]
-        for i in range(m):
-            a = inv[i]
-            for j in range(i + 1, m):
-                d = orc.length(orc.multiply(a, self.elements[j]))
-                out[i, j] = d
-                out[j, i] = d
-        return out
+        if m * m > self.cap:
+            raise ResourceCapError("distance table", self.cap)
+        return self.oracle.distance_matrix(self.elements[:m])
 
 
 class ProductSpace:

@@ -60,6 +60,45 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"graphing": {"window_radius": "5"}},
+        {"graphing": {"eps": "0.05"}},
+        {"graphing": {"eps": float("nan")}},
+        {"enum_cap": "big"},
+        {"prop13": {"margin": 2.5}},
+        {"process": {"n": -1}},
+        {"process": {"T": 1.0}},
+        {"schedule": {"horizon": 0}},
+        {"growth": {"horizon": "8"}},
+        {"process": {"n_range": [1, "2"]}},
+        {"graphing": {"eps_list": [0.05, "0.1"]}},
+        {"prop13": {"eps_list": 0.05}},
+        {"graphing": 5},
+    ],
+    ids=[
+        "window_radius-str",
+        "eps-str",
+        "eps-nan",
+        "enum_cap-str",
+        "margin-float",
+        "n-negative",
+        "T-float",
+        "horizon-0",
+        "horizon-str",
+        "n_range-entry-str",
+        "eps_list-entry-str",
+        "eps_list-scalar",
+        "block-not-object",
+    ],
+)
+def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
+    rc = cli.main(["growth", "--out", str(tmp_path)], config_overrides=overrides)
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_bad_group_exits_2(tmp_path):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],

@@ -8,6 +8,7 @@ from horolab.horoboundary import (
     GeodesicRay,
     Horofunction,
     ProductHorofunction,
+    free_ray_step,
     horofunction_from_ray,
     spell,
 )
@@ -161,3 +162,17 @@ def test_windowless_matches_windowed(spec, labels):
             assert windowless.descend(el) == windowed.descend(el)
     assert not windowed.contains(o.canon(labels * 4))
     assert windowless.contains(o.canon(labels * 4))
+
+
+@pytest.mark.parametrize(
+    "spec, center_radius, radius",
+    [(F2, 4, 5), (GroupSpec("free", rank=3), 2, 3)],
+    ids=["f2", "f3"],
+)
+def test_free_ray_step_is_the_horofunction_descent(spec, center_radius, radius):
+    o = make_oracle(spec)
+    points = [el for el, _ in ball(o, radius)]
+    for center, _ in ball(o, center_radius):
+        h = Horofunction(o, GeodesicRay.through(o, center), probe_radius=radius + 2)
+        for y in points:
+            assert free_ray_step(center, y) == h.descend(y)

@@ -93,10 +93,21 @@ def z2_ctx():
     return ProcessContext(metric, linear_schedule(1, 12, growth=g, growth2=g), 3, 4)
 
 
+@pytest.fixture(scope="module")
+def z2f2_ctx():
+    z2 = GroupSpec("integer_lattice", dim=2)
+    metric = ProductMetric(make_oracle(z2), make_oracle(F2), "1/2")
+    sched = linear_schedule(
+        "1/2", 12, growth=growth_series(z2, 14), growth2=growth_series(F2, 14)
+    )
+    return ProcessContext(metric, sched, 2, 3)
+
+
 @pytest.mark.parametrize("which", ["f2", "z2"])
 def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, which):
     c = ctx if which == "f2" else z2_ctx
-    assert len(c.centers) < len(c.space)
+    # W+ is sized to the diamond's reach: every universe point covers W.
+    assert c.centers.tolist() == list(range(len(c.space)))
     for s in range(20):
         proc = sample_diamond_process(c, seed_digest(31, s))
         pids, marks = _full_universe_draw(c, seed_digest(31, s))
@@ -105,6 +116,14 @@ def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, which):
         for d in proc.diamonds:
             assert d.member_ids.tolist() == c.covering[d.center_pid].tolist()
             assert len(d.member_ids)
+
+
+@pytest.mark.parametrize("which", ["ctx", "z2_ctx", "z2f2_ctx"])
+def test_center_window_is_tight(request, which):
+    # The farthest covering center sits on the boundary of W+.
+    c = request.getfixturevalue(which)
+    space = c.space
+    assert space.rho_num[c.centers].max() == space.metric.radius_num(space.radius)
 
 
 def test_empirical_center_density(ctx):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab.errors import InputError
-from horolab.groups import GroupSpec, ball, growth_series, make_oracle
+from horolab.errors import InputError, ResourceCapError
+from horolab.groups import GroupSpec, Oracle, ball, growth_series, make_oracle
 from horolab.product import (
     FactorBall,
     ProductMetric,
@@ -183,3 +183,34 @@ def test_distance_matrix():
     for i in range(0, len(fb), 3):
         for j in range(0, len(fb), 5):
             assert D[i, j] == o.distance(fb.elements[i], fb.elements[j])
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        (F2, 4),
+        (GroupSpec("free", rank=3), 3),
+        (Z1, 6),
+        (GroupSpec("integer_lattice", dim=2), 4),
+        (GroupSpec("integer_lattice", dim=3), 3),
+    ],
+    ids=["f2", "f3", "z", "z2", "z3"],
+)
+@pytest.mark.parametrize("prefix", [False, True], ids=["ball", "prefix"])
+def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefix):
+    fb = FactorBall(make_oracle(spec), radius)
+    count = fb.volume(radius - 1) + 1 if prefix else None
+    reference = Oracle.distance_matrix(fb.oracle, fb.elements[:count])
+    D = fb.distance_matrix(count)
+    assert D.dtype == reference.dtype == np.int32
+    assert D.shape == reference.shape == (count or len(fb),) * 2
+    assert (D == reference).all()
+
+
+def test_distance_matrix_counts_its_entries_against_the_cap():
+    fb = FactorBall(make_oracle(F2), 3, cap=1000)  # 161 elements
+    assert fb.distance_matrix(31).shape == (31, 31)  # 961 entries
+    with pytest.raises(ResourceCapError, match="distance table"):
+        fb.distance_matrix(32)
+    with pytest.raises(ResourceCapError, match="distance table"):
+        fb.distance_matrix()
