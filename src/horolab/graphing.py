@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
+from .errors import ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, FreeOracle, GrowthSeries
 from .horoboundary import (
     GeodesicRay,
@@ -32,13 +33,14 @@ from .horoboundary import (
     spell,
 )
 from .product import ProductMetric, ProductSpace
-from .point_process import ProcessContext, factor_digests, sample_diamond_process
+from .point_process import ProcessContext, point_digests, sample_diamond_process
 from .randomness import (
     STREAM_OVERLAP,
     STREAM_PERCOLATION,
     SeededRandomness,
-    combine_digests,
+    bits_below,
     combine_unordered,
+    premix,
     seed_digest,
 )
 from .schedule import SlopeSchedule
@@ -107,6 +109,7 @@ class GraphingContext:
         self.n = n
         self.window_radius = window_radius
         self.margin = margin
+        self.cap = cap
         self.interior_radius = window_radius - margin
         self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
         space = self.pctx.space
@@ -114,8 +117,13 @@ class GraphingContext:
         self.kernel = PercolationKernel(
             metric, schedule.growth, schedule.growth2, 2 * window_radius
         )
-        self.D1 = space.ball1.distance_matrix(space.ball1.volume(window_radius))
-        self.D2 = space.ball2.distance_matrix(space.ball2.volume(self._second_radius()))
+        # rho_c numerators d*p and d'*q of the window's factor pairs; each is
+        # at most the kernel's largest numerator, so int32 holds them.
+        c = metric.c
+        self.rho1 = space.ball1.distance_matrix(space.ball1.volume(window_radius)) * c.numerator
+        self.rho2 = (
+            space.ball2.distance_matrix(space.ball2.volume(self._second_radius())) * c.denominator
+        )
         self._free_first = isinstance(metric.first, FreeOracle)
         self._tau_cache = {}
         self._ray_cache = {}
@@ -170,7 +178,6 @@ class MarkedWindow:
     v_pid: np.ndarray
     v_k: np.ndarray
     v_interior: np.ndarray
-    member_sets: list
     copies_at: dict
     marks: list
 
@@ -188,10 +195,8 @@ def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
         else:
             excluded += 1
     v_pid, v_k = [], []
-    member_sets = []
     copies_at = {}
     for k, d in enumerate(kept):
-        member_sets.append(set(d.member_ids.tolist()))
         for pid in d.member_ids.tolist():
             copies_at.setdefault(pid, []).append(len(v_pid))
             v_pid.append(pid)
@@ -208,7 +213,6 @@ def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
         v_pid=v_pid,
         v_k=v_k,
         v_interior=v_interior,
-        member_sets=member_sets,
         copies_at=copies_at,
         marks=[d.mark for d in kept],
     )
@@ -244,7 +248,8 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     interior_violations = 0
     by_group = {}
     for vi, (k, yfi, tpid) in enumerate(zip(v_k, y_fi, tpids)):
-        tv = vert_index[(tpid, k)] if tpid in mw.member_sets[k] else -1
+        # (tpid, k) is a vertex exactly when tpid is a member of diamond k.
+        tv = vert_index.get((tpid, k), -1)
         target[vi] = tv
         if tv < 0:
             stalled += 1
@@ -272,33 +277,97 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     )
 
 
+_TILE = 1 << 15  # pairs hashed per tile of `open_pairs`
+
+
+def open_pairs(digests, pts1, pts2, rho1, rho2, lut, rng: SeededRandomness, emax, cap):
+    """(a, b, u, p) for every pair a < b of the n points with u < emax * p,
+    in `np.triu_indices(n, 1)` order.
+
+    Point i has digest `digests[i]` and factor-ball indices `pts1[i]`,
+    `pts2[i]`.  A pair's kernel probability is p = lut[rho1[pts1[a],
+    pts1[b]] + rho2[pts2[a], pts2[b]]] and its uniform is u =
+    rng.uniforms(combine_unordered(digests[a], digests[b]),
+    STREAM_PERCOLATION), so the rows are exactly those of materialising
+    every pair; only a small share of the pairs is materialised.
+
+    - Digest order: with the points sorted by digest, the min and max of
+      `combine_unordered` are the tile's row and column, so the first
+      mixing round (`premix`) runs once per point.
+    - Integer test: every pair is hashed, in row tiles of about `_TILE`
+      pairs, to the 53 bits b of its u = b * 2**-53, and u < t holds
+      exactly when b < bits_below(t).
+    - Prefilter: float rounding is monotone, so every pair's emax * p is at
+      most t = emax * max(lut).  A pair with b >= bits_below(t) stays
+      closed; only the pairs that pass get p and u, from the formulas
+      above, and the exact float test u < emax * p.
+    More than `cap` pairs passing the prefilter raise ResourceCapError.
+    """
+    n = len(digests)
+    order = np.argsort(digests, kind="stable")
+    ordered = digests[order]
+    mixed = premix(ordered)
+    bound = np.uint64(bits_below(float(emax) * float(lut.max())))
+    buf = np.empty(_TILE, dtype=np.uint64)
+    tmp = np.empty(_TILE, dtype=np.uint64)
+    rows_hit, cols_hit = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    passed = 0
+    i0 = 0
+    while i0 < n - 1:
+        width = n - 1 - i0  # the pairs of row i0
+        rows = max(1, min(_TILE // width, width))
+        step = _TILE // rows
+        for j0 in range(i0 + 1, n, step):
+            cols = min(step, n - j0)
+            size = rows * cols
+            bits = rng.pair_bits_into(
+                mixed[i0 : i0 + rows, None],
+                ordered[None, j0 : j0 + cols],
+                STREAM_PERCOLATION,
+                buf[:size].reshape(rows, cols),
+                tmp[:size].reshape(rows, cols),
+            )
+            ii, jj = np.divmod(np.flatnonzero(bits.ravel() < bound), cols)
+            ii += i0
+            jj += j0
+            upper = jj > ii
+            passed += int(upper.sum())
+            if passed > cap:
+                raise ResourceCapError("percolation pairs", cap)
+            rows_hit.append(ii[upper])
+            cols_hit.append(jj[upper])
+        i0 += rows
+    oi, oj = order[np.concatenate(rows_hit)], order[np.concatenate(cols_hit)]
+    a, b = np.minimum(oi, oj), np.maximum(oi, oj)
+    p = lut[rho1[pts1[a], pts1[b]] + rho2[pts2[a], pts2[b]]]
+    u = rng.uniforms(combine_unordered(digests[a], digests[b]), STREAM_PERCOLATION)
+    keep = np.flatnonzero(u < float(emax) * p)
+    keep = keep[np.lexsort((b[keep], a[keep]))]
+    return a[keep], b[keep], u[keep], p[keep]
+
+
 def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, eps_list):
     """Open base-point pairs per epsilon; one uniform per unordered pair.
 
     The same uniforms serve every epsilon, so openness is monotone in
-    epsilon by construction.
+    epsilon by construction.  `open_pairs` finds the pairs open at the
+    largest epsilon without materialising the closed ones; each epsilon
+    then keeps those with u < epsilon * p, the same float test as over all
+    pairs, in the same order.  The pairs passing its prefilter count
+    against the context's enumeration cap.
     """
     S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
     out = {float(e): [] for e in eps_list}
-    if len(S) < 2 or not eps_list:
+    if not eps_list:
         return out
     space = ctx.pctx.space
-    c = ctx.metric.c
-    ia, ib = np.triu_indices(len(S), 1)
-    f1 = space.pts1[S]
-    f2 = space.pts2[S]
-    rho_nums = (
-        ctx.D1[f1[ia], f1[ib]].astype(np.int64) * c.numerator
-        + ctx.D2[f2[ia], f2[ib]].astype(np.int64) * c.denominator
-    )
-    base_prob = ctx.kernel.prob_nums(rho_nums)
-    pd = ctx.pctx.point_digests
-    u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
+    pd, f1, f2 = ctx.pctx.point_digests[S], space.pts1[S], space.pts2[S]
     emax = max(eps_list)
-    cand = np.flatnonzero(u < emax * base_prob)
+    a, b, u, p = open_pairs(pd, f1, f2, ctx.rho1, ctx.rho2, ctx.kernel.lut, rng, emax, ctx.cap)
+    a, b = S[a], S[b]
     for e in eps_list:
-        sel = cand[u[cand] < float(e) * base_prob[cand]]
-        out[float(e)] = [(int(S[ia[s]]), int(S[ib[s]])) for s in sel.tolist()]
+        sel = u < float(e) * p
+        out[float(e)] = list(zip(a[sel].tolist(), b[sel].tolist()))
     return out
 
 
@@ -873,6 +942,28 @@ class BaselineReport:
     truncation_mass: float
 
 
+def row_masses(rows, pts1, pts2, rho1, rho2, lut) -> np.ndarray:
+    """Kernel mass sum_{j != i} p(i, j) of each row i in `rows`, for the
+    points and tables of `open_pairs`.
+
+    Each row is summed left to right over j = i+1, ..., n-1, then j = 0,
+    ..., i-1: the order in which `np.add.at` over the `np.triu_indices`
+    pairs adds up row i (as first, then as second index), since p is
+    symmetric.  `np.cumsum` adds sequentially, so the sums match that
+    order bit for bit; rows are taken in tiles of about `_TILE` pairs.
+    """
+    n = len(pts1)
+    out = np.empty(len(rows), dtype=np.float64)
+    ring = np.arange(1, n)
+    step = max(1, _TILE // (n - 1))
+    for r0 in range(0, len(rows), step):
+        i = rows[r0 : r0 + step, None]
+        j = (i + ring) % n
+        p = lut[rho1[pts1[i], pts1[j]] + rho2[pts2[i], pts2[j]]]
+        out[r0 : r0 + step] = np.cumsum(p, axis=1)[:, -1]
+    return out
+
+
 def coset_line_baseline(
     metric: ProductMetric,
     growth: GrowthSeries,
@@ -886,7 +977,14 @@ def coset_line_baseline(
 ) -> BaselineReport:
     """Partition G'' into coset lines of the first factor's first generator,
     then merge with an invariant percolation; the exact stand-in for the
-    path-partition baseline."""
+    path-partition baseline.
+
+    Each seed's open pairs come from `open_pairs`, which hashes every
+    window pair in tiles and materialises only those passing its exact
+    prefilter; they count against `cap`.  The expected half-degree sums
+    the interior rows' kernel masses with `row_masses`, in its fixed
+    order.
+    """
     if margin < 1 or margin >= window_radius:
         raise InputError("margin must satisfy 1 <= margin < window radius")
     first = metric.first
@@ -900,56 +998,41 @@ def coset_line_baseline(
     interior = space.mask_within(window_radius - margin)
     gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)
-    line_edges = []
-    for pid in range(n):
-        el = space.element(pid)
-        tgt = space.lookup_elements(first.multiply(el[0], gen), el[1])
-        if tgt is not None:
-            line_edges.append((min(pid, tgt), max(pid, tgt)))
-    line_deg = np.zeros(n, dtype=np.int64)
-    for a, b in line_edges:
-        line_deg[a] += 1
-        line_deg[b] += 1
+    ball1 = space.ball1
+    succ = np.fromiter(  # first-ball index of el * gen
+        (ball1.index.get(first.multiply(el, gen), -1) for el in ball1.elements),
+        dtype=np.int64,
+        count=len(ball1),
+    )
+    # A successor outside the first factor ball is -1, which packs to a
+    # negative key and so misses like any point outside the window.
+    tgt = space.lookup_keys((succ[space.pts1] << 32) | space.pts2)
+    src = np.flatnonzero(tgt >= 0)
+    lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])
+    line_edges = list(zip(lo.tolist(), hi.tolist()))
+    line_deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     int_ids = np.flatnonzero(interior)
     line_partition_ok = bool((line_deg[int_ids] == 2).all()) if len(int_ids) else True
-    digests = combine_digests(
-        factor_digests(space.ball1, "G")[space.pts1],
-        factor_digests(space.ball2, "G2")[space.pts2],
-    )
+    digests = point_digests(space)
     c = metric.c
-    ia, ib = np.triu_indices(n, 1)
-    D1 = space.ball1.distance_matrix()
-    D2 = space.ball2.distance_matrix()
-    rho_nums = (
-        D1[space.pts1[ia], space.pts1[ib]].astype(np.int64) * c.numerator
-        + D2[space.pts2[ia], space.pts2[ib]].astype(np.int64) * c.denominator
-    )
-    base_prob = kernel.prob_nums(rho_nums)
-    pair_digests = combine_unordered(digests[ia], digests[ib])
-    mass_rows = np.zeros(n, dtype=np.float64)
-    np.add.at(mass_rows, ia, base_prob)
-    np.add.at(mass_rows, ib, base_prob)
-    expected_half = {
-        float(e): 1.0 + float(e) * float(mass_rows[int_ids].mean()) / 2.0
-        for e in eps_list
-    }
+    rho1 = space.ball1.distance_matrix() * c.numerator
+    rho2 = space.ball2.distance_matrix() * c.denominator
+    mass = row_masses(int_ids, space.pts1, space.pts2, rho1, rho2, kernel.lut)
+    expected_half = {float(e): 1.0 + float(e) * float(mass.mean()) / 2.0 for e in eps_list}
     rows = {float(e): {"largest": [], "half": []} for e in eps_list}
     monotone_violations = 0
+    emax = max(eps_list, default=0.0)
     for s in range(seeds):
         rng = SeededRandomness(seed_digest(master_seed, s))
-        u = rng.uniforms(pair_digests, STREAM_PERCOLATION)
+        a, b, u, p = open_pairs(
+            digests, space.pts1, space.pts2, rho1, rho2, kernel.lut, rng, emax, cap
+        )
         prev = -1.0
         for e in sorted(float(x) for x in eps_list):
-            if e > 0:
-                sel = np.flatnonzero(u < e * base_prob)
-                open_edges = [(int(ia[i]), int(ib[i])) for i in sel.tolist()]
-            else:
-                open_edges = []
+            sel = u < e * p
+            open_edges = list(zip(a[sel].tolist(), b[sel].tolist()))
             frac = largest_component_fraction(_component_roots(n, line_edges + open_edges))
-            perc_deg = np.zeros(n, dtype=np.int64)
-            for a, b in open_edges:
-                perc_deg[a] += 1
-                perc_deg[b] += 1
+            perc_deg = np.bincount(a[sel], minlength=n) + np.bincount(b[sel], minlength=n)
             half = float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0)
             rows[e]["largest"].append(frac)
             rows[e]["half"].append(half)

@@ -45,6 +45,16 @@ def factor_digests(ball: FactorBall, tag: str) -> np.ndarray:
     )
 
 
+def point_digests(space: ProductSpace) -> np.ndarray:
+    """Stable 64-bit digest per point of `space`: the ordered-pair digest of
+    its two coordinates' canonical words.  Every random label of a point is
+    drawn from this digest."""
+    return combine_digests(
+        factor_digests(space.ball1, "G")[space.pts1],
+        factor_digests(space.ball2, "G2")[space.pts2],
+    )
+
+
 class ProcessContext:
     """Precomputed window geometry shared by every seed of a sweep.
 
@@ -74,10 +84,7 @@ class ProcessContext:
         )
         self.space = ProductSpace(metric, window_radius + reach, cap)
         self.window_ids = self.space.ids_within(window_radius)
-        self.point_digests = combine_digests(
-            factor_digests(self.space.ball1, "G")[self.space.pts1],
-            factor_digests(self.space.ball2, "G2")[self.space.pts2],
-        )
+        self.point_digests = point_digests(self.space)
         self.offsets = self._diamond_offsets()
         self.volume = diamond_volume(schedule, n)
         if self.volume != len(self.offsets[0]):

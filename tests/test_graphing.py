@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from horolab import graphing
 from horolab.graphing import (
     GraphingContext,
     _component_roots,
@@ -19,18 +20,25 @@ from horolab.graphing import (
     largest_component_fraction,
     lift_open_pairs,
     pi3_edges,
+    row_masses,
     run_seed,
     surviving_index,
 )
 from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import sample_diamond_process
-from horolab.product import ProductMetric
-from horolab.randomness import SeededRandomness, seed_digest
+from horolab.product import ProductMetric, ProductSpace
+from horolab.randomness import (
+    STREAM_PERCOLATION,
+    SeededRandomness,
+    combine_unordered,
+    seed_digest,
+)
 from horolab.schedule import build_schedule, linear_schedule
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
+Z2 = GroupSpec("integer_lattice", dim=2)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +55,15 @@ def z_ctx():
     sched = linear_schedule(1, 30, growth=g, growth2=g)
     metric = ProductMetric(make_oracle(Z1), make_oracle(Z1), 1)
     return GraphingContext(metric, sched, 12, 6, 2)
+
+
+@pytest.fixture(scope="module")
+def z2f2_ctx():
+    metric = ProductMetric(make_oracle(Z2), make_oracle(F2), "1/2")
+    sched = linear_schedule(
+        "1/2", 12, growth=growth_series(Z2, 14), growth2=growth_series(F2, 14)
+    )
+    return GraphingContext(metric, sched, 2, 5, 2)
 
 
 # Percolation kernel ---------------------------------------------------------
@@ -102,7 +119,7 @@ def test_pi1_edges_horizontal_and_in_diamond(f2_ctx):
             continue
         assert mw.v_k[vi] == mw.v_k[tv]  # same diamond, same mark
         assert space.pts2[mw.v_pid[vi]] == space.pts2[mw.v_pid[tv]]  # horizontal
-        assert int(mw.v_pid[tv]) in mw.member_sets[int(mw.v_k[vi])]
+        assert int(mw.v_pid[tv]) in mw.diamonds[int(mw.v_k[vi])].member_ids
 
 
 def test_pi1_lattice_rays(z_ctx):
@@ -137,6 +154,103 @@ def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
 
 
 # Percolation stage ----------------------------------------------------------
+
+
+def _materialised_percolation(ctx, base_pids, rng, eps_list):
+    """Reference for `build_percolation`: every unordered pair materialised
+    at once, with the distance tables built afresh."""
+    S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
+    out = {float(e): [] for e in eps_list}
+    if len(S) < 2 or not eps_list:
+        return out
+    space = ctx.pctx.space
+    c = ctx.metric.c
+    D1 = space.ball1.distance_matrix(space.ball1.volume(ctx.window_radius))
+    D2 = space.ball2.distance_matrix(space.ball2.volume(ctx._second_radius()))
+    ia, ib = np.triu_indices(len(S), 1)
+    f1 = space.pts1[S]
+    f2 = space.pts2[S]
+    rho_nums = (
+        D1[f1[ia], f1[ib]].astype(np.int64) * c.numerator
+        + D2[f2[ia], f2[ib]].astype(np.int64) * c.denominator
+    )
+    base_prob = ctx.kernel.prob_nums(rho_nums)
+    pd = ctx.pctx.point_digests
+    u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
+    emax = max(eps_list)
+    cand = np.flatnonzero(u < emax * base_prob)
+    for e in eps_list:
+        sel = cand[u[cand] < float(e) * base_prob[cand]]
+        out[float(e)] = [(int(S[ia[s]]), int(S[ib[s]])) for s in sel.tolist()]
+    return out
+
+
+PERC_EPS = [0.0, 0.05, 0.3, 1.0]
+
+
+def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
+    got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
+    want = _materialised_percolation(ctx, bases, SeededRandomness(key), eps_list)
+    assert got == want
+    return got
+
+
+@pytest.fixture
+def perc_ctx(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_percolation_matches_the_materialised_reference(perc_ctx):
+    opened = 0
+    for s in range(20):
+        key = seed_digest(60, s)
+        bases = sorted(_seed_window(perc_ctx, key).copies_at)
+        opened += len(_assert_matches_reference(perc_ctx, bases, key)[0.3])
+    assert opened > 0
+
+
+@pytest.mark.parametrize("tile", [3, 7, 200])
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
+def test_percolation_tiles_that_split_rows(perc_ctx, tile, monkeypatch):
+    monkeypatch.setattr(graphing, "_TILE", tile)
+    for s in range(3):
+        key = seed_digest(61, s)
+        bases = sorted(_seed_window(perc_ctx, key).copies_at)[:60]
+        _assert_matches_reference(perc_ctx, bases, key)
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_percolation_clamps_at_certain_opening(perc_ctx, monkeypatch):
+    # p = 1 everywhere: eps >= 1 opens every pair (4096 * 2**53 would not fit
+    # a uint64 without the 2**53 clamp), eps = 0 none
+    monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
+    key = seed_digest(62, 0)
+    bases = sorted(_seed_window(perc_ctx, key).copies_at)
+    got = _assert_matches_reference(perc_ctx, bases, key, [0.0, 1.0, 4096.0])
+    every = [(a, b) for i, a in enumerate(bases) for b in bases[i + 1 :]]
+    assert got[0.0] == [] and got[1.0] == got[4096.0] == every
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_percolation_of_few_bases(perc_ctx, count, monkeypatch):
+    monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
+    bases = perc_ctx.pctx.window_ids[:count].tolist()
+    got = _assert_matches_reference(perc_ctx, bases, seed_digest(63, 0))
+    assert len(got[1.0]) == count * (count - 1) // 2
+
+
+def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
+    monkeypatch.setattr(f2_ctx.kernel, "lut", np.ones_like(f2_ctx.kernel.lut))
+    key = seed_digest(64, 0)
+    bases = sorted(_seed_window(f2_ctx, key).copies_at)
+    pairs = len(bases) * (len(bases) - 1) // 2
+    monkeypatch.setattr(f2_ctx, "cap", pairs)
+    assert len(build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])[1.0]) == pairs
+    monkeypatch.setattr(f2_ctx, "cap", pairs - 1)
+    with pytest.raises(ResourceCapError, match="percolation pairs"):
+        build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
 
 
 def test_percolation_eps_zero_empty(z_ctx):
@@ -511,6 +625,69 @@ def test_baseline_monotone_and_expected_half():
     for r in rep.rows:
         se = max(r["half_degree_se"], 1e-6)
         assert abs(r["half_degree_mean"] - r["expected_half_degree"]) <= 4 * se
+
+
+@pytest.mark.parametrize("specs", [(F2, F2, 1), (Z2, F2, "1/2")], ids=["f2xf2", "z2xf2"])
+def test_baseline_row_masses_match_add_at(specs):
+    first, second, c = specs
+    metric = ProductMetric(make_oracle(first), make_oracle(second), c)
+    g1, g2 = growth_series(first, 8), growth_series(second, 8)
+    kernel = graphing.PercolationKernel(metric, g1, g2, 6)
+    space = ProductSpace(metric, 3)
+    n = len(space)
+    D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
+    ia, ib = np.triu_indices(n, 1)
+    p = kernel.lut[
+        D1[space.pts1[ia], space.pts1[ib]].astype(np.int64) * metric.c.numerator
+        + D2[space.pts2[ia], space.pts2[ib]].astype(np.int64) * metric.c.denominator
+    ]
+    want = np.zeros(n, dtype=np.float64)
+    np.add.at(want, ia, p)
+    np.add.at(want, ib, p)
+    rho1, rho2 = D1 * metric.c.numerator, D2 * metric.c.denominator
+    rows = np.arange(n)
+    got = row_masses(rows, space.pts1, space.pts2, rho1, rho2, kernel.lut)
+    assert got.tobytes() == want.tobytes()
+    for step in (1, 5):
+        got = np.concatenate(
+            [
+                row_masses(rows[r : r + step], space.pts1, space.pts2, rho1, rho2, kernel.lut)
+                for r in range(0, n, step)
+            ]
+        )
+        assert got.tobytes() == want.tobytes()
+
+
+def test_baseline_pairs_count_against_the_cap(monkeypatch):
+    class CertainKernel(graphing.PercolationKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.lut[:] = 1.0
+
+    monkeypatch.setattr(graphing, "PercolationKernel", CertainKernel)
+    g = growth_series(F2, 10)
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    window = len(ProductSpace(metric, 3))  # 217 points, 23,436 pairs
+    rep = coset_line_baseline(metric, g, g, 3, 1, [0.0, 1.0], 1, 5, cap=window**2)
+    assert rep.rows[1]["largest_fraction_mean"] == 1.0
+    with pytest.raises(ResourceCapError, match="percolation pairs"):
+        coset_line_baseline(metric, g, g, 3, 1, [0.0, 1.0], 1, 5, cap=5000)
+
+
+def test_baseline_peak_memory_stays_small():
+    # wr 5 has 3,241 window points and 5.25M pairs; materialising them all
+    # peaked at about 400 MB traced.
+    import tracemalloc
+
+    g = growth_series(F2, 12)
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    tracemalloc.start()
+    try:
+        coset_line_baseline(metric, g, g, 5, 2, [0.0, 0.05, 0.2], 2, 20260810)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_baseline_needs_infinite_order_generator():

@@ -3,10 +3,13 @@ import numpy as np
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
+    STREAM_PERCOLATION,
     SeededRandomness,
+    bits_below,
     combine_digests,
     combine_unordered,
     digest_str,
+    premix,
     seed_digest,
 )
 
@@ -57,6 +60,32 @@ def test_combine_unordered_symmetric():
     a, b = digest_str("left"), digest_str("right")
     assert combine_unordered(a, b) == combine_unordered(b, a)
     assert combine_digests(a, b) != combine_digests(b, a)
+
+
+def test_fused_pair_hash_matches_uniforms():
+    d = np.sort(np.array([digest_str(f"p{i}") for i in range(40)], dtype=np.uint64))
+    lo, hi = d[:15], d[15:]  # sorted, so lo[i] <= hi[j]: the unordered min
+    for seed in (0, 9, 2**64 - 1):
+        r = SeededRandomness(seed)
+        out = np.empty((15, 25), dtype=np.uint64)
+        bits = r.pair_bits_into(
+            premix(lo)[:, None], hi[None, :], STREAM_PERCOLATION, out, np.empty_like(out)
+        )
+        want = r.uniforms(combine_unordered(lo[:, None], hi[None, :]), STREAM_PERCOLATION)
+        assert bits is out
+        assert (bits.astype(np.float64) * 2.0**-53).tobytes() == want.tobytes()
+
+
+def test_bits_below_is_the_exact_integer_form_of_u_below_t():
+    u = SeededRandomness(5).uniforms(
+        np.array([digest_str(f"t{i}") for i in range(2000)], dtype=np.uint64), STREAM_MARKS
+    )
+    bits = (u * 2.0**53).astype(np.uint64)
+    low = float(u.min())  # small, so t * 2**53 just above it is not an integer
+    for t in [0.0, -1.0, 1e-300, 2.0**-53, 0.3, low, np.nextafter(low, 1), 1.0, 3.0]:
+        assert ((bits < np.uint64(bits_below(t))) == (u < t)).all(), t
+    assert bits_below(1.0) == bits_below(1e300) == 2**53
+    assert bits_below(0.0) == bits_below(float("nan")) == 0
 
 
 def test_seed_digest_distinct():
