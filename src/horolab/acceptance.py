@@ -30,7 +30,6 @@ from .diamonds import (
 from .graphing import (
     CostReport,
     GraphingContext,
-    PercolationKernel,
     coset_line_baseline,
     connect_then_descend,
     cost_report,
@@ -70,14 +69,14 @@ class SweepKey:
     """Every input that fixes a graphing sweep's CostReport.
 
     Threads and the enumeration cap are left out: they change how a sweep
-    runs, not what it reports."""
+    runs, not what it reports.  So is the kernel: the growth series are
+    exact, so its annuli follow from specs, c and window_radius."""
 
     specs: tuple
     c: Fraction
     r: tuple
     r_prime: tuple
     f: tuple
-    annuli: tuple
     n: int
     window_radius: int
     margin: int
@@ -90,7 +89,6 @@ class SweepKey:
 def sweep_key(
     specs,
     schedule,
-    kernel: PercolationKernel,
     n: int,
     window_radius: int,
     margin: int,
@@ -105,7 +103,6 @@ def sweep_key(
         r=tuple(schedule.r),
         r_prime=tuple(schedule.r_prime),
         f=tuple(schedule.f),
-        annuli=tuple(kernel.annuli),
         n=int(n),
         window_radius=int(window_radius),
         margin=int(margin),
@@ -150,7 +147,7 @@ class SuiteContext:
         key = ("schedule", horizon)
         if key not in self._cache:
             g = self.growth_f2(max(horizon, 12))
-            self._cache[key] = build_schedule(g, self.growth_f2(max(horizon, 12)), 1, horizon)
+            self._cache[key] = build_schedule(g, g, 1, horizon)
         return self._cache[key]
 
     def metric_f2(self):
@@ -160,11 +157,8 @@ class SuiteContext:
 
     def graphing_key(self) -> SweepKey:
         """Key of the pinned sweep behind criteria 7 and 9."""
-        sched, wr = self.schedule_f2(12), 5
-        kernel = PercolationKernel(self.metric_f2(), sched.growth, sched.growth2, 2 * wr)
-        return sweep_key(
-            (F2, F2), sched, kernel, 2, wr, 2, [0.01, 0.05, 0.1, 0.2], 0.05, 200, self.master_seed
-        )
+        sched, eps_list = self.schedule_f2(12), [0.01, 0.05, 0.1, 0.2]
+        return sweep_key((F2, F2), sched, 2, 5, 2, eps_list, 0.05, 200, self.master_seed)
 
     def graphing_runs(self):
         if "gruns" not in self._cache:

@@ -439,12 +439,39 @@ def run_process(cfg, out: Path) -> dict:
     return summary
 
 
-def _graphing_key(cfg, sched, kernel) -> acceptance.SweepKey:
+# runs.csv: (column, SeedStats attribute) per column, in file order.
+_RUNS_COLUMNS = (
+    ("seed", "seed_index"),
+    ("diamonds", "n_diamonds"),
+    ("excluded", "excluded_diamonds"),
+    ("vertices", "n_vertices"),
+    ("interior", "n_interior"),
+    ("half_deg_pi1", "half_deg_pi1"),
+    ("half_deg_pi3", "half_deg_pi3"),
+    ("half_deg_pi3_raw", "half_deg_pi3_raw"),
+    ("lambda_hat", "lambda_hat"),
+    ("pi5_lhs", "pi5_lhs"),
+    ("pi5_rhs", "pi5_rhs"),
+    ("pi5_ok", "pi5_ok"),
+    ("boundary_deficit", "boundary_deficit"),
+)
+
+# baseline.csv: each column is the BaselineReport row key of its name.
+_BASELINE_COLUMNS = (
+    "eps",
+    "largest_fraction_mean",
+    "largest_fraction_se",
+    "half_degree_mean",
+    "half_degree_se",
+    "expected_half_degree",
+)
+
+
+def _graphing_key(cfg, sched) -> acceptance.SweepKey:
     sub = cfg["graphing"]
     return acceptance.sweep_key(
         _resolved_groups(cfg),
         sched,
-        kernel,
         sub["n"],
         sub["window_radius"],
         sub["margin"],
@@ -474,7 +501,7 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
         threads=cfg["threads"],
     )
     if sweeps is not None:
-        key = _graphing_key(cfg, sched, ctx.kernel)
+        key = _graphing_key(cfg, sched)
         # The seed-0 stages reference the whole GraphingContext; the suite
         # needs none of them, so it gets the report without them.
         offered = dataclasses.replace(rep, seed0_stages={})
@@ -482,39 +509,8 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
     write_json(out / "cost_report.json", rep.to_json_dict())
     write_csv(
         out / "runs.csv",
-        [
-            "seed",
-            "diamonds",
-            "excluded",
-            "vertices",
-            "interior",
-            "half_deg_pi1",
-            "half_deg_pi3",
-            "half_deg_pi3_raw",
-            "lambda_hat",
-            "pi5_lhs",
-            "pi5_rhs",
-            "pi5_ok",
-            "boundary_deficit",
-        ],
-        [
-            [
-                r.seed_index,
-                r.n_diamonds,
-                r.excluded_diamonds,
-                r.n_vertices,
-                r.n_interior,
-                r.half_deg_pi1,
-                r.half_deg_pi3,
-                r.half_deg_pi3_raw,
-                r.lambda_hat,
-                r.pi5_lhs,
-                r.pi5_rhs,
-                r.pi5_ok,
-                r.boundary_deficit,
-            ]
-            for r in rep.runs
-        ],
+        [col for col, _ in _RUNS_COLUMNS],
+        [[getattr(r, attr) for _, attr in _RUNS_COLUMNS] for r in rep.runs],
     )
     seed0 = rep.seed0_stages
     if seed0.get("marked_window") is not None:
@@ -592,25 +588,8 @@ def run_prop13(cfg, out: Path) -> dict:
     )
     write_csv(
         out / "baseline.csv",
-        [
-            "eps",
-            "largest_fraction_mean",
-            "largest_fraction_se",
-            "half_degree_mean",
-            "half_degree_se",
-            "expected_half_degree",
-        ],
-        [
-            [
-                r["eps"],
-                r["largest_fraction_mean"],
-                r["largest_fraction_se"],
-                r["half_degree_mean"],
-                r["half_degree_se"],
-                r["expected_half_degree"],
-            ]
-            for r in rep.rows
-        ],
+        _BASELINE_COLUMNS,
+        [[r[col] for col in _BASELINE_COLUMNS] for r in rep.rows],
     )
     plot = [
         ["largest_fraction", r["eps"], r["largest_fraction_mean"], r["largest_fraction_se"]]

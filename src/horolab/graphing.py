@@ -6,6 +6,10 @@ build the horizontal descent forest, add an invariant pair percolation,
 break overlaps to a transversal, collapse to the induced graphings, and
 estimate Palm degrees and the cost bound on the margin-trimmed interior.
 
+`PercolationKernel` owns the pair law and draws the one percolation: the
+Pi2 stage opens it among a seed's base points, and the coset-line baseline
+among every point of the window.
+
 Degree estimators use the mass-transport form: the Palm expectation of the
 full degree equals out-degree plus half the percolation degree for the
 forest-plus-percolation union, which is insensitive to boundary flux; the
@@ -46,25 +50,43 @@ from .randomness import (
 from .schedule import SlopeSchedule
 
 
+_TILE = 1 << 15  # pairs hashed per tile of `PercolationKernel.open_pairs`
+
+
 class PercolationKernel:
-    """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|.
+    """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
+    percolation they draw on the points of a space.
 
     sphere_j is the j-th nonempty positive rho_c sphere of G'' in
     increasing radius order, with counts taken from the factor growth
     series, so the total mass over the whole group is exactly 1; the mass
-    not reachable inside a window of the given radius is the truncation
-    mass 2^-(#enumerated spheres) and is reported, never redistributed.
+    not reachable inside the window (largest radius 2 * window_radius, the
+    window's diameter) is the truncation mass 2^-(#enumerated spheres) and
+    is reported, never redistributed.
+
+    This class alone holds the pair law: `prob` is
+    lut[rho1[a1, b1] + rho2[a2, b2]] over point ids, and the Pi2 stage and
+    the coset-line baseline are this one percolation restricted to two
+    point sets.  rho1 and rho2 tabulate the rho_c numerators d*p and d'*q
+    of the window's factor pairs.  Factor balls list their elements by
+    distance, so the window's factor radii wr and floor(c wr) are the
+    index prefixes ball1.volume(wr) and ball2.volume(p wr // q), whatever
+    radius `space` reaches; every point id passed in must lie in the
+    window.  Pairs passing the sampler's prefilter count against `cap`.
     """
 
     def __init__(
         self,
-        metric: ProductMetric,
+        space: ProductSpace,
+        digests: np.ndarray,
         growth: GrowthSeries,
         growth2: GrowthSeries,
-        max_radius,
+        window_radius: int,
+        cap: int = DEFAULT_ENUM_CAP,
     ):
+        metric = space.metric
         p, q = metric.c.numerator, metric.c.denominator
-        max_num = metric.radius_num(max_radius)
+        max_num = metric.radius_num(2 * window_radius)
         counts = {}
         for t in range(max_num // p + 1):
             for t2 in range((max_num - t * p) // q + 1):
@@ -74,7 +96,6 @@ class PercolationKernel:
                 cnt = growth.sphere(t) * growth2.sphere(t2)
                 if cnt:
                     counts[num] = counts.get(num, 0) + cnt
-        self.metric = metric
         self.nums = sorted(counts)
         self.lut = np.zeros(max_num + 1, dtype=np.float64)
         self.annuli = []
@@ -83,9 +104,100 @@ class PercolationKernel:
             self.lut[num] = prob
             self.annuli.append((num, counts[num], prob))
         self.truncation_mass = Fraction(1, 2 ** len(self.nums))
+        self.space = space
+        self.digests = digests
+        self.cap = cap
+        # Each numerator is at most max_num, so int32 holds them.
+        self.rho1 = space.ball1.distance_matrix(space.ball1.volume(window_radius)) * p
+        self.rho2 = space.ball2.distance_matrix(space.ball2.volume(p * window_radius // q)) * q
 
-    def prob_nums(self, rho_nums: np.ndarray) -> np.ndarray:
-        return self.lut[rho_nums]
+    def prob(self, a, b) -> np.ndarray:
+        """p(a, b) for point ids a and b, elementwise."""
+        s = self.space
+        return self.lut[self.rho1[s.pts1[a], s.pts1[b]] + self.rho2[s.pts2[a], s.pts2[b]]]
+
+    def open_pairs(self, ids, rng: SeededRandomness, emax):
+        """(a, b, u, p) for every pair a < b of the sorted point ids `ids`
+        with u < emax * p, in `np.triu_indices(len(ids), 1)` order.
+
+        A pair's probability is p = prob(a, b) and its uniform is u =
+        rng.uniforms(combine_unordered(digests[a], digests[b]),
+        STREAM_PERCOLATION), so the rows are exactly those of materialising
+        every pair; only a small share of the pairs is materialised.
+
+        - Digest order: with the points sorted by digest, the min and max of
+          `combine_unordered` are the tile's row and column, so the first
+          mixing round (`premix`) runs once per point.
+        - Integer test: every pair is hashed, in row tiles of about `_TILE`
+          pairs, to the 53 bits b of its u = b * 2**-53, and u < t holds
+          exactly when b < bits_below(t).
+        - Prefilter: float rounding is monotone, so every pair's emax * p is
+          at most t = emax * max(lut).  A pair with b >= bits_below(t) stays
+          closed; only the pairs that pass get p and u, from the formulas
+          above, and the exact float test u < emax * p.
+        More than `cap` pairs passing the prefilter raise ResourceCapError.
+        """
+        digests = self.digests[ids]
+        n = len(digests)
+        order = np.argsort(digests, kind="stable")
+        ordered = digests[order]
+        mixed = premix(ordered)
+        bound = np.uint64(bits_below(float(emax) * float(self.lut.max())))
+        buf = np.empty(_TILE, dtype=np.uint64)
+        tmp = np.empty(_TILE, dtype=np.uint64)
+        rows_hit, cols_hit = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        passed = 0
+        i0 = 0
+        while i0 < n - 1:
+            width = n - 1 - i0  # the pairs of row i0
+            rows = max(1, min(_TILE // width, width))
+            step = _TILE // rows
+            for j0 in range(i0 + 1, n, step):
+                cols = min(step, n - j0)
+                size = rows * cols
+                bits = rng.pair_bits_into(
+                    mixed[i0 : i0 + rows, None],
+                    ordered[None, j0 : j0 + cols],
+                    STREAM_PERCOLATION,
+                    buf[:size].reshape(rows, cols),
+                    tmp[:size].reshape(rows, cols),
+                )
+                ii, jj = np.divmod(np.flatnonzero(bits.ravel() < bound), cols)
+                ii += i0
+                jj += j0
+                upper = jj > ii
+                passed += int(upper.sum())
+                if passed > self.cap:
+                    raise ResourceCapError("percolation pairs", self.cap)
+                rows_hit.append(ii[upper])
+                cols_hit.append(jj[upper])
+            i0 += rows
+        oi, oj = order[np.concatenate(rows_hit)], order[np.concatenate(cols_hit)]
+        a, b = ids[np.minimum(oi, oj)], ids[np.maximum(oi, oj)]
+        p = self.prob(a, b)
+        u = rng.uniforms(combine_unordered(self.digests[a], self.digests[b]), STREAM_PERCOLATION)
+        keep = np.flatnonzero(u < float(emax) * p)
+        keep = keep[np.lexsort((b[keep], a[keep]))]
+        return a[keep], b[keep], u[keep], p[keep]
+
+    def row_masses(self, rows) -> np.ndarray:
+        """Mass sum_{j != i} p(i, j) of each point i in `rows`, over every
+        point of the space, which must then be the window itself.
+
+        Each row is summed left to right over j = i+1, ..., n-1, then j = 0,
+        ..., i-1: the order in which `np.add.at` over the `np.triu_indices`
+        pairs adds up row i (as first, then as second index), since p is
+        symmetric.  `np.cumsum` adds sequentially, so the sums match that
+        order bit for bit; rows are taken in tiles of about `_TILE` pairs.
+        """
+        n = len(self.space)
+        out = np.empty(len(rows), dtype=np.float64)
+        ring = np.arange(1, n)
+        step = max(1, _TILE // (n - 1))
+        for r0 in range(0, len(rows), step):
+            i = rows[r0 : r0 + step, None]
+            out[r0 : r0 + step] = np.cumsum(self.prob(i, (i + ring) % n), axis=1)[:, -1]
+        return out
 
 
 class GraphingContext:
@@ -109,28 +221,20 @@ class GraphingContext:
         self.n = n
         self.window_radius = window_radius
         self.margin = margin
-        self.cap = cap
         self.interior_radius = window_radius - margin
         self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
-        space = self.pctx.space
-        self.interior_mask = space.mask_within(self.interior_radius)
+        self.interior_mask = self.pctx.space.mask_within(self.interior_radius)
         self.kernel = PercolationKernel(
-            metric, schedule.growth, schedule.growth2, 2 * window_radius
-        )
-        # rho_c numerators d*p and d'*q of the window's factor pairs; each is
-        # at most the kernel's largest numerator, so int32 holds them.
-        c = metric.c
-        self.rho1 = space.ball1.distance_matrix(space.ball1.volume(window_radius)) * c.numerator
-        self.rho2 = (
-            space.ball2.distance_matrix(space.ball2.volume(self._second_radius())) * c.denominator
+            self.pctx.space,
+            self.pctx.point_digests,
+            schedule.growth,
+            schedule.growth2,
+            window_radius,
+            cap,
         )
         self._free_first = isinstance(metric.first, FreeOracle)
         self._tau_cache = {}
         self._ray_cache = {}
-
-    def _second_radius(self) -> int:
-        c, wr = self.metric.c, self.window_radius
-        return (c.numerator * wr) // c.denominator
 
     def first_dist_of_center(self, pid: int) -> int:
         space = self.pctx.space
@@ -277,94 +381,20 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     )
 
 
-_TILE = 1 << 15  # pairs hashed per tile of `open_pairs`
-
-
-def open_pairs(digests, pts1, pts2, rho1, rho2, lut, rng: SeededRandomness, emax, cap):
-    """(a, b, u, p) for every pair a < b of the n points with u < emax * p,
-    in `np.triu_indices(n, 1)` order.
-
-    Point i has digest `digests[i]` and factor-ball indices `pts1[i]`,
-    `pts2[i]`.  A pair's kernel probability is p = lut[rho1[pts1[a],
-    pts1[b]] + rho2[pts2[a], pts2[b]]] and its uniform is u =
-    rng.uniforms(combine_unordered(digests[a], digests[b]),
-    STREAM_PERCOLATION), so the rows are exactly those of materialising
-    every pair; only a small share of the pairs is materialised.
-
-    - Digest order: with the points sorted by digest, the min and max of
-      `combine_unordered` are the tile's row and column, so the first
-      mixing round (`premix`) runs once per point.
-    - Integer test: every pair is hashed, in row tiles of about `_TILE`
-      pairs, to the 53 bits b of its u = b * 2**-53, and u < t holds
-      exactly when b < bits_below(t).
-    - Prefilter: float rounding is monotone, so every pair's emax * p is at
-      most t = emax * max(lut).  A pair with b >= bits_below(t) stays
-      closed; only the pairs that pass get p and u, from the formulas
-      above, and the exact float test u < emax * p.
-    More than `cap` pairs passing the prefilter raise ResourceCapError.
-    """
-    n = len(digests)
-    order = np.argsort(digests, kind="stable")
-    ordered = digests[order]
-    mixed = premix(ordered)
-    bound = np.uint64(bits_below(float(emax) * float(lut.max())))
-    buf = np.empty(_TILE, dtype=np.uint64)
-    tmp = np.empty(_TILE, dtype=np.uint64)
-    rows_hit, cols_hit = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    passed = 0
-    i0 = 0
-    while i0 < n - 1:
-        width = n - 1 - i0  # the pairs of row i0
-        rows = max(1, min(_TILE // width, width))
-        step = _TILE // rows
-        for j0 in range(i0 + 1, n, step):
-            cols = min(step, n - j0)
-            size = rows * cols
-            bits = rng.pair_bits_into(
-                mixed[i0 : i0 + rows, None],
-                ordered[None, j0 : j0 + cols],
-                STREAM_PERCOLATION,
-                buf[:size].reshape(rows, cols),
-                tmp[:size].reshape(rows, cols),
-            )
-            ii, jj = np.divmod(np.flatnonzero(bits.ravel() < bound), cols)
-            ii += i0
-            jj += j0
-            upper = jj > ii
-            passed += int(upper.sum())
-            if passed > cap:
-                raise ResourceCapError("percolation pairs", cap)
-            rows_hit.append(ii[upper])
-            cols_hit.append(jj[upper])
-        i0 += rows
-    oi, oj = order[np.concatenate(rows_hit)], order[np.concatenate(cols_hit)]
-    a, b = np.minimum(oi, oj), np.maximum(oi, oj)
-    p = lut[rho1[pts1[a], pts1[b]] + rho2[pts2[a], pts2[b]]]
-    u = rng.uniforms(combine_unordered(digests[a], digests[b]), STREAM_PERCOLATION)
-    keep = np.flatnonzero(u < float(emax) * p)
-    keep = keep[np.lexsort((b[keep], a[keep]))]
-    return a[keep], b[keep], u[keep], p[keep]
-
-
 def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, eps_list):
     """Open base-point pairs per epsilon; one uniform per unordered pair.
 
     The same uniforms serve every epsilon, so openness is monotone in
-    epsilon by construction.  `open_pairs` finds the pairs open at the
-    largest epsilon without materialising the closed ones; each epsilon
-    then keeps those with u < epsilon * p, the same float test as over all
-    pairs, in the same order.  The pairs passing its prefilter count
-    against the context's enumeration cap.
+    epsilon by construction.  The kernel's `open_pairs` finds the pairs
+    open at the largest epsilon without materialising the closed ones;
+    each epsilon then keeps those with u < epsilon * p, the same float test
+    as over all pairs, in the same order.
     """
-    S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
-    out = {float(e): [] for e in eps_list}
     if not eps_list:
-        return out
-    space = ctx.pctx.space
-    pd, f1, f2 = ctx.pctx.point_digests[S], space.pts1[S], space.pts2[S]
-    emax = max(eps_list)
-    a, b, u, p = open_pairs(pd, f1, f2, ctx.rho1, ctx.rho2, ctx.kernel.lut, rng, emax, ctx.cap)
-    a, b = S[a], S[b]
+        return {}
+    S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
+    a, b, u, p = ctx.kernel.open_pairs(S, rng, max(eps_list))
+    out = {}
     for e in eps_list:
         sel = u < float(e) * p
         out[float(e)] = list(zip(a[sel].tolist(), b[sel].tolist()))
@@ -942,28 +972,6 @@ class BaselineReport:
     truncation_mass: float
 
 
-def row_masses(rows, pts1, pts2, rho1, rho2, lut) -> np.ndarray:
-    """Kernel mass sum_{j != i} p(i, j) of each row i in `rows`, for the
-    points and tables of `open_pairs`.
-
-    Each row is summed left to right over j = i+1, ..., n-1, then j = 0,
-    ..., i-1: the order in which `np.add.at` over the `np.triu_indices`
-    pairs adds up row i (as first, then as second index), since p is
-    symmetric.  `np.cumsum` adds sequentially, so the sums match that
-    order bit for bit; rows are taken in tiles of about `_TILE` pairs.
-    """
-    n = len(pts1)
-    out = np.empty(len(rows), dtype=np.float64)
-    ring = np.arange(1, n)
-    step = max(1, _TILE // (n - 1))
-    for r0 in range(0, len(rows), step):
-        i = rows[r0 : r0 + step, None]
-        j = (i + ring) % n
-        p = lut[rho1[pts1[i], pts1[j]] + rho2[pts2[i], pts2[j]]]
-        out[r0 : r0 + step] = np.cumsum(p, axis=1)[:, -1]
-    return out
-
-
 def coset_line_baseline(
     metric: ProductMetric,
     growth: GrowthSeries,
@@ -979,11 +987,12 @@ def coset_line_baseline(
     then merge with an invariant percolation; the exact stand-in for the
     path-partition baseline.
 
-    Each seed's open pairs come from `open_pairs`, which hashes every
-    window pair in tiles and materialises only those passing its exact
-    prefilter; they count against `cap`.  The expected half-degree sums
-    the interior rows' kernel masses with `row_masses`, in its fixed
-    order.
+    The percolation is the kernel's on the window: each seed's open pairs
+    come from its `open_pairs`, and the expected half-degree sums the
+    interior rows' `row_masses`, in their fixed order.  The coset lines
+    are labelled once; each epsilon then unions only its own open pairs
+    over the line labels, so every epsilon's partition is the lines plus
+    that epsilon's pairs, never the previous epsilon's.
     """
     if margin < 1 or margin >= window_radius:
         raise InputError("margin must satisfy 1 <= margin < window radius")
@@ -994,7 +1003,7 @@ def coset_line_baseline(
             "(free or lattice first factor)"
         )
     space = ProductSpace(metric, window_radius, cap)
-    kernel = PercolationKernel(metric, growth, growth2, 2 * window_radius)
+    kernel = PercolationKernel(space, point_digests(space), growth, growth2, window_radius, cap)
     interior = space.mask_within(window_radius - margin)
     gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)
@@ -1009,29 +1018,27 @@ def coset_line_baseline(
     tgt = space.lookup_keys((succ[space.pts1] << 32) | space.pts2)
     src = np.flatnonzero(tgt >= 0)
     lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])
-    line_edges = list(zip(lo.tolist(), hi.tolist()))
     line_deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     int_ids = np.flatnonzero(interior)
     line_partition_ok = bool((line_deg[int_ids] == 2).all()) if len(int_ids) else True
-    digests = point_digests(space)
-    c = metric.c
-    rho1 = space.ball1.distance_matrix() * c.numerator
-    rho2 = space.ball2.distance_matrix() * c.denominator
-    mass = row_masses(int_ids, space.pts1, space.pts2, rho1, rho2, kernel.lut)
+    # The line of each point, and the number of points on each line.
+    _, line_of = np.unique(_component_roots(n, zip(lo.tolist(), hi.tolist())), return_inverse=True)
+    line_size = np.bincount(line_of)
+    ids = np.arange(n)
+    mass = kernel.row_masses(int_ids)
     expected_half = {float(e): 1.0 + float(e) * float(mass.mean()) / 2.0 for e in eps_list}
     rows = {float(e): {"largest": [], "half": []} for e in eps_list}
     monotone_violations = 0
     emax = max(eps_list, default=0.0)
     for s in range(seeds):
         rng = SeededRandomness(seed_digest(master_seed, s))
-        a, b, u, p = open_pairs(
-            digests, space.pts1, space.pts2, rho1, rho2, kernel.lut, rng, emax, cap
-        )
+        a, b, u, p = kernel.open_pairs(ids, rng, emax)
+        la, lb = line_of[a], line_of[b]
         prev = -1.0
         for e in sorted(float(x) for x in eps_list):
             sel = u < e * p
-            open_edges = list(zip(a[sel].tolist(), b[sel].tolist()))
-            frac = largest_component_fraction(_component_roots(n, line_edges + open_edges))
+            roots = _component_roots(len(line_size), zip(la[sel].tolist(), lb[sel].tolist()))
+            frac = int(np.bincount(roots, weights=line_size).max()) / n
             perc_deg = np.bincount(a[sel], minlength=n) + np.bincount(b[sel], minlength=n)
             half = float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0)
             rows[e]["largest"].append(frac)

@@ -224,18 +224,6 @@ class ProductSpace:
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[pos] == keys, pos, -1)
 
-    def lookup(self, i: int, j: int):
-        """Universe id of factor-index pair, or None when outside."""
-        pid = int(self.lookup_keys((int(i) << 32) | int(j)))
-        return None if pid < 0 else pid
-
-    def lookup_elements(self, el1, el2):
-        i = self.ball1.index.get(el1)
-        j = self.ball2.index.get(el2)
-        if i is None or j is None:
-            return None
-        return self.lookup(i, j)
-
     def element(self, pid: int):
         return (
             self.ball1.elements[int(self.pts1[pid])],

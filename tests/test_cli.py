@@ -4,9 +4,6 @@ import json
 import pytest
 
 from horolab import acceptance, cli
-from horolab.graphing import PercolationKernel
-from horolab.groups import make_oracle
-from horolab.product import ProductMetric
 
 SMALL = {
     "acceptance_checks": False,
@@ -220,11 +217,7 @@ def _default_graphing_key(**graphing):
     cfg = copy.deepcopy(cli.DEFAULTS)
     cfg["graphing"].update(graphing)
     sched, _, _ = cli._schedule_for(cfg, cfg["schedule"]["horizon"])
-    spec1, spec2 = cli._resolved_groups(cfg)
-    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
-    wr = cfg["graphing"]["window_radius"]
-    kernel = PercolationKernel(metric, sched.growth, sched.growth2, 2 * wr)
-    return cli._graphing_key(cfg, sched, kernel)
+    return cli._graphing_key(cfg, sched)
 
 
 def test_default_graphing_sweep_is_the_acceptance_sweep():

@@ -20,13 +20,12 @@ from horolab.graphing import (
     largest_component_fraction,
     lift_open_pairs,
     pi3_edges,
-    row_masses,
     run_seed,
     surviving_index,
 )
 from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
-from horolab.point_process import sample_diamond_process
+from horolab.point_process import point_digests, sample_diamond_process
 from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_PERCOLATION,
@@ -86,10 +85,14 @@ def test_kernel_counts_match_sphere_sums(f2_ctx):
 
 def test_kernel_invariance(f2_ctx):
     # p depends only on the rho distance, hence invariant and symmetric
-    lut = f2_ctx.kernel.lut
-    assert lut[0] == 0.0
-    nums = np.array([1, 2, 1, 3])
-    assert (f2_ctx.kernel.prob_nums(nums) == lut[nums]).all()
+    kernel, space = f2_ctx.kernel, f2_ctx.pctx.space
+    assert kernel.lut[0] == 0.0
+    ids = f2_ctx.pctx.window_ids[::7]
+    p = kernel.prob(ids[:, None], ids[None, :])
+    assert (p == p.T).all() and (np.diag(p) == 0.0).all()
+    # c = 1, so a pair's rho numerator is its rho distance
+    rho = [[f2_ctx.metric.rho(space.element(a), space.element(b)) for b in ids] for a in ids]
+    assert (kernel.lut[np.asarray(rho, dtype=np.int64)] == p).all()
 
 
 # Pi1 descent forest ---------------------------------------------------------
@@ -166,7 +169,9 @@ def _materialised_percolation(ctx, base_pids, rng, eps_list):
     space = ctx.pctx.space
     c = ctx.metric.c
     D1 = space.ball1.distance_matrix(space.ball1.volume(ctx.window_radius))
-    D2 = space.ball2.distance_matrix(space.ball2.volume(ctx._second_radius()))
+    D2 = space.ball2.distance_matrix(
+        space.ball2.volume((c.numerator * ctx.window_radius) // c.denominator)
+    )
     ia, ib = np.triu_indices(len(S), 1)
     f1 = space.pts1[S]
     f2 = space.pts2[S]
@@ -174,7 +179,7 @@ def _materialised_percolation(ctx, base_pids, rng, eps_list):
         D1[f1[ia], f1[ib]].astype(np.int64) * c.numerator
         + D2[f2[ia], f2[ib]].astype(np.int64) * c.denominator
     )
-    base_prob = ctx.kernel.prob_nums(rho_nums)
+    base_prob = ctx.kernel.lut[rho_nums]
     pd = ctx.pctx.point_digests
     u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
     emax = max(eps_list)
@@ -246,9 +251,9 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
     key = seed_digest(64, 0)
     bases = sorted(_seed_window(f2_ctx, key).copies_at)
     pairs = len(bases) * (len(bases) - 1) // 2
-    monkeypatch.setattr(f2_ctx, "cap", pairs)
+    monkeypatch.setattr(f2_ctx.kernel, "cap", pairs)
     assert len(build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])[1.0]) == pairs
-    monkeypatch.setattr(f2_ctx, "cap", pairs - 1)
+    monkeypatch.setattr(f2_ctx.kernel, "cap", pairs - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
         build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
 
@@ -260,11 +265,16 @@ def test_percolation_eps_zero_empty(z_ctx):
     assert opens[0.0] == []
 
 
+def _pid(space, el1, el2) -> int:
+    """Point id of the element pair (el1, el2) of `space`."""
+    return int(space.lookup_keys((space.ball1.index[el1] << 32) | space.ball2.index[el2]))
+
+
 def test_percolation_marginal_frequency(z_ctx):
     # fixed pair open frequency ~ eps * p over many seeds (3 SE band)
     space = z_ctx.pctx.space
-    a = space.lookup_elements((0,), (0,))
-    b = space.lookup_elements((1,), (0,))
+    a = _pid(space, (0,), (0,))
+    b = _pid(space, (1,), (0,))
     eps = 0.5
     base = float(z_ctx.kernel.lut[z_ctx.metric.rho_num(1, 0)])
     seeds = 400
@@ -280,8 +290,8 @@ def test_percolation_marginal_frequency(z_ctx):
 
 def test_percolation_forced_pair_always_open(z_ctx):
     space = z_ctx.pctx.space
-    a = space.lookup_elements((0,), (0,))
-    b = space.lookup_elements((1,), (0,))
+    a = _pid(space, (0,), (0,))
+    b = _pid(space, (1,), (0,))
     saved = z_ctx.kernel.lut.copy()
     z_ctx.kernel.lut[:] = 1.0
     try:
@@ -291,6 +301,34 @@ def test_percolation_forced_pair_always_open(z_ctx):
             assert opens[1.0] == [(min(a, b), max(a, b))]
     finally:
         z_ctx.kernel.lut[:] = saved
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
+def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
+    # The baseline's kernel on the bare window opens the same element pairs
+    # among a seed's bases as Pi2 does on W+: one percolation, two point sets.
+    ctx, space = perc_ctx, perc_ctx.pctx.space
+    window = ProductSpace(ctx.metric, ctx.window_radius)
+    sched = ctx.schedule
+    kernel = graphing.PercolationKernel(
+        window, point_digests(window), sched.growth, sched.growth2, ctx.window_radius
+    )
+    opened = 0
+    for s in range(10):
+        key = seed_digest(65, s)
+        bases = sorted(_seed_window(ctx, key).copies_at)
+        pi2 = build_percolation(ctx, bases, SeededRandomness(key), [0.3])[0.3]
+        got = {frozenset((space.element(a), space.element(b))) for a, b in pi2}
+        a, b, _, _ = kernel.open_pairs(np.arange(len(window)), SeededRandomness(key), 0.3)
+        on_bases = {space.element(pid) for pid in bases}
+        want = {
+            pair
+            for pair in (frozenset((window.element(x), window.element(y))) for x, y in zip(a, b))
+            if pair <= on_bases
+        }
+        assert got == want
+        opened += len(got)
+    assert opened > 0
 
 
 def test_percolation_monotone_in_eps(z_ctx):
@@ -632,8 +670,8 @@ def test_baseline_row_masses_match_add_at(specs):
     first, second, c = specs
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     g1, g2 = growth_series(first, 8), growth_series(second, 8)
-    kernel = graphing.PercolationKernel(metric, g1, g2, 6)
     space = ProductSpace(metric, 3)
+    kernel = graphing.PercolationKernel(space, point_digests(space), g1, g2, 3)
     n = len(space)
     D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
     ia, ib = np.triu_indices(n, 1)
@@ -644,17 +682,10 @@ def test_baseline_row_masses_match_add_at(specs):
     want = np.zeros(n, dtype=np.float64)
     np.add.at(want, ia, p)
     np.add.at(want, ib, p)
-    rho1, rho2 = D1 * metric.c.numerator, D2 * metric.c.denominator
     rows = np.arange(n)
-    got = row_masses(rows, space.pts1, space.pts2, rho1, rho2, kernel.lut)
-    assert got.tobytes() == want.tobytes()
+    assert kernel.row_masses(rows).tobytes() == want.tobytes()
     for step in (1, 5):
-        got = np.concatenate(
-            [
-                row_masses(rows[r : r + step], space.pts1, space.pts2, rho1, rho2, kernel.lut)
-                for r in range(0, n, step)
-            ]
-        )
+        got = np.concatenate([kernel.row_masses(rows[r : r + step]) for r in range(0, n, step)])
         assert got.tobytes() == want.tobytes()
 
 

@@ -142,9 +142,9 @@ def test_empirical_center_density(ctx):
 def test_incidence_binomial_moments(ctx):
     # counts at the origin across seeds follow Binomial(v'', 1/v'')
     seeds = 300
-    origin = ctx.space.lookup_elements(
-        ctx.metric.first.identity, ctx.metric.second.identity
-    )
+    i = ctx.space.ball1.index[ctx.metric.first.identity]
+    j = ctx.space.ball2.index[ctx.metric.second.identity]
+    origin = int(ctx.space.lookup_keys((i << 32) | j))
     at = int(np.searchsorted(ctx.window_ids, origin))
     assert ctx.window_ids[at] == origin
     counts = []

@@ -142,8 +142,9 @@ def test_product_space_window(m_f2):
     assert len(sp) == len(perfect_diamond(m_f2, m_f2.origin, 3))
     ids = sp.ids_within(2)
     assert len(ids) == 49
-    pid = sp.lookup_elements(m_f2.first.canon(["a"]), m_f2.second.identity)
-    assert pid is not None
+    i, j = sp.ball1.index[m_f2.first.canon(["a"])], sp.ball2.index[m_f2.second.identity]
+    pid = int(sp.lookup_keys((i << 32) | j))
+    assert pid >= 0
     assert sp.element(pid) == (m_f2.first.canon(["a"]), m_f2.second.identity)
     assert sp.word_str(pid) == "a|e"
 
@@ -156,13 +157,12 @@ def test_product_space_window(m_f2):
 def test_product_space_keys_index_the_universe(first, second, c):
     sp = ProductSpace(ProductMetric(make_oracle(first), make_oracle(second), c), 3)
     assert (np.diff(sp.keys) > 0).all()
-    for k in range(len(sp)):
-        assert sp.lookup(sp.pts1[k], sp.pts2[k]) == k
-    assert (sp.lookup_keys(sp.keys) == np.arange(len(sp))).all()
+    keys = (sp.pts1.astype(np.int64) << 32) | sp.pts2
+    assert (sp.lookup_keys(keys) == np.arange(len(sp))).all()
     # Outside either factor ball, and inside both balls but beyond rho_c.
-    assert sp.lookup(len(sp.ball1), 0) is None
-    assert sp.lookup(0, len(sp.ball2)) is None
-    assert sp.lookup(len(sp.ball1) - 1, len(sp.ball2) - 1) is None
+    n1, n2 = len(sp.ball1), len(sp.ball2)
+    outside = np.array([n1 << 32, n2, ((n1 - 1) << 32) | (n2 - 1)], dtype=np.int64)
+    assert (sp.lookup_keys(outside) == -1).all()
 
 
 def test_product_space_requires_rational():
