@@ -69,13 +69,12 @@ DEFAULTS = {
     "group": {"kind": "free", "rank": 2},
     "group2": {"kind": "free", "rank": 2},
     "c": None,
-    "growth_method": "auto",
     "enum_cap": 20_000_000,
     "master_seed": 20260810,
     "threads": 1,
     "seeds": None,
     "acceptance_checks": True,
-    "growth": {"horizon": 8, "method": "bfs", "ball_dump_radius": 3},
+    "growth": {"horizon": 8, "ball_dump_radius": 3},
     "schedule": {"horizon": 12, "m_max": 5, "mode": "auto"},
     "diamond": {"n_values": list(range(0, 9)), "T_values": [1, 2, 3], "sandwich": True},
     "process": {
@@ -150,12 +149,23 @@ def _require_list(value, name: str) -> list:
     return value
 
 
+# Blocks whose keys are checked against DEFAULTS; `group` and `group2` are
+# checked by GroupSpec.
+_BLOCKS = ("growth", "schedule", "diamond", "process", "graphing", "prop13")
+
+
 def _validate(cfg: dict):
+    unknown = [key for key in cfg if key not in DEFAULTS]
+    for block in _BLOCKS:
+        if not isinstance(cfg[block], dict):
+            raise InputError(f"{block} must be an object, got {cfg[block]!r}")
+        unknown += [f"{block}.{key}" for key in cfg[block] if key not in DEFAULTS[block]]
+    if unknown:
+        raise InputError(f"unknown config keys: {', '.join(unknown)}")
+
     def get(block, key):
         if block is None:
             return cfg[key], key
-        if not isinstance(cfg[block], dict):
-            raise InputError(f"{block} must be an object, got {cfg[block]!r}")
         return cfg[block][key], f"{block}.{key}"
 
     for block, key, least in _INT_FIELDS:
@@ -217,9 +227,8 @@ def _resolve_c(cfg, g1, g2):
 
 def _growth_pair(cfg, horizon, horizon2=None):
     spec1, spec2 = _resolved_groups(cfg)
-    method = cfg["growth_method"]
-    g1 = growth_series(spec1, horizon, method=method, cap=cfg["enum_cap"])
-    g2 = growth_series(spec2, horizon2 or horizon, method=method, cap=cfg["enum_cap"])
+    g1 = growth_series(spec1, horizon, cap=cfg["enum_cap"])
+    g2 = growth_series(spec2, horizon2 or horizon, cap=cfg["enum_cap"])
     return g1, g2
 
 
@@ -231,7 +240,7 @@ def _schedule_for(cfg, horizon):
     chooses lemma for clearly exponential factors and linear otherwise
     (subexponential growth never certifies nonamenability at desk scale).
     """
-    mode = cfg["schedule"].get("mode", "auto")
+    mode = cfg["schedule"]["mode"]
     g1, g2 = _growth_pair(cfg, horizon, 2 * horizon + 2)
     if mode == "auto":
         exponential = all(
@@ -242,10 +251,10 @@ def _schedule_for(cfg, horizon):
         mode = "lemma" if exponential else "linear"
     c = _resolve_c(cfg, g1, g2)
     if mode == "lemma":
-        return build_schedule(g1, g2, c, horizon), g1, g2
+        return build_schedule(g1, g2, c, horizon)
     if mode != "linear":
         raise InputError(f"unknown schedule mode {mode!r}")
-    return linear_schedule(c, horizon, growth=g1, growth2=g2), g1, g2
+    return linear_schedule(c, horizon, growth=g1, growth2=g2)
 
 
 def run_growth(cfg, out: Path) -> dict:
@@ -254,7 +263,7 @@ def run_growth(cfg, out: Path) -> dict:
     plot = []
     summary = {}
     for tag, spec in (("G", spec1), ("G2", spec2)):
-        g = growth_series(spec, sub["horizon"], method=sub["method"], cap=cfg["enum_cap"])
+        g = growth_series(spec, sub["horizon"], method="bfs", cap=cfg["enum_cap"])
         g.check_invariants()
         rows = []
         for n, v in enumerate(g.volumes):
@@ -277,7 +286,7 @@ def run_growth(cfg, out: Path) -> dict:
 
 def run_schedule(cfg, out: Path) -> dict:
     sub = cfg["schedule"]
-    sched, _, _ = _schedule_for(cfg, sub["horizon"])
+    sched = _schedule_for(cfg, sub["horizon"])
     sched.check_invariants()
     sched.to_csv(out / "schedule.csv")
     (out / "breakpoints.json").write_text(sched.breakpoints_json() + "\n")
@@ -300,7 +309,7 @@ def run_schedule(cfg, out: Path) -> dict:
 
 def run_diamond(cfg, out: Path) -> dict:
     sub = cfg["diamond"]
-    sched, _, _ = _schedule_for(cfg, cfg["schedule"]["horizon"])
+    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
     spec1, spec2 = _resolved_groups(cfg)
     metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
     n_values = [n for n in sub["n_values"] if n < len(sched.r)]
@@ -381,7 +390,7 @@ def _sandwich_to_csv(rep, path):
 
 def run_process(cfg, out: Path) -> dict:
     sub = cfg["process"]
-    sched, _, _ = _schedule_for(cfg, cfg["schedule"]["horizon"])
+    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
     spec1, spec2 = _resolved_groups(cfg)
     metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
     ctx = ProcessContext(metric, sched, sub["n"], sub["window_radius"], cfg["enum_cap"])
@@ -485,7 +494,7 @@ def _graphing_key(cfg, sched) -> acceptance.SweepKey:
 def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
     """When `sweeps` is a list, the finished sweep is appended to it."""
     sub = cfg["graphing"]
-    sched, _, _ = _schedule_for(cfg, cfg["schedule"]["horizon"])
+    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
     spec1, spec2 = _resolved_groups(cfg)
     metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
     t0 = time.time()

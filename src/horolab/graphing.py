@@ -6,6 +6,13 @@ build the horizontal descent forest, add an invariant pair percolation,
 break overlaps to a transversal, collapse to the induced graphings, and
 estimate Palm degrees and the cost bound on the margin-trimmed interior.
 
+The per-seed stages read one vertex table, `MarkedWindow`: vertex vi is
+the copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
+point and its `vertex_of` lookup are the only maps between points and
+vertices; Pi3 edges are vertex arrays, and `_component_roots` (the least
+vertex of each component) is the one labeller, for Pi3, the Pi5
+connectivity check and the coset-line baseline.
+
 `PercolationKernel` owns the pair law and draws the one percolation: the
 Pi2 stage opens it among a seed's base points, and the coset-line baseline
 among every point of the window.
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -236,15 +242,13 @@ class GraphingContext:
         self._tau_cache = {}
         self._ray_cache = {}
 
-    def first_dist_of_center(self, pid: int) -> int:
+    def keeps_center(self, pids) -> np.ndarray:
+        """Descent-safety rule, elementwise over center point ids: the
+        center's first coordinate must sit beyond the interior window, else
+        descent can pass the center and leave the diamond at interior
+        points."""
         space = self.pctx.space
-        return int(space.ball1.dist[int(space.pts1[pid])])
-
-    def keeps_center(self, pid: int) -> bool:
-        """Descent-safety rule: the center's first coordinate must sit
-        beyond the interior window, else descent can pass the center and
-        leave the diamond at interior points."""
-        return self.first_dist_of_center(pid) > self.interior_radius
+        return space.ball1.dist[space.pts1[pids]] > self.interior_radius
 
     def tau(self, center_fi: int, y_fi: int):
         """First-coordinate descent target toward the center's direction:
@@ -274,7 +278,17 @@ class GraphingContext:
 
 @dataclass
 class MarkedWindow:
-    """Per-seed vertex set S' (marked points of the kept diamonds)."""
+    """Per-seed vertex table of S' (marked points of the kept diamonds).
+
+    Vertex vi is the copy of point v_pid[vi] in kept diamond v_k[vi].
+    Vertices are listed diamond by diamond, each diamond's members in its
+    own order.  That order is output: phi and psi break ties by vertex
+    index, and edges_seed0.csv lists rows in vertex order.
+
+    `copies` lists the vertex ids stably sorted by point, so the copies of
+    bases[i] (the covered points, sorted) are copies[starts[i]:starts[i+1]],
+    in rising diamond index.
+    """
 
     ctx: GraphingContext
     diamonds: list  # kept PointedDiamond records
@@ -282,43 +296,44 @@ class MarkedWindow:
     v_pid: np.ndarray
     v_k: np.ndarray
     v_interior: np.ndarray
-    copies_at: dict
-    marks: list
+    marks: np.ndarray  # float64 mark of each kept diamond
+    bases: np.ndarray
+    copies: np.ndarray
+    starts: np.ndarray
 
     @property
     def n_vertices(self) -> int:
         return len(self.v_pid)
 
+    def vertex_of(self, pids, ks) -> np.ndarray:
+        """Vertex of the copy of point pids[i] in kept diamond ks[i], -1
+        where there is none (pid -1, or pid not a member of diamond k)."""
+        # Within one point the diamond index rises, so these are sorted.
+        keys = (self.v_pid[self.copies] << 32) | self.v_k[self.copies]
+        want = (np.asarray(pids, dtype=np.int64) << 32) | ks
+        pos = np.searchsorted(keys, want)
+        return np.where(np.append(keys, -1)[pos] == want, np.append(self.copies, -1)[pos], -1)
+
 
 def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
-    kept = []
-    excluded = 0
-    for d in process.diamonds:
-        if ctx.keeps_center(d.center_pid):
-            kept.append(d)
-        else:
-            excluded += 1
-    v_pid, v_k = [], []
-    copies_at = {}
-    for k, d in enumerate(kept):
-        for pid in d.member_ids.tolist():
-            copies_at.setdefault(pid, []).append(len(v_pid))
-            v_pid.append(pid)
-            v_k.append(k)
-    v_pid = np.asarray(v_pid, dtype=np.int64)
-    v_k = np.asarray(v_k, dtype=np.int32)
-    v_interior = (
-        ctx.interior_mask[v_pid] if len(v_pid) else np.zeros(0, dtype=bool)
-    )
+    centers = np.asarray([d.center_pid for d in process.diamonds], dtype=np.int64)
+    kept = [d for d, keep in zip(process.diamonds, ctx.keeps_center(centers).tolist()) if keep]
+    members = [np.zeros(0, dtype=np.int64)] + [d.member_ids for d in kept]
+    v_pid = np.concatenate(members)
+    v_k = np.repeat(np.arange(len(kept), dtype=np.int32), [len(m) for m in members[1:]])
+    copies = np.argsort(v_pid, kind="stable")
+    bases, starts = np.unique(v_pid[copies], return_index=True)
     return MarkedWindow(
         ctx=ctx,
         diamonds=kept,
-        excluded_diamonds=excluded,
+        excluded_diamonds=len(process.diamonds) - len(kept),
         v_pid=v_pid,
         v_k=v_k,
-        v_interior=v_interior,
-        copies_at=copies_at,
-        marks=[d.mark for d in kept],
+        v_interior=ctx.interior_mask[v_pid],
+        marks=np.asarray([d.mark for d in kept], dtype=np.float64),
+        bases=bases,
+        copies=copies,
+        starts=np.append(starts, len(v_pid)),
     )
 
 
@@ -336,48 +351,32 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
     space = ctx.pctx.space
     v_k = mw.v_k.tolist()
-    vert_index = {key: vi for vi, key in enumerate(zip(mw.v_pid.tolist(), v_k))}
     center_fi = [int(space.pts1[d.center_pid]) for d in mw.diamonds]
-    y_fi = space.pts1[mw.v_pid].tolist()
+    y_fi = space.pts1[mw.v_pid]
     tfi = np.fromiter(
-        (ctx.tau(center_fi[k], yfi) for k, yfi in zip(v_k, y_fi)),
+        (ctx.tau(center_fi[k], yfi) for k, yfi in zip(v_k, y_fi.tolist())),
         dtype=np.int64,
         count=len(v_k),
     )
     # A target outside the first factor ball is -1, which packs to a
     # negative key and so misses like any point outside the universe.
-    tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid]).tolist()
-    target = np.full(len(v_k), -1, dtype=np.int64)
-    stalled = 0
-    interior_violations = 0
-    by_group = {}
-    for vi, (k, yfi, tpid) in enumerate(zip(v_k, y_fi, tpids)):
-        # (tpid, k) is a vertex exactly when tpid is a member of diamond k.
-        tv = vert_index.get((tpid, k), -1)
-        target[vi] = tv
-        if tv < 0:
-            stalled += 1
-            if mw.v_interior[vi]:
-                interior_violations += 1
-        by_group.setdefault((k, yfi), []).append(vi)
-    parallel_violations = 0
-    for (_, _), group in by_group.items():
-        # Same first coordinate within one diamond: out-edges must be
-        # parallel (same target first coordinate, second unchanged).
-        tfis = set()
-        for vi in group:
-            tv = int(target[vi])
-            if tv >= 0:
-                tfis.add(int(space.pts1[mw.v_pid[tv]]))
-                if int(space.pts2[mw.v_pid[tv]]) != int(space.pts2[mw.v_pid[vi]]):
-                    parallel_violations += 1
-        if len(tfis) > 1:
-            parallel_violations += 1
+    tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid])
+    # (tpid, k) is a vertex exactly when tpid is a member of diamond k.
+    target = mw.vertex_of(tpids, mw.v_k)
+    stalled = target < 0
+    # Same first coordinate within one diamond: out-edges must be parallel
+    # (second coordinate unchanged, one target first coordinate per group).
+    src = np.flatnonzero(~stalled)
+    tgt_pid, src_pid = mw.v_pid[target[src]], mw.v_pid[src]
+    group = (mw.v_k[src].astype(np.int64) << 32) | y_fi[src]
+    moves = np.unique(np.stack([group, space.pts1[tgt_pid]], axis=1), axis=0)
+    _, targets_per_group = np.unique(moves[:, 0], return_counts=True)
     return Pi1Forest(
         target=target,
-        stalled=stalled,
-        interior_violations=interior_violations,
-        parallel_violations=parallel_violations,
+        stalled=int(stalled.sum()),
+        interior_violations=int((stalled & mw.v_interior).sum()),
+        parallel_violations=int((space.pts2[tgt_pid] != space.pts2[src_pid]).sum())
+        + int((targets_per_group > 1).sum()),
     )
 
 
@@ -392,7 +391,7 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     """
     if not eps_list:
         return {}
-    S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
+    S = np.sort(np.asarray(base_pids, dtype=np.int64))
     a, b, u, p = ctx.kernel.open_pairs(S, rng, max(eps_list))
     out = {}
     for e in eps_list:
@@ -401,56 +400,54 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     return out
 
 
-def lift_open_pairs(mw: MarkedWindow, open_pairs) -> list:
-    """pi^{-1}: every open base pair lifts to all marked copy pairs."""
-    edges = []
-    for pa, pb in open_pairs:
-        for va in mw.copies_at.get(pa, ()):
-            for vb in mw.copies_at.get(pb, ()):
-                edges.append((min(va, vb), max(va, vb)))
-    return edges
+def lift_open_pairs(mw: MarkedWindow, open_pairs) -> tuple:
+    """pi^{-1}: every open pair of bases lifts to all marked copy pairs.
+
+    Returns the (lower, higher) vertex arrays, pair by pair, and within a
+    pair the copies of its first point outer, those of its second inner.
+    """
+    at = np.searchsorted(mw.bases, np.asarray(open_pairs, dtype=np.int64).reshape(-1, 2))
+    first = mw.starts[at]
+    count = mw.starts[at + 1] - first
+    lifts = count[:, 0] * count[:, 1]
+    pair = np.repeat(np.arange(len(at)), lifts)
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(lifts) - lifts, lifts)
+    va = mw.copies[first[pair, 0] + rank // count[pair, 1]]
+    vb = mw.copies[first[pair, 1] + rank % count[pair, 1]]
+    return np.minimum(va, vb), np.maximum(va, vb)
 
 
 def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> tuple:
-    """Deduplicated undirected edge set of Pi3 = Pi1 union lifted Pi2.
-
-    Returns (edge list, pi1-edge count, lifted-percolation edge count),
-    where a doubly-realised pair counts once and as a forest edge.
-    """
-    seen = set()
-    for vi, tv in enumerate(pi1.target.tolist()):
-        if tv >= 0:
-            seen.add((min(vi, tv), max(vi, tv)))
-    n_pi1 = len(seen)
-    for e in lift_open_pairs(mw, open_pairs):
-        seen.add(e)
-    edges = sorted(seen)
-    return edges, n_pi1, len(edges) - n_pi1
+    """Undirected edges of Pi3 = Pi1 union lifted Pi2 as arrays (a, b),
+    a < b, sorted and without duplicates."""
+    src = np.flatnonzero(pi1.target >= 0)
+    tgt = pi1.target[src]
+    lo, hi = lift_open_pairs(mw, open_pairs)
+    keys = np.union1d((np.minimum(src, tgt) << 32) | np.maximum(src, tgt), (lo << 32) | hi)
+    return keys >> 32, keys & 0xFFFFFFFF
 
 
-def surviving_index(k: int, w: float) -> int:
+def _pairs(a, b) -> list:
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def surviving_index(k, w):
     """1-based index of the surviving copy among k mark-sorted copies:
-    clamp(ceil(k w), 1, k)."""
-    return min(max(math.ceil(k * w), 1), k)
+    clamp(ceil(k w), 1, k), elementwise."""
+    return np.clip(np.ceil(k * w), 1, k).astype(np.int64)
 
 
 def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
     """Keep one marked copy per covered point, selected by the point's
-    overlap label among the copies sorted by mark."""
-    ctx = mw.ctx
+    overlap label among the copies sorted by mark (then vertex)."""
+    labels = rng.uniforms(mw.ctx.pctx.point_digests[mw.bases], STREAM_OVERLAP)
+    marks = mw.marks[mw.v_k]
+    ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_pid))
+    same_point = np.diff(mw.v_pid[ranked]) == 0
+    if (same_point & (np.diff(marks[ranked]) == 0)).any():
+        raise MarkCollisionError("overlapping diamonds drew identical marks; reject this seed")
     keep = np.zeros(mw.n_vertices, dtype=bool)
-    pids = np.fromiter(mw.copies_at, dtype=np.int64, count=len(mw.copies_at))
-    labels = rng.uniforms(ctx.pctx.point_digests[pids], STREAM_OVERLAP).tolist()
-    for copies, w in zip(mw.copies_at.values(), labels):
-        ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
-        k = len(ranked)
-        if k > 1:
-            marks = [mw.marks[int(mw.v_k[vi])] for vi in ranked]
-            if len(set(marks)) != k:
-                raise MarkCollisionError(
-                    "overlapping diamonds drew identical marks; reject this seed"
-                )
-        keep[ranked[surviving_index(k, w) - 1]] = True
+    keep[ranked[mw.starts[:-1] + surviving_index(np.diff(mw.starts), labels) - 1]] = True
     return keep
 
 
@@ -527,38 +524,28 @@ def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
     }
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _component_roots(n: int, edges) -> list:
-    """Union-find root of every vertex of the graph on range(n)."""
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    return [uf.find(v) for v in range(n)]
+def _component_roots(n: int, edges) -> np.ndarray:
+    """Least vertex of the component of every vertex of the graph on
+    range(n), given an (m, 2) array of edges."""
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    roots = np.arange(n)
+    while True:
+        # Every label is a root here: hook the larger root of each edge
+        # under the smaller, then follow pointers until they stop changing.
+        ra, rb = roots[a], roots[b]
+        if (ra == rb).all():
+            return roots
+        np.minimum.at(roots, np.maximum(ra, rb), np.minimum(ra, rb))
+        while (roots[roots] != roots).any():
+            roots = roots[roots]
 
 
 def largest_component_fraction(roots) -> float:
     """Share of the vertices in the largest component, given the root
     label of every vertex."""
-    if not roots:
+    if len(roots) == 0:
         return 0.0
-    return max(Counter(roots).values()) / len(roots)
+    return int(np.bincount(roots).max()) / len(roots)
 
 
 @dataclass
@@ -620,28 +607,25 @@ def run_seed(
     st.parallel_violations = pi1.parallel_violations
     interior = np.flatnonzero(mw.v_interior)
     st.n_interior = len(interior)
-    base_pids = sorted(mw.copies_at)
-    st.n_bases = len(base_pids)
-    opens = build_percolation(ctx, base_pids, rng, sorted(set(list(eps_list) + [primary_eps])))
-    # Monotone-merging check over the shared uniforms.
+    st.n_bases = len(mw.bases)
+    opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
+    # Monotone-merging check over the shared uniforms; each epsilon labels
+    # its own edge set.
     prev = -1.0
     for e in sorted(opens):
-        edges_e, _, _ = pi3_edges(mw, pi1, opens[e])
-        roots_e = _component_roots(mw.n_vertices, edges_e)
+        a_e, b_e = pi3_edges(mw, pi1, opens[e])
+        roots_e = _component_roots(mw.n_vertices, np.stack([a_e, b_e], axis=1))
         if e == float(primary_eps):
-            edges, roots = edges_e, roots_e
+            a, b, roots = a_e, b_e, roots_e
         frac = largest_component_fraction(roots_e)
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
             st.monotone_ok = False
         prev = frac
-    deg = np.zeros(mw.n_vertices, dtype=np.int64)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
+    n = mw.n_vertices
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     out_deg = (pi1.target >= 0).astype(np.int64)
-    in_deg = np.zeros(mw.n_vertices, dtype=np.int64)
-    np.add.at(in_deg, pi1.target[pi1.target >= 0], 1)
+    in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
     perc_deg = deg - out_deg - in_deg
     if len(interior):
         st.half_deg_pi1 = float(out_deg[interior].mean())
@@ -657,47 +641,38 @@ def run_seed(
     s0_mask = break_overlaps(mw, rng)
     pd = ctx.pctx.point_digests
     w1 = rng.uniforms(pd[mw.v_pid], STREAM_PERCOLATION)
+    edges = _pairs(a, b)
     stages = build_forest_and_pi45(mw, edges, s0_mask, w1.tolist())
     if collect is not None:
-        pi1_edges = [
-            (vi, int(t)) for vi, t in enumerate(pi1.target.tolist()) if t >= 0
-        ]
+        src = np.flatnonzero(pi1.target >= 0)
         collect.update(
             marked_window=mw,
-            pi1=pi1_edges,
-            pi2_lifted=lift_open_pairs(mw, opens[float(primary_eps)]),
+            pi1=_pairs(src, pi1.target[src]),
+            pi2_lifted=_pairs(*lift_open_pairs(mw, opens[float(primary_eps)])),
             pi3=edges,
             f_edges=stages["f_edges"],
             pi4=stages["pi4"],
             pi5=stages["pi5"],
             s0_mask=s0_mask,
         )
-    flagged = set(stages["flagged_vertices"])
-    st.flagged_components = len({roots[v] for v in flagged})
-    ok_interior = [v for v in interior.tolist() if v not in flagged]
-    s0_interior = [v for v in ok_interior if s0_mask[v]]
+    unreached = np.asarray(stages["dist"]) < 0
+    st.flagged_components = len(np.unique(roots[unreached]))
+    ok_interior = interior[~unreached[interior]]
+    s0_interior = ok_interior[s0_mask[ok_interior]]
     st.n_sprime_interior = len(ok_interior)
     st.n_s0_interior = len(s0_interior)
-    if ok_interior and s0_interior:
+    if len(s0_interior):
         lam = len(s0_interior) / len(ok_interior)
         st.lambda_hat = lam
-        pi5_deg = {}
-        for pa, pb in stages["pi5"]:
-            pi5_deg[pa] = pi5_deg.get(pa, 0) + 1
-            pi5_deg[pb] = pi5_deg.get(pb, 0) + 1
-        interior_bases = sorted({int(mw.v_pid[v]) for v in s0_interior})
-        lhs_vals = np.asarray(
-            [pi5_deg.get(p, 0) for p in interior_bases], dtype=np.float64
+        pi5_ends = np.sort(np.asarray(stages["pi5"], dtype=np.int64).ravel())
+        interior_bases = np.unique(mw.v_pid[s0_interior])
+        lhs, se_lhs = _mean_se(
+            np.searchsorted(pi5_ends, interior_bases, side="right")
+            - np.searchsorted(pi5_ends, interior_bases)
         )
-        palm_vals = (2 * out_deg + perc_deg)[np.asarray(ok_interior, dtype=np.int64)]
-        st.pi5_lhs = float(lhs_vals.mean())
-        st.pi5_rhs = float(palm_vals.mean()) / lam - 2.0 / lam + 2.0
-        se_lhs = float(lhs_vals.std(ddof=1) / math.sqrt(len(lhs_vals))) if len(lhs_vals) > 1 else 0.0
-        se_palm = (
-            float(palm_vals.std(ddof=1) / math.sqrt(len(palm_vals)))
-            if len(palm_vals) > 1
-            else 0.0
-        )
+        palm, se_palm = _mean_se((2 * out_deg + perc_deg)[ok_interior])
+        st.pi5_lhs = lhs
+        st.pi5_rhs = palm / lam - 2.0 / lam + 2.0
         st.pi5_se = se_lhs + se_palm / lam
         st.pi5_checked = True
         st.pi5_ok = st.pi5_lhs <= st.pi5_rhs + 3.0 * st.pi5_se + 1e-9
@@ -708,16 +683,14 @@ def run_seed(
 def _pi5_connected(roots, stages) -> bool:
     """Pi5 restricted to each covered Pi3 component must be connected;
     `roots` labels the Pi3 components.  Sources (dist 0) are never
-    flagged, so every source lies in a covered component."""
-    uf = UnionFind(len(roots))
-    for sa, sb in stages["pi4"]:
-        if roots[sa] == roots[sb]:
-            uf.union(sa, sb)
-    first = {}  # Pi3 component -> Pi4 root of its first source
-    for v, d in enumerate(stages["dist"]):
-        if d == 0 and first.setdefault(roots[v], uf.find(v)) != uf.find(v):
-            return False
-    return True
+    flagged, so every source lies in a covered component.  The Pi4 edges
+    inside one Pi3 component label finer components, so the sources meet
+    as many of those as of the Pi3 ones exactly when each Pi3 component's
+    sources are joined."""
+    pi4 = np.asarray(stages["pi4"], dtype=np.int64).reshape(-1, 2)
+    pi4_roots = _component_roots(len(roots), pi4[roots[pi4[:, 0]] == roots[pi4[:, 1]]])
+    sources = np.flatnonzero(np.asarray(stages["dist"]) == 0)
+    return len(np.unique(pi4_roots[sources])) == len(np.unique(roots[sources]))
 
 
 @dataclass
@@ -1022,7 +995,7 @@ def coset_line_baseline(
     int_ids = np.flatnonzero(interior)
     line_partition_ok = bool((line_deg[int_ids] == 2).all()) if len(int_ids) else True
     # The line of each point, and the number of points on each line.
-    _, line_of = np.unique(_component_roots(n, zip(lo.tolist(), hi.tolist())), return_inverse=True)
+    _, line_of = np.unique(_component_roots(n, np.stack([lo, hi], axis=1)), return_inverse=True)
     line_size = np.bincount(line_of)
     ids = np.arange(n)
     mass = kernel.row_masses(int_ids)
@@ -1037,7 +1010,7 @@ def coset_line_baseline(
         prev = -1.0
         for e in sorted(float(x) for x in eps_list):
             sel = u < e * p
-            roots = _component_roots(len(line_size), zip(la[sel].tolist(), lb[sel].tolist()))
+            roots = _component_roots(len(line_size), np.stack([la[sel], lb[sel]], axis=1))
             frac = int(np.bincount(roots, weights=line_size).max()) / n
             perc_deg = np.bincount(a[sel], minlength=n) + np.bincount(b[sel], minlength=n)
             half = float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0)

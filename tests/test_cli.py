@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,10 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         {"graphing": {"eps_list": [0.05, "0.1"]}},
         {"prop13": {"eps_list": 0.05}},
         {"graphing": 5},
+        {"graphing": {"window_radus": 7}},
+        {"growth_methd": "bfs"},
+        {"growth_method": "auto"},
+        {"growth": {"method": "bfs"}},
     ],
     ids=[
         "window_radius-str",
@@ -88,6 +93,10 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         "eps_list-entry-str",
         "eps_list-scalar",
         "block-not-object",
+        "misspelled-block-key",
+        "misspelled-top-key",
+        "dropped-growth_method",
+        "dropped-growth-method",
     ],
 )
 def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
@@ -124,7 +133,7 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
 def test_resource_cap_exits_3(tmp_path, capsys):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],
-        config_overrides={"enum_cap": 50, "growth": {"horizon": 6, "method": "bfs"}},
+        config_overrides={"enum_cap": 50, "growth": {"horizon": 6}},
     )
     assert rc == 3
     captured = capsys.readouterr()
@@ -216,7 +225,7 @@ def test_all_runners_on_a_rational_slope(tmp_path):
 def _default_graphing_key(**graphing):
     cfg = copy.deepcopy(cli.DEFAULTS)
     cfg["graphing"].update(graphing)
-    sched, _, _ = cli._schedule_for(cfg, cfg["schedule"]["horizon"])
+    sched = cli._schedule_for(cfg, cfg["schedule"]["horizon"])
     return cli._graphing_key(cfg, sched)
 
 
@@ -242,3 +251,37 @@ def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
     assert sweep.report.seed0_stages == {}  # they would keep the whole context alive
     written = (tmp_path / "graphing" / "cost_report.json").read_text()
     assert written == json.dumps(sweep.report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of every data artifact of two reduced runs, pinned when the
+# per-seed stages were rewritten over one vertex table.  A change that
+# alters these bytes on purpose updates the pins and says which and why.
+PINNED_RUNS = {
+    "graphing": {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}},
+    "prop13": {"prop13": {"window_radius": 3, "seeds": 3}},
+}
+PINNED_DIGESTS = {
+    "graphing": {
+        "cost_report.json": "ff8c0d2fc839bdb0289343c52b5a0b388325c8f515970aa1a8da320f94442f15",
+        "edges_seed0.csv": "d0ecf15fd319b047c94a9c1c9b40f236c0e924e350c9caf1d28c3cebe5b074ad",
+        "pi5_seed0.csv": "e1974183227f312f320484b9476ed18ee4897445459a2bdf9dc5c1838830c762",
+        "plot.csv": "637fc315ee87f19364fdabe7329d60a9037b218dcd40ee21c5c7d20bc9d0ed87",
+        "runs.csv": "01e5181511275d0b86dfd82b567b1d665200f1a3f0bda16eb2a4494e2f166ccd",
+    },
+    "prop13": {
+        "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",
+        "plot.csv": "3d7ae07c532e554954958de46813fa85923e7d9de46f8f79907dbe6d1df6d612",
+        "summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+def test_artifacts_match_their_pinned_digests(tmp_path, command):
+    assert cli.main([command, "--out", str(tmp_path)], config_overrides=PINNED_RUNS[command]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name != "manifest.json"
+    }
+    assert got == PINNED_DIGESTS[command]

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horolab import graphing
 from horolab.graphing import (
@@ -103,6 +105,14 @@ def _seed_window(ctx, key):
     return build_marked_window(ctx, proc)
 
 
+def _copies_at(mw) -> dict:
+    """Covered point -> its vertices, in rising diamond index."""
+    return {
+        pid: mw.copies[mw.starts[i] : mw.starts[i + 1]].tolist()
+        for i, pid in enumerate(mw.bases.tolist())
+    }
+
+
 def test_pi1_interior_out_degree(f2_ctx):
     for s in range(5):
         mw = _seed_window(f2_ctx, seed_digest(21, s))
@@ -139,9 +149,45 @@ def test_pi1_lattice_rays(z_ctx):
         assert abs(a[0][0] - b[0][0]) == 1 and a[1] == b[1]
 
 
+def _pi1_counts_reference(mw, target) -> tuple:
+    """(stalled, interior, parallel) violation counts of `target`, by loop."""
+    space = mw.ctx.pctx.space
+    stalled = interior = parallel = 0
+    by_group = {}
+    for vi, tv in enumerate(target.tolist()):
+        if tv < 0:
+            stalled += 1
+            interior += bool(mw.v_interior[vi])
+            continue
+        key = (int(mw.v_k[vi]), int(space.pts1[mw.v_pid[vi]]))
+        by_group.setdefault(key, set()).add(int(space.pts1[mw.v_pid[tv]]))
+        parallel += int(space.pts2[mw.v_pid[tv]]) != int(space.pts2[mw.v_pid[vi]])
+    return stalled, interior, parallel + sum(len(t) > 1 for t in by_group.values())
+
+
+def test_pi1_counts_match_the_loop_on_a_broken_lookup(f2_ctx, monkeypatch):
+    # Scramble some targets, as a wrong vertex lookup would; every count
+    # must still be what the per-vertex loop finds in the targets given.
+    lookup = graphing.MarkedWindow.vertex_of
+
+    def scrambled(mw, pids, ks):
+        got = lookup(mw, pids, ks)
+        got[::7] = np.roll(got[::7], 1)
+        got[3::11] = -1
+        return got
+
+    monkeypatch.setattr(graphing.MarkedWindow, "vertex_of", scrambled)
+    for s in range(3):
+        mw = _seed_window(f2_ctx, seed_digest(25, s))
+        pi1 = build_pi1(mw)
+        counts = (pi1.stalled, pi1.interior_violations, pi1.parallel_violations)
+        assert counts == _pi1_counts_reference(mw, pi1.target)
+        assert min(counts) > 0
+
+
 def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(24, 2))
-    by_pid = mw.copies_at
+    by_pid = _copies_at(mw)
     multi = [pid for pid, copies in by_pid.items() if len(copies) >= 2]
     if not multi:
         pytest.skip("no overlaps in this sample")
@@ -210,7 +256,7 @@ def test_percolation_matches_the_materialised_reference(perc_ctx):
     opened = 0
     for s in range(20):
         key = seed_digest(60, s)
-        bases = sorted(_seed_window(perc_ctx, key).copies_at)
+        bases = _seed_window(perc_ctx, key).bases.tolist()
         opened += len(_assert_matches_reference(perc_ctx, bases, key)[0.3])
     assert opened > 0
 
@@ -221,7 +267,7 @@ def test_percolation_tiles_that_split_rows(perc_ctx, tile, monkeypatch):
     monkeypatch.setattr(graphing, "_TILE", tile)
     for s in range(3):
         key = seed_digest(61, s)
-        bases = sorted(_seed_window(perc_ctx, key).copies_at)[:60]
+        bases = _seed_window(perc_ctx, key).bases.tolist()[:60]
         _assert_matches_reference(perc_ctx, bases, key)
 
 
@@ -231,7 +277,7 @@ def test_percolation_clamps_at_certain_opening(perc_ctx, monkeypatch):
     # a uint64 without the 2**53 clamp), eps = 0 none
     monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
     key = seed_digest(62, 0)
-    bases = sorted(_seed_window(perc_ctx, key).copies_at)
+    bases = _seed_window(perc_ctx, key).bases.tolist()
     got = _assert_matches_reference(perc_ctx, bases, key, [0.0, 1.0, 4096.0])
     every = [(a, b) for i, a in enumerate(bases) for b in bases[i + 1 :]]
     assert got[0.0] == [] and got[1.0] == got[4096.0] == every
@@ -249,7 +295,7 @@ def test_percolation_of_few_bases(perc_ctx, count, monkeypatch):
 def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
     monkeypatch.setattr(f2_ctx.kernel, "lut", np.ones_like(f2_ctx.kernel.lut))
     key = seed_digest(64, 0)
-    bases = sorted(_seed_window(f2_ctx, key).copies_at)
+    bases = _seed_window(f2_ctx, key).bases.tolist()
     pairs = len(bases) * (len(bases) - 1) // 2
     monkeypatch.setattr(f2_ctx.kernel, "cap", pairs)
     assert len(build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])[1.0]) == pairs
@@ -261,7 +307,7 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
 def test_percolation_eps_zero_empty(z_ctx):
     mw = _seed_window(z_ctx, seed_digest(30, 0))
     rng = SeededRandomness(seed_digest(30, 0))
-    opens = build_percolation(z_ctx, sorted(mw.copies_at), rng, [0.0])
+    opens = build_percolation(z_ctx, mw.bases.tolist(), rng, [0.0])
     assert opens[0.0] == []
 
 
@@ -316,7 +362,7 @@ def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
     opened = 0
     for s in range(10):
         key = seed_digest(65, s)
-        bases = sorted(_seed_window(ctx, key).copies_at)
+        bases = _seed_window(ctx, key).bases.tolist()
         pi2 = build_percolation(ctx, bases, SeededRandomness(key), [0.3])[0.3]
         got = {frozenset((space.element(a), space.element(b))) for a, b in pi2}
         a, b, _, _ = kernel.open_pairs(np.arange(len(window)), SeededRandomness(key), 0.3)
@@ -334,16 +380,23 @@ def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
 def test_percolation_monotone_in_eps(z_ctx):
     mw = _seed_window(z_ctx, seed_digest(31, 0))
     rng = SeededRandomness(seed_digest(31, 0))
-    opens = build_percolation(z_ctx, sorted(mw.copies_at), rng, [0.05, 0.1, 0.3])
+    opens = build_percolation(z_ctx, mw.bases.tolist(), rng, [0.05, 0.1, 0.3])
     assert set(opens[0.05]) <= set(opens[0.1]) <= set(opens[0.3])
 
 
 def test_lifting_to_marked_copies(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(32, 1))
-    pids = sorted(mw.copies_at)
-    pa, pb = pids[0], pids[1]
-    lifted = lift_open_pairs(mw, [(pa, pb)])
-    assert len(lifted) == len(mw.copies_at[pa]) * len(mw.copies_at[pb])
+    pids = mw.bases.tolist()
+    copies = _copies_at(mw)
+    multi = [pid for pid in pids if len(copies[pid]) >= 2]
+    assert len(multi) >= 3
+    pairs = [(pids[0], pids[1]), (multi[0], multi[-1]), tuple(sorted((multi[1], pids[2])))]
+    lo, hi = lift_open_pairs(mw, pairs)
+    # pair by pair, the copies of the first point outer
+    want = [
+        (min(va, vb), max(va, vb)) for pa, pb in pairs for va in copies[pa] for vb in copies[pb]
+    ]
+    assert list(zip(lo.tolist(), hi.tolist())) == want
 
 
 # Overlap breaking -----------------------------------------------------------
@@ -364,10 +417,10 @@ def test_mark_collision_rejects_seed(f2_ctx):
     from horolab.graphing import break_overlaps
 
     mw = _seed_window(f2_ctx, seed_digest(35, 0))
-    multi = [pid for pid, copies in mw.copies_at.items() if len(copies) >= 2]
+    multi = [pid for pid, copies in _copies_at(mw).items() if len(copies) >= 2]
     if not multi:
         pytest.skip("no overlaps in this sample")
-    copies = mw.copies_at[multi[0]]
+    copies = _copies_at(mw)[multi[0]]
     k1, k2 = int(mw.v_k[copies[0]]), int(mw.v_k[copies[1]])
     mw.marks[k2] = mw.marks[k1]
     with pytest.raises(MarkCollisionError):
@@ -378,7 +431,7 @@ def _overlap_window(ctx):
     """The first seed window (master seed 35) with a multiply covered point."""
     for s in range(20):
         mw = _seed_window(ctx, seed_digest(35, s))
-        if any(len(copies) >= 2 for copies in mw.copies_at.values()):
+        if any(len(copies) >= 2 for copies in _copies_at(mw).values()):
             return mw, seed_digest(35, s)
     pytest.fail("no overlapping diamonds in 20 seeds")
 
@@ -393,7 +446,7 @@ def test_break_overlaps_matches_scalar_labels(f2_ctx):
         rng = SeededRandomness(key)
         expected = np.zeros(mw.n_vertices, dtype=bool)
         pd = f2_ctx.pctx.point_digests
-        for pid, copies in mw.copies_at.items():
+        for pid, copies in _copies_at(mw).items():
             ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
             w = rng.uniform(int(pd[pid]), STREAM_OVERLAP)
             expected[ranked[surviving_index(len(ranked), w) - 1]] = True
@@ -405,7 +458,7 @@ def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
     from horolab.graphing import break_overlaps
 
     mw, key = _overlap_window(f2_ctx)
-    last = [copies for copies in mw.copies_at.values() if len(copies) >= 2][-1]
+    last = [copies for copies in _copies_at(mw).values() if len(copies) >= 2][-1]
     mw.marks[int(mw.v_k[last[1]])] = mw.marks[int(mw.v_k[last[0]])]
     with pytest.raises(MarkCollisionError):
         break_overlaps(mw, SeededRandomness(key))
@@ -416,7 +469,7 @@ def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
 
     def tied_window(ctx, process):
         mw = build_marked_window(ctx, process)
-        for copies in mw.copies_at.values():
+        for copies in _copies_at(mw).values():
             if len(copies) >= 2:
                 mw.marks[int(mw.v_k[copies[1]])] = mw.marks[int(mw.v_k[copies[0]])]
         return mw
@@ -472,7 +525,7 @@ def test_s0_projects_bijectively(f2_ctx):
     rng = SeededRandomness(seed_digest(33, 0))
     keep = break_overlaps(mw, rng)
     kept_pids = [int(mw.v_pid[vi]) for vi in np.flatnonzero(keep)]
-    assert len(kept_pids) == len(set(kept_pids)) == len(mw.copies_at)
+    assert len(kept_pids) == len(set(kept_pids)) == len(mw.bases)
 
 
 # phi / psi / Pi4 / Pi5 ------------------------------------------------------
@@ -543,7 +596,8 @@ def test_forest_accounting_matches_deleted_points(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(34, 0))
     pi1 = build_pi1(mw)
     rng = SeededRandomness(seed_digest(34, 0))
-    edges, _, _ = pi3_edges(mw, pi1, [])
+    a, b = pi3_edges(mw, pi1, [])
+    edges = list(zip(a.tolist(), b.tolist()))
     keep = break_overlaps(mw, rng)
     w1 = rng.uniforms(f2_ctx.pctx.point_digests[mw.v_pid], "w1:percolation")
     out = build_forest_and_pi45(mw, edges, keep, w1.tolist())
@@ -630,6 +684,60 @@ def test_run_seed_collect_stages(z_ctx):
     run_seed(z_ctx, seed_digest(41, 0), [0.05], 0.05, collect=collect)
     assert {"pi1", "pi3", "pi4", "pi5", "f_edges"} <= set(collect)
     assert len(collect["pi3"]) >= len(collect["pi1"])
+
+
+class UnionFind:
+    """Reference labeller: union by least root, path compression."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+@st.composite
+def _graphs(draw):
+    """Up to 40 vertices and up to 80 edges, some of them repeated."""
+    n = draw(st.integers(0, 40))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=70)) if n else []
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return n, edges + repeats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_component_roots_are_the_least_vertex_of_each_component(graph):
+    n, edges = graph
+    uf = UnionFind(n)
+    for a, b in edges:
+        uf.union(a, b)
+    got = _component_roots(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    assert got.tolist() == [uf.find(v) for v in range(n)]
+
+
+def test_vertex_of_inverts_the_vertex_table(f2_ctx):
+    mw, _ = _overlap_window(f2_ctx)
+    vi = np.arange(mw.n_vertices)
+    assert (mw.vertex_of(mw.v_pid, mw.v_k) == vi).all()
+    assert (mw.vertex_of(np.full(mw.n_vertices, -1), mw.v_k) == -1).all()
+    # a pid of the window that diamond k does not cover maps to -1
+    for k, d in enumerate(mw.diamonds[:20]):
+        outside = np.setdiff1d(mw.bases, d.member_ids)[:5]
+        assert (mw.vertex_of(outside, np.full(len(outside), k)) == -1).all()
+        inside = mw.vertex_of(d.member_ids, np.full(len(d.member_ids), k))
+        assert (mw.v_pid[inside] == d.member_ids).all() and (mw.v_k[inside] == k).all()
 
 
 def test_largest_component_fraction():
