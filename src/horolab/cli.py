@@ -98,9 +98,11 @@ DEFAULTS = {
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
+    """`extra` over `base`, block by block.  A group spec is replaced whole:
+    merged, a lattice spec would keep the default free spec's `rank`."""
     out = dict(base)
     for k, v in (extra or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if isinstance(v, dict) and isinstance(out.get(k), dict) and k not in ("group", "group2"):
             out[k] = _deep_merge(out[k], v)
         else:
             out[k] = v
@@ -537,7 +539,7 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
             ["stage", "source", "target"],
             [
                 ["pi5", space.word_str(a), space.word_str(b)]
-                for a, b in seed0["pi5"]
+                for a, b in seed0["pi5"].tolist()
             ],
         )
     plot = []

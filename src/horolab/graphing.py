@@ -9,9 +9,11 @@ estimate Palm degrees and the cost bound on the margin-trimmed interior.
 The per-seed stages read one vertex table, `MarkedWindow`: vertex vi is
 the copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
 point and its `vertex_of` lookup are the only maps between points and
-vertices; Pi3 edges are vertex arrays, and `_component_roots` (the least
-vertex of each component) is the one labeller, for Pi3, the Pi5
-connectivity check and the coset-line baseline.
+vertices.  Every edge set, from the open Pi2 pairs to the seed-0 dumps, is
+an (m, 2) int64 array, and `_component_roots` (the least vertex of each
+component) is the one labeller, for Pi3, the Pi5 connectivity check and
+the coset-line baseline.  phi is a breadth-first search one layer at a
+time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of it.
 
 `PercolationKernel` owns the pair law and draws the one percolation: the
 Pi2 stage opens it among a seed's base points, and the coset-line baseline
@@ -256,21 +258,22 @@ class GraphingContext:
         `GeodesicRay.through(center)`, as a first-ball index (-1 outside).
 
         On a free first factor this is the closed-form `free_ray_step`;
-        other factors descend a memoised `Horofunction` per center."""
-        ball1 = self.pctx.space.ball1
-        if self._free_first:
-            target = free_ray_step(ball1.elements[center_fi], ball1.elements[y_fi])
-            return ball1.index.get(target, -1)
+        other factors descend a memoised `Horofunction` per center.  Every
+        target is memoised per (center, y)."""
         key = (center_fi, y_fi)
         hit = self._tau_cache.get(key)
         if hit is not None:
             return hit
-        h = self._ray_cache.get(center_fi)
-        if h is None:
-            ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
-            h = Horofunction(self.metric.first, ray, probe_radius=ball1.radius + 2)
-            self._ray_cache[center_fi] = h
-        target = h.descend(ball1.elements[y_fi])
+        ball1 = self.pctx.space.ball1
+        if self._free_first:
+            target = free_ray_step(ball1.elements[center_fi], ball1.elements[y_fi])
+        else:
+            h = self._ray_cache.get(center_fi)
+            if h is None:
+                ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
+                h = Horofunction(self.metric.first, ray, probe_radius=ball1.radius + 2)
+                self._ray_cache[center_fi] = h
+            target = h.descend(ball1.elements[y_fi])
         tfi = ball1.index.get(target, -1)
         self._tau_cache[key] = tfi
         return tfi
@@ -292,6 +295,7 @@ class MarkedWindow:
 
     ctx: GraphingContext
     diamonds: list  # kept PointedDiamond records
+    centers: np.ndarray  # center point id of each kept diamond
     excluded_diamonds: int
     v_pid: np.ndarray
     v_k: np.ndarray
@@ -316,8 +320,8 @@ class MarkedWindow:
 
 
 def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
-    centers = np.asarray([d.center_pid for d in process.diamonds], dtype=np.int64)
-    kept = [d for d, keep in zip(process.diamonds, ctx.keeps_center(centers).tolist()) if keep]
+    keep = ctx.keeps_center(process.center_pids)
+    kept = [d for d, k in zip(process.diamonds, keep.tolist()) if k]
     members = [np.zeros(0, dtype=np.int64)] + [d.member_ids for d in kept]
     v_pid = np.concatenate(members)
     v_k = np.repeat(np.arange(len(kept), dtype=np.int32), [len(m) for m in members[1:]])
@@ -326,6 +330,7 @@ def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
     return MarkedWindow(
         ctx=ctx,
         diamonds=kept,
+        centers=process.center_pids[keep],
         excluded_diamonds=len(process.diamonds) - len(kept),
         v_pid=v_pid,
         v_k=v_k,
@@ -350,14 +355,16 @@ class Pi1Forest:
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
     space = ctx.pctx.space
-    v_k = mw.v_k.tolist()
-    center_fi = [int(space.pts1[d.center_pid]) for d in mw.diamonds]
     y_fi = space.pts1[mw.v_pid]
-    tfi = np.fromiter(
-        (ctx.tau(center_fi[k], yfi) for k, yfi in zip(v_k, y_fi.tolist())),
-        dtype=np.int64,
-        count=len(v_k),
+    # One tau call per distinct (center, y) first-index pair.
+    pairs, inverse = np.unique(
+        (space.pts1[mw.centers][mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True
     )
+    tfi = np.fromiter(
+        (ctx.tau(c, y) for c, y in zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist())),
+        dtype=np.int64,
+        count=len(pairs),
+    )[inverse]
     # A target outside the first factor ball is -1, which packs to a
     # negative key and so misses like any point outside the universe.
     tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid])
@@ -381,7 +388,8 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
 
 
 def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, eps_list):
-    """Open base-point pairs per epsilon; one uniform per unordered pair.
+    """Open base-point pairs per epsilon, as (m, 2) arrays of point ids
+    (a, b), a < b, sorted; one uniform per unordered pair.
 
     The same uniforms serve every epsilon, so openness is monotone in
     epsilon by construction.  The kernel's `open_pairs` finds the pairs
@@ -396,17 +404,18 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     out = {}
     for e in eps_list:
         sel = u < float(e) * p
-        out[float(e)] = list(zip(a[sel].tolist(), b[sel].tolist()))
+        out[float(e)] = np.stack([a[sel], b[sel]], axis=1)
     return out
 
 
-def lift_open_pairs(mw: MarkedWindow, open_pairs) -> tuple:
-    """pi^{-1}: every open pair of bases lifts to all marked copy pairs.
+def lift_open_pairs(mw: MarkedWindow, open_pairs) -> np.ndarray:
+    """pi^{-1}: every open pair of bases, an (m, 2) array of point ids,
+    lifts to all marked copy pairs.
 
-    Returns the (lower, higher) vertex arrays, pair by pair, and within a
+    Returns the (lower, higher) vertex rows, pair by pair, and within a
     pair the copies of its first point outer, those of its second inner.
     """
-    at = np.searchsorted(mw.bases, np.asarray(open_pairs, dtype=np.int64).reshape(-1, 2))
+    at = np.searchsorted(mw.bases, open_pairs)
     first = mw.starts[at]
     count = mw.starts[at + 1] - first
     lifts = count[:, 0] * count[:, 1]
@@ -414,21 +423,22 @@ def lift_open_pairs(mw: MarkedWindow, open_pairs) -> tuple:
     rank = np.arange(len(pair)) - np.repeat(np.cumsum(lifts) - lifts, lifts)
     va = mw.copies[first[pair, 0] + rank // count[pair, 1]]
     vb = mw.copies[first[pair, 1] + rank % count[pair, 1]]
-    return np.minimum(va, vb), np.maximum(va, vb)
+    return np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
 
 
-def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> tuple:
-    """Undirected edges of Pi3 = Pi1 union lifted Pi2 as arrays (a, b),
-    a < b, sorted and without duplicates."""
+def pi1_edges(pi1: Pi1Forest) -> np.ndarray:
+    """Pi1 out-edges (v, target), in rising v."""
     src = np.flatnonzero(pi1.target >= 0)
-    tgt = pi1.target[src]
-    lo, hi = lift_open_pairs(mw, open_pairs)
-    keys = np.union1d((np.minimum(src, tgt) << 32) | np.maximum(src, tgt), (lo << 32) | hi)
-    return keys >> 32, keys & 0xFFFFFFFF
+    return np.stack([src, pi1.target[src]], axis=1)
 
 
-def _pairs(a, b) -> list:
-    return list(zip(a.tolist(), b.tolist()))
+def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> np.ndarray:
+    """Undirected edges of Pi3 = Pi1 union lifted Pi2, an (m, 2) array of
+    rows (a, b), a < b, sorted and without duplicates."""
+    forest = np.sort(pi1_edges(pi1), axis=1)
+    lifted = lift_open_pairs(mw, open_pairs)
+    keys = np.union1d((forest[:, 0] << 32) | forest[:, 1], (lifted[:, 0] << 32) | lifted[:, 1])
+    return np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1)
 
 
 def surviving_index(k, w):
@@ -451,76 +461,58 @@ def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
     return keep
 
 
-def _adjacency(n: int, edges) -> list:
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def assign_phi(n: int, adj, sources, w1) -> tuple:
+def assign_phi(n: int, edges, sources, w1) -> tuple:
     """Closest S'_0 vertex in Pi3 graph distance, ties by the w1 label
-    (then vertex index).  Returns (dist, best) with best[v] = (w1, source).
-    Unreached vertices keep dist -1 (their component has no source)."""
-    dist = [-1] * n
-    best = [None] * n
-    layer = sorted(sources)
-    for v in layer:
-        dist[v] = 0
-        best[v] = (w1[v], v)
+    (then vertex index), by a breadth-first search one layer at a time
+    over the (m, 2) edge array.  Returns (dist, phi): the distance to and
+    the chosen source of every vertex, both -1 where a vertex is unreached
+    (its component has no source)."""
+    tail, head = np.concatenate([edges, edges[:, ::-1]]).T  # each edge both ways
+    # Sources ranked by (w1, vertex); a newly reached vertex takes the
+    # least rank among its neighbours one layer nearer.
+    ranked = sources[np.lexsort((sources, w1[sources]))]
+    rank = np.full(n, len(ranked))
+    rank[ranked] = np.arange(len(ranked))
+    dist = np.full(n, -1)
+    dist[sources] = 0
     d = 0
-    while layer:
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                if dist[u] == -1:
-                    dist[u] = d + 1
-                    nxt.append(u)
-        for u in nxt:
-            best[u] = min(best[x] for x in adj[u] if dist[x] == d)
-        layer = sorted(nxt)
+    while True:
+        step = (dist[tail] == d) & (dist[head] == -1)
+        if not step.any():
+            return dist, np.append(ranked, -1)[rank]
+        np.minimum.at(rank, head[step], rank[tail[step]])
+        dist[head[step]] = d + 1
         d += 1
-    return dist, best
+
+
+def _distinct_pairs(pairs) -> np.ndarray:
+    """Rows (min, max) of the (m, 2) array `pairs` whose ends differ,
+    sorted and without duplicates."""
+    pairs = np.sort(pairs, axis=1)
+    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
 def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
-    """F (geodesic-step forest to the transversal), Pi4 on S'_0, Pi5 on S."""
-    n = mw.n_vertices
-    adj = _adjacency(n, edges)
-    sources = [v for v in range(n) if s0_mask[v]]
-    dist, best = assign_phi(n, adj, sources, w1)
-    flagged = [v for v in range(n) if dist[v] == -1]
-    f_edges = []
-    for v in range(n):
-        if dist[v] <= 0:
-            continue
-        eligible = [
-            u for u in adj[v] if dist[u] == dist[v] - 1 and best[u] == best[v]
-        ]
-        if not eligible:
-            raise InvariantViolation("no geodesic step toward the phi target")
-        psi = min(eligible, key=lambda u: (w1[u], u))
-        f_edges.append((v, psi))
-    pi4 = set()
-    for a, b in edges:
-        if dist[a] == -1 or dist[b] == -1:
-            continue
-        sa, sb = best[a][1], best[b][1]
-        if sa != sb:
-            pi4.add((min(sa, sb), max(sa, sb)))
-    pi5 = set()
-    for sa, sb in pi4:
-        pa, pb = int(mw.v_pid[sa]), int(mw.v_pid[sb])
-        if pa != pb:
-            pi5.add((min(pa, pb), max(pa, pb)))
+    """F (geodesic-step forest to the transversal), Pi4 on S'_0, Pi5 on S,
+    as (m, 2) arrays.  F holds one edge (v, psi(v)) per vertex at positive
+    distance, in rising v; Pi4 and Pi5 rows are (min, max), sorted."""
+    dist, phi = assign_phi(mw.n_vertices, edges, np.flatnonzero(s0_mask), w1)
+    v, u = np.concatenate([edges, edges[:, ::-1]]).T
+    # psi(v): the least (w1, vertex) neighbour one step nearer phi(v).
+    step = (dist[v] > 0) & (dist[u] == dist[v] - 1) & (phi[u] == phi[v])
+    v, u = v[step], u[step]
+    order = np.lexsort((u, w1[u], v))
+    v, first = np.unique(v[order], return_index=True)
+    if len(v) < int((dist > 0).sum()):
+        raise InvariantViolation("no geodesic step toward the phi target")
+    # The ends of an edge share a component, so an unreached edge maps to
+    # (-1, -1) and drops out with the other loops.
+    pi4 = _distinct_pairs(phi[edges])
     return {
         "dist": dist,
-        "best": best,
-        "flagged_vertices": flagged,
-        "f_edges": f_edges,
-        "pi4": sorted(pi4),
-        "pi5": sorted(pi5),
+        "f_edges": np.stack([v, u[order][first]], axis=1),
+        "pi4": pi4,
+        "pi5": _distinct_pairs(mw.v_pid[pi4]),
     }
 
 
@@ -590,8 +582,8 @@ def run_seed(
 ):
     """One full pipeline pass; returns window-scale statistics.
 
-    When `collect` is a dict it receives the marked window and the edge
-    lists of every stage (for dumps and debugging)."""
+    When `collect` is a dict it receives the marked window and the (m, 2)
+    edge array of every stage (for dumps and debugging)."""
     rng = SeededRandomness(seed_key)
     process = sample_diamond_process(ctx.pctx, seed_key)
     mw = build_marked_window(ctx, process)
@@ -613,17 +605,17 @@ def run_seed(
     # its own edge set.
     prev = -1.0
     for e in sorted(opens):
-        a_e, b_e = pi3_edges(mw, pi1, opens[e])
-        roots_e = _component_roots(mw.n_vertices, np.stack([a_e, b_e], axis=1))
+        edges_e = pi3_edges(mw, pi1, opens[e])
+        roots_e = _component_roots(mw.n_vertices, edges_e)
         if e == float(primary_eps):
-            a, b, roots = a_e, b_e, roots_e
+            edges, roots = edges_e, roots_e
         frac = largest_component_fraction(roots_e)
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
             st.monotone_ok = False
         prev = frac
     n = mw.n_vertices
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    deg = np.bincount(edges.ravel(), minlength=n)
     out_deg = (pi1.target >= 0).astype(np.int64)
     in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
     perc_deg = deg - out_deg - in_deg
@@ -641,21 +633,19 @@ def run_seed(
     s0_mask = break_overlaps(mw, rng)
     pd = ctx.pctx.point_digests
     w1 = rng.uniforms(pd[mw.v_pid], STREAM_PERCOLATION)
-    edges = _pairs(a, b)
-    stages = build_forest_and_pi45(mw, edges, s0_mask, w1.tolist())
+    stages = build_forest_and_pi45(mw, edges, s0_mask, w1)
     if collect is not None:
-        src = np.flatnonzero(pi1.target >= 0)
         collect.update(
             marked_window=mw,
-            pi1=_pairs(src, pi1.target[src]),
-            pi2_lifted=_pairs(*lift_open_pairs(mw, opens[float(primary_eps)])),
+            pi1=pi1_edges(pi1),
+            pi2_lifted=lift_open_pairs(mw, opens[float(primary_eps)]),
             pi3=edges,
             f_edges=stages["f_edges"],
             pi4=stages["pi4"],
             pi5=stages["pi5"],
             s0_mask=s0_mask,
         )
-    unreached = np.asarray(stages["dist"]) < 0
+    unreached = stages["dist"] < 0
     st.flagged_components = len(np.unique(roots[unreached]))
     ok_interior = interior[~unreached[interior]]
     s0_interior = ok_interior[s0_mask[ok_interior]]
@@ -664,7 +654,7 @@ def run_seed(
     if len(s0_interior):
         lam = len(s0_interior) / len(ok_interior)
         st.lambda_hat = lam
-        pi5_ends = np.sort(np.asarray(stages["pi5"], dtype=np.int64).ravel())
+        pi5_ends = np.sort(stages["pi5"].ravel())
         interior_bases = np.unique(mw.v_pid[s0_interior])
         lhs, se_lhs = _mean_se(
             np.searchsorted(pi5_ends, interior_bases, side="right")
@@ -687,9 +677,9 @@ def _pi5_connected(roots, stages) -> bool:
     inside one Pi3 component label finer components, so the sources meet
     as many of those as of the Pi3 ones exactly when each Pi3 component's
     sources are joined."""
-    pi4 = np.asarray(stages["pi4"], dtype=np.int64).reshape(-1, 2)
+    pi4 = stages["pi4"]
     pi4_roots = _component_roots(len(roots), pi4[roots[pi4[:, 0]] == roots[pi4[:, 1]]])
-    sources = np.flatnonzero(np.asarray(stages["dist"]) == 0)
+    sources = np.flatnonzero(stages["dist"] == 0)
     return len(np.unique(pi4_roots[sources])) == len(np.unique(roots[sources]))
 
 
@@ -1054,5 +1044,5 @@ def edges_to_csv(mw: MarkedWindow, labeled_edges, path):
         w = csv.writer(fh)
         w.writerow(["stage", "source", "target"])
         for stage, edges in labeled_edges:
-            for a, b in edges:
+            for a, b in edges.tolist():
                 w.writerow([stage, vname(a), vname(b)])

@@ -27,6 +27,10 @@ SERIES_CHECK_HORIZON = 6  # "auto" growth cross-checks the series by BFS this fa
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# The one field besides `kind` that each group kind reads.
+_SPEC_FIELD = {"free": "rank", "cyclic": "order", "integer_lattice": "dim",
+               "free_product": "factors", "direct_product": "factors"}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -56,30 +60,32 @@ class GroupSpec:
 
     @staticmethod
     def from_dict(data) -> "GroupSpec":
+        """Spec of a config object: its `kind` and the one field that kind
+        uses (an integer `rank`, `order` or `dim`, or a list of `factors`);
+        any other key is an InputError."""
         if not isinstance(data, dict) or "kind" not in data:
             raise InputError("group spec must be an object with a 'kind' field")
         kind = data["kind"]
-        if kind in ("free_product", "direct_product"):
-            factors = tuple(GroupSpec.from_dict(f) for f in data.get("factors", ()))
-            return GroupSpec(kind=kind, factors=factors)
-        return GroupSpec(
-            kind=kind,
-            rank=int(data.get("rank", 0)),
-            order=int(data.get("order", 0)),
-            dim=int(data.get("dim", 0)),
-        )
+        if not isinstance(kind, str) or kind not in _SPEC_FIELD:
+            raise InputError(f"unknown group kind {kind!r}")
+        name = _SPEC_FIELD[kind]
+        extra = sorted(str(key) for key in data if key not in ("kind", name))
+        if extra:
+            raise InputError(f"group kind {kind!r} takes no {', '.join(extra)}")
+        if name == "factors":
+            factors = data.get(name, [])
+            if not isinstance(factors, list):
+                raise InputError(f"group factors must be a list, got {factors!r}")
+            return GroupSpec(kind=kind, factors=tuple(GroupSpec.from_dict(f) for f in factors))
+        value = data.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"group {name} must be an integer, got {value!r}")
+        return GroupSpec(kind=kind, **{name: value})
 
     def to_dict(self) -> dict:
-        if self.kind in ("free_product", "direct_product"):
-            return {"kind": self.kind, "factors": [f.to_dict() for f in self.factors]}
-        out = {"kind": self.kind}
-        if self.kind == "free":
-            out["rank"] = self.rank
-        elif self.kind == "cyclic":
-            out["order"] = self.order
-        elif self.kind == "integer_lattice":
-            out["dim"] = self.dim
-        return out
+        name = _SPEC_FIELD[self.kind]
+        value = [f.to_dict() for f in self.factors] if name == "factors" else getattr(self, name)
+        return {"kind": self.kind, name: value}
 
 
 def _inverse_label(label: str) -> str:

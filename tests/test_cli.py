@@ -78,6 +78,20 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         {"growth_methd": "bfs"},
         {"growth_method": "auto"},
         {"growth": {"method": "bfs"}},
+        {"group": {"kind": "free", "rank": "x"}},
+        {"group": {"kind": "free", "rank": 2.7}},
+        {"group": {"kind": "free", "rank": True}},
+        {"group2": {"kind": "cyclic", "order": "4"}},
+        {"group": {"kind": "integer_lattice", "dim": 1.0}},
+        {"group": {"kind": "direct_product", "factors": 5}},
+        {"group": {"kind": "free", "rank": 2, "bogus": 1}},
+        {"group2": {"kind": "integer_lattice", "dim": 2, "rank": 2}},
+        {
+            "group": {
+                "kind": "free_product",
+                "factors": [{"kind": "free", "rank": 1, "dim": 1}, {"kind": "free", "rank": 1}],
+            }
+        },
     ],
     ids=[
         "window_radius-str",
@@ -97,6 +111,15 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         "misspelled-top-key",
         "dropped-growth_method",
         "dropped-growth-method",
+        "group-rank-str",
+        "group-rank-float",
+        "group-rank-bool",
+        "group-order-str",
+        "group-dim-float",
+        "group-factors-not-list",
+        "group-unknown-key",
+        "group-key-of-another-kind",
+        "group-factor-unknown-key",
     ],
 )
 def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
@@ -253,12 +276,25 @@ def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
     assert written == json.dumps(sweep.report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-# SHA-256 of every data artifact of two reduced runs, pinned when the
-# per-seed stages were rewritten over one vertex table.  A change that
-# alters these bytes on purpose updates the pins and says which and why.
+# SHA-256 of every data artifact of three reduced runs, pinned when the
+# per-seed stages were rewritten over one vertex table (the Z^2 x F2 run
+# when the stages after Pi3 moved to edge arrays).  A change that alters
+# these bytes on purpose updates the pins and says which and why.  The
+# Z^2 x F2 run reaches the `Horofunction` branch of `GraphingContext.tau`
+# and the linear schedule; its cost report holds pi1_interior_violations 15.
 PINNED_RUNS = {
-    "graphing": {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}},
-    "prop13": {"prop13": {"window_radius": 3, "seeds": 3}},
+    "graphing": ("graphing", {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}}),
+    "graphing-z2xf2": (
+        "graphing",
+        {
+            "group": {"kind": "integer_lattice", "dim": 2},
+            "group2": {"kind": "free", "rank": 2},
+            "c": "1/2",
+            "schedule": {"horizon": 8},
+            "graphing": {"seeds": 30, "window_radius": 4, "margin": 2},
+        },
+    ),
+    "prop13": ("prop13", {"prop13": {"window_radius": 3, "seeds": 3}}),
 }
 PINNED_DIGESTS = {
     "graphing": {
@@ -268,6 +304,13 @@ PINNED_DIGESTS = {
         "plot.csv": "637fc315ee87f19364fdabe7329d60a9037b218dcd40ee21c5c7d20bc9d0ed87",
         "runs.csv": "01e5181511275d0b86dfd82b567b1d665200f1a3f0bda16eb2a4494e2f166ccd",
     },
+    "graphing-z2xf2": {
+        "cost_report.json": "56975e95d8fc807fb31caba539625cb213027760899a5540e5fde922413db6cb",
+        "edges_seed0.csv": "a6337a399a8450f229450d405e6ad6b832ebfdcf95501a79f4b5866945cd40a6",
+        "pi5_seed0.csv": "9765b89ebbfe5e3be5e03c830c4c858666410a9a3e778c9bfd8661ffe5895d64",
+        "plot.csv": "1b536edbace4aa7d822e410b05ce1163f8756a1f08f0d4a9c677a31b55d1964b",
+        "runs.csv": "32bf2930726b0e4980721c7ce2459cef50c9544c5affe4cbf3e17ad633e082a9",
+    },
     "prop13": {
         "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",
         "plot.csv": "3d7ae07c532e554954958de46813fa85923e7d9de46f8f79907dbe6d1df6d612",
@@ -276,12 +319,13 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
-def test_artifacts_match_their_pinned_digests(tmp_path, command):
-    assert cli.main([command, "--out", str(tmp_path)], config_overrides=PINNED_RUNS[command]) == 0
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_artifacts_match_their_pinned_digests(tmp_path, run):
+    command, overrides = PINNED_RUNS[run]
+    assert cli.main([command, "--out", str(tmp_path)], config_overrides=overrides) == 0
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.iterdir())
         if p.name != "manifest.json"
     }
-    assert got == PINNED_DIGESTS[command]
+    assert got == PINNED_DIGESTS[run]

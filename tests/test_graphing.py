@@ -185,6 +185,38 @@ def test_pi1_counts_match_the_loop_on_a_broken_lookup(f2_ctx, monkeypatch):
         assert min(counts) > 0
 
 
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
+    # z_ctx and z2f2_ctx have a lattice first factor: the Horofunction branch
+    ctx, space = perc_ctx, perc_ctx.pctx.space
+    tau = graphing.GraphingContext.tau
+    calls = []
+
+    def counted_tau(self, center_fi, y_fi):
+        calls.append((center_fi, y_fi))
+        return tau(self, center_fi, y_fi)
+
+    monkeypatch.setattr(graphing.GraphingContext, "tau", counted_tau)
+    for s in range(3):
+        mw = _seed_window(ctx, seed_digest(26, s))
+        calls.clear()
+        target = build_pi1(mw).target.tolist()
+        monkeypatch.setattr(ctx, "_tau_cache", {})
+        vertex = {(int(pid), int(k)): vi for vi, (pid, k) in enumerate(zip(mw.v_pid, mw.v_k))}
+        pairs, want = set(), []
+        for vi in range(mw.n_vertices):
+            pid, k = int(mw.v_pid[vi]), int(mw.v_k[vi])
+            pair = (int(space.pts1[mw.diamonds[k].center_pid]), int(space.pts1[pid]))
+            pairs.add(pair)
+            tfi = tau(ctx, *pair)
+            el2 = space.element(pid)[1]
+            tpid = _pid(space, space.ball1.elements[tfi], el2) if tfi >= 0 else -1
+            want.append(vertex.get((tpid, k), -1))
+        assert target == want
+        # one call per distinct (center, y) pair
+        assert sorted(calls) == sorted(pairs)
+
+
 def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(24, 2))
     by_pid = _copies_at(mw)
@@ -239,8 +271,15 @@ def _materialised_percolation(ctx, base_pids, rng, eps_list):
 PERC_EPS = [0.0, 0.05, 0.3, 1.0]
 
 
+def _rows(pairs) -> list:
+    """The rows of an (m, 2) int64 edge array as tuples."""
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    return [tuple(row) for row in pairs.tolist()]
+
+
 def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
     got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
+    got = {e: _rows(pairs) for e, pairs in got.items()}
     want = _materialised_percolation(ctx, bases, SeededRandomness(key), eps_list)
     assert got == want
     return got
@@ -308,7 +347,7 @@ def test_percolation_eps_zero_empty(z_ctx):
     mw = _seed_window(z_ctx, seed_digest(30, 0))
     rng = SeededRandomness(seed_digest(30, 0))
     opens = build_percolation(z_ctx, mw.bases.tolist(), rng, [0.0])
-    assert opens[0.0] == []
+    assert _rows(opens[0.0]) == []
 
 
 def _pid(space, el1, el2) -> int:
@@ -344,7 +383,7 @@ def test_percolation_forced_pair_always_open(z_ctx):
         for s in range(10):
             rng = SeededRandomness(seed_digest(78, s))
             opens = build_percolation(z_ctx, [a, b], rng, [1.0])
-            assert opens[1.0] == [(min(a, b), max(a, b))]
+            assert _rows(opens[1.0]) == [(min(a, b), max(a, b))]
     finally:
         z_ctx.kernel.lut[:] = saved
 
@@ -381,7 +420,7 @@ def test_percolation_monotone_in_eps(z_ctx):
     mw = _seed_window(z_ctx, seed_digest(31, 0))
     rng = SeededRandomness(seed_digest(31, 0))
     opens = build_percolation(z_ctx, mw.bases.tolist(), rng, [0.05, 0.1, 0.3])
-    assert set(opens[0.05]) <= set(opens[0.1]) <= set(opens[0.3])
+    assert set(_rows(opens[0.05])) <= set(_rows(opens[0.1])) <= set(_rows(opens[0.3]))
 
 
 def test_lifting_to_marked_copies(f2_ctx):
@@ -391,12 +430,12 @@ def test_lifting_to_marked_copies(f2_ctx):
     multi = [pid for pid in pids if len(copies[pid]) >= 2]
     assert len(multi) >= 3
     pairs = [(pids[0], pids[1]), (multi[0], multi[-1]), tuple(sorted((multi[1], pids[2])))]
-    lo, hi = lift_open_pairs(mw, pairs)
+    lifted = lift_open_pairs(mw, np.asarray(pairs, dtype=np.int64))
     # pair by pair, the copies of the first point outer
     want = [
         (min(va, vb), max(va, vb)) for pa, pb in pairs for va in copies[pa] for vb in copies[pb]
     ]
-    assert list(zip(lo.tolist(), hi.tolist())) == want
+    assert _rows(lifted) == want
 
 
 # Overlap breaking -----------------------------------------------------------
@@ -512,10 +551,9 @@ def test_cost_report_keeps_the_stages_of_seed_0(f2_ctx, threads):
         if name == "marked_window":
             assert stages[name].v_pid.tolist() == direct[name].v_pid.tolist()
             assert stages[name].v_k.tolist() == direct[name].v_k.tolist()
-        elif name == "s0_mask":
-            assert stages[name].tolist() == direct[name].tolist()
         else:
-            assert stages[name] == direct[name], name
+            assert stages[name].dtype == direct[name].dtype, name
+            assert stages[name].tolist() == direct[name].tolist(), name
 
 
 def test_s0_projects_bijectively(f2_ctx):
@@ -535,59 +573,56 @@ def _fake_mw(n, pids):
     return SimpleNamespace(n_vertices=n, v_pid=np.asarray(pids, dtype=np.int64))
 
 
+def _edges(pairs):
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def test_phi_prefers_smaller_w1_on_ties():
     # path graph 0-1-2; sources 0 and 2 equidistant from 1
-    adj_edges = [(0, 1), (1, 2)]
-    dist, best = assign_phi(3, _adj(3, adj_edges), [0, 2], [0.9, 0.5, 0.1])
-    assert dist == [0, 1, 0]
-    assert best[1] == (0.1, 2)
-
-
-def _adj(n, edges):
-    out = [[] for _ in range(n)]
-    for a, b in edges:
-        out[a].append(b)
-        out[b].append(a)
-    return out
+    dist, phi = assign_phi(3, _edges([(0, 1), (1, 2)]), np.array([0, 2]), np.array([0.9, 0.5, 0.1]))
+    assert dist.tolist() == [0, 1, 0]
+    assert phi.tolist() == [0, 2, 2]  # w1[2] = 0.1 < w1[0] = 0.9
 
 
 def test_pi45_all_sources_identity():
     # S'_0 = S': phi is the identity, F empty, Pi4 = Pi3 between distinct
     edges = [(0, 1), (1, 2), (2, 3)]
     mw = _fake_mw(4, [10, 11, 12, 13])
-    out = build_forest_and_pi45(mw, edges, [True] * 4, [0.1, 0.2, 0.3, 0.4])
-    assert out["f_edges"] == []
-    assert out["pi4"] == edges
-    assert out["pi5"] == [(10, 11), (11, 12), (12, 13)]
+    out = build_forest_and_pi45(mw, _edges(edges), np.ones(4, bool), np.array([0.1, 0.2, 0.3, 0.4]))
+    assert _rows(out["f_edges"]) == []
+    assert _rows(out["pi4"]) == edges
+    assert _rows(out["pi5"]) == [(10, 11), (11, 12), (12, 13)]
 
 
 def test_pi45_single_source_component():
-    edges = [(0, 1), (1, 2)]
     mw = _fake_mw(3, [10, 11, 12])
-    out = build_forest_and_pi45(mw, edges, [False, True, False], [0.5, 0.5, 0.5])
-    assert out["pi4"] == []
-    assert out["pi5"] == []
-    assert sorted(out["f_edges"]) == [(0, 1), (2, 1)]
+    out = build_forest_and_pi45(
+        mw, _edges([(0, 1), (1, 2)]), np.array([False, True, False]), np.full(3, 0.5)
+    )
+    assert _rows(out["pi4"]) == []
+    assert _rows(out["pi5"]) == []
+    assert sorted(_rows(out["f_edges"])) == [(0, 1), (2, 1)]
 
 
 def test_pi45_flagged_component():
     # component {3,4} has no source: flagged, excluded
-    edges = [(0, 1), (3, 4)]
     mw = _fake_mw(5, [10, 11, 12, 13, 14])
-    out = build_forest_and_pi45(mw, edges, [True, False, True, False, False], [0.1] * 5)
-    assert set(out["flagged_vertices"]) == {3, 4}
-    assert out["f_edges"] == [(1, 0)]
+    s0 = np.array([True, False, True, False, False])
+    out = build_forest_and_pi45(mw, _edges([(0, 1), (3, 4)]), s0, np.full(5, 0.1))
+    assert set(np.flatnonzero(out["dist"] < 0).tolist()) == {3, 4}
+    assert _rows(out["f_edges"]) == [(1, 0)]
 
 
 def test_pi5_connected_joins_the_sources_of_each_component():
     # Pi3 components {0, 1, 2} (sources 0 and 2) and {3} (source 3)
-    edges = [(0, 1), (1, 2)]
+    edges = _edges([(0, 1), (1, 2)])
     mw = _fake_mw(4, [10, 11, 12, 13])
-    out = build_forest_and_pi45(mw, edges, [True, False, True, True], [0.1, 0.2, 0.3, 0.4])
-    assert out["pi4"] == [(0, 2)]
+    s0 = np.array([True, False, True, True])
+    out = build_forest_and_pi45(mw, edges, s0, np.array([0.1, 0.2, 0.3, 0.4]))
+    assert _rows(out["pi4"]) == [(0, 2)]
     roots = _component_roots(4, edges)
     assert _pi5_connected(roots, out)
-    assert not _pi5_connected(roots, {**out, "pi4": []})
+    assert not _pi5_connected(roots, {**out, "pi4": _edges([])})
 
 
 def test_forest_accounting_matches_deleted_points(f2_ctx):
@@ -596,17 +631,125 @@ def test_forest_accounting_matches_deleted_points(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(34, 0))
     pi1 = build_pi1(mw)
     rng = SeededRandomness(seed_digest(34, 0))
-    a, b = pi3_edges(mw, pi1, [])
-    edges = list(zip(a.tolist(), b.tolist()))
+    edges = pi3_edges(mw, pi1, _edges([]))
     keep = break_overlaps(mw, rng)
     w1 = rng.uniforms(f2_ctx.pctx.point_digests[mw.v_pid], "w1:percolation")
-    out = build_forest_and_pi45(mw, edges, keep, w1.tolist())
-    flagged = set(out["flagged_vertices"])
+    out = build_forest_and_pi45(mw, edges, keep, w1)
+    flagged = set(np.flatnonzero(out["dist"] < 0).tolist())
     deleted_covered = [
         v for v in range(mw.n_vertices) if not keep[v] and v not in flagged
     ]
     # sum d+ = sum d- = number of deleted (covered) marked points
     assert len(out["f_edges"]) == len(deleted_covered)
+
+
+def test_a_phi_without_a_geodesic_step_raises(monkeypatch):
+    # path 0-1-2 with source 0; phi sends 2 to a vertex its neighbour does
+    # not reach, so 2 has no step toward its target
+    def broken_phi(n, edges, sources, w1):
+        return np.array([0, 1, 2]), np.array([0, 0, 2])
+
+    monkeypatch.setattr(graphing, "assign_phi", broken_phi)
+    mw = _fake_mw(3, [10, 11, 12])
+    with pytest.raises(InvariantViolation, match="no geodesic step toward the phi target"):
+        build_forest_and_pi45(
+            mw, _edges([(0, 1), (1, 2)]), np.array([True, False, False]), np.full(3, 0.5)
+        )
+
+
+def _adjacency_reference(n: int, edges) -> list:
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _phi_reference(n: int, adj, sources, w1) -> tuple:
+    """Reference for `assign_phi`, over adjacency lists: (dist, best) with
+    best[v] = (w1, source), None where unreached."""
+    dist = [-1] * n
+    best = [None] * n
+    layer = sorted(sources)
+    for v in layer:
+        dist[v] = 0
+        best[v] = (w1[v], v)
+    d = 0
+    while layer:
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if dist[u] == -1:
+                    dist[u] = d + 1
+                    nxt.append(u)
+        for u in nxt:
+            best[u] = min(best[x] for x in adj[u] if dist[x] == d)
+        layer = sorted(nxt)
+        d += 1
+    return dist, best
+
+
+def _forest_and_pi45_reference(mw, edges, s0_mask, w1) -> dict:
+    """Reference for `build_forest_and_pi45`, vertex by vertex and edge by
+    edge over lists of pairs."""
+    n = mw.n_vertices
+    adj = _adjacency_reference(n, edges)
+    dist, best = _phi_reference(n, adj, [v for v in range(n) if s0_mask[v]], w1)
+    f_edges = []
+    for v in range(n):
+        if dist[v] <= 0:
+            continue
+        eligible = [u for u in adj[v] if dist[u] == dist[v] - 1 and best[u] == best[v]]
+        if not eligible:
+            raise InvariantViolation("no geodesic step toward the phi target")
+        f_edges.append((v, min(eligible, key=lambda u: (w1[u], u))))
+    pi4 = set()
+    for a, b in edges:
+        if dist[a] == -1 or dist[b] == -1:
+            continue
+        sa, sb = best[a][1], best[b][1]
+        if sa != sb:
+            pi4.add((min(sa, sb), max(sa, sb)))
+    pi5 = set()
+    for sa, sb in pi4:
+        pa, pb = int(mw.v_pid[sa]), int(mw.v_pid[sb])
+        if pa != pb:
+            pi5.add((min(pa, pb), max(pa, pb)))
+    phi = [-1 if b is None else b[1] for b in best]
+    return {"dist": dist, "phi": phi, "f_edges": f_edges, "pi4": sorted(pi4), "pi5": sorted(pi5)}
+
+
+@st.composite
+def _phi_inputs(draw):
+    """A Pi3-shaped graph (edges (a, b), a < b, sorted and unique) on up to
+    30 vertices that are copies of up to 10 points; copies of one point
+    share its w1 label, and few vertices are sources, so some components
+    have none."""
+    n = draw(st.integers(1, 30))
+    points = draw(st.integers(1, 10))
+    v_pid = draw(st.lists(st.integers(0, points - 1), min_size=n, max_size=n))
+    label = st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0, 1, exclude_max=True))
+    labels = draw(st.lists(label, min_size=points, max_size=points))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    s0 = draw(st.lists(st.sampled_from([False, False, False, True]), min_size=n, max_size=n))
+    return v_pid, [labels[p] for p in v_pid], edges, s0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_phi_inputs())
+def test_array_phi_and_pi45_match_the_list_reference(inputs):
+    v_pid, w1, edges, s0 = inputs
+    mw = _fake_mw(len(v_pid), v_pid)
+    want = _forest_and_pi45_reference(mw, edges, s0, w1)
+    w1, s0 = np.asarray(w1), np.asarray(s0)
+    dist, phi = assign_phi(len(v_pid), _edges(edges), np.flatnonzero(s0), w1)
+    assert (dist.tolist(), phi.tolist()) == (want["dist"], want["phi"])
+    got = build_forest_and_pi45(mw, _edges(edges), s0, w1)
+    assert got["dist"].tolist() == want["dist"]
+    for name in ("f_edges", "pi4", "pi5"):
+        assert _rows(got[name]) == want[name], name
 
 
 # Full pipeline and reports --------------------------------------------------
