@@ -5,10 +5,13 @@ and a one-line detail string; `run_all` executes them in order and also
 backs the CLI `all` subcommand.  Thresholds and tolerances are pinned
 here, not in the callers.
 
-Criteria 7 and 9 read one pinned 200-seed graphing sweep.  A caller that
-already ran a sweep may offer it as a GraphingSweep; the suite reuses it
-only when its SweepKey equals the pinned sweep's key, and sweeps itself
-otherwise.
+The suite's pinned world is the `cli.Run` of the defaults at the suite's
+master seed and thread count: criteria 1 to 5 read its growth series,
+criteria 2 to 4 its schedule and metric, criteria 7 and 9 its 200-seed
+graphing sweep and criterion 10 its prop13 sweep.  A caller may offer
+its own run (`horolab all` does); a criterion takes a sweep from the
+offered run only when every config entry that sweep reads equals the
+pinned run's (`cli.SWEEP_INPUTS`), and from the pinned run otherwise.
 
 Criteria 6 and 8 check the scenarios built by `sandwich_scenarios` and
 `touching_scenarios`; the CLI's `diamond` and `touching` runners write
@@ -17,9 +20,9 @@ the same scenarios out for the configured groups.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .diamonds import (
     diamond_members,
@@ -27,14 +30,7 @@ from .diamonds import (
     growth_dominance,
     sandwich_check,
 )
-from .graphing import (
-    CostReport,
-    GraphingContext,
-    coset_line_baseline,
-    connect_then_descend,
-    cost_report,
-    touching_paths,
-)
+from .graphing import connect_then_descend, touching_paths
 from .groups import GroupSpec, ball, growth_series, make_oracle
 from .horoboundary import (
     GeodesicRay,
@@ -64,64 +60,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.index}: {self.name} ({self.elapsed:.1f}s) {self.detail}"
 
 
-@dataclass(frozen=True)
-class SweepKey:
-    """Every input that fixes a graphing sweep's CostReport.
-
-    Threads and the enumeration cap are left out: they change how a sweep
-    runs, not what it reports.  So is the kernel: the growth series are
-    exact, so its annuli follow from specs, c and window_radius."""
-
-    specs: tuple
-    c: Fraction
-    r: tuple
-    r_prime: tuple
-    f: tuple
-    n: int
-    window_radius: int
-    margin: int
-    eps_list: tuple
-    primary_eps: float
-    seeds: int
-    master_seed: int
-
-
-def sweep_key(
-    specs,
-    schedule,
-    n: int,
-    window_radius: int,
-    margin: int,
-    eps_list,
-    primary_eps: float,
-    seeds: int,
-    master_seed: int,
-) -> SweepKey:
-    return SweepKey(
-        specs=tuple(specs),
-        c=schedule.c,
-        r=tuple(schedule.r),
-        r_prime=tuple(schedule.r_prime),
-        f=tuple(schedule.f),
-        n=int(n),
-        window_radius=int(window_radius),
-        margin=int(margin),
-        eps_list=tuple(float(e) for e in eps_list),
-        primary_eps=float(primary_eps),
-        seeds=int(seeds),
-        master_seed=int(master_seed),
-    )
-
-
-@dataclass(frozen=True)
-class GraphingSweep:
-    """A finished sweep: its key, its report and its wall time in seconds."""
-
-    key: SweepKey
-    report: CostReport
-    elapsed: float
-
-
 def _timed(fn):
     t0 = time.time()
     passed, detail = fn()
@@ -130,67 +68,30 @@ def _timed(fn):
 
 @dataclass
 class SuiteContext:
-    """Shared heavyweight state reused across criteria."""
+    """The pinned run the criteria read, and the run a caller offers."""
 
     master_seed: int = 20260810
     threads: int = 1
-    sweeps: tuple = ()  # GraphingSweeps offered by the caller
-    _cache: dict = field(default_factory=dict)
+    offered: object = None  # a cli.Run, or None
 
-    def growth_f2(self, horizon, method="auto"):
-        key = ("growth", horizon, method)
-        if key not in self._cache:
-            self._cache[key] = growth_series(F2, horizon, method=method)
-        return self._cache[key]
+    def __post_init__(self):
+        from . import cli  # cli imports this module
 
-    def schedule_f2(self, horizon):
-        key = ("schedule", horizon)
-        if key not in self._cache:
-            g = self.growth_f2(max(horizon, 12))
-            self._cache[key] = build_schedule(g, g, 1, horizon)
-        return self._cache[key]
+        cfg = dict(copy.deepcopy(cli.DEFAULTS), master_seed=self.master_seed, threads=self.threads)
+        self.run = cli.Run(cfg)
 
-    def metric_f2(self):
-        if "metric" not in self._cache:
-            self._cache["metric"] = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-        return self._cache["metric"]
-
-    def graphing_key(self) -> SweepKey:
-        """Key of the pinned sweep behind criteria 7 and 9."""
-        sched, eps_list = self.schedule_f2(12), [0.01, 0.05, 0.1, 0.2]
-        return sweep_key((F2, F2), sched, 2, 5, 2, eps_list, 0.05, 200, self.master_seed)
-
-    def graphing_runs(self):
-        if "gruns" not in self._cache:
-            key = self.graphing_key()
-            offered = [sw for sw in self.sweeps if sw.key == key]
-            if offered:
-                report, elapsed = offered[0].report, offered[0].elapsed
-            else:
-                t0 = time.time()
-                ctx = GraphingContext(
-                    self.metric_f2(), self.schedule_f2(12), key.n, key.window_radius, key.margin
-                )
-                report = cost_report(
-                    ctx,
-                    key.seeds,
-                    list(key.eps_list),
-                    key.primary_eps,
-                    key.master_seed,
-                    threads=self.threads,
-                )
-                elapsed = time.time() - t0
-            self._cache["gruns"], self._cache["gruns_elapsed"] = report, elapsed
-        return self._cache["gruns"]
-
-    @property
-    def sweep_elapsed(self) -> float:
-        return self._cache.get("gruns_elapsed", 0.0)
+    def sweep(self, name: str) -> tuple:
+        """(report, wall seconds) of the "graphing" or "prop13" sweep: the
+        offered run's when it reports what the pinned run's would."""
+        offered = self.offered
+        if offered is not None and offered.same_sweep(self.run, name):
+            return getattr(offered, name)
+        return getattr(self.run, name)
 
 
 def criterion_1_growth(sc: SuiteContext) -> CriterionResult:
     def body():
-        g = growth_series(F2, 8, method="bfs")
+        g = sc.run.growth(F2, 8, "bfs")
         closed = [2 * 3**n - 1 for n in range(9)]
         if g.volumes != closed:
             return False, f"BFS volumes {g.volumes} != closed form"
@@ -207,8 +108,8 @@ def criterion_1_growth(sc: SuiteContext) -> CriterionResult:
 
 def criterion_2_slices(sc: SuiteContext) -> CriterionResult:
     def body():
-        m = sc.metric_f2()
-        g = sc.growth_f2(12)
+        m = sc.run.metric
+        g = sc.run.growth(F2, 12, "auto")
         for n in range(5):
             total = ball_slice_volume(m, g, g, n)
             brute = len(perfect_diamond(m, m.origin, n))
@@ -223,7 +124,7 @@ def criterion_2_slices(sc: SuiteContext) -> CriterionResult:
 
 def criterion_3_schedule(sc: SuiteContext) -> CriterionResult:
     def body():
-        sched = sc.schedule_f2(12)
+        sched = sc.run.schedule
         if (sched.f[0], sched.f[1], sched.f[2]) != (0, 0, 2):
             return False, f"f prefix {sched.f[:3]} != (0, 0, 2)"
         sched.check_invariants()  # includes the [1/M, M^(2c)] ratio bounds
@@ -240,8 +141,7 @@ def criterion_3_schedule(sc: SuiteContext) -> CriterionResult:
 
 def criterion_4_diamond_volume(sc: SuiteContext) -> CriterionResult:
     def body():
-        sched = sc.schedule_f2(12)
-        m = sc.metric_f2()
+        sched, m = sc.run.schedule, sc.run.metric
         for n in range(5):
             total = diamond_volume(sched, n)
             members = diamond_members(m, sched, n, m.origin)
@@ -256,8 +156,8 @@ def criterion_4_diamond_volume(sc: SuiteContext) -> CriterionResult:
 
 def criterion_5_corner_decay(sc: SuiteContext) -> CriterionResult:
     def body():
-        g = growth_series(F2, 18)
-        sched = build_schedule(g, g, 1, 14)
+        g = sc.run.growth(F2, 18, "auto")
+        sched = build_schedule(g, g, 1, 14)  # 14 breakpoints, past the pinned run's 12
         breakpoints = list(range(1, 15))  # 14 computed breakpoints
         tails = {}
         for T in (1, 2, 3):
@@ -348,7 +248,7 @@ def criterion_6_sandwich(sc: SuiteContext) -> CriterionResult:
 
 def criterion_7_pi1_forest(sc: SuiteContext) -> CriterionResult:
     def body():
-        runs = sc.graphing_runs().runs[:100]
+        runs = sc.sweep("graphing")[0].runs[:100]
         if len(runs) < 100:
             return False, "fewer than 100 seeds"
         viol = sum(r.pi1_interior_violations for r in runs)
@@ -426,8 +326,9 @@ def criterion_8_touching(sc: SuiteContext) -> CriterionResult:
 
 
 def criterion_9_cost(sc: SuiteContext) -> CriterionResult:
+    rep, sweep_s = sc.sweep("graphing")
+
     def body():
-        rep = sc.graphing_runs()
         st = {s["stage"]: s for s in rep.stages}
         h3 = st["pi3"]["half_degree_mean"]
         se = st["pi3"]["half_degree_se"]
@@ -444,17 +345,15 @@ def criterion_9_cost(sc: SuiteContext) -> CriterionResult:
         )
 
     passed, elapsed, detail = _timed(body)
-    elapsed = max(elapsed, sc.sweep_elapsed)  # the sweep ran earlier: criterion 7 or offered
+    elapsed = max(elapsed, sweep_s)  # the sweep ran before body: above, in criterion 7 or offered
     passed = passed and elapsed < 600.0
     return CriterionResult(9, "cost estimators", passed, elapsed, detail, 600.0)
 
 
 def criterion_10_baseline(sc: SuiteContext) -> CriterionResult:
+    rep, sweep_s = sc.sweep("prop13")
+
     def body():
-        g = sc.growth_f2(12)
-        rep = coset_line_baseline(
-            sc.metric_f2(), g, g, 4, 2, [0.0, 0.05, 0.2], 20, sc.master_seed
-        )
         eps0 = [r for r in rep.rows if r["eps"] == 0.0][0]
         half_one = abs(eps0["half_degree_mean"] - 1.0) < 1e-12
         fr = [r["largest_fraction_mean"] for r in rep.rows]
@@ -466,6 +365,7 @@ def criterion_10_baseline(sc: SuiteContext) -> CriterionResult:
         )
 
     passed, elapsed, detail = _timed(body)
+    elapsed = max(elapsed, sweep_s)  # the sweep ran before body: above or offered
     return CriterionResult(10, "coset-line baseline", passed, elapsed, detail)
 
 
@@ -525,8 +425,8 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(master_seed: int = 20260810, threads: int = 1, echo=print, sweeps=()) -> list:
-    sc = SuiteContext(master_seed=master_seed, threads=threads, sweeps=tuple(sweeps))
+def run_all(master_seed: int = 20260810, threads: int = 1, echo=print, offered=None) -> list:
+    sc = SuiteContext(master_seed=master_seed, threads=threads, offered=offered)
     results = []
     for fn in ALL_CRITERIA:
         res = fn(sc)

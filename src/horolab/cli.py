@@ -7,9 +7,17 @@ echoing the fully resolved configuration.  Timestamps live only in the
 manifest, and elapsed seconds only there and in acceptance.txt; every
 other artifact is byte-identical across reruns with the same master seed.
 
-`all` runs every subcommand and then the acceptance suite.  It hands the
-graphing sweep to the suite, which reuses it for criteria 7 and 9 when
-the graphing config matches the suite's pinned sweep (the defaults do).
+`main` builds one `Run` from the validated config and hands it to the
+runner.  The run resolves the group specs, the growth series, the
+schedule, the metric and the graphing and prop13 sweeps each once, on
+first use, and keeps them for the rest of the invocation; `growth`,
+`touching` and `prop13` never build the schedule.
+
+`all` runs every subcommand and then the acceptance suite, and offers the
+suite its run.  A criterion takes a sweep from the offered run when every
+config entry that sweep reads (`SWEEP_INPUTS`) equals the suite's pinned
+run's, as with the defaults: criteria 7 and 9 reuse the graphing sweep
+and criterion 10 the prop13 sweep.
 
 Exit codes: 0 success, 1 invariant violation, 2 config error, 3 resource
 cap.
@@ -22,6 +30,7 @@ import copy
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -47,6 +56,7 @@ from .errors import (
     WindowExhaustedError,
 )
 from .graphing import (
+    CostReport,
     GraphingContext,
     coset_line_baseline,
     cost_report,
@@ -145,6 +155,11 @@ def _require_eps(value, name: str):
         raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
+def _require_bool(value, name: str):
+    if not isinstance(value, bool):
+        raise InputError(f"{name} must be true or false, got {value!r}")
+
+
 def _require_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{name} must be a list, got {value!r}")
@@ -179,6 +194,14 @@ def _validate(cfg: dict):
         for v in _require_list(*get(block, key)):
             _require_eps(v, f"{block}.{key} entry")
     _require_eps(*get("graphing", "eps"))
+    _require_bool(*get(None, "acceptance_checks"))
+    _require_bool(*get("diamond", "sandwich"))
+    if cfg["schedule"]["mode"] not in ("auto", "lemma", "linear"):
+        raise InputError(
+            f"schedule.mode must be auto, lemma or linear, got {cfg['schedule']['mode']!r}"
+        )
+    if cfg["c"] is not None and not as_slope(str(cfg["c"])) > 0:
+        raise InputError(f"c must be null or a positive rational, got {cfg['c']!r}")
     if cfg["seeds"] is not None:
         _require_int(cfg["seeds"], "seeds")
         for block in ("process", "graphing", "prop13"):
@@ -197,12 +220,6 @@ def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _resolved_groups(cfg):
-    spec1 = GroupSpec.from_dict(cfg["group"])
-    spec2 = GroupSpec.from_dict(cfg["group2"])
-    return spec1, spec2
 
 
 def _resolve_c(cfg, g1, g2):
@@ -227,45 +244,143 @@ def _resolve_c(cfg, g1, g2):
     )
 
 
-def _growth_pair(cfg, horizon, horizon2=None):
-    spec1, spec2 = _resolved_groups(cfg)
-    g1 = growth_series(spec1, horizon, cap=cfg["enum_cap"])
-    g2 = growth_series(spec2, horizon2 or horizon, cap=cfg["enum_cap"])
-    return g1, g2
+# The config entries each sweep reads.  Threads and the enumeration cap
+# change how a sweep runs, not what it reports.
+SWEEP_INPUTS = {
+    "graphing": ("group", "group2", "c", "schedule", "graphing", "master_seed"),
+    "prop13": ("group", "group2", "c", "prop13", "master_seed"),
+}
 
 
-def _schedule_for(cfg, horizon):
-    """Pick the slope-schedule constructor for the configured groups.
+class Run:
+    """One invocation of the pipeline, built from a validated config.
 
-    mode "lemma" runs the growth induction (needs recorded eps_nonamen > 0
-    on both factors); "linear" is the exact-slope synthetic table; "auto"
-    chooses lemma for clearly exponential factors and linear otherwise
-    (subexponential growth never certifies nonamenability at desk scale).
+    Each step fixes the next: the group specs fix the growth series, the
+    growth series the schedule, the schedule the metric, and these carry
+    the graphing and prop13 sweeps.  Each is resolved on first use and
+    kept for the rest of the invocation, so no runner re-derives one and
+    no sweep runs twice.
     """
-    mode = cfg["schedule"]["mode"]
-    g1, g2 = _growth_pair(cfg, horizon, 2 * horizon + 2)
-    if mode == "auto":
-        exponential = all(
-            (g.exact_rate is not None and g.exact_rate > 1)
-            or (g.exact_rate is None and g.rate() > 1.05)
-            for g in (g1, g2)
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self._growth = {}
+
+    @functools.cached_property
+    def specs(self) -> tuple:
+        return GroupSpec.from_dict(self.cfg["group"]), GroupSpec.from_dict(self.cfg["group2"])
+
+    def growth(self, spec: GroupSpec, horizon: int, method: str):
+        """The growth series of `spec` to `horizon`, one per distinct
+        (spec, horizon, method)."""
+        key = (spec, horizon, method)
+        if key not in self._growth:
+            self._growth[key] = growth_series(spec, horizon, method=method, cap=self.cfg["enum_cap"])
+        return self._growth[key]
+
+    def growth_pair(self, horizon: int, horizon2: int) -> tuple:
+        spec1, spec2 = self.specs
+        return self.growth(spec1, horizon, "auto"), self.growth(spec2, horizon2, "auto")
+
+    @functools.cached_property
+    def schedule(self):
+        """The slope schedule to `schedule.horizon`.
+
+        mode "lemma" runs the growth induction (needs recorded eps_nonamen
+        > 0 on both factors); "linear" is the exact-slope synthetic table;
+        "auto" chooses lemma for clearly exponential factors and linear
+        otherwise (subexponential growth never certifies nonamenability at
+        desk scale).
+        """
+        mode, horizon = self.cfg["schedule"]["mode"], self.cfg["schedule"]["horizon"]
+        g1, g2 = self.growth_pair(horizon, 2 * horizon + 2)
+        if mode == "auto":
+            exponential = all(
+                (g.exact_rate is not None and g.exact_rate > 1)
+                or (g.exact_rate is None and g.rate() > 1.05)
+                for g in (g1, g2)
+            )
+            mode = "lemma" if exponential else "linear"
+        c = _resolve_c(self.cfg, g1, g2)
+        if mode == "lemma":
+            return build_schedule(g1, g2, c, horizon)
+        return linear_schedule(c, horizon, growth=g1, growth2=g2)
+
+    @functools.cached_property
+    def metric(self) -> ProductMetric:
+        spec1, spec2 = self.specs
+        return ProductMetric(make_oracle(spec1), make_oracle(spec2), self.schedule.c)
+
+    def sweep_graphing(self) -> CostReport:
+        """Run the graphing sweep and return its report, seed-0 stages
+        included.  The run keeps it as `graphing` without them: they
+        reference the whole GraphingContext."""
+        sub = self.cfg["graphing"]
+        t0 = time.time()
+        ctx = GraphingContext(
+            self.metric, self.schedule, sub["n"], sub["window_radius"], sub["margin"],
+            self.cfg["enum_cap"],
         )
-        mode = "lemma" if exponential else "linear"
-    c = _resolve_c(cfg, g1, g2)
-    if mode == "lemma":
-        return build_schedule(g1, g2, c, horizon)
-    if mode != "linear":
-        raise InputError(f"unknown schedule mode {mode!r}")
-    return linear_schedule(c, horizon, growth=g1, growth2=g2)
+        report = cost_report(
+            ctx,
+            sub["seeds"],
+            sub["eps_list"],
+            sub["eps"],
+            self.cfg["master_seed"],
+            threads=self.cfg["threads"],
+        )
+        self.graphing = dataclasses.replace(report, seed0_stages={}), time.time() - t0
+        return report
+
+    @functools.cached_property
+    def graphing(self) -> tuple:
+        """(report, wall seconds) of the graphing sweep."""
+        self.sweep_graphing()
+        return self.graphing  # the instance attribute sweep_graphing set
+
+    @functools.cached_property
+    def prop13(self) -> tuple:
+        """(report, wall seconds) of the coset-line baseline sweep.
+
+        Its slope comes from its own growth pair through `_resolve_c`, not
+        from the schedule: the schedule's pair has other horizons, and for
+        a free product with `c: null` that changes the slope.
+        """
+        sub, cfg = self.cfg["prop13"], self.cfg
+        wr = sub["window_radius"]
+        t0 = time.time()
+        horizon = max(2 * wr, 8)
+        g1, g2 = self.growth_pair(horizon, horizon)
+        c = _resolve_c(cfg, g1, g2)
+        # The kernel reads the second factor's spheres out to floor(c * 2 wr).
+        g2 = self.growth(self.specs[1], max(horizon, math.floor(c * 2 * wr)), "auto")
+        metric = ProductMetric(make_oracle(self.specs[0]), make_oracle(self.specs[1]), c)
+        report = coset_line_baseline(
+            metric,
+            g1,
+            g2,
+            wr,
+            sub["margin"],
+            sub["eps_list"],
+            sub["seeds"],
+            cfg["master_seed"],
+            cap=cfg["enum_cap"],
+        )
+        return report, time.time() - t0
+
+    def same_sweep(self, other: "Run", name: str) -> bool:
+        """Whether `other`'s `name` sweep reports what this run's does:
+        every config entry it reads is equal."""
+        return all(self.cfg[key] == other.cfg[key] for key in SWEEP_INPUTS[name])
 
 
-def run_growth(cfg, out: Path) -> dict:
+def run_growth(run: Run, out: Path) -> dict:
+    cfg = run.cfg
     sub = cfg["growth"]
-    spec1, spec2 = _resolved_groups(cfg)
     plot = []
     summary = {}
-    for tag, spec in (("G", spec1), ("G2", spec2)):
-        g = growth_series(spec, sub["horizon"], method="bfs", cap=cfg["enum_cap"])
+    for tag, spec in zip(("G", "G2"), run.specs):
+        g = run.growth(spec, sub["horizon"], "bfs")
         g.check_invariants()
         rows = []
         for n, v in enumerate(g.volumes):
@@ -286,9 +401,9 @@ def run_growth(cfg, out: Path) -> dict:
     return summary
 
 
-def run_schedule(cfg, out: Path) -> dict:
-    sub = cfg["schedule"]
-    sched = _schedule_for(cfg, sub["horizon"])
+def run_schedule(run: Run, out: Path) -> dict:
+    sub = run.cfg["schedule"]
+    sched = run.schedule
     sched.check_invariants()
     sched.to_csv(out / "schedule.csv")
     (out / "breakpoints.json").write_text(sched.breakpoints_json() + "\n")
@@ -309,11 +424,9 @@ def run_schedule(cfg, out: Path) -> dict:
     }
 
 
-def run_diamond(cfg, out: Path) -> dict:
-    sub = cfg["diamond"]
-    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
-    spec1, spec2 = _resolved_groups(cfg)
-    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
+def run_diamond(run: Run, out: Path) -> dict:
+    sub = run.cfg["diamond"]
+    sched, metric = run.schedule, run.metric
     n_values = [n for n in sub["n_values"] if n < len(sched.r)]
     vol_rows = []
     plot = []
@@ -325,7 +438,7 @@ def run_diamond(cfg, out: Path) -> dict:
     dump_radius = min(2, sched.horizon)
     diamond_to_csv(
         metric,
-        perfect_diamond(metric, metric.origin, dump_radius, cap=cfg["enum_cap"]),
+        perfect_diamond(metric, metric.origin, dump_radius, cap=run.cfg["enum_cap"]),
         out / "perfect_diamond.csv",
     )
     corner_rows = []
@@ -342,15 +455,15 @@ def run_diamond(cfg, out: Path) -> dict:
         plot.append(["dominance_ratio", r.n, float(r.ratio), 0])
     summary = {"n_values": n_values, "schedule_source": sched.source}
     if sub["sandwich"]:
-        summary["sandwich"] = _run_sandwich_scenarios(cfg, out, sched.c)
+        summary["sandwich"] = _run_sandwich_scenarios(run, out)
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     write_json(out / "summary.json", summary)
     return summary
 
 
-def _run_sandwich_scenarios(cfg, out: Path, c) -> dict:
+def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
     results = {}
-    for name, rep in acceptance.sandwich_scenarios(*_resolved_groups(cfg), c).items():
+    for name, rep in acceptance.sandwich_scenarios(*run.specs, run.schedule.c).items():
         _sandwich_to_csv(rep, out / f"sandwich_{name}.csv")
         results[name] = {
             "first_sandwiched_n": rep.first_sandwiched_n,
@@ -390,12 +503,11 @@ def _sandwich_to_csv(rep, path):
     )
 
 
-def run_process(cfg, out: Path) -> dict:
+def run_process(run: Run, out: Path) -> dict:
+    cfg = run.cfg
     sub = cfg["process"]
-    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
-    spec1, spec2 = _resolved_groups(cfg)
-    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
-    ctx = ProcessContext(metric, sched, sub["n"], sub["window_radius"], cfg["enum_cap"])
+    sched = run.schedule
+    ctx = ProcessContext(run.metric, sched, sub["n"], sub["window_radius"], cfg["enum_cap"])
     inc_rows = []
     plot = []
     for s in range(sub["seeds"]):
@@ -478,45 +590,9 @@ _BASELINE_COLUMNS = (
 )
 
 
-def _graphing_key(cfg, sched) -> acceptance.SweepKey:
-    sub = cfg["graphing"]
-    return acceptance.sweep_key(
-        _resolved_groups(cfg),
-        sched,
-        sub["n"],
-        sub["window_radius"],
-        sub["margin"],
-        sub["eps_list"],
-        sub["eps"],
-        sub["seeds"],
-        cfg["master_seed"],
-    )
-
-
-def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
-    """When `sweeps` is a list, the finished sweep is appended to it."""
-    sub = cfg["graphing"]
-    sched = _schedule_for(cfg, cfg["schedule"]["horizon"])
-    spec1, spec2 = _resolved_groups(cfg)
-    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), sched.c)
-    t0 = time.time()
-    ctx = GraphingContext(
-        metric, sched, sub["n"], sub["window_radius"], sub["margin"], cfg["enum_cap"]
-    )
-    rep = cost_report(
-        ctx,
-        sub["seeds"],
-        sub["eps_list"],
-        sub["eps"],
-        cfg["master_seed"],
-        threads=cfg["threads"],
-    )
-    if sweeps is not None:
-        key = _graphing_key(cfg, sched)
-        # The seed-0 stages reference the whole GraphingContext; the suite
-        # needs none of them, so it gets the report without them.
-        offered = dataclasses.replace(rep, seed0_stages={})
-        sweeps.append(acceptance.GraphingSweep(key, offered, time.time() - t0))
+def run_graphing(run: Run, out: Path) -> dict:
+    sub = run.cfg["graphing"]
+    rep = run.sweep_graphing()
     write_json(out / "cost_report.json", rep.to_json_dict())
     write_csv(
         out / "runs.csv",
@@ -533,7 +609,7 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
             ("pi4", seed0["pi4"]),
         ]
         edges_to_csv(seed0["marked_window"], labeled, out / "edges_seed0.csv")
-        space = ctx.pctx.space
+        space = seed0["marked_window"].ctx.pctx.space
         write_csv(
             out / "pi5_seed0.csv",
             ["stage", "source", "target"],
@@ -553,11 +629,11 @@ def run_graphing(cfg, out: Path, sweeps: list = None) -> dict:
     return rep.to_json_dict()
 
 
-def run_touching(cfg, out: Path) -> dict:
+def run_touching(run: Run, out: Path) -> dict:
     rows = []
     plot = []
     summary = {}
-    for name, tr in acceptance.touching_scenarios(*_resolved_groups(cfg)).items():
+    for name, tr in acceptance.touching_scenarios(*run.specs).items():
         for j, rho in enumerate(tr.rho_values):
             rows.append(
                 [name, j, str(rho), str(tr.xi1_values[j]), str(tr.xi2_values[j])]
@@ -580,23 +656,8 @@ def run_touching(cfg, out: Path) -> dict:
     return summary
 
 
-def run_prop13(cfg, out: Path) -> dict:
-    sub = cfg["prop13"]
-    spec1, spec2 = _resolved_groups(cfg)
-    g1, g2 = _growth_pair(cfg, max(2 * sub["window_radius"], 8))
-    c = _resolve_c(cfg, g1, g2)
-    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), c)
-    rep = coset_line_baseline(
-        metric,
-        g1,
-        g2,
-        sub["window_radius"],
-        sub["margin"],
-        sub["eps_list"],
-        sub["seeds"],
-        cfg["master_seed"],
-        cap=cfg["enum_cap"],
-    )
+def run_prop13(run: Run, out: Path) -> dict:
+    rep, _ = run.prop13
     write_csv(
         out / "baseline.csv",
         _BASELINE_COLUMNS,
@@ -632,21 +693,20 @@ RUNNERS = {
 }
 
 
-def run_all(cfg, out: Path) -> dict:
+def run_all(run: Run, out: Path) -> dict:
+    cfg = run.cfg
     summary = {}
-    sweeps = []  # filled by run_graphing, offered to the acceptance suite
     for name, runner in RUNNERS.items():
         subdir = out / name
         subdir.mkdir(parents=True, exist_ok=True)
-        extra = {"sweeps": sweeps} if name == "graphing" else {}
-        summary[name] = runner(cfg, subdir, **extra)
+        summary[name] = runner(run, subdir)
     if cfg["acceptance_checks"]:
         lines = []
         results = acceptance.run_all(
             master_seed=cfg["master_seed"],
             threads=cfg["threads"],
             echo=lambda s: (lines.append(s), print(s)),
-            sweeps=sweeps,
+            offered=run,
         )
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
         summary["acceptance_passed"] = all(r.passed for r in results)
@@ -680,10 +740,11 @@ def main(argv=None, config_overrides=None) -> int:
         _validate(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        run = Run(cfg)
         if args.command == "all":
-            summary = run_all(cfg, out)
+            summary = run_all(run, out)
         else:
-            summary = RUNNERS[args.command](cfg, out)
+            summary = RUNNERS[args.command](run, out)
         manifest = {
             "command": args.command,
             "version": __version__,

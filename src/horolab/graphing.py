@@ -931,7 +931,6 @@ class BaselineReport:
     rows: list  # dicts per eps: largest_fraction_mean, half_degree_mean, ...
     line_partition_ok: bool
     monotone_violations: int
-    expected_half_degree: dict
     truncation_mass: float
 
 
@@ -1028,7 +1027,6 @@ def coset_line_baseline(
         rows=out_rows,
         line_partition_ok=line_partition_ok,
         monotone_violations=monotone_violations,
-        expected_half_degree=expected_half,
         truncation_mass=float(kernel.truncation_mass),
     )
 

@@ -1,16 +1,18 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each test prints its criterion's pass/fail line; heavyweight state (the
-200-seed graphing sweep) is shared through a module-scoped context.
+pinned run and its 200-seed graphing sweep) is shared through a
+module-scoped context.
 """
 
+import copy
 import dataclasses
 import os
 
 import pytest
 
-from horolab import acceptance
-from horolab.graphing import CostReport, SeedStats
+from horolab import acceptance, cli
+from horolab.graphing import BaselineReport, CostReport, SeedStats
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -72,7 +74,7 @@ def test_criterion_11_determinism(sc, capsys):
     assert "artifacts written" not in capsys.readouterr().out
 
 
-# Offered sweeps -------------------------------------------------------------
+# Offered runs ---------------------------------------------------------------
 
 
 def _clean_report(seeds=200):
@@ -97,21 +99,33 @@ def _clean_report(seeds=200):
     )
 
 
+def _clean_baseline(seeds=20):
+    """A BaselineReport that passes criterion 10."""
+    rows = [
+        {"eps": e, "largest_fraction_mean": f, "half_degree_mean": h}
+        for e, f, h in ((0.0, 0.010, 1.0), (0.05, 0.014, 1.01), (0.2, 0.021, 1.04))
+    ]
+    return BaselineReport(
+        seeds=seeds, rows=rows, line_partition_ok=True, monotone_violations=0, truncation_mass=0.001
+    )
+
+
 @pytest.fixture
 def no_sweep(monkeypatch):
     def fail(*args, **kwargs):
-        pytest.fail("the suite built its own graphing sweep")
+        pytest.fail("the suite ran a sweep of its own")
 
-    monkeypatch.setattr(acceptance, "cost_report", fail)
-    monkeypatch.setattr(acceptance, "GraphingContext", fail)
+    for name in ("GraphingContext", "cost_report", "coset_line_baseline"):
+        monkeypatch.setattr(cli, name, fail)
 
 
-def _offered_suite(elapsed=12.5, **changes):
-    """A suite offered a clean report under its own key, changed by `changes`."""
-    sc = acceptance.SuiteContext(master_seed=20260810)
-    key = dataclasses.replace(sc.graphing_key(), **changes)
-    sc.sweeps = (acceptance.GraphingSweep(key, _clean_report(), elapsed),)
-    return sc
+def _offered_suite(graphing_s=12.5, **changes):
+    """A suite offered a run of the defaults changed by `changes`, whose
+    sweeps are clean reports."""
+    offered = cli.Run(cli._deep_merge(copy.deepcopy(cli.DEFAULTS), changes))
+    offered.graphing = _clean_report(), graphing_s
+    offered.prop13 = _clean_baseline(), 0.25
+    return acceptance.SuiteContext(master_seed=20260810, offered=offered)
 
 
 def test_matching_offer_serves_criteria_7_and_9(no_sweep):
@@ -124,43 +138,68 @@ def test_matching_offer_serves_criteria_7_and_9(no_sweep):
     assert c9.elapsed == 12.5
 
 
+def test_matching_offer_serves_criterion_10(no_sweep):
+    sc = _offered_suite()
+    c10 = acceptance.criterion_10_baseline(sc)
+    assert c10.passed, c10.detail
+    assert "fractions ['0.010', '0.014', '0.021']" in c10.detail
+    assert c10.elapsed == 0.25
+
+
+# The arguments of the pinned run's sweeps, as the fakes below record them.
+PINNED_SWEEPS = {
+    "graphing": (200, [0.01, 0.05, 0.1, 0.2], 0.05, 20260810),
+    "prop13": (4, 2, [0.0, 0.05, 0.2], 20, 20260810),
+}
+
+
 @pytest.mark.parametrize(
-    "change",
+    "change, name",
     [
-        {"master_seed": 1},
-        {"window_radius": 4},
-        {"eps_list": (0.01, 0.05, 0.1)},
-        {"seeds": 50},
+        ({"master_seed": 1}, "graphing"),
+        ({"graphing": {"window_radius": 4}}, "graphing"),
+        ({"graphing": {"eps_list": [0.01, 0.05, 0.1]}}, "graphing"),
+        ({"graphing": {"seeds": 50}}, "graphing"),
+        ({"master_seed": 1}, "prop13"),
+        ({"prop13": {"seeds": 5}}, "prop13"),
     ],
-    ids=lambda c: next(iter(c)),
+    ids=["master_seed", "window_radius", "eps_list", "seeds", "prop13-master_seed", "prop13-seeds"],
 )
-def test_offer_with_another_key_is_not_used(monkeypatch, change):
-    calls = []
+def test_offer_with_another_key_is_not_used(monkeypatch, change, name):
+    calls = {"graphing": [], "prop13": []}
 
     def fake_cost_report(ctx, seeds, eps_list, primary_eps, master_seed, threads=1):
-        calls.append((seeds, eps_list, primary_eps, master_seed))
+        calls["graphing"].append((seeds, eps_list, primary_eps, master_seed))
         return _clean_report(seeds)
 
-    monkeypatch.setattr(acceptance, "GraphingContext", lambda *args, **kwargs: None)
-    monkeypatch.setattr(acceptance, "cost_report", fake_cost_report)
+    def fake_baseline(metric, g1, g2, wr, margin, eps_list, seeds, master_seed, cap):
+        calls["prop13"].append((wr, margin, eps_list, seeds, master_seed))
+        return _clean_baseline(seeds)
+
+    monkeypatch.setattr(cli, "GraphingContext", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "cost_report", fake_cost_report)
+    monkeypatch.setattr(cli, "coset_line_baseline", fake_baseline)
     sc = _offered_suite(**change)
-    assert acceptance.criterion_7_pi1_forest(sc).passed
-    assert calls == [(200, [0.01, 0.05, 0.1, 0.2], 0.05, 20260810)]
-    assert sc.graphing_runs() is not sc.sweeps[0].report
+    criterion = {
+        "graphing": acceptance.criterion_7_pi1_forest,
+        "prop13": acceptance.criterion_10_baseline,
+    }[name]
+    assert criterion(sc).passed
+    assert calls[name] == [PINNED_SWEEPS[name]]
+    assert sc.sweep(name)[0] is not getattr(sc.offered, name)[0]
 
 
 def test_a_disconnected_pi5_fails_criterion_9(no_sweep):
     sc = _offered_suite()
-    sweep = sc.sweeps[0]
-    report = dataclasses.replace(sweep.report, pi5_disconnected=1)
-    sc.sweeps = (dataclasses.replace(sweep, report=report),)
+    report, seconds = sc.offered.graphing
+    sc.offered.graphing = dataclasses.replace(report, pi5_disconnected=1), seconds
     c9 = acceptance.criterion_9_cost(sc)
     assert not c9.passed
     assert "pi5 disconnected 1" in c9.detail
 
 
 def test_offered_sweep_elapsed_counts_against_the_runtime_limit(no_sweep):
-    sc = _offered_suite(elapsed=700.0)
+    sc = _offered_suite(graphing_s=700.0)
     c9 = acceptance.criterion_9_cost(sc)
     assert not c9.passed
     assert c9.elapsed == 700.0 > c9.runtime_limit

@@ -92,6 +92,11 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
                 "factors": [{"kind": "free", "rank": 1, "dim": 1}, {"kind": "free", "rank": 1}],
             }
         },
+        {"c": "abc"},
+        {"c": "-1"},
+        {"schedule": {"mode": "bogus"}},
+        {"diamond": {"sandwich": "no"}},
+        {"acceptance_checks": "no"},
     ],
     ids=[
         "window_radius-str",
@@ -120,6 +125,11 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         "group-unknown-key",
         "group-key-of-another-kind",
         "group-factor-unknown-key",
+        "c-str",
+        "c-negative",
+        "schedule-mode-unknown",
+        "sandwich-str",
+        "acceptance_checks-str",
     ],
 )
 def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
@@ -139,6 +149,29 @@ def test_bad_group_exits_2(tmp_path):
 def test_bad_slope_exits_2(tmp_path):
     rc = cli.main(["schedule", "--out", str(tmp_path)], config_overrides={"c": "1/0"})
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"c": "3/2"}, 0),
+        ({"c": "2", "prop13": {"window_radius": 3, "margin": 1}}, 0),
+        ({"c": "2"}, 3),  # the wr-4 window's distance table passes enum_cap
+    ],
+    ids=["c-3/2", "c-2-wr3", "c-2-wr4"],
+)
+def test_prop13_reads_the_second_factor_out_to_c_times_the_window_diameter(
+    tmp_path, overrides, code
+):
+    assert cli.main(["prop13", "--out", str(tmp_path)], config_overrides=overrides) == code
+
+
+def test_growth_runs_when_the_schedule_would_fail(tmp_path, capsys):
+    # Z x F2 with c null: the slope is undefined, so the schedule fails.
+    overrides = {"group": {"kind": "integer_lattice", "dim": 1}, "group2": {"kind": "free", "rank": 2}}
+    assert cli.main(["growth", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_main_leaves_the_defaults_unchanged(tmp_path):
@@ -245,44 +278,67 @@ def test_all_runners_on_a_rational_slope(tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["c"] == "1/2"
 
 
-def _default_graphing_key(**graphing):
-    cfg = copy.deepcopy(cli.DEFAULTS)
-    cfg["graphing"].update(graphing)
-    sched = cli._schedule_for(cfg, cfg["schedule"]["horizon"])
-    return cli._graphing_key(cfg, sched)
+def test_default_graphing_sweep_is_the_acceptance_sweep(tmp_path, monkeypatch):
+    """`horolab all` on the defaults offers the suite both of its sweeps;
+    with one graphing entry changed, only the prop13 sweep."""
+    shared = []
 
+    def fake_suite(master_seed, threads, echo, offered):
+        sc = acceptance.SuiteContext(master_seed, threads, offered)
+        shared.append([offered.same_sweep(sc.run, name) for name in ("graphing", "prop13")])
+        return []
 
-def test_default_graphing_sweep_is_the_acceptance_sweep():
-    suite_key = acceptance.SuiteContext(master_seed=20260810).graphing_key()
-    assert _default_graphing_key() == suite_key
-    assert _default_graphing_key(seeds=50) != suite_key
+    for name in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, name, lambda run, out: {})
+    monkeypatch.setattr(acceptance, "run_all", fake_suite)
+    assert cli.main(["all", "--out", str(tmp_path), "--threads", "2"]) == 0
+    overrides = {"graphing": {"seeds": 50}}
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert shared == [[True, True], [False, True]]
 
 
 def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
-    offered = []
+    runs = []
 
-    def fake_suite(master_seed, threads, echo, sweeps):
-        offered.extend(sweeps)
+    def fake_suite(master_seed, threads, echo, offered):
+        runs.append(offered)
         return []
 
     monkeypatch.setattr(acceptance, "run_all", fake_suite)
     overrides = dict(SMALL, acceptance_checks=True)
     assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
-    (sweep,) = offered
-    assert (sweep.key.seeds, sweep.key.window_radius) == (4, 4)
-    assert sweep.elapsed > 0
-    assert sweep.report.seed0_stages == {}  # they would keep the whole context alive
+    (run,) = runs
+    report, seconds = run.graphing
+    assert (run.cfg["graphing"]["seeds"], run.cfg["graphing"]["window_radius"]) == (4, 4)
+    assert seconds > 0
+    assert report.seed0_stages == {}  # they would keep the whole context alive
     written = (tmp_path / "graphing" / "cost_report.json").read_text()
-    assert written == json.dumps(sweep.report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert written == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-# SHA-256 of every data artifact of three reduced runs, pinned when the
+def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_schedule(*args, **kwargs)
+
+    build_schedule = cli.build_schedule
+    monkeypatch.setattr(cli, "build_schedule", counted)
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=SMALL) == 0
+    assert len(calls) == 1
+
+
+# SHA-256 of every data artifact of four reduced runs, pinned when the
 # per-seed stages were rewritten over one vertex table (the Z^2 x F2 run
-# when the stages after Pi3 moved to edge arrays).  A change that alters
+# when the stages after Pi3 moved to edge arrays, the `all` run before
+# the runners came to share one resolved `Run`).  A change that alters
 # these bytes on purpose updates the pins and says which and why.  The
 # Z^2 x F2 run reaches the `Horofunction` branch of `GraphingContext.tau`
 # and the linear schedule; its cost report holds pi1_interior_violations 15.
+# The `all` run covers every runner; its digests are keyed by relative path.
 PINNED_RUNS = {
+    "all": ("all", SMALL),
     "graphing": ("graphing", {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}}),
     "graphing-z2xf2": (
         "graphing",
@@ -297,6 +353,43 @@ PINNED_RUNS = {
     "prop13": ("prop13", {"prop13": {"window_radius": 3, "seeds": 3}}),
 }
 PINNED_DIGESTS = {
+    "all": {
+        "diamond/corners.csv": "7aba8511352f20a659584ec527d01142a7b0dce1e93b8e0ca4ac457bd9be32fa",
+        "diamond/dominance.csv": "9e66eeefa8fc3eaf0f4cae6351baaeabf08869dfd673ea3d01aff0df1227ea9a",
+        "diamond/perfect_diamond.csv": "eb88ba42a429282a7c638bad10374d1e16f579cb2cf66a0197dc76a722ef51d3",
+        "diamond/plot.csv": "938e17eca5fd367c1f0c29b65bb111b8d0d10eb3fdd0b2b69d8ce35a3635c8fd",
+        "diamond/sandwich_lattice.csv": "6da226d9ab5538431b52a6ec63c2f2b8aa2e4ccd4208701df99d40e9139447a4",
+        "diamond/sandwich_tree.csv": "b267fe1a24d7800a16cd31d103bde48c05f9e9c19b769ce435dbd3170a693bd3",
+        "diamond/summary.json": "cd32ab6e563e779f4623174e34a0a142298f9065bd06a2e9e0b98b4b482da7d4",
+        "diamond/volumes.csv": "0df7487da9e8da2c2a6873070ba68a3e9fc9f83db9103dea26e9c499004b5150",
+        "graphing/cost_report.json": "0a318d46d1ebd097992d5c18cbb504fcf3a630fe1ca0a079b535143773bd15c7",
+        "graphing/edges_seed0.csv": "0fabe60b1509a8d9a8619e2afc388ee8124445163d242bf88319808c006ed25c",
+        "graphing/pi5_seed0.csv": "9ca7df6df658f032fe8d1511930040c70a0d9d4378113582243a25fe558bcc0a",
+        "graphing/plot.csv": "06f9c5c96d761893d0429facd9226ac2c4a6d9c89131364721767f311caf09ba",
+        "graphing/runs.csv": "47791004660bc0ac33b60fa9a29e9e247ab56c07bcc0a210e19b886987a37376",
+        "growth/ball_G.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
+        "growth/ball_G2.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
+        "growth/growth_G.csv": "0a063b576d55c46c7524b3366515cd32938aae9d3e48becc4b608fbaf099516e",
+        "growth/growth_G2.csv": "0a063b576d55c46c7524b3366515cd32938aae9d3e48becc4b608fbaf099516e",
+        "growth/plot.csv": "2ba6f1cde447ef2dede00930ea1a4ff1d312eb06dde325a1de42b61b869c8eed",
+        "growth/summary.json": "698ed92a98f6128944750a8c563e92c1daef13d83f673a27ca1bd6aa6b88078c",
+        "process/corner_events.csv": "51a29601d696c70e8726cfbcc46ce57a2a7dada30d9ed3103dd1c10718055c8c",
+        "process/hit.csv": "d8de6887764c6861ce3ab55b82b6a99bbdb39e9335d435e7fe7e55910fc8d635",
+        "process/incidence.csv": "989e3598ab970bb09b4e3d5e5356ca9c2fe5f06780eb85e3097970cdc7ae7985",
+        "process/plot.csv": "1eb907b0a01e1f997867e588c82a65e1a4e521f9d4c4016071ff69b29a67897e",
+        "process/process_seed0.jsonl": "f7a89c5a0b0c4cda65697b96d697420ee895ee2c3b4b68bd6b33e6748e340a83",
+        "process/summary.json": "02caf5ccf9cfd735480eb6c5139399e6e42b8b011c5dd0bfe2240b6222bebfb1",
+        "prop13/baseline.csv": "1bdd2d8b70111f199a6fdea2e2306adf0864b584fc975c947e276dc905aa1dbe",
+        "prop13/plot.csv": "7447593294260f9de7a161e510bf54034ccf6a888a33824f87adbba268415289",
+        "prop13/summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
+        "schedule/almost_linear.csv": "563ce38fa6444f5077cbb25267b2fd05f41269c53bccdf958b1b87cfa1978f3d",
+        "schedule/breakpoints.json": "ad285097a515e17d1e22a7d9c65c438aeb7e334698a3d206cb422ea1f4b30cff",
+        "schedule/plot.csv": "b8f3546be1b09f9b429e8374bf2700b3c6bf336a81c892e31147be827fe0e296",
+        "schedule/schedule.csv": "76bdaa3715369adb066dbe8b7f77f5fb2b4c0e2613d50dd806de92c2bb062987",
+        "touching/plot.csv": "b57f6f6333b5f68dedfe98442e1c91008b380d91ebe639104cba3ffe9dd3bceb",
+        "touching/summary.json": "8cc048590db2f5c598e79639a8db717015111ecab7ad076c1a1aef7701540ed9",
+        "touching/traces.csv": "3a02717f5aaba081adebf6bee0e74cfb8af2f3a3a67d7f8bd369886f89ae8008",
+    },
     "graphing": {
         "cost_report.json": "ff8c0d2fc839bdb0289343c52b5a0b388325c8f515970aa1a8da320f94442f15",
         "edges_seed0.csv": "d0ecf15fd319b047c94a9c1c9b40f236c0e924e350c9caf1d28c3cebe5b074ad",
@@ -324,8 +417,8 @@ def test_artifacts_match_their_pinned_digests(tmp_path, run):
     command, overrides = PINNED_RUNS[run]
     assert cli.main([command, "--out", str(tmp_path)], config_overrides=overrides) == 0
     got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-        if p.name != "manifest.json"
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
     }
     assert got == PINNED_DIGESTS[run]
