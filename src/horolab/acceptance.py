@@ -8,14 +8,16 @@ here, not in the callers.
 The suite's pinned world is the `cli.Run` of the defaults at the suite's
 master seed and thread count: criteria 1 to 5 read its growth series,
 criteria 2 to 4 its schedule and metric, criteria 7 and 9 its 200-seed
-graphing sweep and criterion 10 its prop13 sweep.  A caller may offer
-its own run (`horolab all` does); a criterion takes a sweep from the
-offered run only when every config entry that sweep reads equals the
-pinned run's (`cli.SWEEP_INPUTS`), and from the pinned run otherwise.
+graphing sweep, criterion 10 its prop13 sweep and criterion 6 its
+sandwich scenarios (`sandwich_scenarios` on F2 x F2 at c = 1).  A caller
+may offer its own run (`horolab all` does); a criterion takes a sweep or
+the scenarios from the offered run only when every config entry they
+read equals the pinned run's (`cli.SWEEP_INPUTS`), and from the pinned
+run otherwise.
 
-Criteria 6 and 8 check the scenarios built by `sandwich_scenarios` and
-`touching_scenarios`; the CLI's `diamond` and `touching` runners write
-the same scenarios out for the configured groups.
+Criterion 8 checks the scenarios built by `touching_scenarios`; the
+CLI's `diamond` and `touching` runners write the sandwich and touching
+scenarios out for the configured groups.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ class SuiteContext:
         cfg = dict(copy.deepcopy(cli.DEFAULTS), master_seed=self.master_seed, threads=self.threads)
         self.run = cli.Run(cfg)
 
-    def sweep(self, name: str) -> tuple:
-        """(report, wall seconds) of the "graphing" or "prop13" sweep: the
-        offered run's when it reports what the pinned run's would."""
+    def sweep(self, name: str):
+        """(report, wall seconds) of the "graphing" or "prop13" sweep, or
+        the "sandwich" scenarios by name: the offered run's when it reports
+        what the pinned run's would."""
         offered = self.offered
         if offered is not None and offered.same_sweep(self.run, name):
             return getattr(offered, name)
@@ -227,7 +230,7 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
 
 def criterion_6_sandwich(sc: SuiteContext) -> CriterionResult:
     def body():
-        reports = sandwich_scenarios(F2, F2, 1)
+        reports = sc.sweep("sandwich")
         rep = reports["lattice"]
         lattice_ok = (
             all(r.lower_ok and r.upper_ok for r in rep.rows)

@@ -16,8 +16,9 @@ first use, and keeps them for the rest of the invocation; `growth`,
 `all` runs every subcommand and then the acceptance suite, and offers the
 suite its run.  A criterion takes a sweep from the offered run when every
 config entry that sweep reads (`SWEEP_INPUTS`) equals the suite's pinned
-run's, as with the defaults: criteria 7 and 9 reuse the graphing sweep
-and criterion 10 the prop13 sweep.
+run's, as with the defaults: criteria 7 and 9 reuse the graphing sweep,
+criterion 10 the prop13 sweep and criterion 6 the sandwich scenarios
+that `diamond` wrote.
 
 Exit codes: 0 success, 1 invariant violation, 2 config error, 3 resource
 cap.
@@ -244,11 +245,14 @@ def _resolve_c(cfg, g1, g2):
     )
 
 
-# The config entries each sweep reads.  Threads and the enumeration cap
-# change how a sweep runs, not what it reports.
+# The config entries each sweep reads, and the sandwich scenarios (the
+# groups and the slope, which the schedule's growth series fix when `c` is
+# null).  Threads and the enumeration cap change how a sweep runs, not
+# what it reports.
 SWEEP_INPUTS = {
     "graphing": ("group", "group2", "c", "schedule", "graphing", "master_seed"),
     "prop13": ("group", "group2", "c", "prop13", "master_seed"),
+    "sandwich": ("group", "group2", "c", "schedule"),
 }
 
 
@@ -311,6 +315,11 @@ class Run:
         spec1, spec2 = self.specs
         return ProductMetric(make_oracle(spec1), make_oracle(spec2), self.schedule.c)
 
+    @functools.cached_property
+    def sandwich(self) -> dict:
+        """The horoball-sandwich scenarios on the run's groups and slope."""
+        return acceptance.sandwich_scenarios(*self.specs, self.schedule.c)
+
     def sweep_graphing(self) -> CostReport:
         """Run the graphing sweep and return its report, seed-0 stages
         included.  The run keeps it as `graphing` without them: they
@@ -369,8 +378,8 @@ class Run:
         return report, time.time() - t0
 
     def same_sweep(self, other: "Run", name: str) -> bool:
-        """Whether `other`'s `name` sweep reports what this run's does:
-        every config entry it reads is equal."""
+        """Whether `other`'s `name` sweep (or sandwich scenarios) reports
+        what this run's does: every config entry it reads is equal."""
         return all(self.cfg[key] == other.cfg[key] for key in SWEEP_INPUTS[name])
 
 
@@ -463,7 +472,7 @@ def run_diamond(run: Run, out: Path) -> dict:
 
 def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
     results = {}
-    for name, rep in acceptance.sandwich_scenarios(*run.specs, run.schedule.c).items():
+    for name, rep in run.sandwich.items():
         _sandwich_to_csv(rep, out / f"sandwich_{name}.csv")
         results[name] = {
             "first_sandwiched_n": rep.first_sandwiched_n,
@@ -594,6 +603,11 @@ def run_graphing(run: Run, out: Path) -> dict:
     sub = run.cfg["graphing"]
     rep = run.sweep_graphing()
     write_json(out / "cost_report.json", rep.to_json_dict())
+    if rep.pi1_interior_violations:
+        raise InvariantViolation(
+            f"{rep.pi1_interior_violations} interior marked points have no Pi1 out-edge; "
+            "see cost_report.json"
+        )
     write_csv(
         out / "runs.csv",
         [col for col, _ in _RUNS_COLUMNS],

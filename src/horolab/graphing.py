@@ -51,14 +51,44 @@ from .randomness import (
     STREAM_PERCOLATION,
     SeededRandomness,
     bits_below,
-    combine_unordered,
+    combine_into,
+    head_bits,
+    head_limit,
     premix,
     seed_digest,
+    to_uniforms,
 )
 from .schedule import SlopeSchedule
 
 
 _TILE = 1 << 15  # pairs hashed per tile of `PercolationKernel.open_pairs`
+
+
+def _pair_tiles(n: int):
+    """Tiles of about `_TILE` pairs that together hold each pair i < j of
+    range(n) once, as index arrays (ti, tj) of i and j that broadcast to
+    the tile's shape; no tile holds a pair on or below the diagonal.
+
+    The rows are cut into blocks i0 .. i1-1 of about `_TILE` pairs each.
+    Each block meets the columns past i1 in rectangles, ti a column and tj
+    a row of indices; the pairs within the blocks are listed explicitly
+    and cut into tiles of `_TILE` pairs, ti and tj flat.
+    """
+    ends, i0 = [], 0
+    while i0 < n - 1:
+        width = n - 1 - i0  # the pairs of row i0
+        i1 = i0 + max(1, min(_TILE // width, width + 1))
+        step = _TILE // (i1 - i0)
+        for j0 in range(i1, n, step):
+            yield np.arange(i0, i1)[:, None], np.arange(j0, min(j0 + step, n))[None, :]
+        ends += [i1] * (i1 - i0)
+        i0 = i1
+    # Row i pairs with i+1 .. end(i)-1, end(i) the end of its block.
+    count = np.asarray(ends, dtype=np.int64) - np.arange(len(ends)) - 1
+    ii = np.repeat(np.arange(len(ends)), count)
+    jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(count) - count, count)
+    for t in range(0, len(ii), _TILE):
+        yield ii[t : t + _TILE], jj[t : t + _TILE]
 
 
 class PercolationKernel:
@@ -80,7 +110,8 @@ class PercolationKernel:
     distance, so the window's factor radii wr and floor(c wr) are the
     index prefixes ball1.volume(wr) and ball2.volume(p wr // q), whatever
     radius `space` reaches; every point id passed in must lie in the
-    window.  Pairs passing the sampler's prefilter count against `cap`.
+    window.  Pairs passing the sampler's prefilter count against `cap`,
+    seed by seed.
     """
 
     def __init__(
@@ -124,9 +155,10 @@ class PercolationKernel:
         s = self.space
         return self.lut[self.rho1[s.pts1[a], s.pts1[b]] + self.rho2[s.pts2[a], s.pts2[b]]]
 
-    def open_pairs(self, ids, rng: SeededRandomness, emax):
-        """(a, b, u, p) for every pair a < b of the sorted point ids `ids`
-        with u < emax * p, in `np.triu_indices(len(ids), 1)` order.
+    def open_pairs(self, ids, rngs, emax) -> list:
+        """For each SeededRandomness of `rngs`, (a, b, u, p) for every pair
+        a < b of the sorted point ids `ids` with u < emax * p, in
+        `np.triu_indices(len(ids), 1)` order.
 
         A pair's probability is p = prob(a, b) and its uniform is u =
         rng.uniforms(combine_unordered(digests[a], digests[b]),
@@ -134,59 +166,88 @@ class PercolationKernel:
         every pair; only a small share of the pairs is materialised.
 
         - Digest order: with the points sorted by digest, the min and max of
-          `combine_unordered` are the tile's row and column, so the first
-          mixing round (`premix`) runs once per point.
-        - Integer test: every pair is hashed, in row tiles of about `_TILE`
-          pairs, to the 53 bits b of its u = b * 2**-53, and u < t holds
-          exactly when b < bits_below(t).
+          `combine_unordered` are a tile's row and column, so `premix` runs
+          once per point.
+        - One pass per tile: the pairs i < j are hashed in tiles of about
+          `_TILE` pairs (`_pair_tiles`, none on or below the diagonal).  A
+          tile's seedless round (`combine_into`) runs once; then for each
+          seed only its two seeded rounds run, up to the head d of each
+          word (`heads_into`).
         - Prefilter: float rounding is monotone, so every pair's emax * p is
-          at most t = emax * max(lut).  A pair with b >= bits_below(t) stays
-          closed; only the pairs that pass get p and u, from the formulas
-          above, and the exact float test u < emax * p.
-        More than `cap` pairs passing the prefilter raise ResourceCapError.
+          at most t = emax * max(lut), and u < t holds exactly when the 53
+          bits b of u = b * 2**-53 satisfy b < k = bits_below(t).  Only the
+          heads below `head_limit(k)` get their bits (`head_bits`), and only
+          those with b < k pass.
+        - Refinement: the passes of every seed get p, u = b * 2**-53 and
+          the exact float test u < emax * p together (`_opened`), as soon
+          as `_TILE` of them are held, so only the open pairs accumulate.
+        More than `cap` pairs passing the prefilter for one seed raise
+        ResourceCapError.
         """
         digests = self.digests[ids]
-        n = len(digests)
         order = np.argsort(digests, kind="stable")
         ordered = digests[order]
         mixed = premix(ordered)
-        bound = np.uint64(bits_below(float(emax) * float(self.lut.max())))
-        buf = np.empty(_TILE, dtype=np.uint64)
+        emax = float(emax)
+        k = bits_below(emax * float(self.lut.max()))
+        limit = head_limit(k) if k else None
+        words = np.empty(_TILE, dtype=np.uint64)
+        heads = np.empty(_TILE, dtype=np.uint64)
         tmp = np.empty(_TILE, dtype=np.uint64)
-        rows_hit, cols_hit = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        passed = 0
-        i0 = 0
-        while i0 < n - 1:
-            width = n - 1 - i0  # the pairs of row i0
-            rows = max(1, min(_TILE // width, width))
-            step = _TILE // rows
-            for j0 in range(i0 + 1, n, step):
-                cols = min(step, n - j0)
-                size = rows * cols
-                bits = rng.pair_bits_into(
-                    mixed[i0 : i0 + rows, None],
-                    ordered[None, j0 : j0 + cols],
-                    STREAM_PERCOLATION,
-                    buf[:size].reshape(rows, cols),
-                    tmp[:size].reshape(rows, cols),
-                )
-                ii, jj = np.divmod(np.flatnonzero(bits.ravel() < bound), cols)
-                ii += i0
-                jj += j0
-                upper = jj > ii
-                passed += int(upper.sum())
-                if passed > self.cap:
-                    raise ResourceCapError("percolation pairs", self.cap)
-                rows_hit.append(ii[upper])
-                cols_hit.append(jj[upper])
-            i0 += rows
-        oi, oj = order[np.concatenate(rows_hit)], order[np.concatenate(cols_hit)]
+        below = np.empty(_TILE, dtype=bool)
+        passed = np.zeros(len(rngs), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        held, found = [(none, none, none, none.astype(np.uint64))], []
+        count = 0  # prefilter passes held
+        for ti, tj in _pair_tiles(len(ids)) if k and rngs else ():
+            shape = np.broadcast(ti, tj).shape
+            size = math.prod(shape)
+            pair = combine_into(
+                mixed[ti], ordered[tj], words[:size].reshape(shape), tmp[:size].reshape(shape)
+            ).reshape(-1)
+            where, cands = [], []
+            for rng in rngs:
+                d = rng.heads_into(pair, STREAM_PERCOLATION, heads[:size], tmp[:size])
+                if limit is None:
+                    pos = np.arange(size)
+                else:
+                    pos = np.less(d, limit, out=below[:size]).nonzero()[0]
+                where.append(pos)
+                cands.append(d[pos])
+            seed = np.repeat(np.arange(len(rngs)), [len(w) for w in where])
+            pos, bits = np.concatenate(where), head_bits(np.concatenate(cands))
+            hit = bits < k
+            seed, pos, bits = seed[hit], pos[hit], bits[hit]
+            passed += np.bincount(seed, minlength=len(rngs))
+            if passed.max() > self.cap:
+                raise ResourceCapError("percolation pairs", self.cap)
+            # A rectangle's row and column, or an explicit tile's position.
+            at = np.unravel_index(pos, shape)
+            held.append((seed, ti.reshape(-1)[at[0]], tj.reshape(-1)[at[-1]], bits))
+            count += len(bits)
+            if count >= _TILE:
+                found.append(self._opened(held, ids, order, emax))
+                held, count = held[:1], 0
+        found.append(self._opened(held, ids, order, emax))
+        seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
+        keep = np.lexsort((b, a, seed))
+        ends = np.searchsorted(seed[keep], np.arange(len(rngs) + 1))
+        return [
+            (a[run], b[run], u[run], p[run])
+            for run in (keep[s:t] for s, t in zip(ends[:-1], ends[1:]))
+        ]
+
+    def _opened(self, held, ids, order, emax: float) -> tuple:
+        """(seed, a, b, u, p) of the open pairs among the prefilter passes
+        `held`, a list of (seed, i, j, bits) with i < j positions in digest
+        `order` of `ids` and bits those of u = bits * 2**-53."""
+        seed, i, j, bits = (np.concatenate(col) for col in zip(*held))
+        oi, oj = order[i], order[j]
         a, b = ids[np.minimum(oi, oj)], ids[np.maximum(oi, oj)]
         p = self.prob(a, b)
-        u = rng.uniforms(combine_unordered(self.digests[a], self.digests[b]), STREAM_PERCOLATION)
-        keep = np.flatnonzero(u < float(emax) * p)
-        keep = keep[np.lexsort((b[keep], a[keep]))]
-        return a[keep], b[keep], u[keep], p[keep]
+        u = to_uniforms(bits)
+        keep = np.flatnonzero(u < emax * p)
+        return seed[keep], a[keep], b[keep], u[keep], p[keep]
 
     def row_masses(self, rows) -> np.ndarray:
         """Mass sum_{j != i} p(i, j) of each point i in `rows`, over every
@@ -258,8 +319,11 @@ class GraphingContext:
         `GeodesicRay.through(center)`, as a first-ball index (-1 outside).
 
         On a free first factor this is the closed-form `free_ray_step`;
-        other factors descend a memoised `Horofunction` per center.  Every
-        target is memoised per (center, y)."""
+        other factors descend a memoised `Horofunction` per center, taking
+        among the descending neighbours the one nearest the center, then
+        the ElementOrder-least: on a lattice two neighbours can descend, and
+        the farther one can leave the diamond.  Every target is memoised
+        per (center, y)."""
         key = (center_fi, y_fi)
         hit = self._tau_cache.get(key)
         if hit is not None:
@@ -273,7 +337,10 @@ class GraphingContext:
                 ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
                 h = Horofunction(self.metric.first, ray, probe_radius=ball1.radius + 2)
                 self._ray_cache[center_fi] = h
-            target = h.descend(ball1.elements[y_fi])
+            first, c1 = self.metric.first, ball1.elements[center_fi]
+            target = h.descend(
+                ball1.elements[y_fi], key=lambda nb: (first.distance(nb, c1), first.sort_key(nb))
+            )
         tfi = ball1.index.get(target, -1)
         self._tau_cache[key] = tfi
         return tfi
@@ -400,7 +467,7 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     if not eps_list:
         return {}
     S = np.sort(np.asarray(base_pids, dtype=np.int64))
-    a, b, u, p = ctx.kernel.open_pairs(S, rng, max(eps_list))
+    [(a, b, u, p)] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
     out = {}
     for e in eps_list:
         sel = u < float(e) * p
@@ -949,8 +1016,8 @@ def coset_line_baseline(
     then merge with an invariant percolation; the exact stand-in for the
     path-partition baseline.
 
-    The percolation is the kernel's on the window: each seed's open pairs
-    come from its `open_pairs`, and the expected half-degree sums the
+    The percolation is the kernel's on the window: one `open_pairs` call
+    draws the open pairs of every seed, and the expected half-degree sums the
     interior rows' `row_masses`, in their fixed order.  The coset lines
     are labelled once; each epsilon then unions only its own open pairs
     over the line labels, so every epsilon's partition is the lines plus
@@ -992,9 +1059,8 @@ def coset_line_baseline(
     rows = {float(e): {"largest": [], "half": []} for e in eps_list}
     monotone_violations = 0
     emax = max(eps_list, default=0.0)
-    for s in range(seeds):
-        rng = SeededRandomness(seed_digest(master_seed, s))
-        a, b, u, p = kernel.open_pairs(ids, rng, emax)
+    rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
+    for a, b, u, p in kernel.open_pairs(ids, rngs, emax):
         la, lb = line_of[a], line_of[b]
         prev = -1.0
         for e in sorted(float(x) for x in eps_list):

@@ -87,6 +87,22 @@ class GroupSpec:
         value = [f.to_dict() for f in self.factors] if name == "factors" else getattr(self, name)
         return {"kind": self.kind, name: value}
 
+    def amenable(self) -> bool:
+        """Whether the group is amenable, read off the spec: cyclic groups,
+        lattices, the free group of rank 1 (Z), the infinite dihedral group
+        (the free product of two groups of order 2) and direct products of
+        amenable groups are; every other spec contains a free group of
+        rank 2."""
+        if self.kind == "free":
+            return self.rank == 1
+        if self.kind == "free_product":
+            return len(self.factors) == 2 and all(
+                f.kind == "cyclic" and f.order == 2 for f in self.factors
+            )
+        if self.kind == "direct_product":
+            return all(f.amenable() for f in self.factors)
+        return True  # cyclic or integer_lattice
+
 
 def _inverse_label(label: str) -> str:
     if len(label) == 1 and label.islower():

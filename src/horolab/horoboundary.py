@@ -170,15 +170,17 @@ class Horofunction:
     def contains(self, x) -> bool:
         return self.window is None or x in self.window
 
-    def descend(self, x):
-        """ElementOrder-least neighbor with value one less, inside the window."""
+    def descend(self, x, key=None):
+        """The neighbor with value one less, inside the window, that is
+        least under `key`: ElementOrder-least by default."""
         if not self.contains(x):
             raise WindowExhaustedError("descent started outside the window")
+        key = key or self.oracle.sort_key
         target = self.value(x) - 1
         best = None
         for nb in self.oracle.neighbors(x):
             if self.contains(nb) and self.value(nb) == target:
-                if best is None or self.oracle.sort_key(nb) < self.oracle.sort_key(best):
+                if best is None or key(nb) < key(best):
                     best = nb
         if best is None:
             raise WindowExhaustedError(

@@ -7,9 +7,19 @@ order, and serves as the finite-seed surrogate for equivariant i.i.d.
 markings: translating the window translates the digests with it.
 
 The mixer is a splitmix64-style finalizer applied twice, vectorised over
-numpy uint64 arrays.  `SeededRandomness.pair_bits_into` is the fused form
-of `uniforms(combine_digests(a, b), tag)` for tiles of pairs: it runs the
-three mixing rounds that depend on both points in place in one buffer.
+numpy uint64 arrays.
+
+A pair's uniform `uniforms(combine_digests(lo, hi), tag)` is three mixing
+rounds past `premix(lo)`, and it comes in two parts for tiles of pairs
+drawn under many seeds:
+
+- `combine_into` runs the round that no seed enters, once per tile.
+- `SeededRandomness.heads_into` runs the two seeded rounds into a buffer and
+  stops before the last step e = d ^ (d >> 31), returning the head d.
+  `head_bits(d)` finishes the 53 bits b of u = b * 2**-53.
+- The last step keeps the top 33 bits (e >> 33 == d >> 33), so b < k
+  implies d < `head_limit(k)`: a sampler compares the heads against that
+  bound and finishes only the few that pass.
 """
 
 from __future__ import annotations
@@ -40,9 +50,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SH[2])
 
 
-def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
-    """`_mix` in place on a uint64 array; `tmp` is scratch of its shape."""
-    for sh, m in zip(_SH, (_M1, _M2, None)):
+def _mix_into(z: np.ndarray, tmp: np.ndarray, finish: bool = True) -> None:
+    """`_mix` in place on a uint64 array; `tmp` is scratch of its shape.
+    Without `finish` it stops before the last z ^ (z >> 31)."""
+    for sh, m in zip(_SH if finish else _SH[:2], (_M1, _M2, None)):
         np.right_shift(z, sh, out=tmp)
         np.bitwise_xor(z, tmp, out=z)
         if m is not None:
@@ -73,6 +84,19 @@ def combine_digests(a, b):
         return _mix((premix(a) ^ b) + _GOLDEN)
 
 
+def combine_into(lo_mixed, hi, out, tmp) -> np.ndarray:
+    """`combine_digests(lo, hi)` written into the uint64 array `out` and
+    returned: the round of a pair's hash that no seed enters.
+
+    `lo_mixed` is `premix(lo)`; it broadcasts against `hi` to the shape of
+    `out`, and `tmp` is scratch of that shape.
+    """
+    np.bitwise_xor(lo_mixed, hi, out=out)
+    np.add(out, _GOLDEN, out=out)
+    _mix_into(out, tmp)
+    return out
+
+
 def combine_unordered(a, b):
     """Digest of an unordered pair: symmetric in its arguments."""
     a = np.asarray(a, dtype=np.uint64)
@@ -90,6 +114,30 @@ def bits_below(t: float) -> int:
     if t >= 1.0:
         return 1 << 53
     return math.ceil(t * 2.0**53) if t > 0 else 0
+
+
+def head_bits(heads) -> np.ndarray:
+    """The 53 bits b of u = b * 2**-53 whose word has the head `heads`
+    (see `SeededRandomness.heads_into`)."""
+    return (heads ^ (heads >> _SH[2])) >> _DROP11
+
+
+def head_limit(k: int):
+    """A bound L with d < L for every head d whose bits b = head_bits(d)
+    satisfy b < k, for 0 < k <= 2**53; None when L would be 2**64 and so
+    every head may pass.
+
+    The last step e = d ^ (d >> 31) leaves the top 33 bits alone, e >> 33 ==
+    d >> 33, and b = e >> 11 < k gives e >> 33 <= (k - 1) >> 22.  The bound
+    is conservative: a head below it may still have b >= k.
+    """
+    limit = (((k - 1) >> 22) + 1) << 33
+    return None if limit >> 64 else np.uint64(limit)
+
+
+def to_uniforms(bits) -> np.ndarray:
+    """u = b * 2**-53 for 53-bit integers b, exactly."""
+    return bits.astype(np.float64) * _U53
 
 
 class SeededRandomness:
@@ -116,23 +164,18 @@ class SeededRandomness:
         return z
 
     def uniforms(self, digests, tag: str) -> np.ndarray:
-        return (self.words(digests, tag) >> _DROP11).astype(np.float64) * _U53
+        return to_uniforms(self.words(digests, tag) >> _DROP11)
 
-    def pair_bits_into(self, lo_mixed, hi, tag: str, out, tmp) -> np.ndarray:
-        """The 53 bits b of u = b * 2**-53 = uniforms(combine_digests(lo,
-        hi), tag), written into the uint64 array `out` and returned.
-
-        `lo_mixed` is `premix(lo)`; it broadcasts against `hi` to the shape
-        of `out`, and `tmp` is scratch of that shape.
-        """
-        np.bitwise_xor(lo_mixed, hi, out=out)
-        np.add(out, _GOLDEN, out=out)
-        _mix_into(out, tmp)
-        np.bitwise_xor(out, self._seed_mixed, out=out)
+    def heads_into(self, digests, tag: str, out, tmp) -> np.ndarray:
+        """The head d of every word of `words(digests, tag)`: the word
+        before its last step d ^ (d >> 31), written into the uint64 array
+        `out` (of the digests' shape) and returned; `tmp` is scratch of
+        that shape.  `head_bits(d)` are the uniforms' 53 bits."""
+        np.bitwise_xor(digests, self._seed_mixed, out=out)
         _mix_into(out, tmp)
         np.bitwise_xor(out, self._stream64(tag), out=out)
-        _mix_into(out, tmp)
-        return np.right_shift(out, _DROP11, out=out)
+        _mix_into(out, tmp, finish=False)
+        return out
 
     def uniform(self, digest: int, tag: str) -> float:
         return float(self.uniforms(np.uint64(digest), tag))

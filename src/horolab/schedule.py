@@ -184,10 +184,22 @@ def build_schedule(
     horizon: int,
     segment_cap: int = DEFAULT_SEGMENT_CAP,
 ) -> SlopeSchedule:
-    """Run the alternating-slope induction up to `horizon`."""
+    """Run the alternating-slope induction up to `horizon`.
+
+    Both factors must be nonamenable, as their specs say
+    (`GroupSpec.amenable`): the recorded eps_nonamen, the least |S_n|/|B_n|
+    up to the horizon, is positive for every infinite group and cannot
+    tell.
+    """
     c = as_slope(c)
     if horizon < 1:
         raise InputError("schedule horizon must be >= 1")
+    for g in (growth, growth2):
+        if g.spec.amenable():
+            raise InputError(
+                f"schedule construction requires nonamenable factors; {g.spec.to_dict()} "
+                "is amenable: use the linear schedule (schedule.mode auto or linear)"
+            )
     if growth.eps_nonamen <= 0 or growth2.eps_nonamen <= 0:
         raise InputError(
             "schedule construction requires nonamenable growth on both factors "

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -174,6 +175,23 @@ def test_growth_runs_when_the_schedule_would_fail(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lemma_schedule_refuses_an_amenable_factor(tmp_path, capsys, dim):
+    # Z^dim x F2 at c = 1: "lemma" exits 2, "auto" still takes the linear
+    # schedule.
+    overrides = {
+        "group": {"kind": "integer_lattice", "dim": dim},
+        "group2": {"kind": "free", "rank": 2},
+        "c": "1",
+        "schedule": {"mode": "lemma"},
+    }
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 2
+    assert "requires nonamenable factors" in capsys.readouterr().err
+    overrides["schedule"] = {"mode": "auto"}
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert cli.Run(cli._deep_merge(cli.DEFAULTS, overrides)).schedule.source == "linear"
+
+
 def test_main_leaves_the_defaults_unchanged(tmp_path):
     before = copy.deepcopy(cli.DEFAULTS)
     rc = cli.main(
@@ -316,6 +334,38 @@ def test_all_offers_its_graphing_sweep_to_the_suite(tmp_path, monkeypatch):
     assert written == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("c, calls", [(None, 1), ("1", 2)], ids=["defaults", "c-set"])
+def test_all_computes_the_sandwich_scenarios_once(tmp_path, monkeypatch, c, calls):
+    # With the groups, c and schedule of the defaults, criterion 6 reads the
+    # scenarios `diamond` computed; with c set, the suite computes its own.
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return sandwich_scenarios(*args)
+
+    sandwich_scenarios = acceptance.sandwich_scenarios
+    monkeypatch.setattr(acceptance, "sandwich_scenarios", counting)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_6_sandwich])
+    overrides = {**SMALL, "acceptance_checks": True, "schedule": {"horizon": 12}, "c": c}
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert len(counted) == calls
+    assert (tmp_path / "acceptance.txt").read_text().startswith("[PASS] criterion 6")
+
+
+def test_graphing_exits_1_after_writing_pi1_interior_violations(tmp_path, monkeypatch, capsys):
+    cost_report = cli.cost_report
+
+    def violating(*args, **kwargs):
+        return dataclasses.replace(cost_report(*args, **kwargs), pi1_interior_violations=3)
+
+    monkeypatch.setattr(cli, "cost_report", violating)
+    assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 1
+    report = json.loads((tmp_path / "cost_report.json").read_text())
+    assert report["pi1_interior_violations"] == 3
+    assert "3 interior marked points have no Pi1 out-edge" in capsys.readouterr().err
+
+
 def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
     calls = []
 
@@ -335,7 +385,9 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # the runners came to share one resolved `Run`).  A change that alters
 # these bytes on purpose updates the pins and says which and why.  The
 # Z^2 x F2 run reaches the `Horofunction` branch of `GraphingContext.tau`
-# and the linear schedule; its cost report holds pi1_interior_violations 15.
+# and the linear schedule; it was re-pinned when `tau` came to take the
+# descending neighbour nearest the center, which took its cost report's
+# pi1_interior_violations from 15 to 0.
 # The `all` run covers every runner; its digests are keyed by relative path.
 PINNED_RUNS = {
     "all": ("all", SMALL),
@@ -398,11 +450,11 @@ PINNED_DIGESTS = {
         "runs.csv": "01e5181511275d0b86dfd82b567b1d665200f1a3f0bda16eb2a4494e2f166ccd",
     },
     "graphing-z2xf2": {
-        "cost_report.json": "56975e95d8fc807fb31caba539625cb213027760899a5540e5fde922413db6cb",
-        "edges_seed0.csv": "a6337a399a8450f229450d405e6ad6b832ebfdcf95501a79f4b5866945cd40a6",
-        "pi5_seed0.csv": "9765b89ebbfe5e3be5e03c830c4c858666410a9a3e778c9bfd8661ffe5895d64",
-        "plot.csv": "1b536edbace4aa7d822e410b05ce1163f8756a1f08f0d4a9c677a31b55d1964b",
-        "runs.csv": "32bf2930726b0e4980721c7ce2459cef50c9544c5affe4cbf3e17ad633e082a9",
+        "cost_report.json": "2273431b3d78577ebe2ace647fc11d63123c99ea0dcb3891c53e885a9e5ab409",
+        "edges_seed0.csv": "545d28540f4dc520433fba432809dbbaa7a02517864dd79a16e3f8060d92ff7d",
+        "pi5_seed0.csv": "a01333864669a3d5f4710618b787b78a45a93d2c11b03d43dd47fa91ddbb8ede",
+        "plot.csv": "c07bd2cf99a693cf29ad75e4e85fd14376028fa5152262df2b1a2932c4b27dd0",
+        "runs.csv": "33be8e5470115dcb5322806db3cbffac838f55f3defeede76e96785551cf6489",
     },
     "prop13": {
         "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",

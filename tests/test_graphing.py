@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import graphing
+from horolab import graphing, randomness
 from horolab.graphing import (
     GraphingContext,
     _component_roots,
@@ -147,6 +147,20 @@ def test_pi1_lattice_rays(z_ctx):
         a = space.element(int(mw.v_pid[vi]))
         b = space.element(int(mw.v_pid[tv]))
         assert abs(a[0][0] - b[0][0]) == 1 and a[1] == b[1]
+
+
+def test_pi1_lattice_tau_takes_the_descending_neighbour_nearest_the_center(z2f2_ctx):
+    # c1 = (-2, -2), y1 = (-2, 0): (-3, 0) and (-2, -1) both descend the
+    # horofunction of the ray through c1, and only (-2, -1) nears c1.
+    ball1 = z2f2_ctx.pctx.space.ball1
+    tfi = z2f2_ctx.tau(ball1.index[(-2, -2)], ball1.index[(-2, 0)])
+    assert ball1.elements[tfi] == (-2, -1)
+
+
+def test_pi1_has_no_interior_violations_on_a_lattice_first_factor(z2f2_ctx):
+    pi1s = [build_pi1(_seed_window(z2f2_ctx, seed_digest(27, s))) for s in range(12)]
+    assert sum(p.interior_violations for p in pi1s) == 0
+    assert sum(p.parallel_violations for p in pi1s) == 0
 
 
 def _pi1_counts_reference(mw, target) -> tuple:
@@ -343,6 +357,71 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
         build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
 
 
+def _assert_seeds_match_reference(ctx, bases, keys, emax):
+    """One multi-seed `open_pairs` call against the materialised reference
+    of each seed: the same pairs in the same order, with their p and u."""
+    S = np.sort(np.asarray(bases, dtype=np.int64))
+    got = ctx.kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
+    assert len(got) == len(keys)
+    pd = ctx.pctx.point_digests
+    opened = 0
+    for key, (a, b, u, p) in zip(keys, got):
+        want = _materialised_percolation(ctx, bases, SeededRandomness(key), [emax])
+        assert list(zip(a.tolist(), b.tolist())) == want[float(emax)]
+        rng = SeededRandomness(key)
+        assert u.tobytes() == rng.uniforms(combine_unordered(pd[a], pd[b]), STREAM_PERCOLATION).tobytes()
+        assert p.tobytes() == ctx.kernel.prob(a, b).tobytes()
+        opened += len(a)
+    return opened
+
+
+MULTI_SEED_KEYS = [seed_digest(66, s) for s in range(4)]
+
+
+@pytest.mark.parametrize("tile", [3, 7, 200, graphing._TILE])
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx, tile, monkeypatch):
+    monkeypatch.setattr(graphing, "_TILE", tile)
+    bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()
+    if tile < 200:
+        bases = bases[:60]
+    assert _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.0) == 0
+    assert _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.3) > 0
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeypatch):
+    kernel = perc_ctx.kernel
+    bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()[:80]
+    pairs = len(bases) * (len(bases) - 1) // 2
+    saved = kernel.lut
+    # emax * max(lut) >= 1: every pair opens.
+    monkeypatch.setattr(kernel, "lut", np.ones_like(saved))
+    for emax in (1.0, 4096.0):
+        opened = _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, emax)
+        assert opened == len(MULTI_SEED_KEYS) * pairs
+    # emax * max(lut) = 1 - 2**-40: k = 2**53 - 2**13, so (k - 1) >> 22 + 1
+    # is 2**31 and the head bound saturates; the float test still decides.
+    top = 1.0 - 2.0**-40
+    assert randomness.head_limit(randomness.bits_below(top)) is None
+    monkeypatch.setattr(kernel, "lut", saved / saved.max() * top)
+    opened = _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0)
+    assert 0 < opened < len(MULTI_SEED_KEYS) * pairs
+
+
+def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
+    kernel = f2_ctx.kernel
+    monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
+    S = np.sort(_seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)
+    pairs = len(S) * (len(S) - 1) // 2
+    rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
+    monkeypatch.setattr(kernel, "cap", pairs)  # every seed passes `pairs`; together 4x
+    assert [len(a) for a, _, _, _ in kernel.open_pairs(S, rngs, 1.0)] == [pairs] * len(rngs)
+    monkeypatch.setattr(kernel, "cap", pairs - 1)
+    with pytest.raises(ResourceCapError, match="percolation pairs"):
+        kernel.open_pairs(S, rngs, 1.0)
+
+
 def test_percolation_eps_zero_empty(z_ctx):
     mw = _seed_window(z_ctx, seed_digest(30, 0))
     rng = SeededRandomness(seed_digest(30, 0))
@@ -404,7 +483,7 @@ def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
         bases = _seed_window(ctx, key).bases.tolist()
         pi2 = build_percolation(ctx, bases, SeededRandomness(key), [0.3])[0.3]
         got = {frozenset((space.element(a), space.element(b))) for a, b in pi2}
-        a, b, _, _ = kernel.open_pairs(np.arange(len(window)), SeededRandomness(key), 0.3)
+        [(a, b, _, _)] = kernel.open_pairs(np.arange(len(window)), [SeededRandomness(key)], 0.3)
         on_bases = {space.element(pid) for pid in bases}
         want = {
             pair
@@ -504,7 +583,7 @@ def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
 
 
 def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
-    from horolab import graphing
+    from horolab import graphing, randomness
 
     def tied_window(ctx, process):
         mw = build_marked_window(ctx, process)
@@ -526,7 +605,7 @@ def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
     ids=lambda e: type(e).__name__,
 )
 def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
-    from horolab import graphing
+    from horolab import graphing, randomness
     from horolab.graphing import SeedStats
 
     def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0, collect=None):
@@ -958,18 +1037,20 @@ def test_baseline_pairs_count_against_the_cap(monkeypatch):
 
 def test_baseline_peak_memory_stays_small():
     # wr 5 has 3,241 window points and 5.25M pairs; materialising them all
-    # peaked at about 400 MB traced.
+    # peaked at about 400 MB traced.  All 20 seeds share one pass over the
+    # tiles, and each tile keeps only its open pairs: holding every seed's
+    # ~65,600 prefilter passes to the end would add about 21 MB.
     import tracemalloc
 
     g = growth_series(F2, 12)
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     tracemalloc.start()
     try:
-        coset_line_baseline(metric, g, g, 5, 2, [0.0, 0.05, 0.2], 2, 20260810)
+        coset_line_baseline(metric, g, g, 5, 2, [0.0, 0.05, 0.2], 20, 20260810)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_baseline_needs_infinite_order_generator():

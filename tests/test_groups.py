@@ -26,6 +26,25 @@ F2xZ = GroupSpec("direct_product", factors=(F2, Z1))
 ALL_SPECS = [F2, Z1, Z2, C2C3, F2xZ, GroupSpec("cyclic", order=6)]
 
 
+@pytest.mark.parametrize(
+    "spec, amenable",
+    [
+        (F2, False),
+        (GroupSpec("free", rank=1), True),
+        (Z1, True),
+        (Z2, True),
+        (GroupSpec("cyclic", order=6), True),
+        (C2C3, False),
+        (GroupSpec("free_product", factors=(GroupSpec("cyclic", order=2),) * 2), True),
+        (GroupSpec("free_product", factors=(GroupSpec("cyclic", order=2),) * 3), False),
+        (F2xZ, False),
+        (GroupSpec("direct_product", factors=(Z1, GroupSpec("cyclic", order=3))), True),
+    ],
+)
+def test_amenable_reads_the_spec(spec, amenable):
+    assert spec.amenable() is amenable
+
+
 def test_canon_free_reduction():
     o = make_oracle(F2)
     assert o.canon(["a", "A"]) == o.identity

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from horolab.randomness import (
     STREAM_CENTERS,
@@ -7,10 +8,14 @@ from horolab.randomness import (
     SeededRandomness,
     bits_below,
     combine_digests,
+    combine_into,
     combine_unordered,
     digest_str,
+    head_bits,
+    head_limit,
     premix,
     seed_digest,
+    to_uniforms,
 )
 
 
@@ -63,17 +68,49 @@ def test_combine_unordered_symmetric():
 
 
 def test_fused_pair_hash_matches_uniforms():
-    d = np.sort(np.array([digest_str(f"p{i}") for i in range(40)], dtype=np.uint64))
+    # The split hash: the seedless round once, the seeded rounds to the
+    # heads, then the last step; 0 and 2**64 - 1 are edge digests.
+    d = np.array([digest_str(f"p{i}") for i in range(38)] + [0, 2**64 - 1], dtype=np.uint64)
+    d = np.sort(d)
     lo, hi = d[:15], d[15:]  # sorted, so lo[i] <= hi[j]: the unordered min
+    out = np.empty((15, 25), dtype=np.uint64)
+    tmp = np.empty_like(out)
+    pair = combine_into(premix(lo)[:, None], hi[None, :], out, tmp)
+    assert pair is out
+    assert (pair == combine_digests(lo[:, None], hi[None, :])).all()
     for seed in (0, 9, 2**64 - 1):
         r = SeededRandomness(seed)
-        out = np.empty((15, 25), dtype=np.uint64)
-        bits = r.pair_bits_into(
-            premix(lo)[:, None], hi[None, :], STREAM_PERCOLATION, out, np.empty_like(out)
-        )
+        heads = r.heads_into(pair.copy(), STREAM_PERCOLATION, np.empty_like(out), tmp)
         want = r.uniforms(combine_unordered(lo[:, None], hi[None, :]), STREAM_PERCOLATION)
-        assert bits is out
-        assert (bits.astype(np.float64) * 2.0**-53).tobytes() == want.tobytes()
+        assert to_uniforms(head_bits(heads)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "k", [1, 2, 3, 2**22, 2**22 + 1, 2**40 + 12345, 2**53 - 2**22, 2**53 - 2**22 + 1, 2**53]
+)
+def test_head_limit_keeps_every_head_whose_bits_pass(k):
+    # Heads whose bits are k - 1, k and k + 1 (with the dropped low bits all
+    # 0 or all 1), extreme heads and random ones: every head with
+    # head_bits(d) < k lies below head_limit(k).
+    bits, heads = [], [0, 1, 2**33 - 1, 2**33, 2**63, 2**64 - 1]
+    for b in (k - 1, k, k + 1):
+        for low in (0, 2**11 - 1):
+            e = (b << 11) | low
+            if e < 2**64:
+                bits.append(b)
+                heads.append(e ^ (e >> 31) ^ (e >> 62))  # d with d ^ (d >> 31) == e
+    rng = np.random.default_rng(k % 2**32)
+    d = np.concatenate(
+        [np.array(heads, dtype=np.uint64), rng.integers(0, 2**64, 20000, dtype=np.uint64)]
+    )
+    assert head_bits(d[6 : 6 + len(bits)]).tolist() == bits
+    passes = head_bits(d) < np.uint64(k)
+    assert passes.any()
+    limit = head_limit(k)
+    if limit is None:  # the bound saturates: 2**64 does not fit a uint64
+        assert (((k - 1) >> 22) + 1) << 33 == 2**64
+    else:
+        assert (d[passes] < limit).all()
 
 
 def test_bits_below_is_the_exact_integer_form_of_u_below_t():

@@ -107,8 +107,8 @@ def test_segment_cap_divergence():
     # synthetic ratio that never re-crosses 1: v = 4^n against v' = 2^n
     va = [4**n for n in range(10)]
     vb = [2**n for n in range(20)]
-    ga = GrowthSeries(Z1, va, [va[0]] + [va[i] - va[i - 1] for i in range(1, 10)], "synthetic")
-    gb = GrowthSeries(Z1, vb, [vb[0]] + [vb[i] - vb[i - 1] for i in range(1, 20)], "synthetic")
+    ga = GrowthSeries(F2, va, [va[0]] + [va[i] - va[i - 1] for i in range(1, 10)], "synthetic")
+    gb = GrowthSeries(F2, vb, [vb[0]] + [vb[i] - vb[i - 1] for i in range(1, 20)], "synthetic")
     with pytest.raises(InvariantViolation):
         build_schedule(ga, gb, 1, 9, segment_cap=4)
 
@@ -119,6 +119,26 @@ def test_requires_nonamenable_eps():
     g = growth_series(F2, 12)
     with pytest.raises(InputError):
         build_schedule(gz, g, 1, 10)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Z1,
+        GroupSpec("integer_lattice", dim=2),
+        GroupSpec("cyclic", order=5),
+        GroupSpec("free", rank=1),
+        GroupSpec("direct_product", factors=(Z1, GroupSpec("cyclic", order=3))),
+    ],
+    ids=["Z", "Z2", "C5", "F1", "ZxC3"],
+)
+def test_refuses_an_amenable_factor_whatever_its_eps(spec):
+    # eps_nonamen is positive for every infinite group up to a horizon, so
+    # the refusal reads the spec.
+    g, ga = growth_series(F2, 24), growth_series(spec, 12)
+    for first, second in ((ga, g), (g, ga)):
+        with pytest.raises(InputError, match="requires nonamenable factors"):
+            build_schedule(first, second, 1, 10)
 
 
 def test_growth_horizon_guard():
