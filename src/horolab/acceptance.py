@@ -9,7 +9,8 @@ The suite's pinned world is the `cli.Run` of the defaults at the suite's
 master seed and thread count: criteria 1 to 5 read its growth series,
 criteria 2 to 4 its schedule and metric, criteria 7 and 9 its 200-seed
 graphing sweep, criterion 10 its prop13 sweep and criterion 6 its
-sandwich scenarios (`sandwich_scenarios` on F2 x F2 at c = 1).  A caller
+sandwich scenarios (`sandwich_scenarios` on F2 x F2 at c = 1, each a
+`diamonds.sandwich_check` over a `ProductSpace` window).  A caller
 may offer its own run (`horolab all` does); a criterion takes a sweep or
 the scenarios from the offered run only when every config entry they
 read equals the pinned run's (`cli.SWEEP_INPUTS`), and from the pinned
@@ -33,7 +34,7 @@ from .diamonds import (
     sandwich_check,
 )
 from .graphing import connect_then_descend, touching_paths
-from .groups import GroupSpec, ball, growth_series, make_oracle
+from .groups import GroupSpec, growth_series, make_oracle
 from .horoboundary import (
     GeodesicRay,
     Horofunction,
@@ -189,42 +190,35 @@ def criterion_5_corner_decay(sc: SuiteContext) -> CriterionResult:
 def sandwich_scenarios(spec1, spec2, c) -> dict:
     """The horoball-sandwich scenarios, as SandwichReports by name.
 
-    "lattice" always runs: Z x Z at c = 1, a linear schedule and
-    half-plane horoballs.  "tree" runs on spec1 x spec2 at slope c, window
-    radius 4 and centers escaping along A^-M, when both factors are free.
+    "lattice" always runs: Z x Z at c = 1, a linear schedule, half-plane
+    horoballs and window radius 5.  "tree" runs on spec1 x spec2 at slope
+    c, window radius 4 and centers escaping along A^-M, when both factors
+    are free; its schedule reads the second factor's growth series to
+    2 h + 2 for horizon h, as `cli.Run.schedule` does.
     """
-    oz1, oz2 = make_oracle(Z1), make_oracle(Z1)
+    oz = make_oracle(Z1)
     gz = growth_series(Z1, 40)
-    mz = ProductMetric(oz1, oz2, 1)
     lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
-    win = ProductSpace(mz, 5)
-    hz = ProductHorofunction(
-        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
-        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
-        1,
-    )
     centers = []
     for n in range(20, 29):
         N = (lsched.r[n] + 2) // 2 + 1
         centers.append((n, ((-N,), (-N,))))
-    wpts = [win.element(i) for i in range(len(win))]
-    reports = {"lattice": sandwich_check(mz, lsched, hz, centers, wpts)}
+    hz = horofunction_from_ray(oz, ["X"])
+    win = ProductSpace(ProductMetric(oz, oz, 1), 5)
+    reports = {"lattice": sandwich_check(win, lsched, hz, hz, centers)}
     if spec1.kind == "free" and spec2.kind == "free":
         o1, o2 = make_oracle(spec1), make_oracle(spec2)
-        sched = build_schedule(growth_series(spec1, 26), growth_series(spec2, 26), c, 26)
-        m = ProductMetric(o1, o2, c)
-        w4 = ProductSpace(m, 4)
-        hh = ProductHorofunction(
-            horofunction_from_ray(o1, ["A"], [el for el, _ in ball(o1, 5)]),
-            horofunction_from_ray(o2, ["A"], [el for el, _ in ball(o2, 5)]),
-            c,
+        horizon = 26
+        sched = build_schedule(
+            growth_series(spec1, horizon), growth_series(spec2, 2 * horizon + 2), c, horizon
         )
         centers = []
         for n in range(16, min(25, len(sched.r))):
             M = sched.r[n] // 2
             centers.append((n, (o1.canon(["A"] * M), o2.canon(["A"] * M))))
-        pts4 = [w4.element(i) for i in range(len(w4))]
-        reports["tree"] = sandwich_check(m, sched, hh, centers, pts4)
+        h1, h2 = horofunction_from_ray(o1, ["A"]), horofunction_from_ray(o2, ["A"])
+        w4 = ProductSpace(ProductMetric(o1, o2, c), 4)
+        reports["tree"] = sandwich_check(w4, sched, h1, h2, centers)
     return reports
 
 

@@ -54,7 +54,6 @@ from .errors import (
     InvariantViolation,
     MarkCollisionError,
     ResourceCapError,
-    WindowExhaustedError,
 )
 from .graphing import (
     CostReport,
@@ -290,8 +289,9 @@ class Run:
     def schedule(self):
         """The slope schedule to `schedule.horizon`.
 
-        mode "lemma" runs the growth induction (needs recorded eps_nonamen
-        > 0 on both factors); "linear" is the exact-slope synthetic table;
+        mode "lemma" runs the growth induction and refuses a factor whose
+        spec is amenable (`GroupSpec.amenable`); "linear" is the
+        exact-slope synthetic table;
         "auto" chooses lemma for clearly exponential factors and linear
         otherwise (subexponential growth never certifies nonamenability at
         desk scale).
@@ -774,12 +774,7 @@ def main(argv=None, config_overrides=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvariantViolation,
-        MarkCollisionError,
-        ApproximationError,
-        WindowExhaustedError,
-    ) as exc:
+    except (InvariantViolation, MarkCollisionError, ApproximationError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except HorolabError as exc:

@@ -3,7 +3,10 @@
 A perturbed diamond of parameter n is the union over t of vertical slices
 {(y, y'): d(x, y) = r_n - t, d'(x', y') <= f(t)} around its center x''.
 Its volume has the exact slice decomposition sum_t s_{r_n - t} v'_{f(t)},
-which the enumeration oracle must reproduce.
+which the enumeration oracle must reproduce.  `in_diamond` is the
+pointwise definition of membership, which tests compare against; the
+sandwich check applies the same rule to a whole `ProductSpace` window at
+once, through the window's factor-index arrays.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, ball
-from .horoboundary import ProductHorofunction
-from .product import ProductMetric
+from .horoboundary import Horofunction
+from .product import ProductMetric, ProductSpace
 from .schedule import SlopeSchedule
 
 
@@ -42,22 +47,11 @@ def in_diamond(metric: ProductMetric, schedule: SlopeSchedule, n: int, center, y
 
 
 def diamond_members(
-    metric: ProductMetric,
-    schedule: SlopeSchedule,
-    n: int,
-    center,
-    window=None,
-    cap: int = DEFAULT_ENUM_CAP,
+    metric: ProductMetric, schedule: SlopeSchedule, n: int, center, cap: int = DEFAULT_ENUM_CAP
 ) -> list:
-    """Member points of D_n(center); intersected with `window` when given.
-
-    With a window (an iterable of product points) membership is tested
-    pointwise; otherwise the whole diamond is enumerated slice by slice.
-    """
+    """Member points of D_n(center), enumerated slice by slice."""
     if n >= len(schedule.r):
         raise InputError(f"schedule has no breakpoint index {n}")
-    if window is not None:
-        return [y for y in window if in_diamond(metric, schedule, n, center, y)]
     r_n = schedule.r[n]
     first, second = metric.first, metric.second
     by_dist = {}
@@ -208,64 +202,60 @@ class SandwichReport:
 
 
 def sandwich_check(
-    metric: ProductMetric,
+    space: ProductSpace,
     schedule: SlopeSchedule,
-    horofn: ProductHorofunction,
+    h1: Horofunction,
+    h2: Horofunction,
     centers,
-    window_points,
 ) -> SandwichReport:
     """Window surrogate of the horoball sandwich around perturbed diamonds.
 
     `centers` is a list of (n, center) pairs escaping in the direction of
-    `horofn`.  With delta the maximum of the horofunction over the diamond
-    within the window, the check is
+    theta'' = h1 + h2/c, and the window W is `space`.  With delta the
+    maximum of theta'' over the diamond within the window, the check is
     HB(theta'', delta - 2/c) ^ W  <=  D ^ W  <=  HB(theta'', delta + 1/c) ^ W.
+    As delta is that maximum, the upper inclusion holds by construction.
+
+    Everything runs on integer numerators over the window's arrays: for
+    c = p/q, theta''·p = h1·p + h2·q is tabulated once per window from the
+    factor balls, and top = delta·p, so the lower clause reads
+    theta''·p <= top - 2q and the upper one theta''·p > top + q.
+    Membership takes each factor element's distance to the center: a
+    point is in D_n when d1 <= r_n and d2 <= f(r_n - d1).
     """
-    window_points = list(window_points)
-    if not window_points:
+    if len(space) == 0:
         raise InputError("sandwich window is empty")
-    wr = max(metric.rho(metric.origin, y) for y in window_points)
+    metric, b1, b2 = space.metric, space.ball1, space.ball2
+    p, q = metric.c.numerator, metric.c.denominator
+    theta = np.array([h1.value(y) for y in b1.elements], dtype=np.int64)[space.pts1] * p
+    theta += np.array([h2.value(y) for y in b2.elements], dtype=np.int64)[space.pts2] * q
+    min_length = 2 * math.ceil(Fraction(int(space.rho_num.max()), p))
+    f = np.asarray(schedule.f, dtype=np.int64)
     rows = []
-    two_over_c = 2 / metric.c
-    one_over_c = 1 / metric.c
     for n, center in centers:
-        d1 = metric.first.length(center[0])
-        d2 = metric.second.length(center[1])
-        if min(d1, d2) < 2 * math.ceil(wr):
+        if min(metric.first.length(center[0]), metric.second.length(center[1])) < min_length:
             raise InputError(
                 "sandwich centers must satisfy d(x_n, o), d'(x'_n, o') >= 2 x window radius"
             )
-        inside = [y for y in window_points if in_diamond(metric, schedule, n, center, y)]
-        if not inside:
-            rows.append(
-                SandwichRow(
-                    n=n,
-                    radius=schedule.r[n],
-                    members_in_window=0,
-                    delta=None,
-                    lower_ok=True,
-                    upper_ok=True,
-                    lower_violations=0,
-                    upper_violations=0,
-                    vacuous=True,
-                )
-            )
+        r_n = schedule.r[n]
+        d1 = np.array([metric.first.distance(center[0], y) for y in b1.elements], dtype=np.int64)
+        d2 = np.array([metric.second.distance(center[1], y) for y in b2.elements], dtype=np.int64)
+        # Per first-factor element, the largest d2 inside D_n (-1: none).
+        reach = np.where(d1 <= r_n, f[np.maximum(r_n - d1, 0)], -1)
+        inside = d2[space.pts2] <= reach[space.pts1]
+        members = int(np.count_nonzero(inside))
+        if members == 0:
+            rows.append(SandwichRow(n, r_n, 0, None, True, True, 0, 0, vacuous=True))
             continue
-        values = {y: horofn.value(y) for y in window_points}
-        delta = max(values[y] for y in inside)
-        inside_set = set(inside)
-        lower_bad = sum(
-            1
-            for y in window_points
-            if values[y] <= delta - two_over_c and y not in inside_set
-        )
-        upper_bad = sum(1 for y in inside if values[y] > delta + one_over_c)
+        top = int(theta[inside].max())
+        lower_bad = int(np.count_nonzero((theta <= top - 2 * q) & ~inside))
+        upper_bad = int(np.count_nonzero(theta[inside] > top + q))
         rows.append(
             SandwichRow(
                 n=n,
-                radius=schedule.r[n],
-                members_in_window=len(inside),
-                delta=delta,
+                radius=r_n,
+                members_in_window=members,
+                delta=Fraction(top, p),
                 lower_ok=lower_bad == 0,
                 upper_ok=upper_bad == 0,
                 lower_violations=lower_bad,

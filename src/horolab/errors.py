@@ -38,9 +38,5 @@ class ApproximationError(HorolabError):
     """A limit-based value failed to stabilise within the probe budget."""
 
 
-class WindowExhaustedError(HorolabError):
-    """A descent step would leave the finite window; never falls back silently."""
-
-
 class MarkCollisionError(HorolabError):
     """Two overlapping diamonds drew identical marks; the seed must be rejected."""

@@ -65,30 +65,23 @@ _TILE = 1 << 15  # pairs hashed per tile of `PercolationKernel.open_pairs`
 
 
 def _pair_tiles(n: int):
-    """Tiles of about `_TILE` pairs that together hold each pair i < j of
-    range(n) once, as index arrays (ti, tj) of i and j that broadcast to
-    the tile's shape; no tile holds a pair on or below the diagonal.
+    """Rectangles (i0, i1, j0, j1), rows i0 .. i1-1 by columns j0 .. j1-1,
+    of at most `_TILE` pairs that together hold each pair i < j of
+    range(n) once.
 
-    The rows are cut into blocks i0 .. i1-1 of about `_TILE` pairs each.
-    Each block meets the columns past i1 in rectangles, ti a column and tj
-    a row of indices; the pairs within the blocks are listed explicitly
-    and cut into tiles of `_TILE` pairs, ti and tj flat.
+    The rows are cut into blocks i0 .. i1-1 whose rectangle with the
+    columns i0+1 .. n-1 holds at most `_TILE` pairs; a row longer than
+    `_TILE` is a block of its own, cut into rectangles of `_TILE` columns.
+    A block's rectangle also holds its pairs with i >= j, which the
+    caller drops.
     """
-    ends, i0 = [], 0
+    i0 = 0
     while i0 < n - 1:
-        width = n - 1 - i0  # the pairs of row i0
-        i1 = i0 + max(1, min(_TILE // width, width + 1))
+        i1 = min(n - 1, i0 + max(1, _TILE // (n - 1 - i0)))
         step = _TILE // (i1 - i0)
-        for j0 in range(i1, n, step):
-            yield np.arange(i0, i1)[:, None], np.arange(j0, min(j0 + step, n))[None, :]
-        ends += [i1] * (i1 - i0)
+        for j0 in range(i0 + 1, n, step):
+            yield i0, i1, j0, min(j0 + step, n)
         i0 = i1
-    # Row i pairs with i+1 .. end(i)-1, end(i) the end of its block.
-    count = np.asarray(ends, dtype=np.int64) - np.arange(len(ends)) - 1
-    ii = np.repeat(np.arange(len(ends)), count)
-    jj = ii + 1 + np.arange(len(ii)) - np.repeat(np.cumsum(count) - count, count)
-    for t in range(0, len(ii), _TILE):
-        yield ii[t : t + _TILE], jj[t : t + _TILE]
 
 
 class PercolationKernel:
@@ -168,16 +161,16 @@ class PercolationKernel:
         - Digest order: with the points sorted by digest, the min and max of
           `combine_unordered` are a tile's row and column, so `premix` runs
           once per point.
-        - One pass per tile: the pairs i < j are hashed in tiles of about
-          `_TILE` pairs (`_pair_tiles`, none on or below the diagonal).  A
-          tile's seedless round (`combine_into`) runs once; then for each
-          seed only its two seeded rounds run, up to the head d of each
-          word (`heads_into`).
+        - One pass per tile: the pairs are hashed in rectangles of at most
+          `_TILE` pairs (`_pair_tiles`).  A tile's seedless round
+          (`combine_into`) runs once; then for each seed only its two
+          seeded rounds run, up to the head d of each word (`heads_into`).
         - Prefilter: float rounding is monotone, so every pair's emax * p is
           at most t = emax * max(lut), and u < t holds exactly when the 53
           bits b of u = b * 2**-53 satisfy b < k = bits_below(t).  Only the
           heads below `head_limit(k)` get their bits (`head_bits`), and only
-          those with b < k pass.
+          those with b < k and i < j pass; a tile's pairs on or below the
+          diagonal are dropped here, before they count against `cap`.
         - Refinement: the passes of every seed get p, u = b * 2**-53 and
           the exact float test u < emax * p together (`_opened`), as soon
           as `_TILE` of them are held, so only the open pairs accumulate.
@@ -199,11 +192,14 @@ class PercolationKernel:
         none = np.zeros(0, dtype=np.int64)
         held, found = [(none, none, none, none.astype(np.uint64))], []
         count = 0  # prefilter passes held
-        for ti, tj in _pair_tiles(len(ids)) if k and rngs else ():
-            shape = np.broadcast(ti, tj).shape
-            size = math.prod(shape)
+        for i0, i1, j0, j1 in _pair_tiles(len(ids)) if k and rngs else ():
+            shape = (i1 - i0, j1 - j0)
+            size = shape[0] * shape[1]
             pair = combine_into(
-                mixed[ti], ordered[tj], words[:size].reshape(shape), tmp[:size].reshape(shape)
+                mixed[i0:i1, None],
+                ordered[None, j0:j1],
+                words[:size].reshape(shape),
+                tmp[:size].reshape(shape),
             ).reshape(-1)
             where, cands = [], []
             for rng in rngs:
@@ -215,15 +211,16 @@ class PercolationKernel:
                 where.append(pos)
                 cands.append(d[pos])
             seed = np.repeat(np.arange(len(rngs)), [len(w) for w in where])
-            pos, bits = np.concatenate(where), head_bits(np.concatenate(cands))
-            hit = bits < k
-            seed, pos, bits = seed[hit], pos[hit], bits[hit]
+            bits = head_bits(np.concatenate(cands))
+            i, j = np.divmod(np.concatenate(where), shape[1])
+            i += i0
+            j += j0
+            hit = (bits < k) & (i < j)
+            seed, i, j, bits = seed[hit], i[hit], j[hit], bits[hit]
             passed += np.bincount(seed, minlength=len(rngs))
             if passed.max() > self.cap:
                 raise ResourceCapError("percolation pairs", self.cap)
-            # A rectangle's row and column, or an explicit tile's position.
-            at = np.unravel_index(pos, shape)
-            held.append((seed, ti.reshape(-1)[at[0]], tj.reshape(-1)[at[-1]], bits))
+            held.append((seed, i, j, bits))
             count += len(bits)
             if count >= _TILE:
                 found.append(self._opened(held, ids, order, emax))

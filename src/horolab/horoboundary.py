@@ -3,15 +3,16 @@
 Boundary points are represented constructively by eventually periodic
 geodesic rays; a horofunction's values are the limits d(x, ray_N) - N,
 exact on tree-like and lattice factors and verified by probing two ray
-lengths.  Values are computed lazily and memoised, so a horofunction can
-serve a large window, or the whole group, without materialising it.
+lengths.  A horofunction is defined on the whole group; values are
+computed lazily and memoised, so only the points asked about are ever
+evaluated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ApproximationError, InputError, InvariantViolation, WindowExhaustedError
+from .errors import ApproximationError, InputError, InvariantViolation
 from .groups import Oracle
 from .product import as_slope
 
@@ -133,18 +134,14 @@ class Horofunction:
     """1-Lipschitz function of a geodesic ray, vanishing at the origin.
 
     Values are stabilised limits d(., ray_N) - N, verified over two ray
-    lengths.  With a window, descent stays inside it and probing starts
-    past the window radius; without one the whole group is the window,
-    probing starts past `probe_radius` and descent never exhausts, so
-    callers must bound paths themselves.
+    lengths, with probing started past `probe_radius`.  It is defined on
+    the whole group, so descent never runs out of room: callers bound
+    paths themselves.
     """
 
-    def __init__(self, oracle: Oracle, ray: GeodesicRay, window=None, probe_radius: int = 64):
+    def __init__(self, oracle: Oracle, ray: GeodesicRay, probe_radius: int = 64):
         self.oracle = oracle
         self.ray = ray
-        self.window = None if window is None else set(window)
-        if self.window is not None:
-            probe_radius = max((oracle.length(x) for x in self.window), default=0)
         self._probe = probe_radius + len(ray.prefix) + 2 * len(ray.period) + 2
         self._values = {}
 
@@ -167,37 +164,27 @@ class Horofunction:
             "horofunction values did not stabilise within the probe budget"
         )
 
-    def contains(self, x) -> bool:
-        return self.window is None or x in self.window
-
     def descend(self, x, key=None):
-        """The neighbor with value one less, inside the window, that is
-        least under `key`: ElementOrder-least by default."""
-        if not self.contains(x):
-            raise WindowExhaustedError("descent started outside the window")
-        key = key or self.oracle.sort_key
+        """The neighbor with value one less that is least under `key`:
+        ElementOrder-least by default."""
         target = self.value(x) - 1
-        best = None
-        for nb in self.oracle.neighbors(x):
-            if self.contains(nb) and self.value(nb) == target:
-                if best is None or key(nb) < key(best):
-                    best = nb
-        if best is None:
-            raise WindowExhaustedError(
-                "no descending neighbor inside the window"
-            )
-        return best
+        down = [nb for nb in self.oracle.neighbors(x) if self.value(nb) == target]
+        if not down:
+            raise InvariantViolation("horofunction has no descending neighbor")
+        return min(down, key=key or self.oracle.sort_key)
 
     def check_normalized(self):
         if self.value(self.oracle.identity) != 0:
             raise InvariantViolation("horofunction does not vanish at the origin")
 
-    def check_lipschitz(self, exhaustive: bool = False):
-        """Edge check by default; full pairwise check when exhaustive."""
-        pts = list(self.window)
+    def check_lipschitz(self, points, exhaustive: bool = False):
+        """Edge check among `points` by default; full pairwise check when
+        exhaustive."""
+        pts = list(points)
+        among = set(pts)
         for x in pts:
             for nb in self.oracle.neighbors(x):
-                if nb in self.window and abs(self.value(x) - self.value(nb)) > 1:
+                if nb in among and abs(self.value(x) - self.value(nb)) > 1:
                     raise InvariantViolation("horofunction not 1-Lipschitz on an edge")
         if exhaustive:
             for i, x in enumerate(pts):
@@ -210,13 +197,13 @@ class Horofunction:
 LazyWindowHorofunction = Horofunction
 
 
-def horofunction_from_ray(oracle: Oracle, labels, window) -> Horofunction:
+def horofunction_from_ray(oracle: Oracle, labels) -> Horofunction:
     """Exact horofunction of the ray that spells `labels` and then repeats
     their last label forever."""
     labels = list(labels)
     if not labels:
         raise InputError("ray must contain at least one generator")
-    return Horofunction(oracle, GeodesicRay(oracle, labels, [labels[-1]]), window)
+    return Horofunction(oracle, GeodesicRay(oracle, labels, [labels[-1]]))
 
 
 class ProductHorofunction:
@@ -229,8 +216,4 @@ class ProductHorofunction:
 
     def value(self, point):
         y1, y2 = point
-        if not self.h1.contains(y1) or not self.h2.contains(y2):
-            raise InputError("window mismatch: point outside component windows")
-        a = self.h1.value(y1)
-        b = self.h2.value(y2)
-        return a + Fraction(b) / self.c
+        return self.h1.value(y1) + Fraction(self.h2.value(y2)) / self.c

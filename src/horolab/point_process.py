@@ -240,7 +240,7 @@ def corner_event_probability(
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
     n_range = list(n_range)
-    need_emp = seeds > 0
+    need_emp = seeds > 0 and bool(n_range)
     if need_emp:
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)

@@ -281,6 +281,29 @@ def test_tree_scenarios_on_free_groups_of_rank_3(tmp_path):
     assert set(touching) == {"tree_k2_kp1", "degenerate", "lattice"}
 
 
+def test_diamond_on_free_groups_of_ranks_3_and_2(tmp_path):
+    # The tree scenario's schedule reads the second factor's growth out to
+    # 2 h + 2, as the run's own schedule does; F3 x F2 then has no
+    # breakpoint from 16 on, so its tree table is empty.
+    overrides = {"group": {"kind": "free", "rank": 3}, "c": "1"}
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert cli.main(["diamond", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    sandwich = json.loads((tmp_path / "summary.json").read_text())["sandwich"]
+    assert sandwich["tree"] == {"first_sandwiched_n": None, "violations": 0}
+    assert len((tmp_path / "sandwich_tree.csv").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n_range", [[], [40]], ids=["empty", "past-the-breakpoints"])
+def test_process_without_a_usable_breakpoint_writes_header_only_tables(tmp_path, n_range):
+    overrides = {**SMALL, "process": {**SMALL["process"], "n_range": n_range}}
+    assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    for name, header in (
+        ("corner_events.csv", "n,T,corner_count,volume,exact_probability,empirical_probability"),
+        ("hit.csv", "n,T,hitting_count,volume,ratio,lower_bound"),
+    ):
+        assert (tmp_path / name).read_text().splitlines() == [header]
+
+
 def test_all_runners_on_a_rational_slope(tmp_path):
     overrides = {
         **SMALL,

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from horolab.diamonds import (
+    SandwichRow,
     corner_count,
     corner_count_bruteforce,
     diamond_members,
@@ -12,7 +14,7 @@ from horolab.diamonds import (
     sandwich_check,
 )
 from horolab.errors import InputError
-from horolab.groups import GroupSpec, ball, growth_series, make_oracle
+from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.horoboundary import ProductHorofunction, horofunction_from_ray
 from horolab.product import ProductMetric, ProductSpace
 from horolab.schedule import build_schedule, linear_schedule
@@ -58,31 +60,21 @@ def test_volume_identity_lattice(lattice):
     assert diamond_volume(lsched, 2) == 13
 
 
-def test_members_window_intersection(sched, metric):
-    sp = ProductSpace(metric, 3)
-    window = [sp.element(i) for i in range(len(sp))]
-    full = set(diamond_members(metric, sched, 2, metric.origin))
-    clipped = diamond_members(metric, sched, 2, metric.origin, window=window)
-    assert set(clipped) == full & set(window)
-
-
 def test_far_center_misses_window(sched, metric):
     o1 = metric.first
     far = (o1.canon(["a"] * 9), metric.second.identity)
     sp = ProductSpace(metric, 2)
-    window = [sp.element(i) for i in range(len(sp))]
-    assert diamond_members(metric, sched, 2, far, window=window) == []
+    assert not any(in_diamond(metric, sched, 2, far, sp.element(i)) for i in range(len(sp)))
 
 
 def test_translation_invariance(sched, metric):
     # |D_n(x) ^ xW| does not depend on the center x
     sp = ProductSpace(metric, 3)
     window = [sp.element(i) for i in range(len(sp))]
-    base = len(diamond_members(metric, sched, 2, metric.origin, window=window))
+    base = sum(in_diamond(metric, sched, 2, metric.origin, w) for w in window)
     for labels in (["a"], ["b", "a"], ["A", "b"]):
         g = (metric.first.canon(labels), metric.second.canon(labels[::-1]))
-        shifted = [metric.multiply(g, w) for w in window]
-        got = len(diamond_members(metric, sched, 2, g, window=shifted))
+        got = sum(in_diamond(metric, sched, 2, g, metric.multiply(g, w)) for w in window)
         assert got == base
 
 
@@ -118,22 +110,22 @@ def test_growth_dominance(sched):
     assert float(rows[-1].ratio) / float(rows[0].ratio) >= len(rows) / 2
 
 
+def _lattice_horofunction(m):
+    return horofunction_from_ray(m.first, ["X"])
+
+
 def test_sandwich_lattice_exact(lattice):
     m, lsched = lattice
-    oz1, oz2 = m.first, m.second
     win = ProductSpace(m, 5)
-    pts = [win.element(i) for i in range(len(win))]
-    hz = ProductHorofunction(
-        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 6)]),
-        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 6)]),
-        Fraction(1),
-    )
+    h = _lattice_horofunction(m)
+    hz = ProductHorofunction(h, h, Fraction(1))
     centers = []
     for n in range(20, 27):
         N = (lsched.r[n] + 2) // 2 + 1
         centers.append((n, ((-N,), (-N,))))
-    rep = sandwich_check(m, lsched, hz, centers, pts)
+    rep = sandwich_check(win, lsched, h, h, centers)
     assert rep.first_sandwiched_n == 20
+    pts = [win.element(i) for i in range(len(win))]
     for r in rep.rows:
         assert r.lower_ok and r.upper_ok
         assert not r.vacuous
@@ -143,35 +135,98 @@ def test_sandwich_lattice_exact(lattice):
 
 def test_sandwich_vacuous_flag(lattice):
     m, lsched = lattice
-    oz1, oz2 = m.first, m.second
-    win = ProductSpace(m, 3)
-    pts = [win.element(i) for i in range(len(win))]
-    hz = ProductHorofunction(
-        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 4)]),
-        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 4)]),
-        Fraction(1),
-    )
-    centers = [(4, ((-20,), (-20,)))]
-    rep = sandwich_check(m, lsched, hz, centers, pts)
+    h = _lattice_horofunction(m)
+    rep = sandwich_check(ProductSpace(m, 3), lsched, h, h, [(4, ((-20,), (-20,)))])
     assert rep.rows[0].vacuous
     assert rep.first_sandwiched_n is None
 
 
 def test_sandwich_center_distance_guard(lattice):
     m, lsched = lattice
-    oz1, oz2 = m.first, m.second
-    win = ProductSpace(m, 3)
-    pts = [win.element(i) for i in range(len(win))]
-    hz = ProductHorofunction(
-        horofunction_from_ray(oz1, ["X"], [el for el, _ in ball(oz1, 4)]),
-        horofunction_from_ray(oz2, ["X"], [el for el, _ in ball(oz2, 4)]),
-        Fraction(1),
-    )
+    h = _lattice_horofunction(m)
     with pytest.raises(InputError):
-        sandwich_check(m, lsched, hz, [(6, ((-4,), (-4,)))], pts)
+        sandwich_check(ProductSpace(m, 3), lsched, h, h, [(6, ((-4,), (-4,)))])
 
 
 def test_sandwich_empty_window_error(lattice):
     m, lsched = lattice
+    h = _lattice_horofunction(m)
+    empty = ProductSpace(m, 5)  # every ball holds its center: empty it by hand
+    empty.pts1 = empty.pts2 = empty.rho_num = empty.pts1[:0]
     with pytest.raises(InputError):
-        sandwich_check(m, lsched, None, [], [])
+        sandwich_check(empty, lsched, h, h, [])
+
+
+def _reference_rows(space, schedule, h1, h2, centers) -> list:
+    """The sandwich rows point by point, from the definitions: `in_diamond`
+    for membership and `ProductHorofunction.value` for theta''."""
+    m = space.metric
+    hh = ProductHorofunction(h1, h2, m.c)
+    pts = [space.element(i) for i in range(len(space))]
+    values = [hh.value(y) for y in pts]
+    rows = []
+    for n, center in centers:
+        inside = [in_diamond(m, schedule, n, center, y) for y in pts]
+        if not any(inside):
+            rows.append(SandwichRow(n, schedule.r[n], 0, None, True, True, 0, 0, True))
+            continue
+        delta = max(v for v, a in zip(values, inside) if a)
+        lower = sum(1 for v, a in zip(values, inside) if v <= delta - 2 / m.c and not a)
+        upper = sum(1 for v, a in zip(values, inside) if v > delta + 1 / m.c and a)
+        rows.append(
+            SandwichRow(n, schedule.r[n], sum(inside), delta, lower == 0, upper == 0, lower, upper, False)
+        )
+    return rows
+
+
+def _lattice_case(c):
+    o = make_oracle(Z1)
+    g = growth_series(Z1, 40)
+    m = ProductMetric(o, o, c)
+    sched = linear_schedule(c, 30, growth=g, growth2=g)
+    space = ProductSpace(m, 3)
+    reach = 6 * max(1, math.ceil(c))  # 2 x the window's rho radius, in either factor
+    centers = []
+    for n in range(10, 31, 4):
+        for s1, s2 in ((-1, -1), (-1, 1), (1, -1)):
+            centers.append((n, ((s1 * (reach + n % 3),), (s2 * (reach + n % 2),))))
+    rays = (["X"], ["X"]), (["x"], ["X"]), (["x"], ["x"])
+    return space, sched, centers, [tuple(horofunction_from_ray(o, r) for r in pair) for pair in rays]
+
+
+def _free_case():
+    o1, o2 = make_oracle(F2), make_oracle(F2)
+    g = growth_series(F2, 14)
+    sched = build_schedule(g, g, 1, 12)
+    space = ProductSpace(ProductMetric(o1, o2, 1), 2)
+    centers = []
+    for n in range(5, 13):
+        M = 4 + n % 2
+        centers.append((n, (o1.canon(["A"] * M), o2.canon(["A"] * 4))))
+        centers.append((n, (o1.canon(["A"] * 4), o2.canon(["b"] * M))))
+    rays = (["A"], ["A"]), (["a"], ["A"]), (["a"], ["B"])
+    horos = [(horofunction_from_ray(o1, r1), horofunction_from_ray(o2, r2)) for r1, r2 in rays]
+    return space, sched, centers, horos
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _lattice_case(Fraction(1)),
+        lambda: _lattice_case(Fraction(1, 2)),
+        lambda: _lattice_case(Fraction(2)),
+        _free_case,
+    ],
+    ids=["zxz-c1", "zxz-c1/2", "zxz-c2", "f2xf2-c1"],
+)
+def test_sandwich_rows_match_the_pointwise_definition(case):
+    space, sched, centers, horos = case()
+    lower = 0
+    for h1, h2 in horos:
+        rep = sandwich_check(space, sched, h1, h2, centers)
+        assert rep.rows == _reference_rows(space, sched, h1, h2, centers)
+        lower += sum(r.lower_violations for r in rep.rows)
+        assert any(not r.vacuous for r in rep.rows)
+    # The reversed rays put points of low theta'' outside the diamonds.  The
+    # upper count stays 0: delta is the maximum of theta'' over the members.
+    assert lower > 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from horolab.errors import InputError, WindowExhaustedError
+from horolab.errors import InputError, InvariantViolation
 from horolab.groups import GroupSpec, ball, make_oracle
 from horolab.horoboundary import (
     GeodesicRay,
@@ -37,70 +37,68 @@ def test_spell_gives_geodesic_words(o):
 
 
 def test_ray_values_f2(o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
+    h = horofunction_from_ray(o, ["a"])
     assert h.value(o.canon(["a"])) == -1
     assert h.value(o.canon(["b"])) == 1
     assert h.value(o.identity) == 0
     h.check_normalized()
-    h.check_lipschitz(exhaustive=True)
+    h.check_lipschitz(win3, exhaustive=True)
 
 
 def test_ray_values_stable_under_longer_prefix(o, win3):
-    h1 = horofunction_from_ray(o, ["a"], win3)
-    h2 = horofunction_from_ray(o, ["a"] * 7, win3)
+    h1 = horofunction_from_ray(o, ["a"])
+    h2 = horofunction_from_ray(o, ["a"] * 7)
     for el in win3:
         assert h1.value(el) == h2.value(el)
 
 
-def test_non_geodesic_ray_rejected(o, win3):
+def test_non_geodesic_ray_rejected(o):
     with pytest.raises(InputError):
-        horofunction_from_ray(o, ["a", "A"], win3)
+        horofunction_from_ray(o, ["a", "A"])
 
 
-def test_descend_examples(o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
+def test_descend_examples(o):
+    h = horofunction_from_ray(o, ["a"])
     assert h.descend(o.identity) == o.canon(["a"])
     assert h.descend(o.canon(["b"])) == o.identity
     oz = make_oracle(Z1)
-    hz = horofunction_from_ray(oz, ["x"], [el for el, _ in ball(oz, 7)])
+    hz = horofunction_from_ray(oz, ["x"])
     assert hz.descend((5,)) == (6,)
 
 
-def test_descend_window_exhausted(o, win3):
-    h = horofunction_from_ray(o, ["a"], win3)
-    deep = o.canon(["a", "a", "a"])
-    with pytest.raises(WindowExhaustedError):
-        h.descend(deep)
+def test_descend_with_no_descending_neighbor_is_an_invariant_violation(o):
+    h = horofunction_from_ray(o, ["a"])
+    h.value = lambda x: 0  # constant: not a horofunction
+    with pytest.raises(InvariantViolation):
+        h.descend(o.identity)
 
 
 def test_descent_path_decrements(o):
-    win = [el for el, _ in ball(o, 4)]
-    h = horofunction_from_ray(o, ["a"], win)
+    h = horofunction_from_ray(o, ["a"])
     path = [o.canon(["b", "a"])]
-    with pytest.raises(WindowExhaustedError):
-        for _ in range(len(win)):
-            path.append(h.descend(path[-1]))
+    for _ in range(6):
+        path.append(h.descend(path[-1]))
     vals = [h.value(p) for p in path]
     assert vals == list(range(vals[0], vals[0] - len(vals), -1))
-    assert len(path) > 2 and all(p in h.window for p in path)
+    # Off the ray, descent first walks back to it, then along it.
+    assert path[:4] == [o.canon(w) for w in (["b", "a"], ["b"], [], ["a"])]
 
 
-def test_product_horofunction(o, win3):
+def test_product_horofunction(o):
     o2 = make_oracle(F2)
-    h1 = horofunction_from_ray(o, ["a"], win3)
-    h2 = horofunction_from_ray(o2, ["b"], [el for el, _ in ball(o2, 3)])
+    h1 = horofunction_from_ray(o, ["a"])
+    h2 = horofunction_from_ray(o2, ["b"])
     hh = ProductHorofunction(h1, h2, Fraction(2))
     assert hh.value((o.identity, o2.identity)) == 0
     y = (o.canon(["a"]), o2.canon(["B"]))
     assert hh.value(y) == -1 + Fraction(1, 2)
-    with pytest.raises(InputError):
-        hh.value((o.canon(["a"] * 9), o2.identity))
+    assert hh.value((o.canon(["a"] * 9), o2.identity)) == -9
 
 
 def test_product_is_rho_lipschitz(o, win3):
     o2 = make_oracle(F2)
-    h1 = horofunction_from_ray(o, ["a"], win3)
-    h2 = horofunction_from_ray(o2, ["a"], win3)
+    h1 = horofunction_from_ray(o, ["a"])
+    h2 = horofunction_from_ray(o2, ["a"])
     hh = ProductHorofunction(h1, h2, Fraction(1))
     pts = [(x, y) for x in win3[:9] for y in win3[:9]]
     for i, p in enumerate(pts[:40]):
@@ -149,19 +147,13 @@ def test_lazy_horofunction_descends_anywhere():
 
 
 @pytest.mark.parametrize("spec, labels", [(F2, ["a"]), (Z2, ["x"])])
-def test_windowless_matches_windowed(spec, labels):
+def test_values_do_not_depend_on_the_probe_radius(spec, labels):
     o = make_oracle(spec)
-    win = [el for el, _ in ball(o, 3)]
-    windowed = horofunction_from_ray(o, labels, win)
-    windowless = Horofunction(o, windowed.ray)
-    interior = {el for el, d in ball(o, 2)}
-    for el in win:
-        assert windowless.value(el) == windowed.value(el)
-        assert windowless.contains(el) and windowed.contains(el)
-        if el in interior:
-            assert windowless.descend(el) == windowed.descend(el)
-    assert not windowed.contains(o.canon(labels * 4))
-    assert windowless.contains(o.canon(labels * 4))
+    near = horofunction_from_ray(o, labels)
+    far = Horofunction(o, near.ray, probe_radius=200)
+    for el, _ in ball(o, 3):
+        assert near.value(el) == far.value(el)
+        assert near.descend(el) == far.descend(el)
 
 
 @pytest.mark.parametrize(
