@@ -3,9 +3,11 @@
 Subcommands: growth, schedule, diamond, process, graphing, touching,
 prop13, all.  Each run writes CSV/JSON artifacts plus a long-format
 plot.csv (series, x, y, y_err) into the output directory, and a manifest
-echoing the fully resolved configuration.  Timestamps live only in the
-manifest, and elapsed seconds only there and in acceptance.txt; every
-other artifact is byte-identical across reruns with the same master seed.
+echoing the fully resolved configuration, with the wall seconds and peak
+RSS of each runner (and of the acceptance suite) under `metrics`.
+Timestamps live only in the manifest, and elapsed seconds only there and
+in acceptance.txt; every other artifact is byte-identical across reruns
+with the same master seed.
 
 `main` builds one `Run` from the validated config and hands it to the
 runner.  The run resolves the group specs, the growth series, the
@@ -27,6 +29,7 @@ cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -34,6 +37,7 @@ import datetime
 import functools
 import json
 import math
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -255,6 +259,11 @@ SWEEP_INPUTS = {
 }
 
 
+def _peak_rss_mb(who) -> float:
+    """Peak resident set size in MB; `ru_maxrss` is in KiB, bytes on macOS."""
+    return resource.getrusage(who).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 class Run:
     """One invocation of the pipeline, built from a validated config.
 
@@ -268,6 +277,19 @@ class Run:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         self._growth = {}
+        self.metrics = {}
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Time the `name` stage into `metrics`: its wall seconds, and the
+        peak RSS so far of this process and of its waited-for children."""
+        t0 = time.perf_counter()
+        yield
+        self.metrics[name] = {
+            "wall_s": time.perf_counter() - t0,
+            "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+            "children_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+        }
 
     @functools.cached_property
     def specs(self) -> tuple:
@@ -471,12 +493,18 @@ def run_diamond(run: Run, out: Path) -> dict:
 
 
 def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
+    """Each scenario's summary.  `checked_rows` counts the rows whose
+    diamond meets the window; a scenario with none is `vacuous`, however
+    few violations it reports."""
     results = {}
     for name, rep in run.sandwich.items():
         _sandwich_to_csv(rep, out / f"sandwich_{name}.csv")
+        checked = sum(1 for r in rep.rows if not r.vacuous)
         results[name] = {
             "first_sandwiched_n": rep.first_sandwiched_n,
             "violations": sum(r.lower_violations + r.upper_violations for r in rep.rows),
+            "checked_rows": checked,
+            "vacuous": checked == 0,
         }
     return results
 
@@ -713,15 +741,17 @@ def run_all(run: Run, out: Path) -> dict:
     for name, runner in RUNNERS.items():
         subdir = out / name
         subdir.mkdir(parents=True, exist_ok=True)
-        summary[name] = runner(run, subdir)
+        with run.stage(name):
+            summary[name] = runner(run, subdir)
     if cfg["acceptance_checks"]:
         lines = []
-        results = acceptance.run_all(
-            master_seed=cfg["master_seed"],
-            threads=cfg["threads"],
-            echo=lambda s: (lines.append(s), print(s)),
-            offered=run,
-        )
+        with run.stage("acceptance"):
+            results = acceptance.run_all(
+                master_seed=cfg["master_seed"],
+                threads=cfg["threads"],
+                echo=lambda s: (lines.append(s), print(s)),
+                offered=run,
+            )
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
         summary["acceptance_passed"] = all(r.passed for r in results)
         if not summary["acceptance_passed"]:
@@ -758,14 +788,18 @@ def main(argv=None, config_overrides=None) -> int:
         if args.command == "all":
             summary = run_all(run, out)
         else:
-            summary = RUNNERS[args.command](run, out)
+            with run.stage(args.command):
+                summary = RUNNERS[args.command](run, out)
         manifest = {
             "command": args.command,
             "version": __version__,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "config": cfg,
+            "metrics": run.metrics,
         }
-        write_json(out / "manifest.json", manifest)
+        # Not through `write_json`: the manifest is no data artifact, and its
+        # metrics differ from run to run.
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         print(f"horolab {args.command}: artifacts written to {out}")
         return 0
     except InputError as exc:

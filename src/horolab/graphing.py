@@ -6,14 +6,18 @@ build the horizontal descent forest, add an invariant pair percolation,
 break overlaps to a transversal, collapse to the induced graphings, and
 estimate Palm degrees and the cost bound on the margin-trimmed interior.
 
-The per-seed stages read one vertex table, `MarkedWindow`: vertex vi is
-the copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
+The per-seed stages read one vertex table, `MarkedWindow`, gathered from
+the covering map's member ranges of the kept diamonds: vertex vi is the
+copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
 point and its `vertex_of` lookup are the only maps between points and
 vertices.  Every edge set, from the open Pi2 pairs to the seed-0 dumps, is
 an (m, 2) int64 array, and `_component_roots` (the least vertex of each
 component) is the one labeller, for Pi3, the Pi5 connectivity check and
 the coset-line baseline.  phi is a breadth-first search one layer at a
 time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of it.
+Pi1 takes its descent targets from one `GraphingContext.tau` call per
+seed over the distinct (center, y) pairs, in closed form on index arrays
+when the first factor is free.
 
 `PercolationKernel` owns the pair law and draws the one percolation: the
 Pi2 stage opens it among a seed's base points, and the coset-line baseline
@@ -28,6 +32,7 @@ raw in/out imbalance is reported separately as the boundary deficit.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,13 +42,7 @@ import numpy as np
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, FreeOracle, GrowthSeries
-from .horoboundary import (
-    GeodesicRay,
-    Horofunction,
-    ProductHorofunction,
-    free_ray_step,
-    spell,
-)
+from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
 from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, point_digests, sample_diamond_process
 from .randomness import (
@@ -298,7 +297,8 @@ class GraphingContext:
             window_radius,
             cap,
         )
-        self._free_first = isinstance(metric.first, FreeOracle)
+        free = isinstance(metric.first, FreeOracle)
+        self._free_steps = FreeRaySteps(self.pctx.space.ball1) if free else None
         self._tau_cache = {}
         self._ray_cache = {}
 
@@ -310,37 +310,40 @@ class GraphingContext:
         space = self.pctx.space
         return space.ball1.dist[space.pts1[pids]] > self.interior_radius
 
-    def tau(self, center_fi: int, y_fi: int):
-        """First-coordinate descent target toward the center's direction:
-        the neighbour of y one step down the horofunction of the ray
-        `GeodesicRay.through(center)`, as a first-ball index (-1 outside).
+    def tau(self, center_fi, y_fi) -> np.ndarray:
+        """First-coordinate descent targets toward the centers' directions:
+        for each pair i, the neighbour of y_fi[i] one step down the
+        horofunction of the ray `GeodesicRay.through(center)`, center being
+        center_fi[i], as a first-ball index (-1 outside the ball).
 
-        On a free first factor this is the closed-form `free_ray_step`;
-        other factors descend a memoised `Horofunction` per center, taking
-        among the descending neighbours the one nearest the center, then
-        the ElementOrder-least: on a lattice two neighbours can descend, and
-        the farther one can leave the diamond.  Every target is memoised
-        per (center, y)."""
-        key = (center_fi, y_fi)
-        hit = self._tau_cache.get(key)
-        if hit is not None:
-            return hit
-        ball1 = self.pctx.space.ball1
-        if self._free_first:
-            target = free_ray_step(ball1.elements[center_fi], ball1.elements[y_fi])
-        else:
-            h = self._ray_cache.get(center_fi)
-            if h is None:
-                ray = GeodesicRay.through(self.metric.first, ball1.elements[center_fi])
-                h = Horofunction(self.metric.first, ray, probe_radius=ball1.radius + 2)
-                self._ray_cache[center_fi] = h
-            first, c1 = self.metric.first, ball1.elements[center_fi]
-            target = h.descend(
-                ball1.elements[y_fi], key=lambda nb: (first.distance(nb, c1), first.sort_key(nb))
-            )
-        tfi = ball1.index.get(target, -1)
-        self._tau_cache[key] = tfi
-        return tfi
+        On a free first factor this is the closed form of `FreeRaySteps`
+        over the whole arrays.  Other factors descend a memoised
+        `Horofunction` per center, taking among the descending neighbours
+        the one nearest the center, then the ElementOrder-least: on a
+        lattice two neighbours can descend, and the farther one can leave
+        the diamond.  Their targets are memoised per (center, y)."""
+        if self._free_steps is not None:
+            return self._free_steps(center_fi, y_fi)
+        out = np.empty(len(center_fi), dtype=np.int64)
+        for i, key in enumerate(zip(center_fi.tolist(), y_fi.tolist())):
+            hit = self._tau_cache.get(key)
+            if hit is None:
+                hit = self._tau_cache[key] = self._descend(*key)
+            out[i] = hit
+        return out
+
+    def _descend(self, center_fi: int, y_fi: int) -> int:
+        ball1, first = self.pctx.space.ball1, self.metric.first
+        h = self._ray_cache.get(center_fi)
+        if h is None:
+            ray = GeodesicRay.through(first, ball1.elements[center_fi])
+            h = Horofunction(first, ray, probe_radius=ball1.radius + 2)
+            self._ray_cache[center_fi] = h
+        c1 = ball1.elements[center_fi]
+        target = h.descend(
+            ball1.elements[y_fi], key=lambda nb: (first.distance(nb, c1), first.sort_key(nb))
+        )
+        return ball1.index.get(target, -1)
 
 
 @dataclass
@@ -348,9 +351,10 @@ class MarkedWindow:
     """Per-seed vertex table of S' (marked points of the kept diamonds).
 
     Vertex vi is the copy of point v_pid[vi] in kept diamond v_k[vi].
-    Vertices are listed diamond by diamond, each diamond's members in its
-    own order.  That order is output: phi and psi break ties by vertex
-    index, and edges_seed0.csv lists rows in vertex order.
+    Vertices are listed diamond by diamond, each diamond's members in
+    covering-map order (rising point id).  That order is output: phi and
+    psi break ties by vertex index, and edges_seed0.csv lists rows in
+    vertex order.
 
     `copies` lists the vertex ids stably sorted by point, so the copies of
     bases[i] (the covered points, sorted) are copies[starts[i]:starts[i+1]],
@@ -358,7 +362,6 @@ class MarkedWindow:
     """
 
     ctx: GraphingContext
-    diamonds: list  # kept PointedDiamond records
     centers: np.ndarray  # center point id of each kept diamond
     excluded_diamonds: int
     v_pid: np.ndarray
@@ -384,22 +387,21 @@ class MarkedWindow:
 
 
 def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
+    """The vertex table of the kept diamonds: their member ranges of the
+    covering map, gathered in sampling order."""
     keep = ctx.keeps_center(process.center_pids)
-    kept = [d for d, k in zip(process.diamonds, keep.tolist()) if k]
-    members = [np.zeros(0, dtype=np.int64)] + [d.member_ids for d in kept]
-    v_pid = np.concatenate(members)
-    v_k = np.repeat(np.arange(len(kept), dtype=np.int32), [len(m) for m in members[1:]])
+    v_pid, sizes = ctx.pctx.covering.gather(process.chosen[keep])
+    v_k = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     copies = np.argsort(v_pid, kind="stable")
     bases, starts = np.unique(v_pid[copies], return_index=True)
     return MarkedWindow(
         ctx=ctx,
-        diamonds=kept,
         centers=process.center_pids[keep],
-        excluded_diamonds=len(process.diamonds) - len(kept),
+        excluded_diamonds=len(keep) - len(sizes),
         v_pid=v_pid,
         v_k=v_k,
         v_interior=ctx.interior_mask[v_pid],
-        marks=np.asarray([d.mark for d in kept], dtype=np.float64),
+        marks=process.marks[keep],
         bases=bases,
         copies=copies,
         starts=np.append(starts, len(v_pid)),
@@ -415,20 +417,24 @@ class Pi1Forest:
     interior_violations: int
     parallel_violations: int
 
+    @functools.cached_property
+    def edge_keys(self) -> np.ndarray:
+        """The out-edges as sorted distinct keys (min << 32) | max, built
+        once per seed for every epsilon's Pi3."""
+        src = np.flatnonzero(self.target >= 0)
+        tgt = self.target[src]
+        return np.unique((np.minimum(src, tgt) << 32) | np.maximum(src, tgt))
+
 
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
     space = ctx.pctx.space
     y_fi = space.pts1[mw.v_pid]
-    # One tau call per distinct (center, y) first-index pair.
+    # One tau call per seed, over the distinct (center, y) first-index pairs.
     pairs, inverse = np.unique(
         (space.pts1[mw.centers][mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True
     )
-    tfi = np.fromiter(
-        (ctx.tau(c, y) for c, y in zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist())),
-        dtype=np.int64,
-        count=len(pairs),
-    )[inverse]
+    tfi = ctx.tau(pairs >> 32, pairs & 0xFFFFFFFF)[inverse]
     # A target outside the first factor ball is -1, which packs to a
     # negative key and so misses like any point outside the universe.
     tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid])
@@ -439,15 +445,14 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     # (second coordinate unchanged, one target first coordinate per group).
     src = np.flatnonzero(~stalled)
     tgt_pid, src_pid = mw.v_pid[target[src]], mw.v_pid[src]
-    group = (mw.v_k[src].astype(np.int64) << 32) | y_fi[src]
-    moves = np.unique(np.stack([group, space.pts1[tgt_pid]], axis=1), axis=0)
-    _, targets_per_group = np.unique(moves[:, 0], return_counts=True)
+    _, group = np.unique((mw.v_k[src].astype(np.int64) << 32) | y_fi[src], return_inverse=True)
+    moves = np.unique((group << 32) | space.pts1[tgt_pid])
     return Pi1Forest(
         target=target,
         stalled=int(stalled.sum()),
         interior_violations=int((stalled & mw.v_interior).sum()),
         parallel_violations=int((space.pts2[tgt_pid] != space.pts2[src_pid]).sum())
-        + int((targets_per_group > 1).sum()),
+        + int((np.bincount(moves >> 32) > 1).sum()),
     )
 
 
@@ -498,10 +503,18 @@ def pi1_edges(pi1: Pi1Forest) -> np.ndarray:
 
 def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> np.ndarray:
     """Undirected edges of Pi3 = Pi1 union lifted Pi2, an (m, 2) array of
-    rows (a, b), a < b, sorted and without duplicates."""
-    forest = np.sort(pi1_edges(pi1), axis=1)
+    rows (a, b), a < b, sorted and without duplicates.  The few lifted keys
+    are merged into the forest's sorted keys."""
+    forest = pi1.edge_keys
     lifted = lift_open_pairs(mw, open_pairs)
-    keys = np.union1d((forest[:, 0] << 32) | forest[:, 1], (lifted[:, 0] << 32) | lifted[:, 1])
+    lifted = np.unique((lifted[:, 0] << 32) | lifted[:, 1])
+    at = np.searchsorted(forest, lifted)
+    new = np.append(forest, -1)[at] != lifted
+    return _unpack(np.insert(forest, at[new], lifted[new]))
+
+
+def _unpack(keys) -> np.ndarray:
+    """Rows (a, b) of the keys (a << 32) | b, with 0 <= b < 2^32."""
     return np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1)
 
 
@@ -552,8 +565,9 @@ def assign_phi(n: int, edges, sources, w1) -> tuple:
 def _distinct_pairs(pairs) -> np.ndarray:
     """Rows (min, max) of the (m, 2) array `pairs` whose ends differ,
     sorted and without duplicates."""
-    pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    differ = lo != hi
+    return _unpack(np.unique((lo[differ] << 32) | hi[differ]))
 
 
 def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
@@ -652,7 +666,7 @@ def run_seed(
     process = sample_diamond_process(ctx.pctx, seed_key)
     mw = build_marked_window(ctx, process)
     st = SeedStats(seed_index=seed_index)
-    st.n_diamonds = len(process.diamonds)
+    st.n_diamonds = len(process.center_pids)
     st.excluded_diamonds = mw.excluded_diamonds
     st.n_vertices = mw.n_vertices
     if mw.n_vertices == 0:

@@ -5,12 +5,16 @@ geodesic rays; a horofunction's values are the limits d(x, ray_N) - N,
 exact on tree-like and lattice factors and verified by probing two ray
 lengths.  A horofunction is defined on the whole group; values are
 computed lazily and memoised, so only the points asked about are ever
-evaluated.
+evaluated.  In a free group the descent toward the ray through a center
+has a closed form, which `FreeRaySteps` evaluates on arrays of
+factor-ball indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ApproximationError, InputError, InvariantViolation
 from .groups import Oracle
@@ -110,24 +114,65 @@ class GeodesicRay:
         raise InputError("no geodesic ray continuation exists for this element")
 
 
-def free_ray_step(center: tuple, y: tuple) -> tuple:
-    """Descent step of the horofunction of `GeodesicRay.through(center)` in
-    a free group, in closed form.
+class FreeRaySteps:
+    """Descent steps of the horofunctions of the rays
+    `GeodesicRay.through(c)` in a free group, in closed form over the
+    elements of one factor ball, as arrays of ball indices.
 
-    That ray spells `center` and then repeats its last letter (the first
-    generator when center = e).  In the tree the horofunction falls by one
-    only toward the ray's end, so y's descending neighbour is unique: y
-    followed by the ray's next letter when y is a prefix of the ray, and
-    y without its last letter otherwise.
+    That ray spells c and then repeats its last letter (the first
+    generator when c = e).  In the tree the horofunction falls by one only
+    toward the ray's end, so y's descending neighbour is unique: y followed
+    by the ray's next letter when y lies on the ray, and y's parent (y
+    without its last letter) otherwise.
+
+    The tables are built once per ball, whose elements are listed by
+    length (`FactorBall`).  For the element of index i: `prefix[k, i]` is
+    the index of its length-min(k, |i|) prefix (the prefix ids per level),
+    `last[i]` its last letter (0 for e), `run[i]` the length of its
+    trailing run of that letter, and `child[i, x + rank]` the index of i
+    followed by the letter x, -1 outside the ball.
     """
-    last = center[-1] if center else 1
-    n = len(center)
-    if len(y) < n:
-        on_ray, step = center[: len(y)] == y, center[len(y)]
-    else:
-        on_ray = y[:n] == center and all(x == last for x in y[n:])
-        step = last
-    return y + (step,) if on_ray else y[:-1]
+
+    def __init__(self, ball):
+        els, rank = ball.elements, ball.oracle.spec.rank
+        size, radius = len(els), ball.radius
+        self.rank = rank
+        self.length = ball.dist.astype(np.int64)
+        self.parent = np.fromiter(
+            (ball.index[el[:-1]] if el else 0 for el in els), dtype=np.int64, count=size
+        )
+        self.last = np.fromiter((el[-1] if el else 0 for el in els), dtype=np.int64, count=size)
+        self.run = np.zeros(size, dtype=np.int64)
+        self.prefix = np.zeros((radius + 1, size), dtype=np.int32)
+        # Level by level: a word's parent is one level shorter, so it is done.
+        for m in range(1, radius + 1):
+            lo, hi = ball.volume(m - 1), ball.volume(m)
+            up = self.parent[lo:hi]
+            same = self.last[up] == self.last[lo:hi]
+            self.run[lo:hi] = np.where(same, self.run[up] + 1, 1)
+            self.prefix[:m, lo:hi] = self.prefix[:m, up]
+            self.prefix[m:, lo:hi] = np.arange(lo, hi)
+        self.child = np.full((size, 2 * rank + 1), -1, dtype=np.int64)
+        self.child[self.parent[1:], self.last[1:] + rank] = np.arange(1, size)
+
+    def __call__(self, center, y) -> np.ndarray:
+        """Ball index of the descent step of each y[i] toward the end of
+        the ray through center[i], -1 where it leaves the ball."""
+        n, m = self.length[center], self.length[y]
+        last_c = np.where(n > 0, self.last[center], 1)
+        short = m < n
+        # y shorter than c: on the ray when it is c's prefix, and the ray's
+        # next letter is c's letter m + 1.  Otherwise y must extend c by a
+        # run of c's last letter.
+        next_in_c = self.last[self.prefix[np.minimum(m + 1, len(self.prefix) - 1), center]]
+        on_ray = np.where(
+            short,
+            self.prefix[m, center] == y,
+            (self.prefix[n, y] == center)
+            & ((m == n) | ((self.last[y] == last_c) & (self.run[y] >= m - n))),
+        )
+        step = np.where(short, next_in_c, last_c)
+        return np.where(on_ray, self.child[y, step + self.rank], self.parent[y])
 
 
 class Horofunction:

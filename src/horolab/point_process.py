@@ -7,9 +7,12 @@ the window radius plus the diamond's exact rho-reach from its center (its
 slice at first distance r_n - t reaches f(t) in the second factor), so it
 holds every center whose diamond meets W.  A center that covers no point
 of W is never observed, so the window restriction is exact.  Marks are
-replicated from the center over all member points.  Incidence counts,
-corner-event probabilities and hit probabilities are the desk-scale
-stand-ins for the tightness and limit criteria of the construction.
+replicated from the center over all member points.  The covering map is
+kept as CSR arrays (`CoveringMap`), and a sampled process is arrays over
+its rows: the pipeline gathers member ranges and never builds a diamond
+object.  Incidence counts, corner-event probabilities and hit
+probabilities are the desk-scale stand-ins for the tightness and limit
+criteria of the construction.
 """
 
 from __future__ import annotations
@@ -55,12 +58,39 @@ def point_digests(space: ProductSpace) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True)
+class CoveringMap:
+    """The covering map in CSR form: the covering centers' point ids, in
+    rising order, and the sorted member window ids of `centers[i]` in
+    `members[starts[i]:starts[i + 1]]`."""
+
+    centers: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.centers)
+
+    def members_of(self, row: int) -> np.ndarray:
+        return self.members[self.starts[row] : self.starts[row + 1]]
+
+    def gather(self, rows) -> tuple:
+        """(members, counts): the member ranges of the centers at `rows`,
+        concatenated in that order, and the length of each."""
+        lo = self.starts[rows]
+        counts = self.starts[rows + 1] - lo
+        offsets = np.cumsum(counts) - counts
+        at = np.repeat(lo - offsets, counts) + np.arange(int(counts.sum()))
+        return self.members[at], counts
+
+
 class ProcessContext:
     """Precomputed window geometry shared by every seed of a sweep.
 
     `space` is W+, the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c):
     the window radius plus the largest rho_c distance from a diamond's
-    center to one of its members.  `centers` lists the covering centers.
+    center to one of its members.  `covering` is the covering map of the
+    covering centers, as CSR arrays, and `center_digests` their digests.
     """
 
     def __init__(
@@ -92,7 +122,7 @@ class ProcessContext:
                 "diamond slice-sum volume disagrees with offset enumeration"
             )
         self.covering = self._covering_map()
-        self.centers = np.fromiter(self.covering, dtype=np.int64, count=len(self.covering))
+        self.center_digests = self.point_digests[self.covering.centers]
 
     def _diamond_offsets(self):
         """Member offsets (u, w) of a diamond centered at the origin.
@@ -109,9 +139,10 @@ class ProcessContext:
             off2.append(np.tile(np.arange(cnt2, dtype=np.int64), hi - lo))
         return np.concatenate(off1), np.concatenate(off2)
 
-    def _covering_map(self):
-        """Center pid -> sorted member window ids, for every center whose
-        diamond meets the window (in increasing pid order)."""
+    def _covering_map(self) -> CoveringMap:
+        """Every center whose diamond meets the window, with its members
+        in the window: one (center, member) pair per window point and
+        diamond offset, stably sorted by center."""
         space, wid = self.space, self.window_ids
         off1, off2 = self.offsets
         w1, w2 = space.pts1[wid], space.pts2[wid]
@@ -125,12 +156,13 @@ class ProcessContext:
                 "center window W+ does not contain a covering center"
             )
         order = np.argsort(pids, kind="stable")  # members stay in wid order
-        centers, starts = np.unique(pids[order], return_index=True)
-        members = np.repeat(wid, len(off1))[order]
-        bounds = starts.tolist() + [len(members)]
-        return {
-            c: members[a:b] for c, a, b in zip(centers.tolist(), bounds, bounds[1:])
-        }
+        pids = pids[order]
+        starts = np.flatnonzero(np.diff(pids, prepend=-1, append=-1))
+        return CoveringMap(
+            centers=pids[starts[:-1]],
+            starts=starts,
+            members=np.repeat(wid, len(off1))[order],
+        )
 
 
 @dataclass
@@ -142,23 +174,40 @@ class PointedDiamond:
 
 @dataclass
 class DiamondProcess:
-    """One sampled window restriction of the diamond point process."""
+    """One sampled window restriction of the diamond point process: the
+    covering-map row, center point id and mark of each sampled diamond."""
 
     ctx: ProcessContext
     seed: int
     param: float
+    chosen: np.ndarray
     center_pids: np.ndarray
-    diamonds: list
+    marks: np.ndarray
+
+    @property
+    def diamonds(self) -> list:
+        """The sampled diamonds as PointedDiamond records, built on each
+        access; the pipeline reads the arrays."""
+        cov = self.ctx.covering
+        return [
+            PointedDiamond(pid, mark, cov.members_of(row))
+            for row, pid, mark in zip(
+                self.chosen.tolist(), self.center_pids.tolist(), self.marks.tolist()
+            )
+        ]
 
     def dump_jsonl(self, path):
+        sizes = np.diff(self.ctx.covering.starts)[self.chosen]
         with open(path, "w") as fh:
-            for d in self.diamonds:
+            for pid, mark, size in zip(
+                self.center_pids.tolist(), self.marks.tolist(), sizes.tolist()
+            ):
                 fh.write(
                     json.dumps(
                         {
-                            "center": self.ctx.space.word_str(d.center_pid),
-                            "mark": d.mark,
-                            "members_in_window": int(len(d.member_ids)),
+                            "center": self.ctx.space.word_str(pid),
+                            "mark": mark,
+                            "members_in_window": size,
                         },
                         sort_keys=True,
                     )
@@ -171,16 +220,15 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     diamonds that meet the window, drawn over the covering centers."""
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
-    digests = ctx.point_digests[ctx.centers]
+    digests = ctx.center_digests
     chosen = np.flatnonzero(rng.uniforms(digests, STREAM_CENTERS) <= param)
-    center_pids = ctx.centers[chosen]
-    marks = rng.uniforms(digests[chosen], STREAM_MARKS)
-    diamonds = [
-        PointedDiamond(pid, float(mark), ctx.covering[pid])
-        for pid, mark in zip(center_pids.tolist(), marks.tolist())
-    ]
     return DiamondProcess(
-        ctx=ctx, seed=seed, param=param, center_pids=center_pids, diamonds=diamonds
+        ctx=ctx,
+        seed=seed,
+        param=param,
+        chosen=chosen,
+        center_pids=ctx.covering.centers[chosen],
+        marks=rng.uniforms(digests[chosen], STREAM_MARKS),
     )
 
 
@@ -196,8 +244,8 @@ class IncidenceStats:
 
 def incidence_stats(process: DiamondProcess) -> IncidenceStats:
     ctx = process.ctx
-    members = [np.zeros(0, dtype=np.int64)] + [d.member_ids for d in process.diamonds]
-    counts = np.bincount(np.concatenate(members), minlength=len(ctx.space))
+    members, _ = ctx.covering.gather(process.chosen)
+    counts = np.bincount(members, minlength=len(ctx.space))
     window_counts = counts[ctx.window_ids]
     # Every window point is covered by exactly v''_n potential centers.
     exact_mean = ctx.volume * process.param

@@ -30,6 +30,27 @@ def test_subcommands_exit_zero(tmp_path, command):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["config"]["master_seed"] == 20260810
+    _check_stage_metrics(manifest["metrics"], [command])
+
+
+def _check_stage_metrics(metrics: dict, stages):
+    """The manifest's `metrics`: one entry per stage, each with its wall
+    seconds and the peak RSS of the process and of its children."""
+    assert sorted(metrics) == sorted(stages)
+    for entry in metrics.values():
+        assert set(entry) == {"wall_s", "peak_rss_mb", "children_peak_rss_mb"}
+        assert all(isinstance(v, float) and v >= 0 for v in entry.values())
+        assert entry["peak_rss_mb"] > 0
+
+
+def test_all_times_every_runner_and_the_acceptance_suite(tmp_path, monkeypatch):
+    runners = {name: (lambda run, out: {}) for name in cli.RUNNERS}
+    monkeypatch.setattr(cli, "RUNNERS", runners)
+    monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: [])
+    overrides = {**SMALL, "acceptance_checks": True}
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    _check_stage_metrics(metrics, list(runners) + ["acceptance"])
 
 
 def test_expected_artifacts(tmp_path):
@@ -289,8 +310,27 @@ def test_diamond_on_free_groups_of_ranks_3_and_2(tmp_path):
     assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
     assert cli.main(["diamond", "--out", str(tmp_path)], config_overrides=overrides) == 0
     sandwich = json.loads((tmp_path / "summary.json").read_text())["sandwich"]
-    assert sandwich["tree"] == {"first_sandwiched_n": None, "violations": 0}
+    assert sandwich["tree"] == {
+        "first_sandwiched_n": None,
+        "violations": 0,
+        "checked_rows": 0,
+        "vacuous": True,
+    }
     assert len((tmp_path / "sandwich_tree.csv").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("c, checked", [("1", 9), ("1/2", 0)])
+def test_diamond_reports_a_sandwich_without_checked_rows_as_vacuous(tmp_path, c, checked):
+    # Off the balanced slope, F2 x F2's horizon-26 schedule stops at 2
+    # breakpoints, so the tree scenario has no center n >= 16 to check.
+    assert cli.main(["diamond", "--out", str(tmp_path)], config_overrides={"c": c}) == 0
+    sandwich = json.loads((tmp_path / "summary.json").read_text())["sandwich"]
+    tree = sandwich["tree"]
+    assert tree["checked_rows"] == checked
+    assert tree["vacuous"] == (checked == 0)
+    rows = (tmp_path / "sandwich_tree.csv").read_text().splitlines()[1:]
+    assert checked == sum(1 for row in rows if row.split(",")[-1] == "False")
+    assert not sandwich["lattice"]["vacuous"] and sandwich["lattice"]["checked_rows"] > 0
 
 
 @pytest.mark.parametrize("n_range", [[], [40]], ids=["empty", "past-the-breakpoints"])
@@ -410,7 +450,8 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # Z^2 x F2 run reaches the `Horofunction` branch of `GraphingContext.tau`
 # and the linear schedule; it was re-pinned when `tau` came to take the
 # descending neighbour nearest the center, which took its cost report's
-# pi1_interior_violations from 15 to 0.
+# pi1_interior_violations from 15 to 0.  `diamond/summary.json` was
+# re-pinned when each sandwich scenario gained `checked_rows` and `vacuous`.
 # The `all` run covers every runner; its digests are keyed by relative path.
 PINNED_RUNS = {
     "all": ("all", SMALL),
@@ -435,7 +476,7 @@ PINNED_DIGESTS = {
         "diamond/plot.csv": "938e17eca5fd367c1f0c29b65bb111b8d0d10eb3fdd0b2b69d8ce35a3635c8fd",
         "diamond/sandwich_lattice.csv": "6da226d9ab5538431b52a6ec63c2f2b8aa2e4ccd4208701df99d40e9139447a4",
         "diamond/sandwich_tree.csv": "b267fe1a24d7800a16cd31d103bde48c05f9e9c19b769ce435dbd3170a693bd3",
-        "diamond/summary.json": "cd32ab6e563e779f4623174e34a0a142298f9065bd06a2e9e0b98b4b482da7d4",
+        "diamond/summary.json": "ff8501369344e5ffd0d8e8d99e4241156cf898d9342ccc6558e6b7a8de4e7a2f",
         "diamond/volumes.csv": "0df7487da9e8da2c2a6873070ba68a3e9fc9f83db9103dea26e9c499004b5150",
         "graphing/cost_report.json": "0a318d46d1ebd097992d5c18cbb504fcf3a630fe1ca0a079b535143773bd15c7",
         "graphing/edges_seed0.csv": "0fabe60b1509a8d9a8619e2afc388ee8124445163d242bf88319808c006ed25c",

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from horolab.graphing import (
     run_seed,
     surviving_index,
 )
+from horolab.diamonds import in_diamond
 from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import point_digests, sample_diamond_process
@@ -132,7 +134,8 @@ def test_pi1_edges_horizontal_and_in_diamond(f2_ctx):
             continue
         assert mw.v_k[vi] == mw.v_k[tv]  # same diamond, same mark
         assert space.pts2[mw.v_pid[vi]] == space.pts2[mw.v_pid[tv]]  # horizontal
-        assert int(mw.v_pid[tv]) in mw.diamonds[int(mw.v_k[vi])].member_ids
+        center, point = space.element(int(mw.centers[mw.v_k[vi]])), space.element(int(mw.v_pid[tv]))
+        assert in_diamond(f2_ctx.metric, f2_ctx.schedule, f2_ctx.n, center, point)
 
 
 def test_pi1_lattice_rays(z_ctx):
@@ -153,7 +156,7 @@ def test_pi1_lattice_tau_takes_the_descending_neighbour_nearest_the_center(z2f2_
     # c1 = (-2, -2), y1 = (-2, 0): (-3, 0) and (-2, -1) both descend the
     # horofunction of the ray through c1, and only (-2, -1) nears c1.
     ball1 = z2f2_ctx.pctx.space.ball1
-    tfi = z2f2_ctx.tau(ball1.index[(-2, -2)], ball1.index[(-2, 0)])
+    [tfi] = z2f2_ctx.tau(np.array([ball1.index[(-2, -2)]]), np.array([ball1.index[(-2, 0)]]))
     assert ball1.elements[tfi] == (-2, -1)
 
 
@@ -201,34 +204,48 @@ def test_pi1_counts_match_the_loop_on_a_broken_lookup(f2_ctx, monkeypatch):
 
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
-    # z_ctx and z2f2_ctx have a lattice first factor: the Horofunction branch
+    # The reference descends the memoised Horofunction of each center
+    # (`_descend`), also on the free f2_ctx, whose `tau` is the closed form;
+    # z_ctx and z2f2_ctx have a lattice first factor.
     ctx, space = perc_ctx, perc_ctx.pctx.space
     tau = graphing.GraphingContext.tau
     calls = []
 
     def counted_tau(self, center_fi, y_fi):
-        calls.append((center_fi, y_fi))
+        calls.append(list(zip(center_fi.tolist(), y_fi.tolist())))
         return tau(self, center_fi, y_fi)
 
     monkeypatch.setattr(graphing.GraphingContext, "tau", counted_tau)
+    descend = functools.lru_cache(maxsize=None)(ctx._descend)
     for s in range(3):
         mw = _seed_window(ctx, seed_digest(26, s))
         calls.clear()
         target = build_pi1(mw).target.tolist()
-        monkeypatch.setattr(ctx, "_tau_cache", {})
         vertex = {(int(pid), int(k)): vi for vi, (pid, k) in enumerate(zip(mw.v_pid, mw.v_k))}
         pairs, want = set(), []
         for vi in range(mw.n_vertices):
             pid, k = int(mw.v_pid[vi]), int(mw.v_k[vi])
-            pair = (int(space.pts1[mw.diamonds[k].center_pid]), int(space.pts1[pid]))
+            pair = (int(space.pts1[mw.centers[k]]), int(space.pts1[pid]))
             pairs.add(pair)
-            tfi = tau(ctx, *pair)
+            tfi = descend(*pair)
             el2 = space.element(pid)[1]
             tpid = _pid(space, space.ball1.elements[tfi], el2) if tfi >= 0 else -1
             want.append(vertex.get((tpid, k), -1))
         assert target == want
-        # one call per distinct (center, y) pair
-        assert sorted(calls) == sorted(pairs)
+        # one call per seed, over the distinct (center, y) pairs
+        assert len(calls) == 1 and sorted(calls[0]) == sorted(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=50))
+def test_tau_on_arrays_is_the_horofunction_descent(f2_ctx, pairs):
+    # The closed form over index arrays against the per-pair definition,
+    # at every radius of the first ball (targets past it are -1).
+    size = len(f2_ctx.pctx.space.ball1)
+    c = np.array([a % size for a, _ in pairs], dtype=np.int64)
+    y = np.array([b % size for _, b in pairs], dtype=np.int64)
+    want = [f2_ctx._descend(a, b) for a, b in zip(c.tolist(), y.tolist())]
+    assert f2_ctx.tau(c, y).tolist() == want
 
 
 def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
@@ -955,11 +972,13 @@ def test_vertex_of_inverts_the_vertex_table(f2_ctx):
     assert (mw.vertex_of(mw.v_pid, mw.v_k) == vi).all()
     assert (mw.vertex_of(np.full(mw.n_vertices, -1), mw.v_k) == -1).all()
     # a pid of the window that diamond k does not cover maps to -1
-    for k, d in enumerate(mw.diamonds[:20]):
-        outside = np.setdiff1d(mw.bases, d.member_ids)[:5]
+    cov = f2_ctx.pctx.covering
+    for k, center in enumerate(mw.centers[:20].tolist()):
+        members = cov.members_of(int(np.searchsorted(cov.centers, center)))
+        outside = np.setdiff1d(mw.bases, members)[:5]
         assert (mw.vertex_of(outside, np.full(len(outside), k)) == -1).all()
-        inside = mw.vertex_of(d.member_ids, np.full(len(d.member_ids), k))
-        assert (mw.v_pid[inside] == d.member_ids).all() and (mw.v_k[inside] == k).all()
+        inside = mw.vertex_of(members, np.full(len(members), k))
+        assert (mw.v_pid[inside] == members).all() and (mw.v_k[inside] == k).all()
 
 
 def test_largest_component_fraction():

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from horolab.errors import InputError, InvariantViolation
 from horolab.groups import GroupSpec, ball, make_oracle
 from horolab.horoboundary import (
+    FreeRaySteps,
     GeodesicRay,
     Horofunction,
     ProductHorofunction,
-    free_ray_step,
     horofunction_from_ray,
     spell,
 )
+from horolab.product import FactorBall
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -161,10 +163,20 @@ def test_values_do_not_depend_on_the_probe_radius(spec, labels):
     [(F2, 4, 5), (GroupSpec("free", rank=3), 2, 3)],
     ids=["f2", "f3"],
 )
-def test_free_ray_step_is_the_horofunction_descent(spec, center_radius, radius):
+def test_free_ray_steps_are_the_horofunction_descent(spec, center_radius, radius):
     o = make_oracle(spec)
-    points = [el for el, _ in ball(o, radius)]
-    for center, _ in ball(o, center_radius):
+    b = FactorBall(o, radius)
+    steps = FreeRaySteps(b)
+    ys = np.arange(len(b))
+    seen = {"on ray": 0, "past the center": 0, "off the ray": 0, "leaves the ball": 0}
+    for ci in range(b.volume(center_radius)):  # the identity center first
+        center = b.elements[ci]
         h = Horofunction(o, GeodesicRay.through(o, center), probe_radius=radius + 2)
-        for y in points:
-            assert free_ray_step(center, y) == h.descend(y)
+        want = [b.index.get(h.descend(y), -1) for y in b.elements]
+        assert steps(np.full(len(ys), ci), ys).tolist() == want
+        for y, target in zip(b.elements, want):
+            down = target >= 0 and len(b.elements[target]) > len(y)
+            seen["on ray" if down else "off the ray"] += target >= 0
+            seen["past the center"] += down and len(y) > len(center)
+            seen["leaves the ball"] += target < 0
+    assert min(seen.values()) > 0, seen

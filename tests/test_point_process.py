@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horolab.diamonds import in_diamond
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
     DiamondProcess,
-    PointedDiamond,
     ProcessContext,
     corner_event_probability,
     eventually_decreasing_split,
@@ -38,7 +39,7 @@ def test_determinism(ctx):
     a = sample_diamond_process(ctx, seed_digest(11, 0))
     b = sample_diamond_process(ctx, seed_digest(11, 0))
     assert (a.center_pids == b.center_pids).all()
-    assert [d.mark for d in a.diamonds] == [d.mark for d in b.diamonds]
+    assert (a.marks == b.marks).all()
     c = sample_diamond_process(ctx, seed_digest(11, 1))
     assert len(a.center_pids) != len(c.center_pids) or not (
         a.center_pids == c.center_pids
@@ -47,8 +48,9 @@ def test_determinism(ctx):
 
 def test_forced_bernoulli_one(ctx):
     # The process with every covering center drawn (Bernoulli parameter 1).
-    diamonds = [PointedDiamond(pid, 0.5, ctx.covering[pid]) for pid in ctx.centers.tolist()]
-    p = DiamondProcess(ctx, seed_digest(5, 0), 1.0, ctx.centers, diamonds)
+    cov = ctx.covering
+    rows = np.arange(len(cov))
+    p = DiamondProcess(ctx, seed_digest(5, 0), 1.0, rows, cov.centers, np.full(len(rows), 0.5))
     inc = incidence_stats(p)
     # every window point is covered by exactly v'' centers
     assert (inc.counts == ctx.volume).all()
@@ -57,21 +59,74 @@ def test_forced_bernoulli_one(ctx):
     assert inc.max_count == ctx.volume
 
 
+def _covers(cov, center_pid: int, pid: int) -> bool:
+    """Whether the CSR covering map lists `pid` as a member of the diamond
+    centered at `center_pid`."""
+    row = int(np.searchsorted(cov.centers, center_pid))
+    return (
+        row < len(cov)
+        and cov.centers[row] == center_pid
+        and pid in cov.members_of(row).tolist()
+    )
+
+
 def test_covering_map_is_exact(ctx):
-    members = np.concatenate(list(ctx.covering.values()))
-    counts = np.bincount(members, minlength=len(ctx.space))
+    cov = ctx.covering
+    assert cov.starts[0] == 0 and cov.starts[-1] == len(cov.members)
+    assert (np.diff(cov.starts) > 0).all() and (np.diff(cov.centers) > 0).all()
+    counts = np.bincount(cov.members, minlength=len(ctx.space))
     # every window point is covered by exactly v'' centers, and nothing else is
     assert (counts[ctx.window_ids] == ctx.volume).all()
     assert counts.sum() == ctx.volume * len(ctx.window_ids)
-    assert list(ctx.centers) == sorted(ctx.covering)
     # Every listed pair is a true membership, so with the counts above each
     # window point lists exactly its v'' covering centers.
     space = ctx.space
-    for pid, m in ctx.covering.items():
+    for row, pid in enumerate(cov.centers.tolist()):
+        m = cov.members_of(row)
         assert (np.diff(m) > 0).all()
         center = space.element(pid)
         for wid in m.tolist():
             assert in_diamond(ctx.metric, ctx.schedule, ctx.n, center, space.element(wid))
+
+
+def test_covering_map_is_the_in_diamond_enumeration(z2f2_ctx):
+    # Every (center of W+, window point) pair, Z^2 x F2 at c = 1/2.
+    ctx, space = z2f2_ctx, z2f2_ctx.space
+    for pid in range(len(space)):
+        center = space.element(pid)
+        for wid in ctx.window_ids.tolist():
+            want = in_diamond(ctx.metric, ctx.schedule, ctx.n, center, space.element(wid))
+            assert _covers(ctx.covering, pid, wid) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(center=st.integers(0, 10**9), point=st.integers(0, 10**9))
+def test_covering_map_agrees_with_in_diamond_on_f2xf2(ctx, center, point):
+    space = ctx.space
+    pid = center % len(space)
+    wid = int(ctx.window_ids[point % len(ctx.window_ids)])
+    want = in_diamond(ctx.metric, ctx.schedule, ctx.n, space.element(pid), space.element(wid))
+    assert _covers(ctx.covering, pid, wid) == want
+
+
+def test_the_benchmark_counters_read_what_their_names_say(ctx, z2f2_ctx):
+    # The benchmark counts covering centers as len(ctx.covering) and
+    # sampled diamonds through `DiamondProcess.diamonds`; a change of
+    # meaning would pass its smoke test and silently skew its metrics.
+    for c in (ctx, z2f2_ctx):
+        cov = c.covering
+        assert len(cov) == len(cov.centers) == len(cov.starts) - 1
+        # W+ is sized to the diamond's reach: every point of it covers W.
+        assert len(cov) == len(c.space)
+        for s in range(5):
+            proc = sample_diamond_process(c, seed_digest(3, s))
+            diamonds = proc.diamonds
+            assert len(diamonds) == len(proc.center_pids) > 0
+            for d, row, pid, mark in zip(diamonds, proc.chosen, proc.center_pids, proc.marks):
+                assert d.member_ids.tolist() == cov.members_of(row).tolist()
+                assert (d.center_pid, d.mark) == (pid, mark)
+            # every sampled diamond meets the window
+            assert sum(1 for d in diamonds if len(d.member_ids)) == len(diamonds)
 
 
 def _full_universe_draw(ctx, seed):
@@ -81,7 +136,8 @@ def _full_universe_draw(ctx, seed):
     u1 = rng.uniforms(ctx.point_digests, STREAM_CENTERS)
     drawn = np.flatnonzero(u1 <= 1.0 / ctx.volume)
     marks = rng.uniforms(ctx.point_digests[drawn], STREAM_MARKS)
-    keep = [k for k, pid in enumerate(drawn.tolist()) if pid in ctx.covering]
+    covering = set(ctx.covering.centers.tolist())
+    keep = [k for k, pid in enumerate(drawn.tolist()) if pid in covering]
     return drawn[keep], marks[keep]
 
 
@@ -107,15 +163,19 @@ def z2f2_ctx():
 def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, which):
     c = ctx if which == "f2" else z2_ctx
     # W+ is sized to the diamond's reach: every universe point covers W.
-    assert c.centers.tolist() == list(range(len(c.space)))
+    cov = c.covering
+    assert cov.centers.tolist() == list(range(len(c.space)))
     for s in range(20):
         proc = sample_diamond_process(c, seed_digest(31, s))
         pids, marks = _full_universe_draw(c, seed_digest(31, s))
         assert proc.center_pids.tolist() == pids.tolist()
-        assert [d.mark for d in proc.diamonds] == marks.tolist()
-        for d in proc.diamonds:
-            assert d.member_ids.tolist() == c.covering[d.center_pid].tolist()
-            assert len(d.member_ids)
+        assert proc.marks.tolist() == marks.tolist()
+        assert (cov.centers[proc.chosen] == proc.center_pids).all()
+        members, counts = cov.gather(proc.chosen)
+        assert members.tolist() == [
+            wid for row in proc.chosen.tolist() for wid in cov.members_of(row).tolist()
+        ]
+        assert (counts > 0).all()
 
 
 @pytest.mark.parametrize("which", ["ctx", "z2_ctx", "z2f2_ctx"])
@@ -123,7 +183,7 @@ def test_center_window_is_tight(request, which):
     # The farthest covering center sits on the boundary of W+.
     c = request.getfixturevalue(which)
     space = c.space
-    assert space.rho_num[c.centers].max() == space.metric.radius_num(space.radius)
+    assert space.rho_num[c.covering.centers].max() == space.metric.radius_num(space.radius)
 
 
 def test_empirical_center_density(ctx):
