@@ -9,6 +9,12 @@ Timestamps live only in the manifest, and elapsed seconds only there and
 in acceptance.txt; every other artifact is byte-identical across reruns
 with the same master seed.
 
+This is the only module that writes files.  The computation modules
+return values; each runner builds its rows and writes every CSV and JSON
+artifact through `write_csv` and `write_json`, which fix the format.
+Only the manifest, acceptance.txt (text) and process_seed0.jsonl (JSON
+Lines) are written otherwise.
+
 `main` builds one `Run` from the validated config and hands it to the
 runner.  The run resolves the group specs, the growth series, the
 schedule, the metric and the graphing and prop13 sweeps each once, on
@@ -44,13 +50,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, acceptance
-from .diamonds import (
-    corner_count,
-    diamond_volume,
-    dominance_table_to_csv,
-    growth_dominance,
-    corner_table_to_csv,
-)
+from .diamonds import SandwichRow, corner_count, diamond_volume, growth_dominance
 from .errors import (
     ApproximationError,
     HorolabError,
@@ -64,9 +64,8 @@ from .graphing import (
     GraphingContext,
     coset_line_baseline,
     cost_report,
-    edges_to_csv,
 )
-from .groups import GroupSpec, ball_to_csv, growth_series, make_oracle
+from .groups import GroupSpec, ball, growth_series, make_oracle
 from .point_process import (
     ProcessContext,
     corner_event_probability,
@@ -75,7 +74,7 @@ from .point_process import (
     incidence_stats,
     sample_diamond_process,
 )
-from .product import ProductMetric, as_slope, diamond_to_csv, perfect_diamond
+from .product import ProductMetric, as_slope, perfect_diamond
 from .randomness import seed_digest
 from .schedule import build_schedule, linear_schedule
 
@@ -419,7 +418,13 @@ def run_growth(run: Run, out: Path) -> dict:
             rows.append([n, v, g.spheres[n], est])
             plot.append([f"volume_{tag}", n, v, 0])
         write_csv(out / f"growth_{tag}.csv", ["n", "volume", "sphere", "rate_estimate"], rows)
-        ball_to_csv(make_oracle(spec), min(sub["ball_dump_radius"], sub["horizon"]), out / f"ball_{tag}.csv", cap=cfg["enum_cap"])
+        oracle = make_oracle(spec)
+        radius = min(sub["ball_dump_radius"], sub["horizon"])
+        write_csv(
+            out / f"ball_{tag}.csv",
+            ["canonical_word", "distance"],
+            [[oracle.word_str(el), d] for el, d in ball(oracle, radius, cfg["enum_cap"])],
+        )
         summary[tag] = {
             "spec": spec.to_dict(),
             "method": g.method,
@@ -436,8 +441,13 @@ def run_schedule(run: Run, out: Path) -> dict:
     sub = run.cfg["schedule"]
     sched = run.schedule
     sched.check_invariants()
-    sched.to_csv(out / "schedule.csv")
-    (out / "breakpoints.json").write_text(sched.breakpoints_json() + "\n")
+    rows = []
+    for t in range(len(sched.f)):
+        seg = sched.segment_of[t] if t < len(sched.segment_of) else ""
+        slope = sched.segments[seg].slope if seg != "" and seg < len(sched.segments) else ""
+        rows.append([t, sched.f[t], sched.g[t], seg, slope])
+    write_csv(out / "schedule.csv", ["n", "f_n", "g_n", "segment_index", "slope"], rows)
+    write_json(out / "breakpoints.json", sched.breakpoints())
     rep = sched.verify_almost_linear(sub["m_max"])
     write_csv(
         out / "almost_linear.csv",
@@ -467,10 +477,15 @@ def run_diamond(run: Run, out: Path) -> dict:
         plot.append(["diamond_volume", n, dv, 0])
     write_csv(out / "volumes.csv", ["n", "r_n", "r_prime_n", "volume"], vol_rows)
     dump_radius = min(2, sched.horizon)
-    diamond_to_csv(
-        metric,
-        perfect_diamond(metric, metric.origin, dump_radius, cap=run.cfg["enum_cap"]),
+    write_csv(
         out / "perfect_diamond.csv",
+        ["first_word", "second_word", "rho"],
+        [
+            [metric.first.word_str(y[0]), metric.second.word_str(y[1]), rho]
+            for y, rho in perfect_diamond(
+                metric, metric.origin, dump_radius, cap=run.cfg["enum_cap"]
+            )
+        ],
     )
     corner_rows = []
     for T in sub["T_values"]:
@@ -479,9 +494,17 @@ def run_diamond(run: Run, out: Path) -> dict:
             plot.append(
                 ["corner_ratio_T%d" % T, n, float(corner_rows[-1].ratio), 0]
             )
-    corner_table_to_csv(corner_rows, out / "corners.csv")
+    write_csv(
+        out / "corners.csv",
+        ["n", "T", "corner_count", "corner_bound", "ratio"],
+        [[r.n, r.T, r.count, r.bound, float(r.ratio)] for r in corner_rows],
+    )
     dom = growth_dominance(sched, [n for n in n_values if n >= 1])
-    dominance_table_to_csv(dom, out / "dominance.csv")
+    write_csv(
+        out / "dominance.csv",
+        ["n", "volume", "dominance_ratio", "lower_bound"],
+        [[r.n, r.volume, float(r.ratio), float(r.lower_bound)] for r in dom],
+    )
     for r in dom:
         plot.append(["dominance_ratio", r.n, float(r.ratio), 0])
     summary = {"n_values": n_values, "schedule_source": sched.source}
@@ -498,7 +521,11 @@ def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
     few violations it reports."""
     results = {}
     for name, rep in run.sandwich.items():
-        _sandwich_to_csv(rep, out / f"sandwich_{name}.csv")
+        write_csv(
+            out / f"sandwich_{name}.csv",
+            [f.name for f in dataclasses.fields(SandwichRow)],
+            [dataclasses.astuple(r) for r in rep.rows],
+        )
         checked = sum(1 for r in rep.rows if not r.vacuous)
         results[name] = {
             "first_sandwiched_n": rep.first_sandwiched_n,
@@ -507,37 +534,6 @@ def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
             "vacuous": checked == 0,
         }
     return results
-
-
-def _sandwich_to_csv(rep, path):
-    write_csv(
-        path,
-        [
-            "n",
-            "radius",
-            "members_in_window",
-            "delta",
-            "lower_ok",
-            "upper_ok",
-            "lower_violations",
-            "upper_violations",
-            "vacuous",
-        ],
-        [
-            [
-                r.n,
-                r.radius,
-                r.members_in_window,
-                "" if r.delta is None else str(r.delta),
-                r.lower_ok,
-                r.upper_ok,
-                r.lower_violations,
-                r.upper_violations,
-                r.vacuous,
-            ]
-            for r in rep.rows
-        ],
-    )
 
 
 def run_process(run: Run, out: Path) -> dict:
@@ -550,7 +546,13 @@ def run_process(run: Run, out: Path) -> dict:
     for s in range(sub["seeds"]):
         proc = sample_diamond_process(ctx, seed_digest(cfg["master_seed"], s))
         if s == 0:
-            proc.dump_jsonl(out / "process_seed0.jsonl")
+            _, sizes = ctx.covering.gather(proc.chosen)
+            columns = (proc.center_pids.tolist(), proc.marks.tolist(), sizes.tolist())
+            with open(out / "process_seed0.jsonl", "w") as fh:  # JSON Lines: a diamond a line
+                for pid, mark, size in zip(*columns):
+                    center = ctx.space.word_str(pid)
+                    line = {"center": center, "mark": mark, "members_in_window": size}
+                    fh.write(json.dumps(line, sort_keys=True) + "\n")
         inc = incidence_stats(proc)
         inc_rows.append(
             [s, len(proc.center_pids), inc.empirical_mean, inc.exact_mean, inc.max_count]
@@ -614,6 +616,15 @@ _RUNS_COLUMNS = (
     ("pi5_rhs", "pi5_rhs"),
     ("pi5_ok", "pi5_ok"),
     ("boundary_deficit", "boundary_deficit"),
+    ("stalled", "stalled"),
+    ("flagged_components", "flagged_components"),
+    ("perc_deg_interior_mean", "perc_deg_interior_mean"),
+    ("mean_deg_pi3_palm", "mean_deg_pi3_palm"),
+    ("pi5_se", "pi5_se"),
+    ("pi5_connected_ok", "pi5_connected_ok"),
+    ("n_bases", "n_bases"),
+    ("n_sprime_interior", "n_sprime_interior"),
+    ("n_s0_interior", "n_s0_interior"),
 )
 
 # baseline.csv: each column is the BaselineReport row key of its name.
@@ -642,16 +653,25 @@ def run_graphing(run: Run, out: Path) -> dict:
         [[getattr(r, attr) for _, attr in _RUNS_COLUMNS] for r in rep.runs],
     )
     seed0 = rep.seed0_stages
-    if seed0.get("marked_window") is not None:
-        labeled = [
-            ("pi1", seed0["pi1"]),
-            ("pi2", seed0["pi2_lifted"]),
-            ("pi3", seed0["pi3"]),
-            ("F", seed0["f_edges"]),
-            ("pi4", seed0["pi4"]),
-        ]
-        edges_to_csv(seed0["marked_window"], labeled, out / "edges_seed0.csv")
-        space = seed0["marked_window"].ctx.pctx.space
+    mw = seed0.get("marked_window")
+    if mw is not None:
+        space = mw.ctx.pctx.space
+
+        def vname(vi):  # a marked vertex as word|word#diamond
+            return f"{space.word_str(int(mw.v_pid[vi]))}#{int(mw.v_k[vi])}"
+
+        write_csv(
+            out / "edges_seed0.csv",
+            ["stage", "source", "target"],
+            [
+                [stage, vname(a), vname(b)]
+                for stage, key in zip(
+                    ("pi1", "pi2", "pi3", "F", "pi4"),
+                    ("pi1", "pi2_lifted", "pi3", "f_edges", "pi4"),
+                )
+                for a, b in seed0[key].tolist()
+            ],
+        )
         write_csv(
             out / "pi5_seed0.csv",
             ["stage", "source", "target"],

@@ -11,7 +11,6 @@ once, through the window's factor-index arrays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,14 +128,6 @@ def corner_count_bruteforce(
     return count
 
 
-def corner_table_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "T", "corner_count", "corner_bound", "ratio"])
-        for r in rows:
-            w.writerow([r.n, r.T, r.count, r.bound, float(r.ratio)])
-
-
 @dataclass
 class DominanceRow:
     n: int
@@ -172,14 +163,6 @@ def growth_dominance(schedule: SlopeSchedule, n_range) -> list:
             )
         rows.append(row)
     return rows
-
-
-def dominance_table_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "volume", "dominance_ratio", "lower_bound"])
-        for r in rows:
-            w.writerow([r.n, r.volume, float(r.ratio), float(r.lower_bound)])
 
 
 @dataclass

@@ -31,7 +31,6 @@ raw in/out imbalance is reported separately as the boundary deficit.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -1106,18 +1105,3 @@ def coset_line_baseline(
         monotone_violations=monotone_violations,
         truncation_mass=float(kernel.truncation_mass),
     )
-
-
-def edges_to_csv(mw: MarkedWindow, labeled_edges, path):
-    """Stage-tagged edge dump: vertices rendered as word|word#diamond."""
-    space = mw.ctx.pctx.space
-
-    def vname(vi):
-        return f"{space.word_str(int(mw.v_pid[vi]))}#{int(mw.v_k[vi])}"
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stage", "source", "target"])
-        for stage, edges in labeled_edges:
-            for a, b in edges.tolist():
-                w.writerow([stage, vname(a), vname(b)])

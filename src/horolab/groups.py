@@ -13,7 +13,6 @@ checked against each other in the test suite.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -570,14 +569,6 @@ def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
     return out
 
 
-def ball_to_csv(oracle: Oracle, radius: int, path, cap: int = DEFAULT_ENUM_CAP):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["canonical_word", "distance"])
-        for el, d in ball(oracle, radius, cap):
-            w.writerow([oracle.word_str(el), d])
-
-
 @dataclass
 class GrowthSeries:
     """Ball volumes, sphere counts and growth diagnostics to a horizon."""
@@ -654,26 +645,22 @@ def growth_series(
 ) -> GrowthSeries:
     """Growth data for `spec` up to `horizon`.
 
-    method "bfs" enumerates balls (capped); "series" uses exact power-series
-    counts; "auto" uses the series backend and cross-checks it against a
-    small BFS enumeration.
+    method "bfs" enumerates balls (capped); "auto" uses the oracle's exact
+    power-series counts and cross-checks them against a small BFS
+    enumeration.
     """
     if horizon < 1:
         raise InputError("growth horizon must be >= 1")
     oracle = make_oracle(spec)
-    if method not in ("auto", "bfs", "series"):
+    if method not in ("auto", "bfs"):
         raise InputError(f"unknown growth method {method!r}")
     if method == "bfs":
         spheres = _spheres_by_bfs(oracle, horizon, cap)
     else:
         spheres = oracle.sphere_sizes(horizon)
-        if method == "auto":
-            probe = min(horizon, SERIES_CHECK_HORIZON)
-            check = _spheres_by_bfs(oracle, probe, cap)
-            if check != spheres[: probe + 1]:
-                raise InvariantViolation(
-                    "series sphere counts disagree with BFS enumeration"
-                )
+        probe = min(horizon, SERIES_CHECK_HORIZON)
+        if _spheres_by_bfs(oracle, probe, cap) != spheres[: probe + 1]:
+            raise InvariantViolation("series sphere counts disagree with BFS enumeration")
     volumes = []
     total = 0
     for s in spheres:

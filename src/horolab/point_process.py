@@ -17,7 +17,7 @@ criteria of the construction.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,9 +184,9 @@ class DiamondProcess:
     center_pids: np.ndarray
     marks: np.ndarray
 
-    @property
+    @functools.cached_property
     def diamonds(self) -> list:
-        """The sampled diamonds as PointedDiamond records, built on each
+        """The sampled diamonds as PointedDiamond records, built on first
         access; the pipeline reads the arrays."""
         cov = self.ctx.covering
         return [
@@ -195,24 +195,6 @@ class DiamondProcess:
                 self.chosen.tolist(), self.center_pids.tolist(), self.marks.tolist()
             )
         ]
-
-    def dump_jsonl(self, path):
-        sizes = np.diff(self.ctx.covering.starts)[self.chosen]
-        with open(path, "w") as fh:
-            for pid, mark, size in zip(
-                self.center_pids.tolist(), self.marks.tolist(), sizes.tolist()
-            ):
-                fh.write(
-                    json.dumps(
-                        {
-                            "center": self.ctx.space.word_str(pid),
-                            "mark": mark,
-                            "members_in_window": size,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
 
 
 def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
@@ -358,13 +340,17 @@ def _range_digests(d1, d2, i0, i1, j0, j1) -> np.ndarray:
     return combine_digests(d1[ii], d2[jj])
 
 
-def eventually_decreasing_split(values, min_tail: int = 2) -> dict:
+# The least length of the strictly decreasing tail each parity class ends in.
+MIN_DECREASING_TAIL = 2
+
+
+def eventually_decreasing_split(values) -> dict:
     """Parity-split eventual-decrease diagnostics for a breakpoint table.
 
     The schedule's crossing rule alternates above/below balance at even and
     odd breakpoints, so corner ratios decay monotonically along each parity
     class while the interleaved sequence oscillates; each parity class must
-    end in a strictly decreasing tail of at least `min_tail` entries.
+    end in a strictly decreasing tail of at least MIN_DECREASING_TAIL entries.
     Returns the tail starts (positions within the given sequence) and the
     combined verdict.
     """
@@ -379,8 +365,8 @@ def eventually_decreasing_split(values, min_tail: int = 2) -> dict:
 
     even, odd = values[::2], values[1::2]
     es, os_ = tail_start(even), tail_start(odd)
-    even_ok = len(even) - es >= min_tail
-    odd_ok = len(odd) - os_ >= min_tail
+    even_ok = len(even) - es >= MIN_DECREASING_TAIL
+    odd_ok = len(odd) - os_ >= MIN_DECREASING_TAIL
     return {
         "even_tail_start": 2 * es,
         "odd_tail_start": 2 * os_ + 1,

@@ -16,7 +16,6 @@ generic multiply-and-length loop for the other families.
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 
@@ -103,16 +102,6 @@ def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP)
                 if len(out) > cap:
                     raise ResourceCapError("diamond enumeration", cap)
     return out
-
-
-def diamond_to_csv(metric: ProductMetric, members, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["first_word", "second_word", "rho"])
-        for (y, rho) in members:
-            w.writerow(
-                [metric.first.word_str(y[0]), metric.second.word_str(y[1]), str(rho)]
-            )
 
 
 def ball_slice_volume(

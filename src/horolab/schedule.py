@@ -10,8 +10,6 @@ All arithmetic is exact: the slope is rational and g holds Fractions.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,47 +106,31 @@ class SlopeSchedule:
             )
         return AlmostLinearReport(m_max=m_max, rows=rows)
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "f_n", "g_n", "segment_index", "slope"])
-            for t in range(len(self.f)):
-                seg = self.segment_of[t] if t < len(self.segment_of) else ""
-                slope = (
-                    str(self.segments[seg].slope)
-                    if seg != "" and seg < len(self.segments)
-                    else ""
-                )
-                w.writerow([t, self.f[t], str(self.g[t]), seg, slope])
-
-    def breakpoints_json(self) -> str:
+    def breakpoints(self) -> dict:
+        """The breakpoint radii, ratios and segments, as JSON values."""
         ratios = (
             [str(x) for x in self.breakpoint_ratios()]
             if self.growth is not None
             else []
         )
-        return json.dumps(
-            {
-                "c": str(self.c),
-                "horizon": self.horizon,
-                "truncated": self.truncated,
-                "r": self.r,
-                "r_prime": self.r_prime,
-                "ratios": ratios,
-                "segments": [
-                    {
-                        "index": s.index,
-                        "start": s.start,
-                        "end": s.end,
-                        "slope": str(s.slope),
-                        "crossing_ratio": str(s.crossing_ratio),
-                    }
-                    for s in self.segments
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return {
+            "c": str(self.c),
+            "horizon": self.horizon,
+            "truncated": self.truncated,
+            "r": self.r,
+            "r_prime": self.r_prime,
+            "ratios": ratios,
+            "segments": [
+                {
+                    "index": s.index,
+                    "start": s.start,
+                    "end": s.end,
+                    "slope": str(s.slope),
+                    "crossing_ratio": str(s.crossing_ratio),
+                }
+                for s in self.segments
+            ],
+        }
 
 
 @dataclass

@@ -121,6 +121,7 @@ def test_the_benchmark_counters_read_what_their_names_say(ctx, z2f2_ctx):
         for s in range(5):
             proc = sample_diamond_process(c, seed_digest(3, s))
             diamonds = proc.diamonds
+            assert proc.diamonds is diamonds  # built once, however often read
             assert len(diamonds) == len(proc.center_pids) > 0
             for d, row, pid, mark in zip(diamonds, proc.chosen, proc.center_pids, proc.marks):
                 assert d.member_ids.tolist() == cov.members_of(row).tolist()

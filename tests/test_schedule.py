@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from horolab import cli
 from horolab.errors import InputError, InvariantViolation
 from horolab.groups import GroupSpec, GrowthSeries, growth_series
 from horolab.schedule import build_schedule, linear_schedule, ratio_within_bounds
@@ -159,8 +161,10 @@ def test_f_of_bounds(sched_f2):
 
 
 def test_dump_roundtrip(tmp_path, sched_f2):
-    sched_f2.to_csv(tmp_path / "s.csv")
-    header = (tmp_path / "s.csv").read_text().splitlines()[0]
+    # The defaults' schedule: F2 x F2, c = 1, horizon 12, by the lemma.
+    assert cli.main(["schedule", "--out", str(tmp_path)]) == 0
+    header = (tmp_path / "schedule.csv").read_text().splitlines()[0]
     assert header == "n,f_n,g_n,segment_index,slope"
-    blob = sched_f2.breakpoints_json()
+    blob = (tmp_path / "breakpoints.json").read_text()
     assert '"r"' in blob and '"segments"' in blob
+    assert json.loads(blob) == sched_f2.breakpoints()
