@@ -4,10 +4,10 @@ Subcommands: growth, schedule, diamond, process, graphing, touching,
 prop13, all.  Each run writes CSV/JSON artifacts plus a long-format
 plot.csv (series, x, y, y_err) into the output directory, and a manifest
 echoing the fully resolved configuration, with the wall seconds and peak
-RSS of each runner (and of the acceptance suite) under `metrics`.
-Timestamps live only in the manifest, and elapsed seconds only there and
-in acceptance.txt; every other artifact is byte-identical across reruns
-with the same master seed.
+RSS of each runner (and of the acceptance suite) and the elapsed seconds
+of each acceptance criterion under `metrics`.  Timestamps and elapsed
+seconds live only in the manifest; every other artifact is
+byte-identical across reruns with the same master seed.
 
 This is the only module that writes files.  The computation modules
 return values; each runner builds its rows and writes every CSV and JSON
@@ -16,10 +16,12 @@ Only the manifest, acceptance.txt (text) and process_seed0.jsonl (JSON
 Lines) are written otherwise.
 
 `main` builds one `Run` from the validated config and hands it to the
-runner.  The run resolves the group specs, the growth series, the
-schedule, the metric and the graphing and prop13 sweeps each once, on
-first use, and keeps them for the rest of the invocation; `growth`,
-`touching` and `prop13` never build the schedule.
+runner.  The run resolves the group specs, the schedule, the metric
+and the graphing and prop13 sweeps each once, on first use, and keeps
+them for the rest of the invocation; `growth`, `touching` and `prop13`
+never build the schedule.  Growth series are recomputed where they are
+read: `groups.ball` keeps each group's enumeration for the whole
+process, so a repeated series costs no enumeration.
 
 `all` runs every subcommand and then the acceptance suite, and offers the
 suite its run.  A criterion takes a sweep from the offered run when every
@@ -268,14 +270,13 @@ class Run:
 
     Each step fixes the next: the group specs fix the growth series, the
     growth series the schedule, the schedule the metric, and these carry
-    the graphing and prop13 sweeps.  Each is resolved on first use and
-    kept for the rest of the invocation, so no runner re-derives one and
-    no sweep runs twice.
+    the graphing and prop13 sweeps.  Each of these but the growth series
+    is resolved on first use and kept for the rest of the invocation, so
+    no runner re-derives one and no sweep runs twice.
     """
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self._growth = {}
         self.metrics = {}
 
     @contextlib.contextmanager
@@ -294,17 +295,9 @@ class Run:
     def specs(self) -> tuple:
         return GroupSpec.from_dict(self.cfg["group"]), GroupSpec.from_dict(self.cfg["group2"])
 
-    def growth(self, spec: GroupSpec, horizon: int, method: str):
-        """The growth series of `spec` to `horizon`, one per distinct
-        (spec, horizon, method)."""
-        key = (spec, horizon, method)
-        if key not in self._growth:
-            self._growth[key] = growth_series(spec, horizon, method=method, cap=self.cfg["enum_cap"])
-        return self._growth[key]
-
     def growth_pair(self, horizon: int, horizon2: int) -> tuple:
-        spec1, spec2 = self.specs
-        return self.growth(spec1, horizon, "auto"), self.growth(spec2, horizon2, "auto")
+        (spec1, spec2), cap = self.specs, self.cfg["enum_cap"]
+        return growth_series(spec1, horizon, cap=cap), growth_series(spec2, horizon2, cap=cap)
 
     @functools.cached_property
     def schedule(self):
@@ -383,7 +376,7 @@ class Run:
         g1, g2 = self.growth_pair(horizon, horizon)
         c = _resolve_c(cfg, g1, g2)
         # The kernel reads the second factor's spheres out to floor(c * 2 wr).
-        g2 = self.growth(self.specs[1], max(horizon, math.floor(c * 2 * wr)), "auto")
+        g2 = growth_series(self.specs[1], max(horizon, math.floor(c * 2 * wr)), cap=cfg["enum_cap"])
         metric = ProductMetric(make_oracle(self.specs[0]), make_oracle(self.specs[1]), c)
         report = coset_line_baseline(
             metric,
@@ -410,7 +403,7 @@ def run_growth(run: Run, out: Path) -> dict:
     plot = []
     summary = {}
     for tag, spec in zip(("G", "G2"), run.specs):
-        g = run.growth(spec, sub["horizon"], "bfs")
+        g = growth_series(spec, sub["horizon"], method="bfs", cap=cfg["enum_cap"])
         g.check_invariants()
         rows = []
         for n, v in enumerate(g.volumes):
@@ -772,6 +765,8 @@ def run_all(run: Run, out: Path) -> dict:
                 echo=lambda s: (lines.append(s), print(s)),
                 offered=run,
             )
+        for r in results:
+            run.metrics[f"criterion_{r.index:02d}"] = {"elapsed_s": r.elapsed}
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
         summary["acceptance_passed"] = all(r.passed for r in results)
         if not summary["acceptance_passed"]:

@@ -113,21 +113,6 @@ def corner_count(schedule: SlopeSchedule, n: int, T: int) -> CornerStats:
     )
 
 
-def corner_count_bruteforce(
-    metric: ProductMetric, schedule: SlopeSchedule, n: int, T: int, cap=DEFAULT_ENUM_CAP
-) -> int:
-    """Oracle for corner_count: enumerate candidate centers and test clauses."""
-    r_n, rp_n = schedule.r[n], schedule.r_prime[n]
-    b1 = ball(metric.first, max(r_n + T - 1, T - 1, 0), cap)
-    b2 = ball(metric.second, max(rp_n + T - 1, T - 1, 0), cap)
-    count = 0
-    for _, d1 in b1:
-        for _, d2 in b2:
-            if (d1 < r_n + T and d2 < T) or (d2 < rp_n + T and d1 < T):
-                count += 1
-    return count
-
-
 @dataclass
 class DominanceRow:
     n: int

@@ -5,14 +5,17 @@ free/direct products of those.  Every element is a hashable canonical
 form; the Cayley graph is the right-multiplication graph on the symmetric
 standard generating set, so the word metric is left-invariant.
 
-Ball enumeration is plain BFS with a hard element cap.  Sphere counts are
-also available through exact truncated power-series arithmetic, which
-reaches radii far beyond what enumeration can store; the two routes are
-checked against each other in the test suite.
+Ball enumeration is plain BFS with a hard element cap; `ball` keeps each
+group's largest enumeration for the process and serves smaller radii as
+its prefixes.  Sphere counts are also available through exact truncated
+power-series arithmetic, which reaches radii far beyond what enumeration
+can store; the two routes are checked against each other in the test
+suite.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -543,13 +546,34 @@ def _series_div(a, b, horizon):
 # Balls and growth ---------------------------------------------------------
 
 
-def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
-    """All elements within `radius` of the identity, BFS order.
+# Group spec -> (radius, ball): the largest ball of each group enumerated
+# so far in this process.  Balls are sorted by distance first, so every
+# smaller ball is an index prefix of it.
+_BALLS = {}
 
-    Returns a list of (element, distance) sorted by (distance, sort_key).
+
+def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
+    """All elements within `radius` of the identity, as a new list of
+    (element, distance) sorted by (distance, sort_key).
+
+    The largest ball asked for so far is kept per group spec for the rest
+    of the process; a smaller radius is served as its prefix, a larger one
+    enumerates again and replaces it.  The cap is checked on every call:
+    ResourceCapError exactly when the ball has more than `cap` elements.
     """
     if radius < 0:
         raise InputError("ball radius must be >= 0")
+    kept = _BALLS.get(oracle.spec)
+    if kept is None or kept[0] < radius:
+        kept = _BALLS[oracle.spec] = (radius, enumerate_ball(oracle, radius, cap))
+    size = bisect.bisect_right(kept[1], radius, key=lambda pair: pair[1])
+    if size > cap:
+        raise ResourceCapError("ball enumeration", cap)
+    return kept[1][:size]
+
+
+def enumerate_ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
+    """`ball` by plain BFS, without the per-spec memo."""
     gens = [g for _, g in oracle.gen_pairs()]
     dist = {oracle.identity: 0}
     frontier = deque([oracle.identity])
@@ -565,8 +589,7 @@ def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
                 if len(dist) > cap:
                     raise ResourceCapError("ball enumeration", cap)
                 frontier.append(nb)
-    out = sorted(dist.items(), key=lambda kv: (kv[1], oracle.sort_key(kv[0])))
-    return out
+    return sorted(dist.items(), key=lambda kv: (kv[1], oracle.sort_key(kv[0])))
 
 
 @dataclass

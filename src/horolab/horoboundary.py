@@ -218,25 +218,6 @@ class Horofunction:
             raise InvariantViolation("horofunction has no descending neighbor")
         return min(down, key=key or self.oracle.sort_key)
 
-    def check_normalized(self):
-        if self.value(self.oracle.identity) != 0:
-            raise InvariantViolation("horofunction does not vanish at the origin")
-
-    def check_lipschitz(self, points, exhaustive: bool = False):
-        """Edge check among `points` by default; full pairwise check when
-        exhaustive."""
-        pts = list(points)
-        among = set(pts)
-        for x in pts:
-            for nb in self.oracle.neighbors(x):
-                if nb in among and abs(self.value(x) - self.value(nb)) > 1:
-                    raise InvariantViolation("horofunction not 1-Lipschitz on an edge")
-        if exhaustive:
-            for i, x in enumerate(pts):
-                for y in pts[i + 1 :]:
-                    if abs(self.value(x) - self.value(y)) > self.oracle.distance(x, y):
-                        raise InvariantViolation("horofunction not 1-Lipschitz")
-
 
 # perfbench/layers.py times descent under this name.
 LazyWindowHorofunction = Horofunction

@@ -39,13 +39,26 @@ from .randomness import (
 from .schedule import SlopeSchedule
 
 
+# (group spec, tag) -> read-only digests of the largest factor ball seen so
+# far in this process; a factor ball's elements are a prefix of any larger
+# ball's, so its digests are a prefix of these.
+_FACTOR_DIGESTS = {}
+
+
 def factor_digests(ball: FactorBall, tag: str) -> np.ndarray:
-    """Stable 64-bit digest per element, keyed by the canonical word."""
-    return np.fromiter(
-        (digest_str(tag + ":" + w) for w in ball.words()),
-        dtype=np.uint64,
-        count=len(ball),
-    )
+    """Stable 64-bit digest per element, keyed by the canonical word;
+    a read-only array."""
+    key = (ball.oracle.spec, tag)
+    kept = _FACTOR_DIGESTS.get(key)
+    if kept is None or len(kept) < len(ball):
+        kept = np.fromiter(
+            (digest_str(tag + ":" + w) for w in ball.words()),
+            dtype=np.uint64,
+            count=len(ball),
+        )
+        kept.flags.writeable = False
+        _FACTOR_DIGESTS[key] = kept
+    return kept[: len(ball)]
 
 
 def point_digests(space: ProductSpace) -> np.ndarray:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, InvariantViolation, ResourceCapError
+from .errors import InputError, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries, Oracle, ball
 
 
@@ -228,17 +228,3 @@ class ProductSpace:
     def mask_within(self, radius) -> np.ndarray:
         return self.rho_num <= self.metric.radius_num(radius)
 
-
-def check_triangle_inequality(metric: ProductMetric, points, samples=200, seed=7):
-    """Spot-check rho_c axioms on sampled triples; raises on violation."""
-    import random
-
-    rng = random.Random(seed)
-    pts = list(points)
-    for _ in range(samples):
-        x, y, z = (rng.choice(pts) for _ in range(3))
-        rxy, ryz, rxz = metric.rho(x, y), metric.rho(y, z), metric.rho(x, z)
-        if metric.rho(x, x) != 0 or rxy != metric.rho(y, x):
-            raise InvariantViolation("rho_c symmetry/identity failed")
-        if rxz > rxy + ryz:
-            raise InvariantViolation("rho_c triangle inequality failed")

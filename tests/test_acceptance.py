@@ -74,6 +74,21 @@ def test_criterion_11_determinism(sc, capsys):
     assert "artifacts written" not in capsys.readouterr().out
 
 
+def test_criterion_01_times_a_cold_bfs_and_checks_the_memo(monkeypatch):
+    # Criterion 1 reads nothing of the suite.  It enumerates cold even when
+    # the memo already holds the ball, and fails when the memo's prefix
+    # differs from the cold BFS.
+    cold = acceptance.enumerate_ball
+    radii = []
+    monkeypatch.setattr(acceptance, "enumerate_ball", lambda o, r: radii.append(r) or cold(o, r))
+    assert acceptance.criterion_1_growth(None).passed
+    assert radii == [8]
+    monkeypatch.setattr(acceptance, "ball", lambda o, r: cold(o, r)[::-1])
+    result = acceptance.criterion_1_growth(None)
+    assert not result.passed
+    assert "memo's prefix" in result.detail
+
+
 # Offered runs ---------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ def test_subcommands_exit_zero(tmp_path, command):
     rc = cli.main([command, "--out", str(tmp_path)], config_overrides=SMALL)
     assert rc == 0
     assert (tmp_path / "manifest.json").exists()
-    assert (tmp_path / "plot.csv").exists() or command == "growth" and True
+    assert (tmp_path / "plot.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["config"]["master_seed"] == 20260810
@@ -53,6 +54,25 @@ def test_all_times_every_runner_and_the_acceptance_suite(tmp_path, monkeypatch):
     assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
     metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
     _check_stage_metrics(metrics, list(runners) + ["acceptance"])
+
+
+def test_criterion_times_go_to_the_manifest_not_acceptance_txt(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "ALL_CRITERIA", [acceptance.criterion_1_growth, acceptance.criterion_3_schedule]
+    )
+    overrides = {**SMALL, "acceptance_checks": True}
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    lines = (tmp_path / "acceptance.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["[PASS] criterion 1", "[PASS] criterion 3"]
+    assert not any(re.search(r"\(\d+\.\ds\)", ln) for ln in lines)
+    metrics = json.loads((tmp_path / "manifest.json").read_text())["metrics"]
+    for name in ("criterion_01", "criterion_03"):
+        assert list(metrics[name]) == ["elapsed_s"]
+        assert isinstance(metrics[name]["elapsed_s"], float) and metrics[name]["elapsed_s"] >= 0
+    _check_stage_metrics(
+        {k: v for k, v in metrics.items() if not k.startswith("criterion_")},
+        list(cli.RUNNERS) + ["acceptance"],
+    )
 
 
 def test_expected_artifacts(tmp_path):

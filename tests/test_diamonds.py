@@ -6,7 +6,6 @@ import pytest
 from horolab.diamonds import (
     SandwichRow,
     corner_count,
-    corner_count_bruteforce,
     diamond_members,
     diamond_volume,
     growth_dominance,
@@ -14,7 +13,7 @@ from horolab.diamonds import (
     sandwich_check,
 )
 from horolab.errors import InputError
-from horolab.groups import GroupSpec, growth_series, make_oracle
+from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.horoboundary import ProductHorofunction, horofunction_from_ray
 from horolab.product import ProductMetric, ProductSpace
 from horolab.schedule import build_schedule, linear_schedule
@@ -84,6 +83,19 @@ def test_in_diamond_matches_enumeration(sched, metric):
     for i in range(len(sp)):
         y = sp.element(i)
         assert in_diamond(metric, sched, 1, metric.origin, y) == (y in members)
+
+
+def corner_count_bruteforce(metric: ProductMetric, schedule, n: int, T: int) -> int:
+    """Oracle for corner_count: enumerate candidate centers and test clauses."""
+    r_n, rp_n = schedule.r[n], schedule.r_prime[n]
+    b1 = ball(metric.first, max(r_n + T - 1, T - 1, 0))
+    b2 = ball(metric.second, max(rp_n + T - 1, T - 1, 0))
+    count = 0
+    for _, d1 in b1:
+        for _, d2 in b2:
+            if (d1 < r_n + T and d2 < T) or (d2 < rp_n + T and d1 < T):
+                count += 1
+    return count
 
 
 def test_corner_counts(sched, metric):

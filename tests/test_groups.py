@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import cli
+from horolab import cli, groups
 from horolab.errors import InputError, ResourceCapError
-from horolab.groups import GroupSpec, ball, generator_bound, growth_series, make_oracle
+from horolab.groups import (
+    GroupSpec,
+    ball,
+    enumerate_ball,
+    generator_bound,
+    growth_series,
+    make_oracle,
+)
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -111,6 +118,65 @@ def test_ball_cap():
     o = make_oracle(F2)
     with pytest.raises(ResourceCapError):
         ball(o, 6, cap=100)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty ball memo for one test; the process's memo is restored."""
+    memo = {}
+    monkeypatch.setattr(groups, "_BALLS", memo)
+    return memo
+
+
+MEMO_SPECS = [F2, GroupSpec("free", rank=3), GroupSpec("cyclic", order=5), Z2, C2C3, F2xZ]
+
+
+@pytest.mark.parametrize("radii", [(1, 4, 2), (4, 1, 3)], ids=["small-first", "large-first"])
+def test_memo_ball_equals_a_cold_bfs(fresh_memo, radii):
+    # All specs share the memo, so a key that confused two groups shows too.
+    for r in radii:
+        for spec in MEMO_SPECS:
+            o = make_oracle(spec)
+            assert ball(o, r) == enumerate_ball(o, r), (spec, r)
+
+
+def test_memo_keeps_the_largest_ball(fresh_memo):
+    o = make_oracle(F2)
+    ball(o, 4)
+    ball(o, 2)
+    assert fresh_memo[F2][0] == 4
+    ball(o, 5)
+    assert fresh_memo[F2][0] == 5
+
+
+def test_cap_raises_after_a_larger_ball_is_kept(fresh_memo):
+    o = make_oracle(F2)
+    assert len(ball(o, 5)) == 485
+    with pytest.raises(ResourceCapError):
+        ball(o, 3, cap=52)  # |B_3| = 53
+    assert len(ball(o, 3, cap=53)) == 53
+
+
+def test_a_capped_enumeration_keeps_nothing(fresh_memo):
+    o = make_oracle(F2)
+    with pytest.raises(ResourceCapError):
+        ball(o, 6, cap=100)
+    assert F2 not in fresh_memo
+    ball(o, 2)
+    with pytest.raises(ResourceCapError):
+        ball(o, 6, cap=100)
+    assert fresh_memo[F2][0] == 2
+    assert ball(o, 3) == enumerate_ball(o, 3)
+
+
+def test_a_returned_ball_is_the_callers_own(fresh_memo):
+    o = make_oracle(F2)
+    for r in (3, 3, 2):  # a miss, a full-size hit and a prefix hit
+        got = ball(o, r)
+        got[0] = ("junk", -1)
+        got.append(("junk", 99))
+    assert ball(o, 3) == enumerate_ball(o, 3)
+    assert ball(o, 2) == enumerate_ball(o, 2)
 
 
 def test_growth_series_f2_closed_form():

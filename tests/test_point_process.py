@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horolab import point_process
 from horolab.diamonds import in_diamond
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
@@ -12,12 +13,19 @@ from horolab.point_process import (
     ProcessContext,
     corner_event_probability,
     eventually_decreasing_split,
+    factor_digests,
     hit_probability,
     incidence_stats,
     sample_diamond_process,
 )
-from horolab.product import ProductMetric
-from horolab.randomness import STREAM_CENTERS, STREAM_MARKS, SeededRandomness, seed_digest
+from horolab.product import FactorBall, ProductMetric
+from horolab.randomness import (
+    STREAM_CENTERS,
+    STREAM_MARKS,
+    SeededRandomness,
+    digest_str,
+    seed_digest,
+)
 from horolab.schedule import build_schedule, linear_schedule
 
 F2 = GroupSpec("free", rank=2)
@@ -276,3 +284,21 @@ def test_hit_probability(sched):
     assert r1.ratio >= r1.lower_bound
     r2 = hit_probability(sched, 5, 2)
     assert r2.ratio >= r1.ratio  # monotone in T
+
+
+@pytest.mark.parametrize("radii", [(2, 4, 3), (4, 2, 3)], ids=["small-first", "large-first"])
+def test_factor_digests_prefixes_equal_a_fresh_computation(monkeypatch, radii):
+    monkeypatch.setattr(point_process, "_FACTOR_DIGESTS", {})
+    for r in radii:
+        for spec in (F2, GroupSpec("free", rank=3), GroupSpec("integer_lattice", dim=2)):
+            fb = FactorBall(make_oracle(spec), r)
+            for tag in ("G", "G2"):
+                fresh = [digest_str(f"{tag}:{w}") for w in fb.words()]
+                got = factor_digests(fb, tag)
+                assert got.tolist() == fresh, (spec, r, tag)
+                # Read-only, and no caller can make it writable: no caller
+                # can change the next call's digests.
+                with pytest.raises(ValueError):
+                    got[0] = 0
+                with pytest.raises(ValueError):
+                    got.flags.writeable = True

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab.errors import InputError, ResourceCapError
+from horolab import groups
+from horolab.errors import InputError, InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, Oracle, ball, growth_series, make_oracle
 from horolab.product import (
     FactorBall,
@@ -13,7 +15,6 @@ from horolab.product import (
     ProductSpace,
     as_slope,
     ball_slice_volume,
-    check_triangle_inequality,
     perfect_diamond,
 )
 
@@ -105,6 +106,19 @@ def test_monotone_nesting(m_f2):
     assert inner <= outer
 
 
+def check_triangle_inequality(metric: ProductMetric, points, samples=200, seed=7):
+    """Spot-check rho_c axioms on sampled triples; raises on violation."""
+    rng = random.Random(seed)
+    pts = list(points)
+    for _ in range(samples):
+        x, y, z = (rng.choice(pts) for _ in range(3))
+        rxy, ryz, rxz = metric.rho(x, y), metric.rho(y, z), metric.rho(x, z)
+        if metric.rho(x, x) != 0 or rxy != metric.rho(y, x):
+            raise InvariantViolation("rho_c symmetry/identity failed")
+        if rxz > rxy + ryz:
+            raise InvariantViolation("rho_c triangle inequality failed")
+
+
 def test_triangle_spot_check(m_f2):
     o1, o2 = m_f2.first, m_f2.second
     pts = [
@@ -135,6 +149,22 @@ def test_factor_ball_prefix_structure():
     assert all(fb.dist[i] <= fb.dist[i + 1] for i in range(len(fb) - 1))
     # the first v_r entries are the radius-r ball
     assert {fb.elements[i] for i in range(17)} == {el for el, _ in ball(fb.oracle, 2)}
+
+
+def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
+    # With the memo holding a larger ball, a quotient outside radius 2 is
+    # still -1, not an index into the larger ball.
+    monkeypatch.setattr(groups, "_BALLS", {})
+    o = make_oracle(F2)
+    ball(o, 5)
+    fb = FactorBall(o, 2)
+    table = fb.quotient_table(len(fb), len(fb))
+    index = {el: i for i, (el, _) in enumerate(groups.enumerate_ball(o, 2))}
+    expected = [
+        [index.get(o.multiply(y, o.inverse(v)), -1) for v in fb.elements] for y in fb.elements
+    ]
+    assert table.tolist() == expected
+    assert (table == -1).any()
 
 
 def test_product_space_window(m_f2):
