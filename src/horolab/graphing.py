@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
-from .groups import DEFAULT_ENUM_CAP, FreeOracle, GrowthSeries
+from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series
 from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
 from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, point_digests, sample_diamond_process
@@ -87,8 +87,9 @@ class PercolationKernel:
     percolation they draw on the points of a space.
 
     sphere_j is the j-th nonempty positive rho_c sphere of G'' in
-    increasing radius order, with counts taken from the factor growth
-    series, so the total mass over the whole group is exactly 1; the mass
+    increasing radius order, with counts taken from each factor's own
+    growth series, to 2 * window_radius and floor(c * 2 * window_radius),
+    so the total mass over the whole group is exactly 1; the mass
     not reachable inside the window (largest radius 2 * window_radius, the
     window's diameter) is the truncation mass 2^-(#enumerated spheres) and
     is reported, never redistributed.
@@ -109,14 +110,15 @@ class PercolationKernel:
         self,
         space: ProductSpace,
         digests: np.ndarray,
-        growth: GrowthSeries,
-        growth2: GrowthSeries,
         window_radius: int,
         cap: int = DEFAULT_ENUM_CAP,
     ):
         metric = space.metric
         p, q = metric.c.numerator, metric.c.denominator
         max_num = metric.radius_num(2 * window_radius)
+        growth = growth_series(metric.first.spec, 2 * window_radius, cap=cap)
+        # floor(c * 2 wr) is 0 when c < 1 / (2 wr); a growth series reaches radius 1 at least.
+        growth2 = growth_series(metric.second.spec, max(1, max_num // q), cap=cap)
         counts = {}
         for t in range(max_num // p + 1):
             for t2 in range((max_num - t * p) // q + 1):
@@ -278,8 +280,6 @@ class GraphingContext:
     ):
         if margin < 1 or margin >= window_radius:
             raise InputError("margin must satisfy 1 <= margin < window radius")
-        if schedule.growth is None or schedule.growth2 is None:
-            raise InputError("graphing needs a schedule with growth series attached")
         self.metric = metric
         self.schedule = schedule
         self.n = n
@@ -289,12 +289,7 @@ class GraphingContext:
         self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
         self.interior_mask = self.pctx.space.mask_within(self.interior_radius)
         self.kernel = PercolationKernel(
-            self.pctx.space,
-            self.pctx.point_digests,
-            schedule.growth,
-            schedule.growth2,
-            window_radius,
-            cap,
+            self.pctx.space, self.pctx.point_digests, window_radius, cap
         )
         free = isinstance(metric.first, FreeOracle)
         self._free_steps = FreeRaySteps(self.pctx.space.ball1) if free else None
@@ -619,34 +614,38 @@ def largest_component_fraction(roots) -> float:
 
 @dataclass
 class SeedStats:
-    seed_index: int
-    rejected: bool = False  # mark collision: float-tie guard fired
-    n_diamonds: int = 0
-    excluded_diamonds: int = 0
-    n_vertices: int = 0
-    n_interior: int = 0
-    n_bases: int = 0
-    pi1_interior_violations: int = 0
-    parallel_violations: int = 0
-    stalled: int = 0
+    """One seed's statistics.  The fields are the columns of runs.csv, in
+    file order, but for `largest_fraction`, which holds one value per
+    epsilon."""
+
+    seed: int
+    diamonds: int = 0
+    excluded: int = 0
+    vertices: int = 0
+    interior: int = 0
     half_deg_pi1: float = float("nan")
     half_deg_pi3: float = float("nan")
     half_deg_pi3_raw: float = float("nan")
-    mean_deg_pi3_palm: float = float("nan")
-    perc_deg_interior_mean: float = 0.0
-    boundary_deficit: float = 0.0
     lambda_hat: float = float("nan")
     pi5_lhs: float = float("nan")
     pi5_rhs: float = float("nan")
-    pi5_se: float = float("nan")
-    pi5_checked: bool = False
     pi5_ok: bool = True
-    pi5_connected_ok: bool = True
+    boundary_deficit: float = 0.0
+    stalled: int = 0
     flagged_components: int = 0
-    largest_fraction: dict = field(default_factory=dict)
-    monotone_ok: bool = True
-    n_s0_interior: int = 0
+    perc_deg_interior_mean: float = 0.0
+    mean_deg_pi3_palm: float = float("nan")
+    pi5_se: float = float("nan")
+    pi5_connected_ok: bool = True
+    n_bases: int = 0
     n_sprime_interior: int = 0
+    n_s0_interior: int = 0
+    rejected: bool = False  # mark collision: float-tie guard fired
+    pi1_interior_violations: int = 0
+    parallel_violations: int = 0
+    pi5_checked: bool = False
+    monotone_ok: bool = True
+    largest_fraction: dict = field(default_factory=dict)
 
 
 def run_seed(
@@ -664,10 +663,10 @@ def run_seed(
     rng = SeededRandomness(seed_key)
     process = sample_diamond_process(ctx.pctx, seed_key)
     mw = build_marked_window(ctx, process)
-    st = SeedStats(seed_index=seed_index)
-    st.n_diamonds = len(process.center_pids)
-    st.excluded_diamonds = mw.excluded_diamonds
-    st.n_vertices = mw.n_vertices
+    st = SeedStats(seed=seed_index)
+    st.diamonds = len(process.center_pids)
+    st.excluded = mw.excluded_diamonds
+    st.vertices = mw.n_vertices
     if mw.n_vertices == 0:
         return st
     pi1 = build_pi1(mw)
@@ -675,7 +674,7 @@ def run_seed(
     st.pi1_interior_violations = pi1.interior_violations
     st.parallel_violations = pi1.parallel_violations
     interior = np.flatnonzero(mw.v_interior)
-    st.n_interior = len(interior)
+    st.interior = len(interior)
     st.n_bases = len(mw.bases)
     opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
     # Monotone-merging check over the shared uniforms; each epsilon labels
@@ -762,16 +761,19 @@ def _pi5_connected(roots, stages) -> bool:
 
 @dataclass
 class CostReport:
+    """The sweep's report.  Every field but `runs` and `seed0_stages` is a
+    key of cost_report.json."""
+
     seeds: int
     eps: float
     stages: list  # dicts: stage, half_degree_mean, half_degree_se, ...
-    lambda_hat_mean: float
+    lambda_hat: float  # mean over the seeds
     pi5_bound_lhs: float
     pi5_bound_rhs: float
     pi5_violations: int
     pi5_disconnected: int
     boundary_deficit: float
-    truncation_mass: float
+    kernel_truncation_mass: float
     excluded_diamond_fraction: float
     pi1_interior_violations: int
     parallel_violations: int
@@ -782,25 +784,10 @@ class CostReport:
     seed0_stages: dict = field(default_factory=dict)  # run_seed's `collect` for seed 0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "seeds": self.seeds,
-            "eps": self.eps,
-            "stages": self.stages,
-            "lambda_hat": self.lambda_hat_mean,
-            "pi5_bound_lhs": self.pi5_bound_lhs,
-            "pi5_bound_rhs": self.pi5_bound_rhs,
-            "pi5_violations": self.pi5_violations,
-            "pi5_disconnected": self.pi5_disconnected,
-            "boundary_deficit": self.boundary_deficit,
-            "kernel_truncation_mass": self.truncation_mass,
-            "excluded_diamond_fraction": self.excluded_diamond_fraction,
-            "pi1_interior_violations": self.pi1_interior_violations,
-            "parallel_violations": self.parallel_violations,
-            "monotone_violations": self.monotone_violations,
-            "rejected_seeds": self.rejected_seeds,
-            "largest_fraction_by_eps": {
-                str(k): v for k, v in sorted(self.largest_fraction_by_eps.items())
-            },
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["runs"], out["seed0_stages"]
+        out["largest_fraction_by_eps"] = {
+            str(k): v for k, v in self.largest_fraction_by_eps.items()
         }
         return out
 
@@ -823,7 +810,7 @@ def _seed_job(args, collect=None):
             _WORKER["ctx"], key, eps_list, primary_eps, seed_index=seed_index, collect=collect
         )
     except MarkCollisionError:
-        return SeedStats(seed_index=seed_index, rejected=True)
+        return SeedStats(seed=seed_index, rejected=True)
     except HorolabError as exc:
         raise exc.at_seed(seed_index) from exc
 
@@ -853,12 +840,13 @@ def cost_report(
         runs += [_seed_job(job, collect=seed0_stages) for job in jobs[:1]]
     finally:
         _WORKER.clear()
-    runs.sort(key=lambda st: st.seed_index)
+    runs.sort(key=lambda st: st.seed)
     rejected = sum(1 for r in runs if r.rejected)
     runs_ok = [r for r in runs if not r.rejected]
-    h1_mean, h1_se = _mean_se([r.half_deg_pi1 for r in runs_ok])
-    h3_mean, h3_se = _mean_se([r.half_deg_pi3 for r in runs_ok])
-    h3r_mean, h3r_se = _mean_se([r.half_deg_pi3_raw for r in runs_ok])
+    stages = []
+    for stage in ("pi1", "pi3", "pi3_raw"):
+        mean, se = _mean_se([getattr(r, "half_deg_" + stage) for r in runs_ok])
+        stages.append({"stage": stage, "half_degree_mean": mean, "half_degree_se": se})
     lam_mean, _ = _mean_se([r.lambda_hat for r in runs_ok])
     lhs_mean, _ = _mean_se([r.pi5_lhs for r in runs_ok if r.pi5_checked])
     rhs_mean, _ = _mean_se([r.pi5_rhs for r in runs_ok if r.pi5_checked])
@@ -868,37 +856,18 @@ def cost_report(
         frac[e], _ = _mean_se(
             [r.largest_fraction.get(e, float("nan")) for r in runs_ok]
         )
-    excl = sum(r.excluded_diamonds for r in runs_ok) / max(
-        1, sum(r.n_diamonds for r in runs_ok)
-    )
-    stages = [
-        {
-            "stage": "pi1",
-            "half_degree_mean": h1_mean,
-            "half_degree_se": h1_se,
-        },
-        {
-            "stage": "pi3",
-            "half_degree_mean": h3_mean,
-            "half_degree_se": h3_se,
-        },
-        {
-            "stage": "pi3_raw",
-            "half_degree_mean": h3r_mean,
-            "half_degree_se": h3r_se,
-        },
-    ]
+    excl = sum(r.excluded for r in runs_ok) / max(1, sum(r.diamonds for r in runs_ok))
     return CostReport(
         seeds=seeds,
         eps=float(primary_eps),
         stages=stages,
-        lambda_hat_mean=lam_mean,
+        lambda_hat=lam_mean,
         pi5_bound_lhs=lhs_mean,
         pi5_bound_rhs=rhs_mean,
         pi5_violations=sum(1 for r in runs_ok if r.pi5_checked and not r.pi5_ok),
         pi5_disconnected=sum(1 for r in runs_ok if not r.pi5_connected_ok),
         boundary_deficit=deficit_mean,
-        truncation_mass=float(ctx.kernel.truncation_mass),
+        kernel_truncation_mass=float(ctx.kernel.truncation_mass),
         excluded_diamond_fraction=float(excl),
         pi1_interior_violations=sum(r.pi1_interior_violations for r in runs_ok),
         parallel_violations=sum(r.parallel_violations for r in runs_ok),
@@ -1003,9 +972,22 @@ def connect_then_descend(oracle, start, end, h, extra_steps: int) -> tuple:
 
 
 @dataclass
+class BaselineRow:
+    """One epsilon of the baseline; the fields are the columns of
+    baseline.csv, in file order."""
+
+    eps: float
+    largest_fraction_mean: float
+    largest_fraction_se: float
+    half_degree_mean: float
+    half_degree_se: float
+    expected_half_degree: float
+
+
+@dataclass
 class BaselineReport:
     seeds: int
-    rows: list  # dicts per eps: largest_fraction_mean, half_degree_mean, ...
+    rows: list  # BaselineRow per eps, in rising eps
     line_partition_ok: bool
     monotone_violations: int
     truncation_mass: float
@@ -1013,8 +995,6 @@ class BaselineReport:
 
 def coset_line_baseline(
     metric: ProductMetric,
-    growth: GrowthSeries,
-    growth2: GrowthSeries,
     window_radius: int,
     margin: int,
     eps_list,
@@ -1042,7 +1022,7 @@ def coset_line_baseline(
             "(free or lattice first factor)"
         )
     space = ProductSpace(metric, window_radius, cap)
-    kernel = PercolationKernel(space, point_digests(space), growth, growth2, window_radius, cap)
+    kernel = PercolationKernel(space, point_digests(space), window_radius, cap)
     interior = space.mask_within(window_radius - margin)
     gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)
@@ -1084,20 +1064,10 @@ def coset_line_baseline(
             if frac < prev - 1e-12:
                 monotone_violations += 1
             prev = frac
-    out_rows = []
-    for e in sorted(rows):
-        largest_mean, largest_se = _mean_se(rows[e]["largest"])
-        half_mean, half_se = _mean_se(rows[e]["half"])
-        out_rows.append(
-            {
-                "eps": e,
-                "largest_fraction_mean": largest_mean,
-                "largest_fraction_se": largest_se,
-                "half_degree_mean": half_mean,
-                "half_degree_se": half_se,
-                "expected_half_degree": expected_half[e],
-            }
-        )
+    out_rows = [
+        BaselineRow(e, *_mean_se(rows[e]["largest"]), *_mean_se(rows[e]["half"]), expected_half[e])
+        for e in sorted(rows)
+    ]
     return BaselineReport(
         seeds=seeds,
         rows=out_rows,

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from horolab import acceptance, cli
-from horolab.graphing import BaselineReport, CostReport, SeedStats
+from horolab.graphing import BaselineReport, BaselineRow, CostReport, SeedStats
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -98,26 +98,26 @@ def _clean_report(seeds=200):
         seeds=seeds,
         eps=0.05,
         stages=[{"stage": "pi3", "half_degree_mean": 1.01, "half_degree_se": 0.01}],
-        lambda_hat_mean=0.5,
+        lambda_hat=0.5,
         pi5_bound_lhs=2.0,
         pi5_bound_rhs=3.0,
         pi5_violations=0,
         pi5_disconnected=0,
         boundary_deficit=0.5,
-        truncation_mass=0.001,
+        kernel_truncation_mass=0.001,
         excluded_diamond_fraction=0.05,
         pi1_interior_violations=0,
         parallel_violations=0,
         monotone_violations=0,
         largest_fraction_by_eps={0.01: 0.006, 0.05: 0.007},
-        runs=[SeedStats(seed_index=i, n_interior=30) for i in range(seeds)],
+        runs=[SeedStats(seed=i, interior=30) for i in range(seeds)],
     )
 
 
 def _clean_baseline(seeds=20):
     """A BaselineReport that passes criterion 10."""
     rows = [
-        {"eps": e, "largest_fraction_mean": f, "half_degree_mean": h}
+        BaselineRow(e, f, 0.001, h, 0.01, h)
         for e, f, h in ((0.0, 0.010, 1.0), (0.05, 0.014, 1.01), (0.2, 0.021, 1.04))
     ]
     return BaselineReport(
@@ -187,7 +187,7 @@ def test_offer_with_another_key_is_not_used(monkeypatch, change, name):
         calls["graphing"].append((seeds, eps_list, primary_eps, master_seed))
         return _clean_report(seeds)
 
-    def fake_baseline(metric, g1, g2, wr, margin, eps_list, seeds, master_seed, cap):
+    def fake_baseline(metric, wr, margin, eps_list, seeds, master_seed, cap):
         calls["prop13"].append((wr, margin, eps_list, seeds, master_seed))
         return _clean_baseline(seeds)
 

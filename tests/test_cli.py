@@ -1,5 +1,6 @@
 import ast
 import copy
+import csv
 import dataclasses
 import hashlib
 import json
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from horolab import acceptance, cli
+from horolab import acceptance, cli, graphing
+from horolab.errors import MarkCollisionError
+from horolab.graphing import BaselineRow, CostReport, SeedStats
 
 SMALL = {
     "acceptance_checks": False,
@@ -252,8 +255,9 @@ def test_bad_slope_exits_2(tmp_path):
         ({"c": "3/2"}, 0),
         ({"c": "2", "prop13": {"window_radius": 3, "margin": 1}}, 0),
         ({"c": "2"}, 3),  # the wr-4 window's distance table passes enum_cap
+        ({"c": "1/10"}, 0),  # floor(c * 2 wr) = 0
     ],
-    ids=["c-3/2", "c-2-wr3", "c-2-wr4"],
+    ids=["c-3/2", "c-2-wr3", "c-2-wr4", "c-1/10"],
 )
 def test_prop13_reads_the_second_factor_out_to_c_times_the_window_diameter(
     tmp_path, overrides, code
@@ -320,6 +324,19 @@ def test_config_file_merge(tmp_path):
     assert rc == 0
     rows = (out / "growth_G.csv").read_text().strip().splitlines()
     assert len(rows) == 6  # header + n = 0..4
+
+
+@pytest.mark.parametrize(
+    "text", [None, '{"growth": ', "[1]"], ids=["missing", "malformed", "not-an-object"]
+)
+def test_config_file_errors_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    rc = cli.main(["growth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg) in err
 
 
 def test_seed_flag_changes_manifest(tmp_path):
@@ -502,6 +519,58 @@ def test_graphing_exits_1_after_writing_pi1_interior_violations(tmp_path, monkey
     assert "3 interior marked points have no Pi1 out-edge" in capsys.readouterr().err
 
 
+def _read_rows(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_report_artifacts_are_written_from_their_dataclass_fields(tmp_path):
+    assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 0
+    assert cli.main(["prop13", "--out", str(tmp_path)], config_overrides=SMALL) == 0
+    names = [f.name for f in dataclasses.fields(SeedStats) if f.name != "largest_fraction"]
+    with open(tmp_path / "runs.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == names
+    with open(tmp_path / "baseline.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == [f.name for f in dataclasses.fields(BaselineRow)]
+    report = json.loads((tmp_path / "cost_report.json").read_text())
+    keys = {f.name for f in dataclasses.fields(CostReport)} - {"runs", "seed0_stages"}
+    assert set(report) == keys
+
+
+def test_runs_csv_marks_a_rejected_seed(tmp_path, monkeypatch):
+    run_seed = graphing.run_seed
+
+    def colliding(ctx, key, *args, seed_index=0, **kwargs):
+        if seed_index == 2:
+            raise MarkCollisionError("overlapping diamonds drew identical marks")
+        return run_seed(ctx, key, *args, seed_index=seed_index, **kwargs)
+
+    monkeypatch.setattr(graphing, "run_seed", colliding)
+    assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 0
+    rows = _read_rows(tmp_path / "runs.csv")
+    assert [r["rejected"] for r in rows] == ["False", "False", "True", "False"]
+    assert json.loads((tmp_path / "cost_report.json").read_text())["rejected_seeds"] == 1
+
+
+def test_a_pi1_violation_keeps_runs_csv_and_names_its_seeds(tmp_path, monkeypatch, capsys):
+    run_seed = graphing.run_seed
+
+    def violating(*args, seed_index=0, **kwargs):
+        st = run_seed(*args, seed_index=seed_index, **kwargs)
+        if seed_index == 1:
+            st.pi1_interior_violations = 2
+        return st
+
+    monkeypatch.setattr(graphing, "run_seed", violating)
+    assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 1
+    rows = _read_rows(tmp_path / "runs.csv")
+    assert [r["pi1_interior_violations"] for r in rows] == ["0", "2", "0", "0"]
+    for name in ("cost_report.json", "edges_seed0.csv", "pi5_seed0.csv", "plot.csv"):
+        assert (tmp_path / name).exists(), name
+    err = capsys.readouterr().err
+    assert "2 interior marked points have no Pi1 out-edge (seeds [1])" in err
+
+
 def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
     calls = []
 
@@ -526,7 +595,13 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # pi1_interior_violations from 15 to 0.  `diamond/summary.json` was
 # re-pinned when each sandwich scenario gained `checked_rows` and `vacuous`,
 # and the three `runs.csv` pins when that file gained the per-seed
-# diagnostics from `stalled` to `n_s0_interior`.
+# diagnostics from `stalled` to `n_s0_interior`.  The three `runs.csv` pins
+# moved again when the file came to be written from every `SeedStats` field
+# but `largest_fraction`, which added the columns `rejected` to
+# `monotone_ok` after the 22 earlier ones (each earlier field unchanged),
+# and the two `diamond/sandwich_*.csv` pins when `SandwichRow` dropped
+# `upper_ok` and `upper_violations`: the upper inclusion holds by
+# construction, so those columns read True and 0 for every input.
 # The `all` run covers every runner; its digests are keyed by relative path.
 PINNED_RUNS = {
     "all": ("all", SMALL),
@@ -549,15 +624,15 @@ PINNED_DIGESTS = {
         "diamond/dominance.csv": "9e66eeefa8fc3eaf0f4cae6351baaeabf08869dfd673ea3d01aff0df1227ea9a",
         "diamond/perfect_diamond.csv": "eb88ba42a429282a7c638bad10374d1e16f579cb2cf66a0197dc76a722ef51d3",
         "diamond/plot.csv": "938e17eca5fd367c1f0c29b65bb111b8d0d10eb3fdd0b2b69d8ce35a3635c8fd",
-        "diamond/sandwich_lattice.csv": "6da226d9ab5538431b52a6ec63c2f2b8aa2e4ccd4208701df99d40e9139447a4",
-        "diamond/sandwich_tree.csv": "b267fe1a24d7800a16cd31d103bde48c05f9e9c19b769ce435dbd3170a693bd3",
+        "diamond/sandwich_lattice.csv": "6b857eee3fb447f17fa4ff7ac7e1e39f6ef42ede7442b0fc82205aa94ceb9b4d",
+        "diamond/sandwich_tree.csv": "f9f6269626bc6a84afa800e95f76b158554c0a4487e0e3e0b25f87a98ebdba89",
         "diamond/summary.json": "ff8501369344e5ffd0d8e8d99e4241156cf898d9342ccc6558e6b7a8de4e7a2f",
         "diamond/volumes.csv": "0df7487da9e8da2c2a6873070ba68a3e9fc9f83db9103dea26e9c499004b5150",
         "graphing/cost_report.json": "0a318d46d1ebd097992d5c18cbb504fcf3a630fe1ca0a079b535143773bd15c7",
         "graphing/edges_seed0.csv": "0fabe60b1509a8d9a8619e2afc388ee8124445163d242bf88319808c006ed25c",
         "graphing/pi5_seed0.csv": "9ca7df6df658f032fe8d1511930040c70a0d9d4378113582243a25fe558bcc0a",
         "graphing/plot.csv": "06f9c5c96d761893d0429facd9226ac2c4a6d9c89131364721767f311caf09ba",
-        "graphing/runs.csv": "3a51c36e7841698074fbf6e168943616e73b2b4fadd2455baeb18e09c92973da",
+        "graphing/runs.csv": "f8cc590ba3d010967f9a8c90a5a0616531ef62696139ff301675c579463f1fdd",
         "growth/ball_G.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
         "growth/ball_G2.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
         "growth/growth_G.csv": "0a063b576d55c46c7524b3366515cd32938aae9d3e48becc4b608fbaf099516e",
@@ -586,14 +661,14 @@ PINNED_DIGESTS = {
         "edges_seed0.csv": "d0ecf15fd319b047c94a9c1c9b40f236c0e924e350c9caf1d28c3cebe5b074ad",
         "pi5_seed0.csv": "e1974183227f312f320484b9476ed18ee4897445459a2bdf9dc5c1838830c762",
         "plot.csv": "637fc315ee87f19364fdabe7329d60a9037b218dcd40ee21c5c7d20bc9d0ed87",
-        "runs.csv": "911c16f8cd53c65bbd56985bf14447c1f3113dcd32160aa0cc907c7be1d01540",
+        "runs.csv": "f374ab54f7e99a9288780572f7c0fcba4096c732415281f198f8d423b1eaaef7",
     },
     "graphing-z2xf2": {
         "cost_report.json": "2273431b3d78577ebe2ace647fc11d63123c99ea0dcb3891c53e885a9e5ab409",
         "edges_seed0.csv": "545d28540f4dc520433fba432809dbbaa7a02517864dd79a16e3f8060d92ff7d",
         "pi5_seed0.csv": "a01333864669a3d5f4710618b787b78a45a93d2c11b03d43dd47fa91ddbb8ede",
         "plot.csv": "c07bd2cf99a693cf29ad75e4e85fd14376028fa5152262df2b1a2932c4b27dd0",
-        "runs.csv": "52560d4d4e89c0ac1b99943ec1f09793b4a1f6b7776a8c74f94c7d4ca73762aa",
+        "runs.csv": "97db82dba8ac009525f723736818732c8b8f9241f41a1efbc096b8d4338d5ec4",
     },
     "prop13": {
         "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",

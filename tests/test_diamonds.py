@@ -139,7 +139,7 @@ def test_sandwich_lattice_exact(lattice):
     assert rep.first_sandwiched_n == 20
     pts = [win.element(i) for i in range(len(win))]
     for r in rep.rows:
-        assert r.lower_ok and r.upper_ok
+        assert r.lower_ok
         assert not r.vacuous
         # half-plane geometry: members are exactly the horoball members
         assert r.members_in_window == sum(1 for p in pts if hz.value(p) <= r.delta)
@@ -180,14 +180,11 @@ def _reference_rows(space, schedule, h1, h2, centers) -> list:
     for n, center in centers:
         inside = [in_diamond(m, schedule, n, center, y) for y in pts]
         if not any(inside):
-            rows.append(SandwichRow(n, schedule.r[n], 0, None, True, True, 0, 0, True))
+            rows.append(SandwichRow(n, schedule.r[n], 0, None, True, 0, True))
             continue
         delta = max(v for v, a in zip(values, inside) if a)
         lower = sum(1 for v, a in zip(values, inside) if v <= delta - 2 / m.c and not a)
-        upper = sum(1 for v, a in zip(values, inside) if v > delta + 1 / m.c and a)
-        rows.append(
-            SandwichRow(n, schedule.r[n], sum(inside), delta, lower == 0, upper == 0, lower, upper, False)
-        )
+        rows.append(SandwichRow(n, schedule.r[n], sum(inside), delta, lower == 0, lower, False))
     return rows
 
 
@@ -239,6 +236,5 @@ def test_sandwich_rows_match_the_pointwise_definition(case):
         assert rep.rows == _reference_rows(space, sched, h1, h2, centers)
         lower += sum(r.lower_violations for r in rep.rows)
         assert any(not r.vacuous for r in rep.rows)
-    # The reversed rays put points of low theta'' outside the diamonds.  The
-    # upper count stays 0: delta is the maximum of theta'' over the members.
+    # The reversed rays put points of low theta'' outside the diamonds.
     assert lower > 0

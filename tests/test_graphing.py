@@ -87,6 +87,15 @@ def test_kernel_counts_match_sphere_sums(f2_ctx):
         assert count == expected
 
 
+def test_kernel_reads_spheres_past_the_schedule_horizon(f2_ctx):
+    # The schedule's growth series stop at radius 6; the wr-4 kernel reads
+    # spheres out to the window's diameter, 8.
+    g = growth_series(F2, 6)
+    ctx = GraphingContext(f2_ctx.metric, linear_schedule(1, 6, growth=g, growth2=g), 2, 4, 2)
+    assert ctx.kernel.annuli == f2_ctx.kernel.annuli
+    assert ctx.kernel.truncation_mass == f2_ctx.kernel.truncation_mass
+
+
 def test_kernel_invariance(f2_ctx):
     # p depends only on the rho distance, hence invariant and symmetric
     kernel, space = f2_ctx.kernel, f2_ctx.pctx.space
@@ -491,9 +500,7 @@ def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
     ctx, space = perc_ctx, perc_ctx.pctx.space
     window = ProductSpace(ctx.metric, ctx.window_radius)
     sched = ctx.schedule
-    kernel = graphing.PercolationKernel(
-        window, point_digests(window), sched.growth, sched.growth2, ctx.window_radius
-    )
+    kernel = graphing.PercolationKernel(window, point_digests(window), ctx.window_radius)
     opened = 0
     for s in range(10):
         key = seed_digest(65, s)
@@ -628,7 +635,7 @@ def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
     def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0, collect=None):
         if seed_index == 3:
             raise error
-        return SeedStats(seed_index=seed_index)
+        return SeedStats(seed=seed_index)
 
     monkeypatch.setattr(graphing, "run_seed", failing_run_seed)
     with pytest.raises(type(error), match=r"^seed 3: ") as info:
@@ -887,9 +894,9 @@ def test_run_seed_stats_zxz(z_ctx):
 def test_excluded_fraction_counts_the_diamonds_that_meet_the_window(f2_ctx):
     rep = cost_report(f2_ctx, 6, [0.05], 0.05, 17)
     runs = [r for r in rep.runs if not r.rejected]
-    diamonds = sum(r.n_diamonds for r in runs)
+    diamonds = sum(r.diamonds for r in runs)
     assert diamonds > 0
-    assert rep.excluded_diamond_fraction == sum(r.excluded_diamonds for r in runs) / diamonds
+    assert rep.excluded_diamond_fraction == sum(r.excluded for r in runs) / diamonds
     for s in range(6):
         proc = sample_diamond_process(f2_ctx.pctx, seed_digest(17, s))
         assert all(len(d.member_ids) for d in proc.diamonds)
@@ -993,34 +1000,31 @@ def test_largest_component_fraction():
 
 
 def test_baseline_eps_zero_lines():
-    g = growth_series(F2, 10)
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    rep = coset_line_baseline(metric, g, g, 3, 1, [0.0], 3, 5)
+    rep = coset_line_baseline(metric, 3, 1, [0.0], 3, 5)
     assert rep.line_partition_ok
     row = rep.rows[0]
-    assert row["half_degree_mean"] == pytest.approx(1.0)
-    assert row["expected_half_degree"] == 1.0
+    assert row.half_degree_mean == pytest.approx(1.0)
+    assert row.expected_half_degree == 1.0
 
 
 def test_baseline_monotone_and_expected_half():
-    g = growth_series(Z1, 20)
     metric = ProductMetric(make_oracle(Z1), make_oracle(Z1), 1)
-    rep = coset_line_baseline(metric, g, g, 5, 2, [0.0, 0.1, 0.3], 30, 17)
+    rep = coset_line_baseline(metric, 5, 2, [0.0, 0.1, 0.3], 30, 17)
     assert rep.monotone_violations == 0
-    fr = [r["largest_fraction_mean"] for r in rep.rows]
+    fr = [r.largest_fraction_mean for r in rep.rows]
     assert fr[0] <= fr[1] <= fr[2]
     for r in rep.rows:
-        se = max(r["half_degree_se"], 1e-6)
-        assert abs(r["half_degree_mean"] - r["expected_half_degree"]) <= 4 * se
+        se = max(r.half_degree_se, 1e-6)
+        assert abs(r.half_degree_mean - r.expected_half_degree) <= 4 * se
 
 
 @pytest.mark.parametrize("specs", [(F2, F2, 1), (Z2, F2, "1/2")], ids=["f2xf2", "z2xf2"])
 def test_baseline_row_masses_match_add_at(specs):
     first, second, c = specs
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
-    g1, g2 = growth_series(first, 8), growth_series(second, 8)
     space = ProductSpace(metric, 3)
-    kernel = graphing.PercolationKernel(space, point_digests(space), g1, g2, 3)
+    kernel = graphing.PercolationKernel(space, point_digests(space), 3)
     n = len(space)
     D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
     ia, ib = np.triu_indices(n, 1)
@@ -1045,13 +1049,12 @@ def test_baseline_pairs_count_against_the_cap(monkeypatch):
             self.lut[:] = 1.0
 
     monkeypatch.setattr(graphing, "PercolationKernel", CertainKernel)
-    g = growth_series(F2, 10)
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     window = len(ProductSpace(metric, 3))  # 217 points, 23,436 pairs
-    rep = coset_line_baseline(metric, g, g, 3, 1, [0.0, 1.0], 1, 5, cap=window**2)
-    assert rep.rows[1]["largest_fraction_mean"] == 1.0
+    rep = coset_line_baseline(metric, 3, 1, [0.0, 1.0], 1, 5, cap=window**2)
+    assert rep.rows[1].largest_fraction_mean == 1.0
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        coset_line_baseline(metric, g, g, 3, 1, [0.0, 1.0], 1, 5, cap=5000)
+        coset_line_baseline(metric, 3, 1, [0.0, 1.0], 1, 5, cap=5000)
 
 
 def test_baseline_peak_memory_stays_small():
@@ -1061,11 +1064,10 @@ def test_baseline_peak_memory_stays_small():
     # ~65,600 prefilter passes to the end would add about 21 MB.
     import tracemalloc
 
-    g = growth_series(F2, 12)
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     tracemalloc.start()
     try:
-        coset_line_baseline(metric, g, g, 5, 2, [0.0, 0.05, 0.2], 20, 20260810)
+        coset_line_baseline(metric, 5, 2, [0.0, 0.05, 0.2], 20, 20260810)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1076,7 +1078,6 @@ def test_baseline_needs_infinite_order_generator():
     from horolab.errors import InputError
 
     spec = GroupSpec("cyclic", order=4)
-    g = growth_series(spec, 4)
     metric = ProductMetric(make_oracle(spec), make_oracle(spec), 1)
     with pytest.raises(InputError):
-        coset_line_baseline(metric, g, g, 2, 1, [0.0], 2, 1)
+        coset_line_baseline(metric, 2, 1, [0.0], 2, 1)
