@@ -1,10 +1,12 @@
 """The acceptance suite: one runnable check per exit criterion.
 
-Each criterion returns a CriterionResult with a pass flag, elapsed time
-and a one-line detail string; `run_all` executes them in order and also
-backs the CLI `all` subcommand.  The printed line leaves the elapsed time
-out, so it repeats byte for byte; the CLI records it in the manifest.
-Thresholds and tolerances are pinned here, not in the callers.
+Each criterion is a check registered once, by `@criterion(index, name,
+limit)`, which appends it to `ALL_CRITERIA` wrapped to time the call and
+return a CriterionResult with a pass flag, elapsed time and a one-line
+detail string; `run_all` executes them in order and also backs the CLI
+`all` subcommand.  The printed line leaves the elapsed time out, so it
+repeats byte for byte; the CLI records it in the manifest.  Thresholds
+and tolerances are pinned here, not in the callers.
 
 The suite's pinned world is the `cli.Run` of the defaults at the suite's
 master seed and thread count: criteria 2 to 4 read its schedule and
@@ -14,7 +16,8 @@ on F2 x F2 at c = 1, each a `diamonds.sandwich_check` over a
 `ProductSpace` window).  A caller may offer its own run (`horolab all`
 does); a criterion takes a sweep or the scenarios from the offered run
 only when every config entry they read equals the pinned run's
-(`cli.SWEEP_INPUTS`), and from the pinned run otherwise.
+(`cli.SWEEP_INPUTS`; the scenarios read only `group`, `group2` and `c`),
+and from the pinned run otherwise.
 
 Criterion 8 checks the scenarios built by `touching_scenarios`; the
 CLI's `diamond` and `touching` runners write the sandwich and touching
@@ -23,9 +26,14 @@ scenarios out for the configured groups.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
+import io
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from .diamonds import (
     diamond_members,
@@ -63,10 +71,31 @@ class CriterionResult:
         return f"[{status}] criterion {self.index}: {self.name} {self.detail}"
 
 
-def _timed(fn):
-    t0 = time.time()
-    passed, detail = fn()
-    return passed, time.time() - t0, detail
+ALL_CRITERIA = []
+
+
+def criterion(index: int, name: str, limit: float = None):
+    """Register a check as acceptance criterion `index` in `ALL_CRITERIA`.
+
+    The check takes the SuiteContext and returns (passed, detail), or
+    (passed, detail, sweep seconds) when it reads a sweep that may have
+    run before it; its elapsed time is then the larger of the call's and
+    the sweep's.  A criterion whose elapsed time reaches `limit` fails.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def timed(sc: SuiteContext) -> CriterionResult:
+            t0 = time.time()
+            passed, detail, *sweep_s = check(sc)
+            elapsed = max([time.time() - t0, *sweep_s])
+            passed = passed and (limit is None or elapsed < limit)
+            return CriterionResult(index, name, passed, elapsed, detail, limit)
+
+        ALL_CRITERIA.append(timed)
+        return timed
+
+    return register
 
 
 @dataclass
@@ -93,109 +122,86 @@ class SuiteContext:
         return getattr(self.run, name)
 
 
-def criterion_1_growth(sc: SuiteContext) -> CriterionResult:
+@criterion(1, "growth oracles", limit=10.0)
+def criterion_1_growth(sc: SuiteContext):
     """The F2 ball to radius 8 by a cold BFS, checked against the closed
     form and against `ball`, which may serve it from the process's memo.
     The runtime limit times the cold BFS, not a memo lookup."""
-
-    def body():
-        oracle = make_oracle(F2)
-        cold = enumerate_ball(oracle, 8)
-        closed = [2 * 3**n - 1 for n in range(9)]
-        cold_volumes = [sum(1 for _, d in cold if d <= n) for n in range(9)]
-        if cold_volumes != closed:
-            return False, f"cold BFS volumes {cold_volumes} != closed form"
-        if cold != ball(oracle, 8):
-            return False, "cold BFS ball differs from the memo's prefix"
-        g = growth_series(F2, 8, "bfs")
-        if g.volumes != closed:
-            return False, f"BFS volumes {g.volumes} != closed form"
-        est = g.growth_rate_estimates
-        non_inc = all(est[i] <= est[i - 1] + 1e-12 for i in range(1, len(est)))
-        ge3 = all(e >= 3.0 - 1e-12 for e in est)
-        g.check_invariants()
-        return non_inc and ge3, f"v_8={g.volumes[8]}, rate est {est[-1]:.4f}"
-
-    passed, elapsed, detail = _timed(body)
-    passed = passed and elapsed < 10.0
-    return CriterionResult(1, "growth oracles", passed, elapsed, detail, 10.0)
+    oracle = make_oracle(F2)
+    cold = enumerate_ball(oracle, 8)
+    closed = [2 * 3**n - 1 for n in range(9)]
+    cold_volumes = [sum(1 for _, d in cold if d <= n) for n in range(9)]
+    if cold_volumes != closed:
+        return False, f"cold BFS volumes {cold_volumes} != closed form"
+    if cold != ball(oracle, 8):
+        return False, "cold BFS ball differs from the memo's prefix"
+    g = growth_series(F2, 8, "bfs")
+    if g.volumes != closed:
+        return False, f"BFS volumes {g.volumes} != closed form"
+    est = g.growth_rate_estimates
+    non_inc = all(est[i] <= est[i - 1] + 1e-12 for i in range(1, len(est)))
+    ge3 = all(e >= 3.0 - 1e-12 for e in est)
+    g.check_invariants()
+    return non_inc and ge3, f"v_8={g.volumes[8]}, rate est {est[-1]:.4f}"
 
 
-def criterion_2_slices(sc: SuiteContext) -> CriterionResult:
-    def body():
-        m = sc.run.metric
-        g = growth_series(F2, 12)
-        for n in range(5):
-            total = ball_slice_volume(m, g, g, n)
-            brute = len(perfect_diamond(m, m.origin, n))
-            if total != brute:
-                return False, f"n={n}: slice sum {total} != enumeration {brute}"
-        n2 = ball_slice_volume(m, g, g, 2)
-        return n2 == 49, f"n=2 ball volume {n2}"
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(2, "ball slice decomposition", passed, elapsed, detail)
+@criterion(2, "ball slice decomposition")
+def criterion_2_slices(sc: SuiteContext):
+    m = sc.run.metric
+    g = growth_series(F2, 12)
+    for n in range(5):
+        total = ball_slice_volume(m, g, g, n)
+        brute = len(perfect_diamond(m, m.origin, n))
+        if total != brute:
+            return False, f"n={n}: slice sum {total} != enumeration {brute}"
+    n2 = ball_slice_volume(m, g, g, 2)
+    return n2 == 49, f"n=2 ball volume {n2}"
 
 
-def criterion_3_schedule(sc: SuiteContext) -> CriterionResult:
-    def body():
-        sched = sc.run.schedule
-        if (sched.f[0], sched.f[1], sched.f[2]) != (0, 0, 2):
-            return False, f"f prefix {sched.f[:3]} != (0, 0, 2)"
-        sched.check_invariants()  # includes the [1/M, M^(2c)] ratio bounds
-        rep = sched.verify_almost_linear(5)
-        if not rep.all_hold():
-            return False, "almost-linearity bound failed within the horizon"
-        ns = [r.n_of_m for r in rep.rows]
-        return True, f"breakpoints {len(sched.r)}, N(m)={ns}"
-
-    passed, elapsed, detail = _timed(body)
-    passed = passed and elapsed < 5.0
-    return CriterionResult(3, "slope schedule", passed, elapsed, detail, 5.0)
+@criterion(3, "slope schedule", limit=5.0)
+def criterion_3_schedule(sc: SuiteContext):
+    sched = sc.run.schedule
+    if (sched.f[0], sched.f[1], sched.f[2]) != (0, 0, 2):
+        return False, f"f prefix {sched.f[:3]} != (0, 0, 2)"
+    sched.check_invariants()  # includes the [1/M, M^(2c)] ratio bounds
+    rep = sched.verify_almost_linear(5)
+    if not rep.all_hold():
+        return False, "almost-linearity bound failed within the horizon"
+    ns = [r.n_of_m for r in rep.rows]
+    return True, f"breakpoints {len(sched.r)}, N(m)={ns}"
 
 
-def criterion_4_diamond_volume(sc: SuiteContext) -> CriterionResult:
-    def body():
-        sched, m = sc.run.schedule, sc.run.metric
-        for n in range(5):
-            total = diamond_volume(sched, n)
-            members = diamond_members(m, sched, n, m.origin)
-            if total != len(members) or len(set(members)) != total:
-                return False, f"n={n}: slice sum {total} != enumeration {len(members)}"
-        v2 = diamond_volume(sched, 2)
-        return v2 == 33, f"r_n=2 volume {v2}"
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(4, "diamond volume identity", passed, elapsed, detail)
+@criterion(4, "diamond volume identity")
+def criterion_4_diamond_volume(sc: SuiteContext):
+    sched, m = sc.run.schedule, sc.run.metric
+    for n in range(5):
+        total = diamond_volume(sched, n)
+        members = diamond_members(m, sched, n, m.origin)
+        if total != len(members) or len(set(members)) != total:
+            return False, f"n={n}: slice sum {total} != enumeration {len(members)}"
+    v2 = diamond_volume(sched, 2)
+    return v2 == 33, f"r_n=2 volume {v2}"
 
 
-def criterion_5_corner_decay(sc: SuiteContext) -> CriterionResult:
-    def body():
-        g = growth_series(F2, 18)
-        sched = build_schedule(g, g, 1, 14)  # 14 breakpoints, past the pinned run's 12
-        breakpoints = list(range(1, 15))  # 14 computed breakpoints
-        tails = {}
-        for T in (1, 2, 3):
-            rows = corner_event_probability(sched, breakpoints, T, seeds=0)
-            ratios = [r.corner_count / r.volume for r in rows]
-            probs = [r.exact_probability for r in rows]
-            for label, series in (("ratio", ratios), ("prob", probs)):
-                split = eventually_decreasing_split(series)
-                if not split["eventually_decreasing"]:
-                    return False, f"T={T} {label}s not eventually decreasing: {series}"
-                tails[(T, label)] = max(
-                    split["even_tail_start"], split["odd_tail_start"]
-                )
-        dom = growth_dominance(sched, breakpoints)  # raises when the bound fails
-        worst = min(float(r.ratio / r.lower_bound) for r in dom if r.lower_bound > 0)
-        n0 = {f"T{t}": breakpoints[i] for (t, lab), i in tails.items() if lab == "prob"}
-        return True, (
-            f"14 breakpoints, decay tails from n={n0}; dominance margin x{worst:.1f}"
-        )
-
-    passed, elapsed, detail = _timed(body)
-    passed = passed and elapsed < 60.0
-    return CriterionResult(5, "corner decay and dominance", passed, elapsed, detail, 60.0)
+@criterion(5, "corner decay and dominance", limit=60.0)
+def criterion_5_corner_decay(sc: SuiteContext):
+    g = growth_series(F2, 18)
+    sched = build_schedule(g, g, 1, 14)  # 14 breakpoints, past the pinned run's 12
+    breakpoints = list(range(1, 15))  # 14 computed breakpoints
+    tails = {}
+    for T in (1, 2, 3):
+        rows = corner_event_probability(sched, breakpoints, T, seeds=0)
+        ratios = [r.corner_count / r.volume for r in rows]
+        probs = [r.exact_probability for r in rows]
+        for label, series in (("ratio", ratios), ("prob", probs)):
+            split = eventually_decreasing_split(series)
+            if not split["eventually_decreasing"]:
+                return False, f"T={T} {label}s not eventually decreasing: {series}"
+            tails[(T, label)] = max(split["even_tail_start"], split["odd_tail_start"])
+    dom = growth_dominance(sched, breakpoints)  # raises when the bound fails
+    worst = min(float(r.ratio / r.lower_bound) for r in dom if r.lower_bound > 0)
+    n0 = {f"T{t}": breakpoints[i] for (t, lab), i in tails.items() if lab == "prob"}
+    return True, f"14 breakpoints, decay tails from n={n0}; dominance margin x{worst:.1f}"
 
 
 def sandwich_scenarios(spec1, spec2, c) -> dict:
@@ -233,41 +239,35 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
     return reports
 
 
-def criterion_6_sandwich(sc: SuiteContext) -> CriterionResult:
-    def body():
-        reports = sc.sweep("sandwich")
-        rep = reports["lattice"]
-        lattice_ok = all(r.lower_ok for r in rep.rows) and any(not r.vacuous for r in rep.rows)
-        if not lattice_ok:
-            return False, "lattice lower inclusion violated"
-        rep2 = reports["tree"]
-        viol = sum(r.lower_violations for r in rep2.rows)
-        ok = rep2.first_sandwiched_n is not None and viol == 0
-        return ok, (
-            f"lattice exact; tree N0={rep2.first_sandwiched_n}, lower violations={viol}; "
-            "upper inclusion holds by construction"
-        )
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(6, "horoball sandwich", passed, elapsed, detail)
+@criterion(6, "horoball sandwich")
+def criterion_6_sandwich(sc: SuiteContext):
+    reports = sc.sweep("sandwich")
+    rep = reports["lattice"]
+    lattice_ok = all(r.lower_ok for r in rep.rows) and any(not r.vacuous for r in rep.rows)
+    if not lattice_ok:
+        return False, "lattice lower inclusion violated"
+    rep2 = reports["tree"]
+    viol = sum(r.lower_violations for r in rep2.rows)
+    ok = rep2.first_sandwiched_n is not None and viol == 0
+    return ok, (
+        f"lattice exact; tree N0={rep2.first_sandwiched_n}, lower violations={viol}; "
+        "upper inclusion holds by construction"
+    )
 
 
-def criterion_7_pi1_forest(sc: SuiteContext) -> CriterionResult:
-    def body():
-        runs = sc.sweep("graphing")[0].runs[:100]
-        if len(runs) < 100:
-            return False, "fewer than 100 seeds"
-        viol = sum(r.pi1_interior_violations for r in runs)
-        par = sum(r.parallel_violations for r in runs)
-        interior = sum(r.interior for r in runs)
-        return (
-            viol == 0 and par == 0,
-            f"{interior} interior marked points over 100 seeds, "
-            f"{viol} out-degree and {par} parallel violations",
-        )
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(7, "descent forest out-degrees", passed, elapsed, detail)
+@criterion(7, "descent forest out-degrees")
+def criterion_7_pi1_forest(sc: SuiteContext):
+    runs = sc.sweep("graphing")[0].runs[:100]
+    if len(runs) < 100:
+        return False, "fewer than 100 seeds"
+    viol = sum(r.pi1_interior_violations for r in runs)
+    par = sum(r.parallel_violations for r in runs)
+    interior = sum(r.interior for r in runs)
+    return (
+        viol == 0 and par == 0,
+        f"{interior} interior marked points over 100 seeds, "
+        f"{viol} out-degree and {par} parallel violations",
+    )
 
 
 def touching_scenarios(spec1, spec2) -> dict:
@@ -309,126 +309,90 @@ def touching_scenarios(spec1, spec2) -> dict:
     }
 
 
-def criterion_8_touching(sc: SuiteContext) -> CriterionResult:
-    def body():
-        traces = touching_scenarios(F2, F2)
-        tr = traces["tree_k2_kp1"]
-        if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
-            return False, "tree trace failed"
-        if not (tr.k == 2 and tr.k_prime == 1 and max(tr.rho_values) <= 3):
-            return False, f"k={tr.k}, k'={tr.k_prime}, max rho {max(tr.rho_values)}"
-        tr0 = traces["degenerate"]
-        if max(tr0.rho_values) != 0 or not (tr0.monotone1 and tr0.monotone2):
-            return False, "degenerate trace not identically zero"
-        trz = traces["lattice"]
-        ok = trz.bound_ok and trz.monotone1 and trz.monotone2
-        return ok, (
-            f"tree max rho {max(tr.rho_values)} <= 3; lattice max rho "
-            f"{max(trz.rho_values)} <= {trz.bound}"
-        )
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(8, "touching paths", passed, elapsed, detail)
+@criterion(8, "touching paths")
+def criterion_8_touching(sc: SuiteContext):
+    traces = touching_scenarios(F2, F2)
+    tr = traces["tree_k2_kp1"]
+    if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
+        return False, "tree trace failed"
+    if not (tr.k == 2 and tr.k_prime == 1 and max(tr.rho_values) <= 3):
+        return False, f"k={tr.k}, k'={tr.k_prime}, max rho {max(tr.rho_values)}"
+    tr0 = traces["degenerate"]
+    if max(tr0.rho_values) != 0 or not (tr0.monotone1 and tr0.monotone2):
+        return False, "degenerate trace not identically zero"
+    trz = traces["lattice"]
+    ok = trz.bound_ok and trz.monotone1 and trz.monotone2
+    return ok, (
+        f"tree max rho {max(tr.rho_values)} <= 3; lattice max rho "
+        f"{max(trz.rho_values)} <= {trz.bound}"
+    )
 
 
-def criterion_9_cost(sc: SuiteContext) -> CriterionResult:
-    rep, sweep_s = sc.sweep("graphing")
-
-    def body():
-        st = {s["stage"]: s for s in rep.stages}
-        h3 = st["pi3"]["half_degree_mean"]
-        se = st["pi3"]["half_degree_se"]
-        band_hi = 1.0 + 0.05 + 3.0 * se + rep.boundary_deficit
-        in_band = 1.0 - 1e-9 <= h3 <= band_hi
-        pi5_ok = rep.pi5_violations == 0 and rep.pi5_disconnected == 0
-        fr = [rep.largest_fraction_by_eps[e] for e in sorted(rep.largest_fraction_by_eps)]
-        mono = all(b >= a - 1e-12 for a, b in zip(fr, fr[1:])) and rep.monotone_violations == 0
-        ok = in_band and pi5_ok and mono
-        return ok, (
-            f"half-deg pi3 {h3:.4f} in [1, {band_hi:.4f}], pi5 violations "
-            f"{rep.pi5_violations}, pi5 disconnected {rep.pi5_disconnected}, "
-            f"fractions {['%.3f' % f for f in fr]}"
-        )
-
-    passed, elapsed, detail = _timed(body)
-    elapsed = max(elapsed, sweep_s)  # the sweep ran before body: above, in criterion 7 or offered
-    passed = passed and elapsed < 600.0
-    return CriterionResult(9, "cost estimators", passed, elapsed, detail, 600.0)
+@criterion(9, "cost estimators", limit=600.0)
+def criterion_9_cost(sc: SuiteContext):
+    rep, sweep_s = sc.sweep("graphing")  # run in criterion 7 or offered
+    st = {s["stage"]: s for s in rep.stages}
+    h3 = st["pi3"]["half_degree_mean"]
+    se = st["pi3"]["half_degree_se"]
+    band_hi = 1.0 + 0.05 + 3.0 * se + rep.boundary_deficit
+    in_band = 1.0 - 1e-9 <= h3 <= band_hi
+    pi5_ok = rep.pi5_violations == 0 and rep.pi5_disconnected == 0
+    fr = [rep.largest_fraction_by_eps[e] for e in sorted(rep.largest_fraction_by_eps)]
+    mono = all(b >= a - 1e-12 for a, b in zip(fr, fr[1:])) and rep.monotone_violations == 0
+    detail = (
+        f"half-deg pi3 {h3:.4f} in [1, {band_hi:.4f}], pi5 violations "
+        f"{rep.pi5_violations}, pi5 disconnected {rep.pi5_disconnected}, "
+        f"fractions {['%.3f' % f for f in fr]}"
+    )
+    return in_band and pi5_ok and mono, detail, sweep_s
 
 
-def criterion_10_baseline(sc: SuiteContext) -> CriterionResult:
-    rep, sweep_s = sc.sweep("prop13")
-
-    def body():
-        eps0 = [r for r in rep.rows if r.eps == 0.0][0]
-        half_one = abs(eps0.half_degree_mean - 1.0) < 1e-12
-        fr = [r.largest_fraction_mean for r in rep.rows]
-        mono = all(b >= a - 1e-12 for a, b in zip(fr, fr[1:]))
-        ok = rep.line_partition_ok and half_one and rep.monotone_violations == 0 and mono
-        return ok, (
-            f"line partition ok={rep.line_partition_ok}, eps=0 half-degree "
-            f"{eps0.half_degree_mean:.4f}, fractions {['%.3f' % f for f in fr]}"
-        )
-
-    passed, elapsed, detail = _timed(body)
-    elapsed = max(elapsed, sweep_s)  # the sweep ran before body: above or offered
-    return CriterionResult(10, "coset-line baseline", passed, elapsed, detail)
+@criterion(10, "coset-line baseline")
+def criterion_10_baseline(sc: SuiteContext):
+    rep, sweep_s = sc.sweep("prop13")  # run here or offered
+    eps0 = [r for r in rep.rows if r.eps == 0.0][0]
+    half_one = abs(eps0.half_degree_mean - 1.0) < 1e-12
+    fr = [r.largest_fraction_mean for r in rep.rows]
+    mono = all(b >= a - 1e-12 for a, b in zip(fr, fr[1:]))
+    ok = rep.line_partition_ok and half_one and rep.monotone_violations == 0 and mono
+    detail = (
+        f"line partition ok={rep.line_partition_ok}, eps=0 half-degree "
+        f"{eps0.half_degree_mean:.4f}, fractions {['%.3f' % f for f in fr]}"
+    )
+    return ok, detail, sweep_s
 
 
-def criterion_11_determinism(sc: SuiteContext) -> CriterionResult:
+@criterion(11, "byte-identical reruns")
+def criterion_11_determinism(sc: SuiteContext):
     """Byte-identical reruns of the artifact suite at a reduced scale."""
-    import contextlib
-    import io
-    import tempfile
-    from pathlib import Path
+    from . import cli  # cli imports this module
 
-    from . import cli
-
-    def body():
-        small = {
-            "acceptance_checks": False,
-            "seeds": 5,
-            "graphing": {"seeds": 5, "window_radius": 4, "margin": 2},
-            "process": {"seeds": 5, "corner_seeds": 5, "n_range": [1, 2, 3, 4, 5, 6]},
-            "prop13": {"seeds": 5},
-        }
-        digests = []
-        for run in range(2):
-            with tempfile.TemporaryDirectory() as tmp:
-                with contextlib.redirect_stdout(io.StringIO()):  # keep the suite's output clean
-                    rc = cli.main(
-                        ["all", "--out", tmp, "--seed", str(sc.master_seed)],
-                        config_overrides=small,
-                    )
-                if rc != 0:
-                    return False, f"reduced suite exited {rc}"
-                blob = {}
-                for p in sorted(Path(tmp).rglob("*")):
-                    if p.is_file() and p.name != "manifest.json":
-                        blob[str(p.relative_to(tmp))] = p.read_bytes()
-                digests.append(blob)
-        if digests[0].keys() != digests[1].keys():
-            return False, "file sets differ between reruns"
-        diff = [k for k in digests[0] if digests[0][k] != digests[1][k]]
-        return not diff, f"{len(digests[0])} data files compared; differing: {diff}"
-
-    passed, elapsed, detail = _timed(body)
-    return CriterionResult(11, "byte-identical reruns", passed, elapsed, detail)
-
-
-ALL_CRITERIA = [
-    criterion_1_growth,
-    criterion_2_slices,
-    criterion_3_schedule,
-    criterion_4_diamond_volume,
-    criterion_5_corner_decay,
-    criterion_6_sandwich,
-    criterion_7_pi1_forest,
-    criterion_8_touching,
-    criterion_9_cost,
-    criterion_10_baseline,
-    criterion_11_determinism,
-]
+    small = {
+        "acceptance_checks": False,
+        "seeds": 5,
+        "graphing": {"seeds": 5, "window_radius": 4, "margin": 2},
+        "process": {"seeds": 5, "corner_seeds": 5, "n_range": [1, 2, 3, 4, 5, 6]},
+        "prop13": {"seeds": 5},
+    }
+    digests = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):  # keep the suite's output clean
+                rc = cli.main(
+                    ["all", "--out", tmp, "--seed", str(sc.master_seed)],
+                    config_overrides=small,
+                )
+            if rc != 0:
+                return False, f"reduced suite exited {rc}"
+            blob = {}
+            for p in sorted(Path(tmp).rglob("*")):
+                if p.is_file() and p.name != "manifest.json":
+                    blob[str(p.relative_to(tmp))] = p.read_bytes()
+            digests.append(blob)
+    if digests[0].keys() != digests[1].keys():
+        return False, "file sets differ between reruns"
+    diff = [k for k in digests[0] if digests[0][k] != digests[1][k]]
+    return not diff, f"{len(digests[0])} data files compared; differing: {diff}"
 
 
 def run_all(master_seed: int = 20260810, threads: int = 1, echo=print, offered=None) -> list:

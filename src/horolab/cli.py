@@ -19,12 +19,12 @@ Only the manifest, acceptance.txt (text) and process_seed0.jsonl (JSON
 Lines) are written otherwise.
 
 `main` builds one `Run` from the validated config and hands it to the
-runner.  The run resolves the group specs, the schedule, the metric
-and the graphing and prop13 sweeps each once, on first use, and keeps
-them for the rest of the invocation; `growth`, `touching` and `prop13`
-never build the schedule.  Growth series are recomputed where they are
-read: `groups.ball` keeps each group's enumeration for the whole
-process, so a repeated series costs no enumeration.
+runner.  The run resolves the group specs, the slope, the schedule, the
+metric and the graphing and prop13 sweeps each once, on first use, and
+keeps them for the rest of the invocation; `growth`, `touching` and
+`prop13` never build the schedule.  Growth series are recomputed where
+they are read: `groups.ball` keeps each group's enumeration for the
+whole process, so a repeated series costs no enumeration.
 
 `all` runs every subcommand and then the acceptance suite, and offers the
 suite its run.  A criterion takes a sweep from the offered run when every
@@ -204,6 +204,8 @@ def _validate(cfg: dict):
         for v in _require_list(*get(block, key)):
             _require_eps(v, f"{block}.{key} entry")
     _require_eps(*get("graphing", "eps"))
+    if isinstance(cfg["master_seed"], bool) or not isinstance(cfg["master_seed"], int):
+        raise InputError(f"master_seed must be an integer, got {cfg['master_seed']!r}")
     _require_bool(*get(None, "acceptance_checks"))
     _require_bool(*get("diamond", "sandwich"))
     if cfg["schedule"]["mode"] not in ("auto", "lemma", "linear"):
@@ -239,20 +241,26 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _resolve_c(cfg, g1, g2):
+def _resolve_c(cfg, spec1, spec2) -> Fraction:
+    """The metric slope: the configured c; else 1 for equal specs or equal
+    exact growth rates; else log a / log a' from the exact rates, when
+    that is an integer.  Anything else is an InputError."""
     if cfg["c"] is not None:
         return as_slope(str(cfg["c"]))  # a JSON 1.5 reads as "1.5", i.e. 3/2
-    a, b = g1.exact_rate, g2.exact_rate
-    if a is not None and b is not None and a == b:
+    a, b = make_oracle(spec1).exact_growth_rate(), make_oracle(spec2).exact_growth_rate()
+    if spec1 == spec2 or (a is not None and a == b):
         return Fraction(1)
-    ra = float(a) if a is not None else g1.rate()
-    rb = float(b) if b is not None else g2.rate()
-    if ra <= 1 or rb <= 1:
+    if a is None or b is None:
+        raise InputError(
+            "slope c = log a / log a' needs exact growth rates for unequal factors; "
+            "set an explicit rational c in the config"
+        )
+    if a <= 1 or b <= 1:
         raise InputError(
             "slope c = log a / log a' undefined for subexponential growth; "
             "set an explicit rational c in the config"
         )
-    value = math.log(ra) / math.log(rb)
+    value = math.log(a) / math.log(b)
     if abs(value - round(value)) < 1e-12:
         return Fraction(int(round(value)))
     raise InputError(
@@ -262,13 +270,12 @@ def _resolve_c(cfg, g1, g2):
 
 
 # The config entries each sweep reads, and the sandwich scenarios (the
-# groups and the slope, which the schedule's growth series fix when `c` is
-# null).  Threads and the enumeration cap change how a sweep runs, not
-# what it reports.
+# groups and the slope).  Threads and the enumeration cap change how a
+# sweep runs, not what it reports.
 SWEEP_INPUTS = {
     "graphing": ("group", "group2", "c", "schedule", "graphing", "master_seed"),
     "prop13": ("group", "group2", "c", "prop13", "master_seed"),
-    "sandwich": ("group", "group2", "c", "schedule"),
+    "sandwich": ("group", "group2", "c"),
 }
 
 
@@ -280,11 +287,13 @@ def _peak_rss_mb(who) -> float:
 class Run:
     """One invocation of the pipeline, built from a validated config.
 
-    Each step fixes the next: the group specs fix the growth series, the
-    growth series the schedule, the schedule the metric, and these carry
-    the graphing and prop13 sweeps.  Each of these but the growth series
-    is resolved on first use and kept for the rest of the invocation, so
-    no runner re-derives one and no sweep runs twice.
+    The group specs decide the slope `c` (with the config's `c`, through
+    `_resolve_c`) and the schedule mode; no growth-rate estimate does.
+    The specs and `c` fix the metric, which carries the sandwich
+    scenarios and the prop13 sweep; with the growth series they fix the
+    schedule, which the graphing sweep also reads.  Each of these but the
+    growth series is resolved on first use and kept for the rest of the
+    invocation, so no runner re-derives one and no sweep runs twice.
     """
 
     def __init__(self, cfg: dict):
@@ -307,9 +316,11 @@ class Run:
     def specs(self) -> tuple:
         return GroupSpec.from_dict(self.cfg["group"]), GroupSpec.from_dict(self.cfg["group2"])
 
-    def growth_pair(self, horizon: int, horizon2: int) -> tuple:
-        (spec1, spec2), cap = self.specs, self.cfg["enum_cap"]
-        return growth_series(spec1, horizon, cap=cap), growth_series(spec2, horizon2, cap=cap)
+    @functools.cached_property
+    def c(self) -> Fraction:
+        """The metric slope, from the config and the group specs alone
+        (`_resolve_c`)."""
+        return _resolve_c(self.cfg, *self.specs)
 
     @functools.cached_property
     def schedule(self):
@@ -317,34 +328,26 @@ class Run:
 
         mode "lemma" runs the growth induction and refuses a factor whose
         spec is amenable (`GroupSpec.amenable`); "linear" is the
-        exact-slope synthetic table;
-        "auto" chooses lemma for clearly exponential factors and linear
-        otherwise (subexponential growth never certifies nonamenability at
-        desk scale).
+        exact-slope synthetic table; "auto" is the lemma exactly when
+        neither spec is amenable, and linear otherwise.
         """
         mode, horizon = self.cfg["schedule"]["mode"], self.cfg["schedule"]["horizon"]
-        g1, g2 = self.growth_pair(horizon, 2 * horizon + 2)
-        if mode == "auto":
-            exponential = all(
-                (g.exact_rate is not None and g.exact_rate > 1)
-                or (g.exact_rate is None and g.rate() > 1.05)
-                for g in (g1, g2)
-            )
-            mode = "lemma" if exponential else "linear"
-        c = _resolve_c(self.cfg, g1, g2)
-        if mode == "lemma":
-            return build_schedule(g1, g2, c, horizon)
-        return linear_schedule(c, horizon, growth=g1, growth2=g2)
+        (spec1, spec2), cap = self.specs, self.cfg["enum_cap"]
+        g1 = growth_series(spec1, horizon, cap=cap)
+        g2 = growth_series(spec2, 2 * horizon + 2, cap=cap)
+        if mode == "lemma" or (mode == "auto" and not (spec1.amenable() or spec2.amenable())):
+            return build_schedule(g1, g2, self.c, horizon)
+        return linear_schedule(self.c, horizon, growth=g1, growth2=g2)
 
     @functools.cached_property
     def metric(self) -> ProductMetric:
         spec1, spec2 = self.specs
-        return ProductMetric(make_oracle(spec1), make_oracle(spec2), self.schedule.c)
+        return ProductMetric(make_oracle(spec1), make_oracle(spec2), self.c)
 
     @functools.cached_property
     def sandwich(self) -> dict:
         """The horoball-sandwich scenarios on the run's groups and slope."""
-        return acceptance.sandwich_scenarios(*self.specs, self.schedule.c)
+        return acceptance.sandwich_scenarios(*self.specs, self.c)
 
     def sweep_graphing(self) -> CostReport:
         """Run the graphing sweep and return its report, seed-0 stages
@@ -375,21 +378,12 @@ class Run:
 
     @functools.cached_property
     def prop13(self) -> tuple:
-        """(report, wall seconds) of the coset-line baseline sweep.
-
-        Its slope comes from its own growth pair through `_resolve_c`, not
-        from the schedule: the schedule's pair has other horizons, and for
-        a free product with `c: null` that changes the slope.
-        """
+        """(report, wall seconds) of the coset-line baseline sweep."""
         sub, cfg = self.cfg["prop13"], self.cfg
-        wr = sub["window_radius"]
         t0 = time.time()
-        horizon = max(2 * wr, 8)
-        c = _resolve_c(cfg, *self.growth_pair(horizon, horizon))
-        metric = ProductMetric(make_oracle(self.specs[0]), make_oracle(self.specs[1]), c)
         report = coset_line_baseline(
-            metric,
-            wr,
+            self.metric,
+            sub["window_radius"],
             sub["margin"],
             sub["eps_list"],
             sub["seeds"],

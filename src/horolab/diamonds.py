@@ -26,8 +26,6 @@ from .schedule import SlopeSchedule
 
 def diamond_volume(schedule: SlopeSchedule, n: int) -> int:
     """v''_n = Sum_t s_{r_n-t} * v'_{f(t)}: the diamond volume by slices."""
-    if schedule.growth is None or schedule.growth2 is None:
-        raise InputError("schedule carries no growth series")
     if n >= len(schedule.r):
         raise InputError(f"schedule has no breakpoint index {n}")
     r_n = schedule.r[n]

@@ -637,11 +637,6 @@ class GrowthSeries:
             )
         return self.spheres[n]
 
-    def rate(self) -> float:
-        if self.exact_rate is not None:
-            return float(self.exact_rate)
-        return self.growth_rate_estimates[-1]
-
     def check_invariants(self):
         v, s = self.volumes, self.spheres
         infinite = not make_oracle(self.spec).is_finite()

@@ -39,11 +39,11 @@ class SlopeSchedule:
     r: list
     r_prime: list
     segments: list
+    growth: GrowthSeries
+    growth2: GrowthSeries
     M: int = 0
     source: str = "lemma"
     truncated: bool = False
-    growth: GrowthSeries = None
-    growth2: GrowthSeries = None
     segment_of: list = field(default_factory=list)
 
     def f_of(self, t: int) -> int:
@@ -108,18 +108,13 @@ class SlopeSchedule:
 
     def breakpoints(self) -> dict:
         """The breakpoint radii, ratios and segments, as JSON values."""
-        ratios = (
-            [str(x) for x in self.breakpoint_ratios()]
-            if self.growth is not None
-            else []
-        )
         return {
             "c": str(self.c),
             "horizon": self.horizon,
             "truncated": self.truncated,
             "r": self.r,
             "r_prime": self.r_prime,
-            "ratios": ratios,
+            "ratios": [str(x) for x in self.breakpoint_ratios()],
             "segments": [
                 {
                     "index": s.index,
@@ -182,11 +177,6 @@ def build_schedule(
                 f"schedule construction requires nonamenable factors; {g.spec.to_dict()} "
                 "is amenable: use the linear schedule (schedule.mode auto or linear)"
             )
-    if growth.eps_nonamen <= 0 or growth2.eps_nonamen <= 0:
-        raise InputError(
-            "schedule construction requires nonamenable growth on both factors "
-            "(eps_nonamen > 0); use linear_schedule for exact-slope experiments"
-        )
     if growth.horizon < horizon:
         raise InputError("first growth series does not cover the schedule horizon")
     g = [Fraction(0)]
@@ -254,9 +244,7 @@ def build_schedule(
     return sched
 
 
-def linear_schedule(
-    c, horizon: int, growth: GrowthSeries = None, growth2: GrowthSeries = None
-) -> SlopeSchedule:
+def linear_schedule(c, horizon: int, growth: GrowthSeries, growth2: GrowthSeries) -> SlopeSchedule:
     """Synthetic exact-slope schedule f(t) = floor(c t).
 
     Not a product of the growth induction; used for exact-geometry
@@ -265,9 +253,6 @@ def linear_schedule(
     c = as_slope(c)
     g = [c * t for t in range(horizon + 1)]
     f = [math.floor(v) for v in g]
-    M = 0
-    if growth is not None and growth2 is not None:
-        M = generator_bound(make_oracle(growth.spec), make_oracle(growth2.spec))
     return SlopeSchedule(
         c=c,
         horizon=horizon,
@@ -276,7 +261,7 @@ def linear_schedule(
         r=list(range(horizon + 1)),
         r_prime=f[:],
         segments=[Segment(0, 0, horizon, c, None)],
-        M=M,
+        M=generator_bound(make_oracle(growth.spec), make_oracle(growth2.spec)),
         source="linear",
         growth=growth,
         growth2=growth2,

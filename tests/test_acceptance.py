@@ -89,6 +89,17 @@ def test_criterion_01_times_a_cold_bfs_and_checks_the_memo(monkeypatch):
     assert "memo's prefix" in result.detail
 
 
+def test_all_criteria_lists_the_module_functions_in_order():
+    # The benchmark finds each criterion by `__name__` and rebinds every
+    # reference to it, which needs the list entry to be the module global.
+    names = [f.__name__ for f in acceptance.ALL_CRITERIA]
+    assert [name.split("_")[:2] for name in names] == [
+        ["criterion", str(i)] for i in range(1, 12)
+    ]
+    for f in acceptance.ALL_CRITERIA:
+        assert f is getattr(acceptance, f.__name__)
+
+
 # Offered runs ---------------------------------------------------------------
 
 

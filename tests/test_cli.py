@@ -195,6 +195,10 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         {"schedule": {"mode": "bogus"}},
         {"diamond": {"sandwich": "no"}},
         {"acceptance_checks": "no"},
+        {"master_seed": "x"},
+        {"master_seed": 1.5},
+        {"master_seed": True},
+        {"master_seed": [1]},
     ],
     ids=[
         "window_radius-str",
@@ -228,6 +232,10 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         "schedule-mode-unknown",
         "sandwich-str",
         "acceptance_checks-str",
+        "master_seed-str",
+        "master_seed-float",
+        "master_seed-bool",
+        "master_seed-list",
     ],
 )
 def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
@@ -273,12 +281,24 @@ def test_growth_runs_when_the_schedule_would_fail(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_lemma_schedule_refuses_an_amenable_factor(tmp_path, capsys, dim):
-    # Z^dim x F2 at c = 1: "lemma" exits 2, "auto" still takes the linear
-    # schedule.
+C2 = {"kind": "cyclic", "order": 2}
+C3 = {"kind": "cyclic", "order": 3}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"kind": "integer_lattice", "dim": 1},
+        {"kind": "integer_lattice", "dim": 2},
+        {"kind": "free_product", "factors": [C2, C2]},
+    ],
+    ids=["1", "2", "C2*C2"],  # Z^1, Z^2 and the infinite dihedral group
+)
+def test_lemma_schedule_refuses_an_amenable_factor(tmp_path, capsys, group):
+    # An amenable first factor x F2 at c = 1: "lemma" exits 2, "auto" takes
+    # the linear schedule, whatever the factor's growth-rate estimates.
     overrides = {
-        "group": {"kind": "integer_lattice", "dim": dim},
+        "group": group,
         "group2": {"kind": "free", "rank": 2},
         "c": "1",
         "schedule": {"mode": "lemma"},
@@ -288,6 +308,22 @@ def test_lemma_schedule_refuses_an_amenable_factor(tmp_path, capsys, dim):
     overrides["schedule"] = {"mode": "auto"}
     assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
     assert cli.Run(cli._deep_merge(cli.DEFAULTS, overrides)).schedule.source == "linear"
+
+
+def test_equal_free_products_take_slope_1(tmp_path):
+    # (Z/2*Z/3)^2 with c null: equal specs give c = 1, although the growth
+    # series the schedule reads have different horizons.
+    pair = {"kind": "free_product", "factors": [C2, C3]}
+    overrides = {**SMALL, "group": pair, "group2": pair}
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert json.loads((tmp_path / "breakpoints.json").read_text())["c"] == "1"
+    assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=overrides) == 0
+
+
+def test_unequal_factors_without_exact_rates_need_an_explicit_c(tmp_path, capsys):
+    overrides = {"group": {"kind": "free_product", "factors": [C2, C3]}}
+    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 2
+    assert "needs exact growth rates" in capsys.readouterr().err
 
 
 def test_main_leaves_the_defaults_unchanged(tmp_path):

@@ -74,7 +74,8 @@ def test_almost_linear(sched_f2):
 
 
 def test_linear_schedule_is_floor():
-    s = linear_schedule(Fraction(3, 2), 10)
+    g = growth_series(F2, 10)
+    s = linear_schedule(Fraction(3, 2), 10, growth=g, growth2=g)
     assert s.f == [(3 * t) // 2 for t in range(11)]
     rep = s.verify_almost_linear(4)
     assert rep.all_hold()
@@ -113,14 +114,6 @@ def test_segment_cap_divergence():
     gb = GrowthSeries(F2, vb, [vb[0]] + [vb[i] - vb[i - 1] for i in range(1, 20)], "synthetic")
     with pytest.raises(InvariantViolation):
         build_schedule(ga, gb, 1, 9, segment_cap=4)
-
-
-def test_requires_nonamenable_eps():
-    gz = growth_series(Z1, 12)
-    gz.eps_nonamen = Fraction(0)
-    g = growth_series(F2, 12)
-    with pytest.raises(InputError):
-        build_schedule(gz, g, 1, 10)
 
 
 @pytest.mark.parametrize(
