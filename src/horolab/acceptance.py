@@ -51,7 +51,7 @@ from .horoboundary import (
 )
 from .point_process import corner_event_probability, eventually_decreasing_split
 from .product import ProductMetric, ProductSpace, ball_slice_volume, perfect_diamond
-from .schedule import build_schedule, linear_schedule
+from .schedule import build_schedule, schedule_for
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -210,12 +210,10 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
     "lattice" always runs: Z x Z at c = 1, a linear schedule, half-plane
     horoballs and window radius 5.  "tree" runs on spec1 x spec2 at slope
     c, window radius 4 and centers escaping along A^-M, when both factors
-    are free; its schedule reads the second factor's growth series to
-    2 h + 2 for horizon h, as `cli.Run.schedule` does.
+    are free.  Both schedules come from `schedule_for`, as `cli.Run`'s does.
     """
     oz = make_oracle(Z1)
-    gz = growth_series(Z1, 40)
-    lsched = linear_schedule(1, 30, growth=gz, growth2=gz)
+    lsched = schedule_for(Z1, Z1, 1, 30)
     centers = []
     for n in range(20, 29):
         N = (lsched.r[n] + 2) // 2 + 1
@@ -225,10 +223,7 @@ def sandwich_scenarios(spec1, spec2, c) -> dict:
     reports = {"lattice": sandwich_check(win, lsched, hz, hz, centers)}
     if spec1.kind == "free" and spec2.kind == "free":
         o1, o2 = make_oracle(spec1), make_oracle(spec2)
-        horizon = 26
-        sched = build_schedule(
-            growth_series(spec1, horizon), growth_series(spec2, 2 * horizon + 2), c, horizon
-        )
+        sched = schedule_for(spec1, spec2, c, 26)
         centers = []
         for n in range(16, min(25, len(sched.r))):
             M = sched.r[n] // 2
@@ -369,7 +364,6 @@ def criterion_11_determinism(sc: SuiteContext):
 
     small = {
         "acceptance_checks": False,
-        "seeds": 5,
         "graphing": {"seeds": 5, "window_radius": 4, "margin": 2},
         "process": {"seeds": 5, "corner_seeds": 5, "n_range": [1, 2, 3, 4, 5, 6]},
         "prop13": {"seeds": 5},

@@ -83,7 +83,7 @@ from .point_process import (
 )
 from .product import ProductMetric, as_slope, perfect_diamond
 from .randomness import seed_digest
-from .schedule import build_schedule, linear_schedule
+from .schedule import schedule_for
 
 DEFAULTS = {
     "group": {"kind": "free", "rank": 2},
@@ -92,11 +92,10 @@ DEFAULTS = {
     "enum_cap": 20_000_000,
     "master_seed": 20260810,
     "threads": 1,
-    "seeds": None,
     "acceptance_checks": True,
     "growth": {"horizon": 8, "ball_dump_radius": 3},
-    "schedule": {"horizon": 12, "m_max": 5, "mode": "auto"},
-    "diamond": {"n_values": list(range(0, 9)), "T_values": [1, 2, 3], "sandwich": True},
+    "schedule": {"horizon": 12, "m_max": 5},
+    "diamond": {"n_values": list(range(0, 9)), "T_values": [1, 2, 3]},
     "process": {
         "n": 2,
         "window_radius": 4,
@@ -165,11 +164,6 @@ def _require_eps(value, name: str):
         raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _require_bool(value, name: str):
-    if not isinstance(value, bool):
-        raise InputError(f"{name} must be true or false, got {value!r}")
-
-
 def _require_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{name} must be a list, got {value!r}")
@@ -206,18 +200,12 @@ def _validate(cfg: dict):
     _require_eps(*get("graphing", "eps"))
     if isinstance(cfg["master_seed"], bool) or not isinstance(cfg["master_seed"], int):
         raise InputError(f"master_seed must be an integer, got {cfg['master_seed']!r}")
-    _require_bool(*get(None, "acceptance_checks"))
-    _require_bool(*get("diamond", "sandwich"))
-    if cfg["schedule"]["mode"] not in ("auto", "lemma", "linear"):
+    if not isinstance(cfg["acceptance_checks"], bool):
         raise InputError(
-            f"schedule.mode must be auto, lemma or linear, got {cfg['schedule']['mode']!r}"
+            f"acceptance_checks must be true or false, got {cfg['acceptance_checks']!r}"
         )
     if cfg["c"] is not None and not as_slope(str(cfg["c"])) > 0:
         raise InputError(f"c must be null or a positive rational, got {cfg['c']!r}")
-    if cfg["seeds"] is not None:
-        _require_int(cfg["seeds"], "seeds")
-        for block in ("process", "graphing", "prop13"):
-            cfg[block]["seeds"] = cfg["seeds"]
 
 
 def write_csv(path, header, rows):
@@ -288,10 +276,11 @@ class Run:
     """One invocation of the pipeline, built from a validated config.
 
     The group specs decide the slope `c` (with the config's `c`, through
-    `_resolve_c`) and the schedule mode; no growth-rate estimate does.
-    The specs and `c` fix the metric, which carries the sandwich
-    scenarios and the prop13 sweep; with the growth series they fix the
-    schedule, which the graphing sweep also reads.  Each of these but the
+    `_resolve_c`), and they alone pick the lemma or the linear schedule
+    (`schedule_for`); no growth-rate estimate does.  The specs and `c` fix
+    the metric, which carries the sandwich scenarios and the prop13 sweep;
+    with the growth series they fix the schedule, which the graphing
+    sweep also reads.  Each of these but the
     growth series is resolved on first use and kept for the rest of the
     invocation, so no runner re-derives one and no sweep runs twice.
     """
@@ -324,20 +313,9 @@ class Run:
 
     @functools.cached_property
     def schedule(self):
-        """The slope schedule to `schedule.horizon`.
-
-        mode "lemma" runs the growth induction and refuses a factor whose
-        spec is amenable (`GroupSpec.amenable`); "linear" is the
-        exact-slope synthetic table; "auto" is the lemma exactly when
-        neither spec is amenable, and linear otherwise.
-        """
-        mode, horizon = self.cfg["schedule"]["mode"], self.cfg["schedule"]["horizon"]
-        (spec1, spec2), cap = self.specs, self.cfg["enum_cap"]
-        g1 = growth_series(spec1, horizon, cap=cap)
-        g2 = growth_series(spec2, 2 * horizon + 2, cap=cap)
-        if mode == "lemma" or (mode == "auto" and not (spec1.amenable() or spec2.amenable())):
-            return build_schedule(g1, g2, self.c, horizon)
-        return linear_schedule(self.c, horizon, growth=g1, growth2=g2)
+        """The slope schedule to `schedule.horizon`, as the specs pick it."""
+        horizon = self.cfg["schedule"]["horizon"]
+        return schedule_for(*self.specs, self.c, horizon, self.cfg["enum_cap"])
 
     @functools.cached_property
     def metric(self) -> ProductMetric:
@@ -437,8 +415,8 @@ def run_schedule(run: Run, out: Path) -> dict:
     sched.check_invariants()
     rows = []
     for t in range(len(sched.f)):
-        seg = sched.segment_of[t] if t < len(sched.segment_of) else ""
-        slope = sched.segments[seg].slope if seg != "" and seg < len(sched.segments) else ""
+        seg = sched.segment_of[t]
+        slope = sched.segments[seg].slope if seg < len(sched.segments) else ""
         rows.append([t, sched.f[t], sched.g[t], seg, slope])
     write_csv(out / "schedule.csv", ["n", "f_n", "g_n", "segment_index", "slope"], rows)
     write_json(out / "breakpoints.json", sched.breakpoints())
@@ -462,7 +440,15 @@ def run_schedule(run: Run, out: Path) -> dict:
 def run_diamond(run: Run, out: Path) -> dict:
     sub = run.cfg["diamond"]
     sched, metric = run.schedule, run.metric
-    n_values = [n for n in sub["n_values"] if n < len(sched.r)]
+    # The corner and dominance tables read each series to max(r + T - 1, r, T).
+    t = max(sub["T_values"], default=0)
+    n_values = [
+        n
+        for n in sub["n_values"]
+        if n < len(sched.r)
+        and max(sched.r[n] + t - 1, sched.r[n], t) <= sched.growth.horizon
+        and max(sched.r_prime[n] + t - 1, sched.r_prime[n], t) <= sched.growth2.horizon
+    ]
     vol_rows = []
     plot = []
     for n in n_values:
@@ -501,9 +487,8 @@ def run_diamond(run: Run, out: Path) -> dict:
     )
     for r in dom:
         plot.append(["dominance_ratio", r.n, float(r.ratio), 0])
-    summary = {"n_values": n_values, "schedule_source": sched.source}
-    if sub["sandwich"]:
-        summary["sandwich"] = _run_sandwich_scenarios(run, out)
+    sandwich = _run_sandwich_scenarios(run, out)
+    summary = {"n_values": n_values, "schedule_source": sched.source, "sandwich": sandwich}
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     write_json(out / "summary.json", summary)
     return summary
@@ -555,7 +540,7 @@ def run_process(run: Run, out: Path) -> dict:
     )
     n_range = [n for n in sub["n_range"] if n < len(sched.r)]
     corner_rows = corner_event_probability(
-        sched, n_range, sub["T"], seeds=sub["corner_seeds"], master_seed=cfg["master_seed"]
+        sched, n_range, sub["T"], sub["corner_seeds"], cfg["master_seed"], cfg["enum_cap"]
     )
     write_csv(
         out / "corner_events.csv",

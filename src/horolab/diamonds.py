@@ -26,9 +26,7 @@ from .schedule import SlopeSchedule
 
 def diamond_volume(schedule: SlopeSchedule, n: int) -> int:
     """v''_n = Sum_t s_{r_n-t} * v'_{f(t)}: the diamond volume by slices."""
-    if n >= len(schedule.r):
-        raise InputError(f"schedule has no breakpoint index {n}")
-    r_n = schedule.r[n]
+    r_n = schedule.r_at(n)
     return sum(
         schedule.growth.sphere(r_n - t) * schedule.growth2.volume(schedule.f_of(t))
         for t in range(r_n + 1)
@@ -47,9 +45,7 @@ def diamond_members(
     metric: ProductMetric, schedule: SlopeSchedule, n: int, center, cap: int = DEFAULT_ENUM_CAP
 ) -> list:
     """Member points of D_n(center), enumerated slice by slice."""
-    if n >= len(schedule.r):
-        raise InputError(f"schedule has no breakpoint index {n}")
-    r_n = schedule.r[n]
+    r_n = schedule.r_at(n)
     first, second = metric.first, metric.second
     by_dist = {}
     for el, d in ball(first, r_n, cap):

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diamonds import corner_count, diamond_volume
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 from .groups import DEFAULT_ENUM_CAP, make_oracle
 from .product import FactorBall, ProductMetric, ProductSpace
 from .randomness import (
@@ -114,12 +114,10 @@ class ProcessContext:
         window_radius: int,
         cap: int = DEFAULT_ENUM_CAP,
     ):
-        if n >= len(schedule.r):
-            raise InputError(f"schedule has no breakpoint index {n}")
         self.metric = metric
         self.schedule = schedule
         self.n = n
-        self.r_n = schedule.r[n]
+        self.r_n = schedule.r_at(n)
         self.window_radius = window_radius
         reach = max(
             (self.r_n - t) + Fraction(schedule.f_of(t)) / metric.c

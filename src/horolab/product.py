@@ -73,9 +73,6 @@ class ProductMetric:
     def multiply(self, x, y):
         return (self.first.multiply(x[0], y[0]), self.second.multiply(x[1], y[1]))
 
-    def inverse(self, x):
-        return (self.first.inverse(x[0]), self.second.inverse(x[1]))
-
     def word_str(self, x) -> str:
         return f"{self.first.word_str(x[0])}|{self.second.word_str(x[1])}"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
-from .groups import GrowthSeries, generator_bound, make_oracle
+from .groups import DEFAULT_ENUM_CAP, GrowthSeries, generator_bound, growth_series, make_oracle
 from .product import as_slope
 
 DEFAULT_SEGMENT_CAP = 10_000
@@ -54,6 +54,15 @@ class SlopeSchedule:
                 f"schedule horizon too short: need f({t}), horizon {self.horizon}"
             )
         return self.f[t]
+
+    def r_at(self, n: int) -> int:
+        """The breakpoint radius r_n."""
+        if n >= len(self.r):
+            raise InputError(
+                f"schedule has no breakpoint index {n}: at c = {self.c} and horizon "
+                f"{self.horizon} it has {len(self.r)} (truncated: {self.truncated})"
+            )
+        return self.r[n]
 
     def breakpoint_ratios(self) -> list:
         """v'_{r'_j} / v_{r_j} at every computed breakpoint."""
@@ -175,7 +184,7 @@ def build_schedule(
         if g.spec.amenable():
             raise InputError(
                 f"schedule construction requires nonamenable factors; {g.spec.to_dict()} "
-                "is amenable: use the linear schedule (schedule.mode auto or linear)"
+                "is amenable: use the linear schedule"
             )
     if growth.horizon < horizon:
         raise InputError("first growth series does not cover the schedule horizon")
@@ -267,3 +276,17 @@ def linear_schedule(c, horizon: int, growth: GrowthSeries, growth2: GrowthSeries
         growth2=growth2,
         segment_of=[0] * (horizon + 1),
     )
+
+
+def schedule_for(spec1, spec2, c, horizon: int, cap: int = DEFAULT_ENUM_CAP) -> SlopeSchedule:
+    """The slope schedule of spec1 x spec2 to `horizon`, as the specs pick it.
+
+    The growth lemma's schedule when neither spec is amenable
+    (`GroupSpec.amenable`), the exact linear schedule otherwise.  The first
+    growth series runs to `horizon` and the second to 2 horizon + 2.
+    """
+    g1 = growth_series(spec1, horizon, cap=cap)
+    g2 = growth_series(spec2, 2 * horizon + 2, cap=cap)
+    if spec1.amenable() or spec2.amenable():
+        return linear_schedule(c, horizon, growth=g1, growth2=g2)
+    return build_schedule(g1, g2, c, horizon)

@@ -17,7 +17,7 @@ SMALL = {
     "acceptance_checks": False,
     "growth": {"horizon": 5, "ball_dump_radius": 2},
     "schedule": {"horizon": 8},
-    "diamond": {"n_values": [0, 1, 2, 3, 4], "sandwich": True},
+    "diamond": {"n_values": [0, 1, 2, 3, 4]},
     "process": {"seeds": 4, "corner_seeds": 4, "n_range": [1, 2, 3, 4], "window_radius": 3},
     "graphing": {"seeds": 4, "window_radius": 4, "margin": 2},
     "prop13": {"seeds": 3, "window_radius": 3, "margin": 1},
@@ -192,8 +192,9 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         },
         {"c": "abc"},
         {"c": "-1"},
-        {"schedule": {"mode": "bogus"}},
-        {"diamond": {"sandwich": "no"}},
+        {"schedule": {"mode": "linear"}},
+        {"diamond": {"sandwich": False}},
+        {"seeds": 3},
         {"acceptance_checks": "no"},
         {"master_seed": "x"},
         {"master_seed": 1.5},
@@ -229,8 +230,9 @@ def test_malformed_count_exits_2(tmp_path, capsys, overrides):
         "group-factor-unknown-key",
         "c-str",
         "c-negative",
-        "schedule-mode-unknown",
-        "sandwich-str",
+        "dropped-schedule-mode",
+        "dropped-diamond-sandwich",
+        "dropped-top-seeds",
         "acceptance_checks-str",
         "master_seed-str",
         "master_seed-float",
@@ -294,18 +296,10 @@ C3 = {"kind": "cyclic", "order": 3}
     ],
     ids=["1", "2", "C2*C2"],  # Z^1, Z^2 and the infinite dihedral group
 )
-def test_lemma_schedule_refuses_an_amenable_factor(tmp_path, capsys, group):
-    # An amenable first factor x F2 at c = 1: "lemma" exits 2, "auto" takes
-    # the linear schedule, whatever the factor's growth-rate estimates.
-    overrides = {
-        "group": group,
-        "group2": {"kind": "free", "rank": 2},
-        "c": "1",
-        "schedule": {"mode": "lemma"},
-    }
-    assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 2
-    assert "requires nonamenable factors" in capsys.readouterr().err
-    overrides["schedule"] = {"mode": "auto"}
+def test_an_amenable_factor_takes_the_linear_schedule(tmp_path, group):
+    # An amenable first factor x F2 at c = 1 takes the linear schedule,
+    # whatever the factor's growth-rate estimates.
+    overrides = {"group": group, "group2": {"kind": "free", "rank": 2}, "c": "1"}
     assert cli.main(["schedule", "--out", str(tmp_path)], config_overrides=overrides) == 0
     assert cli.Run(cli._deep_merge(cli.DEFAULTS, overrides)).schedule.source == "linear"
 
@@ -330,7 +324,10 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
     before = copy.deepcopy(cli.DEFAULTS)
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],
-        config_overrides={"seeds": 3, "growth": {"horizon": 3}},
+        config_overrides={
+            "growth": {"horizon": 3},
+            **{block: {"seeds": 3} for block in ("process", "graphing", "prop13")},
+        },
     )
     assert rc == 0
     assert cli.DEFAULTS == before
@@ -338,11 +335,18 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
     assert [config[b]["seeds"] for b in ("process", "graphing", "prop13")] == [3, 3, 3]
 
 
-def test_resource_cap_exits_3(tmp_path, capsys):
-    rc = cli.main(
-        ["growth", "--out", str(tmp_path)],
-        config_overrides={"enum_cap": 50, "growth": {"horizon": 6}},
-    )
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("growth", {"enum_cap": 50, "growth": {"horizon": 6}}),
+        # An 11,665-point window, but the corner events' radius-8 F2 balls
+        # have 13,121 elements each.
+        ("process", {"enum_cap": 13_000}),
+    ],
+    ids=["growth", "process-corner-balls"],
+)
+def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
+    rc = cli.main([command, "--out", str(tmp_path)], config_overrides=overrides)
     assert rc == 3
     captured = capsys.readouterr()
     assert "resource cap:" in captured.err
@@ -405,7 +409,7 @@ def test_lattice_group_config(tmp_path):
         "group2": {"kind": "integer_lattice", "dim": 1},
         "c": "1",
         "schedule": {"horizon": 8},
-        "diamond": {"n_values": [0, 1, 2, 3], "sandwich": False},
+        "diamond": {"n_values": [0, 1, 2, 3]},
     }
     rc = cli.main(["diamond", "--out", str(tmp_path)], config_overrides=overrides)
     assert rc == 0
@@ -413,6 +417,30 @@ def test_lattice_group_config(tmp_path):
     # linear schedule on Z x Z: l1 balls 1, 5, 13, 25
     assert vol[1].split(",")[3] == "1"
     assert vol[3].split(",")[3] == "13"
+
+
+@pytest.mark.parametrize(
+    "overrides, n_values",
+    [
+        ({"group2": {"kind": "free", "rank": 3}, "c": "2/3"}, [0, 1, 2, 3, 4, 5]),
+        ({"schedule": {"horizon": 8}}, [0, 1, 2, 3, 4, 5, 6]),
+    ],
+    ids=["F2xF3-2/3", "F2xF2-horizon-8"],
+)
+def test_diamond_keeps_the_n_whose_tables_the_growth_series_reach(tmp_path, overrides, n_values):
+    # The corner tables read each series to r_n + max(T) - 1 and r'_n + max(T) - 1.
+    assert cli.main(["diamond", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["n_values"] == n_values
+
+
+def test_a_missing_breakpoint_names_the_schedule(tmp_path, capsys):
+    # Off the balanced slope, F2 x F2's horizon-12 schedule stops at 2
+    # breakpoints, and the process needs r_2.
+    assert cli.main(["process", "--out", str(tmp_path)], config_overrides={"c": "1/2"}) == 2
+    assert capsys.readouterr().err == (
+        "config error: schedule has no breakpoint index 2: "
+        "at c = 1/2 and horizon 12 it has 2 (truncated: True)\n"
+    )
 
 
 def test_tree_scenarios_on_free_groups_of_rank_3(tmp_path):
@@ -612,10 +640,10 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build_schedule(*args, **kwargs)
+        return schedule_for(*args, **kwargs)
 
-    build_schedule = cli.build_schedule
-    monkeypatch.setattr(cli, "build_schedule", counted)
+    schedule_for = cli.schedule_for
+    monkeypatch.setattr(cli, "schedule_for", counted)
     assert cli.main(["all", "--out", str(tmp_path)], config_overrides=SMALL) == 0
     assert len(calls) == 1
 
