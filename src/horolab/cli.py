@@ -440,15 +440,8 @@ def run_schedule(run: Run, out: Path) -> dict:
 def run_diamond(run: Run, out: Path) -> dict:
     sub = run.cfg["diamond"]
     sched, metric = run.schedule, run.metric
-    # The corner and dominance tables read each series to max(r + T - 1, r, T).
     t = max(sub["T_values"], default=0)
-    n_values = [
-        n
-        for n in sub["n_values"]
-        if n < len(sched.r)
-        and max(sched.r[n] + t - 1, sched.r[n], t) <= sched.growth.horizon
-        and max(sched.r_prime[n] + t - 1, sched.r_prime[n], t) <= sched.growth2.horizon
-    ]
+    n_values = [n for n in sub["n_values"] if sched.reaches(n, t)]
     vol_rows = []
     plot = []
     for n in n_values:
@@ -538,7 +531,7 @@ def run_process(run: Run, out: Path) -> dict:
         ["seed", "centers", "empirical_mean", "exact_mean", "max_count"],
         inc_rows,
     )
-    n_range = [n for n in sub["n_range"] if n < len(sched.r)]
+    n_range = [n for n in sub["n_range"] if sched.reaches(n, sub["T"])]
     corner_rows = corner_event_probability(
         sched, n_range, sub["T"], sub["corner_seeds"], cfg["master_seed"], cfg["enum_cap"]
     )
@@ -550,7 +543,7 @@ def run_process(run: Run, out: Path) -> dict:
             for r in corner_rows
         ],
     )
-    split = eventually_decreasing_split([r.exact_probability for r in corner_rows])
+    split = eventually_decreasing_split([r.miss_exponent for r in corner_rows])
     for r in corner_rows:
         plot.append(["corner_event_exact", r.n, r.exact_probability, 0])
     hit_rows = []

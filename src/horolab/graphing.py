@@ -50,6 +50,8 @@ from .randomness import (
     SeededRandomness,
     bits_below,
     combine_into,
+    combine_unordered,
+    fold_into,
     head_bits,
     head_limit,
     premix,
@@ -82,6 +84,13 @@ def _pair_tiles(n: int):
         i0 = i1
 
 
+def _entries_at(table, value) -> tuple:
+    """The entries of the square array `table` equal to `value`, by row, in
+    CSR form (ptr, cols): row x holds them at columns cols[ptr[x]:ptr[x + 1]]."""
+    rows, cols = np.nonzero(table == value)
+    return np.searchsorted(rows, np.arange(len(table) + 1)), cols
+
+
 class PercolationKernel:
     """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
     percolation they draw on the points of a space.
@@ -102,8 +111,8 @@ class PercolationKernel:
     distance, so the window's factor radii wr and floor(c wr) are the
     index prefixes ball1.volume(wr) and ball2.volume(p wr // q), whatever
     radius `space` reaches; every point id passed in must lie in the
-    window.  Pairs passing the sampler's prefilter count against `cap`,
-    seed by seed.
+    window.  The pairs the sampler lists at the heaviest weight and those
+    passing its prefilter count against `cap`, seed by seed.
     """
 
     def __init__(
@@ -142,6 +151,8 @@ class PercolationKernel:
         # Each numerator is at most max_num, so int32 holds them.
         self.rho1 = space.ball1.distance_matrix(space.ball1.volume(window_radius)) * p
         self.rho2 = space.ball2.distance_matrix(space.ball2.volume(p * window_radius // q)) * q
+        self.window = space.ids_within(window_radius)
+        self._neighbour_lists = {}
 
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for point ids a and b, elementwise."""
@@ -156,41 +167,67 @@ class PercolationKernel:
         A pair's probability is p = prob(a, b) and its uniform is u =
         rng.uniforms(combine_unordered(digests[a], digests[b]),
         STREAM_PERCOLATION), so the rows are exactly those of materialising
-        every pair; only a small share of the pairs is materialised.
+        every pair; only a small share of the pairs is materialised.  The
+        pairs are drawn in two tiers, split at the heaviest weight p1 =
+        max(lut) and the next one p2 (0 when there is none):
 
-        - Digest order: with the points sorted by digest, the min and max of
+        - Top tier: the pairs at weight p1 are listed from the window's
+          neighbour lists, built once per kernel (`_top_pairs`), and each
+          seed tests them exactly, u < emax * p1, through `uniforms`.
+        - Tile tier: with the points sorted by digest, the min and max of
           `combine_unordered` are a tile's row and column, so `premix` runs
-          once per point.
-        - One pass per tile: the pairs are hashed in rectangles of at most
-          `_TILE` pairs (`_pair_tiles`).  A tile's seedless round
-          (`combine_into`) runs once; then for each seed only its two
-          seeded rounds run, up to the head d of each word (`heads_into`).
-        - Prefilter: float rounding is monotone, so every pair's emax * p is
-          at most t = emax * max(lut), and u < t holds exactly when the 53
-          bits b of u = b * 2**-53 satisfy b < k = bits_below(t).  Only the
-          heads below `head_limit(k)` get their bits (`head_bits`), and only
-          those with b < k and i < j pass; a tile's pairs on or below the
-          diagonal are dropped here, before they count against `cap`.
+          once per point.  The pairs are hashed in rectangles of at most
+          `_TILE` pairs (`_pair_tiles`); a tile's seedless round
+          (`combine_into`) and folded half-step (`fold_into`) run once, then
+          each seed runs the rest of its two seeded rounds up to the head d
+          of each word (`heads_into`).
+        - Prefilter: float rounding is monotone, so every other pair's
+          emax * p is at most t = emax * p2, and u < t holds exactly when
+          the 53 bits b of u = b * 2**-53 satisfy b < k = bits_below(t).
+          Only the heads below `head_limit(k)` get their bits (`head_bits`),
+          and only those with b < k and i < j pass; a tile's pairs on or
+          below the diagonal are dropped here, before they count against
+          `cap`.  With k = 0 the tile tier is skipped.
         - Refinement: the passes of every seed get p, u = b * 2**-53 and
           the exact float test u < emax * p together (`_opened`), as soon
           as `_TILE` of them are held, so only the open pairs accumulate.
-        More than `cap` pairs passing the prefilter for one seed raise
-        ResourceCapError.
+          p is read at the passes' digest-order positions, and only the
+          open pairs are mapped to point ids.  Passes at p1 are dropped
+          there: the top tier decided them.
+        The listed pairs and the prefilter passes count against `cap`: more
+        than `cap` for one seed raise ResourceCapError.
         """
         digests = self.digests[ids]
         order = np.argsort(digests, kind="stable")
         ordered = digests[order]
         mixed = premix(ordered)
+        pids = ids[order]
+        f1, f2 = self.space.pts1[pids], self.space.pts2[pids]
         emax = float(emax)
-        k = bits_below(emax * float(self.lut.max()))
+        p1 = float(self.lut.max())
+        p2 = float(self.lut[self.lut < p1].max(initial=0.0))
+        k = bits_below(emax * p2)
         limit = head_limit(k) if k else None
+        none = np.zeros(0, dtype=np.int64)
+        top_a = top_b = none
+        if rngs and bits_below(emax * p1):
+            top_a, top_b = self._top_pairs(ids, p1)
+        if len(top_a) > self.cap:
+            raise ResourceCapError("percolation pairs", self.cap)
+        found = []
+        if len(top_a):
+            top = combine_unordered(self.digests[top_a], self.digests[top_b])
+            for s, rng in enumerate(rngs):
+                u = rng.uniforms(top, STREAM_PERCOLATION)
+                keep = np.flatnonzero(u < emax * p1)
+                seed = np.full(len(keep), s)
+                found.append((seed, top_a[keep], top_b[keep], u[keep], np.full(len(keep), p1)))
         words = np.empty(_TILE, dtype=np.uint64)
         heads = np.empty(_TILE, dtype=np.uint64)
         tmp = np.empty(_TILE, dtype=np.uint64)
         below = np.empty(_TILE, dtype=bool)
-        passed = np.zeros(len(rngs), dtype=np.int64)
-        none = np.zeros(0, dtype=np.int64)
-        held, found = [(none, none, none, none.astype(np.uint64))], []
+        passed = np.full(len(rngs), len(top_a), dtype=np.int64)
+        held = [(none, none, none, none.astype(np.uint64))]
         count = 0  # prefilter passes held
         for i0, i1, j0, j1 in _pair_tiles(len(ids)) if k and rngs else ():
             shape = (i1 - i0, j1 - j0)
@@ -201,6 +238,7 @@ class PercolationKernel:
                 words[:size].reshape(shape),
                 tmp[:size].reshape(shape),
             ).reshape(-1)
+            fold_into(pair, tmp[:size])
             where, cands = [], []
             for rng in rngs:
                 d = rng.heads_into(pair, STREAM_PERCOLATION, heads[:size], tmp[:size])
@@ -223,9 +261,9 @@ class PercolationKernel:
             held.append((seed, i, j, bits))
             count += len(bits)
             if count >= _TILE:
-                found.append(self._opened(held, ids, order, emax))
+                found.append(self._opened(held, pids, f1, f2, emax, p1))
                 held, count = held[:1], 0
-        found.append(self._opened(held, ids, order, emax))
+        found.append(self._opened(held, pids, f1, f2, emax, p1))
         seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
         keep = np.lexsort((b, a, seed))
         ends = np.searchsorted(seed[keep], np.arange(len(rngs) + 1))
@@ -234,17 +272,86 @@ class PercolationKernel:
             for run in (keep[s:t] for s, t in zip(ends[:-1], ends[1:]))
         ]
 
-    def _opened(self, held, ids, order, emax: float) -> tuple:
-        """(seed, a, b, u, p) of the open pairs among the prefilter passes
-        `held`, a list of (seed, i, j, bits) with i < j positions in digest
-        `order` of `ids` and bits those of u = bits * 2**-53."""
+    def _top_pairs(self, ids, p1: float) -> tuple:
+        """The pairs a < b of the sorted point ids `ids` at weight p1, as
+        two point id arrays in no set order.
+
+        A pair weighs p1 when its rho numerator t p + t2 q has lut value
+        p1, with t and t2 the pair's factor distances; the pairs of each
+        such decomposition are read off its neighbour lists (`_neighbours`).
+        """
+        p, q = self.space.metric.c.numerator, self.space.metric.c.denominator
+        at = np.searchsorted(self.window, ids)
+        inside = np.zeros(len(self.space), dtype=bool)
+        inside[ids] = True
+        none = np.zeros(0, dtype=np.int64)
+        found_a, found_b = [none], [none]
+        for num in np.flatnonzero(self.lut == p1).tolist():
+            for t in range(num // p + 1):
+                if (num - t * p) % q:
+                    continue
+                ptr, nbr = self._neighbours(t * p, num - t * p)
+                start = ptr[at]
+                cnt = ptr[at + 1] - start
+                a = np.repeat(ids, cnt)
+                b = nbr[np.repeat(start + cnt - np.cumsum(cnt), cnt) + np.arange(len(a))]
+                keep = inside[b] & (b > a)
+                found_a.append(a[keep])
+                found_b.append(b[keep])
+        return np.concatenate(found_a), np.concatenate(found_b)
+
+    def _neighbours(self, num1: int, num2: int) -> tuple:
+        """The window's neighbour lists at rho numerators num1 of the first
+        factor and num2 of the second, in CSR form (ptr, nbr): the window
+        points b with rho1 num1 and rho2 num2 from the point window[i] are
+        nbr[ptr[i]:ptr[i + 1]].  Built once per kernel.
+
+        The candidates of a point are the products of its factor neighbour
+        lists, the ball indices y with rho1[x, y] == num1 and rho2[x, y] ==
+        num2, looked up by key; they are expanded a block of points at a
+        time, at most about `_TILE` candidates per block.
+        """
+        hit = self._neighbour_lists.get((num1, num2))
+        if hit is not None:
+            return hit
+        space = self.space
+        (ptr1, nbr1), (ptr2, nbr2) = _entries_at(self.rho1, num1), _entries_at(self.rho2, num2)
+        f1, f2 = space.pts1[self.window], space.pts2[self.window]
+        start1, start2 = ptr1[f1], ptr2[f2]
+        deg2 = ptr2[f2 + 1] - start2
+        cnt = (ptr1[f1 + 1] - start1) * deg2
+        ends = np.cumsum(cnt)
+        in_window = np.zeros(len(space), dtype=bool)
+        in_window[self.window] = True
+        src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        r0 = 0
+        while r0 < len(self.window):
+            done = ends[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, done + _TILE, side="right")))
+            r = np.repeat(np.arange(r0, r1), cnt[r0:r1])
+            off = np.arange(len(r)) - (ends[r] - cnt[r] - done)
+            y1 = nbr1[start1[r] + off // deg2[r]]
+            y2 = nbr2[start2[r] + off % deg2[r]]
+            b = space.lookup_keys((y1.astype(np.int64) << 32) | y2)
+            keep = (b >= 0) & in_window[b]
+            src.append(r[keep])
+            dst.append(b[keep])
+            r0 = r1
+        ptr = np.searchsorted(np.concatenate(src), np.arange(len(self.window) + 1))
+        hit = self._neighbour_lists[num1, num2] = (ptr, np.concatenate(dst))
+        return hit
+
+    def _opened(self, held, pids, f1, f2, emax: float, p1: float) -> tuple:
+        """(seed, a, b, u, p) of the open pairs below weight p1 among the
+        prefilter passes `held`, a list of (seed, i, j, bits) with i and j
+        positions in `pids`, whose points have factor ball indices f1 and
+        f2, and bits those of u = bits * 2**-53."""
         seed, i, j, bits = (np.concatenate(col) for col in zip(*held))
-        oi, oj = order[i], order[j]
-        a, b = ids[np.minimum(oi, oj)], ids[np.maximum(oi, oj)]
-        p = self.prob(a, b)
+        p = self.lut[self.rho1[f1[i], f1[j]] + self.rho2[f2[i], f2[j]]]
         u = to_uniforms(bits)
-        keep = np.flatnonzero(u < emax * p)
-        return seed[keep], a[keep], b[keep], u[keep], p[keep]
+        keep = np.flatnonzero((u < emax * p) & (p < p1))
+        a, b = pids[i[keep]], pids[j[keep]]
+        return seed[keep], np.minimum(a, b), np.maximum(a, b), u[keep], p[keep]
 
     def row_masses(self, rows) -> np.ndarray:
         """Mass sum_{j != i} p(i, j) of each point i in `rows`, over every

@@ -258,6 +258,9 @@ class CornerEventRow:
     volume: int
     exact_probability: float
     empirical_probability: float
+    # -log(1 - exact_probability): ordered as the probability, but never
+    # rounded to a tie at 1, so the decay checks compare these.
+    miss_exponent: float
 
 
 def corner_event_probability(
@@ -293,7 +296,8 @@ def corner_event_probability(
         stats = corner_count(schedule, n, T)
         v = diamond_volume(schedule, n)
         # 1 - (1 - 1/v)^|A| in log space; the direct power saturates at 1.
-        exact = -math.expm1(stats.count * math.log1p(-1.0 / v)) if stats.count else 0.0
+        miss = -stats.count * math.log1p(-1.0 / v) if stats.count else 0.0
+        exact = -math.expm1(-miss)
         emp = float("nan")
         if need_emp:
             digests = _corner_digests(
@@ -318,10 +322,11 @@ def corner_event_probability(
                 volume=v,
                 exact_probability=exact,
                 empirical_probability=emp,
+                miss_exponent=miss,
             )
         )
     if len(rows) >= 6 and T > 0:
-        split = eventually_decreasing_split([r.exact_probability for r in rows])
+        split = eventually_decreasing_split([r.miss_exponent for r in rows])
         if not split["eventually_decreasing"]:
             raise InvariantViolation(
                 f"corner-event probabilities at T={T} are not eventually "

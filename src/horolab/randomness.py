@@ -10,13 +10,18 @@ The mixer is a splitmix64-style finalizer applied twice, vectorised over
 numpy uint64 arrays.
 
 A pair's uniform `uniforms(combine_digests(lo, hi), tag)` is three mixing
-rounds past `premix(lo)`, and it comes in two parts for tiles of pairs
+rounds past `premix(lo)`, and it comes in three parts for tiles of pairs
 drawn under many seeds:
 
 - `combine_into` runs the round that no seed enters, once per tile.
-- `SeededRandomness.heads_into` runs the two seeded rounds into a buffer and
-  stops before the last step e = d ^ (d >> 31), returning the head d.
-  `head_bits(d)` finishes the 53 bits b of u = b * 2**-53.
+- `fold_into` runs the first half-step z ^ (z >> 30) of the first seeded
+  round with the seed left out, once per tile too: for logical shifts
+  (w ^ s) ^ ((w ^ s) >> 30) = (w ^ (w >> 30)) ^ (s ^ (s >> 30)), so the
+  seed enters as one folded constant.
+- `SeededRandomness.heads_into` XORs in that constant and runs the rest of
+  the two seeded rounds into a buffer, stopping before the last step
+  e = d ^ (d >> 31); it returns the head d.  `head_bits(d)` finishes the
+  53 bits b of u = b * 2**-53.
 - The last step keeps the top 33 bits (e >> 33 == d >> 33), so b < k
   implies d < `head_limit(k)`: a sampler compares the heads against that
   bound and finishes only the few that pass.
@@ -50,14 +55,20 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SH[2])
 
 
-def _mix_into(z: np.ndarray, tmp: np.ndarray, finish: bool = True) -> None:
-    """`_mix` in place on a uint64 array; `tmp` is scratch of its shape.
-    Without `finish` it stops before the last z ^ (z >> 31)."""
-    for sh, m in zip(_SH if finish else _SH[:2], (_M1, _M2, None)):
-        np.right_shift(z, sh, out=tmp)
-        np.bitwise_xor(z, tmp, out=z)
-        if m is not None:
-            np.multiply(z, m, out=z)
+# `_mix` as five in-place steps: the even ones z ^= z >> shift, the odd
+# ones z *= multiplier.
+_STEPS = (_SH[0], _M1, _SH[1], _M2, _SH[2])
+
+
+def _mix_into(z: np.ndarray, tmp: np.ndarray, start: int = 0, stop: int = len(_STEPS)) -> None:
+    """Steps start .. stop - 1 of `_mix` in place on a uint64 array; `tmp`
+    is scratch of its shape."""
+    for step in range(start, stop):
+        if step % 2:
+            np.multiply(z, _STEPS[step], out=z)
+        else:
+            np.right_shift(z, _STEPS[step], out=tmp)
+            np.bitwise_xor(z, tmp, out=z)
 
 
 def digest_bytes(data: bytes) -> int:
@@ -95,6 +106,14 @@ def combine_into(lo_mixed, hi, out, tmp) -> np.ndarray:
     np.add(out, _GOLDEN, out=out)
     _mix_into(out, tmp)
     return out
+
+
+def fold_into(words, tmp) -> np.ndarray:
+    """w ^ (w >> 30) in place on the uint64 array `words`, returned: the
+    seed-free half of the first seeded step, whose result
+    `SeededRandomness.heads_into` takes.  `tmp` is scratch of its shape."""
+    _mix_into(words, tmp, stop=1)
+    return words
 
 
 def combine_unordered(a, b):
@@ -147,6 +166,7 @@ class SeededRandomness:
         self.master_seed = int(master_seed)
         with np.errstate(over="ignore"):
             self._seed_mixed = _mix(np.uint64(self.master_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+        self._seed_folded = self._seed_mixed ^ (self._seed_mixed >> _SH[0])
         self._streams = {}
 
     def _stream64(self, tag: str) -> np.uint64:
@@ -166,15 +186,16 @@ class SeededRandomness:
     def uniforms(self, digests, tag: str) -> np.ndarray:
         return to_uniforms(self.words(digests, tag) >> _DROP11)
 
-    def heads_into(self, digests, tag: str, out, tmp) -> np.ndarray:
-        """The head d of every word of `words(digests, tag)`: the word
-        before its last step d ^ (d >> 31), written into the uint64 array
-        `out` (of the digests' shape) and returned; `tmp` is scratch of
-        that shape.  `head_bits(d)` are the uniforms' 53 bits."""
-        np.bitwise_xor(digests, self._seed_mixed, out=out)
-        _mix_into(out, tmp)
+    def heads_into(self, folded, tag: str, out, tmp) -> np.ndarray:
+        """The head d of every word of `words(digests, tag)`, from the
+        digests' folds `folded = fold_into(digests)`: the word before its
+        last step d ^ (d >> 31), written into the uint64 array `out` (of
+        the digests' shape) and returned; `tmp` is scratch of that shape.
+        `head_bits(d)` are the uniforms' 53 bits."""
+        np.bitwise_xor(folded, self._seed_folded, out=out)
+        _mix_into(out, tmp, start=1)
         np.bitwise_xor(out, self._stream64(tag), out=out)
-        _mix_into(out, tmp, finish=False)
+        _mix_into(out, tmp, stop=4)
         return out
 
     def uniform(self, digest: int, tag: str) -> float:

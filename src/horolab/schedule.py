@@ -64,6 +64,16 @@ class SlopeSchedule:
             )
         return self.r[n]
 
+    def reaches(self, n: int, T: int) -> bool:
+        """Whether breakpoint n exists and the growth series reach its
+        corner and dominance tables at T, which read each series to
+        max(r + T - 1, r, T) for that series' breakpoint radius r."""
+        return (
+            n < len(self.r)
+            and max(self.r[n] + T - 1, self.r[n], T) <= self.growth.horizon
+            and max(self.r_prime[n] + T - 1, self.r_prime[n], T) <= self.growth2.horizon
+        )
+
     def breakpoint_ratios(self) -> list:
         """v'_{r'_j} / v_{r_j} at every computed breakpoint."""
         out = []

@@ -420,17 +420,25 @@ def test_lattice_group_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides, n_values",
+    "command, overrides, n_values",
     [
-        ({"group2": {"kind": "free", "rank": 3}, "c": "2/3"}, [0, 1, 2, 3, 4, 5]),
-        ({"schedule": {"horizon": 8}}, [0, 1, 2, 3, 4, 5, 6]),
+        ("diamond", {"group2": {"kind": "free", "rank": 3}, "c": "2/3"}, [0, 1, 2, 3, 4, 5]),
+        ("diamond", {"schedule": {"horizon": 8}}, [0, 1, 2, 3, 4, 5, 6]),
+        ("process", {"schedule": {"horizon": 8}, "process": {"T": 3}}, [1, 2, 3, 4, 5, 6]),
     ],
-    ids=["F2xF3-2/3", "F2xF2-horizon-8"],
+    ids=["F2xF3-2/3", "F2xF2-horizon-8", "process-F2xF2-horizon-8-T3"],
 )
-def test_diamond_keeps_the_n_whose_tables_the_growth_series_reach(tmp_path, overrides, n_values):
-    # The corner tables read each series to r_n + max(T) - 1 and r'_n + max(T) - 1.
-    assert cli.main(["diamond", "--out", str(tmp_path)], config_overrides=overrides) == 0
-    assert json.loads((tmp_path / "summary.json").read_text())["n_values"] == n_values
+def test_diamond_keeps_the_n_whose_tables_the_growth_series_reach(
+    tmp_path, command, overrides, n_values
+):
+    # The corner tables read each series to r_n + T - 1 and r'_n + T - 1,
+    # with T the largest of `diamond.T_values` or `process.T`.
+    assert cli.main([command, "--out", str(tmp_path)], config_overrides=overrides) == 0
+    if command == "diamond":
+        assert json.loads((tmp_path / "summary.json").read_text())["n_values"] == n_values
+    else:
+        with open(tmp_path / "corner_events.csv", newline="") as fh:
+            assert [int(row["n"]) for row in csv.DictReader(fh)] == n_values
 
 
 def test_a_missing_breakpoint_names_the_schedule(tmp_path, capsys):

@@ -277,18 +277,19 @@ def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
 # Percolation stage ----------------------------------------------------------
 
 
-def _materialised_percolation(ctx, base_pids, rng, eps_list):
-    """Reference for `build_percolation`: every unordered pair materialised
-    at once, with the distance tables built afresh."""
+def _materialised_percolation(kernel, window_radius, base_pids, rng, eps_list):
+    """Reference for `build_percolation` and `open_pairs` on `kernel`:
+    every unordered pair materialised at once, with the distance tables
+    built afresh."""
     S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
     out = {float(e): [] for e in eps_list}
     if len(S) < 2 or not eps_list:
         return out
-    space = ctx.pctx.space
-    c = ctx.metric.c
-    D1 = space.ball1.distance_matrix(space.ball1.volume(ctx.window_radius))
+    space = kernel.space
+    c = space.metric.c
+    D1 = space.ball1.distance_matrix(space.ball1.volume(window_radius))
     D2 = space.ball2.distance_matrix(
-        space.ball2.volume((c.numerator * ctx.window_radius) // c.denominator)
+        space.ball2.volume((c.numerator * window_radius) // c.denominator)
     )
     ia, ib = np.triu_indices(len(S), 1)
     f1 = space.pts1[S]
@@ -297,8 +298,8 @@ def _materialised_percolation(ctx, base_pids, rng, eps_list):
         D1[f1[ia], f1[ib]].astype(np.int64) * c.numerator
         + D2[f2[ia], f2[ib]].astype(np.int64) * c.denominator
     )
-    base_prob = ctx.kernel.lut[rho_nums]
-    pd = ctx.pctx.point_digests
+    base_prob = kernel.lut[rho_nums]
+    pd = kernel.digests
     u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
     emax = max(eps_list)
     cand = np.flatnonzero(u < emax * base_prob)
@@ -320,7 +321,9 @@ def _rows(pairs) -> list:
 def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
     got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
     got = {e: _rows(pairs) for e, pairs in got.items()}
-    want = _materialised_percolation(ctx, bases, SeededRandomness(key), eps_list)
+    want = _materialised_percolation(
+        ctx.kernel, ctx.window_radius, bases, SeededRandomness(key), eps_list
+    )
     assert got == want
     return got
 
@@ -383,22 +386,28 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
         build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
 
 
-def _assert_seeds_match_reference(ctx, bases, keys, emax):
+def _assert_seeds_match_reference(kernel, window_radius, bases, keys, emax) -> list:
     """One multi-seed `open_pairs` call against the materialised reference
-    of each seed: the same pairs in the same order, with their p and u."""
+    of each seed: the same pairs in the same order, with their p and u.
+    Returns the call's rows."""
     S = np.sort(np.asarray(bases, dtype=np.int64))
-    got = ctx.kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
+    got = kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
     assert len(got) == len(keys)
-    pd = ctx.pctx.point_digests
-    opened = 0
+    pd = kernel.digests
     for key, (a, b, u, p) in zip(keys, got):
-        want = _materialised_percolation(ctx, bases, SeededRandomness(key), [emax])
-        assert list(zip(a.tolist(), b.tolist())) == want[float(emax)]
         rng = SeededRandomness(key)
+        want = _materialised_percolation(kernel, window_radius, bases, rng, [emax])
+        assert list(zip(a.tolist(), b.tolist())) == want[float(emax)]
         assert u.tobytes() == rng.uniforms(combine_unordered(pd[a], pd[b]), STREAM_PERCOLATION).tobytes()
-        assert p.tobytes() == ctx.kernel.prob(a, b).tobytes()
-        opened += len(a)
-    return opened
+        assert p.tobytes() == kernel.prob(a, b).tobytes()
+    return got
+
+
+def _seeds_match_reference(ctx, bases, keys, emax) -> int:
+    """`_assert_seeds_match_reference` on a graphing context's kernel; the
+    number of open pairs over all seeds."""
+    got = _assert_seeds_match_reference(ctx.kernel, ctx.window_radius, bases, keys, emax)
+    return sum(len(a) for a, _, _, _ in got)
 
 
 MULTI_SEED_KEYS = [seed_digest(66, s) for s in range(4)]
@@ -411,8 +420,8 @@ def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx, tile, monk
     bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()
     if tile < 200:
         bases = bases[:60]
-    assert _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.0) == 0
-    assert _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.3) > 0
+    assert _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.0) == 0
+    assert _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.3) > 0
 
 
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
@@ -424,14 +433,16 @@ def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeyp
     # emax * max(lut) >= 1: every pair opens.
     monkeypatch.setattr(kernel, "lut", np.ones_like(saved))
     for emax in (1.0, 4096.0):
-        opened = _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, emax)
+        opened = _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, emax)
         assert opened == len(MULTI_SEED_KEYS) * pairs
-    # emax * max(lut) = 1 - 2**-40: k = 2**53 - 2**13, so (k - 1) >> 22 + 1
-    # is 2**31 and the head bound saturates; the float test still decides.
+    # emax * p2 = 1 - 2**-40 for the second heaviest weight p2, and every
+    # pair at the heaviest opens: k = 2**53 - 2**13, so (k - 1) >> 22 + 1
+    # is 2**31 and the tile tier's head bound saturates; the float test
+    # still decides.
     top = 1.0 - 2.0**-40
     assert randomness.head_limit(randomness.bits_below(top)) is None
-    monkeypatch.setattr(kernel, "lut", saved / saved.max() * top)
-    opened = _assert_seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0)
+    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * top)
+    opened = _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0)
     assert 0 < opened < len(MULTI_SEED_KEYS) * pairs
 
 
@@ -446,6 +457,66 @@ def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
     monkeypatch.setattr(kernel, "cap", pairs - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
         kernel.open_pairs(S, rngs, 1.0)
+
+
+F3 = GroupSpec("free", rank=3)
+
+
+@pytest.fixture(scope="module", params=["F3xZ-2/3", "F2xF2-3/2"])
+def window_kernel(request):
+    """The baseline's kernel on a bare window, built as in
+    `test_pi2_and_the_baseline_are_one_percolation`, with its window radius.
+
+    - F3 x Z at c = 2/3: the heaviest numerator is 3, a step of Z, and not
+      the least rho numerator 2, a step of F3.
+    - F2 x F2 at c = 3/2: the heaviest class is a second-factor step.
+    """
+    first, second, c = {
+        "F3xZ-2/3": (F3, Z1, "2/3"),
+        "F2xF2-3/2": (F2, F2, "3/2"),
+    }[request.param]
+    metric = ProductMetric(make_oracle(first), make_oracle(second), c)
+    window = ProductSpace(metric, 3)
+    return graphing.PercolationKernel(window, point_digests(window), 3), 3
+
+
+TIER_KEYS = [seed_digest(67, s) for s in range(8)]
+
+
+def _top_tier_opens(kernel, window_radius, emax=1.0) -> dict:
+    """The window's open pairs over `TIER_KEYS` against the reference; the
+    number of open pairs at weight p1 whose u is at least emax * p2, by rho
+    numerator.  Those pairs fail the tile tier's prefilter, so only the top
+    tier opens them."""
+    p1 = kernel.lut.max()
+    p2 = kernel.lut[kernel.lut < p1].max()
+    ids = np.arange(len(kernel.space))
+    got = _assert_seeds_match_reference(kernel, window_radius, ids, TIER_KEYS, emax)
+    space, out = kernel.space, {}
+    for a, b, u, p in got:
+        sel = (p == p1) & (u >= emax * p2)
+        num = kernel.rho1[space.pts1[a], space.pts1[b]] + kernel.rho2[space.pts2[a], space.pts2[b]]
+        for n in num[sel].tolist():
+            out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_window_tiers_match_the_reference(window_kernel):
+    kernel, wr = window_kernel
+    # The heaviest class is one step of the second factor, rho numerator q.
+    [heaviest] = np.flatnonzero(kernel.lut == kernel.lut.max()).tolist()
+    assert heaviest == kernel.space.metric.c.denominator
+    assert list(_top_tier_opens(kernel, wr)) == [heaviest]
+
+
+def test_window_tiers_with_two_classes_tied_at_the_top(window_kernel, monkeypatch):
+    # The two heaviest numerators share the top weight: both are listed.
+    kernel, wr = window_kernel
+    first, second = np.argsort(-kernel.lut, kind="stable")[:2].tolist()
+    lut = kernel.lut.copy()
+    lut[second] = lut[first]
+    monkeypatch.setattr(kernel, "lut", lut)
+    assert sorted(_top_tier_opens(kernel, wr)) == sorted([first, second])
 
 
 def test_percolation_eps_zero_empty(z_ctx):

@@ -11,6 +11,7 @@ from horolab.randomness import (
     combine_into,
     combine_unordered,
     digest_str,
+    fold_into,
     head_bits,
     head_limit,
     premix,
@@ -68,8 +69,9 @@ def test_combine_unordered_symmetric():
 
 
 def test_fused_pair_hash_matches_uniforms():
-    # The split hash: the seedless round once, the seeded rounds to the
-    # heads, then the last step; 0 and 2**64 - 1 are edge digests.
+    # The split hash: the seedless round and the folded half-step once, the
+    # rest of the seeded rounds to the heads, then the last step; 0 and
+    # 2**64 - 1 are edge digests.
     d = np.array([digest_str(f"p{i}") for i in range(38)] + [0, 2**64 - 1], dtype=np.uint64)
     d = np.sort(d)
     lo, hi = d[:15], d[15:]  # sorted, so lo[i] <= hi[j]: the unordered min
@@ -78,10 +80,22 @@ def test_fused_pair_hash_matches_uniforms():
     pair = combine_into(premix(lo)[:, None], hi[None, :], out, tmp)
     assert pair is out
     assert (pair == combine_digests(lo[:, None], hi[None, :])).all()
+    folded = fold_into(pair.copy(), tmp)
+    assert (folded == pair ^ (pair >> np.uint64(30))).all()
+    edge = np.array([0, 2**64 - 1], dtype=np.uint64)
+    edge_tmp = np.empty_like(edge)
     for seed in (0, 9, 2**64 - 1):
         r = SeededRandomness(seed)
-        heads = r.heads_into(pair.copy(), STREAM_PERCOLATION, np.empty_like(out), tmp)
+        # The fold commutes with the seed: w ^ s folds to fold(w) ^ fold(s).
+        shifted = fold_into(edge ^ r._seed_mixed, edge_tmp)
+        assert (shifted == fold_into(edge.copy(), edge_tmp) ^ r._seed_folded).all()
+        heads = r.heads_into(folded, STREAM_PERCOLATION, np.empty_like(out), tmp)
         want = r.uniforms(combine_unordered(lo[:, None], hi[None, :]), STREAM_PERCOLATION)
+        assert to_uniforms(head_bits(heads)).tobytes() == want.tobytes()
+        # The edge words themselves as folded digests.
+        folded_edge = fold_into(edge.copy(), edge_tmp)
+        heads = r.heads_into(folded_edge, STREAM_PERCOLATION, np.empty_like(edge), edge_tmp)
+        want = r.uniforms(edge, STREAM_PERCOLATION)
         assert to_uniforms(head_bits(heads)).tobytes() == want.tobytes()
 
 
