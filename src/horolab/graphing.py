@@ -13,7 +13,8 @@ point and its `vertex_of` lookup are the only maps between points and
 vertices.  Every edge set, from the open Pi2 pairs to the seed-0 dumps, is
 an (m, 2) int64 array, and `_component_roots` (the least vertex of each
 component) is the one labeller, for Pi3, the Pi5 connectivity check and
-the coset-line baseline.  phi is a breadth-first search one layer at a
+the coset-line baseline; Pi3 is labelled over the Pi1 forest's labels,
+once per seed for every epsilon (`_ladder_roots`).  phi is a breadth-first search one layer at a
 time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of it.
 Pi1 takes its descent targets from one `GraphingContext.tau` call per
 seed over the distinct (center, y) pairs, in closed form on index arrays
@@ -82,6 +83,20 @@ def _pair_tiles(n: int):
         for j0 in range(i0 + 1, n, step):
             yield i0, i1, j0, min(j0 + step, n)
         i0 = i1
+
+
+def _distinct(keys) -> np.ndarray:
+    """The sorted distinct entries of the array `keys`, flattened: the
+    values of `np.unique(keys)`, found by one sort and a neighbour test.
+
+    numpy's plain `unique` hashes its keys; on the few thousand keys of a
+    seed that costs many times the sort, and its first call imports
+    `numpy.ma`.
+    """
+    keys = np.sort(keys, axis=None)
+    if len(keys) < 2:
+        return keys
+    return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
 def _entries_at(table, value) -> tuple:
@@ -153,6 +168,7 @@ class PercolationKernel:
         self.rho2 = space.ball2.distance_matrix(space.ball2.volume(p * window_radius // q)) * q
         self.window = space.ids_within(window_radius)
         self._neighbour_lists = {}
+        self._buffers = None
 
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for point ids a and b, elementwise."""
@@ -177,25 +193,29 @@ class PercolationKernel:
         - Tile tier: with the points sorted by digest, the min and max of
           `combine_unordered` are a tile's row and column, so `premix` runs
           once per point.  The pairs are hashed in rectangles of at most
-          `_TILE` pairs (`_pair_tiles`); a tile's seedless round
-          (`combine_into`) and folded half-step (`fold_into`) run once, then
-          each seed runs the rest of its two seeded rounds up to the head d
-          of each word (`heads_into`).
+          `_TILE` pairs (`_pair_tiles`), in tile buffers kept by the kernel;
+          a tile's seedless round (`combine_into`) and folded half-step
+          (`fold_into`) run once, then each seed runs the rest of its two
+          seeded rounds up to the head d of each word (`heads_into`).
         - Prefilter: float rounding is monotone, so every other pair's
           emax * p is at most t = emax * p2, and u < t holds exactly when
           the 53 bits b of u = b * 2**-53 satisfy b < k = bits_below(t).
-          Only the heads below `head_limit(k)` get their bits (`head_bits`),
-          and only those with b < k and i < j pass; a tile's pairs on or
-          below the diagonal are dropped here, before they count against
-          `cap`.  With k = 0 the tile tier is skipped.
-        - Refinement: the passes of every seed get p, u = b * 2**-53 and
-          the exact float test u < emax * p together (`_opened`), as soon
-          as `_TILE` of them are held, so only the open pairs accumulate.
-          p is read at the passes' digest-order positions, and only the
-          open pairs are mapped to point ids.  Passes at p1 are dropped
-          there: the top tier decided them.
+          A tile keeps, per seed, only the positions and heads of the heads
+          below `head_limit(k)`.  With k = 0 the tile tier is skipped.
+        - Held batch: the kept heads are held until `_TILE` of them are, or
+          to the end of the call; then, once per batch, `_opened` maps the
+          positions to pairs (i, j), finishes their bits (`head_bits`),
+          keeps the passes, those with b < k and i < j (a tile's pairs on
+          or below the diagonal drop here, before they count against
+          `cap`), and runs the exact float test u < emax * p on them.  p is
+          read at the passes' digest-order positions, and only the open
+          pairs are mapped to point ids.  Passes at p1 are dropped there:
+          the top tier decided them.
         The listed pairs and the prefilter passes count against `cap`: more
-        than `cap` for one seed raise ResourceCapError.
+        than `cap` for one seed raise ResourceCapError.  The check runs per
+        tile: a seed's kept heads bound its passes from above, so a batch
+        is also flushed, and its passes counted exactly, as soon as that
+        bound exceeds `cap`.
         """
         digests = self.digests[ids]
         order = np.argsort(digests, kind="stable")
@@ -222,13 +242,11 @@ class PercolationKernel:
                 keep = np.flatnonzero(u < emax * p1)
                 seed = np.full(len(keep), s)
                 found.append((seed, top_a[keep], top_b[keep], u[keep], np.full(len(keep), p1)))
-        words = np.empty(_TILE, dtype=np.uint64)
-        heads = np.empty(_TILE, dtype=np.uint64)
-        tmp = np.empty(_TILE, dtype=np.uint64)
-        below = np.empty(_TILE, dtype=bool)
-        passed = np.full(len(rngs), len(top_a), dtype=np.int64)
-        held = [(none, none, none, none.astype(np.uint64))]
-        count = 0  # prefilter passes held
+        words, heads, tmp, below = self._tile_buffers()
+        passed = np.full(len(rngs), len(top_a), dtype=np.int64)  # exact, to the last flush
+        ceiling = passed.tolist()  # passes plus held heads, per seed
+        held = [(0, 0, 0, 1, none, none.astype(np.uint64))]
+        count = 0  # heads held
         for i0, i1, j0, j1 in _pair_tiles(len(ids)) if k and rngs else ():
             shape = (i1 - i0, j1 - j0)
             size = shape[0] * shape[1]
@@ -239,31 +257,20 @@ class PercolationKernel:
                 tmp[:size].reshape(shape),
             ).reshape(-1)
             fold_into(pair, tmp[:size])
-            where, cands = [], []
-            for rng in rngs:
+            for s, rng in enumerate(rngs):
                 d = rng.heads_into(pair, STREAM_PERCOLATION, heads[:size], tmp[:size])
                 if limit is None:
                     pos = np.arange(size)
                 else:
                     pos = np.less(d, limit, out=below[:size]).nonzero()[0]
-                where.append(pos)
-                cands.append(d[pos])
-            seed = np.repeat(np.arange(len(rngs)), [len(w) for w in where])
-            bits = head_bits(np.concatenate(cands))
-            i, j = np.divmod(np.concatenate(where), shape[1])
-            i += i0
-            j += j0
-            hit = (bits < k) & (i < j)
-            seed, i, j, bits = seed[hit], i[hit], j[hit], bits[hit]
-            passed += np.bincount(seed, minlength=len(rngs))
-            if passed.max() > self.cap:
-                raise ResourceCapError("percolation pairs", self.cap)
-            held.append((seed, i, j, bits))
-            count += len(bits)
-            if count >= _TILE:
-                found.append(self._opened(held, pids, f1, f2, emax, p1))
-                held, count = held[:1], 0
-        found.append(self._opened(held, pids, f1, f2, emax, p1))
+                if len(pos):
+                    held.append((s, i0, j0, shape[1], pos, d[pos]))
+                    count += len(pos)
+                    ceiling[s] += len(pos)
+            if count >= _TILE or max(ceiling) > self.cap:
+                found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
+                held, count, ceiling = held[:1], 0, passed.tolist()
+        found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
         seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
         keep = np.lexsort((b, a, seed))
         ends = np.searchsorted(seed[keep], np.arange(len(rngs) + 1))
@@ -272,6 +279,13 @@ class PercolationKernel:
             for run in (keep[s:t] for s, t in zip(ends[:-1], ends[1:]))
         ]
 
+    def _tile_buffers(self) -> tuple:
+        """The uint64 buffers words, heads and tmp and the bool buffer
+        below, each of `_TILE` entries, allocated once per kernel."""
+        if self._buffers is None or len(self._buffers[0]) != _TILE:
+            self._buffers = tuple(np.empty(_TILE, dtype=t) for t in (np.uint64,) * 3 + (bool,))
+        return self._buffers
+
     def _top_pairs(self, ids, p1: float) -> tuple:
         """The pairs a < b of the sorted point ids `ids` at weight p1, as
         two point id arrays in no set order.
@@ -279,6 +293,8 @@ class PercolationKernel:
         A pair weighs p1 when its rho numerator t p + t2 q has lut value
         p1, with t and t2 the pair's factor distances; the pairs of each
         such decomposition are read off its neighbour lists (`_neighbours`).
+        A decomposition's neighbours of `ids`, before the pairs a < b
+        within `ids` are kept, count against `cap`.
         """
         p, q = self.space.metric.c.numerator, self.space.metric.c.denominator
         at = np.searchsorted(self.window, ids)
@@ -293,6 +309,8 @@ class PercolationKernel:
                 ptr, nbr = self._neighbours(t * p, num - t * p)
                 start = ptr[at]
                 cnt = ptr[at + 1] - start
+                if int(cnt.sum()) > self.cap:
+                    raise ResourceCapError("percolation pairs (top-tier listing)", self.cap)
                 a = np.repeat(ids, cnt)
                 b = nbr[np.repeat(start + cnt - np.cumsum(cnt), cnt) + np.arange(len(a))]
                 keep = inside[b] & (b > a)
@@ -309,7 +327,8 @@ class PercolationKernel:
         The candidates of a point are the products of its factor neighbour
         lists, the ball indices y with rho1[x, y] == num1 and rho2[x, y] ==
         num2, looked up by key; they are expanded a block of points at a
-        time, at most about `_TILE` candidates per block.
+        time, at most about `_TILE` candidates per block.  Their total
+        counts against `cap` before any block is expanded.
         """
         hit = self._neighbour_lists.get((num1, num2))
         if hit is not None:
@@ -321,6 +340,8 @@ class PercolationKernel:
         deg2 = ptr2[f2 + 1] - start2
         cnt = (ptr1[f1 + 1] - start1) * deg2
         ends = np.cumsum(cnt)
+        if len(ends) and int(ends[-1]) > self.cap:
+            raise ResourceCapError("percolation pairs (window neighbour lists)", self.cap)
         in_window = np.zeros(len(space), dtype=bool)
         in_window[self.window] = True
         src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -341,12 +362,29 @@ class PercolationKernel:
         hit = self._neighbour_lists[num1, num2] = (ptr, np.concatenate(dst))
         return hit
 
-    def _opened(self, held, pids, f1, f2, emax: float, p1: float) -> tuple:
+    def _opened(self, held, passed, pids, f1, f2, k: int, emax: float, p1: float) -> tuple:
         """(seed, a, b, u, p) of the open pairs below weight p1 among the
-        prefilter passes `held`, a list of (seed, i, j, bits) with i and j
-        positions in `pids`, whose points have factor ball indices f1 and
-        f2, and bits those of u = bits * 2**-53."""
-        seed, i, j, bits = (np.concatenate(col) for col in zip(*held))
+        held heads.
+
+        `held` lists (s, i0, j0, width, pos, d): heads d of seed s at the
+        positions pos of a tile of `width` columns whose first row and
+        column are i0 and j0, positions in `pids`, whose points have factor
+        ball indices f1 and f2.  The prefilter passes, b < k and i < j for
+        the bits b = head_bits(d) of u = b * 2**-53, are added to the
+        per-seed counts `passed` in place; more than `cap` for one seed
+        raise ResourceCapError.
+        """
+        s, i0, j0, width = (np.asarray(col) for col in list(zip(*held))[:4])
+        chunk = np.repeat(np.arange(len(held)), [len(h[4]) for h in held])
+        i, j = np.divmod(np.concatenate([h[4] for h in held]), width[chunk])
+        i += i0[chunk]
+        j += j0[chunk]
+        bits = head_bits(np.concatenate([h[5] for h in held]))
+        hit = np.flatnonzero((bits < k) & (i < j))
+        seed, i, j, bits = s[chunk[hit]], i[hit], j[hit], bits[hit]
+        passed += np.bincount(seed, minlength=len(passed))
+        if passed.max(initial=0) > self.cap:
+            raise ResourceCapError("percolation pairs", self.cap)
         p = self.lut[self.rho1[f1[i], f1[j]] + self.rho2[f2[i], f2[j]]]
         u = to_uniforms(bits)
         keep = np.flatnonzero((u < emax * p) & (p < p1))
@@ -524,7 +562,7 @@ class Pi1Forest:
         once per seed for every epsilon's Pi3."""
         src = np.flatnonzero(self.target >= 0)
         tgt = self.target[src]
-        return np.unique((np.minimum(src, tgt) << 32) | np.maximum(src, tgt))
+        return _distinct((np.minimum(src, tgt) << 32) | np.maximum(src, tgt))
 
 
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
@@ -547,7 +585,7 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     src = np.flatnonzero(~stalled)
     tgt_pid, src_pid = mw.v_pid[target[src]], mw.v_pid[src]
     _, group = np.unique((mw.v_k[src].astype(np.int64) << 32) | y_fi[src], return_inverse=True)
-    moves = np.unique((group << 32) | space.pts1[tgt_pid])
+    moves = _distinct((group << 32) | space.pts1[tgt_pid])
     return Pi1Forest(
         target=target,
         stalled=int(stalled.sum()),
@@ -608,7 +646,7 @@ def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> np.ndarray:
     are merged into the forest's sorted keys."""
     forest = pi1.edge_keys
     lifted = lift_open_pairs(mw, open_pairs)
-    lifted = np.unique((lifted[:, 0] << 32) | lifted[:, 1])
+    lifted = _distinct((lifted[:, 0] << 32) | lifted[:, 1])
     at = np.searchsorted(forest, lifted)
     new = np.append(forest, -1)[at] != lifted
     return _unpack(np.insert(forest, at[new], lifted[new]))
@@ -668,7 +706,7 @@ def _distinct_pairs(pairs) -> np.ndarray:
     sorted and without duplicates."""
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     differ = lo != hi
-    return _unpack(np.unique((lo[differ] << 32) | hi[differ]))
+    return _unpack(_distinct((lo[differ] << 32) | hi[differ]))
 
 
 def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
@@ -709,6 +747,26 @@ def _component_roots(n: int, edges) -> np.ndarray:
         np.minimum.at(roots, np.maximum(ra, rb), np.minimum(ra, rb))
         while (roots[roots] != roots).any():
             roots = roots[roots]
+
+
+def _ladder_roots(mw: MarkedWindow, pi1: Pi1Forest, opens) -> dict:
+    """The Pi3 component labels of every epsilon of `opens` (epsilon ->
+    open base pairs): for each vertex, the least vertex of its component
+    in Pi1 union that epsilon's lifted Pi2, as `_component_roots` of
+    `pi3_edges` labels it.
+
+    The Pi1 forest is labelled once.  Each epsilon then joins the forest
+    labels of its lifted pairs' ends, and a vertex takes the label of its
+    tree's label: the least label among the trees one component joins is
+    the least vertex of that component.  An epsilon that opens no pair
+    keeps the forest labels.
+    """
+    n = mw.n_vertices
+    forest = _component_roots(n, pi1_edges(pi1))
+    return {
+        e: _component_roots(n, forest[lift_open_pairs(mw, pairs)])[forest] if len(pairs) else forest
+        for e, pairs in opens.items()
+    }
 
 
 def largest_component_fraction(roots) -> float:
@@ -765,6 +823,13 @@ def run_seed(
 ):
     """One full pipeline pass; returns window-scale statistics.
 
+    The epsilon ladder reads each epsilon's Pi3 components from
+    `_ladder_roots`: the Pi1 forest is labelled once, and each epsilon
+    unions only its own lifted open pairs over the forest labels.  The
+    largest fractions, the flagged components and `_pi5_connected` read
+    only that partition, never the edges, so the Pi3 edge array is built
+    once, at the primary epsilon, for the degrees and the later stages.
+
     When `collect` is a dict it receives the marked window and the (m, 2)
     edge array of every stage (for dumps and debugging)."""
     rng = SeededRandomness(seed_key)
@@ -784,15 +849,13 @@ def run_seed(
     st.interior = len(interior)
     st.n_bases = len(mw.bases)
     opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
-    # Monotone-merging check over the shared uniforms; each epsilon labels
-    # its own edge set.
+    edges = pi3_edges(mw, pi1, opens[float(primary_eps)])
+    ladder = _ladder_roots(mw, pi1, opens)
+    roots = ladder[float(primary_eps)]
+    # Monotone-merging check over the shared uniforms.
     prev = -1.0
     for e in sorted(opens):
-        edges_e = pi3_edges(mw, pi1, opens[e])
-        roots_e = _component_roots(mw.n_vertices, edges_e)
-        if e == float(primary_eps):
-            edges, roots = edges_e, roots_e
-        frac = largest_component_fraction(roots_e)
+        frac = largest_component_fraction(ladder[e])
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
             st.monotone_ok = False
@@ -829,7 +892,7 @@ def run_seed(
             s0_mask=s0_mask,
         )
     unreached = stages["dist"] < 0
-    st.flagged_components = len(np.unique(roots[unreached]))
+    st.flagged_components = len(_distinct(roots[unreached]))
     ok_interior = interior[~unreached[interior]]
     s0_interior = ok_interior[s0_mask[ok_interior]]
     st.n_sprime_interior = len(ok_interior)
@@ -838,7 +901,7 @@ def run_seed(
         lam = len(s0_interior) / len(ok_interior)
         st.lambda_hat = lam
         pi5_ends = np.sort(stages["pi5"].ravel())
-        interior_bases = np.unique(mw.v_pid[s0_interior])
+        interior_bases = _distinct(mw.v_pid[s0_interior])
         lhs, se_lhs = _mean_se(
             np.searchsorted(pi5_ends, interior_bases, side="right")
             - np.searchsorted(pi5_ends, interior_bases)
@@ -863,7 +926,7 @@ def _pi5_connected(roots, stages) -> bool:
     pi4 = stages["pi4"]
     pi4_roots = _component_roots(len(roots), pi4[roots[pi4[:, 0]] == roots[pi4[:, 1]]])
     sources = np.flatnonzero(stages["dist"] == 0)
-    return len(np.unique(pi4_roots[sources])) == len(np.unique(roots[sources]))
+    return len(_distinct(pi4_roots[sources])) == len(_distinct(roots[sources]))
 
 
 @dataclass
@@ -900,7 +963,10 @@ class CostReport:
 
 
 def _mean_se(values) -> tuple:
-    arr = np.asarray([v for v in values if not math.isnan(v)], dtype=np.float64)
+    """Mean and standard error of the values that are not NaN; NaN and NaN
+    when none is left, and a standard error of 0 for one value."""
+    arr = np.asarray(values, dtype=np.float64)
+    arr = arr[~np.isnan(arr)]
     if len(arr) == 0:
         return float("nan"), float("nan")
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0

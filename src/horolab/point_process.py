@@ -25,15 +25,19 @@ from fractions import Fraction
 import numpy as np
 
 from .diamonds import corner_count, diamond_volume
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, make_oracle
 from .product import FactorBall, ProductMetric, ProductSpace
 from .randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
     SeededRandomness,
+    bits_at_most,
     combine_digests,
     digest_str,
+    fold_into,
+    head_bits,
+    head_limit,
     seed_digest,
 )
 from .schedule import SlopeSchedule
@@ -103,7 +107,9 @@ class ProcessContext:
     `space` is W+, the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c):
     the window radius plus the largest rho_c distance from a diamond's
     center to one of its members.  `covering` is the covering map of the
-    covering centers, as CSR arrays, and `center_digests` their digests.
+    covering centers, as CSR arrays, `center_digests` their digests and
+    `center_folded` those digests' folds (`fold_into`), the seed-free input
+    of `SeededRandomness.heads_into`.
     """
 
     def __init__(
@@ -134,6 +140,9 @@ class ProcessContext:
             )
         self.covering = self._covering_map()
         self.center_digests = self.point_digests[self.covering.centers]
+        self.center_folded = fold_into(
+            self.center_digests.copy(), np.empty_like(self.center_digests)
+        )
 
     def _diamond_offsets(self):
         """Member offsets (u, w) of a diamond centered at the origin.
@@ -210,11 +219,23 @@ class DiamondProcess:
 
 def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     """Deterministic Bernoulli(1/v''_n) sample of the pointed marked
-    diamonds that meet the window, drawn over the covering centers."""
+    diamonds that meet the window, drawn over the covering centers.
+
+    A center is chosen when its uniform u = rng.uniforms(digest,
+    STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
+    b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
+    equals the bound.  The heads of every center's word are drawn in place
+    from `ctx.center_folded` (`heads_into`), and only the heads below
+    `head_limit(k)` get their bits (`head_bits`).
+    """
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
-    digests = ctx.center_digests
-    chosen = np.flatnonzero(rng.uniforms(digests, STREAM_CENTERS) <= param)
+    digests, folded = ctx.center_digests, ctx.center_folded
+    k = bits_at_most(param)
+    heads = rng.heads_into(folded, STREAM_CENTERS, np.empty_like(folded), np.empty_like(folded))
+    limit = head_limit(k)
+    passed = np.arange(len(heads)) if limit is None else np.flatnonzero(heads < limit)
+    chosen = passed[head_bits(heads[passed]) < k]
     return DiamondProcess(
         ctx=ctx,
         seed=seed,
@@ -279,21 +300,25 @@ def corner_event_probability(
     sampler uses.  Over at least six breakpoints the exact sequence must be
     eventually decreasing along each breakpoint-parity class (the crossing
     rule alternates sides, so the interleaved sequence legitimately
-    oscillates); shorter ranges skip the check.
+    oscillates); shorter ranges skip the check.  Before anything is
+    enumerated, every corner set's closed-form size counts against `cap`.
     """
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
     n_range = list(n_range)
+    counts = [(n, corner_count(schedule, n, T)) for n in n_range]
     need_emp = seeds > 0 and bool(n_range)
     if need_emp:
+        for n, stats in counts:
+            if stats.count > cap:
+                raise ResourceCapError(f"corner set A_{{n,T}} at n = {n}, T = {T}", cap)
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)
         b1 = FactorBall(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
         b2 = FactorBall(make_oracle(growth2.spec), max(rp_max + T - 1, T - 1, 0), cap)
         d1 = factor_digests(b1, "G")
         d2 = factor_digests(b2, "G2")
-    for n in n_range:
-        stats = corner_count(schedule, n, T)
+    for n, stats in counts:
         v = diamond_volume(schedule, n)
         # 1 - (1 - 1/v)^|A| in log space; the direct power saturates at 1.
         miss = -stats.count * math.log1p(-1.0 / v) if stats.count else 0.0

@@ -24,7 +24,11 @@ drawn under many seeds:
   53 bits b of u = b * 2**-53.
 - The last step keeps the top 33 bits (e >> 33 == d >> 33), so b < k
   implies d < `head_limit(k)`: a sampler compares the heads against that
-  bound and finishes only the few that pass.
+  bound and finishes only the few that pass.  `bits_below(t)` and
+  `bits_at_most(t)` give the k of the tests u < t and u <= t.
+
+The diamond process draws its centers the same way, from the covering
+centers' digests folded once (`fold_into`).
 """
 
 from __future__ import annotations
@@ -133,6 +137,18 @@ def bits_below(t: float) -> int:
     if t >= 1.0:
         return 1 << 53
     return math.ceil(t * 2.0**53) if t > 0 else 0
+
+
+def bits_at_most(t: float) -> int:
+    """The integer k with (b < k) == (b * 2**-53 <= t) for every 53-bit b.
+
+    t * 2**53 is exact for 0 <= t < 1, so u <= t holds exactly when b <=
+    floor(t * 2**53); where t * 2**53 is an integer, u = t is kept.  Any t
+    >= 1 admits every b and t < 0 admits none.
+    """
+    if t >= 1.0:
+        return 1 << 53
+    return math.floor(t * 2.0**53) + 1 if t >= 0 else 0
 
 
 def head_bits(heads) -> np.ndarray:

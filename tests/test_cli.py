@@ -7,11 +7,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from horolab import acceptance, cli, graphing
+from horolab import acceptance, cli, graphing, point_process
 from horolab.errors import MarkCollisionError
 from horolab.graphing import BaselineRow, CostReport, SeedStats
+from horolab.point_process import ProcessContext, sample_diamond_process
+from horolab.randomness import STREAM_CENTERS, SeededRandomness, seed_digest
 
 SMALL = {
     "acceptance_checks": False,
@@ -351,6 +354,18 @@ def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
     captured = capsys.readouterr()
     assert "resource cap:" in captured.err
     assert "resource cap:" not in captured.out
+
+
+def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # The radius-8 F2 balls (13,121 elements) and the window fit a cap of
+    # 20,000; the n = 8 corner set, with 26,241 centers, does not.
+    def never(*args):
+        raise AssertionError("a corner set was enumerated")
+
+    monkeypatch.setattr(point_process, "_corner_digests", never)
+    overrides = {"enum_cap": 20_000, "process": {"seeds": 2}}
+    assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
+    assert "corner set A_{n,T} at n = 8, T = 1 exceeded" in capsys.readouterr().err
 
 
 def test_config_file_merge(tmp_path):
@@ -748,6 +763,27 @@ PINNED_DIGESTS = {
         "summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
     },
 }
+
+
+def test_center_draw_is_the_uniforms_threshold_on_the_pinned_wr4_seeds():
+    # The center draw finishes only the heads under the bound of u <= 1/v;
+    # it must choose exactly the centers whose uniforms pass, on every seed
+    # of every pinned graphing sweep at window radius 4.
+    checked = 0
+    for command, overrides in PINNED_RUNS.values():
+        cfg = cli._deep_merge(copy.deepcopy(cli.DEFAULTS), overrides)
+        sub = cfg["graphing"]
+        if command not in ("graphing", "all") or sub["window_radius"] != 4:
+            continue
+        run = cli.Run(cfg)
+        ctx = ProcessContext(run.metric, run.schedule, sub["n"], 4, cfg["enum_cap"])
+        for s in range(sub["seeds"]):
+            key = seed_digest(cfg["master_seed"], s)
+            u = SeededRandomness(key).uniforms(ctx.center_digests, STREAM_CENTERS)
+            want = np.flatnonzero(u <= 1.0 / ctx.volume)
+            assert sample_diamond_process(ctx, key).chosen.tolist() == want.tolist()
+            checked += 1
+    assert checked == 4 + 5 + 30
 
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))

@@ -459,6 +459,82 @@ def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
         kernel.open_pairs(S, rngs, 1.0)
 
 
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
+def test_open_pairs_flushes_held_heads_mid_call(perc_ctx, monkeypatch):
+    # emax * p2 = 1 - 2**-40 saturates the head bound, so every position of
+    # a tile is held: the held heads pass `_TILE` long before the last
+    # tile, and each batch is finished and refined on its own.
+    kernel = perc_ctx.kernel
+    saved = kernel.lut
+    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
+    monkeypatch.setattr(graphing, "_TILE", 1024)
+    batches = []
+    opened = graphing.PercolationKernel._opened
+
+    def spy(self, held, *args):
+        batches.append(sum(len(pos) for *_, pos, _ in held))
+        return opened(self, held, *args)
+
+    monkeypatch.setattr(graphing.PercolationKernel, "_opened", spy)
+    bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()[:80]
+    pairs = len(bases) * (len(bases) - 1) // 2
+    assert 0 < _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0) < 4 * pairs
+    assert len(batches) > 2 and min(batches[:-1]) >= 1024
+
+
+def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
+    # Every position of a tile is held (as above), so the first tile's
+    # heads already bound more passes than the cap: that batch is counted
+    # exactly then, and the call raises before the second tile is hashed.
+    # The first tile holds 51 rows of 79 pairs, about 2,700 of them
+    # passes, but fewer than `_TILE` heads for the one seed; the 80 bases
+    # list at most 640 pairs at the heaviest weight.
+    kernel = f2_ctx.kernel
+    saved = kernel.lut
+    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
+    monkeypatch.setattr(graphing, "_TILE", 4096)
+    S = np.sort(_seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)[:80]
+    rngs = [SeededRandomness(MULTI_SEED_KEYS[0])]
+    tiles = []
+    combine = graphing.combine_into
+    monkeypatch.setattr(graphing, "combine_into", lambda *a: tiles.append(1) or combine(*a))
+    assert len(list(graphing._pair_tiles(len(S)))) == 2
+    monkeypatch.setattr(kernel, "cap", 1000)
+    with pytest.raises(ResourceCapError, match="percolation pairs exceeded"):
+        kernel.open_pairs(S, rngs, 1.0)
+    assert len(tiles) == 1
+
+
+def _fresh_window_kernel():
+    """A bare-window F2 x F2 kernel at radius 3, c = 1, whose neighbour
+    lists are not built yet."""
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    window = ProductSpace(metric, 3)
+    return graphing.PercolationKernel(window, point_digests(window), 3)
+
+
+def test_window_neighbour_lists_count_against_the_cap(monkeypatch):
+    kernel = _fresh_window_kernel()
+    ids = np.arange(len(kernel.space))
+    monkeypatch.setattr(kernel, "cap", 100)
+    with pytest.raises(ResourceCapError, match=r"\(window neighbour lists\)"):
+        kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)
+    assert kernel._neighbour_lists == {}
+
+
+def test_top_tier_listing_counts_against_the_cap(monkeypatch):
+    kernel = _fresh_window_kernel()
+    ids = np.arange(len(kernel.space))
+    kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)  # builds the neighbour lists
+    # Over the whole window, a decomposition lists every neighbour.
+    listed = max(int(ptr[-1]) for ptr, _ in kernel._neighbour_lists.values())
+    monkeypatch.setattr(kernel, "cap", listed - 1)
+    with pytest.raises(ResourceCapError, match=r"\(top-tier listing\)"):
+        kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)
+    monkeypatch.setattr(kernel, "cap", listed)
+    kernel._top_pairs(ids, kernel.lut.max())
+
+
 F3 = GroupSpec("free", rank=3)
 
 
@@ -1057,6 +1133,51 @@ def test_vertex_of_inverts_the_vertex_table(f2_ctx):
         assert (mw.vertex_of(outside, np.full(len(outside), k)) == -1).all()
         inside = mw.vertex_of(members, np.full(len(members), k))
         assert (mw.v_pid[inside] == members).all() and (mw.v_k[inside] == k).all()
+
+
+LADDER_EPS = [0.0, 0.01, 0.05, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_ladder_labels_each_eps_as_its_own_pi3(perc_ctx):
+    # Every epsilon's labels are those of its own Pi3 edge array; some
+    # positive epsilon opens nothing, and some lifted pair joins two Pi1
+    # trees.
+    empty = joined = 0
+    for s in range(12):
+        key = seed_digest(68, s)
+        mw = _seed_window(perc_ctx, key)
+        if mw.n_vertices == 0:
+            continue
+        pi1 = build_pi1(mw)
+        forest = _component_roots(mw.n_vertices, graphing.pi1_edges(pi1))
+        opens = build_percolation(perc_ctx, mw.bases, SeededRandomness(key), LADDER_EPS)
+        ladder = graphing._ladder_roots(mw, pi1, opens)
+        assert sorted(ladder) == sorted(opens)
+        for e, pairs in opens.items():
+            want = _component_roots(mw.n_vertices, pi3_edges(mw, pi1, pairs))
+            assert ladder[e].tolist() == want.tolist()
+            ends = forest[lift_open_pairs(mw, pairs)]
+            empty += e > 0 and len(pairs) == 0
+            joined += bool((ends[:, 0] != ends[:, 1]).any())
+    assert empty > 0 and joined > 0
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(9, 5, dtype=np.int64),
+        np.array([2**40 + 3, 2**32, 5, 2**32, 2**62, 5, 2**32 - 1], dtype=np.int64),
+        np.array([[3, 1], [3, 2**33]], dtype=np.int64),
+        np.random.default_rng(5).integers(0, 50, 300).astype(np.int64) << 33,
+    ],
+    ids=["empty", "one", "all-equal", "past-2**32", "2d", "many-duplicates"],
+)
+def test_distinct_is_np_unique(keys):
+    got, want = graphing._distinct(keys), np.unique(keys)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_largest_component_fraction():

@@ -54,6 +54,20 @@ def test_determinism(ctx):
     ).all()
 
 
+def test_center_draw_keeps_a_uniform_equal_to_its_bound(ctx, monkeypatch):
+    # u <= 1/v exactly: with 1/v equal to a center's uniform u0 (so that
+    # 1/v * 2**53 is an integer), that center is drawn.
+    key = seed_digest(12, 0)
+    u = SeededRandomness(key).uniforms(ctx.center_digests, STREAM_CENTERS)
+    row = next(i for i in np.argsort(u)[200:] if 1.0 / (1.0 / u[i]) == u[i])
+    monkeypatch.setattr(ctx, "volume", 1.0 / u[row])
+    proc = sample_diamond_process(ctx, key)
+    assert row in proc.chosen.tolist()
+    assert proc.chosen.tolist() == np.flatnonzero(u <= u[row]).tolist()
+    monkeypatch.setattr(ctx, "volume", 1.0 / np.nextafter(u[row], 0))
+    assert row not in sample_diamond_process(ctx, key).chosen.tolist()
+
+
 def test_forced_bernoulli_one(ctx):
     # The process with every covering center drawn (Bernoulli parameter 1).
     cov = ctx.covering

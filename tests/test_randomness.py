@@ -6,6 +6,7 @@ from horolab.randomness import (
     STREAM_MARKS,
     STREAM_PERCOLATION,
     SeededRandomness,
+    bits_at_most,
     bits_below,
     combine_digests,
     combine_into,
@@ -137,6 +138,22 @@ def test_bits_below_is_the_exact_integer_form_of_u_below_t():
         assert ((bits < np.uint64(bits_below(t))) == (u < t)).all(), t
     assert bits_below(1.0) == bits_below(1e300) == 2**53
     assert bits_below(0.0) == bits_below(float("nan")) == 0
+
+
+def test_bits_at_most_is_the_exact_integer_form_of_u_at_most_t():
+    u = SeededRandomness(5).uniforms(
+        np.array([digest_str(f"t{i}") for i in range(2000)], dtype=np.uint64), STREAM_MARKS
+    )
+    bits = (u * 2.0**53).astype(np.uint64)
+    low = float(u.min())
+    # low and float(u[7]) are uniforms, so t * 2**53 is an integer there and
+    # u == t must be kept.
+    for t in [0.0, -1.0, 1e-300, 2.0**-53, 0.3, low, np.nextafter(low, 1), float(u[7]), 1.0, 3.0]:
+        assert ((bits < np.uint64(bits_at_most(t))) == (u <= t)).all(), t
+    assert bits_at_most(low) == bits_below(low) + 1
+    assert bits_at_most(2.0**-53) == 2 and bits_at_most(0.0) == 1
+    assert bits_at_most(1.0) == bits_at_most(1e300) == 2**53
+    assert bits_at_most(-1e-300) == bits_at_most(float("nan")) == 0
 
 
 def test_seed_digest_distinct():
