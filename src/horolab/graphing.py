@@ -269,7 +269,7 @@ class PercolationKernel:
                     ceiling[s] += len(pos)
             if count >= _TILE or max(ceiling) > self.cap:
                 found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
-                held, count, ceiling = held[:1], 0, passed.tolist()
+                count, ceiling = 0, passed.tolist()
         found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
         seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
         keep = np.lexsort((b, a, seed))
@@ -372,14 +372,19 @@ class PercolationKernel:
         ball indices f1 and f2.  The prefilter passes, b < k and i < j for
         the bits b = head_bits(d) of u = b * 2**-53, are added to the
         per-seed counts `passed` in place; more than `cap` for one seed
-        raise ResourceCapError.
+        raise ResourceCapError.  The batch is consumed: `held` keeps only
+        its first entry, and its arrays are freed before the pairs are
+        mapped.
         """
         s, i0, j0, width = (np.asarray(col) for col in list(zip(*held))[:4])
         chunk = np.repeat(np.arange(len(held)), [len(h[4]) for h in held])
-        i, j = np.divmod(np.concatenate([h[4] for h in held]), width[chunk])
+        pos = np.concatenate([h[4] for h in held])
+        bits = head_bits(np.concatenate([h[5] for h in held]))
+        del held[1:]
+        i, j = np.divmod(pos, width[chunk])
+        del pos
         i += i0[chunk]
         j += j0[chunk]
-        bits = head_bits(np.concatenate([h[5] for h in held]))
         hit = np.flatnonzero((bits < k) & (i < j))
         seed, i, j, bits = s[chunk[hit]], i[hit], j[hit], bits[hit]
         passed += np.bincount(seed, minlength=len(passed))
