@@ -373,20 +373,25 @@ class PercolationKernel:
         the bits b = head_bits(d) of u = b * 2**-53, are added to the
         per-seed counts `passed` in place; more than `cap` for one seed
         raise ResourceCapError.  The batch is consumed: `held` keeps only
-        its first entry, and its arrays are freed before the pairs are
-        mapped.
+        its first entry.  Its arrays are freed as soon as they are read,
+        and the passes are taken one array at a time, so that no batch is
+        held twice.
         """
         s, i0, j0, width = (np.asarray(col) for col in list(zip(*held))[:4])
-        chunk = np.repeat(np.arange(len(held)), [len(h[4]) for h in held])
+        lens = [len(h[4]) for h in held]
         pos = np.concatenate([h[4] for h in held])
-        bits = head_bits(np.concatenate([h[5] for h in held]))
+        heads = np.concatenate([h[5] for h in held])
         del held[1:]
-        i, j = np.divmod(pos, width[chunk])
+        i, j = np.divmod(pos, np.repeat(width, lens))
         del pos
-        i += i0[chunk]
-        j += j0[chunk]
-        hit = np.flatnonzero((bits < k) & (i < j))
-        seed, i, j, bits = s[chunk[hit]], i[hit], j[hit], bits[hit]
+        i += np.repeat(i0, lens)
+        j += np.repeat(j0, lens)
+        hit = np.flatnonzero((head_bits(heads) < k) & (i < j))
+        seed = np.repeat(s, lens)[hit]
+        i = i[hit]
+        j = j[hit]
+        bits = head_bits(heads[hit])
+        del heads
         passed += np.bincount(seed, minlength=len(passed))
         if passed.max(initial=0) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
