@@ -49,40 +49,14 @@ from .randomness import (
     STREAM_OVERLAP,
     STREAM_PERCOLATION,
     SeededRandomness,
+    _TILE,
     bits_below,
-    combine_into,
     combine_unordered,
-    fold_into,
-    head_bits,
-    head_limit,
-    premix,
     seed_digest,
+    threshold_pairs,
     to_uniforms,
 )
 from .schedule import SlopeSchedule
-
-
-_TILE = 1 << 15  # pairs hashed per tile of `PercolationKernel.open_pairs`
-
-
-def _pair_tiles(n: int):
-    """Rectangles (i0, i1, j0, j1), rows i0 .. i1-1 by columns j0 .. j1-1,
-    of at most `_TILE` pairs that together hold each pair i < j of
-    range(n) once.
-
-    The rows are cut into blocks i0 .. i1-1 whose rectangle with the
-    columns i0+1 .. n-1 holds at most `_TILE` pairs; a row longer than
-    `_TILE` is a block of its own, cut into rectangles of `_TILE` columns.
-    A block's rectangle also holds its pairs with i >= j, which the
-    caller drops.
-    """
-    i0 = 0
-    while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, _TILE // (n - 1 - i0)))
-        step = _TILE // (i1 - i0)
-        for j0 in range(i0 + 1, n, step):
-            yield i0, i1, j0, min(j0 + step, n)
-        i0 = i1
 
 
 def _distinct(keys) -> np.ndarray:
@@ -168,7 +142,6 @@ class PercolationKernel:
         self.rho2 = space.ball2.distance_matrix(space.ball2.volume(p * window_radius // q)) * q
         self.window = space.ids_within(window_radius)
         self._neighbour_lists = {}
-        self._buffers = None
 
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for point ids a and b, elementwise."""
@@ -183,58 +156,37 @@ class PercolationKernel:
         A pair's probability is p = prob(a, b) and its uniform is u =
         rng.uniforms(combine_unordered(digests[a], digests[b]),
         STREAM_PERCOLATION), so the rows are exactly those of materialising
-        every pair; only a small share of the pairs is materialised.  The
-        pairs are drawn in two tiers, split at the heaviest weight p1 =
-        max(lut) and the next one p2 (0 when there is none):
+        every pair.  The pairs are drawn in two tiers, split at the
+        heaviest weight p1 = max(lut) and the next one p2 (0 when there is
+        none):
 
         - Top tier: the pairs at weight p1 are listed from the window's
-          neighbour lists, built once per kernel (`_top_pairs`), and each
-          seed tests them exactly, u < emax * p1, through `uniforms`.
-        - Tile tier: with the points sorted by digest, the min and max of
-          `combine_unordered` are a tile's row and column, so `premix` runs
-          once per point.  The pairs are hashed in rectangles of at most
-          `_TILE` pairs (`_pair_tiles`), in tile buffers kept by the kernel;
-          a tile's seedless round (`combine_into`) and folded half-step
-          (`fold_into`) run once, then each seed runs the rest of its two
-          seeded rounds up to the head d of each word (`heads_into`).
-        - Prefilter: float rounding is monotone, so every other pair's
-          emax * p is at most t = emax * p2, and u < t holds exactly when
-          the 53 bits b of u = b * 2**-53 satisfy b < k = bits_below(t).
-          A tile keeps, per seed, only the positions and heads of the heads
-          below `head_limit(k)`.  With k = 0 the tile tier is skipped.
-        - Held batch: the kept heads are held until `_TILE` of them are, or
-          to the end of the call; then, once per batch, `_opened` maps the
-          positions to pairs (i, j), finishes their bits (`head_bits`),
-          keeps the passes, those with b < k and i < j (a tile's pairs on
-          or below the diagonal drop here, before they count against
-          `cap`), and runs the exact float test u < emax * p on them.  p is
-          read at the passes' digest-order positions, and only the open
-          pairs are mapped to point ids.  Passes at p1 are dropped there:
-          the top tier decided them.
-        The listed pairs and the prefilter passes count against `cap`: more
-        than `cap` for one seed raise ResourceCapError.  The check runs per
-        tile: a seed's kept heads bound its passes from above, so a batch
-        is also flushed, and its passes counted exactly, as soon as that
-        bound exceeds `cap`.
+          neighbour lists (`_top_pairs`), and each seed tests them exactly,
+          u < emax * p1, through `uniforms`.
+        - Tile tier: every other pair's emax * p is at most t = emax * p2,
+          since float rounding is monotone.  With the points sorted by
+          digest, `combine_unordered` is `combine_digests` of a pair's row
+          and column, so `threshold_pairs` draws the triangle's pairs with
+          u < t, exactly as bits < bits_below(t); it is skipped when that
+          is 0.  The refinement keeps those with u < emax * p and p < p1
+          (the top tier decided p1), reading p through `prob`.
+        The listed pairs and the tile tier's passes count against `cap`,
+        seed by seed: more than `cap` for one seed raise ResourceCapError.
         """
         digests = self.digests[ids]
         order = np.argsort(digests, kind="stable")
         ordered = digests[order]
-        mixed = premix(ordered)
         pids = ids[order]
-        f1, f2 = self.space.pts1[pids], self.space.pts2[pids]
         emax = float(emax)
         p1 = float(self.lut.max())
         p2 = float(self.lut[self.lut < p1].max(initial=0.0))
-        k = bits_below(emax * p2)
-        limit = head_limit(k) if k else None
         none = np.zeros(0, dtype=np.int64)
         top_a = top_b = none
         if rngs and bits_below(emax * p1):
             top_a, top_b = self._top_pairs(ids, p1)
         if len(top_a) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
-        found = []
+        found = [(none, none, none, np.zeros(0), np.zeros(0))]
         if len(top_a):
             top = combine_unordered(self.digests[top_a], self.digests[top_b])
             for s, rng in enumerate(rngs):
@@ -242,35 +194,21 @@ class PercolationKernel:
                 keep = np.flatnonzero(u < emax * p1)
                 seed = np.full(len(keep), s)
                 found.append((seed, top_a[keep], top_b[keep], u[keep], np.full(len(keep), p1)))
-        words, heads, tmp, below = self._tile_buffers()
-        passed = np.full(len(rngs), len(top_a), dtype=np.int64)  # exact, to the last flush
-        ceiling = passed.tolist()  # passes plus held heads, per seed
-        held = [(0, 0, 0, 1, none, none.astype(np.uint64))]
-        count = 0  # heads held
-        for i0, i1, j0, j1 in _pair_tiles(len(ids)) if k and rngs else ():
-            shape = (i1 - i0, j1 - j0)
-            size = shape[0] * shape[1]
-            pair = combine_into(
-                mixed[i0:i1, None],
-                ordered[None, j0:j1],
-                words[:size].reshape(shape),
-                tmp[:size].reshape(shape),
-            ).reshape(-1)
-            fold_into(pair, tmp[:size])
-            for s, rng in enumerate(rngs):
-                d = rng.heads_into(pair, STREAM_PERCOLATION, heads[:size], tmp[:size])
-                if limit is None:
-                    pos = np.arange(size)
-                else:
-                    pos = np.less(d, limit, out=below[:size]).nonzero()[0]
-                if len(pos):
-                    held.append((s, i0, j0, shape[1], pos, d[pos]))
-                    count += len(pos)
-                    ceiling[s] += len(pos)
-            if count >= _TILE or max(ceiling) > self.cap:
-                found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
-                count, ceiling = 0, passed.tolist()
-        found.append(self._opened(held, passed, pids, f1, f2, k, emax, p1))
+
+        def refine(batch):
+            seed, i, j, bits = batch
+            a, b = pids[i], pids[j]
+            p = self.prob(a, b)
+            u = to_uniforms(bits)
+            keep = np.flatnonzero((u < emax * p) & (p < p1))
+            a, b = a[keep], b[keep]
+            return seed[keep], np.minimum(a, b), np.maximum(a, b), u[keep], p[keep]
+
+        # `map` drops each batch before the next tile is hashed.
+        found += map(refine, threshold_pairs(
+            ordered, ordered, rngs, STREAM_PERCOLATION, bits_below(emax * p2), self.cap,
+            "percolation pairs", triangle=True, counted=len(top_a),
+        ))
         seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
         keep = np.lexsort((b, a, seed))
         ends = np.searchsorted(seed[keep], np.arange(len(rngs) + 1))
@@ -278,13 +216,6 @@ class PercolationKernel:
             (a[run], b[run], u[run], p[run])
             for run in (keep[s:t] for s, t in zip(ends[:-1], ends[1:]))
         ]
-
-    def _tile_buffers(self) -> tuple:
-        """The uint64 buffers words, heads and tmp and the bool buffer
-        below, each of `_TILE` entries, allocated once per kernel."""
-        if self._buffers is None or len(self._buffers[0]) != _TILE:
-            self._buffers = tuple(np.empty(_TILE, dtype=t) for t in (np.uint64,) * 3 + (bool,))
-        return self._buffers
 
     def _top_pairs(self, ids, p1: float) -> tuple:
         """The pairs a < b of the sorted point ids `ids` at weight p1, as
@@ -361,45 +292,6 @@ class PercolationKernel:
         ptr = np.searchsorted(np.concatenate(src), np.arange(len(self.window) + 1))
         hit = self._neighbour_lists[num1, num2] = (ptr, np.concatenate(dst))
         return hit
-
-    def _opened(self, held, passed, pids, f1, f2, k: int, emax: float, p1: float) -> tuple:
-        """(seed, a, b, u, p) of the open pairs below weight p1 among the
-        held heads.
-
-        `held` lists (s, i0, j0, width, pos, d): heads d of seed s at the
-        positions pos of a tile of `width` columns whose first row and
-        column are i0 and j0, positions in `pids`, whose points have factor
-        ball indices f1 and f2.  The prefilter passes, b < k and i < j for
-        the bits b = head_bits(d) of u = b * 2**-53, are added to the
-        per-seed counts `passed` in place; more than `cap` for one seed
-        raise ResourceCapError.  The batch is consumed: `held` keeps only
-        its first entry.  Its arrays are freed as soon as they are read,
-        and the passes are taken one array at a time, so that no batch is
-        held twice.
-        """
-        s, i0, j0, width = (np.asarray(col) for col in list(zip(*held))[:4])
-        lens = [len(h[4]) for h in held]
-        pos = np.concatenate([h[4] for h in held])
-        heads = np.concatenate([h[5] for h in held])
-        del held[1:]
-        i, j = np.divmod(pos, np.repeat(width, lens))
-        del pos
-        i += np.repeat(i0, lens)
-        j += np.repeat(j0, lens)
-        hit = np.flatnonzero((head_bits(heads) < k) & (i < j))
-        seed = np.repeat(s, lens)[hit]
-        i = i[hit]
-        j = j[hit]
-        bits = head_bits(heads[hit])
-        del heads
-        passed += np.bincount(seed, minlength=len(passed))
-        if passed.max(initial=0) > self.cap:
-            raise ResourceCapError("percolation pairs", self.cap)
-        p = self.lut[self.rho1[f1[i], f1[j]] + self.rho2[f2[i], f2[j]]]
-        u = to_uniforms(bits)
-        keep = np.flatnonzero((u < emax * p) & (p < p1))
-        a, b = pids[i[keep]], pids[j[keep]]
-        return seed[keep], np.minimum(a, b), np.maximum(a, b), u[keep], p[keep]
 
     def row_masses(self, rows) -> np.ndarray:
         """Mass sum_{j != i} p(i, j) of each point i in `rows`, over every
@@ -650,12 +542,12 @@ def pi1_edges(pi1: Pi1Forest) -> np.ndarray:
     return np.stack([src, pi1.target[src]], axis=1)
 
 
-def pi3_edges(mw: MarkedWindow, pi1: Pi1Forest, open_pairs) -> np.ndarray:
+def pi3_edges(pi1: Pi1Forest, lifted) -> np.ndarray:
     """Undirected edges of Pi3 = Pi1 union lifted Pi2, an (m, 2) array of
-    rows (a, b), a < b, sorted and without duplicates.  The few lifted keys
-    are merged into the forest's sorted keys."""
+    rows (a, b), a < b, sorted and without duplicates; `lifted` holds the
+    lifted Pi2 rows (`lift_open_pairs`).  The few lifted keys are merged
+    into the forest's sorted keys."""
     forest = pi1.edge_keys
-    lifted = lift_open_pairs(mw, open_pairs)
     lifted = _distinct((lifted[:, 0] << 32) | lifted[:, 1])
     at = np.searchsorted(forest, lifted)
     new = np.append(forest, -1)[at] != lifted
@@ -759,9 +651,9 @@ def _component_roots(n: int, edges) -> np.ndarray:
             roots = roots[roots]
 
 
-def _ladder_roots(mw: MarkedWindow, pi1: Pi1Forest, opens) -> dict:
-    """The Pi3 component labels of every epsilon of `opens` (epsilon ->
-    open base pairs): for each vertex, the least vertex of its component
+def _ladder_roots(pi1: Pi1Forest, lifts) -> dict:
+    """The Pi3 component labels of every epsilon of `lifts` (epsilon ->
+    lifted Pi2 rows): for each vertex, the least vertex of its component
     in Pi1 union that epsilon's lifted Pi2, as `_component_roots` of
     `pi3_edges` labels it.
 
@@ -771,11 +663,11 @@ def _ladder_roots(mw: MarkedWindow, pi1: Pi1Forest, opens) -> dict:
     the least vertex of that component.  An epsilon that opens no pair
     keeps the forest labels.
     """
-    n = mw.n_vertices
+    n = len(pi1.target)
     forest = _component_roots(n, pi1_edges(pi1))
     return {
-        e: _component_roots(n, forest[lift_open_pairs(mw, pairs)])[forest] if len(pairs) else forest
-        for e, pairs in opens.items()
+        e: _component_roots(n, forest[lifted])[forest] if len(lifted) else forest
+        for e, lifted in lifts.items()
     }
 
 
@@ -833,7 +725,9 @@ def run_seed(
 ):
     """One full pipeline pass; returns window-scale statistics.
 
-    The epsilon ladder reads each epsilon's Pi3 components from
+    Each epsilon's open pairs are lifted to vertex pairs once
+    (`lift_open_pairs`), for `pi3_edges`, the ladder and `collect`.  The
+    epsilon ladder reads each epsilon's Pi3 components from
     `_ladder_roots`: the Pi1 forest is labelled once, and each epsilon
     unions only its own lifted open pairs over the forest labels.  The
     largest fractions, the flagged components and `_pi5_connected` read
@@ -859,12 +753,13 @@ def run_seed(
     st.interior = len(interior)
     st.n_bases = len(mw.bases)
     opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
-    edges = pi3_edges(mw, pi1, opens[float(primary_eps)])
-    ladder = _ladder_roots(mw, pi1, opens)
+    lifts = {e: lift_open_pairs(mw, pairs) for e, pairs in opens.items()}
+    edges = pi3_edges(pi1, lifts[float(primary_eps)])
+    ladder = _ladder_roots(pi1, lifts)
     roots = ladder[float(primary_eps)]
     # Monotone-merging check over the shared uniforms.
     prev = -1.0
-    for e in sorted(opens):
+    for e in sorted(lifts):
         frac = largest_component_fraction(ladder[e])
         st.largest_fraction[e] = frac
         if frac < prev - 1e-12:
@@ -894,7 +789,7 @@ def run_seed(
         collect.update(
             marked_window=mw,
             pi1=pi1_edges(pi1),
-            pi2_lifted=lift_open_pairs(mw, opens[float(primary_eps)]),
+            pi2_lifted=lifts[float(primary_eps)],
             pi3=edges,
             f_edges=stages["f_edges"],
             pi4=stages["pi4"],

@@ -39,6 +39,7 @@ from .randomness import (
     head_bits,
     head_limit,
     seed_digest,
+    threshold_pairs,
 )
 from .schedule import SlopeSchedule
 
@@ -138,7 +139,7 @@ class ProcessContext:
             raise InvariantViolation(
                 "diamond slice-sum volume disagrees with offset enumeration"
             )
-        self.covering = self._covering_map()
+        self.covering = self._covering_map(cap)
         self.center_digests = self.point_digests[self.covering.centers]
         self.center_folded = fold_into(
             self.center_digests.copy(), np.empty_like(self.center_digests)
@@ -159,12 +160,15 @@ class ProcessContext:
             off2.append(np.tile(np.arange(cnt2, dtype=np.int64), hi - lo))
         return np.concatenate(off1), np.concatenate(off2)
 
-    def _covering_map(self) -> CoveringMap:
+    def _covering_map(self, cap: int) -> CoveringMap:
         """Every center whose diamond meets the window, with its members
         in the window: one (center, member) pair per window point and
-        diamond offset, stably sorted by center."""
+        diamond offset, stably sorted by center.  Their number counts
+        against `cap` before any is built."""
         space, wid = self.space, self.window_ids
         off1, off2 = self.offsets
+        if len(wid) * len(off1) > cap:
+            raise ResourceCapError("covering map (window points x diamond offsets)", cap)
         w1, w2 = space.pts1[wid], space.pts2[wid]
         q1 = space.ball1.quotient_table(int(w1.max()) + 1, int(off1.max()) + 1)
         q2 = space.ball2.quotient_table(int(w2.max()) + 1, int(off2.max()) + 1)
@@ -295,29 +299,35 @@ def corner_event_probability(
     """Exact and empirical P(centers hit the corner set A_{n,T}) per n.
 
     The exact value is the Bernoulli closed form 1 - (1 - 1/v'')^{|A|}.
-    Empirical sampling enumerates the two corner clauses as prefix ranges
-    of the factor balls and thresholds the same center stream the process
-    sampler uses.  Over at least six breakpoints the exact sequence must be
-    eventually decreasing along each breakpoint-parity class (the crossing
-    rule alternates sides, so the interleaved sequence legitimately
-    oscillates); shorter ranges skip the check.  Before anything is
-    enumerated, every corner set's closed-form size counts against `cap`.
+    The empirical value is the share of `seeds` seeds under which some
+    center of A_{n,T} is drawn: A_{n,T} is the union of two clause
+    rectangles of factor-ball prefix ranges, and `threshold_pairs` draws
+    their centers' digests `combine_digests(d1[i], d2[j])` tile by tile on
+    the center stream at u <= 1/v'', exactly as the process sampler does;
+    no corner set is held.  Over at least six breakpoints the exact
+    sequence must be eventually decreasing along each breakpoint-parity
+    class (the crossing rule alternates sides, so the interleaved sequence
+    legitimately oscillates); shorter ranges skip the check.  Before
+    anything is drawn, every corner set's closed-form size counts against
+    `cap`.
     """
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
     n_range = list(n_range)
     counts = [(n, corner_count(schedule, n, T)) for n in n_range]
     need_emp = seeds > 0 and bool(n_range)
+    names = {n: f"corner set A_{{n,T}} at n = {n}, T = {T}" for n in n_range}
     if need_emp:
         for n, stats in counts:
             if stats.count > cap:
-                raise ResourceCapError(f"corner set A_{{n,T}} at n = {n}, T = {T}", cap)
+                raise ResourceCapError(names[n], cap)
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)
         b1 = FactorBall(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
         b2 = FactorBall(make_oracle(growth2.spec), max(rp_max + T - 1, T - 1, 0), cap)
         d1 = factor_digests(b1, "G")
         d2 = factor_digests(b2, "G2")
+        rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
     for n, stats in counts:
         v = diamond_volume(schedule, n)
         # 1 - (1 - 1/v)^|A| in log space; the direct power saturates at 1.
@@ -325,20 +335,22 @@ def corner_event_probability(
         exact = -math.expm1(-miss)
         emp = float("nan")
         if need_emp:
-            digests = _corner_digests(
-                b1, b2, d1, d2, schedule.r[n], schedule.r_prime[n], T
-            )
-            if len(digests) != stats.count:
+            r_n, rp_n = schedule.r[n], schedule.r_prime[n]
+            a1, a2 = b1.volume(r_n + T - 1), b2.volume(T - 1)
+            c1, c2 = b1.volume(T - 1), b2.volume(rp_n + T - 1)
+            # The second clause's rectangle leaves out the overlap block
+            # (i < v1(T-1), j < v2(T-1)), which the first one holds.
+            clauses = [(d1[:a1], d2[:a2]), (d1[:c1], d2[a2:c2])]
+            if sum(len(lo) * len(hi) for lo, hi in clauses) != stats.count:
                 raise InvariantViolation(
                     "corner clause enumeration disagrees with the closed form"
                 )
-            hits = 0
-            for s in range(seeds):
-                rng = SeededRandomness(seed_digest(master_seed, s))
-                u = rng.uniforms(digests, STREAM_CENTERS)
-                if stats.count and bool((u <= 1.0 / v).any()):
-                    hits += 1
-            emp = hits / seeds
+            k = bits_at_most(1.0 / v)
+            hit = np.zeros(seeds, dtype=bool)
+            for lo, hi in clauses:
+                for seed, _, _, _ in threshold_pairs(lo, hi, rngs, STREAM_CENTERS, k, cap, names[n]):
+                    hit[seed] = True
+            emp = int(hit.sum()) / seeds
         rows.append(
             CornerEventRow(
                 n=n,
@@ -358,27 +370,6 @@ def corner_event_probability(
                 "decreasing along either breakpoint parity"
             )
     return rows
-
-
-def _corner_digests(b1, b2, d1, d2, r_n, rp_n, T) -> np.ndarray:
-    """Digests of the corner-set centers (union of the two clauses)."""
-    if T <= 0:
-        return np.zeros(0, dtype=np.uint64)
-    a1, a2 = b1.volume(r_n + T - 1), b2.volume(T - 1)
-    c1, c2 = b1.volume(T - 1), b2.volume(rp_n + T - 1)
-    blocks = []
-    blocks.append(_range_digests(d1, d2, 0, a1, 0, a2))
-    # Second clause minus the overlap block (i < v1(T-1), j < v2(T-1)).
-    blocks.append(_range_digests(d1, d2, 0, c1, a2, c2))
-    return np.concatenate(blocks)
-
-
-def _range_digests(d1, d2, i0, i1, j0, j1) -> np.ndarray:
-    if i1 <= i0 or j1 <= j0:
-        return np.zeros(0, dtype=np.uint64)
-    ii = np.repeat(np.arange(i0, i1), j1 - j0)
-    jj = np.tile(np.arange(j0, j1), i1 - i0)
-    return combine_digests(d1[ii], d2[jj])
 
 
 # The least length of the strictly decreasing tail each parity class ends in.

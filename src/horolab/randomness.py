@@ -27,8 +27,11 @@ drawn under many seeds:
   bound and finishes only the few that pass.  `bits_below(t)` and
   `bits_at_most(t)` give the k of the tests u < t and u <= t.
 
-The diamond process draws its centers the same way, from the covering
-centers' digests folded once (`fold_into`).
+`threshold_pairs` is the one loop over those tiles: it draws the pairs
+(i, j) of a rectangle lo x hi, or the pairs i < j of a triangle, whose
+uniform under each seed has bits b < k.  The percolation and the corner
+events sample through it.  The diamond process draws its centers the same
+way, from the covering centers' digests folded once (`fold_into`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import hashlib
 import math
 
 import numpy as np
+
+from .errors import ResourceCapError
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -221,3 +226,107 @@ class SeededRandomness:
 def seed_digest(master_seed: int, seed_index: int) -> int:
     """Per-seed key for multi-seed sweeps, mixed from the master seed."""
     return digest_str(f"seed:{master_seed}:{seed_index}")
+
+
+_TILE = 1 << 15  # pairs hashed per tile of `threshold_pairs`
+# The uint64 words, heads and tmp and the bool below of `threshold_pairs`,
+# of `_TILE` entries each.  No tile reads what an earlier one wrote, so
+# one set serves every call in the process, even interleaved ones.
+_buffers = None
+
+
+def _tiles(rows: int, cols: int, triangle: bool):
+    """Rectangles (i0, i1, j0, j1), rows i0 .. i1-1 by columns j0 .. j1-1,
+    of at most `_TILE` pairs that together hold each pair of range(rows) x
+    range(cols) once, or with `triangle` each pair i < j of range(cols).
+    Each block of rows takes as many rows as fit `_TILE` pairs with its
+    columns (in a triangle, i0+1 .. cols-1, so a block also holds pairs
+    i >= j); a row longer than `_TILE` is cut into `_TILE` columns.
+    """
+    rows = cols - 1 if triangle else rows if cols else 0
+    i0 = 0
+    while i0 < rows:
+        j_lo = i0 + 1 if triangle else 0
+        i1 = min(rows, i0 + max(1, _TILE // (cols - j_lo)))
+        step = _TILE // (i1 - i0)
+        for j0 in range(j_lo, cols, step):
+            yield i0, i1, j0, min(j0 + step, cols)
+        i0 = i1
+
+
+def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangle=False, counted=0):
+    """Batches (seed, i, j, bits), four arrays in no set order, of the pairs
+    (i, j) of the rectangle lo x hi, or with `triangle` the pairs i < j of
+    lo x lo (`hi` is `lo`), whose uniform under `rngs[seed]`,
+    uniforms(combine_digests(lo[i], hi[j]), tag) = bits * 2**-53, has
+    bits < k.
+
+    Tiles (`_tiles`) are hashed in buffers allocated once per process:
+    `premix` once per row, `combine_into` and `fold_into` once per tile,
+    then `heads_into` per seed, keeping the heads below `head_limit(k)`.
+    The kept heads are held until `_TILE` of them are, or to the end; then
+    the batch is finished (`_passes`) and yielded, and nothing of it is
+    held while the next tile is hashed.  Each seed's passes, counted from
+    `counted`, may not exceed `cap` (ResourceCapError names `what`).  The
+    check runs after every tile: the held heads bound a seed's passes
+    from above, so a batch is also finished when that bound exceeds `cap`.
+    """
+    global _buffers
+    if not k or not rngs:
+        return
+    if _buffers is None or len(_buffers[0]) != _TILE:
+        _buffers = tuple(np.empty(_TILE, dtype=t) for t in (np.uint64,) * 3 + (bool,))
+    words, heads, tmp, below = _buffers
+    mixed = premix(lo)
+    limit = head_limit(k)
+    passed = np.full(len(rngs), counted, dtype=np.int64)  # exact, to the last batch
+    ceiling = passed.tolist()  # passes plus held heads, per seed
+    held = []
+    count = 0  # heads held
+    for i0, i1, j0, j1 in _tiles(len(lo), len(hi), triangle):
+        shape = (i1 - i0, j1 - j0)
+        size = shape[0] * shape[1]
+        pair = combine_into(
+            mixed[i0:i1, None], hi[None, j0:j1], words[:size].reshape(shape), tmp[:size].reshape(shape)
+        ).reshape(-1)
+        fold_into(pair, tmp[:size])
+        for s, rng in enumerate(rngs):
+            d = rng.heads_into(pair, tag, heads[:size], tmp[:size])
+            pos = np.arange(size) if limit is None else np.less(d, limit, out=below[:size]).nonzero()[0]
+            if len(pos):
+                held.append((s, i0, j0, shape[1], pos, d[pos]))
+                count += len(pos)
+                ceiling[s] += len(pos)
+        if count >= _TILE or max(ceiling) > cap:
+            yield _passes(held, passed, k, triangle, cap, what)
+            count, ceiling = 0, passed.tolist()
+    if held:
+        yield _passes(held, passed, k, triangle, cap, what)
+
+
+def _passes(held, passed, k: int, triangle: bool, cap: int, what: str) -> tuple:
+    """(seed, i, j, bits) of the passes of the batch `held`, which lists
+    (s, i0, j0, width, pos, d): heads d of seed s at the positions pos of a
+    tile of `width` columns from row i0 and column j0.  The passes are
+    added to the per-seed counts `passed`; `held` is emptied, and its
+    arrays are freed as soon as they are read."""
+    s, i0, j0, width = (np.asarray(col) for col in list(zip(*held))[:4])
+    lens = [len(h[4]) for h in held]
+    pos = np.concatenate([h[4] for h in held])
+    d = np.concatenate([h[5] for h in held])
+    held.clear()
+    i, j = np.divmod(pos, np.repeat(width, lens))
+    del pos
+    i += np.repeat(i0, lens)
+    j += np.repeat(j0, lens)
+    hit = head_bits(d) < k
+    if triangle:
+        hit &= i < j
+    hit = np.flatnonzero(hit)
+    bits = head_bits(d[hit])
+    del d
+    seed = np.repeat(s, lens)[hit]
+    passed += np.bincount(seed, minlength=len(passed))
+    if passed.max() > cap:
+        raise ResourceCapError(what, cap)
+    return seed, i[hit], j[hit], bits

@@ -342,9 +342,10 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
     "command, overrides",
     [
         ("growth", {"enum_cap": 50, "growth": {"horizon": 6}}),
-        # An 11,665-point window, but the corner events' radius-8 F2 balls
-        # have 13,121 elements each.
-        ("process", {"enum_cap": 13_000}),
+        # A window whose covering map (7,161 pairs at radius 3) fits, but
+        # the n = 8 corner set has 26,241 centers (and the radius-8 F2
+        # balls that would enumerate it 13,121 elements each).
+        ("process", {"enum_cap": 13_000, "process": {"window_radius": 3}}),
     ],
     ids=["growth", "process-corner-balls"],
 )
@@ -357,15 +358,30 @@ def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
 
 
 def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
-    # The radius-8 F2 balls (13,121 elements) and the window fit a cap of
-    # 20,000; the n = 8 corner set, with 26,241 centers, does not.
-    def never(*args):
-        raise AssertionError("a corner set was enumerated")
+    # The radius-8 F2 balls (13,121 elements) and the radius-3 window's
+    # covering map fit a cap of 20,000; the n = 8 corner set, with 26,241
+    # centers, does not.
+    def never(*args, **kwargs):
+        raise AssertionError("a corner set was drawn")
 
-    monkeypatch.setattr(point_process, "_corner_digests", never)
-    overrides = {"enum_cap": 20_000, "process": {"seeds": 2}}
+    monkeypatch.setattr(point_process, "threshold_pairs", never)
+    overrides = {"enum_cap": 20_000, "process": {"seeds": 2, "window_radius": 3}}
     assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
     assert "corner set A_{n,T} at n = 8, T = 1 exceeded" in capsys.readouterr().err
+
+
+def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # The radius-4 window has 865 points and a diamond at n = 2 has 33
+    # members: 28,545 (point, offset) pairs against a cap of 20,000, which
+    # the 11,665-point center window fits.
+    def never(*args, **kwargs):
+        raise AssertionError("a quotient table was built")
+
+    monkeypatch.setattr(point_process.FactorBall, "quotient_table", never)
+    overrides = {"enum_cap": 20_000}
+    assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
+    err = capsys.readouterr().err
+    assert "covering map (window points x diamond offsets) exceeded the enumeration cap of 20000" in err
 
 
 def test_config_file_merge(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab import point_process
-from horolab.diamonds import in_diamond
+from horolab.diamonds import diamond_volume, in_diamond
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
     DiamondProcess,
@@ -23,6 +23,7 @@ from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
     SeededRandomness,
+    combine_digests,
     digest_str,
     seed_digest,
 )
@@ -264,6 +265,35 @@ def test_corner_event_exact_and_empirical(sched):
     for r in rows:
         se = math.sqrt(r.exact_probability * (1 - r.exact_probability) / 400)
         assert abs(r.empirical_probability - r.exact_probability) <= 3 * se + 1e-9
+
+
+def _corner_hits_reference(sched, n, T, seeds, master_seed) -> float:
+    """The share of seeds under which some center of A_{n,T} has u <= 1/v,
+    with A_{n,T} materialised: the ball pairs (i, j) with i < v1(r_n + T - 1)
+    and j < v2(T - 1), or i < v1(T - 1) and j < v2(r'_n + T - 1)."""
+    radius = max(sched.r[n], sched.r_prime[n]) + T
+    b1 = FactorBall(make_oracle(sched.growth.spec), radius)
+    b2 = FactorBall(make_oracle(sched.growth2.spec), radius)
+    clauses = [
+        np.indices((b1.volume(sched.r[n] + T - 1), b2.volume(T - 1))).reshape(2, -1),
+        np.indices((b1.volume(T - 1), b2.volume(sched.r_prime[n] + T - 1))).reshape(2, -1),
+    ]
+    i, j = np.unique(np.concatenate(clauses, axis=1), axis=1)  # the union
+    digests = combine_digests(factor_digests(b1, "G")[i], factor_digests(b2, "G2")[j])
+    v = diamond_volume(sched, n)
+    hits = 0
+    for s in range(seeds):
+        u = SeededRandomness(seed_digest(master_seed, s)).uniforms(digests, STREAM_CENTERS)
+        hits += bool((u <= 1.0 / v).any())
+    return hits / seeds
+
+
+@pytest.mark.parametrize("T", [1, 2])
+def test_corner_event_empirical_matches_the_materialised_reference(sched, T):
+    rows = corner_event_probability(sched, range(1, 7), T, seeds=50, master_seed=17)
+    got = [r.empirical_probability for r in rows]
+    assert got == [_corner_hits_reference(sched, n, T, 50, 17) for n in range(1, 7)]
+    assert any(0 < p < 1 for p in got)
 
 
 def test_corner_event_t0_is_zero(sched):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from horolab import randomness
+from horolab.errors import ResourceCapError
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
@@ -17,6 +19,7 @@ from horolab.randomness import (
     head_limit,
     premix,
     seed_digest,
+    threshold_pairs,
     to_uniforms,
 )
 
@@ -159,3 +162,105 @@ def test_bits_at_most_is_the_exact_integer_form_of_u_at_most_t():
 def test_seed_digest_distinct():
     keys = {seed_digest(5, i) for i in range(100)}
     assert len(keys) == 100
+
+
+# Tiled threshold sampler ------------------------------------------------------
+
+THRESHOLD_RNGS = [SeededRandomness(seed_digest(5, s)) for s in range(3)]
+
+
+def _threshold_reference(lo, hi, rngs, tag, k, triangle=False) -> list:
+    """Sorted rows (seed, i, j, bits) of every pair (i, j) of lo x hi, or
+    i < j with `triangle`, whose uniform u = bits * 2**-53 has bits < k:
+    every pair's uniform materialised at once."""
+    i, j = np.indices((len(lo), len(hi))).reshape(2, -1)
+    if triangle:
+        i, j = i[i < j], j[i < j]
+    rows = []
+    for s, rng in enumerate(rngs):
+        u = rng.uniforms(combine_digests(lo[i], hi[j]), tag)
+        bits = (u * 2.0**53).astype(np.uint64)  # exact: u = bits * 2**-53
+        hit = bits < np.uint64(k)
+        rows += zip([s] * int(hit.sum()), i[hit].tolist(), j[hit].tolist(), bits[hit].tolist())
+    return sorted(rows)
+
+
+def _drawn(lo, hi, rngs, tag, k, cap=10**9, **kwargs) -> list:
+    rows = []
+    for seed, i, j, bits in threshold_pairs(lo, hi, rngs, tag, k, cap, "test pairs", **kwargs):
+        assert len(seed) == len(i) == len(j) == len(bits) > 0
+        rows += zip(seed.tolist(), i.tolist(), j.tolist(), bits.tolist())
+    return sorted(rows)
+
+
+def _digests(count, salt) -> np.ndarray:
+    return np.array([digest_str(f"t{salt}:{i}") for i in range(count)], dtype=np.uint64)
+
+
+def _count_tiles(monkeypatch, tile) -> list:
+    monkeypatch.setattr(randomness, "_TILE", tile)
+    tiles = []
+    combine = randomness.combine_into
+    monkeypatch.setattr(randomness, "combine_into", lambda *a: tiles.append(1) or combine(*a))
+    return tiles
+
+
+THRESHOLDS = {
+    "below-0.3": bits_below(0.3),
+    "at-most-0.05": bits_at_most(0.05),
+    "below-saturated": bits_below(1.0 - 2.0**-40),  # head_limit is None
+    "all": 1 << 53,
+    "none": 0,
+}
+
+
+@pytest.mark.parametrize("k", list(THRESHOLDS.values()), ids=list(THRESHOLDS))
+@pytest.mark.parametrize(
+    "rows, cols, tile",
+    [(0, 5, 16), (5, 0, 16), (0, 0, 16), (1, 40, 16), (7, 9, 16), (30, 30, 16), (30, 30, 1 << 15)],
+)
+def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(rows, cols, tile, k, monkeypatch):
+    tiles = _count_tiles(monkeypatch, tile)
+    lo, hi = _digests(rows, "lo"), _digests(cols, "hi")
+    got = _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
+    assert got == _threshold_reference(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
+    if k == 1 << 53:
+        assert len(got) == len(THRESHOLD_RNGS) * rows * cols
+    if k and rows * cols > tile:
+        assert len(tiles) > 1
+
+
+@pytest.mark.parametrize("k", list(THRESHOLDS.values()), ids=list(THRESHOLDS))
+@pytest.mark.parametrize("count, tile", [(0, 16), (1, 16), (2, 16), (41, 16), (41, 7), (41, 1 << 15)])
+def test_threshold_pairs_on_a_triangle_match_the_materialised_uniforms(count, tile, k, monkeypatch):
+    tiles = _count_tiles(monkeypatch, tile)
+    d = np.sort(_digests(count, "tri"))
+    got = _drawn(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
+    assert got == _threshold_reference(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
+    if k == 1 << 53:
+        assert len(got) == len(THRESHOLD_RNGS) * count * (count - 1) // 2
+    if k and count * (count - 1) // 2 > tile:
+        assert len(tiles) > 1
+
+
+def test_threshold_pairs_keeps_a_uniform_equal_to_its_bound():
+    # u <= t as bits < bits_at_most(t): with t one pair's uniform, that pair
+    # is drawn, and with bits_below(t) it is not.
+    lo, hi = _digests(6, "eq-lo"), _digests(9, "eq-hi")
+    rng = THRESHOLD_RNGS[0]
+    t = float(rng.uniforms(combine_digests(lo[4], hi[7]), STREAM_MARKS))
+    at_most = _drawn(lo, hi, [rng], STREAM_MARKS, bits_at_most(t))
+    below = _drawn(lo, hi, [rng], STREAM_MARKS, bits_below(t))
+    assert (0, 4, 7) in [row[:3] for row in at_most]
+    assert (0, 4, 7) not in [row[:3] for row in below]
+    assert len(at_most) == len(below) + 1
+
+
+def test_threshold_pairs_counts_each_seed_against_the_cap():
+    # Every pair passes, so each seed passes 8 * 9 = 72 pairs, counted from
+    # `counted`; the cap bounds each seed, not the seeds together.
+    lo, hi = _digests(8, "cap-lo"), _digests(9, "cap-hi")
+    assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=72)) == 3 * 72
+    assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=3)) == 3 * 72
+    with pytest.raises(ResourceCapError, match="test pairs exceeded the enumeration cap of 75"):
+        _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=4)
