@@ -376,7 +376,7 @@ class Run:
         return all(self.cfg[key] == other.cfg[key] for key in SWEEP_INPUTS[name])
 
 
-def run_growth(run: Run, out: Path) -> dict:
+def run_growth(run: Run, out: Path):
     cfg = run.cfg
     sub = cfg["growth"]
     plot = []
@@ -406,10 +406,9 @@ def run_growth(run: Run, out: Path) -> dict:
         }
     write_json(out / "summary.json", summary)
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
-    return summary
 
 
-def run_schedule(run: Run, out: Path) -> dict:
+def run_schedule(run: Run, out: Path):
     sub = run.cfg["schedule"]
     sched = run.schedule
     sched.check_invariants()
@@ -429,15 +428,9 @@ def run_schedule(run: Run, out: Path) -> dict:
     plot = [["f", t, sched.f[t], 0] for t in range(len(sched.f))]
     plot += [["g", t, float(sched.g[t]), 0] for t in range(len(sched.g))]
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
-    return {
-        "source": sched.source,
-        "breakpoints": len(sched.r),
-        "truncated": sched.truncated,
-        "almost_linear_all_hold": rep.all_hold(),
-    }
 
 
-def run_diamond(run: Run, out: Path) -> dict:
+def run_diamond(run: Run, out: Path):
     sub = run.cfg["diamond"]
     sched, metric = run.schedule, run.metric
     t = max(sub["T_values"], default=0)
@@ -484,7 +477,6 @@ def run_diamond(run: Run, out: Path) -> dict:
     summary = {"n_values": n_values, "schedule_source": sched.source, "sandwich": sandwich}
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     write_json(out / "summary.json", summary)
-    return summary
 
 
 def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
@@ -504,7 +496,7 @@ def _run_sandwich_scenarios(run: Run, out: Path) -> dict:
     return results
 
 
-def run_process(run: Run, out: Path) -> dict:
+def run_process(run: Run, out: Path):
     cfg = run.cfg
     sub = cfg["process"]
     sched = run.schedule
@@ -566,10 +558,9 @@ def run_process(run: Run, out: Path) -> dict:
         "corner_decay": split,
     }
     write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_graphing(run: Run, out: Path) -> dict:
+def run_graphing(run: Run, out: Path):
     sub = run.cfg["graphing"]
     rep = run.sweep_graphing()
     write_json(out / "cost_report.json", rep.to_json_dict())
@@ -618,10 +609,9 @@ def run_graphing(run: Run, out: Path) -> dict:
             f"{rep.pi1_interior_violations} interior marked points have no Pi1 out-edge "
             f"(seeds {seeds}); see runs.csv"
         )
-    return rep.to_json_dict()
 
 
-def run_touching(run: Run, out: Path) -> dict:
+def run_touching(run: Run, out: Path):
     rows = []
     plot = []
     summary = {}
@@ -645,10 +635,9 @@ def run_touching(run: Run, out: Path) -> dict:
     write_csv(out / "traces.csv", ["scenario", "j", "rho", "d_theta1", "d_theta2"], rows)
     write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
     write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_prop13(run: Run, out: Path) -> dict:
+def run_prop13(run: Run, out: Path):
     rep, _ = run.prop13
     write_records(out / "baseline.csv", BaselineRow, rep.rows)
     plot = [
@@ -664,7 +653,6 @@ def run_prop13(run: Run, out: Path) -> dict:
     write_json(out / "summary.json", summary)
     if rep.monotone_violations:
         raise InvariantViolation("baseline merging was not monotone in eps")
-    return summary
 
 
 RUNNERS = {
@@ -678,14 +666,13 @@ RUNNERS = {
 }
 
 
-def run_all(run: Run, out: Path) -> dict:
+def run_all(run: Run, out: Path):
     cfg = run.cfg
-    summary = {}
     for name, runner in RUNNERS.items():
         subdir = out / name
         subdir.mkdir(parents=True, exist_ok=True)
         with run.stage(name):
-            summary[name] = runner(run, subdir)
+            runner(run, subdir)
     if cfg["acceptance_checks"]:
         lines = []
         with run.stage("acceptance"):
@@ -698,10 +685,8 @@ def run_all(run: Run, out: Path) -> dict:
         for r in results:
             run.metrics[f"criterion_{r.index:02d}"] = {"elapsed_s": r.elapsed}
         (out / "acceptance.txt").write_text("\n".join(lines) + "\n")
-        summary["acceptance_passed"] = all(r.passed for r in results)
-        if not summary["acceptance_passed"]:
+        if not all(r.passed for r in results):
             raise InvariantViolation("acceptance criteria failed; see acceptance.txt")
-    return summary
 
 
 def _read_config(path) -> dict:
@@ -741,10 +726,10 @@ def main(argv=None, config_overrides=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         run = Run(cfg)
         if args.command == "all":
-            summary = run_all(run, out)
+            run_all(run, out)
         else:
             with run.stage(args.command):
-                summary = RUNNERS[args.command](run, out)
+                RUNNERS[args.command](run, out)
         manifest = {
             "command": args.command,
             "version": __version__,

@@ -111,7 +111,6 @@ def corner_count(schedule: SlopeSchedule, n: int, T: int) -> CornerStats:
 class DominanceRow:
     n: int
     volume: int
-    max_factor_volume: int
     ratio: Fraction
     lower_bound: Fraction
 
@@ -132,7 +131,6 @@ def growth_dominance(schedule: SlopeSchedule, n_range) -> list:
         row = DominanceRow(
             n=n,
             volume=v,
-            max_factor_volume=m,
             ratio=Fraction(v, m),
             lower_bound=Fraction(eps, M * M) * n,
         )

@@ -13,9 +13,12 @@ point and its `vertex_of` lookup are the only maps between points and
 vertices.  Every edge set, from the open Pi2 pairs to the seed-0 dumps, is
 an (m, 2) int64 array, and `_component_roots` (the least vertex of each
 component) is the one labeller, for Pi3, the Pi5 connectivity check and
-the coset-line baseline; Pi3 is labelled over the Pi1 forest's labels,
-once per seed for every epsilon (`_ladder_roots`).  phi is a breadth-first search one layer at a
-time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of it.
+the coset-line baseline.  Both sweeps measure connectivity with one
+epsilon ladder (`_ladder`): a base partition, the Pi1 forest or the coset
+lines, joined by each epsilon's open pairs, which `_open_at` splits off
+the pairs open at the largest epsilon.  phi is a breadth-first search one
+layer at a time over the Pi3 edge array; psi, Pi4 and Pi5 are array
+reductions of it.
 Pi1 takes its descent targets from one `GraphingContext.tau` call per
 seed over the distinct (center, y) pairs, in closed form on index arrays
 when the first factor is free.
@@ -284,7 +287,7 @@ class PercolationKernel:
             off = np.arange(len(r)) - (ends[r] - cnt[r] - done)
             y1 = nbr1[start1[r] + off // deg2[r]]
             y2 = nbr2[start2[r] + off % deg2[r]]
-            b = space.lookup_keys((y1.astype(np.int64) << 32) | y2)
+            b = space.lookup(y1, y2)
             keep = (b >= 0) & in_window[b]
             src.append(r[keep])
             dst.append(b[keep])
@@ -331,7 +334,6 @@ class GraphingContext:
         self.schedule = schedule
         self.n = n
         self.window_radius = window_radius
-        self.margin = margin
         self.interior_radius = window_radius - margin
         self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
         self.interior_mask = self.pctx.space.mask_within(self.interior_radius)
@@ -476,9 +478,7 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
         (space.pts1[mw.centers][mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True
     )
     tfi = ctx.tau(pairs >> 32, pairs & 0xFFFFFFFF)[inverse]
-    # A target outside the first factor ball is -1, which packs to a
-    # negative key and so misses like any point outside the universe.
-    tpids = space.lookup_keys((tfi << 32) | space.pts2[mw.v_pid])
+    tpids = space.lookup(tfi, space.pts2[mw.v_pid])
     # (tpid, k) is a vertex exactly when tpid is a member of diamond k.
     target = mw.vertex_of(tpids, mw.v_k)
     stalled = target < 0
@@ -510,11 +510,19 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     if not eps_list:
         return {}
     S = np.sort(np.asarray(base_pids, dtype=np.int64))
-    [(a, b, u, p)] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
+    [opened] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
+    return _open_at(opened, eps_list)
+
+
+def _open_at(opened, eps_list) -> dict:
+    """epsilon -> the pairs of `opened` = (a, b, u, p) with u < epsilon * p,
+    as an (m, 2) array of rows (a, b) in the order of `opened`, for each
+    epsilon of `eps_list` in its order; a repeated epsilon is one key."""
+    a, b, u, p = opened
     out = {}
-    for e in eps_list:
-        sel = u < float(e) * p
-        out[float(e)] = np.stack([a[sel], b[sel]], axis=1)
+    for e in map(float, eps_list):
+        sel = u < e * p
+        out[e] = np.stack([a[sel], b[sel]], axis=1)
     return out
 
 
@@ -651,24 +659,28 @@ def _component_roots(n: int, edges) -> np.ndarray:
             roots = roots[roots]
 
 
-def _ladder_roots(pi1: Pi1Forest, lifts) -> dict:
-    """The Pi3 component labels of every epsilon of `lifts` (epsilon ->
-    lifted Pi2 rows): for each vertex, the least vertex of its component
-    in Pi1 union that epsilon's lifted Pi2, as `_component_roots` of
-    `pi3_edges` labels it.
+def _ladder(base_roots, pairs_by_eps) -> tuple:
+    """The epsilon ladder over one base partition, whose labels `base_roots`
+    give each vertex the least vertex of its component; `pairs_by_eps` maps
+    each epsilon to its open pairs, an (m, 2) array of vertices.
 
-    The Pi1 forest is labelled once.  Each epsilon then joins the forest
-    labels of its lifted pairs' ends, and a vertex takes the label of its
-    tree's label: the least label among the trees one component joins is
-    the least vertex of that component.  An epsilon that opens no pair
-    keeps the forest labels.
+    Returns (roots, fractions, drops): for each epsilon in rising order,
+    the least vertex of every vertex's component once that epsilon's pairs
+    join the base partition, and its `largest_component_fraction`; and the
+    number of times the fraction falls from one epsilon to the next.  Each
+    epsilon joins the base labels of its pairs' ends, so the least label
+    among the base components one component joins is its least vertex; an
+    epsilon that opens no pair keeps the base labels.
     """
-    n = len(pi1.target)
-    forest = _component_roots(n, pi1_edges(pi1))
-    return {
-        e: _component_roots(n, forest[lifted])[forest] if len(lifted) else forest
-        for e, lifted in lifts.items()
-    }
+    n = len(base_roots)
+    roots, fractions = {}, {}
+    for e in sorted(pairs_by_eps):
+        pairs = pairs_by_eps[e]
+        roots[e] = _component_roots(n, base_roots[pairs])[base_roots] if len(pairs) else base_roots
+        fractions[e] = largest_component_fraction(roots[e])
+    steps = list(fractions.values())
+    drops = sum(b < a - 1e-12 for a, b in zip(steps, steps[1:]))
+    return roots, fractions, drops
 
 
 def largest_component_fraction(roots) -> float:
@@ -727,12 +739,12 @@ def run_seed(
 
     Each epsilon's open pairs are lifted to vertex pairs once
     (`lift_open_pairs`), for `pi3_edges`, the ladder and `collect`.  The
-    epsilon ladder reads each epsilon's Pi3 components from
-    `_ladder_roots`: the Pi1 forest is labelled once, and each epsilon
-    unions only its own lifted open pairs over the forest labels.  The
-    largest fractions, the flagged components and `_pi5_connected` read
-    only that partition, never the edges, so the Pi3 edge array is built
-    once, at the primary epsilon, for the degrees and the later stages.
+    epsilon ladder (`_ladder`) labels each epsilon's Pi3 components over
+    the Pi1 forest's labels, and gives the largest fractions and whether
+    one falls as epsilon grows (`monotone_ok`).  The flagged components
+    and `_pi5_connected` read only the primary epsilon's partition, never
+    the edges, so the Pi3 edge array is built once, at the primary
+    epsilon, for the degrees and the later stages.
 
     When `collect` is a dict it receives the marked window and the (m, 2)
     edge array of every stage (for dumps and debugging)."""
@@ -755,17 +767,10 @@ def run_seed(
     opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
     lifts = {e: lift_open_pairs(mw, pairs) for e, pairs in opens.items()}
     edges = pi3_edges(pi1, lifts[float(primary_eps)])
-    ladder = _ladder_roots(pi1, lifts)
-    roots = ladder[float(primary_eps)]
-    # Monotone-merging check over the shared uniforms.
-    prev = -1.0
-    for e in sorted(lifts):
-        frac = largest_component_fraction(ladder[e])
-        st.largest_fraction[e] = frac
-        if frac < prev - 1e-12:
-            st.monotone_ok = False
-        prev = frac
     n = mw.n_vertices
+    ladder, st.largest_fraction, drops = _ladder(_component_roots(n, pi1_edges(pi1)), lifts)
+    st.monotone_ok = not drops
+    roots = ladder[float(primary_eps)]
     deg = np.bincount(edges.ravel(), minlength=n)
     out_deg = (pi1.target >= 0).astype(np.int64)
     in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
@@ -971,7 +976,6 @@ class TouchingTrace:
     bound_ok: bool
     monotone1: bool
     monotone2: bool
-    truncated: bool
 
 
 def touching_paths(
@@ -998,7 +1002,6 @@ def touching_paths(
     bound = k + Fraction(k_prime + 1) / c
     j = 0
     rho_vals, v1, v2 = [], [], []
-    truncated = False
     while True:
         i1 = j + k
         i2 = math.floor(c * j)
@@ -1007,7 +1010,6 @@ def touching_paths(
         if i1 >= len(eta) or i3 >= len(eta) or i2 >= len(eta_prime) or i4 >= len(
             eta_prime
         ):
-            truncated = j == 0
             break
         xi1 = (eta[i1], eta_prime[i2])
         xi2 = (eta[i3], eta_prime[i4])
@@ -1028,7 +1030,6 @@ def touching_paths(
         bound_ok=bound_ok,
         monotone1=monotone1,
         monotone2=monotone2,
-        truncated=truncated,
     )
 
 
@@ -1086,10 +1087,11 @@ def coset_line_baseline(
 
     The percolation is the kernel's on the window: one `open_pairs` call
     draws the open pairs of every seed, and the expected half-degree sums the
-    interior rows' `row_masses`, in their fixed order.  The coset lines
-    are labelled once; each epsilon then unions only its own open pairs
-    over the line labels, so every epsilon's partition is the lines plus
-    that epsilon's pairs, never the previous epsilon's.
+    interior rows' `row_masses`, in their fixed order.  Each seed's pairs
+    are split by epsilon (`_open_at`, so a repeated epsilon is one row)
+    and measured on the epsilon ladder over the coset lines' labels
+    (`_ladder`), as the graphing sweep's Pi3 is over the Pi1 forest's;
+    `monotone_violations` counts the seeds whose largest fraction falls.
     """
     if margin < 1 or margin >= window_radius:
         raise InputError("margin must satisfy 1 <= margin < window radius")
@@ -1110,38 +1112,27 @@ def coset_line_baseline(
         dtype=np.int64,
         count=len(ball1),
     )
-    # A successor outside the first factor ball is -1, which packs to a
-    # negative key and so misses like any point outside the window.
-    tgt = space.lookup_keys((succ[space.pts1] << 32) | space.pts2)
+    tgt = space.lookup(succ[space.pts1], space.pts2)
     src = np.flatnonzero(tgt >= 0)
     lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])
     line_deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
     int_ids = np.flatnonzero(interior)
     line_partition_ok = bool((line_deg[int_ids] == 2).all()) if len(int_ids) else True
-    # The line of each point, and the number of points on each line.
-    _, line_of = np.unique(_component_roots(n, np.stack([lo, hi], axis=1)), return_inverse=True)
-    line_size = np.bincount(line_of)
-    ids = np.arange(n)
+    lines = _component_roots(n, np.stack([lo, hi], axis=1))
     mass = kernel.row_masses(int_ids)
     expected_half = {float(e): 1.0 + float(e) * float(mass.mean()) / 2.0 for e in eps_list}
-    rows = {float(e): {"largest": [], "half": []} for e in eps_list}
+    rows = {e: {"largest": [], "half": []} for e in expected_half}
     monotone_violations = 0
     emax = max(eps_list, default=0.0)
     rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
-    for a, b, u, p in kernel.open_pairs(ids, rngs, emax):
-        la, lb = line_of[a], line_of[b]
-        prev = -1.0
-        for e in sorted(float(x) for x in eps_list):
-            sel = u < e * p
-            roots = _component_roots(len(line_size), np.stack([la[sel], lb[sel]], axis=1))
-            frac = int(np.bincount(roots, weights=line_size).max()) / n
-            perc_deg = np.bincount(a[sel], minlength=n) + np.bincount(b[sel], minlength=n)
-            half = float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0)
+    for opened in kernel.open_pairs(np.arange(n), rngs, emax):
+        pairs = _open_at(opened, eps_list)
+        _, fractions, drops = _ladder(lines, pairs)
+        monotone_violations += drops > 0
+        for e, frac in fractions.items():
+            perc_deg = np.bincount(pairs[e].ravel(), minlength=n)
             rows[e]["largest"].append(frac)
-            rows[e]["half"].append(half)
-            if frac < prev - 1e-12:
-                monotone_violations += 1
-            prev = frac
+            rows[e]["half"].append(float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0))
     out_rows = [
         BaselineRow(e, *_mean_se(rows[e]["largest"]), *_mean_se(rows[e]["half"]), expected_half[e])
         for e in sorted(rows)

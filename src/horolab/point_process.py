@@ -172,9 +172,9 @@ class ProcessContext:
         w1, w2 = space.pts1[wid], space.pts2[wid]
         q1 = space.ball1.quotient_table(int(w1.max()) + 1, int(off1.max()) + 1)
         q2 = space.ball2.quotient_table(int(w2.max()) + 1, int(off2.max()) + 1)
-        # A factor quotient outside its ball is -1, which packs to a
-        # negative key and so misses like any center outside W+.
-        pids = space.lookup_keys((q1[w1][:, off1] << 32) | q2[w2][:, off2]).ravel()
+        # A factor quotient outside its ball is -1, which misses like any
+        # center outside W+.
+        pids = space.lookup(q1[w1][:, off1], q2[w2][:, off2]).ravel()
         if (pids < 0).any():
             raise InvariantViolation(
                 "center window W+ does not contain a covering center"

@@ -205,8 +205,15 @@ class ProductSpace:
     def __len__(self):
         return len(self.pts1)
 
-    def lookup_keys(self, keys) -> np.ndarray:
-        """Universe ids of packed keys (i << 32) | j, -1 where outside."""
+    def lookup(self, i, j) -> np.ndarray:
+        """Universe ids of the factor-ball index pairs (i, j), elementwise;
+        -1 where the pair lies outside the universe.  An index of -1 (outside
+        its factor ball) packs to a negative key (i << 32) | j, and so misses
+        like any pair outside the universe."""
+        keys = (np.asarray(i, dtype=np.int64) << 32) | j
+        # The covering map's index arrays are as large as its keys; freed
+        # before the search, they keep a wr-5 graphing run's peak RSS down.
+        del i, j
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[pos] == keys, pos, -1)
 

@@ -343,11 +343,11 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
     [
         ("growth", {"enum_cap": 50, "growth": {"horizon": 6}}),
         # A window whose covering map (7,161 pairs at radius 3) fits, but
-        # the n = 8 corner set has 26,241 centers (and the radius-8 F2
-        # balls that would enumerate it 13,121 elements each).
+        # the n = 8 corner set has 26,241 centers: its closed-form size
+        # check exits before any factor ball of the corner draw is built.
         ("process", {"enum_cap": 13_000, "process": {"window_radius": 3}}),
     ],
-    ids=["growth", "process-corner-balls"],
+    ids=["growth", "process-corner-set"],
 )
 def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
     rc = cli.main([command, "--out", str(tmp_path)], config_overrides=overrides)

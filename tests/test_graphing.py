@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -617,7 +618,7 @@ def test_percolation_eps_zero_empty(z_ctx):
 
 def _pid(space, el1, el2) -> int:
     """Point id of the element pair (el1, el2) of `space`."""
-    return int(space.lookup_keys((space.ball1.index[el1] << 32) | space.ball2.index[el2]))
+    return int(space.lookup(space.ball1.index[el1], space.ball2.index[el2]))
 
 
 def test_percolation_marginal_frequency(z_ctx):
@@ -1153,9 +1154,9 @@ LADDER_EPS = [0.0, 0.01, 0.05, 0.3, 1.0]
 
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_ladder_labels_each_eps_as_its_own_pi3(perc_ctx):
-    # Every epsilon's labels are those of its own Pi3 edge array; some
-    # positive epsilon opens nothing, and some lifted pair joins two Pi1
-    # trees.
+    # Every epsilon's labels and largest fraction are those of its own Pi3
+    # edge array, in rising epsilon, and no fraction drops; some positive
+    # epsilon opens nothing, and some lifted pair joins two Pi1 trees.
     empty = joined = 0
     for s in range(12):
         key = seed_digest(68, s)
@@ -1166,11 +1167,13 @@ def test_ladder_labels_each_eps_as_its_own_pi3(perc_ctx):
         forest = _component_roots(mw.n_vertices, graphing.pi1_edges(pi1))
         opens = build_percolation(perc_ctx, mw.bases, SeededRandomness(key), LADDER_EPS)
         lifts = {e: lift_open_pairs(mw, pairs) for e, pairs in opens.items()}
-        ladder = graphing._ladder_roots(pi1, lifts)
-        assert sorted(ladder) == sorted(opens)
+        roots, fractions, drops = graphing._ladder(forest, lifts)
+        assert list(roots) == list(fractions) == sorted(opens)
+        assert drops == 0
         for e, pairs in opens.items():
             want = _component_roots(mw.n_vertices, pi3_edges(pi1, lifts[e]))
-            assert ladder[e].tolist() == want.tolist()
+            assert roots[e].tolist() == want.tolist()
+            assert fractions[e] == largest_component_fraction(want)
             ends = forest[lifts[e]]
             empty += e > 0 and len(pairs) == 0
             joined += bool((ends[:, 0] != ends[:, 1]).any())
@@ -1278,6 +1281,27 @@ def test_baseline_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_both_sweeps_count_the_seeds_whose_fraction_drops(f2_ctx, monkeypatch):
+    # Every fraction read falls below the one before, so each seed's ladder
+    # of three epsilons drops twice, and each seed counts once.
+    falling = itertools.count()
+    monkeypatch.setattr(graphing, "largest_component_fraction", lambda roots: -next(falling))
+    rep = cost_report(f2_ctx, 4, [0.01, 0.05, 0.2], 0.05, 35)
+    assert all(r.vertices and not r.rejected for r in rep.runs)
+    assert rep.monotone_violations == 4
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    assert coset_line_baseline(metric, 3, 1, [0.0, 0.05, 0.2], 4, 5).monotone_violations == 4
+
+
+def test_baseline_takes_a_repeated_eps_once():
+    # Each seed enters a repeated epsilon's row once, so its standard
+    # errors are those of the seeds.
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    once = coset_line_baseline(metric, 4, 2, [0.0, 0.05], 8, 20260810)
+    assert coset_line_baseline(metric, 4, 2, [0.0, 0.05, 0.05], 8, 20260810) == once
+    assert once.rows[1].half_degree_se > 0
 
 
 def test_baseline_needs_infinite_order_generator():

@@ -228,7 +228,7 @@ def test_incidence_binomial_moments(ctx):
     seeds = 300
     i = ctx.space.ball1.index[ctx.metric.first.identity]
     j = ctx.space.ball2.index[ctx.metric.second.identity]
-    origin = int(ctx.space.lookup_keys((i << 32) | j))
+    origin = int(ctx.space.lookup(i, j))
     at = int(np.searchsorted(ctx.window_ids, origin))
     assert ctx.window_ids[at] == origin
     counts = []

@@ -173,7 +173,7 @@ def test_product_space_window(m_f2):
     ids = sp.ids_within(2)
     assert len(ids) == 49
     i, j = sp.ball1.index[m_f2.first.canon(["a"])], sp.ball2.index[m_f2.second.identity]
-    pid = int(sp.lookup_keys((i << 32) | j))
+    pid = int(sp.lookup(i, j))
     assert pid >= 0
     assert sp.element(pid) == (m_f2.first.canon(["a"]), m_f2.second.identity)
     assert sp.word_str(pid) == "a|e"
@@ -187,12 +187,14 @@ def test_product_space_window(m_f2):
 def test_product_space_keys_index_the_universe(first, second, c):
     sp = ProductSpace(ProductMetric(make_oracle(first), make_oracle(second), c), 3)
     assert (np.diff(sp.keys) > 0).all()
-    keys = (sp.pts1.astype(np.int64) << 32) | sp.pts2
-    assert (sp.lookup_keys(keys) == np.arange(len(sp))).all()
-    # Outside either factor ball, and inside both balls but beyond rho_c.
+    assert (sp.lookup(sp.pts1, sp.pts2) == np.arange(len(sp))).all()
+    # Outside either factor ball, -1 (a missing factor index) in either
+    # index or both, and inside both balls but beyond rho_c.
     n1, n2 = len(sp.ball1), len(sp.ball2)
-    outside = np.array([n1 << 32, n2, ((n1 - 1) << 32) | (n2 - 1)], dtype=np.int64)
-    assert (sp.lookup_keys(outside) == -1).all()
+    i = np.array([n1, 0, -1, 0, -1, n1 - 1])
+    j = np.array([0, n2, 0, -1, -1, n2 - 1])
+    assert (sp.lookup(i, j) == -1).all()
+    assert sp.lookup(0, 0) == 0
 
 
 def test_product_space_requires_rational():
