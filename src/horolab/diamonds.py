@@ -2,11 +2,14 @@
 
 A perturbed diamond of parameter n is the union over t of vertical slices
 {(y, y'): d(x, y) = r_n - t, d'(x', y') <= f(t)} around its center x''.
-Its volume has the exact slice decomposition sum_t s_{r_n - t} v'_{f(t)},
-which the enumeration oracle must reproduce.  `in_diamond` is the
-pointwise definition of membership, which tests compare against; the
-sandwich check applies the same rule to a whole `ProductSpace` window at
-once, through the window's factor-index arrays.
+At first-factor distance d from the center its slice reaches f(r_n - d)
+in the second factor (`SlopeSchedule.diamond_reach`), so its volume has
+the exact slice decomposition sum_d s_d v'_{f(r_n - d)}
+(`product.slice_volume`), which the enumeration oracle must reproduce;
+`point_process` builds its members with `FactorBall.slices`.  `in_diamond`
+is the pointwise definition of membership, which tests compare against;
+the sandwich check applies the slice radii to a whole `ProductSpace`
+window at once, through the window's factor-index arrays.
 """
 
 from __future__ import annotations
@@ -20,17 +23,13 @@ import numpy as np
 from .errors import InputError, InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, ball
 from .horoboundary import Horofunction
-from .product import ProductMetric, ProductSpace
+from .product import ProductMetric, ProductSpace, slice_volume
 from .schedule import SlopeSchedule
 
 
 def diamond_volume(schedule: SlopeSchedule, n: int) -> int:
-    """v''_n = Sum_t s_{r_n-t} * v'_{f(t)}: the diamond volume by slices."""
-    r_n = schedule.r_at(n)
-    return sum(
-        schedule.growth.sphere(r_n - t) * schedule.growth2.volume(schedule.f_of(t))
-        for t in range(r_n + 1)
-    )
+    """v''_n = Sum_d s_d * v'_{f(r_n-d)}: the diamond volume by slices."""
+    return slice_volume(schedule.growth, schedule.growth2, schedule.diamond_reach(n))
 
 
 def in_diamond(metric: ProductMetric, schedule: SlopeSchedule, n: int, center, y) -> bool:
@@ -180,7 +179,8 @@ def sandwich_check(
     factor balls, and top = delta·p, so the lower clause reads
     theta''·p <= top - 2q.
     Membership takes each factor element's distance to the center: a
-    point is in D_n when d1 <= r_n and d2 <= f(r_n - d1).
+    point is in D_n when d1 <= r_n and d2 <= f(r_n - d1), the slice radius
+    `diamond_reach(n)[d1]`.
     """
     if len(space) == 0:
         raise InputError("sandwich window is empty")
@@ -189,18 +189,18 @@ def sandwich_check(
     theta = np.array([h1.value(y) for y in b1.elements], dtype=np.int64)[space.pts1] * p
     theta += np.array([h2.value(y) for y in b2.elements], dtype=np.int64)[space.pts2] * q
     min_length = 2 * math.ceil(Fraction(int(space.rho_num.max()), p))
-    f = np.asarray(schedule.f, dtype=np.int64)
     rows = []
     for n, center in centers:
         if min(metric.first.length(center[0]), metric.second.length(center[1])) < min_length:
             raise InputError(
                 "sandwich centers must satisfy d(x_n, o), d'(x'_n, o') >= 2 x window radius"
             )
-        r_n = schedule.r[n]
+        slice_reach = schedule.diamond_reach(n)
+        r_n = len(slice_reach) - 1
         d1 = np.array([metric.first.distance(center[0], y) for y in b1.elements], dtype=np.int64)
         d2 = np.array([metric.second.distance(center[1], y) for y in b2.elements], dtype=np.int64)
         # Per first-factor element, the largest d2 inside D_n (-1: none).
-        reach = np.where(d1 <= r_n, f[np.maximum(r_n - d1, 0)], -1)
+        reach = np.where(d1 <= r_n, slice_reach[np.minimum(d1, r_n)], -1)
         inside = d2[space.pts2] <= reach[space.pts1]
         members = int(np.count_nonzero(inside))
         if members == 0:

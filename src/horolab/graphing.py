@@ -35,7 +35,6 @@ raw in/out imbalance is reported separately as the boundary deficit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -46,7 +45,7 @@ from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionE
 from .errors import ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series
 from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
-from .product import ProductMetric, ProductSpace
+from .product import ProductMetric, ProductSpace, ragged
 from .point_process import ProcessContext, point_digests, sample_diamond_process
 from .randomness import (
     STREAM_OVERLAP,
@@ -245,8 +244,8 @@ class PercolationKernel:
                 cnt = ptr[at + 1] - start
                 if int(cnt.sum()) > self.cap:
                     raise ResourceCapError("percolation pairs (top-tier listing)", self.cap)
-                a = np.repeat(ids, cnt)
-                b = nbr[np.repeat(start + cnt - np.cumsum(cnt), cnt) + np.arange(len(a))]
+                owner, rank = ragged(cnt)
+                a, b = ids[owner], nbr[start[owner] + rank]
                 keep = inside[b] & (b > a)
                 found_a.append(a[keep])
                 found_b.append(b[keep])
@@ -283,8 +282,8 @@ class PercolationKernel:
         while r0 < len(self.window):
             done = ends[r0 - 1] if r0 else 0
             r1 = max(r0 + 1, int(np.searchsorted(ends, done + _TILE, side="right")))
-            r = np.repeat(np.arange(r0, r1), cnt[r0:r1])
-            off = np.arange(len(r)) - (ends[r] - cnt[r] - done)
+            r, off = ragged(cnt[r0:r1])
+            r += r0
             y1 = nbr1[start1[r] + off // deg2[r]]
             y2 = nbr2[start2[r] + off % deg2[r]]
             b = space.lookup(y1, y2)
@@ -460,14 +459,6 @@ class Pi1Forest:
     interior_violations: int
     parallel_violations: int
 
-    @functools.cached_property
-    def edge_keys(self) -> np.ndarray:
-        """The out-edges as sorted distinct keys (min << 32) | max, built
-        once per seed for every epsilon's Pi3."""
-        src = np.flatnonzero(self.target >= 0)
-        tgt = self.target[src]
-        return _distinct((np.minimum(src, tgt) << 32) | np.maximum(src, tgt))
-
 
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
@@ -537,8 +528,7 @@ def lift_open_pairs(mw: MarkedWindow, open_pairs) -> np.ndarray:
     first = mw.starts[at]
     count = mw.starts[at + 1] - first
     lifts = count[:, 0] * count[:, 1]
-    pair = np.repeat(np.arange(len(at)), lifts)
-    rank = np.arange(len(pair)) - np.repeat(np.cumsum(lifts) - lifts, lifts)
+    pair, rank = ragged(lifts)
     va = mw.copies[first[pair, 0] + rank // count[pair, 1]]
     vb = mw.copies[first[pair, 1] + rank % count[pair, 1]]
     return np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
@@ -555,7 +545,9 @@ def pi3_edges(pi1: Pi1Forest, lifted) -> np.ndarray:
     rows (a, b), a < b, sorted and without duplicates; `lifted` holds the
     lifted Pi2 rows (`lift_open_pairs`).  The few lifted keys are merged
     into the forest's sorted keys."""
-    forest = pi1.edge_keys
+    src = np.flatnonzero(pi1.target >= 0)
+    tgt = pi1.target[src]
+    forest = _distinct((np.minimum(src, tgt) << 32) | np.maximum(src, tgt))
     lifted = _distinct((lifted[:, 0] << 32) | lifted[:, 1])
     at = np.searchsorted(forest, lifted)
     new = np.append(forest, -1)[at] != lifted
@@ -1107,11 +1099,8 @@ def coset_line_baseline(
     gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)
     ball1 = space.ball1
-    succ = np.fromiter(  # first-ball index of el * gen
-        (ball1.index.get(first.multiply(el, gen), -1) for el in ball1.elements),
-        dtype=np.int64,
-        count=len(ball1),
-    )
+    # First-ball index of y * gen: the quotient y * (gen^-1)^-1.
+    succ = ball1.quotient_table(len(ball1), ball1.volume(1))[:, ball1.index[first.inverse(gen)]]
     tgt = space.lookup(succ[space.pts1], space.pts2)
     src = np.flatnonzero(tgt >= 0)
     lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])

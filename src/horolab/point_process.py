@@ -2,10 +2,12 @@
 
 Centers are sampled with probability 1/v''_n at every covering center: a
 point of the enlarged center window W+ whose diamond meets the observation
-window W.  W+ is the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c),
-the window radius plus the diamond's exact rho-reach from its center (its
-slice at first distance r_n - t reaches f(t) in the second factor), so it
-holds every center whose diamond meets W.  A center that covers no point
+window W.  The diamond's slice at first distance d reaches f(r_n - d) in
+the second factor (`SlopeSchedule.diamond_reach`); its members around the
+origin are that slice union, built by `FactorBall.slices`.  W+ is the
+rho_c ball of radius wr + max_d (d + f(r_n - d)/c), the window radius
+plus the diamond's exact rho-reach from its center, so it holds every
+center whose diamond meets W.  A center that covers no point
 of W is never observed, so the window restriction is exact.  Marks are
 replicated from the center over all member points.  The covering map is
 kept as CSR arrays (`CoveringMap`), and a sampled process is arrays over
@@ -27,7 +29,7 @@ import numpy as np
 from .diamonds import corner_count, diamond_volume
 from .errors import InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, make_oracle
-from .product import FactorBall, ProductMetric, ProductSpace
+from .product import FactorBall, ProductMetric, ProductSpace, ragged, slice_volume
 from .randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
@@ -97,20 +99,21 @@ class CoveringMap:
         concatenated in that order, and the length of each."""
         lo = self.starts[rows]
         counts = self.starts[rows + 1] - lo
-        offsets = np.cumsum(counts) - counts
-        at = np.repeat(lo - offsets, counts) + np.arange(int(counts.sum()))
-        return self.members[at], counts
+        owner, rank = ragged(counts)
+        return self.members[lo[owner] + rank], counts
 
 
 class ProcessContext:
     """Precomputed window geometry shared by every seed of a sweep.
 
-    `space` is W+, the rho_c ball of radius wr + max_t ((r_n - t) + f(t)/c):
+    `space` is W+, the rho_c ball of radius wr + max_d (d + f(r_n - d)/c):
     the window radius plus the largest rho_c distance from a diamond's
-    center to one of its members.  `covering` is the covering map of the
-    covering centers, as CSR arrays, `center_digests` their digests and
-    `center_folded` those digests' folds (`fold_into`), the seed-free input
-    of `SeededRandomness.heads_into`.
+    center to one of its members.  `offsets` are the members (u, w) of the
+    diamond centered at the origin, as factor-ball index arrays by u, so
+    that the centers covering y are exactly (y1 * u^-1, y2 * w^-1).
+    `covering` is the covering map of the covering centers, as CSR arrays,
+    `center_digests` their digests and `center_folded` those digests' folds
+    (`fold_into`), the seed-free input of `SeededRandomness.heads_into`.
     """
 
     def __init__(
@@ -124,16 +127,13 @@ class ProcessContext:
         self.metric = metric
         self.schedule = schedule
         self.n = n
-        self.r_n = schedule.r_at(n)
         self.window_radius = window_radius
-        reach = max(
-            (self.r_n - t) + Fraction(schedule.f_of(t)) / metric.c
-            for t in range(self.r_n + 1)
-        )
-        self.space = ProductSpace(metric, window_radius + reach, cap)
+        reach = schedule.diamond_reach(n)
+        extent = max(metric.rho_of_distances(d, r) for d, r in enumerate(reach))
+        self.space = ProductSpace(metric, window_radius + extent, cap)
         self.window_ids = self.space.ids_within(window_radius)
         self.point_digests = point_digests(self.space)
-        self.offsets = self._diamond_offsets()
+        self.offsets = self.space.ball1.slices(self.space.ball2, reach, cap, "diamond offsets")
         self.volume = diamond_volume(schedule, n)
         if self.volume != len(self.offsets[0]):
             raise InvariantViolation(
@@ -144,21 +144,6 @@ class ProcessContext:
         self.center_folded = fold_into(
             self.center_digests.copy(), np.empty_like(self.center_digests)
         )
-
-    def _diamond_offsets(self):
-        """Member offsets (u, w) of a diamond centered at the origin.
-
-        Returned as two arrays of factor-ball indices, so that the centers
-        covering y are exactly (y1 * u^-1, y2 * w^-1).
-        """
-        b1, b2 = self.space.ball1, self.space.ball2
-        off1, off2 = [], []
-        for t in range(self.r_n + 1):
-            lo, hi = b1.volume(self.r_n - t - 1), b1.volume(self.r_n - t)
-            cnt2 = b2.volume(self.schedule.f_of(t))
-            off1.append(np.repeat(np.arange(lo, hi, dtype=np.int64), cnt2))
-            off2.append(np.tile(np.arange(cnt2, dtype=np.int64), hi - lo))
-        return np.concatenate(off1), np.concatenate(off2)
 
     def _covering_map(self, cap: int) -> CoveringMap:
         """Every center whose diamond meets the window, with its members
@@ -229,7 +214,7 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
     b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
     equals the bound.  The heads of every center's word are drawn in place
-    from `ctx.center_folded` (`heads_into`), and only the heads below
+    from `ctx.center_folded` (`heads_into`), and only the heads at most
     `head_limit(k)` get their bits (`head_bits`).
     """
     rng = SeededRandomness(seed)
@@ -237,8 +222,7 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     digests, folded = ctx.center_digests, ctx.center_folded
     k = bits_at_most(param)
     heads = rng.heads_into(folded, STREAM_CENTERS, np.empty_like(folded), np.empty_like(folded))
-    limit = head_limit(k)
-    passed = np.arange(len(heads)) if limit is None else np.flatnonzero(heads < limit)
+    passed = np.flatnonzero(heads <= head_limit(k))
     chosen = passed[head_bits(heads[passed]) < k]
     return DiamondProcess(
         ctx=ctx,
@@ -429,10 +413,7 @@ def hit_probability(schedule: SlopeSchedule, n: int, T: int) -> HitProbabilityRo
     first coordinate of the center.
     """
     growth, growth2 = schedule.growth, schedule.growth2
-    r_n = schedule.r[n]
-    total = 0
-    for t in range(r_n + 1):
-        total += growth.sphere(t) * growth2.volume(schedule.f_of(r_n - t) + T)
+    total = slice_volume(growth, growth2, schedule.diamond_reach(n) + T)
     v = diamond_volume(schedule, n)
     eps = min(growth.eps_nonamen, growth2.eps_nonamen)
     bound = Fraction(1) / (1 - eps) ** T

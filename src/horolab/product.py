@@ -5,9 +5,14 @@ comparisons run on integer numerators (rho * p = d*p + d'*q), so ball and
 diamond membership is exact.  The slope is rational only: `as_slope` is the
 one place that decides its type, and it rejects floats.
 
-`ProductSpace` materialises one rho_c ball as an indexed point universe
-(pairs of factor-ball indices backed by numpy arrays); windows are index
-subsets of the universe, which keeps every downstream Monte-Carlo kernel
+A rho_c ball of radius R and a perturbed diamond are both vertical-slice
+unions {d(o, y) = d, d'(o', y') <= reach[d]}, with reach[d] = floor(c (R -
+d)) and `SlopeSchedule.diamond_reach`: `slice_volume` sizes one from the
+growth series and `FactorBall.slices` builds one as factor-ball index
+arrays (through `ragged`, the one ragged expansion).  `ProductSpace`
+materialises one rho_c ball as an indexed point universe (pairs of
+factor-ball indices backed by numpy arrays); windows are index subsets of
+the universe, which keeps every downstream Monte-Carlo kernel
 vectorisable.  `FactorBall.distance_matrix` tabulates a factor ball's
 pairwise word distances through its oracle: in closed form for free groups
 (|x| + |y| - 2 lcp(x, y)) and lattices (the l1 norm of x - y), by the
@@ -101,16 +106,28 @@ def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP)
     return out
 
 
+def ragged(counts, dtype=np.int64) -> tuple:
+    """(owner, rank): every pair (i, r) with 0 <= r < counts[i], by i then
+    r, as two arrays of `dtype`; `counts` is an integer array."""
+    owner = np.repeat(np.arange(len(counts), dtype=dtype), counts)
+    rank = np.arange(len(owner), dtype=dtype)
+    rank -= np.repeat((np.cumsum(counts) - counts).astype(dtype), counts)
+    return owner, rank
+
+
+def slice_volume(growth: GrowthSeries, growth2: GrowthSeries, reach) -> int:
+    """Sum_d s_d * v'_{reach[d]}: the size of the slice union with
+    second-factor radius reach[d] at first-factor distance d."""
+    return sum(growth.sphere(d) * growth2.volume(r) for d, r in enumerate(reach))
+
+
 def ball_slice_volume(
     metric: ProductMetric, growth: GrowthSeries, growth2: GrowthSeries, n: int
 ) -> int:
-    """Sum_t s_{n-t} * v'_{floor(c t)}: the rho_c ball volume by slices."""
+    """Sum_d s_d * v'_{floor(c (n - d))}: the rho_c ball volume by slices."""
     if n < 0:
         raise InputError("radius must be >= 0")
-    return sum(
-        growth.sphere(n - t) * growth2.volume(math.floor(metric.c * t))
-        for t in range(n + 1)
-    )
+    return slice_volume(growth, growth2, [math.floor(metric.c * (n - d)) for d in range(n + 1)])
 
 
 class FactorBall:
@@ -155,6 +172,18 @@ class FactorBall:
             dtype=np.int64,
         )
 
+    def slices(self, other: "FactorBall", reach, cap: int, what: str, dtype=np.int64) -> tuple:
+        """The slice union {(i, j): dist[i] = d, other.dist[j] <= reach[d]}
+        as two index arrays into this ball and `other`, by i then j.  A
+        reach past other.radius takes all of `other`.  The union's size
+        counts against `cap` (ResourceCapError names `what`) before it is
+        built."""
+        vols = np.array([other.volume(r) for r in reach], dtype=np.int64)
+        counts = vols[self.dist[: self.volume(len(reach) - 1)]]
+        if int(counts.sum()) > cap:
+            raise ResourceCapError(what, cap)
+        return ragged(counts, dtype)
+
     def distance_matrix(self, count=None) -> np.ndarray:
         """Pairwise word distances among the first `count` elements; the
         m^2 entries count against the enumeration cap."""
@@ -174,32 +203,17 @@ class ProductSpace:
         r2 = math.floor(metric.c * self.radius)
         self.ball1 = FactorBall(metric.first, r1, cap)
         self.ball2 = FactorBall(metric.second, r2, cap)
-        rad_num = metric.radius_num(self.radius)
         p, q = metric.c.numerator, metric.c.denominator
-        blocks1, blocks2 = [], []
-        total = 0
-        for t in range(r1 + 1):
-            lo = self.ball1.volume(t - 1)
-            hi = self.ball1.volume(t)
-            if hi == lo:
-                continue
-            max2 = (rad_num - t * p) // q
-            cnt2 = self.ball2.volume(min(max2, r2))
-            if cnt2 == 0:
-                continue
-            ii = np.arange(lo, hi, dtype=np.int32)
-            blocks1.append(np.repeat(ii, cnt2))
-            blocks2.append(np.tile(np.arange(cnt2, dtype=np.int32), hi - lo))
-            total += (hi - lo) * cnt2
-            if total > cap:
-                raise ResourceCapError("product window enumeration", cap)
-        self.pts1 = np.concatenate(blocks1) if blocks1 else np.zeros(0, dtype=np.int32)
-        self.pts2 = np.concatenate(blocks2) if blocks2 else np.zeros(0, dtype=np.int32)
+        rad_num = metric.radius_num(self.radius)
+        reach = [(rad_num - d * p) // q for d in range(r1 + 1)]
+        self.pts1, self.pts2 = self.ball1.slices(
+            self.ball2, reach, cap, "product window enumeration", np.int32
+        )
         d1 = self.ball1.dist[self.pts1].astype(np.int64)
         d2 = self.ball2.dist[self.pts2].astype(np.int64)
         self.rho_num = d1 * p + d2 * q
-        # Packed (i << 32) | j keys; the slice loop emits them in increasing
-        # order, so they index the universe by binary search.
+        # Packed (i << 32) | j keys; `slices` lists the points by i, then j,
+        # so the keys increase and index the universe by binary search.
         self.keys = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
 
     def __len__(self):

@@ -23,7 +23,7 @@ drawn under many seeds:
   e = d ^ (d >> 31); it returns the head d.  `head_bits(d)` finishes the
   53 bits b of u = b * 2**-53.
 - The last step keeps the top 33 bits (e >> 33 == d >> 33), so b < k
-  implies d < `head_limit(k)`: a sampler compares the heads against that
+  implies d <= `head_limit(k)`: a sampler compares the heads against that
   bound and finishes only the few that pass.  `bits_below(t)` and
   `bits_at_most(t)` give the k of the tests u < t and u <= t.
 
@@ -162,17 +162,17 @@ def head_bits(heads) -> np.ndarray:
     return (heads ^ (heads >> _SH[2])) >> _DROP11
 
 
-def head_limit(k: int):
-    """A bound L with d < L for every head d whose bits b = head_bits(d)
-    satisfy b < k, for 0 < k <= 2**53; None when L would be 2**64 and so
-    every head may pass.
+def head_limit(k: int) -> np.uint64:
+    """The largest head that can pass: d <= head_limit(k) for every head d
+    whose bits b = head_bits(d) satisfy b < k, for 0 < k <= 2**53.
 
     The last step e = d ^ (d >> 31) leaves the top 33 bits alone, e >> 33 ==
-    d >> 33, and b = e >> 11 < k gives e >> 33 <= (k - 1) >> 22.  The bound
-    is conservative: a head below it may still have b >= k.
+    d >> 33, and b = e >> 11 < k gives e >> 33 <= (k - 1) >> 22, so d <
+    L = (((k - 1) >> 22) + 1) << 33; the limit is min(L, 2**64) - 1, the
+    largest uint64 when L saturates.  The bound is conservative: a head
+    at most it may still have b >= k.
     """
-    limit = (((k - 1) >> 22) + 1) << 33
-    return None if limit >> 64 else np.uint64(limit)
+    return np.uint64(min((((k - 1) >> 22) + 1) << 33, 1 << 64) - 1)
 
 
 def to_uniforms(bits) -> np.ndarray:
@@ -263,7 +263,7 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
 
     Tiles (`_tiles`) are hashed in buffers allocated once per process:
     `premix` once per row, `combine_into` and `fold_into` once per tile,
-    then `heads_into` per seed, keeping the heads below `head_limit(k)`.
+    then `heads_into` per seed, keeping the heads at most `head_limit(k)`.
     The kept heads are held until `_TILE` of them are, or to the end; then
     the batch is finished (`_passes`) and yielded, and nothing of it is
     held while the next tile is hashed.  Each seed's passes, counted from
@@ -292,7 +292,7 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
         fold_into(pair, tmp[:size])
         for s, rng in enumerate(rngs):
             d = rng.heads_into(pair, tag, heads[:size], tmp[:size])
-            pos = np.arange(size) if limit is None else np.less(d, limit, out=below[:size]).nonzero()[0]
+            pos = np.less_equal(d, limit, out=below[:size]).nonzero()[0]
             if len(pos):
                 held.append((s, i0, j0, shape[1], pos, d[pos]))
                 count += len(pos)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError, InvariantViolation
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries, generator_bound, growth_series, make_oracle
 from .product import as_slope
@@ -63,6 +65,12 @@ class SlopeSchedule:
                 f"{self.horizon} it has {len(self.r)} (truncated: {self.truncated})"
             )
         return self.r[n]
+
+    def diamond_reach(self, n: int) -> np.ndarray:
+        """D_n's second-factor radius f(r_n - d) at each first-factor
+        distance d = 0 .. r_n from the center."""
+        r_n = self.r_at(n)
+        return np.array([self.f_of(r_n - d) for d in range(r_n + 1)], dtype=np.int64)
 
     def reaches(self, n: int, T: int) -> bool:
         """Whether breakpoint n exists and the growth series reach its
@@ -123,7 +131,7 @@ class SlopeSchedule:
                     holds_within_horizon=ok,
                 )
             )
-        return AlmostLinearReport(m_max=m_max, rows=rows)
+        return AlmostLinearReport(rows=rows)
 
     def breakpoints(self) -> dict:
         """The breakpoint radii, ratios and segments, as JSON values."""
@@ -157,7 +165,6 @@ class AlmostLinearRow:
 
 @dataclass
 class AlmostLinearReport:
-    m_max: int
     rows: list
 
     def all_hold(self) -> bool:

@@ -342,12 +342,8 @@ def test_main_leaves_the_defaults_unchanged(tmp_path):
     "command, overrides",
     [
         ("growth", {"enum_cap": 50, "growth": {"horizon": 6}}),
-        # A window whose covering map (7,161 pairs at radius 3) fits, but
-        # the n = 8 corner set has 26,241 centers: its closed-form size
-        # check exits before any factor ball of the corner draw is built.
-        ("process", {"enum_cap": 13_000, "process": {"window_radius": 3}}),
     ],
-    ids=["growth", "process-corner-set"],
+    ids=["growth"],
 )
 def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
     rc = cli.main([command, "--out", str(tmp_path)], config_overrides=overrides)
@@ -367,7 +363,9 @@ def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, 
     monkeypatch.setattr(point_process, "threshold_pairs", never)
     overrides = {"enum_cap": 20_000, "process": {"seeds": 2, "window_radius": 3}}
     assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
-    assert "corner set A_{n,T} at n = 8, T = 1 exceeded" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "resource cap: corner set A_{n,T} at n = 8, T = 1 exceeded" in captured.err
+    assert "resource cap:" not in captured.out
 
 
 def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):

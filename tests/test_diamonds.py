@@ -15,8 +15,8 @@ from horolab.diamonds import (
 from horolab.errors import InputError
 from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.horoboundary import ProductHorofunction, horofunction_from_ray
-from horolab.product import ProductMetric, ProductSpace
-from horolab.schedule import build_schedule, linear_schedule
+from horolab.product import FactorBall, ProductMetric, ProductSpace
+from horolab.schedule import build_schedule, linear_schedule, schedule_for
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -75,6 +75,26 @@ def test_translation_invariance(sched, metric):
         g = (metric.first.canon(labels), metric.second.canon(labels[::-1]))
         got = sum(in_diamond(metric, sched, 2, g, metric.multiply(g, w)) for w in window)
         assert got == base
+
+
+@pytest.mark.parametrize(
+    "first, c, n_values",
+    [(F2, 1, range(4)), (GroupSpec("integer_lattice", dim=2), "1/2", range(5))],
+    ids=["f2xf2-lemma", "z2xf2-linear-half"],
+)
+def test_diamond_reach_agrees_with_in_diamond(first, c, n_values):
+    sched = schedule_for(first, F2, c, 8)
+    assert sched.source == ("lemma" if first == F2 else "linear")
+    m = ProductMetric(make_oracle(first), make_oracle(F2), c)
+    for n in n_values:
+        reach = sched.diamond_reach(n)
+        assert len(reach) == sched.r[n] + 1
+        b1 = FactorBall(m.first, sched.r[n] + 1)
+        b2 = FactorBall(m.second, int(reach.max()) + 1)
+        for u, d1 in zip(b1.elements, b1.dist.tolist()):
+            for w, d2 in zip(b2.elements, b2.dist.tolist()):
+                inside = d1 < len(reach) and d2 <= reach[d1]
+                assert in_diamond(m, sched, n, m.origin, (u, w)) == inside
 
 
 def test_in_diamond_matches_enumeration(sched, metric):

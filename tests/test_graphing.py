@@ -455,7 +455,7 @@ def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeyp
     # is 2**31 and the tile tier's head bound saturates; the float test
     # still decides.
     top = 1.0 - 2.0**-40
-    assert randomness.head_limit(randomness.bits_below(top)) is None
+    assert randomness.head_limit(randomness.bits_below(top)) == np.uint64(2**64 - 1)
     monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * top)
     opened = _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0)
     assert 0 < opened < len(MULTI_SEED_KEYS) * pairs

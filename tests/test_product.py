@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import groups
+from horolab import groups, product
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, Oracle, ball, growth_series, make_oracle
 from horolab.product import (
@@ -16,6 +16,7 @@ from horolab.product import (
     as_slope,
     ball_slice_volume,
     perfect_diamond,
+    ragged,
 )
 
 F2 = GroupSpec("free", rank=2)
@@ -246,3 +247,63 @@ def test_distance_matrix_counts_its_entries_against_the_cap():
         fb.distance_matrix(32)
     with pytest.raises(ResourceCapError, match="distance table"):
         fb.distance_matrix()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=8), st.sampled_from([np.int32, np.int64]))
+def test_ragged_lists_every_rank_of_every_row(counts, dtype):
+    owner, rank = ragged(np.array(counts, dtype=np.int64), dtype)
+    pairs = [(i, r) for i, c in enumerate(counts) for r in range(c)]
+    assert owner.dtype == rank.dtype == dtype
+    assert list(zip(owner.tolist(), rank.tolist())) == pairs
+
+
+C4 = GroupSpec("cyclic", order=4)  # radius 4: its spheres 3 and 4 are empty
+
+
+@pytest.mark.parametrize(
+    "first, r1, second, r2, reach",
+    [
+        (F2, 3, F2, 2, [5, 0, 2, 1]),  # reach 5 runs past the second ball
+        (F2, 3, F2, 3, [1, 3]),  # first-factor distances 2, 3 take no slice
+        (C4, 4, F2, 2, [0, 2, 1, 2, 0]),
+        (F2, 2, C4, 4, [4, 3, 1]),
+        (Z1, 3, C4, 4, []),
+    ],
+    ids=["f2-past-radius", "f2-short", "c4-first", "c4-second", "empty"],
+)
+def test_slices_match_a_brute_filter(first, r1, second, r2, reach):
+    b1, b2 = FactorBall(make_oracle(first), r1), FactorBall(make_oracle(second), r2)
+    i, j = b1.slices(b2, reach, 10_000, "slices")
+    brute = [
+        (a, b)
+        for a in range(len(b1))
+        for b in range(len(b2))
+        if b1.dist[a] < len(reach) and b2.dist[b] <= reach[b1.dist[a]]
+    ]
+    assert list(zip(i.tolist(), j.tolist())) == brute
+
+
+def test_slices_count_the_cap_before_anything_is_built(monkeypatch):
+    m = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    size = len(ProductSpace(m, 3))  # its factor balls hold 161 elements each
+
+    def never(*args, **kwargs):
+        raise AssertionError("a slice union was built")
+
+    monkeypatch.setattr(product, "ragged", never)
+    b1 = FactorBall(m.first, 3)
+    with pytest.raises(ResourceCapError, match="diamond offsets"):
+        b1.slices(b1, [3, 2, 1, 0], size - 1, "diamond offsets")
+    with pytest.raises(ResourceCapError, match="product window enumeration"):
+        ProductSpace(m, 3, cap=size - 1)
+
+
+@pytest.mark.parametrize("c", [1, "3/2"])
+def test_product_space_lists_the_perfect_diamond_in_its_order(c):
+    m = ProductMetric(make_oracle(F2), make_oracle(F2), c)
+    sp = ProductSpace(m, 3)
+    reference = perfect_diamond(m, m.origin, 3)
+    assert [sp.element(pid) for pid in range(len(sp))] == [y for y, _ in reference]
+    p = m.c.numerator
+    assert [Fraction(int(r), p) for r in sp.rho_num] == [rho for _, rho in reference]

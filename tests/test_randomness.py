@@ -125,10 +125,8 @@ def test_head_limit_keeps_every_head_whose_bits_pass(k):
     passes = head_bits(d) < np.uint64(k)
     assert passes.any()
     limit = head_limit(k)
-    if limit is None:  # the bound saturates: 2**64 does not fit a uint64
-        assert (((k - 1) >> 22) + 1) << 33 == 2**64
-    else:
-        assert (d[passes] < limit).all()
+    assert int(limit) == min((((k - 1) >> 22) + 1) << 33, 2**64) - 1
+    assert (d[passes] <= limit).all()
 
 
 def test_bits_below_is_the_exact_integer_form_of_u_below_t():
@@ -208,7 +206,7 @@ def _count_tiles(monkeypatch, tile) -> list:
 THRESHOLDS = {
     "below-0.3": bits_below(0.3),
     "at-most-0.05": bits_at_most(0.05),
-    "below-saturated": bits_below(1.0 - 2.0**-40),  # head_limit is None
+    "below-saturated": bits_below(1.0 - 2.0**-40),  # head_limit is 2**64 - 1
     "all": 1 << 53,
     "none": 0,
 }
