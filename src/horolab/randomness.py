@@ -170,7 +170,7 @@ def head_limit(k: int) -> np.uint64:
     d >> 33, and b = e >> 11 < k gives e >> 33 <= (k - 1) >> 22, so d <
     L = (((k - 1) >> 22) + 1) << 33; the limit is min(L, 2**64) - 1, the
     largest uint64 when L saturates.  The bound is conservative: a head
-    at most it may still have b >= k.
+    within it may still have b >= k.
     """
     return np.uint64(min((((k - 1) >> 22) + 1) << 33, 1 << 64) - 1)
 
