@@ -84,7 +84,7 @@ def _entries_at(table, value) -> tuple:
 
 class PercolationKernel:
     """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
-    percolation they draw on the points of a space.
+    percolation they draw on the points of the window.
 
     sphere_j is the j-th nonempty positive rho_c sphere of G'' in
     increasing radius order, with counts taken from each factor's own
@@ -94,26 +94,18 @@ class PercolationKernel:
     window's diameter) is the truncation mass 2^-(#enumerated spheres) and
     is reported, never redistributed.
 
-    This class alone holds the pair law: `prob` is
-    lut[rho1[a1, b1] + rho2[a2, b2]] over point ids, and the Pi2 stage and
+    This class alone holds the pair law and its point set, the window
+    `space` = ProductSpace(metric, window_radius) with its point `digests`;
+    every point id it takes or returns is a window id.  `prob` is
+    lut[rho1[a1, b1] + rho2[a2, b2]] over window ids, and the Pi2 stage and
     the coset-line baseline are this one percolation restricted to two
     point sets.  rho1 and rho2 tabulate the rho_c numerators d*p and d'*q
-    of the window's factor pairs.  Factor balls list their elements by
-    distance, so the window's factor radii wr and floor(c wr) are the
-    index prefixes ball1.volume(wr) and ball2.volume(p wr // q), whatever
-    radius `space` reaches; every point id passed in must lie in the
-    window.  The pairs the sampler lists at the heaviest weight and those
-    passing its prefilter count against `cap`, seed by seed.
+    of the window's factor pairs.  The pairs the sampler lists at the
+    heaviest weight and those passing its prefilter count against `cap`,
+    seed by seed.
     """
 
-    def __init__(
-        self,
-        space: ProductSpace,
-        digests: np.ndarray,
-        window_radius: int,
-        cap: int = DEFAULT_ENUM_CAP,
-    ):
-        metric = space.metric
+    def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
         p, q = metric.c.numerator, metric.c.denominator
         max_num = metric.radius_num(2 * window_radius)
         growth = growth_series(metric.first.spec, 2 * window_radius, cap=cap)
@@ -136,23 +128,22 @@ class PercolationKernel:
             self.lut[num] = prob
             self.annuli.append((num, counts[num], prob))
         self.truncation_mass = Fraction(1, 2 ** len(self.nums))
-        self.space = space
-        self.digests = digests
+        self.space = space = ProductSpace(metric, window_radius, cap)
+        self.digests = point_digests(space)
         self.cap = cap
         # Each numerator is at most max_num, so int32 holds them.
-        self.rho1 = space.ball1.distance_matrix(space.ball1.volume(window_radius)) * p
-        self.rho2 = space.ball2.distance_matrix(space.ball2.volume(p * window_radius // q)) * q
-        self.window = space.ids_within(window_radius)
+        self.rho1 = space.ball1.distance_matrix() * p
+        self.rho2 = space.ball2.distance_matrix() * q
         self._neighbour_lists = {}
 
     def prob(self, a, b) -> np.ndarray:
-        """p(a, b) for point ids a and b, elementwise."""
+        """p(a, b) for window ids a and b, elementwise."""
         s = self.space
         return self.lut[self.rho1[s.pts1[a], s.pts1[b]] + self.rho2[s.pts2[a], s.pts2[b]]]
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every pair
-        a < b of the sorted point ids `ids` with u < emax * p, in
+        a < b of the sorted window ids `ids` with u < emax * p, in
         `np.triu_indices(len(ids), 1)` order.
 
         A pair's probability is p = prob(a, b) and its uniform is u =
@@ -220,8 +211,8 @@ class PercolationKernel:
         ]
 
     def _top_pairs(self, ids, p1: float) -> tuple:
-        """The pairs a < b of the sorted point ids `ids` at weight p1, as
-        two point id arrays in no set order.
+        """The pairs a < b of the sorted window ids `ids` at weight p1, as
+        two window id arrays in no set order.
 
         A pair weighs p1 when its rho numerator t p + t2 q has lut value
         p1, with t and t2 the pair's factor distances; the pairs of each
@@ -230,7 +221,6 @@ class PercolationKernel:
         within `ids` are kept, count against `cap`.
         """
         p, q = self.space.metric.c.numerator, self.space.metric.c.denominator
-        at = np.searchsorted(self.window, ids)
         inside = np.zeros(len(self.space), dtype=bool)
         inside[ids] = True
         none = np.zeros(0, dtype=np.int64)
@@ -240,8 +230,8 @@ class PercolationKernel:
                 if (num - t * p) % q:
                     continue
                 ptr, nbr = self._neighbours(t * p, num - t * p)
-                start = ptr[at]
-                cnt = ptr[at + 1] - start
+                start = ptr[ids]
+                cnt = ptr[ids + 1] - start
                 if int(cnt.sum()) > self.cap:
                     raise ResourceCapError("percolation pairs (top-tier listing)", self.cap)
                 owner, rank = ragged(cnt)
@@ -254,7 +244,7 @@ class PercolationKernel:
     def _neighbours(self, num1: int, num2: int) -> tuple:
         """The window's neighbour lists at rho numerators num1 of the first
         factor and num2 of the second, in CSR form (ptr, nbr): the window
-        points b with rho1 num1 and rho2 num2 from the point window[i] are
+        points b with rho1 num1 and rho2 num2 from the point i are
         nbr[ptr[i]:ptr[i + 1]].  Built once per kernel.
 
         The candidates of a point are the products of its factor neighbour
@@ -268,18 +258,16 @@ class PercolationKernel:
             return hit
         space = self.space
         (ptr1, nbr1), (ptr2, nbr2) = _entries_at(self.rho1, num1), _entries_at(self.rho2, num2)
-        f1, f2 = space.pts1[self.window], space.pts2[self.window]
+        f1, f2 = space.pts1, space.pts2
         start1, start2 = ptr1[f1], ptr2[f2]
         deg2 = ptr2[f2 + 1] - start2
         cnt = (ptr1[f1 + 1] - start1) * deg2
         ends = np.cumsum(cnt)
         if len(ends) and int(ends[-1]) > self.cap:
             raise ResourceCapError("percolation pairs (window neighbour lists)", self.cap)
-        in_window = np.zeros(len(space), dtype=bool)
-        in_window[self.window] = True
         src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         r0 = 0
-        while r0 < len(self.window):
+        while r0 < len(space):
             done = ends[r0 - 1] if r0 else 0
             r1 = max(r0 + 1, int(np.searchsorted(ends, done + _TILE, side="right")))
             r, off = ragged(cnt[r0:r1])
@@ -287,17 +275,17 @@ class PercolationKernel:
             y1 = nbr1[start1[r] + off // deg2[r]]
             y2 = nbr2[start2[r] + off % deg2[r]]
             b = space.lookup(y1, y2)
-            keep = (b >= 0) & in_window[b]
+            keep = b >= 0
             src.append(r[keep])
             dst.append(b[keep])
             r0 = r1
-        ptr = np.searchsorted(np.concatenate(src), np.arange(len(self.window) + 1))
+        ptr = np.searchsorted(np.concatenate(src), np.arange(len(space) + 1))
         hit = self._neighbour_lists[num1, num2] = (ptr, np.concatenate(dst))
         return hit
 
     def row_masses(self, rows) -> np.ndarray:
-        """Mass sum_{j != i} p(i, j) of each point i in `rows`, over every
-        point of the space, which must then be the window itself.
+        """Mass sum_{j != i} p(i, j) of each window point i in `rows`, over
+        every window point.
 
         Each row is summed left to right over j = i+1, ..., n-1, then j = 0,
         ..., i-1: the order in which `np.add.at` over the `np.triu_indices`
@@ -336,9 +324,7 @@ class GraphingContext:
         self.interior_radius = window_radius - margin
         self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
         self.interior_mask = self.pctx.space.mask_within(self.interior_radius)
-        self.kernel = PercolationKernel(
-            self.pctx.space, self.pctx.point_digests, window_radius, cap
-        )
+        self.kernel = PercolationKernel(metric, window_radius, cap)
         free = isinstance(metric.first, FreeOracle)
         self._free_steps = FreeRaySteps(self.pctx.space.ball1) if free else None
         self._tau_cache = {}
@@ -496,13 +482,15 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     epsilon by construction.  The kernel's `open_pairs` finds the pairs
     open at the largest epsilon without materialising the closed ones;
     each epsilon then keeps those with u < epsilon * p, the same float test
-    as over all pairs, in the same order.
+    as over all pairs, in the same order.  The kernel's window id of the
+    W+ point window_ids[k] is k.
     """
     if not eps_list:
         return {}
-    S = np.sort(np.asarray(base_pids, dtype=np.int64))
-    [opened] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
-    return _open_at(opened, eps_list)
+    wid = ctx.pctx.window_ids
+    S = np.searchsorted(wid, np.sort(np.asarray(base_pids, dtype=np.int64)))
+    [(a, b, u, p)] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
+    return _open_at((wid[a], wid[b], u, p), eps_list)
 
 
 def _open_at(opened, eps_list) -> dict:
@@ -1093,8 +1081,8 @@ def coset_line_baseline(
             "baseline needs an infinite-order designated generator "
             "(free or lattice first factor)"
         )
-    space = ProductSpace(metric, window_radius, cap)
-    kernel = PercolationKernel(space, point_digests(space), window_radius, cap)
+    kernel = PercolationKernel(metric, window_radius, cap)
+    space = kernel.space
     interior = space.mask_within(window_radius - margin)
     gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)

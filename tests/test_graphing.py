@@ -30,7 +30,7 @@ from horolab.graphing import (
 from horolab.diamonds import in_diamond
 from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
-from horolab.point_process import point_digests, sample_diamond_process
+from horolab.point_process import sample_diamond_process
 from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_PERCOLATION,
@@ -73,6 +73,18 @@ def z2f2_ctx():
 # Percolation kernel ---------------------------------------------------------
 
 
+def _kernel_ids(ctx, pids) -> np.ndarray:
+    """The kernel's window ids of the W+ point ids `pids`, sorted: W+ point
+    window_ids[k] is kernel id k."""
+    return np.searchsorted(ctx.pctx.window_ids, np.sort(np.asarray(pids, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
+def test_kernel_window_lists_the_window_points_of_w_plus_in_order(perc_ctx):
+    pctx = perc_ctx.pctx
+    assert np.array_equal(perc_ctx.kernel.space.keys, pctx.space.keys[pctx.window_ids])
+
+
 def test_kernel_total_mass_and_truncation(f2_ctx):
     k = f2_ctx.kernel
     enumerated = sum(Fraction(1, 2 ** (j + 1)) for j in range(len(k.nums)))
@@ -101,11 +113,12 @@ def test_kernel_invariance(f2_ctx):
     # p depends only on the rho distance, hence invariant and symmetric
     kernel, space = f2_ctx.kernel, f2_ctx.pctx.space
     assert kernel.lut[0] == 0.0
-    ids = f2_ctx.pctx.window_ids[::7]
+    pids = f2_ctx.pctx.window_ids[::7]
+    ids = _kernel_ids(f2_ctx, pids)
     p = kernel.prob(ids[:, None], ids[None, :])
     assert (p == p.T).all() and (np.diag(p) == 0.0).all()
     # c = 1, so a pair's rho numerator is its rho distance
-    rho = [[f2_ctx.metric.rho(space.element(a), space.element(b)) for b in ids] for a in ids]
+    rho = [[f2_ctx.metric.rho(space.element(a), space.element(b)) for b in pids] for a in pids]
     assert (kernel.lut[np.asarray(rho, dtype=np.int64)] == p).all()
 
 
@@ -278,20 +291,17 @@ def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
 # Percolation stage ----------------------------------------------------------
 
 
-def _materialised_percolation(kernel, window_radius, base_pids, rng, eps_list):
-    """Reference for `build_percolation` and `open_pairs` on `kernel`:
-    every unordered pair materialised at once, with the distance tables
-    built afresh."""
-    S = np.asarray(sorted(int(p) for p in base_pids), dtype=np.int64)
+def _materialised_percolation(kernel, base_ids, rng, eps_list):
+    """Reference for `build_percolation` and `open_pairs` on `kernel`,
+    over the kernel's window ids `base_ids`: every unordered pair
+    materialised at once, with the distance tables built afresh."""
+    S = np.asarray(sorted(int(p) for p in base_ids), dtype=np.int64)
     out = {float(e): [] for e in eps_list}
     if len(S) < 2 or not eps_list:
         return out
     space = kernel.space
     c = space.metric.c
-    D1 = space.ball1.distance_matrix(space.ball1.volume(window_radius))
-    D2 = space.ball2.distance_matrix(
-        space.ball2.volume((c.numerator * window_radius) // c.denominator)
-    )
+    D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
     ia, ib = np.triu_indices(len(S), 1)
     f1 = space.pts1[S]
     f2 = space.pts2[S]
@@ -323,9 +333,10 @@ def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
     got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
     got = {e: _rows(pairs) for e, pairs in got.items()}
     want = _materialised_percolation(
-        ctx.kernel, ctx.window_radius, bases, SeededRandomness(key), eps_list
+        ctx.kernel, _kernel_ids(ctx, bases), SeededRandomness(key), eps_list
     )
-    assert got == want
+    wid = ctx.pctx.window_ids.tolist()
+    assert got == {e: [(wid[a], wid[b]) for a, b in pairs] for e, pairs in want.items()}
     return got
 
 
@@ -392,6 +403,10 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
     key = seed_digest(64, 0)
     bases = _seed_window(f2_ctx, key).bases.tolist()
     pairs = len(bases) * (len(bases) - 1) // 2
+    # At lut = 1 every pair is in the top tier, and a fresh kernel's window
+    # neighbour lists hold more entries than these bases have pairs; they
+    # count against the cap only when built, so build them at the default.
+    build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
     monkeypatch.setattr(f2_ctx.kernel, "cap", pairs)
     assert len(build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])[1.0]) == pairs
     monkeypatch.setattr(f2_ctx.kernel, "cap", pairs - 1)
@@ -399,17 +414,17 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
         build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
 
 
-def _assert_seeds_match_reference(kernel, window_radius, bases, keys, emax) -> list:
-    """One multi-seed `open_pairs` call against the materialised reference
-    of each seed: the same pairs in the same order, with their p and u.
-    Returns the call's rows."""
-    S = np.sort(np.asarray(bases, dtype=np.int64))
+def _assert_seeds_match_reference(kernel, base_ids, keys, emax) -> list:
+    """One multi-seed `open_pairs` call over the kernel's window ids
+    `base_ids` against the materialised reference of each seed: the same
+    pairs in the same order, with their p and u.  Returns the call's rows."""
+    S = np.sort(np.asarray(base_ids, dtype=np.int64))
     got = kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
     assert len(got) == len(keys)
     pd = kernel.digests
     for key, (a, b, u, p) in zip(keys, got):
         rng = SeededRandomness(key)
-        want = _materialised_percolation(kernel, window_radius, bases, rng, [emax])
+        want = _materialised_percolation(kernel, S, rng, [emax])
         assert list(zip(a.tolist(), b.tolist())) == want[float(emax)]
         assert u.tobytes() == rng.uniforms(combine_unordered(pd[a], pd[b]), STREAM_PERCOLATION).tobytes()
         assert p.tobytes() == kernel.prob(a, b).tobytes()
@@ -419,7 +434,7 @@ def _assert_seeds_match_reference(kernel, window_radius, bases, keys, emax) -> l
 def _seeds_match_reference(ctx, bases, keys, emax) -> int:
     """`_assert_seeds_match_reference` on a graphing context's kernel; the
     number of open pairs over all seeds."""
-    got = _assert_seeds_match_reference(ctx.kernel, ctx.window_radius, bases, keys, emax)
+    got = _assert_seeds_match_reference(ctx.kernel, _kernel_ids(ctx, bases), keys, emax)
     return sum(len(a) for a, _, _, _ in got)
 
 
@@ -464,9 +479,12 @@ def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeyp
 def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
     kernel = f2_ctx.kernel
     monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
-    S = np.sort(_seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)
+    S = _kernel_ids(f2_ctx, _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)
     pairs = len(S) * (len(S) - 1) // 2
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
+    # Build the window neighbour lists at the default cap first: at lut = 1
+    # they hold more entries than S has pairs, and are counted only when built.
+    kernel.open_pairs(S, rngs[:1], 1.0)
     monkeypatch.setattr(kernel, "cap", pairs)  # every seed passes `pairs`; together 4x
     assert [len(a) for a, _, _, _ in kernel.open_pairs(S, rngs, 1.0)] == [pairs] * len(rngs)
     monkeypatch.setattr(kernel, "cap", pairs - 1)
@@ -510,7 +528,7 @@ def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
     saved = kernel.lut
     monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
     tiles = _count_tiles(monkeypatch, 4096)
-    S = np.sort(_seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)[:80]
+    S = _kernel_ids(f2_ctx, _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)[:80]
     rngs = [SeededRandomness(MULTI_SEED_KEYS[0])]
     assert len(list(randomness._tiles(0, len(S), True))) == 2
     monkeypatch.setattr(kernel, "cap", 1000)
@@ -523,8 +541,7 @@ def _fresh_window_kernel():
     """A bare-window F2 x F2 kernel at radius 3, c = 1, whose neighbour
     lists are not built yet."""
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    window = ProductSpace(metric, 3)
-    return graphing.PercolationKernel(window, point_digests(window), 3)
+    return graphing.PercolationKernel(metric, 3)
 
 
 def test_window_neighbour_lists_count_against_the_cap(monkeypatch):
@@ -554,8 +571,8 @@ F3 = GroupSpec("free", rank=3)
 
 @pytest.fixture(scope="module", params=["F3xZ-2/3", "F2xF2-3/2"])
 def window_kernel(request):
-    """The baseline's kernel on a bare window, built as in
-    `test_pi2_and_the_baseline_are_one_percolation`, with its window radius.
+    """The baseline's kernel on a radius-3 window, built as in
+    `test_pi2_and_the_baseline_are_one_percolation`.
 
     - F3 x Z at c = 2/3: the heaviest numerator is 3, a step of Z, and not
       the least rho numerator 2, a step of F3.
@@ -566,14 +583,13 @@ def window_kernel(request):
         "F2xF2-3/2": (F2, F2, "3/2"),
     }[request.param]
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
-    window = ProductSpace(metric, 3)
-    return graphing.PercolationKernel(window, point_digests(window), 3), 3
+    return graphing.PercolationKernel(metric, 3)
 
 
 TIER_KEYS = [seed_digest(67, s) for s in range(8)]
 
 
-def _top_tier_opens(kernel, window_radius, emax=1.0) -> dict:
+def _top_tier_opens(kernel, emax=1.0) -> dict:
     """The window's open pairs over `TIER_KEYS` against the reference; the
     number of open pairs at weight p1 whose u is at least emax * p2, by rho
     numerator.  Those pairs fail the tile tier's prefilter, so only the top
@@ -581,7 +597,7 @@ def _top_tier_opens(kernel, window_radius, emax=1.0) -> dict:
     p1 = kernel.lut.max()
     p2 = kernel.lut[kernel.lut < p1].max()
     ids = np.arange(len(kernel.space))
-    got = _assert_seeds_match_reference(kernel, window_radius, ids, TIER_KEYS, emax)
+    got = _assert_seeds_match_reference(kernel, ids, TIER_KEYS, emax)
     space, out = kernel.space, {}
     for a, b, u, p in got:
         sel = (p == p1) & (u >= emax * p2)
@@ -592,21 +608,21 @@ def _top_tier_opens(kernel, window_radius, emax=1.0) -> dict:
 
 
 def test_window_tiers_match_the_reference(window_kernel):
-    kernel, wr = window_kernel
+    kernel = window_kernel
     # The heaviest class is one step of the second factor, rho numerator q.
     [heaviest] = np.flatnonzero(kernel.lut == kernel.lut.max()).tolist()
     assert heaviest == kernel.space.metric.c.denominator
-    assert list(_top_tier_opens(kernel, wr)) == [heaviest]
+    assert list(_top_tier_opens(kernel)) == [heaviest]
 
 
 def test_window_tiers_with_two_classes_tied_at_the_top(window_kernel, monkeypatch):
     # The two heaviest numerators share the top weight: both are listed.
-    kernel, wr = window_kernel
+    kernel = window_kernel
     first, second = np.argsort(-kernel.lut, kind="stable")[:2].tolist()
     lut = kernel.lut.copy()
     lut[second] = lut[first]
     monkeypatch.setattr(kernel, "lut", lut)
-    assert sorted(_top_tier_opens(kernel, wr)) == sorted([first, second])
+    assert sorted(_top_tier_opens(kernel)) == sorted([first, second])
 
 
 def test_percolation_eps_zero_empty(z_ctx):
@@ -656,12 +672,11 @@ def test_percolation_forced_pair_always_open(z_ctx):
 
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
 def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
-    # The baseline's kernel on the bare window opens the same element pairs
-    # among a seed's bases as Pi2 does on W+: one percolation, two point sets.
+    # The baseline's kernel, over every window point, opens the same element
+    # pairs among a seed's bases as Pi2 does: one percolation, two point sets.
     ctx, space = perc_ctx, perc_ctx.pctx.space
-    window = ProductSpace(ctx.metric, ctx.window_radius)
-    sched = ctx.schedule
-    kernel = graphing.PercolationKernel(window, point_digests(window), ctx.window_radius)
+    kernel = graphing.PercolationKernel(ctx.metric, ctx.window_radius)
+    window = kernel.space
     opened = 0
     for s in range(10):
         key = seed_digest(65, s)
@@ -1232,8 +1247,8 @@ def test_baseline_monotone_and_expected_half():
 def test_baseline_row_masses_match_add_at(specs):
     first, second, c = specs
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
-    space = ProductSpace(metric, 3)
-    kernel = graphing.PercolationKernel(space, point_digests(space), 3)
+    kernel = graphing.PercolationKernel(metric, 3)
+    space = kernel.space
     n = len(space)
     D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
     ia, ib = np.triu_indices(n, 1)

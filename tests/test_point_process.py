@@ -139,7 +139,8 @@ def test_the_benchmark_counters_read_what_their_names_say(ctx, z2f2_ctx):
     for c in (ctx, z2f2_ctx):
         cov = c.covering
         assert len(cov) == len(cov.centers) == len(cov.starts) - 1
-        # W+ is sized to the diamond's reach: every point of it covers W.
+        # W+ is sized to the diamond's farthest point; for these two
+        # diamonds every point of it covers W, which need not hold in general.
         assert len(cov) == len(c.space)
         for s in range(5):
             proc = sample_diamond_process(c, seed_digest(3, s))
@@ -183,12 +184,25 @@ def z2f2_ctx():
     return ProcessContext(metric, sched, 2, 3)
 
 
-@pytest.mark.parametrize("which", ["f2", "z2"])
-def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, which):
-    c = ctx if which == "f2" else z2_ctx
-    # W+ is sized to the diamond's reach: every universe point covers W.
+@pytest.fixture(scope="module")
+def f2_n3_ctx(sched):
+    """F2 x F2 at n = 3 and wr 2: the diamond's slice radii are 2, 2, 0, 0,
+    and 324 of the 3,241 points of W+ cover no window point."""
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    return ProcessContext(metric, sched, 3, 2)
+
+
+@pytest.mark.parametrize("which", ["f2", "z2", "f2-n3"])
+def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, f2_n3_ctx, which):
+    c = {"f2": ctx, "z2": z2_ctx, "f2-n3": f2_n3_ctx}[which]
     cov = c.covering
-    assert cov.centers.tolist() == list(range(len(c.space)))
+    # W+ is sized to the diamond's farthest point.  Every point of it covers
+    # W for the first two diamonds; for the third, covering row k is not
+    # point k, so the draw must map rows to centers.
+    if which == "f2-n3":
+        assert (len(cov), len(c.space)) == (2917, 3241)
+    else:
+        assert cov.centers.tolist() == list(range(len(c.space)))
     for s in range(20):
         proc = sample_diamond_process(c, seed_digest(31, s))
         pids, marks = _full_universe_draw(c, seed_digest(31, s))
