@@ -29,8 +29,13 @@ among every point of the window.
 
 Degree estimators use the mass-transport form: the Palm expectation of the
 full degree equals out-degree plus half the percolation degree for the
-forest-plus-percolation union, which is insensitive to boundary flux; the
-raw in/out imbalance is reported separately as the boundary deficit.
+forest-plus-percolation union.  That form is insensitive to the forest's
+in/out flux across the window's boundary, whose raw imbalance is reported
+separately as the boundary deficit.  It does not restore the percolation
+partners that the window cuts off: a pair with an endpoint outside the
+window is never drawn, so an interior point's percolation degree covers
+only the kernel mass inside the window (about 0.83 of it for F2 x F2 at
+the default margin 2), and the estimate is truncated by that much.
 """
 
 from __future__ import annotations
@@ -75,13 +80,6 @@ def _distinct(keys) -> np.ndarray:
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
-def _entries_at(table, value) -> tuple:
-    """The entries of the square array `table` equal to `value`, by row, in
-    CSR form (ptr, cols): row x holds them at columns cols[ptr[x]:ptr[x + 1]]."""
-    rows, cols = np.nonzero(table == value)
-    return np.searchsorted(rows, np.arange(len(table) + 1)), cols
-
-
 class PercolationKernel:
     """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
     percolation they draw on the points of the window.
@@ -97,12 +95,12 @@ class PercolationKernel:
     This class alone holds the pair law and its point set, the window
     `space` = ProductSpace(metric, window_radius) with its point `digests`;
     every point id it takes or returns is a window id.  `prob` is
-    lut[rho1[a1, b1] + rho2[a2, b2]] over window ids, and the Pi2 stage and
-    the coset-line baseline are this one percolation restricted to two
-    point sets.  rho1 and rho2 tabulate the rho_c numerators d*p and d'*q
-    of the window's factor pairs.  The pairs the sampler lists at the
-    heaviest weight and those passing its prefilter count against `cap`,
-    seed by seed.
+    lut[d(a1, b1) p + d'(a2, b2) q] over window ids, with the factor
+    distances computed per pair by each factor ball's `distances` (closed
+    forms; a free product factor reads one capped table), and the Pi2
+    stage and the coset-line baseline are this one percolation restricted
+    to two point sets.  The pairs the sampler lists at the heaviest weight
+    and those passing its prefilter count against `cap`, seed by seed.
     """
 
     def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
@@ -131,15 +129,17 @@ class PercolationKernel:
         self.space = space = ProductSpace(metric, window_radius, cap)
         self.digests = point_digests(space)
         self.cap = cap
-        # Each numerator is at most max_num, so int32 holds them.
-        self.rho1 = space.ball1.distance_matrix() * p
-        self.rho2 = space.ball2.distance_matrix() * q
         self._neighbour_lists = {}
 
     def prob(self, a, b) -> np.ndarray:
-        """p(a, b) for window ids a and b, elementwise."""
+        """p(a, b) for window ids a and b, elementwise: lut at the rho_c
+        numerator d p + d' q of their factor distances."""
         s = self.space
-        return self.lut[self.rho1[s.pts1[a], s.pts1[b]] + self.rho2[s.pts2[a], s.pts2[b]]]
+        c = s.metric.c
+        return self.lut[
+            s.ball1.distances(s.pts1[a], s.pts1[b]) * c.numerator
+            + s.ball2.distances(s.pts2[a], s.pts2[b]) * c.denominator
+        ]
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every pair
@@ -229,7 +229,7 @@ class PercolationKernel:
             for t in range(num // p + 1):
                 if (num - t * p) % q:
                     continue
-                ptr, nbr = self._neighbours(t * p, num - t * p)
+                ptr, nbr = self._neighbours(t, (num - t * p) // q)
                 start = ptr[ids]
                 cnt = ptr[ids + 1] - start
                 if int(cnt.sum()) > self.cap:
@@ -241,23 +241,24 @@ class PercolationKernel:
                 found_b.append(b[keep])
         return np.concatenate(found_a), np.concatenate(found_b)
 
-    def _neighbours(self, num1: int, num2: int) -> tuple:
-        """The window's neighbour lists at rho numerators num1 of the first
-        factor and num2 of the second, in CSR form (ptr, nbr): the window
-        points b with rho1 num1 and rho2 num2 from the point i are
-        nbr[ptr[i]:ptr[i + 1]].  Built once per kernel.
+    def _neighbours(self, t: int, t2: int) -> tuple:
+        """The window's neighbour lists at factor distances t in the first
+        factor and t2 in the second, in CSR form (ptr, nbr): the window
+        points b with d(a1, b1) = t and d'(a2, b2) = t2 from the point a
+        are nbr[ptr[a]:ptr[a + 1]], in rising order.  Built once per kernel.
 
         The candidates of a point are the products of its factor neighbour
-        lists, the ball indices y with rho1[x, y] == num1 and rho2[x, y] ==
-        num2, looked up by key; they are expanded a block of points at a
-        time, at most about `_TILE` candidates per block.  Their total
-        counts against `cap` before any block is expanded.
+        lists (`FactorBall.sphere_neighbours`), looked up by key; they are
+        expanded a block of points at a time, at most about `_TILE`
+        candidates per block.  Their total counts against `cap` before any
+        block is expanded.
         """
-        hit = self._neighbour_lists.get((num1, num2))
+        hit = self._neighbour_lists.get((t, t2))
         if hit is not None:
             return hit
         space = self.space
-        (ptr1, nbr1), (ptr2, nbr2) = _entries_at(self.rho1, num1), _entries_at(self.rho2, num2)
+        ptr1, nbr1 = space.ball1.sphere_neighbours(t)
+        ptr2, nbr2 = space.ball2.sphere_neighbours(t2)
         f1, f2 = space.pts1, space.pts2
         start1, start2 = ptr1[f1], ptr2[f2]
         deg2 = ptr2[f2 + 1] - start2
@@ -280,7 +281,7 @@ class PercolationKernel:
             dst.append(b[keep])
             r0 = r1
         ptr = np.searchsorted(np.concatenate(src), np.arange(len(space) + 1))
-        hit = self._neighbour_lists[num1, num2] = (ptr, np.concatenate(dst))
+        hit = self._neighbour_lists[t, t2] = (ptr, np.concatenate(dst))
         return hit
 
     def row_masses(self, rows) -> np.ndarray:
@@ -292,14 +293,24 @@ class PercolationKernel:
         pairs adds up row i (as first, then as second index), since p is
         symmetric.  `np.cumsum` adds sequentially, so the sums match that
         order bit for bit; rows are taken in tiles of about `_TILE` pairs.
+        Each row's rho numerators are gathered from one row of factor
+        distances per factor, from its point to every element of the ball.
         """
-        n = len(self.space)
+        s = self.space
+        n = len(s)
         out = np.empty(len(rows), dtype=np.float64)
         ring = np.arange(1, n)
         step = max(1, _TILE // (n - 1))
+        p, q = s.metric.c.numerator, s.metric.c.denominator
+        all1, all2 = np.arange(len(s.ball1)), np.arange(len(s.ball2))
         for r0 in range(0, len(rows), step):
             i = rows[r0 : r0 + step, None]
-            out[r0 : r0 + step] = np.cumsum(self.prob(i, (i + ring) % n), axis=1)[:, -1]
+            j = (i + ring) % n
+            k = np.arange(len(i))[:, None]
+            row1 = s.ball1.distances(s.pts1[i], all1) * p
+            row2 = s.ball2.distances(s.pts2[i], all2) * q
+            mass = self.lut[row1[k, s.pts1[j]] + row2[k, s.pts2[j]]]
+            out[r0 : r0 + step] = np.cumsum(mass, axis=1)[:, -1]
         return out
 
 

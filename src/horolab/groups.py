@@ -5,6 +5,11 @@ free/direct products of those.  Every element is a hashable canonical
 form; the Cayley graph is the right-multiplication graph on the symmetric
 standard generating set, so the word metric is left-invariant.
 
+`Oracle.distances` gives the word distances among a list of elements as a
+vectorised function of two index arrays: in closed form for free groups,
+cyclic groups, lattices and direct products, and from one capped table
+(the only one) for free products.
+
 Ball enumeration is plain BFS with a hard element cap; `ball` keeps each
 group's largest enumeration for the process and serves smaller radii as
 its prefixes.  Sphere counts are also available through exact truncated
@@ -171,18 +176,27 @@ class Oracle:
     def distance(self, a, b) -> int:
         return self.length(self.multiply(self.inverse(a), b))
 
-    def distance_matrix(self, elements) -> np.ndarray:
-        """Pairwise word distances among `elements` (int32, symmetric)."""
+    def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
+        """Word distances among `elements`, vectorised: a function of two
+        index arrays i and j (broadcast like numpy's) that returns
+        d(elements[i], elements[j]) elementwise.
+
+        This generic form, which only free products use, tabulates every
+        pair by the multiply-and-length loop into one int32 table of m^2
+        entries (4 bytes each); the entries count against `cap` before it
+        is built.  Every other family computes a pair's distance in closed
+        form and holds O(m) data.
+        """
         m = len(elements)
-        out = np.zeros((m, m), dtype=np.int32)
+        if m * m > cap:
+            raise ResourceCapError("distance table", cap)
+        table = np.zeros((m, m), dtype=np.int32)
         inv = [self.inverse(el) for el in elements]
         for i in range(m):
             a = inv[i]
             for j in range(i + 1, m):
-                d = self.length(self.multiply(a, elements[j]))
-                out[i, j] = d
-                out[j, i] = d
-        return out
+                table[i, j] = table[j, i] = self.length(self.multiply(a, elements[j]))
+        return lambda i, j: table[i, j]
 
 
 class FreeOracle(Oracle):
@@ -213,26 +227,45 @@ class FreeOracle(Oracle):
     def length(self, a):
         return len(a)
 
-    def distance_matrix(self, elements):
+    def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
         """Closed form |x| + |y| - 2 lcp(x, y): the tree path from x to y
-        runs through their longest common prefix."""
+        runs through their longest common prefix.
+
+        Each word is packed into chunks of `per` letters, `bits` bits a
+        letter, first letter highest and 0 past the word's end; a chunk
+        spans at most 53 bits, so it converts to float64 exactly.  Two
+        chunks agree on their leading letters down to the highest set bit
+        of their XOR, whose position is the exponent of that float.  The
+        first chunk that differs ends the common prefix.  A word agrees
+        with itself at every level, so x = y comes out <= 0 and is clipped
+        to 0.  The data is (chunks + 1) * m integers; one chunk holds 26
+        letters at rank 1 and 17 at ranks 2 and 3.
+        """
         m = len(elements)
-        lengths = np.fromiter(map(len, elements), dtype=np.int32, count=m)
-        # prefix[i, k] ids the length-(k+1) prefix of elements[i]; past the
-        # word's end each row gets its own id, so only the diagonal matches.
-        prefix = np.empty((m, int(lengths.max(initial=0))), dtype=np.int32)
-        ids = {}
-        for i, el in enumerate(elements):
-            prefix[i] = -1 - i
-            for k in range(len(el)):
-                prefix[i, k] = ids.setdefault(el[: k + 1], len(ids))
-        out = lengths[:, None] + lengths[None, :]
-        eq = np.empty((m, m), dtype=bool)
-        for col in prefix.T:
-            np.equal(col[:, None], col[None, :], out=eq)
-            np.subtract(out, 2, out=out, where=eq)
-        np.fill_diagonal(out, 0)
-        return out
+        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=m)
+        bits = (2 * self.spec.rank).bit_length()
+        per = 53 // bits
+        chunks = max(1, -(-int(lengths.max(initial=0)) // per))
+        codes = np.zeros((chunks, m), dtype=np.uint64)
+        for k in range(chunks):
+            codes[k] = [
+                sum((2 * x - 1 if x > 0 else -2 * x) << (bits * (per - 1 - s))
+                    for s, x in enumerate(el[k * per : (k + 1) * per]))
+                for el in elements
+            ]
+        # Leading letters two chunks share, by the bit length of their XOR.
+        shared = np.array([per - (e + bits - 1) // bits for e in range(per * bits + 1)])
+
+        def common(k, i, j):
+            return shared[np.frexp((codes[k, i] ^ codes[k, j]).astype(np.float64))[1]]
+
+        def dist(i, j):
+            lcp = common(0, i, j)
+            for k in range(1, chunks):
+                lcp = lcp + (lcp == k * per) * common(k, i, j)
+            return np.maximum(lengths[i] + lengths[j] - 2 * lcp, 0)
+
+        return dist
 
     def sort_key(self, a):
         return (len(a), a)
@@ -279,6 +312,18 @@ class CyclicOracle(Oracle):
 
     def length(self, a):
         return min(a, self.spec.order - a)
+
+    def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
+        """Closed form min(r, q - r) with r = (x - y) mod q, from the m
+        residues."""
+        q = self.spec.order
+        res = np.array(elements, dtype=np.int64)
+
+        def dist(i, j):
+            r = (res[i] - res[j]) % q
+            return np.minimum(r, q - r)
+
+        return dist
 
     def sort_key(self, a):
         return (self.length(a), a)
@@ -329,14 +374,10 @@ class LatticeOracle(Oracle):
     def length(self, a):
         return sum(abs(x) for x in a)
 
-    def distance_matrix(self, elements):
-        """Closed form: the l1 norm of x - y."""
-        m = len(elements)
-        coords = np.array(elements, dtype=np.int32).reshape(m, self.spec.dim)
-        out = np.zeros((m, m), dtype=np.int32)
-        for col in coords.T:
-            out += np.abs(col[:, None] - col[None, :])
-        return out
+    def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
+        """Closed form: the l1 norm of x - y, from the d * m coordinates."""
+        coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.spec.dim).T
+        return lambda i, j: sum(np.abs(col[i] - col[j]) for col in coords)
 
     def sort_key(self, a):
         return (self.length(a),) + a
@@ -383,6 +424,20 @@ class DirectProductOracle(Oracle):
 
     def length(self, a):
         return sum(p.length(x) for p, x in zip(self.parts, a))
+
+    def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
+        """The sum of the parts' distances (the l1 word metric), each over
+        the part's distinct coordinates of `elements`."""
+        parts = []
+        for k, part in enumerate(self.parts):
+            seen = {}
+            codes = np.fromiter(
+                (seen.setdefault(el[k], len(seen)) for el in elements),
+                dtype=np.int64,
+                count=len(elements),
+            )
+            parts.append((codes, part.distances(list(seen), cap)))
+        return lambda i, j: sum(dist(codes[i], codes[j]) for codes, dist in parts)
 
     def sort_key(self, a):
         key = [self.length(a)]

@@ -13,14 +13,17 @@ arrays (through `ragged`, the one ragged expansion).  `ProductSpace`
 materialises one rho_c ball as an indexed point universe (pairs of
 factor-ball indices backed by numpy arrays); windows are index subsets of
 the universe, which keeps every downstream Monte-Carlo kernel
-vectorisable.  `FactorBall.distance_matrix` tabulates a factor ball's
-pairwise word distances through its oracle: in closed form for free groups
-(|x| + |y| - 2 lcp(x, y)) and lattices (the l1 norm of x - y), by the
-generic multiply-and-length loop for the other families.
+vectorisable.  `FactorBall.distances` gives a factor ball's word distances
+per pair of index arrays through its oracle (`Oracle.distances`): in closed
+form for free groups (|x| + |y| - 2 lcp(x, y), from words packed into
+53-bit chunks of letters), lattices (the l1 norm of x - y), cyclic groups
+and direct products, from one capped table for free products.  `FactorBall.sphere_neighbours` lists
+each element's neighbours at one distance, x S_t looked up in the ball.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -184,13 +187,52 @@ class FactorBall:
             raise ResourceCapError(what, cap)
         return ragged(counts, dtype)
 
+    @functools.cached_property
+    def distances(self):
+        """d(elements[i], elements[j]) for index arrays i and j, elementwise
+        (`Oracle.distances` over this ball, built on first use)."""
+        return self.oracle.distances(self.elements, self.cap)
+
     def distance_matrix(self, count=None) -> np.ndarray:
-        """Pairwise word distances among the first `count` elements; the
-        m^2 entries count against the enumeration cap."""
+        """Pairwise word distances among the first `count` elements, as a
+        table from `distances`; the m^2 entries count against the
+        enumeration cap.  The pipeline builds no such table: it is the
+        reference that tests compare per-pair work against."""
         m = len(self.elements) if count is None else count
         if m * m > self.cap:
             raise ResourceCapError("distance table", self.cap)
-        return self.oracle.distance_matrix(self.elements[:m])
+        i = np.arange(m)
+        return self.distances(i[:, None], i[None, :])
+
+    def sphere_neighbours(self, t: int) -> tuple:
+        """The ball indices y with d(x, y) = t of every element x, in CSR
+        form (ptr, nbr): those of elements[x] are nbr[ptr[x]:ptr[x + 1]], in
+        rising order.
+
+        Within the ball's radius they are x s for s in the sphere S_t,
+        looked up in the ball, which drops the products that leave it.  A
+        larger t (up to the ball's diameter) has no sphere in the ball; its
+        lists are read off `distances`, a block of rows at a time.
+        """
+        m = len(self)
+        if t <= self.radius:
+            orc, index = self.oracle, self.index
+            sphere = self.elements[self.volume(t - 1) : self.volume(t)]
+            nbr = np.array(
+                [[index.get(orc.multiply(x, s), -1) for s in sphere] for x in self.elements],
+                dtype=np.int64,
+            ).reshape(m, len(sphere))
+            nbr.sort(axis=1)
+            inside = nbr >= 0
+            return np.concatenate(([0], np.cumsum(inside.sum(axis=1)))), nbr[inside]
+        idx = np.arange(m)
+        step = max(1, (1 << 15) // m)  # about 2**15 distances per block
+        rows, nbr = [], []
+        for r0 in range(0, m, step):
+            r, y = np.nonzero(self.distances(idx[r0 : r0 + step, None], idx) == t)
+            rows.append(r + r0)
+            nbr.append(y)
+        return np.searchsorted(np.concatenate(rows), np.arange(m + 1)), np.concatenate(nbr)
 
 
 class ProductSpace:

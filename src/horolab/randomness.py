@@ -229,10 +229,6 @@ def seed_digest(master_seed: int, seed_index: int) -> int:
 
 
 _TILE = 1 << 15  # pairs hashed per tile of `threshold_pairs`
-# The uint64 words, heads and tmp and the bool below of `threshold_pairs`,
-# of `_TILE` entries each.  No tile reads what an earlier one wrote, so
-# one set serves every call in the process, even interleaved ones.
-_buffers = None
 
 
 def _tiles(rows: int, cols: int, triangle: bool):
@@ -261,9 +257,11 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     uniforms(combine_digests(lo[i], hi[j]), tag) = bits * 2**-53, has
     bits < k.
 
-    Tiles (`_tiles`) are hashed in buffers allocated once per process:
-    `premix` once per row, `combine_into` and `fold_into` once per tile,
-    then `heads_into` per seed, keeping the heads at most `head_limit(k)`.
+    Tiles (`_tiles`) are hashed in four buffers of `_TILE` entries (three
+    uint64 and one bool, about 800 KB), which each draw allocates and
+    frees when it is exhausted or closed: `premix` once per row,
+    `combine_into` and `fold_into` once per tile, then `heads_into` per
+    seed, keeping the heads at most `head_limit(k)`.
     The kept heads are held until `_TILE` of them are, or to the end; then
     the batch is finished (`_passes`) and yielded, and nothing of it is
     held while the next tile is hashed.  Each seed's passes, counted from
@@ -271,12 +269,10 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     check runs after every tile: the held heads bound a seed's passes
     from above, so a batch is also finished when that bound exceeds `cap`.
     """
-    global _buffers
     if not k or not rngs:
         return
-    if _buffers is None or len(_buffers[0]) != _TILE:
-        _buffers = tuple(np.empty(_TILE, dtype=t) for t in (np.uint64,) * 3 + (bool,))
-    words, heads, tmp, below = _buffers
+    words, heads, tmp = (np.empty(_TILE, dtype=np.uint64) for _ in range(3))
+    below = np.empty(_TILE, dtype=bool)
     mixed = premix(lo)
     limit = head_limit(k)
     passed = np.full(len(rngs), counted, dtype=np.int64)  # exact, to the last batch

@@ -291,25 +291,27 @@ def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
 # Percolation stage ----------------------------------------------------------
 
 
+def _rho_nums(space, a, b) -> np.ndarray:
+    """The rho_c numerators d p + d' q of the point pairs (a, b) of
+    `space`, from each factor ball's `distances`."""
+    c = space.metric.c
+    return (
+        space.ball1.distances(space.pts1[a], space.pts1[b]) * c.numerator
+        + space.ball2.distances(space.pts2[a], space.pts2[b]) * c.denominator
+    )
+
+
 def _materialised_percolation(kernel, base_ids, rng, eps_list):
     """Reference for `build_percolation` and `open_pairs` on `kernel`,
     over the kernel's window ids `base_ids`: every unordered pair
-    materialised at once, with the distance tables built afresh."""
+    materialised at once, with its rho numerator from the factor balls'
+    per-pair distances."""
     S = np.asarray(sorted(int(p) for p in base_ids), dtype=np.int64)
     out = {float(e): [] for e in eps_list}
     if len(S) < 2 or not eps_list:
         return out
-    space = kernel.space
-    c = space.metric.c
-    D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
     ia, ib = np.triu_indices(len(S), 1)
-    f1 = space.pts1[S]
-    f2 = space.pts2[S]
-    rho_nums = (
-        D1[f1[ia], f1[ib]].astype(np.int64) * c.numerator
-        + D2[f2[ia], f2[ib]].astype(np.int64) * c.denominator
-    )
-    base_prob = kernel.lut[rho_nums]
+    base_prob = kernel.lut[_rho_nums(kernel.space, S[ia], S[ib])]
     pd = kernel.digests
     u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
     emax = max(eps_list)
@@ -544,6 +546,80 @@ def _fresh_window_kernel():
     return graphing.PercolationKernel(metric, 3)
 
 
+WINDOW_METRICS = {
+    "F2xF2-1": (F2, F2, 1),
+    "F2xF2-3/2": (F2, F2, "3/2"),
+    "Z2xF2-1/2": (Z2, F2, "1/2"),
+}
+
+
+@pytest.mark.parametrize("wr", [3, 4])
+@pytest.mark.parametrize("specs", WINDOW_METRICS.values(), ids=list(WINDOW_METRICS))
+def test_window_neighbour_lists_match_the_distance_tables(specs, wr):
+    first, second, c = specs
+    metric = ProductMetric(make_oracle(first), make_oracle(second), c)
+    kernel = graphing.PercolationKernel(metric, wr)
+    space = kernel.space
+    D1 = space.ball1.distance_matrix()[space.pts1][:, space.pts1]
+    D2 = space.ball2.distance_matrix()[space.pts2][:, space.pts2]
+    # Small distances from the factor spheres; one past the first ball's
+    # radius is read off the per-pair distances.
+    for t, t2 in [(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (space.ball1.radius + 1, 0)]:
+        ptr, nbr = kernel._neighbours(t, t2)
+        rows, cols = np.nonzero((D1 == t) & (D2 == t2))
+        assert ptr.tolist() == np.searchsorted(rows, np.arange(len(space) + 1)).tolist()
+        assert nbr.tolist() == cols.tolist()
+
+
+Z2_STAR_Z3 = GroupSpec(
+    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
+)
+KERNEL_METRICS = {"F2xF2": (F2, F2, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}
+
+
+@pytest.mark.parametrize("specs", KERNEL_METRICS.values(), ids=list(KERNEL_METRICS))
+def test_kernel_weighs_pairs_sharing_one_factor_coordinate(specs):
+    # A shared coordinate is a factor pair x = y, at distance 0; a negative
+    # distance there would shift rho and read another class of lut.
+    first, second, c = specs
+    metric = ProductMetric(make_oracle(first), make_oracle(second), c)
+    kernel = graphing.PercolationKernel(metric, 3)
+    space = kernel.space
+    a, b = np.nonzero((space.pts1[:, None] == space.pts1) ^ (space.pts2[:, None] == space.pts2))
+    a, b = np.concatenate([a, np.arange(len(space))]), np.concatenate([b, np.arange(len(space))])
+    e1, e2 = space.ball1.elements, space.ball2.elements
+    want = [
+        metric.rho_num(
+            metric.first.distance(e1[space.pts1[x]], e1[space.pts1[y]]),
+            metric.second.distance(e2[space.pts2[x]], e2[space.pts2[y]]),
+        )
+        for x, y in zip(a.tolist(), b.tolist())
+    ]
+    assert _rho_nums(space, a, b).tolist() == want
+    assert kernel.prob(a, b).tolist() == kernel.lut[want].tolist()
+    assert min(want[: -len(space)]) > 0
+
+
+def test_an_f2_kernel_at_wr_6_builds_no_square_table():
+    # The F2 ball of radius 6 has 1,457 elements, so the two int32 tables the
+    # kernel once built (rho1 and rho2) held 2 * 1457**2 * 4 B, about 17 MB,
+    # and a cap below 1457**2 refused them.  Built, with its distance data
+    # and neighbour lists in use, the kernel peaked at 3.4-3.7 MB traced.
+    import tracemalloc
+
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    tracemalloc.start()
+    try:
+        kernel = graphing.PercolationKernel(metric, 6, cap=1457**2 - 1)
+        kernel.row_masses(np.arange(3))
+        kernel.open_pairs(np.arange(0, len(kernel.space), 7), [SeededRandomness(1)], 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kernel.space.ball1) == len(kernel.space.ball2) == 1457
+    assert peak < 8 * 2**20
+
+
 def test_window_neighbour_lists_count_against_the_cap(monkeypatch):
     kernel = _fresh_window_kernel()
     ids = np.arange(len(kernel.space))
@@ -601,8 +677,7 @@ def _top_tier_opens(kernel, emax=1.0) -> dict:
     space, out = kernel.space, {}
     for a, b, u, p in got:
         sel = (p == p1) & (u >= emax * p2)
-        num = kernel.rho1[space.pts1[a], space.pts1[b]] + kernel.rho2[space.pts2[a], space.pts2[b]]
-        for n in num[sel].tolist():
+        for n in _rho_nums(space, a, b)[sel].tolist():
             out[n] = out.get(n, 0) + 1
     return out
 
@@ -1248,14 +1323,9 @@ def test_baseline_row_masses_match_add_at(specs):
     first, second, c = specs
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, 3)
-    space = kernel.space
-    n = len(space)
-    D1, D2 = space.ball1.distance_matrix(), space.ball2.distance_matrix()
+    n = len(kernel.space)
     ia, ib = np.triu_indices(n, 1)
-    p = kernel.lut[
-        D1[space.pts1[ia], space.pts1[ib]].astype(np.int64) * metric.c.numerator
-        + D2[space.pts2[ia], space.pts2[ib]].astype(np.int64) * metric.c.denominator
-    ]
+    p = kernel.lut[_rho_nums(kernel.space, ia, ib)]
     want = np.zeros(n, dtype=np.float64)
     np.add.at(want, ia, p)
     np.add.at(want, ib, p)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from horolab import groups, product
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
-from horolab.groups import GroupSpec, Oracle, ball, growth_series, make_oracle
+from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.product import (
     FactorBall,
     ProductMetric,
@@ -209,35 +209,70 @@ def test_product_space_requires_rational():
     assert as_slope("137/100") == Fraction(137, 100)
 
 
-def test_distance_matrix():
+def test_factor_distances():
     fb = FactorBall(make_oracle(F2), 2)
-    D = fb.distance_matrix()
     o = fb.oracle
-    for i in range(0, len(fb), 3):
-        for j in range(0, len(fb), 5):
-            assert D[i, j] == o.distance(fb.elements[i], fb.elements[j])
+    i, j = np.meshgrid(np.arange(0, len(fb), 3), np.arange(0, len(fb), 5), indexing="ij")
+    D = fb.distances(i, j)
+    for a, b, d in zip(i.ravel().tolist(), j.ravel().tolist(), D.ravel().tolist()):
+        assert d == o.distance(fb.elements[a], fb.elements[b])
 
 
-@pytest.mark.parametrize(
-    "spec, radius",
-    [
-        (F2, 4),
-        (GroupSpec("free", rank=3), 3),
-        (Z1, 6),
-        (GroupSpec("integer_lattice", dim=2), 4),
-        (GroupSpec("integer_lattice", dim=3), 3),
-    ],
-    ids=["f2", "f3", "z", "z2", "z3"],
+Z2_SPEC = GroupSpec("integer_lattice", dim=2)
+FREE_PRODUCT = GroupSpec(
+    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
 )
+DISTANCE_FAMILIES = {
+    "f2": (F2, 4),
+    "f3": (GroupSpec("free", rank=3), 3),
+    "z": (Z1, 6),
+    "z2": (Z2_SPEC, 4),
+    "z3": (GroupSpec("integer_lattice", dim=3), 3),
+    "cyclic": (GroupSpec("cyclic", order=7), 3),
+    "f2xz": (GroupSpec("direct_product", factors=(F2, Z1)), 3),
+    "z2*z3": (FREE_PRODUCT, 5),
+    # Words of up to 40 letters take two 53-bit chunks of 2-bit letters.
+    "f1-two-chunks": (GroupSpec("free", rank=1), 40),
+}
+
+
+@pytest.mark.parametrize("spec, radius", DISTANCE_FAMILIES.values(), ids=list(DISTANCE_FAMILIES))
 @pytest.mark.parametrize("prefix", [False, True], ids=["ball", "prefix"])
-def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefix):
+def test_vectorised_distances_match_the_oracle(spec, radius, prefix):
     fb = FactorBall(make_oracle(spec), radius)
-    count = fb.volume(radius - 1) + 1 if prefix else None
-    reference = Oracle.distance_matrix(fb.oracle, fb.elements[:count])
-    D = fb.distance_matrix(count)
-    assert D.dtype == reference.dtype == np.int32
-    assert D.shape == reference.shape == (count or len(fb),) * 2
-    assert (D == reference).all()
+    o = fb.oracle
+    count = fb.volume(radius - 1) + 1 if prefix else len(fb)
+    elements = fb.elements[:count]
+    dist = o.distances(elements)
+    rng = np.random.default_rng(radius)
+    i, j = rng.integers(0, count, 400), rng.integers(0, count, 400)
+    # x = y, and every element against the identity and the last element
+    i = np.concatenate([i, np.arange(count), np.arange(count), np.zeros(count, dtype=np.int64)])
+    j = np.concatenate([j, np.arange(count), np.full(count, count - 1), np.arange(count)])
+    got = dist(i, j)
+    want = [o.distance(elements[a], elements[b]) for a, b in zip(i.tolist(), j.tolist())]
+    assert got.tolist() == want
+    # Broadcast index arrays of different shapes give the same values.
+    rows = dist(i[:5, None], np.arange(count)[None, :])
+    assert rows.shape == (5, count)
+    assert rows.tolist() == [dist(np.full(count, a), np.arange(count)).tolist() for a in i[:5]]
+
+
+def test_direct_product_pairs_sharing_one_coordinate():
+    # A shared coordinate is a pair x = y of one part: it adds 0, never less.
+    fb = FactorBall(make_oracle(DISTANCE_FAMILIES["f2xz"][0]), 3)
+    o = fb.oracle
+    els = fb.elements
+    shared = [
+        (a, b)
+        for a in range(len(fb))
+        for b in range(len(fb))
+        if a != b and (els[a][0] == els[b][0] or els[a][1] == els[b][1])
+    ]
+    i, j = (np.array(col) for col in zip(*shared))
+    assert fb.distances(i, j).tolist() == [
+        o.distance(fb.elements[a], fb.elements[b]) for a, b in shared
+    ]
 
 
 def test_distance_matrix_counts_its_entries_against_the_cap():
@@ -247,6 +282,35 @@ def test_distance_matrix_counts_its_entries_against_the_cap():
         fb.distance_matrix(32)
     with pytest.raises(ResourceCapError, match="distance table"):
         fb.distance_matrix()
+
+
+def test_only_the_free_product_table_counts_against_the_cap():
+    # Closed forms hold O(m) data and take any cap; the free product's one
+    # table of m^2 entries is refused above it, before it is built.
+    for spec, radius in (DISTANCE_FAMILIES["f2"], DISTANCE_FAMILIES["f2xz"]):
+        fb = FactorBall(make_oracle(spec), radius)
+        fb.oracle.distances(fb.elements, cap=1)
+    fb = FactorBall(make_oracle(FREE_PRODUCT), 5)
+    m = len(fb)
+    fb.oracle.distances(fb.elements, cap=m * m)
+    with pytest.raises(ResourceCapError, match="distance table"):
+        fb.oracle.distances(fb.elements, cap=m * m - 1)
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [DISTANCE_FAMILIES[k] for k in ("f2", "z2", "cyclic", "f2xz", "z2*z3")],
+    ids=["f2", "z2", "cyclic", "f2xz", "z2*z3"],
+)
+def test_sphere_neighbours_match_the_distance_table(spec, radius):
+    fb = FactorBall(make_oracle(spec), radius)
+    D = fb.distance_matrix()
+    # Within the radius from the spheres, beyond it (to the diameter) by scan.
+    for t in range(2 * radius + 2):
+        ptr, nbr = fb.sphere_neighbours(t)
+        assert len(ptr) == len(fb) + 1
+        for x in range(len(fb)):
+            assert nbr[ptr[x] : ptr[x + 1]].tolist() == np.flatnonzero(D[x] == t).tolist()
 
 
 @settings(max_examples=60, deadline=None)

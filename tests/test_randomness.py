@@ -262,3 +262,31 @@ def test_threshold_pairs_counts_each_seed_against_the_cap():
     assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=3)) == 3 * 72
     with pytest.raises(ResourceCapError, match="test pairs exceeded the enumeration cap of 75"):
         _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=4)
+
+
+@pytest.mark.parametrize("stop", ["exhausted", "closed-early"])
+def test_no_tile_buffer_outlives_its_draw(stop):
+    # Every pair passes, so the draw yields a batch after each tile.  Its four
+    # tile buffers (3 * 8 + 1 bytes a pair, about 800 KB) live while it runs
+    # and are freed with it, whether it runs out or is closed mid-draw.
+    import tracemalloc
+
+    lo = np.sort(_digests(300, "buffers"))  # 44,850 pairs: two tiles
+    buffers = 25 * randomness._TILE
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        draw = threshold_pairs(
+            lo, lo, THRESHOLD_RNGS, STREAM_PERCOLATION, 1 << 53, 10**9, "test pairs", triangle=True
+        )
+        batch = next(draw)
+        assert tracemalloc.get_traced_memory()[0] - before > buffers
+        if stop == "exhausted":
+            assert len(list(draw)) > 0
+        else:
+            draw.close()
+        del batch
+        assert tracemalloc.get_traced_memory()[0] - before < buffers // 8
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(randomness, "_buffers")
