@@ -209,16 +209,15 @@ def test_product_space_requires_rational():
     assert as_slope("137/100") == Fraction(137, 100)
 
 
-def test_factor_distances():
+def test_distance_matrix():
     fb = FactorBall(make_oracle(F2), 2)
+    D = fb.distance_matrix()
     o = fb.oracle
-    i, j = np.meshgrid(np.arange(0, len(fb), 3), np.arange(0, len(fb), 5), indexing="ij")
-    D = fb.distances(i, j)
-    for a, b, d in zip(i.ravel().tolist(), j.ravel().tolist(), D.ravel().tolist()):
-        assert d == o.distance(fb.elements[a], fb.elements[b])
+    for i in range(0, len(fb), 3):
+        for j in range(0, len(fb), 5):
+            assert D[i, j] == o.distance(fb.elements[i], fb.elements[j])
 
 
-Z2_SPEC = GroupSpec("integer_lattice", dim=2)
 FREE_PRODUCT = GroupSpec(
     "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
 )
@@ -226,7 +225,7 @@ DISTANCE_FAMILIES = {
     "f2": (F2, 4),
     "f3": (GroupSpec("free", rank=3), 3),
     "z": (Z1, 6),
-    "z2": (Z2_SPEC, 4),
+    "z2": (GroupSpec("integer_lattice", dim=2), 4),
     "z3": (GroupSpec("integer_lattice", dim=3), 3),
     "cyclic": (GroupSpec("cyclic", order=7), 3),
     "f2xz": (GroupSpec("direct_product", factors=(F2, Z1)), 3),
@@ -238,41 +237,20 @@ DISTANCE_FAMILIES = {
 
 @pytest.mark.parametrize("spec, radius", DISTANCE_FAMILIES.values(), ids=list(DISTANCE_FAMILIES))
 @pytest.mark.parametrize("prefix", [False, True], ids=["ball", "prefix"])
-def test_vectorised_distances_match_the_oracle(spec, radius, prefix):
+def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefix):
+    # Every pair, so x = y on the diagonal and, in a direct product, the
+    # pairs that share one coordinate (a part's x = y) are all compared.
     fb = FactorBall(make_oracle(spec), radius)
-    o = fb.oracle
+    o, els = fb.oracle, fb.elements
     count = fb.volume(radius - 1) + 1 if prefix else len(fb)
-    elements = fb.elements[:count]
-    dist = o.distances(elements)
+    reference = np.array([[o.distance(x, y) for y in els[:count]] for x in els[:count]])
+    D = fb.distance_matrix(count if prefix else None)
+    assert D.shape == reference.shape == (count, count)
+    assert (D == reference).all()
+    # Random index pairs as two flat arrays, the form `prob` passes.
     rng = np.random.default_rng(radius)
     i, j = rng.integers(0, count, 400), rng.integers(0, count, 400)
-    # x = y, and every element against the identity and the last element
-    i = np.concatenate([i, np.arange(count), np.arange(count), np.zeros(count, dtype=np.int64)])
-    j = np.concatenate([j, np.arange(count), np.full(count, count - 1), np.arange(count)])
-    got = dist(i, j)
-    want = [o.distance(elements[a], elements[b]) for a, b in zip(i.tolist(), j.tolist())]
-    assert got.tolist() == want
-    # Broadcast index arrays of different shapes give the same values.
-    rows = dist(i[:5, None], np.arange(count)[None, :])
-    assert rows.shape == (5, count)
-    assert rows.tolist() == [dist(np.full(count, a), np.arange(count)).tolist() for a in i[:5]]
-
-
-def test_direct_product_pairs_sharing_one_coordinate():
-    # A shared coordinate is a pair x = y of one part: it adds 0, never less.
-    fb = FactorBall(make_oracle(DISTANCE_FAMILIES["f2xz"][0]), 3)
-    o = fb.oracle
-    els = fb.elements
-    shared = [
-        (a, b)
-        for a in range(len(fb))
-        for b in range(len(fb))
-        if a != b and (els[a][0] == els[b][0] or els[a][1] == els[b][1])
-    ]
-    i, j = (np.array(col) for col in zip(*shared))
-    assert fb.distances(i, j).tolist() == [
-        o.distance(fb.elements[a], fb.elements[b]) for a, b in shared
-    ]
+    assert (fb.distances(i, j) == reference[i, j]).all()
 
 
 def test_distance_matrix_counts_its_entries_against_the_cap():
