@@ -223,6 +223,10 @@ def write_records(path, cls, records, omit=()):
     write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
+def write_plot(out, rows):
+    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], rows)
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -405,7 +409,7 @@ def run_growth(run: Run, out: Path):
             "rate_estimate": g.growth_rate_estimates[-1],
         }
     write_json(out / "summary.json", summary)
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
 
 
 def run_schedule(run: Run, out: Path):
@@ -427,7 +431,7 @@ def run_schedule(run: Run, out: Path):
     )
     plot = [["f", t, sched.f[t], 0] for t in range(len(sched.f))]
     plot += [["g", t, float(sched.g[t]), 0] for t in range(len(sched.g))]
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
 
 
 def run_diamond(run: Run, out: Path):
@@ -475,7 +479,7 @@ def run_diamond(run: Run, out: Path):
         plot.append(["dominance_ratio", r.n, float(r.ratio), 0])
     sandwich = _run_sandwich_scenarios(run, out)
     summary = {"n_values": n_values, "schedule_source": sched.source, "sandwich": sandwich}
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
     write_json(out / "summary.json", summary)
 
 
@@ -551,7 +555,7 @@ def run_process(run: Run, out: Path):
         ["n", "T", "hitting_count", "volume", "ratio", "lower_bound"],
         hit_rows,
     )
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
     summary = {
         "window_points": len(ctx.window_ids),
         "diamond_volume": ctx.volume,
@@ -602,7 +606,7 @@ def run_graphing(run: Run, out: Path):
         plot.append(
             ["half_degree_" + st["stage"], sub["eps"], st["half_degree_mean"], st["half_degree_se"]]
         )
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
     if rep.pi1_interior_violations:
         seeds = [r.seed for r in rep.runs if r.pi1_interior_violations]
         raise InvariantViolation(
@@ -633,7 +637,7 @@ def run_touching(run: Run, out: Path):
         if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
             raise InvariantViolation(f"touching trace {name} violated its bound")
     write_csv(out / "traces.csv", ["scenario", "j", "rho", "d_theta1", "d_theta2"], rows)
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
     write_json(out / "summary.json", summary)
 
 
@@ -644,7 +648,7 @@ def run_prop13(run: Run, out: Path):
         ["largest_fraction", r.eps, r.largest_fraction_mean, r.largest_fraction_se]
         for r in rep.rows
     ] + [["half_degree", r.eps, r.half_degree_mean, r.half_degree_se] for r in rep.rows]
-    write_csv(out / "plot.csv", ["series", "x", "y", "y_err"], plot)
+    write_plot(out, plot)
     summary = {
         "line_partition_ok": rep.line_partition_ok,
         "monotone_violations": rep.monotone_violations,

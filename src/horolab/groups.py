@@ -192,8 +192,7 @@ class Oracle:
             raise ResourceCapError("distance table", cap)
         table = np.zeros((m, m), dtype=np.int32)
         inv = [self.inverse(el) for el in elements]
-        for i in range(m):
-            a = inv[i]
+        for i, a in enumerate(inv):
             for j in range(i + 1, m):
                 table[i, j] = table[j, i] = self.length(self.multiply(a, elements[j]))
         return lambda i, j: table[i, j]
@@ -228,42 +227,24 @@ class FreeOracle(Oracle):
         return len(a)
 
     def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
-        """Closed form |x| + |y| - 2 lcp(x, y): the tree path from x to y
-        runs through their longest common prefix.
-
-        Each word is packed into chunks of `per` letters, `bits` bits a
-        letter, first letter highest and 0 past the word's end; a chunk
-        spans at most 53 bits, so it converts to float64 exactly.  Two
-        chunks agree on their leading letters down to the highest set bit
-        of their XOR, whose position is the exponent of that float.  The
-        first chunk that differs ends the common prefix.  A word agrees
-        with itself at every level, so x = y comes out <= 0 and is clipped
-        to 0.  The data is (chunks + 1) * m integers; one chunk holds 26
-        letters at rank 1 and 17 at ranks 2 and 3.
-        """
+        """Closed form |x| + |y| - 2 lcp(x, y), the tree path through the
+        longest common prefix: prefix[k, i] is the id of elements[i]'s
+        length-(k + 1) prefix, one id per distinct prefix, or past the word's
+        end -1 - i, which no other word shares.  Two words agree at lcp
+        levels and a word with itself at all, so x = y gives <= 0, clipped
+        to 0.  Any list of words will do, repeats included."""
         m = len(elements)
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=m)
-        bits = (2 * self.spec.rank).bit_length()
-        per = 53 // bits
-        chunks = max(1, -(-int(lengths.max(initial=0)) // per))
-        codes = np.zeros((chunks, m), dtype=np.uint64)
-        for k in range(chunks):
-            codes[k] = [
-                sum((2 * x - 1 if x > 0 else -2 * x) << (bits * (per - 1 - s))
-                    for s, x in enumerate(el[k * per : (k + 1) * per]))
-                for el in elements
-            ]
-        # Leading letters two chunks share, by the bit length of their XOR.
-        shared = np.array([per - (e + bits - 1) // bits for e in range(per * bits + 1)])
-
-        def common(k, i, j):
-            return shared[np.frexp((codes[k, i] ^ codes[k, j]).astype(np.float64))[1]]
+        levels = int(lengths.max(initial=0))
+        prefix = np.empty((levels, m), dtype=np.int32)
+        ids = {}
+        for i, el in enumerate(elements):
+            for k in range(levels):
+                prefix[k, i] = ids.setdefault(el[: k + 1], len(ids)) if k < len(el) else -1 - i
 
         def dist(i, j):
-            lcp = common(0, i, j)
-            for k in range(1, chunks):
-                lcp = lcp + (lcp == k * per) * common(k, i, j)
-            return np.maximum(lengths[i] + lengths[j] - 2 * lcp, 0)
+            agree = sum(prefix[k, i] == prefix[k, j] for k in range(levels))
+            return np.maximum(lengths[i] + lengths[j] - 2 * agree, 0)
 
         return dist
 

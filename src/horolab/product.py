@@ -15,10 +15,10 @@ factor-ball indices backed by numpy arrays); windows are index subsets of
 the universe, which keeps every downstream Monte-Carlo kernel
 vectorisable.  `FactorBall.distances` gives a factor ball's word distances
 per pair of index arrays through its oracle (`Oracle.distances`): in closed
-form for free groups (|x| + |y| - 2 lcp(x, y), from words packed into
-53-bit chunks of letters), lattices (the l1 norm of x - y), cyclic groups
-and direct products, from one capped table for free products.  `FactorBall.sphere_neighbours` lists
-each element's neighbours at one distance, x S_t looked up in the ball.
+form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
+lattices (the l1 norm of x - y), cyclic groups and direct products, from
+one capped table for free products.  `FactorBall.sphere_neighbours` lists
+each element's neighbours at one distance, x S_t from `quotient_table`.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ class FactorBall:
 
     def distance_matrix(self, count=None) -> np.ndarray:
         """Pairwise word distances among the first `count` elements, as a
-        table from `distances`; the m^2 entries count against the
-        enumeration cap.  The pipeline builds no such table: it is the
-        reference that tests compare per-pair work against."""
+        table from `distances`; the m^2 entries count against the cap.  Kept
+        only because perfbench/layers.py times the traced name
+        `product.FactorBall.distance_matrix`; it goes with that name."""
         m = len(self.elements) if count is None else count
         if m * m > self.cap:
             raise ResourceCapError("distance table", self.cap)
@@ -209,19 +209,14 @@ class FactorBall:
         form (ptr, nbr): those of elements[x] are nbr[ptr[x]:ptr[x + 1]], in
         rising order.
 
-        Within the ball's radius they are x s for s in the sphere S_t,
-        looked up in the ball, which drops the products that leave it.  A
-        larger t (up to the ball's diameter) has no sphere in the ball; its
-        lists are read off `distances`, a block of rows at a time.
+        Within the ball's radius they are x s^-1 for s in the sphere S_t (S_t
+        holds each s^-1), S_t's columns of `quotient_table`, less those that
+        leave the ball.  A larger t (up to the ball's diameter) has no sphere
+        in the ball; its lists are read off `distances`, a block at a time.
         """
         m = len(self)
         if t <= self.radius:
-            orc, index = self.oracle, self.index
-            sphere = self.elements[self.volume(t - 1) : self.volume(t)]
-            nbr = np.array(
-                [[index.get(orc.multiply(x, s), -1) for s in sphere] for x in self.elements],
-                dtype=np.int64,
-            ).reshape(m, len(sphere))
+            nbr = self.quotient_table(m, self.volume(t))[:, self.volume(t - 1) :]
             nbr.sort(axis=1)
             inside = nbr >= 0
             return np.concatenate(([0], np.cumsum(inside.sum(axis=1)))), nbr[inside]

@@ -560,8 +560,8 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr):
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, wr)
     space = kernel.space
-    D1 = space.ball1.distance_matrix()[space.pts1][:, space.pts1]
-    D2 = space.ball2.distance_matrix()[space.pts2][:, space.pts2]
+    D1 = space.ball1.distances(space.pts1[:, None], space.pts1)
+    D2 = space.ball2.distances(space.pts2[:, None], space.pts2)
     # Small distances from the factor spheres; one past the first ball's
     # radius is read off the per-pair distances.
     for t, t2 in [(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (space.ball1.radius + 1, 0)]:

@@ -230,8 +230,7 @@ DISTANCE_FAMILIES = {
     "cyclic": (GroupSpec("cyclic", order=7), 3),
     "f2xz": (GroupSpec("direct_product", factors=(F2, Z1)), 3),
     "z2*z3": (FREE_PRODUCT, 5),
-    # Words of up to 40 letters take two 53-bit chunks of 2-bit letters.
-    "f1-two-chunks": (GroupSpec("free", rank=1), 40),
+    "f1-long-words": (GroupSpec("free", rank=1), 40),
 }
 
 
@@ -244,13 +243,48 @@ def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefi
     o, els = fb.oracle, fb.elements
     count = fb.volume(radius - 1) + 1 if prefix else len(fb)
     reference = np.array([[o.distance(x, y) for y in els[:count]] for x in els[:count]])
-    D = fb.distance_matrix(count if prefix else None)
+    grid = np.arange(count)
+    D = fb.distances(grid[:, None], grid)
     assert D.shape == reference.shape == (count, count)
     assert (D == reference).all()
     # Random index pairs as two flat arrays, the form `prob` passes.
     rng = np.random.default_rng(radius)
     i, j = rng.integers(0, count, 400), rng.integers(0, count, 400)
     assert (fb.distances(i, j) == reference[i, j]).all()
+
+
+@st.composite
+def reduced_word_lists(draw):
+    """(rank, words): reduced words of rank 1 to 3 and 0 to 40 letters, cut
+    from a few stems so that they share long prefixes, with repeats, in any
+    order, and not closed under prefixes."""
+    rank = draw(st.integers(1, 3))
+    letters = [x for g in range(1, rank + 1) for x in (g, -g)]
+    stems = []
+    for steps in draw(st.lists(st.lists(st.integers(0, 5), max_size=40), min_size=1, max_size=4)):
+        word = []
+        for s in steps:
+            allowed = [x for x in letters if not word or x != -word[-1]]
+            word.append(allowed[s % len(allowed)])
+        stems.append(tuple(word))
+    cuts = st.tuples(st.sampled_from(stems), st.integers(0, 40))
+    return rank, [stem[:n] for stem, n in draw(st.lists(cuts, min_size=1, max_size=12))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduced_word_lists())
+def test_free_distances_match_the_oracle_loop(case):
+    rank, words = case
+    o = make_oracle(GroupSpec("free", rank=rank))
+    dist = o.distances(words)
+    reference = np.array([[o.distance(x, y) for y in words] for x in words])
+    # Flat index pairs, the form `prob` passes, in a shuffled order.
+    order = np.random.default_rng(len(words)).permutation(len(words) ** 2)
+    i, j = np.divmod(order, len(words))
+    assert dist(i, j).tolist() == reference[i, j].tolist()
+    # A column against a row, the form `row_masses` passes.
+    grid = np.arange(len(words))
+    assert dist(grid[:, None], grid).tolist() == reference.tolist()
 
 
 def test_distance_matrix_counts_its_entries_against_the_cap():
@@ -282,7 +316,8 @@ def test_only_the_free_product_table_counts_against_the_cap():
 )
 def test_sphere_neighbours_match_the_distance_table(spec, radius):
     fb = FactorBall(make_oracle(spec), radius)
-    D = fb.distance_matrix()
+    grid = np.arange(len(fb))
+    D = fb.distances(grid[:, None], grid)
     # Within the radius from the spheres, beyond it (to the diameter) by scan.
     for t in range(2 * radius + 2):
         ptr, nbr = fb.sphere_neighbours(t)
