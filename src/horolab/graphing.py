@@ -25,7 +25,8 @@ when the first factor is free.
 
 `PercolationKernel` owns the pair law and draws the one percolation: the
 Pi2 stage opens it among a seed's base points, and the coset-line baseline
-among every point of the window.
+among every point of the window.  Its window pairs at the heaviest weight
+are listed once and filtered seed by seed.
 
 Degree estimators use the mass-transport form: the Palm expectation of the
 full degree equals out-degree plus half the percolation degree for the
@@ -99,8 +100,9 @@ class PercolationKernel:
     distances computed per pair by each factor ball's `distances` (closed
     forms; a free product factor reads one capped table), and the Pi2
     stage and the coset-line baseline are this one percolation restricted
-    to two point sets.  The pairs the sampler lists at the heaviest weight
-    and those passing its prefilter count against `cap`, seed by seed.
+    to two point sets.  The window pairs at the heaviest weight are listed
+    once per kernel and filtered per seed; each seed's listed pairs and
+    prefilter passes count against `cap`.
     """
 
     def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
@@ -129,7 +131,7 @@ class PercolationKernel:
         self.space = space = ProductSpace(metric, window_radius, cap)
         self.digests = point_digests(space)
         self.cap = cap
-        self._neighbour_lists = {}
+        self._pair_lists = {}
 
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for window ids a and b, elementwise: lut at the rho_c
@@ -153,9 +155,9 @@ class PercolationKernel:
         heaviest weight p1 = max(lut) and the next one p2 (0 when there is
         none):
 
-        - Top tier: the pairs at weight p1 are listed from the window's
-          neighbour lists (`_top_pairs`), and each seed tests them exactly,
-          u < emax * p1, through `uniforms`.
+        - Top tier: the pairs at weight p1 are the window's pair lists at
+          p1 with both ends in `ids` (`_top_pairs`), and each seed tests
+          them exactly, u < emax * p1, through `uniforms`.
         - Tile tier: every other pair's emax * p is at most t = emax * p2,
           since float rounding is monotone.  With the points sorted by
           digest, `combine_unordered` is `combine_digests` of a pair's row
@@ -164,7 +166,7 @@ class PercolationKernel:
           is 0.  The refinement keeps those with u < emax * p and p < p1
           (the top tier decided p1), reading p through `prob`.
         The listed pairs and the tile tier's passes count against `cap`,
-        seed by seed: more than `cap` for one seed raise ResourceCapError.
+        seed by seed (more raise ResourceCapError); the pair lists, once.
         """
         digests = self.digests[ids]
         order = np.argsort(digests, kind="stable")
@@ -211,51 +213,40 @@ class PercolationKernel:
         ]
 
     def _top_pairs(self, ids, p1: float) -> tuple:
-        """The pairs a < b of the sorted window ids `ids` at weight p1, as
-        two window id arrays in no set order.
+        """The pairs a < b of the window ids `ids` at weight p1, as two
+        window id arrays in no set order.
 
         A pair weighs p1 when its rho numerator t p + t2 q has lut value
-        p1, with t and t2 the pair's factor distances; the pairs of each
-        such decomposition are read off its neighbour lists (`_neighbours`).
-        A decomposition's neighbours of `ids`, before the pairs a < b
-        within `ids` are kept, count against `cap`.
+        p1, with t and t2 the pair's factor distances; the window pairs of
+        each such decomposition (`_pairs_at`) are kept when both their ends
+        are in `ids`.
         """
         p, q = self.space.metric.c.numerator, self.space.metric.c.denominator
         inside = np.zeros(len(self.space), dtype=bool)
         inside[ids] = True
-        none = np.zeros(0, dtype=np.int64)
-        found_a, found_b = [none], [none]
+        found = [(np.zeros(0, dtype=np.int64),) * 2]
         for num in np.flatnonzero(self.lut == p1).tolist():
             for t in range(num // p + 1):
                 if (num - t * p) % q:
                     continue
-                ptr, nbr = self._neighbours(t, (num - t * p) // q)
-                start = ptr[ids]
-                cnt = ptr[ids + 1] - start
-                if int(cnt.sum()) > self.cap:
-                    raise ResourceCapError("percolation pairs (top-tier listing)", self.cap)
-                owner, rank = ragged(cnt)
-                a, b = ids[owner], nbr[start[owner] + rank]
-                keep = inside[b] & (b > a)
-                found_a.append(a[keep])
-                found_b.append(b[keep])
-        return np.concatenate(found_a), np.concatenate(found_b)
+                a, b = self._pairs_at(t, (num - t * p) // q)
+                keep = inside[a] & inside[b]
+                found.append((a[keep], b[keep]))
+        return tuple(map(np.concatenate, zip(*found)))
 
-    def _neighbours(self, t: int, t2: int) -> tuple:
-        """The window's neighbour lists at factor distances t in the first
-        factor and t2 in the second, in CSR form (ptr, nbr): the window
-        points b with d(a1, b1) = t and d'(a2, b2) = t2 from the point a
-        are nbr[ptr[a]:ptr[a + 1]], in rising order.  Built once per kernel.
+    def _pairs_at(self, t: int, t2: int) -> tuple:
+        """The window pairs a < b at factor distances t in the first factor
+        and t2 in the second, as two window id arrays, by a then b.  Built
+        once per kernel.
 
-        The candidates of a point are the products of its factor neighbour
-        lists (`FactorBall.sphere_neighbours`), looked up by key; they are
-        expanded a block of points at a time, at most about `_TILE`
-        candidates per block.  Their total counts against `cap` before any
-        block is expanded.
+        The candidates b of a point a are the products of its factor
+        neighbour lists (`FactorBall.sphere_neighbours`), looked up by key;
+        they are expanded a block of points at a time, at most about
+        `_TILE` candidates per block, and those with b > a kept (a miss is
+        -1).  All candidates count against `cap` before any is expanded.
         """
-        hit = self._neighbour_lists.get((t, t2))
-        if hit is not None:
-            return hit
+        if (t, t2) in self._pair_lists:
+            return self._pair_lists[t, t2]
         space = self.space
         ptr1, nbr1 = space.ball1.sphere_neighbours(t)
         ptr2, nbr2 = space.ball2.sphere_neighbours(t2)
@@ -264,9 +255,9 @@ class PercolationKernel:
         deg2 = ptr2[f2 + 1] - start2
         cnt = (ptr1[f1 + 1] - start1) * deg2
         ends = np.cumsum(cnt)
-        if len(ends) and int(ends[-1]) > self.cap:
-            raise ResourceCapError("percolation pairs (window neighbour lists)", self.cap)
-        src, dst = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        if int(ends[-1]) > self.cap:  # the window holds its origin, so ends is not empty
+            raise ResourceCapError("percolation pairs (window pair lists)", self.cap)
+        src, dst = [], []
         r0 = 0
         while r0 < len(space):
             done = ends[r0 - 1] if r0 else 0
@@ -276,12 +267,11 @@ class PercolationKernel:
             y1 = nbr1[start1[r] + off // deg2[r]]
             y2 = nbr2[start2[r] + off % deg2[r]]
             b = space.lookup(y1, y2)
-            keep = b >= 0
+            keep = b > r
             src.append(r[keep])
             dst.append(b[keep])
             r0 = r1
-        ptr = np.searchsorted(np.concatenate(src), np.arange(len(space) + 1))
-        hit = self._neighbour_lists[t, t2] = (ptr, np.concatenate(dst))
+        hit = self._pair_lists[t, t2] = (np.concatenate(src), np.concatenate(dst))
         return hit
 
     def row_masses(self, rows) -> np.ndarray:
@@ -1099,7 +1089,7 @@ def coset_line_baseline(
     n = len(space)
     ball1 = space.ball1
     # First-ball index of y * gen: the quotient y * (gen^-1)^-1.
-    succ = ball1.quotient_table(len(ball1), ball1.volume(1))[:, ball1.index[first.inverse(gen)]]
+    succ = ball1.quotient_table(len(ball1), [first.inverse(gen)])[:, 0]
     tgt = space.lookup(succ[space.pts1], space.pts2)
     src = np.flatnonzero(tgt >= 0)
     lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])

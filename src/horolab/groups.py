@@ -243,8 +243,10 @@ class FreeOracle(Oracle):
                 prefix[k, i] = ids.setdefault(el[: k + 1], len(ids)) if k < len(el) else -1 - i
 
         def dist(i, j):
-            agree = sum(prefix[k, i] == prefix[k, j] for k in range(levels))
-            return np.maximum(lengths[i] + lengths[j] - 2 * agree, 0)
+            d = lengths[i] + lengths[j]
+            for ids_k in prefix:
+                d -= 2 * (ids_k[i] == ids_k[j])
+            return np.maximum(d, 0)
 
         return dist
 
@@ -358,7 +360,14 @@ class LatticeOracle(Oracle):
     def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
         """Closed form: the l1 norm of x - y, from the d * m coordinates."""
         coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.spec.dim).T
-        return lambda i, j: sum(np.abs(col[i] - col[j]) for col in coords)
+
+        def dist(i, j):
+            d = np.abs(coords[0, i] - coords[0, j])
+            for col in coords[1:]:
+                d += np.abs(col[i] - col[j])
+            return d
+
+        return dist
 
     def sort_key(self, a):
         return (self.length(a),) + a

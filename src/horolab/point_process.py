@@ -155,8 +155,8 @@ class ProcessContext:
         if len(wid) * len(off1) > cap:
             raise ResourceCapError("covering map (window points x diamond offsets)", cap)
         w1, w2 = space.pts1[wid], space.pts2[wid]
-        q1 = space.ball1.quotient_table(int(w1.max()) + 1, int(off1.max()) + 1)
-        q2 = space.ball2.quotient_table(int(w2.max()) + 1, int(off2.max()) + 1)
+        q1 = space.ball1.quotient_table(w1.max() + 1, space.ball1.elements[: off1.max() + 1])
+        q2 = space.ball2.quotient_table(w2.max() + 1, space.ball2.elements[: off2.max() + 1])
         # A factor quotient outside its ball is -1, which misses like any
         # center outside W+.
         pids = space.lookup(q1[w1][:, off1], q2[w2][:, off2]).ravel()

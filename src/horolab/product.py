@@ -18,7 +18,7 @@ per pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
 lattices (the l1 norm of x - y), cyclic groups and direct products, from
 one capped table for free products.  `FactorBall.sphere_neighbours` lists
-each element's neighbours at one distance, x S_t from `quotient_table`.
+each element's neighbours at distance t, the `quotient_table` of S_t.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import InputError, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries, Oracle, ball
+from .randomness import _TILE
 
 
 def as_slope(c) -> Fraction:
@@ -165,11 +166,11 @@ class FactorBall:
     def words(self):
         return [self.oracle.word_str(el) for el in self.elements]
 
-    def quotient_table(self, rows: int, cols: int) -> np.ndarray:
-        """Index of elements[i] * elements[j]^-1 for i < rows, j < cols;
-        -1 where the product leaves the ball."""
+    def quotient_table(self, rows: int, cols) -> np.ndarray:
+        """Index of elements[i] * c^-1 for i < rows, one column per element
+        c of `cols`; -1 where the product leaves the ball."""
         orc = self.oracle
-        inv = [orc.inverse(el) for el in self.elements[:cols]]
+        inv = [orc.inverse(el) for el in cols]
         return np.array(
             [[self.index.get(orc.multiply(y, v), -1) for v in inv] for y in self.elements[:rows]],
             dtype=np.int64,
@@ -210,18 +211,18 @@ class FactorBall:
         rising order.
 
         Within the ball's radius they are x s^-1 for s in the sphere S_t (S_t
-        holds each s^-1), S_t's columns of `quotient_table`, less those that
+        holds each s^-1), `quotient_table` of S_t's columns, less those that
         leave the ball.  A larger t (up to the ball's diameter) has no sphere
-        in the ball; its lists are read off `distances`, a block at a time.
+        in the ball; its lists are read off `distances`, _TILE at a time.
         """
         m = len(self)
         if t <= self.radius:
-            nbr = self.quotient_table(m, self.volume(t))[:, self.volume(t - 1) :]
+            nbr = self.quotient_table(m, self.elements[self.volume(t - 1) : self.volume(t)])
             nbr.sort(axis=1)
             inside = nbr >= 0
             return np.concatenate(([0], np.cumsum(inside.sum(axis=1)))), nbr[inside]
         idx = np.arange(m)
-        step = max(1, (1 << 15) // m)  # about 2**15 distances per block
+        step = max(1, _TILE // m)
         rows, nbr = [], []
         for r0 in range(0, m, step):
             r, y = np.nonzero(self.distances(idx[r0 : r0 + step, None], idx) == t)

@@ -266,8 +266,9 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     the batch is finished (`_passes`) and yielded, and nothing of it is
     held while the next tile is hashed.  Each seed's passes, counted from
     `counted`, may not exceed `cap` (ResourceCapError names `what`).  The
-    check runs after every tile: the held heads bound a seed's passes
-    from above, so a batch is also finished when that bound exceeds `cap`.
+    check runs after every tile: the passes so far plus all held heads
+    bound every seed's passes from above, so a batch is also finished when
+    that bound exceeds `cap`.
     """
     if not k or not rngs:
         return
@@ -276,9 +277,8 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     mixed = premix(lo)
     limit = head_limit(k)
     passed = np.full(len(rngs), counted, dtype=np.int64)  # exact, to the last batch
-    ceiling = passed.tolist()  # passes plus held heads, per seed
     held = []
-    count = 0  # heads held
+    count = 0  # heads held, of every seed
     for i0, i1, j0, j1 in _tiles(len(lo), len(hi), triangle):
         shape = (i1 - i0, j1 - j0)
         size = shape[0] * shape[1]
@@ -292,10 +292,9 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
             if len(pos):
                 held.append((s, i0, j0, shape[1], pos, d[pos]))
                 count += len(pos)
-                ceiling[s] += len(pos)
-        if count >= _TILE or max(ceiling) > cap:
+        if count >= _TILE or passed.max() + count > cap:
             yield _passes(held, passed, k, triangle, cap, what)
-            count, ceiling = 0, passed.tolist()
+            count = 0
     if held:
         yield _passes(held, passed, k, triangle, cap, what)
 

@@ -406,7 +406,7 @@ def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
     bases = _seed_window(f2_ctx, key).bases.tolist()
     pairs = len(bases) * (len(bases) - 1) // 2
     # At lut = 1 every pair is in the top tier, and a fresh kernel's window
-    # neighbour lists hold more entries than these bases have pairs; they
+    # pair lists hold more candidates than these bases have pairs; they
     # count against the cap only when built, so build them at the default.
     build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
     monkeypatch.setattr(f2_ctx.kernel, "cap", pairs)
@@ -484,8 +484,8 @@ def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
     S = _kernel_ids(f2_ctx, _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)
     pairs = len(S) * (len(S) - 1) // 2
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
-    # Build the window neighbour lists at the default cap first: at lut = 1
-    # they hold more entries than S has pairs, and are counted only when built.
+    # Build the window pair lists at the default cap first: at lut = 1 they
+    # hold more candidates than S has pairs, and are counted only when built.
     kernel.open_pairs(S, rngs[:1], 1.0)
     monkeypatch.setattr(kernel, "cap", pairs)  # every seed passes `pairs`; together 4x
     assert [len(a) for a, _, _, _ in kernel.open_pairs(S, rngs, 1.0)] == [pairs] * len(rngs)
@@ -540,8 +540,8 @@ def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
 
 
 def _fresh_window_kernel():
-    """A bare-window F2 x F2 kernel at radius 3, c = 1, whose neighbour
-    lists are not built yet."""
+    """A bare-window F2 x F2 kernel at radius 3, c = 1, whose pair lists
+    are not built yet."""
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     return graphing.PercolationKernel(metric, 3)
 
@@ -555,7 +555,7 @@ WINDOW_METRICS = {
 
 @pytest.mark.parametrize("wr", [3, 4])
 @pytest.mark.parametrize("specs", WINDOW_METRICS.values(), ids=list(WINDOW_METRICS))
-def test_window_neighbour_lists_match_the_distance_tables(specs, wr):
+def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch):
     first, second, c = specs
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, wr)
@@ -563,12 +563,25 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr):
     D1 = space.ball1.distances(space.pts1[:, None], space.pts1)
     D2 = space.ball2.distances(space.pts2[:, None], space.pts2)
     # Small distances from the factor spheres; one past the first ball's
-    # radius is read off the per-pair distances.
-    for t, t2 in [(0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (space.ball1.radius + 1, 0)]:
-        ptr, nbr = kernel._neighbours(t, t2)
-        rows, cols = np.nonzero((D1 == t) & (D2 == t2))
-        assert ptr.tolist() == np.searchsorted(rows, np.arange(len(space) + 1)).tolist()
-        assert nbr.tolist() == cols.tolist()
+    # radius is read off the per-pair distances.  At (0, 0) the distance
+    # tables hold only the diagonal, which is no pair a < b.
+    for t, t2 in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (space.ball1.radius + 1, 0)]:
+        a, b = kernel._pairs_at(t, t2)
+        rows, cols = np.nonzero(np.triu((D1 == t) & (D2 == t2), 1))
+        assert a.tolist() == rows.tolist()
+        assert b.tolist() == cols.tolist()
+    # With the two heaviest classes tied at the top, the top tier of some
+    # window ids is both classes' pairs with both ends among those ids.
+    heavy = np.argsort(-kernel.lut, kind="stable")[:2]
+    lut = kernel.lut.copy()
+    lut[heavy[1]] = lut[heavy[0]]
+    monkeypatch.setattr(kernel, "lut", lut)
+    ids = np.arange(0, len(space), 2)
+    rho = D1[np.ix_(ids, ids)] * metric.c.numerator + D2[np.ix_(ids, ids)] * metric.c.denominator
+    rows, cols = np.nonzero(np.triu(np.isin(rho, heavy), 1))
+    top_a, top_b = kernel._top_pairs(ids, lut[heavy[0]])
+    want = list(zip(ids[rows].tolist(), ids[cols].tolist()))
+    assert sorted(zip(top_a.tolist(), top_b.tolist())) == want
 
 
 Z2_STAR_Z3 = GroupSpec(
@@ -604,7 +617,7 @@ def test_an_f2_kernel_at_wr_6_builds_no_square_table():
     # The F2 ball of radius 6 has 1,457 elements, so the two int32 tables the
     # kernel once built (rho1 and rho2) held 2 * 1457**2 * 4 B, about 17 MB,
     # and a cap below 1457**2 refused them.  Built, with its distance data
-    # and neighbour lists in use, the kernel peaked at 3.4-3.7 MB traced.
+    # and pair lists in use, the kernel peaked at 3.5 MB traced.
     import tracemalloc
 
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
@@ -624,22 +637,9 @@ def test_window_neighbour_lists_count_against_the_cap(monkeypatch):
     kernel = _fresh_window_kernel()
     ids = np.arange(len(kernel.space))
     monkeypatch.setattr(kernel, "cap", 100)
-    with pytest.raises(ResourceCapError, match=r"\(window neighbour lists\)"):
+    with pytest.raises(ResourceCapError, match=r"\(window pair lists\)"):
         kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)
-    assert kernel._neighbour_lists == {}
-
-
-def test_top_tier_listing_counts_against_the_cap(monkeypatch):
-    kernel = _fresh_window_kernel()
-    ids = np.arange(len(kernel.space))
-    kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)  # builds the neighbour lists
-    # Over the whole window, a decomposition lists every neighbour.
-    listed = max(int(ptr[-1]) for ptr, _ in kernel._neighbour_lists.values())
-    monkeypatch.setattr(kernel, "cap", listed - 1)
-    with pytest.raises(ResourceCapError, match=r"\(top-tier listing\)"):
-        kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)
-    monkeypatch.setattr(kernel, "cap", listed)
-    kernel._top_pairs(ids, kernel.lut.max())
+    assert kernel._pair_lists == {}
 
 
 F3 = GroupSpec("free", rank=3)

@@ -159,13 +159,29 @@ def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
     o = make_oracle(F2)
     ball(o, 5)
     fb = FactorBall(o, 2)
-    table = fb.quotient_table(len(fb), len(fb))
+    table = fb.quotient_table(len(fb), fb.elements)
     index = {el: i for i, (el, _) in enumerate(groups.enumerate_ball(o, 2))}
     expected = [
         [index.get(o.multiply(y, o.inverse(v)), -1) for v in fb.elements] for y in fb.elements
     ]
     assert table.tolist() == expected
     assert (table == -1).any()
+    # S_t's columns, as `sphere_neighbours` takes them, are the slice from
+    # volume(t - 1) to volume(t) of the table over the whole ball.
+    for t in range(fb.radius + 1):
+        s_t = slice(fb.volume(t - 1), fb.volume(t))
+        assert (fb.quotient_table(len(fb), fb.elements[s_t]) == table[:, s_t]).all()
+
+
+def test_quotient_table_takes_one_column_per_element_given():
+    # Any elements, one column each in the order given, for the first rows
+    # of the ball: the baseline's one column gen^-1 and the covering map's
+    # offset prefix are such calls.
+    fb = FactorBall(make_oracle(F2), 3)
+    table = fb.quotient_table(len(fb), fb.elements)
+    assert (fb.quotient_table(len(fb), [fb.elements[7], fb.elements[2]]) == table[:, [7, 2]]).all()
+    assert (fb.quotient_table(5, fb.elements[:9]) == table[:5, :9]).all()
+    assert fb.quotient_table(len(fb), []).shape == (len(fb), 0)
 
 
 def test_product_space_window(m_f2):
