@@ -13,8 +13,9 @@ This is the only module that writes files.  The computation modules
 return values; each runner builds its rows and writes every CSV and JSON
 artifact through `write_csv` and `write_json`, which fix the format.  A
 report's dataclass is its artifact's schema: `write_records` writes one
-column per field (runs.csv, baseline.csv, sandwich_*.csv), and
-`CostReport.to_json_dict` keys cost_report.json by field name.
+column per field (runs.csv, baseline.csv, sandwich_*.csv,
+corner_events.csv), and `CostReport.to_json_dict` keys cost_report.json
+by field name.
 Only the manifest, acceptance.txt (text) and process_seed0.jsonl (JSON
 Lines) are written otherwise.
 
@@ -40,6 +41,7 @@ cap.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import copy
 import csv
@@ -74,6 +76,7 @@ from .graphing import (
 )
 from .groups import GroupSpec, ball, growth_series, make_oracle
 from .point_process import (
+    CornerEventRow,
     ProcessContext,
     corner_event_probability,
     eventually_decreasing_split,
@@ -81,7 +84,7 @@ from .point_process import (
     incidence_stats,
     sample_diamond_process,
 )
-from .product import ProductMetric, as_slope, perfect_diamond
+from .product import ProductMetric, ProductSpace, as_slope, perfect_diamond
 from .randomness import seed_digest
 from .schedule import schedule_for
 
@@ -417,8 +420,9 @@ def run_schedule(run: Run, out: Path):
     sched = run.schedule
     sched.check_invariants()
     rows = []
+    ends = [s.end for s in sched.segments]
     for t in range(len(sched.f)):
-        seg = sched.segment_of[t]
+        seg = bisect.bisect_left(ends, t)  # the segments that end before t
         slope = sched.segments[seg].slope if seg < len(sched.segments) else ""
         rows.append([t, sched.f[t], sched.g[t], seg, slope])
     write_csv(out / "schedule.csv", ["n", "f_n", "g_n", "segment_index", "slope"], rows)
@@ -504,7 +508,8 @@ def run_process(run: Run, out: Path):
     cfg = run.cfg
     sub = cfg["process"]
     sched = run.schedule
-    ctx = ProcessContext(run.metric, sched, sub["n"], sub["window_radius"], cfg["enum_cap"])
+    window = ProductSpace(run.metric, sub["window_radius"], cfg["enum_cap"])
+    ctx = ProcessContext(window, sched, sub["n"], cfg["enum_cap"])
     inc_rows = []
     plot = []
     for s in range(sub["seeds"]):
@@ -531,14 +536,7 @@ def run_process(run: Run, out: Path):
     corner_rows = corner_event_probability(
         sched, n_range, sub["T"], sub["corner_seeds"], cfg["master_seed"], cfg["enum_cap"]
     )
-    write_csv(
-        out / "corner_events.csv",
-        ["n", "T", "corner_count", "volume", "exact_probability", "empirical_probability"],
-        [
-            [r.n, r.T, r.corner_count, r.volume, r.exact_probability, r.empirical_probability]
-            for r in corner_rows
-        ],
-    )
+    write_records(out / "corner_events.csv", CornerEventRow, corner_rows, omit=("miss_exponent",))
     split = eventually_decreasing_split([r.miss_exponent for r in corner_rows])
     for r in corner_rows:
         plot.append(["corner_event_exact", r.n, r.exact_probability, 0])
@@ -574,7 +572,7 @@ def run_graphing(run: Run, out: Path):
     seed0 = rep.seed0_stages
     mw = seed0.get("marked_window")
     if mw is not None:
-        space = mw.ctx.pctx.space
+        space = mw.ctx.kernel.space
 
         def vname(vi):  # a marked vertex as word|word#diamond
             return f"{space.word_str(int(mw.v_pid[vi]))}#{int(mw.v_k[vi])}"

@@ -10,23 +10,25 @@ The per-seed stages read one vertex table, `MarkedWindow`, gathered from
 the covering map's member ranges of the kept diamonds: vertex vi is the
 copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
 point and its `vertex_of` lookup are the only maps between points and
-vertices.  Every edge set, from the open Pi2 pairs to the seed-0 dumps, is
-an (m, 2) int64 array, and `_component_roots` (the least vertex of each
-component) is the one labeller, for Pi3, the Pi5 connectivity check and
-the coset-line baseline.  Both sweeps measure connectivity with one
-epsilon ladder (`_ladder`): a base partition, the Pi1 forest or the coset
-lines, joined by each epsilon's open pairs, which `_open_at` splits off
-the pairs open at the largest epsilon.  phi is a breadth-first search one
-layer at a time over the Pi3 edge array; psi, Pi4 and Pi5 are array
-reductions of it.
+vertices.  Every point id of these stages is an id of the kernel's window
+W; W+ ids name only the diamond centers.  Every edge set, from the open
+Pi2 pairs to the seed-0 dumps, is an (m, 2) int64 array, and
+`_component_roots` (the least vertex of each component) is the one
+labeller, for Pi3, the Pi5 connectivity check and the coset-line
+baseline.  Both sweeps measure connectivity with one epsilon ladder
+(`_ladder`): a base partition, the Pi1 forest or the coset lines, joined
+by each epsilon's open pairs, which `_open_at` splits off the pairs open
+at the largest epsilon.  phi is a breadth-first search one layer at a
+time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of
+it.
 Pi1 takes its descent targets from one `GraphingContext.tau` call per
 seed over the distinct (center, y) pairs, in closed form on index arrays
 when the first factor is free.
 
-`PercolationKernel` owns the pair law and draws the one percolation: the
-Pi2 stage opens it among a seed's base points, and the coset-line baseline
-among every point of the window.  Its window pairs at the heaviest weight
-are listed once and filtered seed by seed.
+`PercolationKernel` owns the pair law and the window W, and draws the one
+percolation: the Pi2 stage opens it among a seed's base points, and the
+coset-line baseline among every point of the window.  Its window pairs at
+the heaviest weight are listed once and filtered seed by seed.
 
 Degree estimators use the mass-transport form: the Palm expectation of the
 full degree equals out-degree plus half the percolation degree for the
@@ -95,7 +97,9 @@ class PercolationKernel:
 
     This class alone holds the pair law and its point set, the window
     `space` = ProductSpace(metric, window_radius) with its point `digests`;
-    every point id it takes or returns is a window id.  `prob` is
+    every point id it takes or returns is a window id.  A graphing run's
+    `ProcessContext` is built on this window, so the covering map, the
+    vertex table and Pi2 share its ids.  `prob` is
     lut[d(a1, b1) p + d'(a2, b2) q] over window ids, with the factor
     distances computed per pair by each factor ball's `distances` (closed
     forms; a free product factor reads one capped table), and the Pi2
@@ -236,8 +240,8 @@ class PercolationKernel:
 
     def _pairs_at(self, t: int, t2: int) -> tuple:
         """The window pairs a < b at factor distances t in the first factor
-        and t2 in the second, as two window id arrays, by a then b.  Built
-        once per kernel.
+        and t2 in the second, as two int32 window id arrays, by a then b.
+        Built once per kernel.
 
         The candidates b of a point a are the products of its factor
         neighbour lists (`FactorBall.sphere_neighbours`), looked up by key;
@@ -268,8 +272,8 @@ class PercolationKernel:
             y2 = nbr2[start2[r] + off % deg2[r]]
             b = space.lookup(y1, y2)
             keep = b > r
-            src.append(r[keep])
-            dst.append(b[keep])
+            src.append(r[keep].astype(np.int32))
+            dst.append(b[keep].astype(np.int32))
             r0 = r1
         hit = self._pair_lists[t, t2] = (np.concatenate(src), np.concatenate(dst))
         return hit
@@ -323,16 +327,16 @@ class GraphingContext:
         self.n = n
         self.window_radius = window_radius
         self.interior_radius = window_radius - margin
-        self.pctx = ProcessContext(metric, schedule, n, window_radius, cap)
-        self.interior_mask = self.pctx.space.mask_within(self.interior_radius)
         self.kernel = PercolationKernel(metric, window_radius, cap)
+        self.pctx = ProcessContext(self.kernel.space, schedule, n, cap)
+        self.interior_mask = self.kernel.space.mask_within(self.interior_radius)
         free = isinstance(metric.first, FreeOracle)
         self._free_steps = FreeRaySteps(self.pctx.space.ball1) if free else None
         self._tau_cache = {}
         self._ray_cache = {}
 
     def keeps_center(self, pids) -> np.ndarray:
-        """Descent-safety rule, elementwise over center point ids: the
+        """Descent-safety rule, elementwise over center W+ ids: the
         center's first coordinate must sit beyond the interior window, else
         descent can pass the center and leave the diamond at interior
         points."""
@@ -391,7 +395,7 @@ class MarkedWindow:
     """
 
     ctx: GraphingContext
-    centers: np.ndarray  # center point id of each kept diamond
+    centers: np.ndarray  # center W+ id of each kept diamond
     excluded_diamonds: int
     v_pid: np.ndarray
     v_k: np.ndarray
@@ -449,12 +453,12 @@ class Pi1Forest:
 
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
-    space = ctx.pctx.space
+    space = ctx.kernel.space
     y_fi = space.pts1[mw.v_pid]
-    # One tau call per seed, over the distinct (center, y) first-index pairs.
-    pairs, inverse = np.unique(
-        (space.pts1[mw.centers][mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True
-    )
+    # One tau call per seed, over the distinct (center, y) first-index pairs;
+    # the centers' first coordinates are read from W+, the rest from W.
+    c_fi = ctx.pctx.space.pts1[mw.centers]
+    pairs, inverse = np.unique((c_fi[mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True)
     tfi = ctx.tau(pairs >> 32, pairs & 0xFFFFFFFF)[inverse]
     tpids = space.lookup(tfi, space.pts2[mw.v_pid])
     # (tpid, k) is a vertex exactly when tpid is a member of diamond k.
@@ -476,22 +480,20 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
 
 
 def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, eps_list):
-    """Open base-point pairs per epsilon, as (m, 2) arrays of point ids
+    """Open base-point pairs per epsilon, as (m, 2) arrays of window ids
     (a, b), a < b, sorted; one uniform per unordered pair.
 
     The same uniforms serve every epsilon, so openness is monotone in
     epsilon by construction.  The kernel's `open_pairs` finds the pairs
     open at the largest epsilon without materialising the closed ones;
     each epsilon then keeps those with u < epsilon * p, the same float test
-    as over all pairs, in the same order.  The kernel's window id of the
-    W+ point window_ids[k] is k.
+    as over all pairs, in the same order.
     """
     if not eps_list:
         return {}
-    wid = ctx.pctx.window_ids
-    S = np.searchsorted(wid, np.sort(np.asarray(base_pids, dtype=np.int64)))
-    [(a, b, u, p)] = ctx.kernel.open_pairs(S, [rng], max(eps_list))
-    return _open_at((wid[a], wid[b], u, p), eps_list)
+    bases = np.sort(np.asarray(base_pids, dtype=np.int64))
+    [opened] = ctx.kernel.open_pairs(bases, [rng], max(eps_list))
+    return _open_at(opened, eps_list)
 
 
 def _open_at(opened, eps_list) -> dict:
@@ -557,7 +559,7 @@ def surviving_index(k, w):
 def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
     """Keep one marked copy per covered point, selected by the point's
     overlap label among the copies sorted by mark (then vertex)."""
-    labels = rng.uniforms(mw.ctx.pctx.point_digests[mw.bases], STREAM_OVERLAP)
+    labels = rng.uniforms(mw.ctx.kernel.digests[mw.bases], STREAM_OVERLAP)
     marks = mw.marks[mw.v_k]
     ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_pid))
     same_point = np.diff(mw.v_pid[ranked]) == 0
@@ -768,8 +770,7 @@ def run_seed(
             abs(int(in_deg[interior].sum()) - int(out_deg[interior].sum()))
         ) / len(interior)
     s0_mask = break_overlaps(mw, rng)
-    pd = ctx.pctx.point_digests
-    w1 = rng.uniforms(pd[mw.v_pid], STREAM_PERCOLATION)
+    w1 = rng.uniforms(ctx.kernel.digests[mw.v_pid], STREAM_PERCOLATION)
     stages = build_forest_and_pi45(mw, edges, s0_mask, w1)
     if collect is not None:
         collect.update(

@@ -7,9 +7,10 @@ the second factor (`SlopeSchedule.diamond_reach`); its members around the
 origin are that slice union, built by `FactorBall.slices`.  W+ is the
 rho_c ball of radius wr + max_d (d + f(r_n - d)/c), the window radius
 plus the diamond's exact rho-reach from its center, so it holds every
-center whose diamond meets W.  A center that covers no point
-of W is never observed, so the window restriction is exact.  Marks are
-replicated from the center over all member points.  The covering map is
+center whose diamond meets W.  A center that covers no point of W is
+never observed, so the window restriction is exact.  A center is named by
+its W+ id, a window point by its id in W.  Marks are replicated from the
+center over all member points.  The covering map is
 kept as CSR arrays (`CoveringMap`), and a sampled process is arrays over
 its rows: the pipeline gathers member ranges and never builds a diamond
 object.  Incidence counts, corner-event probabilities and hit
@@ -29,7 +30,7 @@ import numpy as np
 from .diamonds import corner_count, diamond_volume
 from .errors import InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, make_oracle
-from .product import FactorBall, ProductMetric, ProductSpace, ragged, slice_volume
+from .product import FactorBall, ProductSpace, ragged, slice_volume
 from .randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
@@ -80,9 +81,9 @@ def point_digests(space: ProductSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """The covering map in CSR form: the covering centers' point ids, in
-    rising order, and the sorted member window ids of `centers[i]` in
-    `members[starts[i]:starts[i + 1]]`."""
+    """The covering map in CSR form: the covering centers' W+ ids, in
+    rising order, and the sorted window ids of the members of `centers[i]`
+    in `members[starts[i]:starts[i + 1]]`."""
 
     centers: np.ndarray
     starts: np.ndarray
@@ -106,33 +107,34 @@ class CoveringMap:
 class ProcessContext:
     """Precomputed window geometry shared by every seed of a sweep.
 
+    `window` is the observation window W, whose ids name window points.
     `space` is W+, the rho_c ball of radius wr + max_d (d + f(r_n - d)/c):
     the window radius plus the largest rho_c distance from a diamond's
-    center to one of its members.  `offsets` are the members (u, w) of the
-    diamond centered at the origin, as factor-ball index arrays by u, so
-    that the centers covering y are exactly (y1 * u^-1, y2 * w^-1).
-    `covering` is the covering map of the covering centers, as CSR arrays,
-    `center_digests` their digests and `center_folded` those digests' folds
-    (`fold_into`), the seed-free input of `SeededRandomness.heads_into`.
+    center to one of its members; its ids name diamond centers.
+    `window_ids[k]` is the W+ id of window point k.  `offsets` are the
+    members (u, w) of the diamond centered at the origin, as factor-ball
+    index arrays by u, so that the centers covering y are exactly (y1 *
+    u^-1, y2 * w^-1).  `covering` is the covering map of the covering
+    centers, as CSR arrays, `center_digests` their digests and
+    `center_folded` those digests' folds (`fold_into`), the seed-free
+    input of `SeededRandomness.heads_into`.
     """
 
     def __init__(
         self,
-        metric: ProductMetric,
+        window: ProductSpace,
         schedule: SlopeSchedule,
         n: int,
-        window_radius: int,
         cap: int = DEFAULT_ENUM_CAP,
     ):
-        self.metric = metric
+        metric = self.metric = window.metric
+        self.window = window
         self.schedule = schedule
         self.n = n
-        self.window_radius = window_radius
         reach = schedule.diamond_reach(n)
         extent = max(metric.rho_of_distances(d, r) for d, r in enumerate(reach))
-        self.space = ProductSpace(metric, window_radius + extent, cap)
-        self.window_ids = self.space.ids_within(window_radius)
-        self.point_digests = point_digests(self.space)
+        self.space = ProductSpace(metric, window.radius + extent, cap)
+        self.window_ids = self.space.lookup(window.pts1, window.pts2)
         self.offsets = self.space.ball1.slices(self.space.ball2, reach, cap, "diamond offsets")
         self.volume = diamond_volume(schedule, n)
         if self.volume != len(self.offsets[0]):
@@ -140,7 +142,7 @@ class ProcessContext:
                 "diamond slice-sum volume disagrees with offset enumeration"
             )
         self.covering = self._covering_map(cap)
-        self.center_digests = self.point_digests[self.covering.centers]
+        self.center_digests = point_digests(self.space)[self.covering.centers]
         self.center_folded = fold_into(
             self.center_digests.copy(), np.empty_like(self.center_digests)
         )
@@ -150,11 +152,11 @@ class ProcessContext:
         in the window: one (center, member) pair per window point and
         diamond offset, stably sorted by center.  Their number counts
         against `cap` before any is built."""
-        space, wid = self.space, self.window_ids
+        space, window = self.space, self.window
         off1, off2 = self.offsets
-        if len(wid) * len(off1) > cap:
+        if len(window) * len(off1) > cap:
             raise ResourceCapError("covering map (window points x diamond offsets)", cap)
-        w1, w2 = space.pts1[wid], space.pts2[wid]
+        w1, w2 = window.pts1, window.pts2
         q1 = space.ball1.quotient_table(w1.max() + 1, space.ball1.elements[: off1.max() + 1])
         q2 = space.ball2.quotient_table(w2.max() + 1, space.ball2.elements[: off2.max() + 1])
         # A factor quotient outside its ball is -1, which misses like any
@@ -164,13 +166,13 @@ class ProcessContext:
             raise InvariantViolation(
                 "center window W+ does not contain a covering center"
             )
-        order = np.argsort(pids, kind="stable")  # members stay in wid order
+        order = np.argsort(pids, kind="stable")  # members stay in window order
         pids = pids[order]
         starts = np.flatnonzero(np.diff(pids, prepend=-1, append=-1))
         return CoveringMap(
             centers=pids[starts[:-1]],
             starts=starts,
-            members=np.repeat(wid, len(off1))[order],
+            members=np.repeat(np.arange(len(window)), len(off1))[order],
         )
 
 
@@ -247,15 +249,14 @@ class IncidenceStats:
 def incidence_stats(process: DiamondProcess) -> IncidenceStats:
     ctx = process.ctx
     members, _ = ctx.covering.gather(process.chosen)
-    counts = np.bincount(members, minlength=len(ctx.space))
-    window_counts = counts[ctx.window_ids]
+    counts = np.bincount(members, minlength=len(ctx.window))
     # Every window point is covered by exactly v''_n potential centers.
     exact_mean = ctx.volume * process.param
     return IncidenceStats(
-        counts=window_counts,
+        counts=counts,
         exact_mean=float(exact_mean),
-        empirical_mean=float(window_counts.mean()) if len(window_counts) else 0.0,
-        max_count=int(window_counts.max()) if len(window_counts) else 0,
+        empirical_mean=float(counts.mean()) if len(counts) else 0.0,
+        max_count=int(counts.max()) if len(counts) else 0,
     )
 
 

@@ -11,7 +11,7 @@ All arithmetic is exact: the slope is rational and g holds Fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +46,6 @@ class SlopeSchedule:
     M: int = 0
     source: str = "lemma"
     truncated: bool = False
-    segment_of: list = field(default_factory=list)
 
     def f_of(self, t: int) -> int:
         if t < 0:
@@ -208,7 +207,6 @@ def build_schedule(
     g = [Fraction(0)]
     r = [0]
     segments = []
-    segment_of = [0]
     truncated = False
     x = 0
     while x < horizon:
@@ -221,7 +219,6 @@ def build_schedule(
         while x < horizon:
             x += 1
             g.append(g[-1] + slope)
-            segment_of.append(len(segments))
             ft = math.floor(g[-1])
             if ft > growth2.horizon:
                 raise InputError(
@@ -264,7 +261,6 @@ def build_schedule(
         truncated=truncated,
         growth=growth,
         growth2=growth2,
-        segment_of=segment_of,
     )
     sched.check_invariants()
     return sched
@@ -291,7 +287,6 @@ def linear_schedule(c, horizon: int, growth: GrowthSeries, growth2: GrowthSeries
         source="linear",
         growth=growth,
         growth2=growth2,
-        segment_of=[0] * (horizon + 1),
     )
 
 

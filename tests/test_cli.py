@@ -14,6 +14,7 @@ from horolab import acceptance, cli, graphing, point_process
 from horolab.errors import MarkCollisionError
 from horolab.graphing import BaselineRow, CostReport, SeedStats
 from horolab.point_process import ProcessContext, sample_diamond_process
+from horolab.product import ProductSpace
 from horolab.randomness import STREAM_CENTERS, SeededRandomness, seed_digest
 
 SMALL = {
@@ -793,7 +794,8 @@ def test_center_draw_is_the_uniforms_threshold_on_the_pinned_wr4_seeds():
         if command not in ("graphing", "all") or sub["window_radius"] != 4:
             continue
         run = cli.Run(cfg)
-        ctx = ProcessContext(run.metric, run.schedule, sub["n"], 4, cfg["enum_cap"])
+        window = ProductSpace(run.metric, 4, cfg["enum_cap"])
+        ctx = ProcessContext(window, run.schedule, sub["n"], cfg["enum_cap"])
         for s in range(sub["seeds"]):
             key = seed_digest(cfg["master_seed"], s)
             u = SeededRandomness(key).uniforms(ctx.center_digests, STREAM_CENTERS)

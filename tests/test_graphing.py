@@ -30,7 +30,7 @@ from horolab.graphing import (
 from horolab.diamonds import in_diamond
 from horolab.errors import InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
-from horolab.point_process import sample_diamond_process
+from horolab.point_process import point_digests, sample_diamond_process
 from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_PERCOLATION,
@@ -73,16 +73,15 @@ def z2f2_ctx():
 # Percolation kernel ---------------------------------------------------------
 
 
-def _kernel_ids(ctx, pids) -> np.ndarray:
-    """The kernel's window ids of the W+ point ids `pids`, sorted: W+ point
-    window_ids[k] is kernel id k."""
-    return np.searchsorted(ctx.pctx.window_ids, np.sort(np.asarray(pids, dtype=np.int64)))
-
-
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_kernel_window_lists_the_window_points_of_w_plus_in_order(perc_ctx):
+def test_window_points_have_the_kernel_window_ids(perc_ctx):
+    # The process context is built on the kernel's window W: window point k
+    # is W+ point window_ids[k], and the covering map lists W ids.
     pctx = perc_ctx.pctx
-    assert np.array_equal(perc_ctx.kernel.space.keys, pctx.space.keys[pctx.window_ids])
+    assert pctx.window is perc_ctx.kernel.space
+    assert np.array_equal(pctx.space.keys[pctx.window_ids], pctx.window.keys)
+    members = pctx.covering.members
+    assert members.min() == 0 and members.max() == len(pctx.window) - 1
 
 
 def test_kernel_total_mass_and_truncation(f2_ctx):
@@ -111,14 +110,13 @@ def test_kernel_reads_spheres_past_the_schedule_horizon(f2_ctx):
 
 def test_kernel_invariance(f2_ctx):
     # p depends only on the rho distance, hence invariant and symmetric
-    kernel, space = f2_ctx.kernel, f2_ctx.pctx.space
+    kernel, space = f2_ctx.kernel, f2_ctx.kernel.space
     assert kernel.lut[0] == 0.0
-    pids = f2_ctx.pctx.window_ids[::7]
-    ids = _kernel_ids(f2_ctx, pids)
+    ids = np.arange(0, len(space), 7)
     p = kernel.prob(ids[:, None], ids[None, :])
     assert (p == p.T).all() and (np.diag(p) == 0.0).all()
     # c = 1, so a pair's rho numerator is its rho distance
-    rho = [[f2_ctx.metric.rho(space.element(a), space.element(b)) for b in pids] for a in pids]
+    rho = [[f2_ctx.metric.rho(space.element(a), space.element(b)) for b in ids] for a in ids]
     assert (kernel.lut[np.asarray(rho, dtype=np.int64)] == p).all()
 
 
@@ -151,13 +149,13 @@ def test_pi1_interior_out_degree(f2_ctx):
 def test_pi1_edges_horizontal_and_in_diamond(f2_ctx):
     mw = _seed_window(f2_ctx, seed_digest(22, 0))
     pi1 = build_pi1(mw)
-    space = f2_ctx.pctx.space
+    space, window = f2_ctx.pctx.space, f2_ctx.kernel.space
     for vi, tv in enumerate(pi1.target.tolist()):
         if tv < 0:
             continue
         assert mw.v_k[vi] == mw.v_k[tv]  # same diamond, same mark
-        assert space.pts2[mw.v_pid[vi]] == space.pts2[mw.v_pid[tv]]  # horizontal
-        center, point = space.element(int(mw.centers[mw.v_k[vi]])), space.element(int(mw.v_pid[tv]))
+        assert window.pts2[mw.v_pid[vi]] == window.pts2[mw.v_pid[tv]]  # horizontal
+        center, point = space.element(int(mw.centers[mw.v_k[vi]])), window.element(int(mw.v_pid[tv]))
         assert in_diamond(f2_ctx.metric, f2_ctx.schedule, f2_ctx.n, center, point)
 
 
@@ -167,7 +165,7 @@ def test_pi1_lattice_rays(z_ctx):
     assert pi1.interior_violations == 0
     # every interior vertex descends one first-coordinate step
     interior = np.flatnonzero(mw.v_interior)
-    space = z_ctx.pctx.space
+    space = z_ctx.kernel.space
     for vi in interior.tolist():
         tv = int(pi1.target[vi])
         a = space.element(int(mw.v_pid[vi]))
@@ -191,7 +189,7 @@ def test_pi1_has_no_interior_violations_on_a_lattice_first_factor(z2f2_ctx):
 
 def _pi1_counts_reference(mw, target) -> tuple:
     """(stalled, interior, parallel) violation counts of `target`, by loop."""
-    space = mw.ctx.pctx.space
+    space = mw.ctx.kernel.space
     stalled = interior = parallel = 0
     by_group = {}
     for vi, tv in enumerate(target.tolist()):
@@ -230,7 +228,7 @@ def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
     # The reference descends the memoised Horofunction of each center
     # (`_descend`), also on the free f2_ctx, whose `tau` is the closed form;
     # z_ctx and z2f2_ctx have a lattice first factor.
-    ctx, space = perc_ctx, perc_ctx.pctx.space
+    ctx, space, window = perc_ctx, perc_ctx.pctx.space, perc_ctx.kernel.space
     tau = graphing.GraphingContext.tau
     calls = []
 
@@ -248,11 +246,12 @@ def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
         pairs, want = set(), []
         for vi in range(mw.n_vertices):
             pid, k = int(mw.v_pid[vi]), int(mw.v_k[vi])
-            pair = (int(space.pts1[mw.centers[k]]), int(space.pts1[pid]))
+            pair = (int(space.pts1[mw.centers[k]]), int(window.pts1[pid]))
             pairs.add(pair)
             tfi = descend(*pair)
-            el2 = space.element(pid)[1]
-            tpid = _pid(space, space.ball1.elements[tfi], el2) if tfi >= 0 else -1
+            el1 = space.ball1.elements[tfi] if tfi >= 0 else None
+            el2 = window.element(pid)[1]
+            tpid = _pid(window, el1, el2) if el1 in window.ball1.index else -1
             want.append(vertex.get((tpid, k), -1))
         assert target == want
         # one call per seed, over the distinct (center, y) pairs
@@ -334,11 +333,8 @@ def _rows(pairs) -> list:
 def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
     got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
     got = {e: _rows(pairs) for e, pairs in got.items()}
-    want = _materialised_percolation(
-        ctx.kernel, _kernel_ids(ctx, bases), SeededRandomness(key), eps_list
-    )
-    wid = ctx.pctx.window_ids.tolist()
-    assert got == {e: [(wid[a], wid[b]) for a, b in pairs] for e, pairs in want.items()}
+    want = _materialised_percolation(ctx.kernel, bases, SeededRandomness(key), eps_list)
+    assert got == want
     return got
 
 
@@ -395,7 +391,7 @@ def test_percolation_clamps_at_certain_opening(perc_ctx, monkeypatch):
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_percolation_of_few_bases(perc_ctx, count, monkeypatch):
     monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
-    bases = perc_ctx.pctx.window_ids[:count].tolist()
+    bases = list(range(count))
     got = _assert_matches_reference(perc_ctx, bases, seed_digest(63, 0))
     assert len(got[1.0]) == count * (count - 1) // 2
 
@@ -436,7 +432,7 @@ def _assert_seeds_match_reference(kernel, base_ids, keys, emax) -> list:
 def _seeds_match_reference(ctx, bases, keys, emax) -> int:
     """`_assert_seeds_match_reference` on a graphing context's kernel; the
     number of open pairs over all seeds."""
-    got = _assert_seeds_match_reference(ctx.kernel, _kernel_ids(ctx, bases), keys, emax)
+    got = _assert_seeds_match_reference(ctx.kernel, bases, keys, emax)
     return sum(len(a) for a, _, _, _ in got)
 
 
@@ -481,7 +477,7 @@ def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeyp
 def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
     kernel = f2_ctx.kernel
     monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
-    S = _kernel_ids(f2_ctx, _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)
+    S = _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases
     pairs = len(S) * (len(S) - 1) // 2
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
     # Build the window pair lists at the default cap first: at lut = 1 they
@@ -530,7 +526,7 @@ def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
     saved = kernel.lut
     monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
     tiles = _count_tiles(monkeypatch, 4096)
-    S = _kernel_ids(f2_ctx, _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases)[:80]
+    S = _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases[:80]
     rngs = [SeededRandomness(MULTI_SEED_KEYS[0])]
     assert len(list(randomness._tiles(0, len(S), True))) == 2
     monkeypatch.setattr(kernel, "cap", 1000)
@@ -560,8 +556,12 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, wr)
     space = kernel.space
-    D1 = space.ball1.distances(space.pts1[:, None], space.pts1)
-    D2 = space.ball2.distances(space.pts2[:, None], space.pts2)
+    # The reference grids over the window, gathered from int8 tables of
+    # each factor ball's distances.
+    i1, i2 = np.arange(len(space.ball1)), np.arange(len(space.ball2))
+    T1 = space.ball1.distances(i1[:, None], i1).astype(np.int8)
+    T2 = space.ball2.distances(i2[:, None], i2).astype(np.int8)
+    D1, D2 = T1[np.ix_(space.pts1, space.pts1)], T2[np.ix_(space.pts2, space.pts2)]
     # Small distances from the factor spheres; one past the first ball's
     # radius is read off the per-pair distances.  At (0, 0) the distance
     # tables hold only the diagonal, which is no pair a < b.
@@ -577,7 +577,8 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch
     lut[heavy[1]] = lut[heavy[0]]
     monkeypatch.setattr(kernel, "lut", lut)
     ids = np.arange(0, len(space), 2)
-    rho = D1[np.ix_(ids, ids)] * metric.c.numerator + D2[np.ix_(ids, ids)] * metric.c.denominator
+    p, q = np.int16(metric.c.numerator), np.int16(metric.c.denominator)
+    rho = D1[np.ix_(ids, ids)] * p + D2[np.ix_(ids, ids)] * q
     rows, cols = np.nonzero(np.triu(np.isin(rho, heavy), 1))
     top_a, top_b = kernel._top_pairs(ids, lut[heavy[0]])
     want = list(zip(ids[rows].tolist(), ids[cols].tolist()))
@@ -714,7 +715,7 @@ def _pid(space, el1, el2) -> int:
 
 def test_percolation_marginal_frequency(z_ctx):
     # fixed pair open frequency ~ eps * p over many seeds (3 SE band)
-    space = z_ctx.pctx.space
+    space = z_ctx.kernel.space
     a = _pid(space, (0,), (0,))
     b = _pid(space, (1,), (0,))
     eps = 0.5
@@ -731,7 +732,7 @@ def test_percolation_marginal_frequency(z_ctx):
 
 
 def test_percolation_forced_pair_always_open(z_ctx):
-    space = z_ctx.pctx.space
+    space = z_ctx.kernel.space
     a = _pid(space, (0,), (0,))
     b = _pid(space, (1,), (0,))
     saved = z_ctx.kernel.lut.copy()
@@ -749,7 +750,7 @@ def test_percolation_forced_pair_always_open(z_ctx):
 def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
     # The baseline's kernel, over every window point, opens the same element
     # pairs among a seed's bases as Pi2 does: one percolation, two point sets.
-    ctx, space = perc_ctx, perc_ctx.pctx.space
+    ctx, space = perc_ctx, perc_ctx.kernel.space
     kernel = graphing.PercolationKernel(ctx.metric, ctx.window_radius)
     window = kernel.space
     opened = 0
@@ -838,7 +839,7 @@ def test_break_overlaps_matches_scalar_labels(f2_ctx):
         mw = _seed_window(f2_ctx, key)
         rng = SeededRandomness(key)
         expected = np.zeros(mw.n_vertices, dtype=bool)
-        pd = f2_ctx.pctx.point_digests
+        pd = point_digests(f2_ctx.kernel.space)
         for pid, copies in _copies_at(mw).items():
             ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
             w = rng.uniform(int(pd[pid]), STREAM_OVERLAP)
@@ -987,7 +988,7 @@ def test_forest_accounting_matches_deleted_points(f2_ctx):
     rng = SeededRandomness(seed_digest(34, 0))
     edges = pi3_edges(pi1, _edges([]))
     keep = break_overlaps(mw, rng)
-    w1 = rng.uniforms(f2_ctx.pctx.point_digests[mw.v_pid], "w1:percolation")
+    w1 = rng.uniforms(point_digests(f2_ctx.kernel.space)[mw.v_pid], "w1:percolation")
     out = build_forest_and_pi45(mw, edges, keep, w1)
     flagged = set(np.flatnonzero(out["dist"] < 0).tolist())
     deleted_covered = [
@@ -1125,7 +1126,7 @@ def test_mass_transport_deficit_bounded(z_ctx):
         band = mw.n_vertices - len(interior)
         den = z_ctx.metric.c.numerator
         shell = int(
-            (z_ctx.pctx.space.rho_num[mw.v_pid[interior]] > (z_ctx.interior_radius - 1) * den).sum()
+            (z_ctx.kernel.space.rho_num[mw.v_pid[interior]] > (z_ctx.interior_radius - 1) * den).sum()
         )
         assert deficit <= band + shell
 

@@ -16,9 +16,10 @@ from horolab.point_process import (
     factor_digests,
     hit_probability,
     incidence_stats,
+    point_digests,
     sample_diamond_process,
 )
-from horolab.product import FactorBall, ProductMetric
+from horolab.product import FactorBall, ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
@@ -38,10 +39,14 @@ def sched():
     return build_schedule(g, g, 1, 12)
 
 
+def _context(metric, schedule, n, window_radius) -> ProcessContext:
+    return ProcessContext(ProductSpace(metric, window_radius), schedule, n)
+
+
 @pytest.fixture(scope="module")
 def ctx(sched):
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    return ProcessContext(metric, sched, 2, 3)
+    return _context(metric, sched, 2, 3)
 
 
 def test_determinism(ctx):
@@ -97,10 +102,11 @@ def test_covering_map_is_exact(ctx):
     cov = ctx.covering
     assert cov.starts[0] == 0 and cov.starts[-1] == len(cov.members)
     assert (np.diff(cov.starts) > 0).all() and (np.diff(cov.centers) > 0).all()
-    counts = np.bincount(cov.members, minlength=len(ctx.space))
+    counts = np.bincount(cov.members, minlength=len(ctx.window))
     # every window point is covered by exactly v'' centers, and nothing else is
-    assert (counts[ctx.window_ids] == ctx.volume).all()
-    assert counts.sum() == ctx.volume * len(ctx.window_ids)
+    assert len(counts) == len(ctx.window)
+    assert (counts == ctx.volume).all()
+    assert counts.sum() == ctx.volume * len(ctx.window)
     # Every listed pair is a true membership, so with the counts above each
     # window point lists exactly its v'' covering centers.
     space = ctx.space
@@ -109,7 +115,7 @@ def test_covering_map_is_exact(ctx):
         assert (np.diff(m) > 0).all()
         center = space.element(pid)
         for wid in m.tolist():
-            assert in_diamond(ctx.metric, ctx.schedule, ctx.n, center, space.element(wid))
+            assert in_diamond(ctx.metric, ctx.schedule, ctx.n, center, ctx.window.element(wid))
 
 
 def test_covering_map_is_the_in_diamond_enumeration(z2f2_ctx):
@@ -117,18 +123,18 @@ def test_covering_map_is_the_in_diamond_enumeration(z2f2_ctx):
     ctx, space = z2f2_ctx, z2f2_ctx.space
     for pid in range(len(space)):
         center = space.element(pid)
-        for wid in ctx.window_ids.tolist():
-            want = in_diamond(ctx.metric, ctx.schedule, ctx.n, center, space.element(wid))
+        for wid in range(len(ctx.window)):
+            want = in_diamond(ctx.metric, ctx.schedule, ctx.n, center, ctx.window.element(wid))
             assert _covers(ctx.covering, pid, wid) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(center=st.integers(0, 10**9), point=st.integers(0, 10**9))
 def test_covering_map_agrees_with_in_diamond_on_f2xf2(ctx, center, point):
-    space = ctx.space
+    space, window = ctx.space, ctx.window
     pid = center % len(space)
-    wid = int(ctx.window_ids[point % len(ctx.window_ids)])
-    want = in_diamond(ctx.metric, ctx.schedule, ctx.n, space.element(pid), space.element(wid))
+    wid = point % len(window)
+    want = in_diamond(ctx.metric, ctx.schedule, ctx.n, space.element(pid), window.element(wid))
     assert _covers(ctx.covering, pid, wid) == want
 
 
@@ -158,9 +164,10 @@ def _full_universe_draw(ctx, seed):
     """Reference sampler: one center uniform per point of W+, restricted
     afterwards to the centers whose diamond meets the window."""
     rng = SeededRandomness(seed)
-    u1 = rng.uniforms(ctx.point_digests, STREAM_CENTERS)
+    digests = point_digests(ctx.space)
+    u1 = rng.uniforms(digests, STREAM_CENTERS)
     drawn = np.flatnonzero(u1 <= 1.0 / ctx.volume)
-    marks = rng.uniforms(ctx.point_digests[drawn], STREAM_MARKS)
+    marks = rng.uniforms(digests[drawn], STREAM_MARKS)
     covering = set(ctx.covering.centers.tolist())
     keep = [k for k, pid in enumerate(drawn.tolist()) if pid in covering]
     return drawn[keep], marks[keep]
@@ -171,7 +178,7 @@ def z2_ctx():
     z = GroupSpec("integer_lattice", dim=1)
     g = growth_series(z, 14)
     metric = ProductMetric(make_oracle(z), make_oracle(z), 1)
-    return ProcessContext(metric, linear_schedule(1, 12, growth=g, growth2=g), 3, 4)
+    return _context(metric, linear_schedule(1, 12, growth=g, growth2=g), 3, 4)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +188,7 @@ def z2f2_ctx():
     sched = linear_schedule(
         "1/2", 12, growth=growth_series(z2, 14), growth2=growth_series(F2, 14)
     )
-    return ProcessContext(metric, sched, 2, 3)
+    return _context(metric, sched, 2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +196,7 @@ def f2_n3_ctx(sched):
     """F2 x F2 at n = 3 and wr 2: the diamond's slice radii are 2, 2, 0, 0,
     and 324 of the 3,241 points of W+ cover no window point."""
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    return ProcessContext(metric, sched, 3, 2)
+    return _context(metric, sched, 3, 2)
 
 
 @pytest.mark.parametrize("which", ["f2", "z2", "f2-n3"])
@@ -243,7 +250,7 @@ def test_incidence_binomial_moments(ctx):
     i = ctx.space.ball1.index[ctx.metric.first.identity]
     j = ctx.space.ball2.index[ctx.metric.second.identity]
     origin = int(ctx.space.lookup(i, j))
-    at = int(np.searchsorted(ctx.window_ids, origin))
+    at = int(ctx.window.lookup(i, j))
     assert ctx.window_ids[at] == origin
     counts = []
     for s in range(seeds):
