@@ -175,8 +175,9 @@ def sandwich_check(
     only the lower one is counted.
 
     Everything runs on integer numerators over the window's arrays: for
-    c = p/q, theta''·p = h1·p + h2·q is tabulated once per window from the
-    factor balls, and top = delta·p, so the lower clause reads
+    c = p/q, theta''·p = h1·p + h2·q (`ProductMetric.rho_num` of h1 and h2)
+    is tabulated once per window from the factor balls, and top = delta·p,
+    so the lower clause reads
     theta''·p <= top - 2q.
     Membership takes each factor element's distance to the center: a
     point is in D_n when d1 <= r_n and d2 <= f(r_n - d1), the slice radius
@@ -186,8 +187,9 @@ def sandwich_check(
         raise InputError("sandwich window is empty")
     metric, b1, b2 = space.metric, space.ball1, space.ball2
     p, q = metric.c.numerator, metric.c.denominator
-    theta = np.array([h1.value(y) for y in b1.elements], dtype=np.int64)[space.pts1] * p
-    theta += np.array([h2.value(y) for y in b2.elements], dtype=np.int64)[space.pts2] * q
+    v1 = np.array([h1.value(y) for y in b1.elements], dtype=np.int64)
+    v2 = np.array([h2.value(y) for y in b2.elements], dtype=np.int64)
+    theta = metric.rho_num(v1[space.pts1], v2[space.pts2])
     min_length = 2 * math.ceil(Fraction(int(space.rho_num.max()), p))
     rows = []
     for n, center in centers:

@@ -93,14 +93,16 @@ class PercolationKernel:
     so the total mass over the whole group is exactly 1; the mass
     not reachable inside the window (largest radius 2 * window_radius, the
     window's diameter) is the truncation mass 2^-(#enumerated spheres) and
-    is reported, never redistributed.
+    is reported, never redistributed.  Sphere j is at rho numerator
+    `nums[j]` and has `counts[nums[j]]` points; `steps[num]` lists by t the
+    factor distances (t, t2) with rho_num(t, t2) = num and nonempty spheres.
 
     This class alone holds the pair law and its point set, the window
     `space` = ProductSpace(metric, window_radius) with its point `digests`;
     every point id it takes or returns is a window id.  A graphing run's
     `ProcessContext` is built on this window, so the covering map, the
-    vertex table and Pi2 share its ids.  `prob` is
-    lut[d(a1, b1) p + d'(a2, b2) q] over window ids, with the factor
+    vertex table and Pi2 share its ids.  `prob` is lut at
+    `rho_num(d(a1, b1), d'(a2, b2))` over window ids, with the factor
     distances computed per pair by each factor ball's `distances` (closed
     forms; a free product factor reads one capped table), and the Pi2
     stage and the coset-line baseline are this one percolation restricted
@@ -115,22 +117,18 @@ class PercolationKernel:
         growth = growth_series(metric.first.spec, 2 * window_radius, cap=cap)
         # floor(c * 2 wr) is 0 when c < 1 / (2 wr); a growth series reaches radius 1 at least.
         growth2 = growth_series(metric.second.spec, max(1, max_num // q), cap=cap)
-        counts = {}
+        self.counts, self.steps = counts, steps = {}, {}
         for t in range(max_num // p + 1):
             for t2 in range((max_num - t * p) // q + 1):
-                num = t * p + t2 * q
-                if num == 0:
-                    continue
+                num = metric.rho_num(t, t2)
                 cnt = growth.sphere(t) * growth2.sphere(t2)
-                if cnt:
+                if num and cnt:
                     counts[num] = counts.get(num, 0) + cnt
+                    steps.setdefault(num, []).append((t, t2))
         self.nums = sorted(counts)
         self.lut = np.zeros(max_num + 1, dtype=np.float64)
-        self.annuli = []
         for j, num in enumerate(self.nums):
-            prob = 0.5 ** (j + 1) / counts[num]
-            self.lut[num] = prob
-            self.annuli.append((num, counts[num], prob))
+            self.lut[num] = 0.5 ** (j + 1) / counts[num]
         self.truncation_mass = Fraction(1, 2 ** len(self.nums))
         self.space = space = ProductSpace(metric, window_radius, cap)
         self.digests = point_digests(space)
@@ -141,11 +139,8 @@ class PercolationKernel:
         """p(a, b) for window ids a and b, elementwise: lut at the rho_c
         numerator d p + d' q of their factor distances."""
         s = self.space
-        c = s.metric.c
-        return self.lut[
-            s.ball1.distances(s.pts1[a], s.pts1[b]) * c.numerator
-            + s.ball2.distances(s.pts2[a], s.pts2[b]) * c.denominator
-        ]
+        d1 = s.ball1.distances(s.pts1[a], s.pts1[b])
+        return self.lut[s.metric.rho_num(d1, s.ball2.distances(s.pts2[a], s.pts2[b]))]
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every pair
@@ -220,20 +215,16 @@ class PercolationKernel:
         """The pairs a < b of the window ids `ids` at weight p1, as two
         window id arrays in no set order.
 
-        A pair weighs p1 when its rho numerator t p + t2 q has lut value
-        p1, with t and t2 the pair's factor distances; the window pairs of
-        each such decomposition (`_pairs_at`) are kept when both their ends
-        are in `ids`.
+        A pair weighs p1 when its rho numerator has lut value p1; the window
+        pairs (`_pairs_at`) at each of that numerator's factor steps (t, t2)
+        (`steps`) are kept when both their ends are in `ids`.
         """
-        p, q = self.space.metric.c.numerator, self.space.metric.c.denominator
         inside = np.zeros(len(self.space), dtype=bool)
         inside[ids] = True
         found = [(np.zeros(0, dtype=np.int64),) * 2]
         for num in np.flatnonzero(self.lut == p1).tolist():
-            for t in range(num // p + 1):
-                if (num - t * p) % q:
-                    continue
-                a, b = self._pairs_at(t, (num - t * p) // q)
+            for t, t2 in self.steps.get(num, ()):
+                a, b = self._pairs_at(t, t2)
                 keep = inside[a] & inside[b]
                 found.append((a[keep], b[keep]))
         return tuple(map(np.concatenate, zip(*found)))
@@ -289,6 +280,8 @@ class PercolationKernel:
         order bit for bit; rows are taken in tiles of about `_TILE` pairs.
         Each row's rho numerators are gathered from one row of factor
         distances per factor, from its point to every element of the ball.
+        Those rows, of a ball's m elements, are multiplied by p and q before
+        the gather, not through `rho_num` after it on n/m times longer rows.
         """
         s = self.space
         n = len(s)

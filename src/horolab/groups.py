@@ -664,23 +664,19 @@ class GrowthSeries:
     def horizon(self) -> int:
         return len(self.volumes) - 1
 
-    def volume(self, n: int) -> int:
+    def _at(self, table: list, n: int) -> int:
+        """table[n], 0 below radius 0; past the horizon, an InputError."""
         if n < 0:
             return 0
         if n > self.horizon:
-            raise InputError(
-                f"growth horizon too short: need radius {n}, have {self.horizon}"
-            )
-        return self.volumes[n]
+            raise InputError(f"growth horizon too short: need radius {n}, have {self.horizon}")
+        return table[n]
+
+    def volume(self, n: int) -> int:
+        return self._at(self.volumes, n)
 
     def sphere(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n > self.horizon:
-            raise InputError(
-                f"growth horizon too short: need radius {n}, have {self.horizon}"
-            )
-        return self.spheres[n]
+        return self._at(self.spheres, n)
 
     def check_invariants(self):
         v, s = self.volumes, self.spheres

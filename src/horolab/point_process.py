@@ -38,9 +38,6 @@ from .randomness import (
     bits_at_most,
     combine_digests,
     digest_str,
-    fold_into,
-    head_bits,
-    head_limit,
     seed_digest,
     threshold_pairs,
 )
@@ -115,9 +112,7 @@ class ProcessContext:
     members (u, w) of the diamond centered at the origin, as factor-ball
     index arrays by u, so that the centers covering y are exactly (y1 *
     u^-1, y2 * w^-1).  `covering` is the covering map of the covering
-    centers, as CSR arrays, `center_digests` their digests and
-    `center_folded` those digests' folds (`fold_into`), the seed-free
-    input of `SeededRandomness.heads_into`.
+    centers, as CSR arrays, and `center_digests` their digests.
     """
 
     def __init__(
@@ -143,9 +138,6 @@ class ProcessContext:
             )
         self.covering = self._covering_map(cap)
         self.center_digests = point_digests(self.space)[self.covering.centers]
-        self.center_folded = fold_into(
-            self.center_digests.copy(), np.empty_like(self.center_digests)
-        )
 
     def _covering_map(self, cap: int) -> CoveringMap:
         """Every center whose diamond meets the window, with its members
@@ -215,24 +207,19 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     A center is chosen when its uniform u = rng.uniforms(digest,
     STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
     b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
-    equals the bound.  The heads of every center's word are drawn in place
-    from `ctx.center_folded` (`heads_into`), and only the heads at most
-    `head_limit(k)` get their bits (`head_bits`).
+    equals the bound: `SeededRandomness.below` draws that test over
+    `ctx.center_digests`.
     """
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
-    digests, folded = ctx.center_digests, ctx.center_folded
-    k = bits_at_most(param)
-    heads = rng.heads_into(folded, STREAM_CENTERS, np.empty_like(folded), np.empty_like(folded))
-    passed = np.flatnonzero(heads <= head_limit(k))
-    chosen = passed[head_bits(heads[passed]) < k]
+    chosen = rng.below(ctx.center_digests, STREAM_CENTERS, bits_at_most(param))
     return DiamondProcess(
         ctx=ctx,
         seed=seed,
         param=param,
         chosen=chosen,
         center_pids=ctx.covering.centers[chosen],
-        marks=rng.uniforms(digests[chosen], STREAM_MARKS),
+        marks=rng.uniforms(ctx.center_digests[chosen], STREAM_MARKS),
     )
 
 

@@ -66,7 +66,8 @@ class ProductMetric:
 
     # Integer-numerator arithmetic (c = p/q): rho * p = d1*p + d2*q.
 
-    def rho_num(self, d1: int, d2: int) -> int:
+    def rho_num(self, d1, d2):
+        """rho * p of factor distances: ints, or integer arrays elementwise."""
         c = self.c
         return d1 * c.numerator + d2 * c.denominator
 
@@ -149,11 +150,7 @@ class FactorBall:
         self.elements = [el for el, _ in pairs]
         self.dist = np.fromiter((d for _, d in pairs), dtype=np.int32, count=len(pairs))
         self.index = {el: i for i, el in enumerate(self.elements)}
-        self.volumes = [0] * (radius + 1)
-        for d in self.dist:
-            self.volumes[d] += 1
-        for r in range(1, radius + 1):
-            self.volumes[r] += self.volumes[r - 1]
+        self.volumes = np.searchsorted(self.dist, np.arange(radius + 1), side="right").tolist()
 
     def __len__(self):
         return len(self.elements)
@@ -247,9 +244,9 @@ class ProductSpace:
         self.pts1, self.pts2 = self.ball1.slices(
             self.ball2, reach, cap, "product window enumeration", np.int32
         )
-        d1 = self.ball1.dist[self.pts1].astype(np.int64)
-        d2 = self.ball2.dist[self.pts2].astype(np.int64)
-        self.rho_num = d1 * p + d2 * q
+        self.rho_num = metric.rho_num(
+            self.ball1.dist[self.pts1].astype(np.int64), self.ball2.dist[self.pts2].astype(np.int64)
+        )
         # Packed (i << 32) | j keys; `slices` lists the points by i, then j,
         # so the keys increase and index the universe by binary search.
         self.keys = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
@@ -277,9 +274,6 @@ class ProductSpace:
 
     def word_str(self, pid: int) -> str:
         return self.metric.word_str(self.element(pid))
-
-    def ids_within(self, radius) -> np.ndarray:
-        return np.flatnonzero(self.rho_num <= self.metric.radius_num(radius))
 
     def mask_within(self, radius) -> np.ndarray:
         return self.rho_num <= self.metric.radius_num(radius)

@@ -30,8 +30,8 @@ drawn under many seeds:
 `threshold_pairs` is the one loop over those tiles: it draws the pairs
 (i, j) of a rectangle lo x hi, or the pairs i < j of a triangle, whose
 uniform under each seed has bits b < k.  The percolation and the corner
-events sample through it.  The diamond process draws its centers the same
-way, from the covering centers' digests folded once (`fold_into`).
+events sample through it, and the diamond process draws its centers the
+same way through `SeededRandomness.below`.
 """
 
 from __future__ import annotations
@@ -218,6 +218,17 @@ class SeededRandomness:
         np.bitwise_xor(out, self._stream64(tag), out=out)
         _mix_into(out, tmp, stop=4)
         return out
+
+    def below(self, digests, tag: str, k: int) -> np.ndarray:
+        """The positions of the `digests` whose `uniforms(digests, tag)` have
+        bits b < k, 0 < k <= 2**53, in rising order: a folded copy of the
+        digests (`fold_into`) is drawn into heads in place (`heads_into`),
+        and only the heads at most `head_limit(k)` are finished."""
+        heads = np.array(digests, dtype=np.uint64)
+        tmp = np.empty_like(heads)
+        self.heads_into(fold_into(heads, tmp), tag, heads, tmp)
+        passed = np.flatnonzero(heads <= head_limit(k))
+        return passed[head_bits(heads[passed]) < k]
 
     def uniform(self, digest: int, tag: str) -> float:
         return float(self.uniforms(np.uint64(digest), tag))

@@ -88,15 +88,16 @@ def test_kernel_total_mass_and_truncation(f2_ctx):
     k = f2_ctx.kernel
     enumerated = sum(Fraction(1, 2 ** (j + 1)) for j in range(len(k.nums)))
     assert enumerated + k.truncation_mass == 1
-    assert all(p > 0 for _, _, p in k.annuli)
+    assert all(k.lut[num] > 0 for num in k.nums)
 
 
 def test_kernel_counts_match_sphere_sums(f2_ctx):
     g = growth_series(F2, 10)
-    for num, count, _ in f2_ctx.kernel.annuli[:6]:
+    kernel = f2_ctx.kernel
+    for num in kernel.nums[:6]:
         # c = 1: annulus at integer radius `num` has count sum s_t s'_{num-t}
         expected = sum(g.spheres[t] * g.spheres[num - t] for t in range(num + 1))
-        assert count == expected
+        assert kernel.counts[num] == expected
 
 
 def test_kernel_reads_spheres_past_the_schedule_horizon(f2_ctx):
@@ -104,8 +105,10 @@ def test_kernel_reads_spheres_past_the_schedule_horizon(f2_ctx):
     # spheres out to the window's diameter, 8.
     g = growth_series(F2, 6)
     ctx = GraphingContext(f2_ctx.metric, linear_schedule(1, 6, growth=g, growth2=g), 2, 4, 2)
-    assert ctx.kernel.annuli == f2_ctx.kernel.annuli
-    assert ctx.kernel.truncation_mass == f2_ctx.kernel.truncation_mass
+    k, want = ctx.kernel, f2_ctx.kernel
+    assert k.nums == want.nums and k.counts == want.counts
+    assert k.lut[k.nums].tolist() == want.lut[want.nums].tolist()
+    assert k.truncation_mass == want.truncation_mass
 
 
 def test_kernel_invariance(f2_ctx):

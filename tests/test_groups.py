@@ -251,3 +251,12 @@ def test_exact_rates():
     assert make_oracle(GroupSpec("free", rank=3)).exact_growth_rate() == 5
     assert make_oracle(Z2).exact_growth_rate() == 1
     assert make_oracle(C2C3).exact_growth_rate() is None
+
+
+def test_growth_series_reads_zero_below_radius_0_and_refuses_past_its_horizon():
+    g = growth_series(F2, 3)
+    assert (g.volume(-1), g.sphere(-1)) == (0, 0)
+    assert (g.volume(3), g.sphere(3)) == (g.volumes[3], g.spheres[3])
+    for read in (g.volume, g.sphere):
+        with pytest.raises(InputError, match=r"^growth horizon too short: need radius 4, have 3$"):
+            read(4)

@@ -187,7 +187,7 @@ def test_quotient_table_takes_one_column_per_element_given():
 def test_product_space_window(m_f2):
     sp = ProductSpace(m_f2, 3)
     assert len(sp) == len(perfect_diamond(m_f2, m_f2.origin, 3))
-    ids = sp.ids_within(2)
+    ids = np.flatnonzero(sp.mask_within(2))
     assert len(ids) == 49
     i, j = sp.ball1.index[m_f2.first.canon(["a"])], sp.ball2.index[m_f2.second.identity]
     pid = int(sp.lookup(i, j))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,6 +130,43 @@ def test_head_limit_keeps_every_head_whose_bits_pass(k):
     limit = head_limit(k)
     assert int(limit) == min((((k - 1) >> 22) + 1) << 33, 2**64) - 1
     assert (d[passes] <= limit).all()
+
+
+@pytest.mark.parametrize("k", [1, 2**22 + 1, 2**40 + 12345, 2**52, 2**53])
+def test_below_is_the_bits_test_of_the_uniforms(k):
+    # `below` keeps exactly the positions whose uniform has bits < k, and
+    # leaves its digests as they were.
+    d = np.random.default_rng(k % 2**32).integers(0, 2**64, 5000, dtype=np.uint64)
+    kept = d.copy()
+    rng = SeededRandomness(k)
+    want = np.flatnonzero(rng.words(d, STREAM_CENTERS) >> np.uint64(11) < np.uint64(k))
+    assert rng.below(d, STREAM_CENTERS, k).tolist() == want.tolist()
+    assert (d == kept).all()
+    # u <= t keeps the digest whose uniform is t, u < t does not.
+    t = float(rng.uniforms(d[17], STREAM_CENTERS))
+    assert 17 in rng.below(d, STREAM_CENTERS, bits_at_most(t))
+    assert 17 not in rng.below(d, STREAM_CENTERS, bits_below(t))
+
+
+def test_only_randomness_reaches_into_the_hash_rounds():
+    # The folds, heads and mixing rounds are the randomness module's own:
+    # every other module draws through `uniforms`, `below` or
+    # `threshold_pairs`.
+    internals = {
+        "heads_into", "fold_into", "head_limit", "head_bits", "combine_into", "premix", "_mix_into"
+    }
+    offenders = []
+    for path in sorted(Path(randomness.__file__).parent.glob("*.py")):
+        if path.name == "randomness.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            for name in internals.intersection(names):
+                offenders.append(f"{path.name}:{node.lineno} names {name}")
+    assert offenders == []
 
 
 def test_bits_below_is_the_exact_integer_form_of_u_below_t():
