@@ -11,16 +11,15 @@ and tolerances are pinned here, not in the callers.
 The suite's pinned world is the `cli.Run` of the defaults at the suite's
 master seed and thread count: criteria 2 to 4 read its schedule and
 metric, criteria 7 and 9 its 200-seed graphing sweep, criterion 10 its
-prop13 sweep and criterion 6 its sandwich scenarios (`sandwich_scenarios`
+prop13 sweep, criterion 6 its sandwich scenarios (`sandwich_scenarios`
 on F2 x F2 at c = 1, each a `diamonds.sandwich_check` over a
-`ProductSpace` window).  A caller may offer its own run (`horolab all`
+`ProductSpace` window) and criterion 8 its touching traces
+(`touching_scenarios`).  A caller may offer its own run (`horolab all`
 does); a criterion takes a sweep or the scenarios from the offered run
 only when every config entry they read equals the pinned run's
-(`cli.SWEEP_INPUTS`; the scenarios read only `group`, `group2` and `c`),
-and from the pinned run otherwise.
-
-Criterion 8 checks the scenarios built by `touching_scenarios`; the
-CLI's `diamond` and `touching` runners write the sandwich and touching
+(`cli.SWEEP_INPUTS`; the sandwich scenarios read only `group`, `group2`
+and `c`, the touching traces only the groups), and from the pinned run
+otherwise.  The CLI's `diamond` and `touching` runners write the same
 scenarios out for the configured groups.
 """
 
@@ -114,8 +113,8 @@ class SuiteContext:
 
     def sweep(self, name: str):
         """(report, wall seconds) of the "graphing" or "prop13" sweep, or
-        the "sandwich" scenarios by name: the offered run's when it reports
-        what the pinned run's would."""
+        the "sandwich" or "touching" scenarios by name: the offered run's
+        when it reports what the pinned run's would."""
         offered = self.offered
         if offered is not None and offered.same_sweep(self.run, name):
             return getattr(offered, name)
@@ -306,18 +305,17 @@ def touching_scenarios(spec1, spec2) -> dict:
 
 @criterion(8, "touching paths")
 def criterion_8_touching(sc: SuiteContext):
-    traces = touching_scenarios(F2, F2)
+    traces = sc.sweep("touching")
     tr = traces["tree_k2_kp1"]
-    if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
+    if not tr.ok:
         return False, "tree trace failed"
     if not (tr.k == 2 and tr.k_prime == 1 and max(tr.rho_values) <= 3):
         return False, f"k={tr.k}, k'={tr.k_prime}, max rho {max(tr.rho_values)}"
     tr0 = traces["degenerate"]
-    if max(tr0.rho_values) != 0 or not (tr0.monotone1 and tr0.monotone2):
+    if max(tr0.rho_values) != 0 or not tr0.ok:
         return False, "degenerate trace not identically zero"
     trz = traces["lattice"]
-    ok = trz.bound_ok and trz.monotone1 and trz.monotone2
-    return ok, (
+    return trz.ok, (
         f"tree max rho {max(tr.rho_values)} <= 3; lattice max rho "
         f"{max(trz.rho_values)} <= {trz.bound}"
     )

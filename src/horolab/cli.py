@@ -21,18 +21,19 @@ Lines) are written otherwise.
 
 `main` builds one `Run` from the validated config and hands it to the
 runner.  The run resolves the group specs, the slope, the schedule, the
-metric and the graphing and prop13 sweeps each once, on first use, and
-keeps them for the rest of the invocation; `growth`, `touching` and
-`prop13` never build the schedule.  Growth series are recomputed where
-they are read: `groups.ball` keeps each group's enumeration for the
-whole process, so a repeated series costs no enumeration.
+metric, the sandwich and touching scenarios and the graphing and prop13
+sweeps each once, on first use, and keeps them for the rest of the
+invocation; `growth`, `touching` and `prop13` never build the schedule.
+Growth series are recomputed where they are read: `groups.ball` keeps
+each group's enumeration for the whole process, so a repeated series
+costs no enumeration.
 
 `all` runs every subcommand and then the acceptance suite, and offers the
 suite its run.  A criterion takes a sweep from the offered run when every
 config entry that sweep reads (`SWEEP_INPUTS`) equals the suite's pinned
 run's, as with the defaults: criteria 7 and 9 reuse the graphing sweep,
-criterion 10 the prop13 sweep and criterion 6 the sandwich scenarios
-that `diamond` wrote.
+criterion 10 the prop13 sweep, criterion 6 the sandwich scenarios that
+`diamond` wrote and criterion 8 the touching traces that `touching` wrote.
 
 Exit codes: 0 success, 1 invariant violation, 2 config error, 3 resource
 cap.
@@ -119,94 +120,69 @@ DEFAULTS = {
 }
 
 
+_GROUPS = ("group", "group2")  # each replaced whole and checked by GroupSpec
+
+
 def _deep_merge(base: dict, extra: dict) -> dict:
     """`extra` over `base`, block by block.  A group spec is replaced whole:
     merged, a lattice spec would keep the default free spec's `rank`."""
     out = dict(base)
     for k, v in (extra or {}).items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict) and k not in ("group", "group2"):
+        if isinstance(v, dict) and isinstance(out.get(k), dict) and k not in _GROUPS:
             out[k] = _deep_merge(out[k], v)
         else:
             out[k] = v
     return out
 
 
-# Integer config fields as (block, key, least value); block None is the
-# top level.  Every entry of an integer list field is an integer >= 0.
-_INT_FIELDS = (
-    (None, "enum_cap", 1),
-    (None, "threads", 1),
-    ("growth", "horizon", 1),
-    ("growth", "ball_dump_radius", 0),
-    ("schedule", "horizon", 1),
-    ("schedule", "m_max", 0),
-    ("process", "n", 0),
-    ("process", "window_radius", 0),
-    ("process", "seeds", 1),
-    ("process", "T", 0),
-    ("process", "corner_seeds", 0),
-    ("graphing", "n", 0),
-    ("graphing", "window_radius", 1),
-    ("graphing", "margin", 1),
-    ("graphing", "seeds", 1),
-    ("prop13", "window_radius", 1),
-    ("prop13", "margin", 1),
-    ("prop13", "seeds", 1),
-)
-_INT_LIST_FIELDS = (("process", "n_range"), ("diamond", "n_values"), ("diamond", "T_values"))
-_EPS_LIST_FIELDS = (("graphing", "eps_list"), ("prop13", "eps_list"))
+# The integer fields that may be 0; every other integer field is >= 1.
+_MAY_BE_ZERO = {
+    "growth.ball_dump_radius", "schedule.m_max", "process.n", "process.window_radius",
+    "process.T", "process.corner_seeds", "graphing.n",
+}
 
 
-def _require_int(value, name: str, least: int = 1):
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _require_eps(value, name: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise InputError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _require_list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise InputError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-# Blocks whose keys are checked against DEFAULTS; `group` and `group2` are
-# checked by GroupSpec.
-_BLOCKS = ("growth", "schedule", "diamond", "process", "graphing", "prop13")
+def _check(value, default, name: str, least: int):
+    """`value` has the kind of the field's `default`: an int default asks
+    for an integer >= `least`, a float one for a finite number >= 0, a bool
+    one for true or false, and a list one for a list whose entries have
+    the kind of its first entry (integer entries >= 0)."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise InputError(f"{name} must be a list, got {value!r}")
+        for v in value:
+            _check(v, default[0], f"{name} entry", 0)
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int) and value >= least, f"an integer >= {least}"
+    else:
+        ok, kind = number and 0 <= value < math.inf, "a finite number >= 0"
+    if not ok:
+        raise InputError(f"{name} must be {kind}, got {value!r}")
 
 
 def _validate(cfg: dict):
+    """Check every config key against DEFAULTS, each field by the kind of
+    its default (`_check`).  `master_seed` is any integer and `c` null or
+    a positive rational; the group specs are checked by GroupSpec."""
+    blocks = [key for key, v in DEFAULTS.items() if isinstance(v, dict) and key not in _GROUPS]
     unknown = [key for key in cfg if key not in DEFAULTS]
-    for block in _BLOCKS:
+    for block in blocks:
         if not isinstance(cfg[block], dict):
             raise InputError(f"{block} must be an object, got {cfg[block]!r}")
         unknown += [f"{block}.{key}" for key in cfg[block] if key not in DEFAULTS[block]]
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(unknown)}")
-
-    def get(block, key):
-        if block is None:
-            return cfg[key], key
-        return cfg[block][key], f"{block}.{key}"
-
-    for block, key, least in _INT_FIELDS:
-        _require_int(*get(block, key), least)
-    for block, key in _INT_LIST_FIELDS:
-        for v in _require_list(*get(block, key)):
-            _require_int(v, f"{block}.{key} entry", 0)
-    for block, key in _EPS_LIST_FIELDS:
-        for v in _require_list(*get(block, key)):
-            _require_eps(v, f"{block}.{key} entry")
-    _require_eps(*get("graphing", "eps"))
+    fields = [(key, cfg[key], v) for key, v in DEFAULTS.items() if not isinstance(v, dict)]
+    fields += [(f"{b}.{key}", cfg[b][key], v) for b in blocks for key, v in DEFAULTS[b].items()]
+    for name, value, default in fields:
+        if name not in ("master_seed", "c"):
+            _check(value, default, name, 0 if name in _MAY_BE_ZERO else 1)
     if isinstance(cfg["master_seed"], bool) or not isinstance(cfg["master_seed"], int):
         raise InputError(f"master_seed must be an integer, got {cfg['master_seed']!r}")
-    if not isinstance(cfg["acceptance_checks"], bool):
-        raise InputError(
-            f"acceptance_checks must be true or false, got {cfg['acceptance_checks']!r}"
-        )
     if cfg["c"] is not None and not as_slope(str(cfg["c"])) > 0:
         raise InputError(f"c must be null or a positive rational, got {cfg['c']!r}")
 
@@ -264,13 +240,14 @@ def _resolve_c(cfg, spec1, spec2) -> Fraction:
     )
 
 
-# The config entries each sweep reads, and the sandwich scenarios (the
-# groups and the slope).  Threads and the enumeration cap change how a
-# sweep runs, not what it reports.
+# The config entries each sweep reads, and those the sandwich scenarios (the
+# groups and the slope) and the touching traces (the groups) read.  Threads
+# and the enumeration cap change how a sweep runs, not what it reports.
 SWEEP_INPUTS = {
     "graphing": ("group", "group2", "c", "schedule", "graphing", "master_seed"),
     "prop13": ("group", "group2", "c", "prop13", "master_seed"),
     "sandwich": ("group", "group2", "c"),
+    "touching": ("group", "group2"),
 }
 
 
@@ -287,9 +264,10 @@ class Run:
     (`schedule_for`); no growth-rate estimate does.  The specs and `c` fix
     the metric, which carries the sandwich scenarios and the prop13 sweep;
     with the growth series they fix the schedule, which the graphing
-    sweep also reads.  Each of these but the
-    growth series is resolved on first use and kept for the rest of the
-    invocation, so no runner re-derives one and no sweep runs twice.
+    sweep also reads.  The specs alone fix the touching traces.  Each of
+    these but the growth series is resolved on first use and kept for the
+    rest of the invocation, so no runner re-derives one and no sweep runs
+    twice.
     """
 
     def __init__(self, cfg: dict):
@@ -333,6 +311,11 @@ class Run:
     def sandwich(self) -> dict:
         """The horoball-sandwich scenarios on the run's groups and slope."""
         return acceptance.sandwich_scenarios(*self.specs, self.c)
+
+    @functools.cached_property
+    def touching(self) -> dict:
+        """The touching-path traces on the run's groups."""
+        return acceptance.touching_scenarios(*self.specs)
 
     def sweep_graphing(self) -> CostReport:
         """Run the graphing sweep and return its report, seed-0 stages
@@ -617,7 +600,7 @@ def run_touching(run: Run, out: Path):
     rows = []
     plot = []
     summary = {}
-    for name, tr in acceptance.touching_scenarios(*run.specs).items():
+    for name, tr in run.touching.items():
         for j, rho in enumerate(tr.rho_values):
             rows.append(
                 [name, j, str(rho), str(tr.xi1_values[j]), str(tr.xi2_values[j])]
@@ -632,7 +615,7 @@ def run_touching(run: Run, out: Path):
             "monotone2": tr.monotone2,
             "steps": len(tr.rho_values),
         }
-        if not (tr.bound_ok and tr.monotone1 and tr.monotone2):
+        if not tr.ok:
             raise InvariantViolation(f"touching trace {name} violated its bound")
     write_csv(out / "traces.csv", ["scenario", "j", "rho", "d_theta1", "d_theta2"], rows)
     write_plot(out, plot)

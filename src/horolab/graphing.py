@@ -114,6 +114,8 @@ class PercolationKernel:
     def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
         p, q = metric.c.numerator, metric.c.denominator
         max_num = metric.radius_num(2 * window_radius)
+        if max_num >= 2**31:  # int32 factor distances make int32 numerators d p + d' q
+            raise InputError(f"rho numerators up to {max_num} at c = {metric.c} pass int32")
         growth = growth_series(metric.first.spec, 2 * window_radius, cap=cap)
         # floor(c * 2 wr) is 0 when c < 1 / (2 wr); a growth series reaches radius 1 at least.
         growth2 = growth_series(metric.second.spec, max(1, max_num // q), cap=cap)
@@ -951,6 +953,11 @@ class TouchingTrace:
     bound_ok: bool
     monotone1: bool
     monotone2: bool
+
+    @property
+    def ok(self) -> bool:
+        """The trace's verdict: the bound holds and both values descend."""
+        return self.bound_ok and self.monotone1 and self.monotone2
 
 
 def touching_paths(

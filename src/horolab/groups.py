@@ -179,7 +179,8 @@ class Oracle:
     def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
         """Word distances among `elements`, vectorised: a function of two
         index arrays i and j (broadcast like numpy's) that returns
-        d(elements[i], elements[j]) elementwise.
+        d(elements[i], elements[j]) elementwise, as int32 (int64 only for a
+        cyclic group of order 2^31 or more).
 
         This generic form, which only free products use, tabulates every
         pair by the multiply-and-length loop into one int32 table of m^2
@@ -234,7 +235,7 @@ class FreeOracle(Oracle):
         levels and a word with itself at all, so x = y gives <= 0, clipped
         to 0.  Any list of words will do, repeats included."""
         m = len(elements)
-        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=m)
+        lengths = np.fromiter(map(len, elements), dtype=np.int32, count=m)
         levels = int(lengths.max(initial=0))
         prefix = np.empty((levels, m), dtype=np.int32)
         ids = {}
@@ -245,7 +246,7 @@ class FreeOracle(Oracle):
         def dist(i, j):
             d = lengths[i] + lengths[j]
             for ids_k in prefix:
-                d -= 2 * (ids_k[i] == ids_k[j])
+                d -= (ids_k[i] == ids_k[j]) * np.int32(2)  # no int64 temporary
             return np.maximum(d, 0)
 
         return dist
@@ -298,9 +299,9 @@ class CyclicOracle(Oracle):
 
     def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
         """Closed form min(r, q - r) with r = (x - y) mod q, from the m
-        residues."""
+        residues (int32 when q < 2^31, so x - y cannot overflow)."""
         q = self.spec.order
-        res = np.array(elements, dtype=np.int64)
+        res = np.array(elements, dtype=np.int32 if q < 2**31 else np.int64)
 
         def dist(i, j):
             r = (res[i] - res[j]) % q
@@ -359,7 +360,7 @@ class LatticeOracle(Oracle):
 
     def distances(self, elements, cap: int = DEFAULT_ENUM_CAP):
         """Closed form: the l1 norm of x - y, from the d * m coordinates."""
-        coords = np.array(elements, dtype=np.int64).reshape(len(elements), self.spec.dim).T
+        coords = np.array(elements, dtype=np.int32).reshape(len(elements), self.spec.dim).T
 
         def dist(i, j):
             d = np.abs(coords[0, i] - coords[0, j])

@@ -13,8 +13,10 @@ arrays (through `ragged`, the one ragged expansion).  `ProductSpace`
 materialises one rho_c ball as an indexed point universe (pairs of
 factor-ball indices backed by numpy arrays); windows are index subsets of
 the universe, which keeps every downstream Monte-Carlo kernel
-vectorisable.  `FactorBall.distances` gives a factor ball's word distances
-per pair of index arrays through its oracle (`Oracle.distances`): in closed
+vectorisable; its points' rho numerators (`rho_num`) are built only for the
+windows that read them, never for the process's W+.
+`FactorBall.distances` gives a factor ball's word distances (int32) per
+pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
 lattices (the l1 norm of x - y), cyclic groups and direct products, from
 one capped table for free products.  `FactorBall.sphere_neighbours` lists
@@ -244,15 +246,20 @@ class ProductSpace:
         self.pts1, self.pts2 = self.ball1.slices(
             self.ball2, reach, cap, "product window enumeration", np.int32
         )
-        self.rho_num = metric.rho_num(
-            self.ball1.dist[self.pts1].astype(np.int64), self.ball2.dist[self.pts2].astype(np.int64)
-        )
         # Packed (i << 32) | j keys; `slices` lists the points by i, then j,
         # so the keys increase and index the universe by binary search.
         self.keys = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
 
     def __len__(self):
         return len(self.pts1)
+
+    @functools.cached_property
+    def rho_num(self) -> np.ndarray:
+        """rho * p of each point from the origin, built on first use: only
+        `mask_within` and the sandwich check read it."""
+        return self.metric.rho_num(
+            self.ball1.dist[self.pts1].astype(np.int64), self.ball2.dist[self.pts2].astype(np.int64)
+        )
 
     def lookup(self, i, j) -> np.ndarray:
         """Universe ids of the factor-ball index pairs (i, j), elementwise;

@@ -250,6 +250,27 @@ def test_malformed_numeric_field_exits_2(tmp_path, capsys, overrides):
     assert "config error:" in capsys.readouterr().err
 
 
+# Every config field but the group specs, as (block, key); key None names a
+# top-level field.
+CONFIG_FIELDS = [
+    (block, key)
+    for block, default in cli.DEFAULTS.items()
+    if block not in ("group", "group2")
+    for key in (default if isinstance(default, dict) else [None])
+]
+
+
+@pytest.mark.parametrize("value", ["x", [True]], ids=["str", "list-of-bool"])
+@pytest.mark.parametrize(
+    "block, key", CONFIG_FIELDS, ids=[b if k is None else f"{b}.{k}" for b, k in CONFIG_FIELDS]
+)
+def test_every_field_given_a_value_of_the_wrong_kind_exits_2(tmp_path, capsys, block, key, value):
+    # No field takes a string or a list of booleans.
+    overrides = {block: value} if key is None else {block: {key: value}}
+    assert cli.main(["growth", "--out", str(tmp_path)], config_overrides=overrides) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_bad_group_exits_2(tmp_path):
     rc = cli.main(
         ["growth", "--out", str(tmp_path)],
@@ -609,6 +630,27 @@ def test_all_computes_the_sandwich_scenarios_once(tmp_path, monkeypatch, c, call
     assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
     assert len(counted) == calls
     assert (tmp_path / "acceptance.txt").read_text().startswith("[PASS] criterion 6")
+
+
+@pytest.mark.parametrize("rank, calls", [(2, 1), (3, 2)], ids=["F2", "F3"])
+def test_all_computes_the_touching_scenarios_once(tmp_path, monkeypatch, rank, calls):
+    # On F2 x F2, criterion 8 reads the traces `touching` computed; on
+    # F3 x F3, the suite computes the pinned run's.
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return touching_scenarios(*args)
+
+    touching_scenarios = acceptance.touching_scenarios
+    monkeypatch.setattr(acceptance, "touching_scenarios", counting)
+    monkeypatch.setattr(cli, "RUNNERS", {"touching": cli.run_touching})
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_8_touching])
+    group = {"kind": "free", "rank": rank}
+    overrides = {"group": group, "group2": group}
+    assert cli.main(["all", "--out", str(tmp_path)], config_overrides=overrides) == 0
+    assert len(counted) == calls
+    assert (tmp_path / "acceptance.txt").read_text().startswith("[PASS] criterion 8")
 
 
 def test_graphing_exits_1_after_writing_pi1_interior_violations(tmp_path, monkeypatch, capsys):

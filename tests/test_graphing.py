@@ -28,7 +28,7 @@ from horolab.graphing import (
     surviving_index,
 )
 from horolab.diamonds import in_diamond
-from horolab.errors import InvariantViolation, ResourceCapError
+from horolab.errors import InputError, InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import point_digests, sample_diamond_process
 from horolab.product import ProductMetric, ProductSpace
@@ -356,20 +356,10 @@ def test_percolation_matches_the_materialised_reference(perc_ctx):
     assert opened > 0
 
 
-def _count_tiles(monkeypatch, tile) -> list:
-    """Set the tile size of `randomness.threshold_pairs`, which owns the
-    tile loop, to `tile`; the returned list grows by one per hashed tile."""
-    monkeypatch.setattr(randomness, "_TILE", tile)
-    tiles = []
-    combine = randomness.combine_into
-    monkeypatch.setattr(randomness, "combine_into", lambda *a: tiles.append(1) or combine(*a))
-    return tiles
-
-
 @pytest.mark.parametrize("tile", [3, 7, 200])
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
-def test_percolation_tiles_that_split_rows(perc_ctx, tile, monkeypatch):
-    tiles = _count_tiles(monkeypatch, tile)
+def test_percolation_tiles_that_split_rows(perc_ctx, tile, count_tiles):
+    tiles = count_tiles(tile)
     for s in range(3):
         key = seed_digest(61, s)
         bases = _seed_window(perc_ctx, key).bases.tolist()[:60]
@@ -444,8 +434,8 @@ MULTI_SEED_KEYS = [seed_digest(66, s) for s in range(4)]
 
 @pytest.mark.parametrize("tile", [3, 7, 200, randomness._TILE])
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx, tile, monkeypatch):
-    tiles = _count_tiles(monkeypatch, tile)
+def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx, tile, count_tiles):
+    tiles = count_tiles(tile)
     bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()
     if tile < 200:
         bases = bases[:60]
@@ -518,7 +508,7 @@ def test_open_pairs_flushes_held_heads_mid_call(perc_ctx, monkeypatch):
     assert sum(b >= 1024 for b in batches) >= 2 and min(batches[:-1]) >= 1024
 
 
-def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
+def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch, count_tiles):
     # Every position of a tile is held (as above), so the first tile's
     # heads already bound more passes than the cap: that batch is counted
     # exactly then, and the call raises before the second tile is hashed.
@@ -528,7 +518,7 @@ def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch):
     kernel = f2_ctx.kernel
     saved = kernel.lut
     monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
-    tiles = _count_tiles(monkeypatch, 4096)
+    tiles = count_tiles(4096)
     S = _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases[:80]
     rngs = [SeededRandomness(MULTI_SEED_KEYS[0])]
     assert len(list(randomness._tiles(0, len(S), True))) == 2
@@ -896,6 +886,22 @@ def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
     with pytest.raises(type(error), match=r"^seed 3: ") as info:
         cost_report(f2_ctx, 5, [0.05], 0.05, 1, threads=threads)
     assert str(error) in str(info.value)
+
+
+def test_a_slope_whose_numerators_pass_int32_is_an_input_error():
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), "2147483648/2147483647")
+    with pytest.raises(InputError, match="pass int32"):
+        graphing.PercolationKernel(metric, 1)
+
+
+def test_a_sweep_builds_no_rho_numerators_for_w_plus():
+    # A context of its own: other tests may read the shared contexts' W+.
+    g = growth_series(F2, 14)
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    ctx = GraphingContext(metric, build_schedule(g, g, 1, 12), 2, 4, 2)
+    cost_report(ctx, 2, [0.05], 0.05, 5)
+    assert "rho_num" not in ctx.pctx.space.__dict__
+    assert "rho_num" in ctx.kernel.space.__dict__  # the interior mask reads it
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -267,6 +267,19 @@ def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefi
     rng = np.random.default_rng(radius)
     i, j = rng.integers(0, count, 400), rng.integers(0, count, 400)
     assert (fb.distances(i, j) == reference[i, j]).all()
+    assert D.dtype == fb.distances(i, j).dtype == np.int32
+
+
+def test_cyclic_distances_of_an_order_past_int32():
+    q = 2**40
+    dist = make_oracle(GroupSpec("cyclic", order=q)).distances([0, 1, q - 1, q // 2])
+    i, j = np.divmod(np.arange(16), 4)
+    assert dist(i, j).reshape(4, 4).tolist() == [
+        [0, 1, 1, q // 2],
+        [1, 0, 2, q // 2 - 1],
+        [1, 2, 0, q // 2 - 1],
+        [q // 2, q // 2 - 1, q // 2 - 1, 0],
+    ]
 
 
 @st.composite

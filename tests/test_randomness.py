@@ -235,14 +235,6 @@ def _digests(count, salt) -> np.ndarray:
     return np.array([digest_str(f"t{salt}:{i}") for i in range(count)], dtype=np.uint64)
 
 
-def _count_tiles(monkeypatch, tile) -> list:
-    monkeypatch.setattr(randomness, "_TILE", tile)
-    tiles = []
-    combine = randomness.combine_into
-    monkeypatch.setattr(randomness, "combine_into", lambda *a: tiles.append(1) or combine(*a))
-    return tiles
-
-
 THRESHOLDS = {
     "below-0.3": bits_below(0.3),
     "at-most-0.05": bits_at_most(0.05),
@@ -257,8 +249,10 @@ THRESHOLDS = {
     "rows, cols, tile",
     [(0, 5, 16), (5, 0, 16), (0, 0, 16), (1, 40, 16), (7, 9, 16), (30, 30, 16), (30, 30, 1 << 15)],
 )
-def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(rows, cols, tile, k, monkeypatch):
-    tiles = _count_tiles(monkeypatch, tile)
+def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(
+    rows, cols, tile, k, count_tiles
+):
+    tiles = count_tiles(tile)
     lo, hi = _digests(rows, "lo"), _digests(cols, "hi")
     got = _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
     assert got == _threshold_reference(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
@@ -270,8 +264,10 @@ def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(rows, co
 
 @pytest.mark.parametrize("k", list(THRESHOLDS.values()), ids=list(THRESHOLDS))
 @pytest.mark.parametrize("count, tile", [(0, 16), (1, 16), (2, 16), (41, 16), (41, 7), (41, 1 << 15)])
-def test_threshold_pairs_on_a_triangle_match_the_materialised_uniforms(count, tile, k, monkeypatch):
-    tiles = _count_tiles(monkeypatch, tile)
+def test_threshold_pairs_on_a_triangle_match_the_materialised_uniforms(
+    count, tile, k, count_tiles
+):
+    tiles = count_tiles(tile)
     d = np.sort(_digests(count, "tri"))
     got = _drawn(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
     assert got == _threshold_reference(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
