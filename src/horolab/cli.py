@@ -499,7 +499,7 @@ def run_process(run: Run, out: Path):
         proc = sample_diamond_process(ctx, seed_digest(cfg["master_seed"], s))
         if s == 0:
             _, sizes = ctx.covering.gather(proc.chosen)
-            columns = (proc.center_pids.tolist(), proc.marks.tolist(), sizes.tolist())
+            columns = (proc.chosen.tolist(), proc.marks.tolist(), sizes.tolist())
             with open(out / "process_seed0.jsonl", "w") as fh:  # JSON Lines: a diamond a line
                 for pid, mark, size in zip(*columns):
                     center = ctx.space.word_str(pid)
@@ -507,7 +507,7 @@ def run_process(run: Run, out: Path):
                     fh.write(json.dumps(line, sort_keys=True) + "\n")
         inc = incidence_stats(proc)
         inc_rows.append(
-            [s, len(proc.center_pids), inc.empirical_mean, inc.exact_mean, inc.max_count]
+            [s, len(proc.chosen), inc.empirical_mean, inc.exact_mean, inc.max_count]
         )
         plot.append(["incidence_mean", s, inc.empirical_mean, 0])
     write_csv(

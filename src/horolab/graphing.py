@@ -11,8 +11,8 @@ the covering map's member ranges of the kept diamonds: vertex vi is the
 copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
 point and its `vertex_of` lookup are the only maps between points and
 vertices.  Every point id of these stages is an id of the kernel's window
-W; W+ ids name only the diamond centers.  Every edge set, from the open
-Pi2 pairs to the seed-0 dumps, is an (m, 2) int64 array, and
+W; W+ ids, the covering rows, name only the diamond centers.  Every edge
+set, from the open Pi2 pairs to the seed-0 dumps, is an (m, 2) int64 array, and
 `_component_roots` (the least vertex of each component) is the one
 labeller, for Pi3, the Pi5 connectivity check and the coset-line
 baseline.  Both sweeps measure connectivity with one epsilon ladder
@@ -331,10 +331,10 @@ class GraphingContext:
         self._ray_cache = {}
 
     def keeps_center(self, pids) -> np.ndarray:
-        """Descent-safety rule, elementwise over center W+ ids: the
-        center's first coordinate must sit beyond the interior window, else
-        descent can pass the center and leave the diamond at interior
-        points."""
+        """Descent-safety rule, elementwise over center W+ ids (covering
+        rows): the center's first coordinate must sit beyond the interior
+        window, else descent can pass the center and leave the diamond at
+        interior points."""
         space = self.pctx.space
         return space.ball1.dist[space.pts1[pids]] > self.interior_radius
 
@@ -390,7 +390,7 @@ class MarkedWindow:
     """
 
     ctx: GraphingContext
-    centers: np.ndarray  # center W+ id of each kept diamond
+    centers: np.ndarray  # center W+ id (covering row) of each kept diamond
     excluded_diamonds: int
     v_pid: np.ndarray
     v_k: np.ndarray
@@ -417,14 +417,14 @@ class MarkedWindow:
 def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
     """The vertex table of the kept diamonds: their member ranges of the
     covering map, gathered in sampling order."""
-    keep = ctx.keeps_center(process.center_pids)
+    keep = ctx.keeps_center(process.chosen)
     v_pid, sizes = ctx.pctx.covering.gather(process.chosen[keep])
     v_k = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
     copies = np.argsort(v_pid, kind="stable")
     bases, starts = np.unique(v_pid[copies], return_index=True)
     return MarkedWindow(
         ctx=ctx,
-        centers=process.center_pids[keep],
+        centers=process.chosen[keep],
         excluded_diamonds=len(keep) - len(sizes),
         v_pid=v_pid,
         v_k=v_k,
@@ -730,7 +730,7 @@ def run_seed(
     process = sample_diamond_process(ctx.pctx, seed_key)
     mw = build_marked_window(ctx, process)
     st = SeedStats(seed=seed_index)
-    st.diamonds = len(process.center_pids)
+    st.diamonds = len(process.chosen)
     st.excluded = mw.excluded_diamonds
     st.vertices = mw.n_vertices
     if mw.n_vertices == 0:

@@ -1,21 +1,21 @@
 """Bernoulli diamond processes on windows and their finite diagnostics.
 
 Centers are sampled with probability 1/v''_n at every covering center: a
-point of the enlarged center window W+ whose diamond meets the observation
-window W.  The diamond's slice at first distance d reaches f(r_n - d) in
-the second factor (`SlopeSchedule.diamond_reach`); its members around the
-origin are that slice union, built by `FactorBall.slices`.  W+ is the
-rho_c ball of radius wr + max_d (d + f(r_n - d)/c), the window radius
-plus the diamond's exact rho-reach from its center, so it holds every
-center whose diamond meets W.  A center that covers no point of W is
-never observed, so the window restriction is exact.  A center is named by
-its W+ id, a window point by its id in W.  Marks are replicated from the
-center over all member points.  The covering map is
-kept as CSR arrays (`CoveringMap`), and a sampled process is arrays over
-its rows: the pipeline gathers member ranges and never builds a diamond
-object.  Incidence counts, corner-event probabilities and hit
-probabilities are the desk-scale stand-ins for the tightness and limit
-criteria of the construction.
+point whose diamond meets the observation window W.  The diamond's slice
+at first distance d reaches f(r_n - d) in the second factor
+(`SlopeSchedule.diamond_reach`); its members around the origin are that
+slice union, built by `FactorBall.slices`.  The centers covering a window
+point y are y * u^-1 for the diamond's members u, so the center window W+
+is exactly the covering centers, enumerated from the window and the
+diamond: no other center is ever observed, so the window restriction is
+exact.  A center is named by its W+ id, which is also its covering-map
+row, a window point by its id in W.  Marks are replicated from the center
+over all member points.  The covering map is kept as CSR arrays
+(`CoveringMap`), and a sampled process is arrays over its rows: the
+pipeline gathers member ranges and never builds a diamond object.
+Incidence counts, corner-event probabilities and hit probabilities are the
+desk-scale stand-ins for the tightness and limit criteria of the
+construction.
 """
 
 from __future__ import annotations
@@ -78,16 +78,14 @@ def point_digests(space: ProductSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoveringMap:
-    """The covering map in CSR form: the covering centers' W+ ids, in
-    rising order, and the sorted window ids of the members of `centers[i]`
-    in `members[starts[i]:starts[i + 1]]`."""
+    """The covering map in CSR form: the sorted window ids of the members
+    of the center of W+ id i in `members[starts[i]:starts[i + 1]]`."""
 
-    centers: np.ndarray
     starts: np.ndarray
     members: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.centers)
+        return len(self.starts) - 1
 
     def members_of(self, row: int) -> np.ndarray:
         return self.members[self.starts[row] : self.starts[row + 1]]
@@ -105,14 +103,14 @@ class ProcessContext:
     """Precomputed window geometry shared by every seed of a sweep.
 
     `window` is the observation window W, whose ids name window points.
-    `space` is W+, the rho_c ball of radius wr + max_d (d + f(r_n - d)/c):
-    the window radius plus the largest rho_c distance from a diamond's
-    center to one of its members; its ids name diamond centers.
-    `window_ids[k]` is the W+ id of window point k.  `offsets` are the
-    members (u, w) of the diamond centered at the origin, as factor-ball
-    index arrays by u, so that the centers covering y are exactly (y1 *
-    u^-1, y2 * w^-1).  `covering` is the covering map of the covering
-    centers, as CSR arrays, and `center_digests` their digests.
+    `space` is W+, the covering centers by packed key, over factor balls of
+    radii |y| + |u| for window points y and diamond members u: W's radii
+    plus r_n and f(r_n).  Its ids name diamond centers and are the rows of
+    `covering`, the covering map as CSR arrays; `center_digests` are their
+    digests.  `window_ids[k]` is the W+ id of window point k, which covers
+    itself.  `offsets` are the members (u, w) of the diamond centered at
+    the origin, as factor-ball index arrays by u, so that the centers
+    covering y are exactly (y1 * u^-1, y2 * w^-1).
     """
 
     def __init__(
@@ -127,45 +125,40 @@ class ProcessContext:
         self.schedule = schedule
         self.n = n
         reach = schedule.diamond_reach(n)
-        extent = max(metric.rho_of_distances(d, r) for d, r in enumerate(reach))
-        self.space = ProductSpace(metric, window.radius + extent, cap)
-        self.window_ids = self.space.lookup(window.pts1, window.pts2)
-        self.offsets = self.space.ball1.slices(self.space.ball2, reach, cap, "diamond offsets")
+        # A covering center y * u^-1 lies within |y| + |u| in each factor.
+        ball1 = FactorBall(metric.first, window.ball1.radius + len(reach) - 1, cap)
+        ball2 = FactorBall(metric.second, window.ball2.radius + int(reach[0]), cap)
+        self.offsets = ball1.slices(ball2, reach, cap, "diamond offsets")
         self.volume = diamond_volume(schedule, n)
         if self.volume != len(self.offsets[0]):
-            raise InvariantViolation(
-                "diamond slice-sum volume disagrees with offset enumeration"
-            )
-        self.covering = self._covering_map(cap)
-        self.center_digests = point_digests(self.space)[self.covering.centers]
+            raise InvariantViolation("diamond slice-sum volume disagrees with offset enumeration")
+        keys, self.covering = self._covering_map(ball1, ball2, cap)
+        self.space = ProductSpace.of_keys(metric, ball1, ball2, keys)
+        self.window_ids = self.space.lookup(window.pts1, window.pts2)
+        self.center_digests = point_digests(self.space)
 
-    def _covering_map(self, cap: int) -> CoveringMap:
-        """Every center whose diamond meets the window, with its members
-        in the window: one (center, member) pair per window point and
-        diamond offset, stably sorted by center.  Their number counts
-        against `cap` before any is built."""
-        space, window = self.space, self.window
+    def _covering_map(self, ball1: FactorBall, ball2: FactorBall, cap: int) -> tuple:
+        """(keys, covering): the rising packed key of every center whose
+        diamond meets the window, and its members in the window.  The (window
+        point, diamond offset) pairs count against `cap` before any is built."""
+        window = self.window
         off1, off2 = self.offsets
         if len(window) * len(off1) > cap:
             raise ResourceCapError("covering map (window points x diamond offsets)", cap)
         w1, w2 = window.pts1, window.pts2
-        q1 = space.ball1.quotient_table(w1.max() + 1, space.ball1.elements[: off1.max() + 1])
-        q2 = space.ball2.quotient_table(w2.max() + 1, space.ball2.elements[: off2.max() + 1])
-        # A factor quotient outside its ball is -1, which misses like any
-        # center outside W+.
-        pids = space.lookup(q1[w1][:, off1], q2[w2][:, off2]).ravel()
-        if (pids < 0).any():
-            raise InvariantViolation(
-                "center window W+ does not contain a covering center"
-            )
-        order = np.argsort(pids, kind="stable")  # members stay in window order
-        pids = pids[order]
-        starts = np.flatnonzero(np.diff(pids, prepend=-1, append=-1))
-        return CoveringMap(
-            centers=pids[starts[:-1]],
-            starts=starts,
-            members=np.repeat(np.arange(len(window)), len(off1))[order],
-        )
+        q1 = ball1.quotient_table(w1.max() + 1, ball1.elements[: off1.max() + 1])
+        q2 = ball2.quotient_table(w2.max() + 1, ball2.elements[: off2.max() + 1])
+        keys = q1[w1][:, off1].ravel()  # packed in place: one gathered array at a time
+        keys <<= 32
+        keys |= q2[w2][:, off2].ravel()
+        order = np.argsort(keys, kind="stable")  # members stay in window order
+        keys = keys[order]
+        if keys[0] < 0:  # a quotient outside its factor ball is -1: a negative key
+            raise InvariantViolation("a covering center left its factor ball")
+        starts = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
+        # The pairs are listed by window point, len(off1) to a point.
+        members = order // len(off1)
+        return keys[starts[:-1]], CoveringMap(starts=starts, members=members)
 
 
 @dataclass
@@ -178,13 +171,12 @@ class PointedDiamond:
 @dataclass
 class DiamondProcess:
     """One sampled window restriction of the diamond point process: the
-    covering-map row, center point id and mark of each sampled diamond."""
+    center W+ id (its covering-map row) and mark of each sampled diamond."""
 
     ctx: ProcessContext
     seed: int
     param: float
     chosen: np.ndarray
-    center_pids: np.ndarray
     marks: np.ndarray
 
     @functools.cached_property
@@ -193,10 +185,8 @@ class DiamondProcess:
         access; the pipeline reads the arrays."""
         cov = self.ctx.covering
         return [
-            PointedDiamond(pid, mark, cov.members_of(row))
-            for row, pid, mark in zip(
-                self.chosen.tolist(), self.center_pids.tolist(), self.marks.tolist()
-            )
+            PointedDiamond(row, mark, cov.members_of(row))
+            for row, mark in zip(self.chosen.tolist(), self.marks.tolist())
         ]
 
 
@@ -218,7 +208,6 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
         seed=seed,
         param=param,
         chosen=chosen,
-        center_pids=ctx.covering.centers[chosen],
         marks=rng.uniforms(ctx.center_digests[chosen], STREAM_MARKS),
     )
 

@@ -13,8 +13,8 @@ arrays (through `ragged`, the one ragged expansion).  `ProductSpace`
 materialises one rho_c ball as an indexed point universe (pairs of
 factor-ball indices backed by numpy arrays); windows are index subsets of
 the universe, which keeps every downstream Monte-Carlo kernel
-vectorisable; its points' rho numerators (`rho_num`) are built only for the
-windows that read them, never for the process's W+.
+vectorisable.  `ProductSpace.of_keys` holds any sorted key set, such as the
+process's W+; only windows build their points' rho numerators (`rho_num`).
 `FactorBall.distances` gives a factor ball's word distances (int32) per
 pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
@@ -78,10 +78,6 @@ class ProductMetric:
         r = Fraction(r)
         return (r.numerator * self.c.numerator) // r.denominator
 
-    def leq(self, d1: int, d2: int, r) -> bool:
-        """rho(d1, d2) <= r, compared exactly."""
-        return self.rho_num(d1, d2) <= self.radius_num(r)
-
     def multiply(self, x, y):
         return (self.first.multiply(x[0], y[0]), self.second.multiply(x[1], y[1]))
 
@@ -99,10 +95,11 @@ def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP)
         raise InputError("diamond radius must be >= 0")
     ball1 = ball(metric.first, math.floor(radius), cap)
     ball2 = ball(metric.second, math.floor(metric.c * radius), cap)
+    rad_num = metric.radius_num(radius)
     out = []
     for u, t in ball1:
         for w, t2 in ball2:
-            if metric.leq(t, t2, radius):
+            if metric.rho_num(t, t2) <= rad_num:
                 y = (
                     metric.first.multiply(center[0], u),
                     metric.second.multiply(center[1], w),
@@ -231,7 +228,8 @@ class FactorBall:
 
 
 class ProductSpace:
-    """A rho_c ball in G'' materialised as an indexed point universe."""
+    """A rho_c ball in G'' materialised as an indexed point universe, or
+    (`of_keys`) any rising set of packed keys (i << 32) | j."""
 
     def __init__(self, metric: ProductMetric, radius, cap=DEFAULT_ENUM_CAP):
         self.metric = metric
@@ -249,6 +247,15 @@ class ProductSpace:
         # Packed (i << 32) | j keys; `slices` lists the points by i, then j,
         # so the keys increase and index the universe by binary search.
         self.keys = (self.pts1.astype(np.int64) << np.int64(32)) | self.pts2.astype(np.int64)
+
+    @classmethod
+    def of_keys(cls, metric: ProductMetric, ball1: FactorBall, ball2: FactorBall, keys):
+        """The universe of the rising packed keys (i << 32) | j over `ball1`
+        and `ball2`, which need not make a ball (it has no `radius`)."""
+        self = cls.__new__(cls)
+        self.metric, self.ball1, self.ball2, self.keys = metric, ball1, ball2, keys
+        self.pts1, self.pts2 = (keys >> 32).astype(np.int32), (keys & 0xFFFFFFFF).astype(np.int32)
+        return self
 
     def __len__(self):
         return len(self.pts1)

@@ -396,7 +396,7 @@ def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, 
 def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
     # The radius-4 window has 865 points and a diamond at n = 2 has 33
     # members: 28,545 (point, offset) pairs against a cap of 20,000, which
-    # the 11,665-point center window fits.
+    # the radius-6 factor balls of the center window (1,457 elements) fit.
     def never(*args, **kwargs):
         raise AssertionError("a quotient table was built")
 
@@ -750,6 +750,11 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # `upper_ok` and `upper_violations`: the upper inclusion holds by
 # construction, so those columns read True and 0 for every input.
 # The `all` run covers every runner; its digests are keyed by relative path.
+# The two F2 x F3 runs at c = 2/3 were pinned when W+ became exactly the
+# covering centers, the change that moved the most ids on an unbalanced
+# product (97,313 of the 210,713 points of the earlier center window at
+# n = 2, wr 3), with digests taken before that change.
+F3 = {"kind": "free", "rank": 3}
 PINNED_RUNS = {
     "all": ("all", SMALL),
     "graphing": ("graphing", {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}}),
@@ -761,6 +766,18 @@ PINNED_RUNS = {
             "c": "1/2",
             "schedule": {"horizon": 8},
             "graphing": {"seeds": 30, "window_radius": 4, "margin": 2},
+        },
+    ),
+    "graphing-f2xf3": (
+        "graphing",
+        {"group2": F3, "c": "2/3", "graphing": {"window_radius": 3, "margin": 1, "seeds": 5}},
+    ),
+    "process-f2xf3": (
+        "process",
+        {
+            "group2": F3,
+            "c": "2/3",
+            "process": {"window_radius": 3, "seeds": 5, "corner_seeds": 5, "n_range": [1, 2, 3]},
         },
     ),
     "prop13": ("prop13", {"prop13": {"window_radius": 3, "seeds": 3}}),
@@ -816,6 +833,21 @@ PINNED_DIGESTS = {
         "pi5_seed0.csv": "a01333864669a3d5f4710618b787b78a45a93d2c11b03d43dd47fa91ddbb8ede",
         "plot.csv": "c07bd2cf99a693cf29ad75e4e85fd14376028fa5152262df2b1a2932c4b27dd0",
         "runs.csv": "97db82dba8ac009525f723736818732c8b8f9241f41a1efbc096b8d4338d5ec4",
+    },
+    "graphing-f2xf3": {
+        "cost_report.json": "c3c54c42e5e734e3cd169f35591461bfda6efe26fe6510efbcdfe2462d181cce",
+        "edges_seed0.csv": "8170be5f233e55493e882ae17c3660114e6bc325bc373ea9db1d792beba20f20",
+        "pi5_seed0.csv": "17838f0f6bcfd8be827148fad9ed370c4502de9496891b1be2236e514ddabb5d",
+        "plot.csv": "14401c271a52e40125d65e81ec43767cdc70e985f526ecd63973e868608e76c5",
+        "runs.csv": "9814de0b9ba1ffc49441a637ee681d744838a7a065404829f0088260084f7ade",
+    },
+    "process-f2xf3": {
+        "corner_events.csv": "7a8a582ad058a44724a8ffff71d2e500d98470cc93296fa18f004b4b430b1fda",
+        "hit.csv": "0c322dc2ba941fd348dd56ca57aba6591910914bca4d6ee9bdf78a2f6a6bd3a7",
+        "incidence.csv": "7459c2b4e554f5249e80edd83768b3ac8535f2710afa4d0afb3f4c70505b0460",
+        "plot.csv": "1a6b60f67b2705c90f7047d6f74dfb85db5e598bb9d6c3d67a2e43d325289c15",
+        "process_seed0.jsonl": "4cf0a71762ddb0c67bbb8486b11a41d8fe9a65f98a8de3a8e5b50b3ab725060a",
+        "summary.json": "b4b4c1c502967e7605ce1b2cbe0dde7f47953e31969fa1daed39b84fa89edc3e",
     },
     "prop13": {
         "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",

@@ -1242,7 +1242,7 @@ def test_vertex_of_inverts_the_vertex_table(f2_ctx):
     # a pid of the window that diamond k does not cover maps to -1
     cov = f2_ctx.pctx.covering
     for k, center in enumerate(mw.centers[:20].tolist()):
-        members = cov.members_of(int(np.searchsorted(cov.centers, center)))
+        members = cov.members_of(center)  # a center's W+ id is its row
         outside = np.setdiff1d(mw.bases, members)[:5]
         assert (mw.vertex_of(outside, np.full(len(outside), k)) == -1).all()
         inside = mw.vertex_of(members, np.full(len(members), k))

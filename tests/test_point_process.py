@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from horolab import point_process
 from horolab.diamonds import diamond_volume, in_diamond
+from horolab.errors import InvariantViolation
 from horolab.groups import GroupSpec, growth_series, make_oracle
 from horolab.point_process import (
     DiamondProcess,
@@ -28,9 +30,11 @@ from horolab.randomness import (
     digest_str,
     seed_digest,
 )
-from horolab.schedule import build_schedule, linear_schedule
+from horolab.schedule import build_schedule, linear_schedule, schedule_for
 
 F2 = GroupSpec("free", rank=2)
+F3 = GroupSpec("free", rank=3)
+F2xZ = GroupSpec("direct_product", factors=(F2, GroupSpec("integer_lattice", dim=1)))
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +56,10 @@ def ctx(sched):
 def test_determinism(ctx):
     a = sample_diamond_process(ctx, seed_digest(11, 0))
     b = sample_diamond_process(ctx, seed_digest(11, 0))
-    assert (a.center_pids == b.center_pids).all()
+    assert (a.chosen == b.chosen).all()
     assert (a.marks == b.marks).all()
     c = sample_diamond_process(ctx, seed_digest(11, 1))
-    assert len(a.center_pids) != len(c.center_pids) or not (
-        a.center_pids == c.center_pids
-    ).all()
+    assert len(a.chosen) != len(c.chosen) or not (a.chosen == c.chosen).all()
 
 
 def test_center_draw_keeps_a_uniform_equal_to_its_bound(ctx, monkeypatch):
@@ -78,7 +80,7 @@ def test_forced_bernoulli_one(ctx):
     # The process with every covering center drawn (Bernoulli parameter 1).
     cov = ctx.covering
     rows = np.arange(len(cov))
-    p = DiamondProcess(ctx, seed_digest(5, 0), 1.0, rows, cov.centers, np.full(len(rows), 0.5))
+    p = DiamondProcess(ctx, seed_digest(5, 0), 1.0, rows, np.full(len(rows), 0.5))
     inc = incidence_stats(p)
     # every window point is covered by exactly v'' centers
     assert (inc.counts == ctx.volume).all()
@@ -87,90 +89,181 @@ def test_forced_bernoulli_one(ctx):
     assert inc.max_count == ctx.volume
 
 
-def _covers(cov, center_pid: int, pid: int) -> bool:
-    """Whether the CSR covering map lists `pid` as a member of the diamond
-    centered at `center_pid`."""
-    row = int(np.searchsorted(cov.centers, center_pid))
-    return (
-        row < len(cov)
-        and cov.centers[row] == center_pid
-        and pid in cov.members_of(row).tolist()
-    )
+def _reference_ball(ctx) -> ProductSpace:
+    """The rho_c ball of radius wr + max_d (d + f(r_n - d)/c): the window
+    radius plus the largest rho_c distance from a diamond's center to one of
+    its members, so it holds every center whose diamond meets the window."""
+    reach = ctx.schedule.diamond_reach(ctx.n)
+    extent = max(ctx.metric.rho_of_distances(d, r) for d, r in enumerate(reach))
+    return ProductSpace(ctx.metric, ctx.window.radius + extent)
 
 
-def test_covering_map_is_exact(ctx):
+@functools.cache
+def _reference(ctx) -> tuple:
+    """(ball, ids): the reference ball and the W+ id of each of its points,
+    found by their elements; -1 where W+ does not hold the point."""
+    ref = _reference_ball(ctx)
+    b1, b2 = ctx.space.ball1, ctx.space.ball2
+    i = np.array([b1.index.get(el, -1) for el in ref.ball1.elements])
+    j = np.array([b2.index.get(el, -1) for el in ref.ball2.elements])
+    return ref, ctx.space.lookup(i[ref.pts1], j[ref.pts2])
+
+
+def _covers(ctx, center_id: int, wid: int) -> bool:
+    """Whether the CSR covering map lists window point `wid` as a member
+    of the diamond centered at W+ point `center_id` (-1: not in W+)."""
+    return center_id >= 0 and wid in ctx.covering.members_of(center_id).tolist()
+
+
+def _family_ctx(spec1, spec2, c, n) -> ProcessContext:
+    """spec1 x spec2 at window radius 2, on the schedule `horolab` builds."""
+    metric = ProductMetric(make_oracle(spec1), make_oracle(spec2), c)
+    return _context(metric, schedule_for(spec1, spec2, c, 12), n, 2)
+
+
+@pytest.fixture(scope="module")
+def f2f3_ctx():
+    """F2 x F3 at c = 2/3 and n = 2: 23,063 of the 60,863 points of the
+    reference ball cover the 23-point window."""
+    return _family_ctx(F2, F3, "2/3", 2)
+
+
+@pytest.fixture(scope="module")
+def f2zf2_ctx():
+    """(F2 x Z) x F2 at c = 1 and n = 2: 10,815 of 20,429 points cover."""
+    return _family_ctx(F2xZ, F2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "which", ["ctx", "f2_n3_ctx", "z2_ctx", "z2f2_ctx", "f2f3_ctx", "f2zf2_ctx"]
+)
+def test_covering_map_is_exact(request, which):
+    ctx = request.getfixturevalue(which)
     cov = ctx.covering
     assert cov.starts[0] == 0 and cov.starts[-1] == len(cov.members)
-    assert (np.diff(cov.starts) > 0).all() and (np.diff(cov.centers) > 0).all()
+    assert (np.diff(cov.starts) > 0).all() and (np.diff(ctx.space.keys) > 0).all()
     counts = np.bincount(cov.members, minlength=len(ctx.window))
     # every window point is covered by exactly v'' centers, and nothing else is
     assert len(counts) == len(ctx.window)
     assert (counts == ctx.volume).all()
     assert counts.sum() == ctx.volume * len(ctx.window)
     # Every listed pair is a true membership, so with the counts above each
-    # window point lists exactly its v'' covering centers.
+    # window point lists exactly its v'' covering centers: W+ is exactly
+    # the points whose diamond meets the window, one row each.
     space = ctx.space
-    for row, pid in enumerate(cov.centers.tolist()):
+    assert len(cov) == len(space) and ctx.window_ids.min() >= 0
+    for row in range(len(cov)):
         m = cov.members_of(row)
         assert (np.diff(m) > 0).all()
-        center = space.element(pid)
+        center = space.element(row)
         for wid in m.tolist():
             assert in_diamond(ctx.metric, ctx.schedule, ctx.n, center, ctx.window.element(wid))
+    # W+ lies in the reference ball, and its factor balls, of radii |y| + |u|
+    # over window points y and diamond members u, are tight.
+    ref, ids = _reference(ctx)
+    assert sorted(ids[ids >= 0].tolist()) == list(range(len(space)))
+    reach = ctx.schedule.diamond_reach(ctx.n)
+    assert space.ball1.radius == ctx.window.ball1.radius + len(reach) - 1
+    assert space.ball2.radius == ctx.window.ball2.radius + reach[0]
+    assert space.ball1.dist[space.pts1].max() == space.ball1.radius
+    assert space.ball2.dist[space.pts2].max() == space.ball2.radius
 
 
-def test_covering_map_is_the_in_diamond_enumeration(z2f2_ctx):
-    # Every (center of W+, window point) pair, Z^2 x F2 at c = 1/2.
-    ctx, space = z2f2_ctx, z2f2_ctx.space
-    for pid in range(len(space)):
-        center = space.element(pid)
-        for wid in range(len(ctx.window)):
-            want = in_diamond(ctx.metric, ctx.schedule, ctx.n, center, ctx.window.element(wid))
-            assert _covers(ctx.covering, pid, wid) == want
+@pytest.mark.parametrize(
+    "which, covering, points",
+    [
+        ("f2_n3_ctx", 2917, 3241),
+        ("z2_ctx", 113, 113),
+        ("z2f2_ctx", 221, 221),
+        ("f2f3_n1", 83, 113),
+        ("f2zf2_n1", 299, 335),
+    ],
+)
+def test_covering_map_is_the_in_diamond_enumeration(request, which, covering, points):
+    # Every (point of the reference ball, window point) pair: W+ is exactly
+    # the points whose diamond meets the window, and each lists exactly the
+    # window points its diamond holds.  At n = 1 the two unequal families
+    # keep the pairs few; on F2 x F2 at n = 2 the property test below samples
+    # the 703,297 pairs.
+    if which == "f2f3_n1":
+        ctx = _family_ctx(F2, F3, "2/3", 1)
+    elif which == "f2zf2_n1":
+        ctx = _family_ctx(F2xZ, F2, 1, 1)
+    else:
+        ctx = request.getfixturevalue(which)
+    ref, ids = _reference(ctx)
+    assert (len(ctx.space), len(ref)) == (covering, points)
+    window = [ctx.window.element(wid) for wid in range(len(ctx.window))]
+    for pid in range(len(ref)):
+        center = ref.element(pid)
+        for wid, y in enumerate(window):
+            want = in_diamond(ctx.metric, ctx.schedule, ctx.n, center, y)
+            assert _covers(ctx, int(ids[pid]), wid) == want
+
+
+def test_a_first_factor_ball_one_radius_short_loses_a_covering_center(sched, monkeypatch):
+    # The first FactorBall a ProcessContext builds is W+'s first factor.
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    window = ProductSpace(metric, 3)
+    built = []
+
+    def first_short(oracle, radius, cap):
+        built.append(radius)
+        return FactorBall(oracle, radius - (len(built) == 1), cap)
+
+    monkeypatch.setattr(point_process, "FactorBall", first_short)
+    with pytest.raises(InvariantViolation, match="a covering center left its factor ball"):
+        ProcessContext(window, sched, 2)
+    assert built[0] == 3 + sched.r[2]
 
 
 @settings(max_examples=300, deadline=None)
 @given(center=st.integers(0, 10**9), point=st.integers(0, 10**9))
 def test_covering_map_agrees_with_in_diamond_on_f2xf2(ctx, center, point):
-    space, window = ctx.space, ctx.window
-    pid = center % len(space)
-    wid = point % len(window)
-    want = in_diamond(ctx.metric, ctx.schedule, ctx.n, space.element(pid), window.element(wid))
-    assert _covers(ctx.covering, pid, wid) == want
+    ref, ids = _reference(ctx)
+    pid = center % len(ref)
+    wid = point % len(ctx.window)
+    want = in_diamond(ctx.metric, ctx.schedule, ctx.n, ref.element(pid), ctx.window.element(wid))
+    assert _covers(ctx, int(ids[pid]), wid) == want
 
 
-def test_the_benchmark_counters_read_what_their_names_say(ctx, z2f2_ctx):
-    # The benchmark counts covering centers as len(ctx.covering) and
-    # sampled diamonds through `DiamondProcess.diamonds`; a change of
-    # meaning would pass its smoke test and silently skew its metrics.
-    for c in (ctx, z2f2_ctx):
-        cov = c.covering
-        assert len(cov) == len(cov.centers) == len(cov.starts) - 1
-        # W+ is sized to the diamond's farthest point; for these two
-        # diamonds every point of it covers W, which need not hold in general.
-        assert len(cov) == len(c.space)
-        for s in range(5):
-            proc = sample_diamond_process(c, seed_digest(3, s))
-            diamonds = proc.diamonds
-            assert proc.diamonds is diamonds  # built once, however often read
-            assert len(diamonds) == len(proc.center_pids) > 0
-            for d, row, pid, mark in zip(diamonds, proc.chosen, proc.center_pids, proc.marks):
-                assert d.member_ids.tolist() == cov.members_of(row).tolist()
-                assert (d.center_pid, d.mark) == (pid, mark)
-            # every sampled diamond meets the window
-            assert sum(1 for d in diamonds if len(d.member_ids)) == len(diamonds)
+@pytest.mark.parametrize("which", ["ctx", "z2f2_ctx", "f2_n3_ctx", "f2f3_ctx"])
+def test_the_benchmark_counters_read_what_their_names_say(request, which):
+    # The benchmark counts covering centers as len(ctx.covering), W+ as
+    # len(ctx.space) and sampled diamonds through `DiamondProcess.diamonds`;
+    # a change of meaning would pass its smoke test and silently skew its
+    # metrics.
+    c = request.getfixturevalue(which)
+    cov = c.covering
+    # W+ is exactly the covering centers, whatever the diamond's shape, and
+    # every window point covers itself.
+    assert len(cov) == len(cov.starts) - 1 == len(c.space)
+    assert c.window_ids.min() >= 0
+    for s in range(5):
+        proc = sample_diamond_process(c, seed_digest(3, s))
+        diamonds = proc.diamonds
+        assert proc.diamonds is diamonds  # built once, however often read
+        assert len(diamonds) == len(proc.chosen) > 0
+        for d, row, mark in zip(diamonds, proc.chosen, proc.marks):
+            assert d.member_ids.tolist() == cov.members_of(row).tolist()
+            assert (d.center_pid, d.mark) == (row, mark)
+        # every sampled diamond meets the window
+        assert sum(1 for d in diamonds if len(d.member_ids)) == len(diamonds)
 
 
 def _full_universe_draw(ctx, seed):
-    """Reference sampler: one center uniform per point of W+, restricted
-    afterwards to the centers whose diamond meets the window."""
+    """Reference sampler: one center uniform per point of the reference
+    ball, restricted afterwards to the centers whose diamond meets the
+    window, which W+ holds; returns their reference ids, W+ ids and
+    marks."""
+    ref, ids = _reference(ctx)
     rng = SeededRandomness(seed)
-    digests = point_digests(ctx.space)
+    digests = point_digests(ref)
     u1 = rng.uniforms(digests, STREAM_CENTERS)
     drawn = np.flatnonzero(u1 <= 1.0 / ctx.volume)
     marks = rng.uniforms(digests[drawn], STREAM_MARKS)
-    covering = set(ctx.covering.centers.tolist())
-    keep = [k for k, pid in enumerate(drawn.tolist()) if pid in covering]
-    return drawn[keep], marks[keep]
+    keep = ids[drawn] >= 0
+    return drawn[keep], ids[drawn[keep]], marks[keep]
 
 
 @pytest.fixture(scope="module")
@@ -194,41 +287,40 @@ def z2f2_ctx():
 @pytest.fixture(scope="module")
 def f2_n3_ctx(sched):
     """F2 x F2 at n = 3 and wr 2: the diamond's slice radii are 2, 2, 0, 0,
-    and 324 of the 3,241 points of W+ cover no window point."""
+    and 324 of the 3,241 points of the reference ball cover no window
+    point."""
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     return _context(metric, sched, 3, 2)
 
 
-@pytest.mark.parametrize("which", ["f2", "z2", "f2-n3"])
-def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, f2_n3_ctx, which):
-    c = {"f2": ctx, "z2": z2_ctx, "f2-n3": f2_n3_ctx}[which]
+@pytest.mark.parametrize("which", ["f2", "z2", "f2-n3", "f2f3"])
+def test_covering_draw_matches_the_full_universe_draw(ctx, z2_ctx, f2_n3_ctx, f2f3_ctx, which):
+    c = {"f2": ctx, "z2": z2_ctx, "f2-n3": f2_n3_ctx, "f2f3": f2f3_ctx}[which]
     cov = c.covering
-    # W+ is sized to the diamond's farthest point.  Every point of it covers
-    # W for the first two diamonds; for the third, covering row k is not
-    # point k, so the draw must map rows to centers.
+    ref, ids = _reference(c)
+    # The reference ball is sized to the diamond's farthest point.  Every
+    # point of it covers W for the first two diamonds; for the others,
+    # reference point k is not W+ point k, so the draw must map them.
+    assert len(cov) == len(c.space) == int((ids >= 0).sum())
     if which == "f2-n3":
-        assert (len(cov), len(c.space)) == (2917, 3241)
+        assert (len(cov), len(ref)) == (2917, 3241)
+    elif which == "f2f3":
+        assert (len(cov), len(ref)) == (23063, 60863)
     else:
-        assert cov.centers.tolist() == list(range(len(c.space)))
+        assert ids.tolist() == list(range(len(ref)))
     for s in range(20):
         proc = sample_diamond_process(c, seed_digest(31, s))
-        pids, marks = _full_universe_draw(c, seed_digest(31, s))
-        assert proc.center_pids.tolist() == pids.tolist()
+        drawn, rows, marks = _full_universe_draw(c, seed_digest(31, s))
+        assert proc.chosen.tolist() == rows.tolist()
         assert proc.marks.tolist() == marks.tolist()
-        assert (cov.centers[proc.chosen] == proc.center_pids).all()
+        assert [c.space.element(r) for r in proc.chosen.tolist()] == [
+            ref.element(p) for p in drawn.tolist()
+        ]
         members, counts = cov.gather(proc.chosen)
         assert members.tolist() == [
             wid for row in proc.chosen.tolist() for wid in cov.members_of(row).tolist()
         ]
         assert (counts > 0).all()
-
-
-@pytest.mark.parametrize("which", ["ctx", "z2_ctx", "z2f2_ctx"])
-def test_center_window_is_tight(request, which):
-    # The farthest covering center sits on the boundary of W+.
-    c = request.getfixturevalue(which)
-    space = c.space
-    assert space.rho_num[c.covering.centers].max() == space.metric.radius_num(space.radius)
 
 
 def test_empirical_center_density(ctx):
@@ -238,7 +330,7 @@ def test_empirical_center_density(ctx):
     hits = 0
     for s in range(seeds):
         proc = sample_diamond_process(ctx, seed_digest(99, s))
-        hits += int(pid in set(proc.center_pids.tolist()))
+        hits += int(pid in set(proc.chosen.tolist()))
     p = 1.0 / ctx.volume
     se = math.sqrt(p * (1 - p) / seeds)
     assert abs(hits / seeds - p) <= 3 * se
