@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
-from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series
+from .groups import DEFAULT_ENUM_CAP, FreeOracle, ball, growth_series
 from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
 from .product import ProductMetric, ProductSpace, ragged
 from .point_process import ProcessContext, point_digests, sample_diamond_process
@@ -106,9 +106,9 @@ class PercolationKernel:
     distances computed per pair by each factor ball's `distances` (closed
     forms; a free product factor reads one capped table), and the Pi2
     stage and the coset-line baseline are this one percolation restricted
-    to two point sets.  The window pairs at the heaviest weight are listed
-    once per kernel and filtered per seed; each seed's listed pairs and
-    prefilter passes count against `cap`.
+    to two point sets.  The heaviest-weight window pairs, read once per
+    kernel off sphere quotient tables, are filtered per seed; each seed's
+    listed pairs and prefilter passes count against `cap`.
     """
 
     def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
@@ -156,9 +156,10 @@ class PercolationKernel:
         heaviest weight p1 = max(lut) and the next one p2 (0 when there is
         none):
 
-        - Top tier: the pairs at weight p1 are the window's pair lists at
-          p1 with both ends in `ids` (`_top_pairs`), and each seed tests
-          them exactly, u < emax * p1, through `uniforms`.
+        - Top tier: the window's pair lists at p1 (`_pairs_at`) with both
+          ends in `ids` (`_top_pairs`); each seed keeps those with u < emax
+          * p1, exactly, through `SeededRandomness.below` and `bits_below`,
+          and takes their uniforms only.
         - Tile tier: every other pair's emax * p is at most t = emax * p2,
           since float rounding is monotone.  With the points sorted by
           digest, `combine_unordered` is `combine_digests` of a pair's row
@@ -178,7 +179,8 @@ class PercolationKernel:
         p2 = float(self.lut[self.lut < p1].max(initial=0.0))
         none = np.zeros(0, dtype=np.int64)
         top_a = top_b = none
-        if rngs and bits_below(emax * p1):
+        k1 = bits_below(emax * p1)
+        if rngs and k1:
             top_a, top_b = self._top_pairs(ids, p1)
         if len(top_a) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
@@ -186,10 +188,9 @@ class PercolationKernel:
         if len(top_a):
             top = combine_unordered(self.digests[top_a], self.digests[top_b])
             for s, rng in enumerate(rngs):
-                u = rng.uniforms(top, STREAM_PERCOLATION)
-                keep = np.flatnonzero(u < emax * p1)
-                seed = np.full(len(keep), s)
-                found.append((seed, top_a[keep], top_b[keep], u[keep], np.full(len(keep), p1)))
+                keep = rng.below(top, STREAM_PERCOLATION, k1)
+                seed, u = np.full(len(keep), s), rng.uniforms(top[keep], STREAM_PERCOLATION)
+                found.append((seed, top_a[keep], top_b[keep], u, np.full_like(u, p1)))
 
         def refine(batch):
             seed, i, j, bits = batch
@@ -236,39 +237,34 @@ class PercolationKernel:
         and t2 in the second, as two int32 window id arrays, by a then b.
         Built once per kernel.
 
-        The candidates b of a point a are the products of its factor
-        neighbour lists (`FactorBall.sphere_neighbours`), looked up by key;
-        they are expanded a block of points at a time, at most about
-        `_TILE` candidates per block, and those with b > a kept (a miss is
-        -1).  All candidates count against `cap` before any is expanded.
+        The partners of (x, x') are (x s^-1, x' s'^-1), s in S_t and s' in
+        S_t2 (spheres of `groups.ball`, past a ball's radius too), read off
+        each factor ball's `quotient_table` (-1 outside it).  A block of
+        points, about `_TILE` quotient pairs, broadcasts its rows of the two
+        tables into one lookup by key (a -1 misses); each row is sorted and
+        keeps b > a.  The candidates inside both balls count against `cap`
+        first, but a step past a ball's radius holds a |ball| x |S_t| table
+        by then; the kernels' own top steps measured are (1, 0) or (0, 1).
         """
         if (t, t2) in self._pair_lists:
             return self._pair_lists[t, t2]
         space = self.space
-        ptr1, nbr1 = space.ball1.sphere_neighbours(t)
-        ptr2, nbr2 = space.ball2.sphere_neighbours(t2)
-        f1, f2 = space.pts1, space.pts2
-        start1, start2 = ptr1[f1], ptr2[f2]
-        deg2 = ptr2[f2 + 1] - start2
-        cnt = (ptr1[f1 + 1] - start1) * deg2
-        ends = np.cumsum(cnt)
-        if int(ends[-1]) > self.cap:  # the window holds its origin, so ends is not empty
+        q1, q2 = (
+            fb.quotient_table(len(fb), [el for el, d in ball(fb.oracle, s, fb.cap) if d == s])
+            for fb, s in ((space.ball1, t), (space.ball2, t2))
+        )
+        deg1, deg2 = ((q >= 0).sum(axis=1) for q in (q1, q2))
+        if int((deg1[space.pts1] * deg2[space.pts2]).sum()) > self.cap:
             raise ResourceCapError("percolation pairs (window pair lists)", self.cap)
-        src, dst = [], []
-        r0 = 0
-        while r0 < len(space):
-            done = ends[r0 - 1] if r0 else 0
-            r1 = max(r0 + 1, int(np.searchsorted(ends, done + _TILE, side="right")))
-            r, off = ragged(cnt[r0:r1])
-            r += r0
-            y1 = nbr1[start1[r] + off // deg2[r]]
-            y2 = nbr2[start2[r] + off % deg2[r]]
-            b = space.lookup(y1, y2)
-            keep = b > r
-            src.append(r[keep].astype(np.int32))
-            dst.append(b[keep].astype(np.int32))
-            r0 = r1
-        hit = self._pair_lists[t, t2] = (np.concatenate(src), np.concatenate(dst))
+        found = []
+        block = max(1, _TILE // max(1, q1.shape[1] * q2.shape[1]))
+        for r0 in range(0, len(space), block):
+            rows = slice(r0, r0 + block)
+            b = space.lookup(q1[space.pts1[rows], :, None], q2[space.pts2[rows], None, :])
+            b = np.sort(b.reshape(len(b), -1), axis=1)
+            r, k = np.nonzero(b > np.arange(r0, r0 + len(b))[:, None])
+            found.append(((r + r0).astype(np.int32), b[r, k].astype(np.int32)))
+        hit = self._pair_lists[t, t2] = tuple(map(np.concatenate, zip(*found)))
         return hit
 
     def row_masses(self, rows) -> np.ndarray:

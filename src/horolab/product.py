@@ -19,8 +19,8 @@ process's W+; only windows build their points' rho numerators (`rho_num`).
 pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
 lattices (the l1 norm of x - y), cyclic groups and direct products, from
-one capped table for free products.  `FactorBall.sphere_neighbours` lists
-each element's neighbours at distance t, the `quotient_table` of S_t.
+one capped table for free products.  `FactorBall.quotient_table` (x c^-1
+by index) is how the covering map, coset lines and pair lists find partners.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import InputError, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, GrowthSeries, Oracle, ball
-from .randomness import _TILE
 
 
 def as_slope(c) -> Fraction:
@@ -200,31 +199,6 @@ class FactorBall:
             raise ResourceCapError("distance table", self.cap)
         i = np.arange(m)
         return self.distances(i[:, None], i[None, :])
-
-    def sphere_neighbours(self, t: int) -> tuple:
-        """The ball indices y with d(x, y) = t of every element x, in CSR
-        form (ptr, nbr): those of elements[x] are nbr[ptr[x]:ptr[x + 1]], in
-        rising order.
-
-        Within the ball's radius they are x s^-1 for s in the sphere S_t (S_t
-        holds each s^-1), `quotient_table` of S_t's columns, less those that
-        leave the ball.  A larger t (up to the ball's diameter) has no sphere
-        in the ball; its lists are read off `distances`, _TILE at a time.
-        """
-        m = len(self)
-        if t <= self.radius:
-            nbr = self.quotient_table(m, self.elements[self.volume(t - 1) : self.volume(t)])
-            nbr.sort(axis=1)
-            inside = nbr >= 0
-            return np.concatenate(([0], np.cumsum(inside.sum(axis=1)))), nbr[inside]
-        idx = np.arange(m)
-        step = max(1, _TILE // m)
-        rows, nbr = [], []
-        for r0 in range(0, m, step):
-            r, y = np.nonzero(self.distances(idx[r0 : r0 + step, None], idx) == t)
-            rows.append(r + r0)
-            nbr.append(y)
-        return np.searchsorted(np.concatenate(rows), np.arange(m + 1)), np.concatenate(nbr)
 
 
 class ProductSpace:

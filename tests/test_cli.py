@@ -407,6 +407,20 @@ def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys
     assert "covering map (window points x diamond offsets) exceeded the enumeration cap of 20000" in err
 
 
+def test_the_window_pair_lists_count_their_candidates_inside_both_factor_balls(tmp_path, capsys):
+    # The top tier of the radius-4 window (865 points) lists its pairs at
+    # the steps (1, 0) and (0, 1).  Each has 3,136 candidates inside both
+    # factor balls, fewer than the 865 x 4 = 3,460 quotients of a full
+    # generator sphere, some of which leave a ball.
+    overrides = {"prop13": {"seeds": 2}}
+    for cap, code in ((3135, 3), (3136, 0)):
+        overrides["enum_cap"] = cap
+        assert cli.main(["prop13", "--out", str(tmp_path)], config_overrides=overrides) == code
+    err = capsys.readouterr().err
+    assert "percolation pairs (window pair lists) exceeded the enumeration cap of 3135" in err
+    assert err.count("resource cap:") == 1
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"growth": {"horizon": 4}}))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import graphing, randomness
+from horolab import graphing, product, randomness
 from horolab.graphing import (
     GraphingContext,
     _component_roots,
@@ -380,6 +380,20 @@ def test_percolation_clamps_at_certain_opening(perc_ctx, monkeypatch):
     assert got[0.0] == [] and got[1.0] == got[4096.0] == every
 
 
+def test_the_top_tier_opens_a_pair_only_strictly_below_its_threshold():
+    # At p = 1 everywhere every pair is in the top tier and the tile tier
+    # draws nothing.  At emax equal to a pair's own uniform u the pair stays
+    # closed, u < emax failing exactly, and one float step above u it opens.
+    kernel = graphing.PercolationKernel(ProductMetric(make_oracle(Z1), make_oracle(Z1), 1), 2)
+    kernel.lut[:] = 1.0
+    ids, rng = np.array([0, 1]), SeededRandomness(seed_digest(66, 0))
+    u = float(rng.uniforms(combine_unordered(*kernel.digests[ids]), STREAM_PERCOLATION))
+    [(a, _, _, _)] = kernel.open_pairs(ids, [rng], u)
+    assert a.tolist() == []
+    [(a, b, got, p)] = kernel.open_pairs(ids, [rng], np.nextafter(u, 1.0))
+    assert (a.tolist(), b.tolist(), got.tolist(), p.tolist()) == ([0], [1], [u], [1.0])
+
+
 @pytest.mark.parametrize("count", [0, 1, 2])
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_percolation_of_few_bases(perc_ctx, count, monkeypatch):
@@ -535,17 +549,38 @@ def _fresh_window_kernel():
     return graphing.PercolationKernel(metric, 3)
 
 
-WINDOW_METRICS = {
-    "F2xF2-1": (F2, F2, 1),
-    "F2xF2-3/2": (F2, F2, "3/2"),
-    "Z2xF2-1/2": (Z2, F2, "1/2"),
+Z2_STAR_Z3 = GroupSpec(
+    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
+)
+# The F2 x F2 and Z2 x F2 windows check a few small steps and one past the
+# first ball's radius.  Each factor family of the distance-table tests, at
+# its radius there, is the first factor of a window whose second is Z at
+# radius 1 (c = 1/wr), and checks every step to its first factor's diameter
+# and one past its second's, so past both ball radii too.
+FEW_STEPS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1)]
+WINDOWS = {
+    f"{name}-{wr}": (first, second, c, wr, FEW_STEPS + [(wr + 1, 0)])
+    for name, (first, second, c) in {
+        "F2xF2-1": (F2, F2, 1),
+        "F2xF2-3/2": (F2, F2, "3/2"),
+        "Z2xF2-1/2": (Z2, F2, "1/2"),
+    }.items()
+    for wr in (3, 4)
 }
+WINDOWS.update(
+    (f"{name}xZ-1/{wr}", (first, Z1, Fraction(1, wr), wr, None))
+    for name, first, wr in [
+        ("F2", F2, 4),
+        ("Z2", Z2, 4),
+        ("Z7", GroupSpec("cyclic", order=7), 3),
+        ("F2xZ", GroupSpec("direct_product", factors=(F2, Z1)), 3),
+        ("Z2*Z3", Z2_STAR_Z3, 5),
+    ]
+)
 
 
-@pytest.mark.parametrize("wr", [3, 4])
-@pytest.mark.parametrize("specs", WINDOW_METRICS.values(), ids=list(WINDOW_METRICS))
-def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch):
-    first, second, c = specs
+@pytest.mark.parametrize("first, second, c, wr, steps", WINDOWS.values(), ids=list(WINDOWS))
+def test_window_neighbour_lists_match_the_distance_tables(first, second, c, wr, steps, monkeypatch):
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, wr)
     space = kernel.space
@@ -555,12 +590,27 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch
     T1 = space.ball1.distances(i1[:, None], i1).astype(np.int8)
     T2 = space.ball2.distances(i2[:, None], i2).astype(np.int8)
     D1, D2 = T1[np.ix_(space.pts1, space.pts1)], T2[np.ix_(space.pts2, space.pts2)]
-    # Small distances from the factor spheres; one past the first ball's
-    # radius is read off the per-pair distances.  At (0, 0) the distance
-    # tables hold only the diagonal, which is no pair a < b.
-    for t, t2 in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (space.ball1.radius + 1, 0)]:
+    if steps is None:
+        r1, r2 = space.ball1.radius, space.ball2.radius
+        steps = itertools.product(range(2 * r1 + 1), range(2 * r2 + 2))
+        # A quotient table is a pure function of its ball and columns, so
+        # each sphere's, asked for once per step of the other factor, is
+        # built once.
+        tables, table = {}, product.FactorBall.quotient_table
+
+        def once(fb, rows, cols):
+            key = (id(fb), rows, tuple(cols))
+            if key not in tables:
+                tables[key] = table(fb, rows, cols)
+            return tables[key]
+
+        monkeypatch.setattr(product.FactorBall, "quotient_table", once)
+    # At (0, 0) the distance tables hold only the diagonal, which is no pair
+    # a < b.
+    for t, t2 in steps:
         a, b = kernel._pairs_at(t, t2)
         rows, cols = np.nonzero(np.triu((D1 == t) & (D2 == t2), 1))
+        assert a.dtype == b.dtype == np.int32
         assert a.tolist() == rows.tolist()
         assert b.tolist() == cols.tolist()
     # With the two heaviest classes tied at the top, the top tier of some
@@ -578,9 +628,6 @@ def test_window_neighbour_lists_match_the_distance_tables(specs, wr, monkeypatch
     assert sorted(zip(top_a.tolist(), top_b.tolist())) == want
 
 
-Z2_STAR_Z3 = GroupSpec(
-    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
-)
 KERNEL_METRICS = {"F2xF2": (F2, F2, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}
 
 

@@ -166,8 +166,9 @@ def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
     ]
     assert table.tolist() == expected
     assert (table == -1).any()
-    # S_t's columns, as `sphere_neighbours` takes them, are the slice from
-    # volume(t - 1) to volume(t) of the table over the whole ball.
+    # The columns of a sphere S_t inside the ball, as the window pair lists
+    # take them, are the slice from volume(t - 1) to volume(t) of the table
+    # over the whole ball.
     for t in range(fb.radius + 1):
         s_t = slice(fb.volume(t - 1), fb.volume(t))
         assert (fb.quotient_table(len(fb), fb.elements[s_t]) == table[:, s_t]).all()
@@ -336,23 +337,6 @@ def test_only_the_free_product_table_counts_against_the_cap():
     fb.oracle.distances(fb.elements, cap=m * m)
     with pytest.raises(ResourceCapError, match="distance table"):
         fb.oracle.distances(fb.elements, cap=m * m - 1)
-
-
-@pytest.mark.parametrize(
-    "spec, radius",
-    [DISTANCE_FAMILIES[k] for k in ("f2", "z2", "cyclic", "f2xz", "z2*z3")],
-    ids=["f2", "z2", "cyclic", "f2xz", "z2*z3"],
-)
-def test_sphere_neighbours_match_the_distance_table(spec, radius):
-    fb = FactorBall(make_oracle(spec), radius)
-    grid = np.arange(len(fb))
-    D = fb.distances(grid[:, None], grid)
-    # Within the radius from the spheres, beyond it (to the diameter) by scan.
-    for t in range(2 * radius + 2):
-        ptr, nbr = fb.sphere_neighbours(t)
-        assert len(ptr) == len(fb) + 1
-        for x in range(len(fb)):
-            assert nbr[ptr[x] : ptr[x + 1]].tolist() == np.flatnonzero(D[x] == t).tolist()
 
 
 @settings(max_examples=60, deadline=None)
