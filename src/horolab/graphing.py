@@ -27,8 +27,8 @@ when the first factor is free.
 
 `PercolationKernel` owns the pair law and the window W, and draws the one
 percolation: the Pi2 stage opens it among a seed's base points, and the
-coset-line baseline among every point of the window.  Its window pairs at
-the heaviest weight are listed once and filtered seed by seed.
+coset-line baseline among every point of the window.  Each point draws
+the open ranks of its rho spheres by geometric gaps.
 
 Degree estimators use the mass-transport form: the Palm expectation of the
 full degree equals out-degree plus half the percolation degree for the
@@ -43,6 +43,8 @@ the default margin 2), and the estimate is truncated by that much.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
-from .groups import DEFAULT_ENUM_CAP, FreeOracle, ball, growth_series
+from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series
 from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
 from .product import ProductMetric, ProductSpace, ragged
 from .point_process import ProcessContext, point_digests, sample_diamond_process
@@ -60,11 +62,8 @@ from .randomness import (
     STREAM_PERCOLATION,
     SeededRandomness,
     _TILE,
-    bits_below,
-    combine_unordered,
+    combine_digests,
     seed_digest,
-    threshold_pairs,
-    to_uniforms,
 )
 from .schedule import SlopeSchedule
 
@@ -99,16 +98,12 @@ class PercolationKernel:
 
     This class alone holds the pair law and its point set, the window
     `space` = ProductSpace(metric, window_radius) with its point `digests`;
-    every point id it takes or returns is a window id.  A graphing run's
-    `ProcessContext` is built on this window, so the covering map, the
-    vertex table and Pi2 share its ids.  `prob` is lut at
-    `rho_num(d(a1, b1), d'(a2, b2))` over window ids, with the factor
-    distances computed per pair by each factor ball's `distances` (closed
-    forms; a free product factor reads one capped table), and the Pi2
-    stage and the coset-line baseline are this one percolation restricted
-    to two point sets.  The heaviest-weight window pairs, read once per
-    kernel off sphere quotient tables, are filtered per seed; each seed's
-    listed pairs and prefilter passes count against `cap`.
+    every point id it takes or returns is a window id, and the covering
+    map, the vertex table and Pi2 share them.  `prob` is lut at
+    `rho_num(d(a1, b1), d'(a2, b2))`, from each factor ball's `distances`.
+    The Pi2 stage and the coset-line baseline are this one percolation
+    restricted to two point sets: each point draws the open ranks of its
+    spheres by geometric gaps (`open_pairs`).
     """
 
     def __init__(self, metric: ProductMetric, window_radius: int, cap: int = DEFAULT_ENUM_CAP):
@@ -135,7 +130,7 @@ class PercolationKernel:
         self.space = space = ProductSpace(metric, window_radius, cap)
         self.digests = point_digests(space)
         self.cap = cap
-        self._pair_lists = {}
+        self._growth = growth, growth2
 
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for window ids a and b, elementwise: lut at the rho_c
@@ -145,127 +140,96 @@ class PercolationKernel:
         return self.lut[s.metric.rho_num(d1, s.ball2.distances(s.pts2[a], s.pts2[b]))]
 
     def open_pairs(self, ids, rngs, emax) -> list:
-        """For each SeededRandomness of `rngs`, (a, b, u, p) for every pair
-        a < b of the sorted window ids `ids` with u < emax * p, in
-        `np.triu_indices(len(ids), 1)` order.
+        """For each SeededRandomness of `rngs`, (a, b, u, p) for every open
+        pair a < b of the window ids `ids`, sorted by a, then b.
 
-        A pair's probability is p = prob(a, b) and its uniform is u =
-        rng.uniforms(combine_unordered(digests[a], digests[b]),
-        STREAM_PERCOLATION), so the rows are exactly those of materialising
-        every pair.  The pairs are drawn in two tiers, split at the
-        heaviest weight p1 = max(lut) and the next one p2 (0 when there is
-        none):
-
-        - Top tier: the window's pair lists at p1 (`_pairs_at`) with both
-          ends in `ids` (`_top_pairs`); each seed keeps those with u < emax
-          * p1, exactly, through `SeededRandomness.below` and `bits_below`,
-          and takes their uniforms only.
-        - Tile tier: every other pair's emax * p is at most t = emax * p2,
-          since float rounding is monotone.  With the points sorted by
-          digest, `combine_unordered` is `combine_digests` of a pair's row
-          and column, so `threshold_pairs` draws the triangle's pairs with
-          u < t, exactly as bits < bits_below(t); it is skipped when that
-          is 0.  The refinement keeps those with u < emax * p and p < p1
-          (the top tier decided p1), reading p through `prob`.
-        The listed pairs and the tile tier's passes count against `cap`,
-        seed by seed (more raise ResourceCapError); the pair lists, once.
+        Each x of `ids` opens each element of its sphere_j with q_j =
+        min(1, emax * p_j): the gaps between open ranks (`_unrank`'s order)
+        are floor(log(1 - w) / log(1 - q_j)) (0 at q_j = 1), w the uniform
+        of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
+        still inside their sphere.  A rank unranks to y, kept when y is in
+        `ids` and digest(x) < digest(y): so each unordered pair is decided
+        once, at rate emax * p.  Its u is v * q_j < emax * p, v the uniform
+        of (digest(x), j, 2 i + 1), so each epsilon keeps u < epsilon * p.
+        Each seed's open ranks count against `cap` (ResourceCapError) round
+        by round, before any is unranked; those at q_j = 1, every rank,
+        before any draw.
         """
-        digests = self.digests[ids]
-        order = np.argsort(digests, kind="stable")
-        ordered = digests[order]
-        pids = ids[order]
-        emax = float(emax)
-        p1 = float(self.lut.max())
-        p2 = float(self.lut[self.lut < p1].max(initial=0.0))
-        none = np.zeros(0, dtype=np.int64)
-        top_a = top_b = none
-        k1 = bits_below(emax * p1)
-        if rngs and k1:
-            top_a, top_b = self._top_pairs(ids, p1)
-        if len(top_a) > self.cap:
+        if not rngs:
+            return []
+        ids = np.asarray(ids, dtype=np.int64)
+        p = self.lut[self.nums]
+        q = np.minimum(1.0, float(emax) * p)
+        with np.errstate(divide="ignore"):
+            log_q = np.log1p(-q)  # -inf at q = 1, where every gap is 0
+        sizes = np.array([self.counts[num] for num in self.nums], dtype=np.int64)
+        if len(ids) * int(sizes[q == 1.0].sum()) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
-        found = [(none, none, none, np.zeros(0), np.zeros(0))]
-        if len(top_a):
-            top = combine_unordered(self.digests[top_a], self.digests[top_b])
-            for s, rng in enumerate(rngs):
-                keep = rng.below(top, STREAM_PERCOLATION, k1)
-                seed, u = np.full(len(keep), s), rng.uniforms(top[keep], STREAM_PERCOLATION)
-                found.append((seed, top_a[keep], top_b[keep], u, np.full_like(u, p1)))
+        drawn = np.flatnonzero(q > 0.0)
+        keys = combine_digests(self.digests[ids][:, None], np.arange(len(q), dtype=np.uint64))
+        member = np.bincount(ids, minlength=len(self.space)).astype(bool)
+        out = []
+        for rng in rngs:
+            found, cell, pos, count = [], np.arange(len(ids) * len(drawn)), -1.0, 0
+            for gap in itertools.count():
+                x, j = np.divmod(cell, len(drawn))
+                j = drawn[j]
+                w = rng.uniforms(combine_digests(keys[x, j], 2 * gap), STREAM_PERCOLATION)
+                pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
+                inside = np.flatnonzero(pos < sizes[j])
+                if not len(inside):
+                    break
+                count += len(inside)
+                if count > self.cap:
+                    raise ResourceCapError("percolation pairs", self.cap)
+                cell, pos = cell[inside], pos[inside]
+                found.append((x[inside], j[inside], np.full(len(inside), gap), pos.astype(np.int64)))
+            x, j, gap, rank = map(np.concatenate, zip(*found)) if found else (ids[:0],) * 4
+            y = self._unrank(ids[x], j, rank)
+            keep = np.flatnonzero(y >= 0)
+            keep = keep[member[y[keep]] & (self.digests[ids[x[keep]]] < self.digests[y[keep]])]
+            x, j, gap, y = x[keep], j[keep], gap[keep], y[keep]
+            u = rng.uniforms(combine_digests(keys[x, j], 2 * gap + 1), STREAM_PERCOLATION) * q[j]
+            a, b = np.minimum(ids[x], y), np.maximum(ids[x], y)
+            order = np.lexsort((b, a))
+            out.append((a[order], b[order], u[order], p[j][order]))
+        return out
 
-        def refine(batch):
-            seed, i, j, bits = batch
-            a, b = pids[i], pids[j]
-            p = self.prob(a, b)
-            u = to_uniforms(bits)
-            keep = np.flatnonzero((u < emax * p) & (p < p1))
-            a, b = a[keep], b[keep]
-            return seed[keep], np.minimum(a, b), np.maximum(a, b), u[keep], p[keep]
+    @functools.cached_property
+    def _ranks(self) -> tuple:
+        """`_unrank`'s tables, built on first use: per step (t, t2) of each
+        class, in `nums` then `steps` order, its first rank in one rank
+        space over all classes, t, t2 and |S_t2|; each class's first rank;
+        and each factor's `sphere_element`, its recent ranks memoised."""
+        g1, g2 = self._growth
+        steps = [(j, t, t2) for j, num in enumerate(self.nums) for t, t2 in self.steps[num]]
+        j, t1, t2 = (np.array(col, dtype=np.int64) for col in zip(*steps))
+        s2 = np.array([g2.sphere(t) for t in t2.tolist()], dtype=np.int64)
+        size = np.array([g1.sphere(t) for t in t1.tolist()], dtype=np.int64) * s2
+        start = np.cumsum(size) - size
+        cached = functools.lru_cache(maxsize=1 << 12)  # the small spheres, which most ranks hit
+        elements = [cached(fb.oracle.sphere_element) for fb in (self.space.ball1, self.space.ball2)]
+        return start, t1, t2, s2, start[np.searchsorted(j, np.arange(len(self.nums)))], elements
 
-        # `map` drops each batch before the next tile is hashed.
-        found += map(refine, threshold_pairs(
-            ordered, ordered, rngs, STREAM_PERCOLATION, bits_below(emax * p2), self.cap,
-            "percolation pairs", triangle=True, counted=len(top_a),
-        ))
-        seed, a, b, u, p = (np.concatenate(col) for col in zip(*found))
-        keep = np.lexsort((b, a, seed))
-        ends = np.searchsorted(seed[keep], np.arange(len(rngs) + 1))
-        return [
-            (a[run], b[run], u[run], p[run])
-            for run in (keep[s:t] for s, t in zip(ends[:-1], ends[1:]))
-        ]
-
-    def _top_pairs(self, ids, p1: float) -> tuple:
-        """The pairs a < b of the window ids `ids` at weight p1, as two
-        window id arrays in no set order.
-
-        A pair weighs p1 when its rho numerator has lut value p1; the window
-        pairs (`_pairs_at`) at each of that numerator's factor steps (t, t2)
-        (`steps`) are kept when both their ends are in `ids`.
-        """
-        inside = np.zeros(len(self.space), dtype=bool)
-        inside[ids] = True
-        found = [(np.zeros(0, dtype=np.int64),) * 2]
-        for num in np.flatnonzero(self.lut == p1).tolist():
-            for t, t2 in self.steps.get(num, ()):
-                a, b = self._pairs_at(t, t2)
-                keep = inside[a] & inside[b]
-                found.append((a[keep], b[keep]))
-        return tuple(map(np.concatenate, zip(*found)))
-
-    def _pairs_at(self, t: int, t2: int) -> tuple:
-        """The window pairs a < b at factor distances t in the first factor
-        and t2 in the second, as two int32 window id arrays, by a then b.
-        Built once per kernel.
-
-        The partners of (x, x') are (x s^-1, x' s'^-1), s in S_t and s' in
-        S_t2 (spheres of `groups.ball`, past a ball's radius too), read off
-        each factor ball's `quotient_table` (-1 outside it).  A block of
-        points, about `_TILE` quotient pairs, broadcasts its rows of the two
-        tables into one lookup by key (a -1 misses); each row is sorted and
-        keeps b > a.  The candidates inside both balls count against `cap`
-        first, but a step past a ball's radius holds a |ball| x |S_t| table
-        by then; the kernels' own top steps measured are (1, 0) or (0, 1).
-        """
-        if (t, t2) in self._pair_lists:
-            return self._pair_lists[t, t2]
-        space = self.space
-        q1, q2 = (
-            fb.quotient_table(len(fb), [el for el, d in ball(fb.oracle, s, fb.cap) if d == s])
-            for fb, s in ((space.ball1, t), (space.ball2, t2))
-        )
-        deg1, deg2 = ((q >= 0).sum(axis=1) for q in (q1, q2))
-        if int((deg1[space.pts1] * deg2[space.pts2]).sum()) > self.cap:
-            raise ResourceCapError("percolation pairs (window pair lists)", self.cap)
-        found = []
-        block = max(1, _TILE // max(1, q1.shape[1] * q2.shape[1]))
-        for r0 in range(0, len(space), block):
-            rows = slice(r0, r0 + block)
-            b = space.lookup(q1[space.pts1[rows], :, None], q2[space.pts2[rows], None, :])
-            b = np.sort(b.reshape(len(b), -1), axis=1)
-            r, k = np.nonzero(b > np.arange(r0, r0 + len(b))[:, None])
-            found.append(((r + r0).astype(np.int32), b[r, k].astype(np.int32)))
-        hit = self._pair_lists[t, t2] = tuple(map(np.concatenate, zip(*found)))
-        return hit
+    def _unrank(self, x, j, rank) -> np.ndarray:
+        """The window id (-1 outside the window) of y = (x1 s1, x2 s2) for
+        each window id x and rank of its sphere_j.  The ranks of sphere_j
+        run over its steps (t, t2) in `steps` order, each with s1's rank
+        in S_t major and s2's in S_t2 minor (`Oracle.sphere_element`)."""
+        start, t1, t2, s2, first, elements = self._ranks
+        at = first[j] + rank
+        step = np.searchsorted(start, at, side="right") - 1
+        s, index = self.space, []
+        for fb, pts, t, r, element in zip(
+            (s.ball1, s.ball2), (s.pts1, s.pts2), (t1[step], t2[step]),
+            np.divmod(at - start[step], s2[step]), elements,
+        ):
+            products = (
+                fb.index.get(fb.oracle.multiply(fb.elements[i], element(*tr)), -1)
+                for i, *tr in zip(pts[x].tolist(), t.tolist(), r.tolist())
+            )
+            index.append(np.fromiter(products, dtype=np.int64, count=len(x)))
+        return s.lookup(*index)
 
     def row_masses(self, rows) -> np.ndarray:
         """Mass sum_{j != i} p(i, j) of each window point i in `rows`, over

@@ -21,6 +21,7 @@ suite.
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,6 +156,13 @@ class Oracle:
         """Known exact growth rate, or None when only an estimate exists."""
         return None
 
+    def sphere_element(self, t: int, rank: int):
+        """The element of rank 0 <= `rank` < |S_t| of the sphere of radius
+        t, in closed form: a bijection of range(|S_t|) onto S_t, in the
+        order of `ball` (by `sort_key`) where each factor's keys have one
+        length."""
+        raise NotImplementedError
+
     # Derived helpers -----------------------------------------------------
 
     def generator_map(self) -> dict:
@@ -280,6 +288,18 @@ class FreeOracle(Oracle):
     def exact_growth_rate(self):
         return 2 * self.spec.rank - 1
 
+    def sphere_element(self, t, rank):
+        """Mixed radix: 2k choices of the first letter, then 2k - 1 of each
+        next one (all but the inverse of the one before), each in the
+        letters' order -k < ... < -1 < 1 < ... < k."""
+        k, word = self.spec.rank, []
+        for i in range(t):
+            d, rank = divmod(rank, (2 * k - 1) ** (t - 1 - i))
+            if word:  # pass over the inverse of the last letter w, at -w + k (- 1 if -w > 0)
+                d += d >= k - word[-1] - (word[-1] < 0)
+            word.append(d - k + (d >= k))
+        return tuple(word)
+
 
 class CyclicOracle(Oracle):
     """Cyclic group of order q; canonical form is the residue in [0, q)."""
@@ -339,6 +359,15 @@ class CyclicOracle(Oracle):
     def exact_growth_rate(self):
         return 1
 
+    def sphere_element(self, t, rank):
+        """t, then q - t (one residue when they agree, 0 at t = 0)."""
+        return (t, self.spec.order - t)[rank] % self.spec.order
+
+
+def _l1_sphere(dim: int, s: int) -> int:
+    """The number of points of Z^dim at l1 norm s."""
+    return 1 if s == 0 else sum(2**k * math.comb(dim, k) * math.comb(s - 1, k - 1) for k in range(1, dim + 1))
+
 
 class LatticeOracle(Oracle):
     """Z^d with the standard basis; canonical form is the coordinate tuple."""
@@ -397,6 +426,18 @@ class LatticeOracle(Oracle):
 
     def exact_growth_rate(self):
         return 1
+
+    def sphere_element(self, t, rank):
+        """Coordinates in lexicographic order, each value skipping the
+        points of the l1 sphere that the smaller values complete."""
+        out = []
+        for rest in reversed(range(self.spec.dim)):
+            x = -t
+            while rank >= (n := _l1_sphere(rest, t - abs(x))):
+                rank, x = rank - n, x + 1
+            out.append(x)
+            t -= abs(x)
+        return tuple(out)
 
 
 class DirectProductOracle(Oracle):
@@ -465,6 +506,29 @@ class DirectProductOracle(Oracle):
         if any(r is None for r in rates):
             return None
         return max(rates)
+
+    def _sphere_tables(self, t):
+        """(sphere counts of part i, of the product of the parts after it),
+        for each part but the last, to radius t."""
+        tail, out = self.parts[-1].sphere_sizes(t), []
+        for part in reversed(self.parts[:-1]):
+            out.append((part.sphere_sizes(t), tail))
+            tail = _convolve(out[-1][0], tail, t)
+        return out[::-1]
+
+    def sphere_element(self, t, rank):
+        """The first part's length t0 rising, then its sphere rank, then
+        the other parts' element of length t - t0: mixed radix over the
+        parts' sphere counts."""
+        out = []
+        for part, (spheres, tail) in zip(self.parts, self._sphere_tables(t)):
+            t0 = 0
+            while rank >= (n := spheres[t0] * tail[t - t0]):
+                rank, t0 = rank - n, t0 + 1
+            r0, rank = divmod(rank, tail[t - t0])
+            out.append(part.sphere_element(t0, r0))
+            t -= t0
+        return tuple(out + [self.parts[-1].sphere_element(t, rank)])
 
 
 class FreeProductOracle(Oracle):
@@ -535,6 +599,34 @@ class FreeProductOracle(Oracle):
 
     def exact_growth_rate(self):
         return None
+
+    def _sphere_tables(self, t):
+        """(s, b): s[i][l], factor i's sphere counts, and b[i][m], the
+        normal forms of length m that start in no syllable of factor i
+        (the identity at m = 0), to radius t."""
+        s = [p.sphere_sizes(t) for p in self.parts]
+        b = [[1] for _ in s]
+        for n in range(1, t + 1):
+            a = [sum(s_i[l] * b_i[n - l] for l in range(1, n + 1)) for s_i, b_i in zip(s, b)]
+            for a_i, b_i in zip(a, b):
+                b_i.append(sum(a) - a_i)
+        return s, b
+
+    def sphere_element(self, t, rank):
+        """Syllable by syllable: its factor i, its length l and its factor
+        sphere rank, then the rest, a normal form of length t - l that
+        starts in another factor (b[i][t - l] of them)."""
+        s, b = self._sphere_tables(t)
+        out, last = [], None
+        while t:
+            for i, l in ((i, l) for i in range(len(s)) if i != last for l in range(1, t + 1)):
+                if rank < (n := s[i][l] * b[i][t - l]):
+                    break
+                rank -= n
+            r, rank = divmod(rank, b[i][t - l])
+            out.append((i, self.parts[i].sphere_element(l, r)))
+            t, last = t - l, i
+        return tuple(out)
 
 
 def make_oracle(spec: GroupSpec) -> Oracle:

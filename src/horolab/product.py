@@ -20,7 +20,7 @@ pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
 lattices (the l1 norm of x - y), cyclic groups and direct products, from
 one capped table for free products.  `FactorBall.quotient_table` (x c^-1
-by index) is how the covering map, coset lines and pair lists find partners.
+by index) is how the covering map and the coset lines find partners.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ drawn under many seeds:
   `bits_at_most(t)` give the k of the tests u < t and u <= t.
 
 `threshold_pairs` is the one loop over those tiles: it draws the pairs
-(i, j) of a rectangle lo x hi, or the pairs i < j of a triangle, whose
-uniform under each seed has bits b < k.  The percolation and the corner
-events sample through it, and the diamond process draws its centers the
-same way through `SeededRandomness.below`.
+(i, j) of a rectangle lo x hi whose uniform under each seed has bits
+b < k.  The corner events sample through it, and the diamond process
+draws its centers the same way through `SeededRandomness.below`.  The
+percolation draws far fewer words, by geometric gaps
+(`graphing.PercolationKernel.open_pairs`), through `uniforms`.
 """
 
 from __future__ import annotations
@@ -242,29 +243,26 @@ def seed_digest(master_seed: int, seed_index: int) -> int:
 _TILE = 1 << 15  # pairs hashed per tile of `threshold_pairs`
 
 
-def _tiles(rows: int, cols: int, triangle: bool):
+def _tiles(rows: int, cols: int):
     """Rectangles (i0, i1, j0, j1), rows i0 .. i1-1 by columns j0 .. j1-1,
     of at most `_TILE` pairs that together hold each pair of range(rows) x
-    range(cols) once, or with `triangle` each pair i < j of range(cols).
-    Each block of rows takes as many rows as fit `_TILE` pairs with its
-    columns (in a triangle, i0+1 .. cols-1, so a block also holds pairs
-    i >= j); a row longer than `_TILE` is cut into `_TILE` columns.
+    range(cols) once.  Each block of rows takes as many rows as fit `_TILE`
+    pairs with its columns; a row longer than `_TILE` is cut into `_TILE`
+    columns.
     """
-    rows = cols - 1 if triangle else rows if cols else 0
+    rows = rows if cols else 0
     i0 = 0
     while i0 < rows:
-        j_lo = i0 + 1 if triangle else 0
-        i1 = min(rows, i0 + max(1, _TILE // (cols - j_lo)))
+        i1 = min(rows, i0 + max(1, _TILE // cols))
         step = _TILE // (i1 - i0)
-        for j0 in range(j_lo, cols, step):
+        for j0 in range(0, cols, step):
             yield i0, i1, j0, min(j0 + step, cols)
         i0 = i1
 
 
-def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangle=False, counted=0):
+def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str):
     """Batches (seed, i, j, bits), four arrays in no set order, of the pairs
-    (i, j) of the rectangle lo x hi, or with `triangle` the pairs i < j of
-    lo x lo (`hi` is `lo`), whose uniform under `rngs[seed]`,
+    (i, j) of the rectangle lo x hi whose uniform under `rngs[seed]`,
     uniforms(combine_digests(lo[i], hi[j]), tag) = bits * 2**-53, has
     bits < k.
 
@@ -275,11 +273,10 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     seed, keeping the heads at most `head_limit(k)`.
     The kept heads are held until `_TILE` of them are, or to the end; then
     the batch is finished (`_passes`) and yielded, and nothing of it is
-    held while the next tile is hashed.  Each seed's passes, counted from
-    `counted`, may not exceed `cap` (ResourceCapError names `what`).  The
-    check runs after every tile: the passes so far plus all held heads
-    bound every seed's passes from above, so a batch is also finished when
-    that bound exceeds `cap`.
+    held while the next tile is hashed.  Each seed's passes may not exceed
+    `cap` (ResourceCapError names `what`).  The check runs after every
+    tile: the passes so far plus all held heads bound every seed's passes
+    from above, so a batch is also finished when that bound exceeds `cap`.
     """
     if not k or not rngs:
         return
@@ -287,10 +284,10 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
     below = np.empty(_TILE, dtype=bool)
     mixed = premix(lo)
     limit = head_limit(k)
-    passed = np.full(len(rngs), counted, dtype=np.int64)  # exact, to the last batch
+    passed = np.zeros(len(rngs), dtype=np.int64)  # exact, to the last batch
     held = []
     count = 0  # heads held, of every seed
-    for i0, i1, j0, j1 in _tiles(len(lo), len(hi), triangle):
+    for i0, i1, j0, j1 in _tiles(len(lo), len(hi)):
         shape = (i1 - i0, j1 - j0)
         size = shape[0] * shape[1]
         pair = combine_into(
@@ -304,13 +301,13 @@ def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str, triangl
                 held.append((s, i0, j0, shape[1], pos, d[pos]))
                 count += len(pos)
         if count >= _TILE or passed.max() + count > cap:
-            yield _passes(held, passed, k, triangle, cap, what)
+            yield _passes(held, passed, k, cap, what)
             count = 0
     if held:
-        yield _passes(held, passed, k, triangle, cap, what)
+        yield _passes(held, passed, k, cap, what)
 
 
-def _passes(held, passed, k: int, triangle: bool, cap: int, what: str) -> tuple:
+def _passes(held, passed, k: int, cap: int, what: str) -> tuple:
     """(seed, i, j, bits) of the passes of the batch `held`, which lists
     (s, i0, j0, width, pos, d): heads d of seed s at the positions pos of a
     tile of `width` columns from row i0 and column j0.  The passes are
@@ -325,10 +322,7 @@ def _passes(held, passed, k: int, triangle: bool, cap: int, what: str) -> tuple:
     del pos
     i += np.repeat(i0, lens)
     j += np.repeat(j0, lens)
-    hit = head_bits(d) < k
-    if triangle:
-        hit &= i < j
-    hit = np.flatnonzero(hit)
+    hit = np.flatnonzero(head_bits(d) < k)
     bits = head_bits(d[hit])
     del d
     seed = np.repeat(s, lens)[hit]

@@ -407,17 +407,16 @@ def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys
     assert "covering map (window points x diamond offsets) exceeded the enumeration cap of 20000" in err
 
 
-def test_the_window_pair_lists_count_their_candidates_inside_both_factor_balls(tmp_path, capsys):
-    # The top tier of the radius-4 window (865 points) lists its pairs at
-    # the steps (1, 0) and (0, 1).  Each has 3,136 candidates inside both
-    # factor balls, fewer than the 865 x 4 = 3,460 quotients of a full
-    # generator sphere, some of which leave a ball.
-    overrides = {"prop13": {"seeds": 2}}
-    for cap, code in ((3135, 3), (3136, 0)):
+def test_the_percolation_cap_counts_each_seeds_open_ranks(tmp_path, capsys):
+    # At eps 4 the radius-4 window's 865 points open 3,531 ranks of their
+    # spheres under the first seed and 3,387 under the second, before any
+    # is unranked; the cap counts each seed's on its own.
+    overrides = {"prop13": {"seeds": 2, "eps_list": [0.0, 4.0]}}
+    for cap, code in ((3530, 3), (3531, 0)):
         overrides["enum_cap"] = cap
         assert cli.main(["prop13", "--out", str(tmp_path)], config_overrides=overrides) == code
     err = capsys.readouterr().err
-    assert "percolation pairs (window pair lists) exceeded the enumeration cap of 3135" in err
+    assert "percolation pairs exceeded the enumeration cap of 3530" in err
     assert err.count("resource cap:") == 1
 
 
@@ -764,6 +763,9 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # `upper_ok` and `upper_violations`: the upper inclusion holds by
 # construction, so those columns read True and 0 for every input.
 # The `all` run covers every runner; its digests are keyed by relative path.
+# The Pi2 artifacts (each graphing run's and `all`'s graphing/* and
+# prop13/* files) moved when the percolation came to be drawn by geometric
+# gaps over each point's rho spheres; no other file moved.
 # The two F2 x F3 runs at c = 2/3 were pinned when W+ became exactly the
 # covering centers, the change that moved the most ids on an unbalanced
 # product (97,313 of the 210,713 points of the earlier center window at
@@ -806,11 +808,11 @@ PINNED_DIGESTS = {
         "diamond/sandwich_tree.csv": "f9f6269626bc6a84afa800e95f76b158554c0a4487e0e3e0b25f87a98ebdba89",
         "diamond/summary.json": "ff8501369344e5ffd0d8e8d99e4241156cf898d9342ccc6558e6b7a8de4e7a2f",
         "diamond/volumes.csv": "0df7487da9e8da2c2a6873070ba68a3e9fc9f83db9103dea26e9c499004b5150",
-        "graphing/cost_report.json": "0a318d46d1ebd097992d5c18cbb504fcf3a630fe1ca0a079b535143773bd15c7",
+        "graphing/cost_report.json": "df6804c9ee5bce17fb33cfa6548eeedeefe8c65576e89a3d9f2edbbcf72e0355",
         "graphing/edges_seed0.csv": "0fabe60b1509a8d9a8619e2afc388ee8124445163d242bf88319808c006ed25c",
         "graphing/pi5_seed0.csv": "9ca7df6df658f032fe8d1511930040c70a0d9d4378113582243a25fe558bcc0a",
-        "graphing/plot.csv": "06f9c5c96d761893d0429facd9226ac2c4a6d9c89131364721767f311caf09ba",
-        "graphing/runs.csv": "f8cc590ba3d010967f9a8c90a5a0616531ef62696139ff301675c579463f1fdd",
+        "graphing/plot.csv": "212aa79d16fa79811f1fb61f66999c0bc2fd89e81028e7eda204d0d35f51a482",
+        "graphing/runs.csv": "95318f77a954a51346ce0c83e0c8b5686f4070fc89c24779bf6fdd5dd71ae8d5",
         "growth/ball_G.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
         "growth/ball_G2.csv": "3a0c1a24ed9c1745c62fcbcdbec8cc01a201b6f334eaadfa5067f156d9786c5f",
         "growth/growth_G.csv": "0a063b576d55c46c7524b3366515cd32938aae9d3e48becc4b608fbaf099516e",
@@ -823,8 +825,8 @@ PINNED_DIGESTS = {
         "process/plot.csv": "1eb907b0a01e1f997867e588c82a65e1a4e521f9d4c4016071ff69b29a67897e",
         "process/process_seed0.jsonl": "f7a89c5a0b0c4cda65697b96d697420ee895ee2c3b4b68bd6b33e6748e340a83",
         "process/summary.json": "02caf5ccf9cfd735480eb6c5139399e6e42b8b011c5dd0bfe2240b6222bebfb1",
-        "prop13/baseline.csv": "1bdd2d8b70111f199a6fdea2e2306adf0864b584fc975c947e276dc905aa1dbe",
-        "prop13/plot.csv": "7447593294260f9de7a161e510bf54034ccf6a888a33824f87adbba268415289",
+        "prop13/baseline.csv": "de5eb7d1c6b5f5e4566e504f75141896ab61431938f0bcfbf19ae7a433c5292b",
+        "prop13/plot.csv": "83c59b257a47259149a8ced5d08353445862ac0f7643b1a1f23595e7bd15faa8",
         "prop13/summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
         "schedule/almost_linear.csv": "563ce38fa6444f5077cbb25267b2fd05f41269c53bccdf958b1b87cfa1978f3d",
         "schedule/breakpoints.json": "ad285097a515e17d1e22a7d9c65c438aeb7e334698a3d206cb422ea1f4b30cff",
@@ -835,24 +837,24 @@ PINNED_DIGESTS = {
         "touching/traces.csv": "3a02717f5aaba081adebf6bee0e74cfb8af2f3a3a67d7f8bd369886f89ae8008",
     },
     "graphing": {
-        "cost_report.json": "ff8c0d2fc839bdb0289343c52b5a0b388325c8f515970aa1a8da320f94442f15",
-        "edges_seed0.csv": "d0ecf15fd319b047c94a9c1c9b40f236c0e924e350c9caf1d28c3cebe5b074ad",
-        "pi5_seed0.csv": "e1974183227f312f320484b9476ed18ee4897445459a2bdf9dc5c1838830c762",
-        "plot.csv": "637fc315ee87f19364fdabe7329d60a9037b218dcd40ee21c5c7d20bc9d0ed87",
-        "runs.csv": "f374ab54f7e99a9288780572f7c0fcba4096c732415281f198f8d423b1eaaef7",
+        "cost_report.json": "1c5e18923b6e967044d8b18cdde97f7dc46858ee0a4a04dd554ae85e815cc298",
+        "edges_seed0.csv": "2ec89ed2cafbcb9756075c9666113a3fd8b0bf4a9072d155efede8b093e84511",
+        "pi5_seed0.csv": "bef46b6734a636bee7821d49ea4c1465f02c9b3add8cde0e4cdd03a138bafa90",
+        "plot.csv": "fb0cd3b33c7b0be3d5b05e50e121f90363485d06256ddd413260a855ae687471",
+        "runs.csv": "29a9eb23f9160f9c69b3356c9f9b2ade196e6223e47e67d95da6145b2d5267a1",
     },
     "graphing-z2xf2": {
-        "cost_report.json": "2273431b3d78577ebe2ace647fc11d63123c99ea0dcb3891c53e885a9e5ab409",
-        "edges_seed0.csv": "545d28540f4dc520433fba432809dbbaa7a02517864dd79a16e3f8060d92ff7d",
-        "pi5_seed0.csv": "a01333864669a3d5f4710618b787b78a45a93d2c11b03d43dd47fa91ddbb8ede",
-        "plot.csv": "c07bd2cf99a693cf29ad75e4e85fd14376028fa5152262df2b1a2932c4b27dd0",
-        "runs.csv": "97db82dba8ac009525f723736818732c8b8f9241f41a1efbc096b8d4338d5ec4",
+        "cost_report.json": "85cc23f7a822755a0ce3a5676b2e861cae230e2614452011416c3840985a77c4",
+        "edges_seed0.csv": "de55699df1b56bbc3d069553d746920ba0c753c4bd5b90afac075ff99b98b2ea",
+        "pi5_seed0.csv": "f841465473763c7729b56ae6a503b03dc38e2f8d5fad5c7b34bb0c9d330c00e7",
+        "plot.csv": "895d6b9a83bc4d70d1dc7dbdfdf266c983bb021e9d16f817d898cd9c8707d665",
+        "runs.csv": "970e02b2adb888824c7fcd408128ef4bbe93a556f7569247bbabe1a7d60715d4",
     },
     "graphing-f2xf3": {
-        "cost_report.json": "c3c54c42e5e734e3cd169f35591461bfda6efe26fe6510efbcdfe2462d181cce",
+        "cost_report.json": "8c979a10c4d91a525bdcf0f6e455e4a9a3741e9cb27423830bc77b37d9073da2",
         "edges_seed0.csv": "8170be5f233e55493e882ae17c3660114e6bc325bc373ea9db1d792beba20f20",
         "pi5_seed0.csv": "17838f0f6bcfd8be827148fad9ed370c4502de9496891b1be2236e514ddabb5d",
-        "plot.csv": "14401c271a52e40125d65e81ec43767cdc70e985f526ecd63973e868608e76c5",
+        "plot.csv": "74dd1aefd64b52a180865a90e809ffea52eacf05b87a67408cfd620eba9218f8",
         "runs.csv": "9814de0b9ba1ffc49441a637ee681d744838a7a065404829f0088260084f7ade",
     },
     "process-f2xf3": {
@@ -864,8 +866,8 @@ PINNED_DIGESTS = {
         "summary.json": "b4b4c1c502967e7605ce1b2cbe0dde7f47953e31969fa1daed39b84fa89edc3e",
     },
     "prop13": {
-        "baseline.csv": "4b945fd2289bd74ecb4c12c67cf8826a30ffc8a57444c476cdf95c64feaf4e60",
-        "plot.csv": "3d7ae07c532e554954958de46813fa85923e7d9de46f8f79907dbe6d1df6d612",
+        "baseline.csv": "7d5f023263e490a9f75d54d6ffbe99cb3322c3bd594e69a0975abe5c2995bc33",
+        "plot.csv": "23e786332385289ca97ebf0e6ec4544c2333048b3a504db43f11a840d7c3ba02",
         "summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
     },
 }

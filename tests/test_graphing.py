@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import graphing, product, randomness
+from horolab import graphing
 from horolab.graphing import (
     GraphingContext,
     _component_roots,
@@ -29,13 +29,13 @@ from horolab.graphing import (
 )
 from horolab.diamonds import in_diamond
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
-from horolab.groups import GroupSpec, growth_series, make_oracle
+from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.point_process import point_digests, sample_diamond_process
-from horolab.product import ProductMetric, ProductSpace
+from horolab.product import ProductMetric
 from horolab.randomness import (
     STREAM_PERCOLATION,
     SeededRandomness,
-    combine_unordered,
+    combine_digests,
     seed_digest,
 )
 from horolab.schedule import build_schedule, linear_schedule
@@ -303,25 +303,68 @@ def _rho_nums(space, a, b) -> np.ndarray:
     )
 
 
-def _materialised_percolation(kernel, base_ids, rng, eps_list):
-    """Reference for `build_percolation` and `open_pairs` on `kernel`,
-    over the kernel's window ids `base_ids`: every unordered pair
-    materialised at once, with its rho numerator from the factor balls'
-    per-pair distances."""
-    S = np.asarray(sorted(int(p) for p in base_ids), dtype=np.int64)
-    out = {float(e): [] for e in eps_list}
-    if len(S) < 2 or not eps_list:
-        return out
-    ia, ib = np.triu_indices(len(S), 1)
-    base_prob = kernel.lut[_rho_nums(kernel.space, S[ia], S[ib])]
-    pd = kernel.digests
-    u = rng.uniforms(combine_unordered(pd[S[ia]], pd[S[ib]]), STREAM_PERCOLATION)
-    emax = max(eps_list)
-    cand = np.flatnonzero(u < emax * base_prob)
-    for e in eps_list:
-        sel = cand[u[cand] < float(e) * base_prob[cand]]
-        out[float(e)] = [(int(S[ia[s]]), int(S[ib[s]])) for s in sel.tolist()]
-    return out
+@functools.lru_cache(maxsize=None)
+def _sphere(oracle, t) -> list:
+    """The sphere of radius t of `oracle`, in `groups.ball`'s BFS order."""
+    return [el for el, d in ball(oracle, t) if d == t]
+
+
+def _per_rank_reference(kernel, ids, rng, emax) -> tuple:
+    """Reference for one seed of `open_pairs`, from its definition: for
+    each x of the window ids `ids` and each class j, walk the open ranks of
+    sphere_j gap by gap, unrank each through `groups.ball`'s BFS spheres
+    (steps (t, t2) by rising t, the S_t rank major), and keep the pair when
+    y is in `ids` and digest(x) < digest(y).  Returns the sorted rows
+    (a, b, u, p) and the number of open ranks."""
+    space, metric = kernel.space, kernel.space.metric
+    first, second = metric.first, metric.second
+    cp, cq = metric.c.numerator, metric.c.denominator
+    top = metric.radius_num(2 * space.radius)
+
+    classes = {}
+    for t in range(top // cp + 1):
+        for t2 in range((top - t * cp) // cq + 1):
+            size = len(_sphere(first, t)) * len(_sphere(second, t2))
+            if (t or t2) and size:
+                classes.setdefault(metric.rho_num(t, t2), []).append((t, t2, size))
+    member = {int(i) for i in ids}
+    digests = [int(d) for d in kernel.digests]
+    rows, opened = [], 0
+    for x in sorted(member):
+        x1, x2 = space.element(x)
+        for j, num in enumerate(sorted(classes)):
+            p = float(kernel.lut[num])
+            q = min(1.0, float(emax) * p)
+            if q <= 0.0:
+                continue
+            key = combine_digests(digests[x], j)
+            rank, gap = -1, 0
+            while True:
+                w = float(rng.uniforms(combine_digests(key, 2 * gap), STREAM_PERCOLATION))
+                rank += 1 + (0 if q == 1.0 else int(np.floor(np.log1p(-w) / np.log1p(-q))))
+                r = rank
+                for t, t2, size in classes[num]:
+                    if r < size:
+                        break
+                    r -= size
+                else:
+                    break
+                opened += 1
+                s1, s2 = divmod(r, len(_sphere(second, t2)))
+                y1 = space.ball1.index.get(first.multiply(x1, _sphere(first, t)[s1]), -1)
+                y2 = space.ball2.index.get(second.multiply(x2, _sphere(second, t2)[s2]), -1)
+                y = int(space.lookup(y1, y2))
+                if y in member and digests[x] < digests[y]:
+                    v = float(rng.uniforms(combine_digests(key, 2 * gap + 1), STREAM_PERCOLATION))
+                    rows.append((min(x, y), max(x, y), v * q, p))
+                gap += 1
+    return sorted(rows), opened
+
+
+def _reference_at(kernel, ids, rng, eps_list) -> dict:
+    """epsilon -> the reference's pairs (a, b) with u < epsilon * p."""
+    rows, _ = _per_rank_reference(kernel, ids, rng, max(eps_list))
+    return {float(e): [(a, b) for a, b, u, p in rows if u < float(e) * p] for e in eps_list}
 
 
 PERC_EPS = [0.0, 0.05, 0.3, 1.0]
@@ -336,8 +379,7 @@ def _rows(pairs) -> list:
 def _assert_matches_reference(ctx, bases, key, eps_list=PERC_EPS):
     got = build_percolation(ctx, bases, SeededRandomness(key), eps_list)
     got = {e: _rows(pairs) for e, pairs in got.items()}
-    want = _materialised_percolation(ctx.kernel, bases, SeededRandomness(key), eps_list)
-    assert got == want
+    assert got == _reference_at(ctx.kernel, bases, SeededRandomness(key), eps_list)
     return got
 
 
@@ -347,219 +389,214 @@ def perc_ctx(request):
 
 
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_percolation_matches_the_materialised_reference(perc_ctx):
+def test_percolation_matches_the_per_rank_reference(perc_ctx):
     opened = 0
-    for s in range(20):
+    for s in range(8):
         key = seed_digest(60, s)
         bases = _seed_window(perc_ctx, key).bases.tolist()
         opened += len(_assert_matches_reference(perc_ctx, bases, key)[0.3])
     assert opened > 0
 
 
-@pytest.mark.parametrize("tile", [3, 7, 200])
-@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
-def test_percolation_tiles_that_split_rows(perc_ctx, tile, count_tiles):
-    tiles = count_tiles(tile)
-    for s in range(3):
-        key = seed_digest(61, s)
-        bases = _seed_window(perc_ctx, key).bases.tolist()[:60]
-        before = len(tiles)
-        _assert_matches_reference(perc_ctx, bases, key)
-        assert len(tiles) - before > 1
+Z2_STAR_Z3 = GroupSpec(
+    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
+)
+SMALL_METRICS = {"F2xF2": (F2, F2, 1), "ZxZ": (Z1, Z1, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}
+SMALL = [(name, wr) for wr in (2, 3) for name in SMALL_METRICS]
 
 
-@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_percolation_clamps_at_certain_opening(perc_ctx, monkeypatch):
-    # p = 1 everywhere: eps >= 1 opens every pair (4096 * 2**53 would not fit
-    # a uint64 without the 2**53 clamp), eps = 0 none
-    monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
-    key = seed_digest(62, 0)
-    bases = _seed_window(perc_ctx, key).bases.tolist()
-    got = _assert_matches_reference(perc_ctx, bases, key, [0.0, 1.0, 4096.0])
-    every = [(a, b) for i, a in enumerate(bases) for b in bases[i + 1 :]]
-    assert got[0.0] == [] and got[1.0] == got[4096.0] == every
+@functools.lru_cache(maxsize=None)
+def _small_kernel(name, wr):
+    first, second, c = SMALL_METRICS[name]
+    return graphing.PercolationKernel(ProductMetric(make_oracle(first), make_oracle(second), c), wr)
 
 
-def test_the_top_tier_opens_a_pair_only_strictly_below_its_threshold():
-    # At p = 1 everywhere every pair is in the top tier and the tile tier
-    # draws nothing.  At emax equal to a pair's own uniform u the pair stays
-    # closed, u < emax failing exactly, and one float step above u it opens.
-    kernel = graphing.PercolationKernel(ProductMetric(make_oracle(Z1), make_oracle(Z1), 1), 2)
-    kernel.lut[:] = 1.0
-    ids, rng = np.array([0, 1]), SeededRandomness(seed_digest(66, 0))
-    u = float(rng.uniforms(combine_unordered(*kernel.digests[ids]), STREAM_PERCOLATION))
-    [(a, _, _, _)] = kernel.open_pairs(ids, [rng], u)
-    assert a.tolist() == []
-    [(a, b, got, p)] = kernel.open_pairs(ids, [rng], np.nextafter(u, 1.0))
-    assert (a.tolist(), b.tolist(), got.tolist(), p.tolist()) == ([0], [1], [u], [1.0])
+@pytest.fixture(params=SMALL, ids=[f"{name}-{wr}" for name, wr in SMALL])
+def small_kernel(request):
+    """The kernel of a wr-2 or wr-3 window of a small family."""
+    return _small_kernel(*request.param)
 
 
-@pytest.mark.parametrize("count", [0, 1, 2])
-@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_percolation_of_few_bases(perc_ctx, count, monkeypatch):
-    monkeypatch.setattr(perc_ctx.kernel, "lut", np.ones_like(perc_ctx.kernel.lut))
-    bases = list(range(count))
-    got = _assert_matches_reference(perc_ctx, bases, seed_digest(63, 0))
-    assert len(got[1.0]) == count * (count - 1) // 2
-
-
-def test_percolation_pairs_count_against_the_cap(f2_ctx, monkeypatch):
-    monkeypatch.setattr(f2_ctx.kernel, "lut", np.ones_like(f2_ctx.kernel.lut))
-    key = seed_digest(64, 0)
-    bases = _seed_window(f2_ctx, key).bases.tolist()
-    pairs = len(bases) * (len(bases) - 1) // 2
-    # At lut = 1 every pair is in the top tier, and a fresh kernel's window
-    # pair lists hold more candidates than these bases have pairs; they
-    # count against the cap only when built, so build them at the default.
-    build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
-    monkeypatch.setattr(f2_ctx.kernel, "cap", pairs)
-    assert len(build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])[1.0]) == pairs
-    monkeypatch.setattr(f2_ctx.kernel, "cap", pairs - 1)
-    with pytest.raises(ResourceCapError, match="percolation pairs"):
-        build_percolation(f2_ctx, bases, SeededRandomness(key), [1.0])
+@pytest.fixture(params=list(SMALL_METRICS))
+def certain_kernel(request, monkeypatch):
+    """The wr-2 kernel of a small family with p = 1 at every class: there
+    q = 1 enumerates every rank of every sphere, all of them bounded."""
+    kernel = _small_kernel(request.param, 2)
+    monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
+    return kernel
 
 
 def _assert_seeds_match_reference(kernel, base_ids, keys, emax) -> list:
     """One multi-seed `open_pairs` call over the kernel's window ids
-    `base_ids` against the materialised reference of each seed: the same
-    pairs in the same order, with their p and u.  Returns the call's rows."""
+    `base_ids` against the per-rank reference of each seed: the same rows
+    (a, b, u, p), in the same order.  Returns the call's rows."""
     S = np.sort(np.asarray(base_ids, dtype=np.int64))
     got = kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
     assert len(got) == len(keys)
-    pd = kernel.digests
     for key, (a, b, u, p) in zip(keys, got):
-        rng = SeededRandomness(key)
-        want = _materialised_percolation(kernel, S, rng, [emax])
-        assert list(zip(a.tolist(), b.tolist())) == want[float(emax)]
-        assert u.tobytes() == rng.uniforms(combine_unordered(pd[a], pd[b]), STREAM_PERCOLATION).tobytes()
-        assert p.tobytes() == kernel.prob(a, b).tobytes()
+        assert a.dtype == b.dtype == np.int64 and u.dtype == p.dtype == np.float64
+        want, _ = _per_rank_reference(kernel, S, SeededRandomness(key), emax)
+        assert list(zip(a.tolist(), b.tolist(), u.tolist(), p.tolist())) == want
+        assert (u < emax * p).all() and len(set(zip(a.tolist(), b.tolist()))) == len(a)
     return got
-
-
-def _seeds_match_reference(ctx, bases, keys, emax) -> int:
-    """`_assert_seeds_match_reference` on a graphing context's kernel; the
-    number of open pairs over all seeds."""
-    got = _assert_seeds_match_reference(ctx.kernel, bases, keys, emax)
-    return sum(len(a) for a, _, _, _ in got)
 
 
 MULTI_SEED_KEYS = [seed_digest(66, s) for s in range(4)]
 
 
-@pytest.mark.parametrize("tile", [3, 7, 200, randomness._TILE])
+def test_one_seed_of_a_small_window_matches_the_per_rank_reference(small_kernel):
+    ids = np.arange(len(small_kernel.space))
+    [(a, _, _, _)] = _assert_seeds_match_reference(small_kernel, ids, MULTI_SEED_KEYS[:1], 1.0)
+    assert len(a) > 0
+
+
+def test_many_seeds_of_a_small_window_match_the_per_rank_reference(small_kernel):
+    ids = np.arange(0, len(small_kernel.space), 2)
+    closed = _assert_seeds_match_reference(small_kernel, ids, MULTI_SEED_KEYS, 0.0)
+    assert sum(len(a) for a, _, _, _ in closed) == 0
+    opened = _assert_seeds_match_reference(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
+    assert sum(len(a) for a, _, _, _ in opened) > 0
+
+
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx, tile, count_tiles):
-    tiles = count_tiles(tile)
+def test_multi_seed_open_pairs_match_the_reference_per_seed(perc_ctx):
     bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()
-    if tile < 200:
-        bases = bases[:60]
-    assert _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.0) == 0
-    assert _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 0.3) > 0
-    if tile < randomness._TILE:
-        assert len(tiles) > 1
+    got = _assert_seeds_match_reference(perc_ctx.kernel, bases, MULTI_SEED_KEYS, 0.0)
+    assert sum(len(a) for a, _, _, _ in got) == 0
+    got = _assert_seeds_match_reference(perc_ctx.kernel, bases, MULTI_SEED_KEYS, 0.3)
+    assert sum(len(a) for a, _, _, _ in got) > 0
 
 
-@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
-def test_multi_seed_open_pairs_at_certain_and_saturated_bounds(perc_ctx, monkeypatch):
-    kernel = perc_ctx.kernel
-    bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()[:80]
-    pairs = len(bases) * (len(bases) - 1) // 2
-    saved = kernel.lut
-    # emax * max(lut) >= 1: every pair opens.
-    monkeypatch.setattr(kernel, "lut", np.ones_like(saved))
-    for emax in (1.0, 4096.0):
-        opened = _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, emax)
-        assert opened == len(MULTI_SEED_KEYS) * pairs
-    # emax * p2 = 1 - 2**-40 for the second heaviest weight p2, and every
-    # pair at the heaviest opens: k = 2**53 - 2**13, so (k - 1) >> 22 + 1
-    # is 2**31 and the tile tier's head bound saturates; the float test
-    # still decides.
-    top = 1.0 - 2.0**-40
-    assert randomness.head_limit(randomness.bits_below(top)) == np.uint64(2**64 - 1)
-    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * top)
-    opened = _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0)
-    assert 0 < opened < len(MULTI_SEED_KEYS) * pairs
+def test_percolation_clamps_at_certain_opening(certain_kernel):
+    # p = 1 everywhere: eps >= 1 opens every pair (4096 * p, clamped to q
+    # = 1, as at eps 1), eps = 0 none.
+    kernel = certain_kernel
+    ids = np.arange(0, len(kernel.space), 3)
+    [opened] = kernel.open_pairs(ids, [SeededRandomness(seed_digest(62, 0))], 4096.0)
+    [again] = _assert_seeds_match_reference(kernel, ids, [seed_digest(62, 0)], 1.0)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(opened, again))
+    got = {e: _rows(pairs) for e, pairs in graphing._open_at(opened, [0.0, 1.0, 4096.0]).items()}
+    every = [(a, b) for a in ids.tolist() for b in ids.tolist() if a < b]
+    assert got[0.0] == [] and got[1.0] == got[4096.0] == every
 
 
-def test_multi_seed_cap_counts_prefilter_passes_per_seed(f2_ctx, monkeypatch):
-    kernel = f2_ctx.kernel
+def test_a_pair_opens_only_strictly_below_its_threshold(monkeypatch):
+    # At p = 1 every rank opens and u is the pair's own uniform v.  The
+    # epsilon equal to u keeps the pair closed, u < eps failing exactly,
+    # and one float step above u opens it.
+    kernel = _small_kernel("ZxZ", 2)
     monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
-    S = _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases
-    pairs = len(S) * (len(S) - 1) // 2
+    [opened] = kernel.open_pairs(np.array([0, 1]), [SeededRandomness(seed_digest(66, 0))], 1.0)
+    [u] = opened[2].tolist()
+    got = graphing._open_at(opened, [u, np.nextafter(u, 1.0)])
+    assert _rows(got[u]) == [] and _rows(got[np.nextafter(u, 1.0)]) == [(0, 1)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_percolation_of_few_bases(certain_kernel, count):
+    ids = np.arange(count)
+    [(a, _, _, _)] = _assert_seeds_match_reference(certain_kernel, ids, [seed_digest(63, 0)], 1.0)
+    assert len(a) == count * (count - 1) // 2
+
+
+def _open_ranks(kernel, ids, keys, emax) -> list:
+    """Each seed's number of open ranks, by the reference."""
+    return [_per_rank_reference(kernel, ids, SeededRandomness(key), emax)[1] for key in keys]
+
+
+def test_the_cap_fires_one_below_a_seeds_open_ranks(small_kernel, monkeypatch):
+    # The cap bounds each seed's open ranks, not the seeds' together nor the
+    # pairs kept: at the largest seed's count every seed passes, one below
+    # it the call raises.
+    ids = np.arange(len(small_kernel.space))
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
-    # Build the window pair lists at the default cap first: at lut = 1 they
-    # hold more candidates than S has pairs, and are counted only when built.
-    kernel.open_pairs(S, rngs[:1], 1.0)
-    monkeypatch.setattr(kernel, "cap", pairs)  # every seed passes `pairs`; together 4x
-    assert [len(a) for a, _, _, _ in kernel.open_pairs(S, rngs, 1.0)] == [pairs] * len(rngs)
-    monkeypatch.setattr(kernel, "cap", pairs - 1)
+    ranks = _open_ranks(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
+    monkeypatch.setattr(small_kernel, "cap", max(ranks))
+    kept = sum(len(a) for a, _, _, _ in small_kernel.open_pairs(ids, rngs, 1.0))
+    assert kept < sum(ranks) and sum(ranks) > max(ranks)
+    monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
+    with pytest.raises(ResourceCapError, match="percolation pairs exceeded the enumeration cap"):
+        small_kernel.open_pairs(ids, rngs, 1.0)
+
+
+def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, monkeypatch):
+    # At q = 1 a seed's open ranks are every rank of every sphere: counted
+    # from the sphere sizes, before any uniform is drawn or rank unranked.
+    kernel = certain_kernel
+    ids = np.arange(5)
+    [ranks] = _open_ranks(kernel, ids, MULTI_SEED_KEYS[:1], 1.0)
+    assert ranks == len(ids) * sum(kernel.counts.values())
+    rng = SeededRandomness(MULTI_SEED_KEYS[0])
+    monkeypatch.setattr(kernel, "cap", ranks)
+    kernel.open_pairs(ids, [rng], 1.0)
+    monkeypatch.setattr(kernel, "cap", ranks - 1)
+
+    def never(*args):
+        raise AssertionError("drew or unranked past the cap")
+
+    monkeypatch.setattr(rng, "uniforms", never)
+    monkeypatch.setattr(kernel, "_unrank", never)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        kernel.open_pairs(S, rngs, 1.0)
+        kernel.open_pairs(ids, [rng], 1.0)
 
 
-@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z2f2_ctx"], indirect=True)
-def test_open_pairs_flushes_held_heads_mid_call(perc_ctx, monkeypatch):
-    # emax * p2 = 1 - 2**-40 saturates the head bound, so every position of
-    # a tile is held: the held heads pass `_TILE` long before the last
-    # tile, and each batch is finished and refined on its own.
-    kernel = perc_ctx.kernel
-    saved = kernel.lut
-    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
-    monkeypatch.setattr(randomness, "_TILE", 1024)
-    batches = []
-    finish = randomness._passes
-
-    def spy(held, *args):
-        batches.append(sum(len(pos) for *_, pos, _ in held))
-        return finish(held, *args)
-
-    monkeypatch.setattr(randomness, "_passes", spy)
-    bases = _seed_window(perc_ctx, MULTI_SEED_KEYS[0]).bases.tolist()[:80]
-    pairs = len(bases) * (len(bases) - 1) // 2
-    assert 0 < _seeds_match_reference(perc_ctx, bases, MULTI_SEED_KEYS, 1.0) < 4 * pairs
-    # At least two batches flushed at `_TILE` held heads; only the last,
-    # finished at the end, may hold fewer.
-    assert sum(b >= 1024 for b in batches) >= 2 and min(batches[:-1]) >= 1024
+def test_open_pairs_checks_the_cap_after_each_round(monkeypatch):
+    # At q = 0.9 nearly every (x, j) opens a rank in the first round, more
+    # than the cap: the call raises before the second round is drawn.
+    kernel = _small_kernel("F2xF2", 3)
+    monkeypatch.setattr(kernel, "lut", np.full_like(kernel.lut, 0.9))
+    ids = np.arange(len(kernel.space))
+    rng = SeededRandomness(MULTI_SEED_KEYS[0])
+    calls, draw = [], rng.uniforms
+    monkeypatch.setattr(rng, "uniforms", lambda *a: calls.append(1) or draw(*a))
+    monkeypatch.setattr(kernel, "cap", len(ids) * len(kernel.nums) // 2)
+    with pytest.raises(ResourceCapError, match="percolation pairs"):
+        kernel.open_pairs(ids, [rng], 1.0)
+    assert len(calls) == 1
 
 
-def test_open_pairs_checks_the_cap_after_each_tile(f2_ctx, monkeypatch, count_tiles):
-    # Every position of a tile is held (as above), so the first tile's
-    # heads already bound more passes than the cap: that batch is counted
-    # exactly then, and the call raises before the second tile is hashed.
-    # The first tile holds 51 rows of 79 pairs, about 2,700 of them
-    # passes, but fewer than `_TILE` heads for the one seed; the 80 bases
-    # list at most 640 pairs at the heaviest weight.
-    kernel = f2_ctx.kernel
-    saved = kernel.lut
-    monkeypatch.setattr(kernel, "lut", saved / saved[saved < saved.max()].max() * (1.0 - 2.0**-40))
-    tiles = count_tiles(4096)
-    S = _seed_window(f2_ctx, MULTI_SEED_KEYS[0]).bases[:80]
-    rngs = [SeededRandomness(MULTI_SEED_KEYS[0])]
-    assert len(list(randomness._tiles(0, len(S), True))) == 2
-    monkeypatch.setattr(kernel, "cap", 1000)
-    with pytest.raises(ResourceCapError, match="percolation pairs exceeded"):
-        kernel.open_pairs(S, rngs, 1.0)
-    assert len(tiles) == 1
+def test_q_just_below_one_matches_the_reference(monkeypatch):
+    # emax * p = 1 - 2**-40 at every class: log(1 - q) is about -27.7, so
+    # almost every gap is 0, but a rare one skips ranks.
+    kernel = _small_kernel("F2xF2", 2)
+    monkeypatch.setattr(kernel, "lut", np.full_like(kernel.lut, 1.0 - 2.0**-40))
+    ids = np.arange(0, len(kernel.space), 4)
+    [(a, _, _, _)] = _assert_seeds_match_reference(kernel, ids, MULTI_SEED_KEYS[:1], 1.0)
+    assert 0 < len(a) <= len(ids) * (len(ids) - 1) // 2
 
 
-def _fresh_window_kernel():
-    """A bare-window F2 x F2 kernel at radius 3, c = 1, whose pair lists
-    are not built yet."""
-    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    return graphing.PercolationKernel(metric, 3)
+CALIBRATION = {"F2xF2": (F2, F2, 1), "Z2xF2-1/2": (Z2, F2, "1/2")}
 
 
-Z2_STAR_Z3 = GroupSpec(
-    "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
-)
-# The F2 x F2 and Z2 x F2 windows check a few small steps and one past the
-# first ball's radius.  Each factor family of the distance-table tests, at
-# its radius there, is the first factor of a window whose second is Z at
-# radius 1 (c = 1/wr), and checks every step to its first factor's diameter
-# and one past its second's, so past both ball radii too.
-FEW_STEPS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1)]
+@pytest.mark.parametrize("specs", CALIBRATION.values(), ids=list(CALIBRATION))
+def test_open_pairs_per_weight_class_match_their_expectation(specs):
+    # The law, not a bit pattern: over 100 seeds at emax 1 on a wr-4 window,
+    # weight class j opens about N_j * emax * p_j pairs a seed, N_j the
+    # window's pairs at its rho numerator, counted over every pair (373,680
+    # for F2 x F2).  Pairs open independently, so each class with an
+    # expectation of at least 5, and the pooled count, is within 4 se.
+    metric = ProductMetric(*(make_oracle(spec) for spec in specs[:2]), specs[2])
+    kernel = graphing.PercolationKernel(metric, 4)
+    n = len(kernel.space)
+    ia, ib = np.triu_indices(n, 1)
+    classes = np.bincount(_rho_nums(kernel.space, ia, ib), minlength=len(kernel.lut))
+    seeds, emax = 100, 1.0
+    rngs = [SeededRandomness(seed_digest(70, s)) for s in range(seeds)]
+    opened = np.zeros(len(kernel.lut))
+    for a, b, _, _ in kernel.open_pairs(np.arange(n), rngs, emax):
+        opened += np.bincount(_rho_nums(kernel.space, a, b), minlength=len(kernel.lut))
+    q = emax * kernel.lut
+    mean, var = seeds * classes * q, seeds * classes * q * (1 - q)
+    gated = mean >= 5
+    assert gated.sum() >= 4
+    assert (np.abs(opened - mean)[gated] <= 4 * np.sqrt(var[gated])).all()
+    assert abs(opened.sum() - mean.sum()) <= 4 * np.sqrt(var.sum())
+
+
+# The F2 x F2 and Z2 x F2 windows, and each factor family at its radius as
+# the first factor of a window whose second is Z at radius 1 (c = 1/wr).
 WINDOWS = {
-    f"{name}-{wr}": (first, second, c, wr, FEW_STEPS + [(wr + 1, 0)])
+    f"{name}-{wr}": (first, second, c, wr)
     for name, (first, second, c) in {
         "F2xF2-1": (F2, F2, 1),
         "F2xF2-3/2": (F2, F2, "3/2"),
@@ -568,7 +605,7 @@ WINDOWS = {
     for wr in (3, 4)
 }
 WINDOWS.update(
-    (f"{name}xZ-1/{wr}", (first, Z1, Fraction(1, wr), wr, None))
+    (f"{name}xZ-1/{wr}", (first, Z1, Fraction(1, wr), wr))
     for name, first, wr in [
         ("F2", F2, 4),
         ("Z2", Z2, 4),
@@ -579,53 +616,36 @@ WINDOWS.update(
 )
 
 
-@pytest.mark.parametrize("first, second, c, wr, steps", WINDOWS.values(), ids=list(WINDOWS))
-def test_window_neighbour_lists_match_the_distance_tables(first, second, c, wr, steps, monkeypatch):
+@pytest.mark.parametrize("first, second, c, wr", WINDOWS.values(), ids=list(WINDOWS))
+def test_each_sphere_unranks_onto_its_class_in_the_window(first, second, c, wr):
+    # For a few points x, the ranks of each class's sphere (up to 4,000
+    # ranks) unrank to distinct points, and those inside the window are
+    # exactly the window points in that class from x, by the distance
+    # tables.  From the origin they are the sphere's (s1, s2) in rank order:
+    # steps by rising t, then the BFS order of S_t, then of S_t2.
     metric = ProductMetric(make_oracle(first), make_oracle(second), c)
     kernel = graphing.PercolationKernel(metric, wr)
     space = kernel.space
-    # The reference grids over the window, gathered from int8 tables of
-    # each factor ball's distances.
-    i1, i2 = np.arange(len(space.ball1)), np.arange(len(space.ball2))
-    T1 = space.ball1.distances(i1[:, None], i1).astype(np.int8)
-    T2 = space.ball2.distances(i2[:, None], i2).astype(np.int8)
-    D1, D2 = T1[np.ix_(space.pts1, space.pts1)], T2[np.ix_(space.pts2, space.pts2)]
-    if steps is None:
-        r1, r2 = space.ball1.radius, space.ball2.radius
-        steps = itertools.product(range(2 * r1 + 1), range(2 * r2 + 2))
-        # A quotient table is a pure function of its ball and columns, so
-        # each sphere's, asked for once per step of the other factor, is
-        # built once.
-        tables, table = {}, product.FactorBall.quotient_table
-
-        def once(fb, rows, cols):
-            key = (id(fb), rows, tuple(cols))
-            if key not in tables:
-                tables[key] = table(fb, rows, cols)
-            return tables[key]
-
-        monkeypatch.setattr(product.FactorBall, "quotient_table", once)
-    # At (0, 0) the distance tables hold only the diagonal, which is no pair
-    # a < b.
-    for t, t2 in steps:
-        a, b = kernel._pairs_at(t, t2)
-        rows, cols = np.nonzero(np.triu((D1 == t) & (D2 == t2), 1))
-        assert a.dtype == b.dtype == np.int32
-        assert a.tolist() == rows.tolist()
-        assert b.tolist() == cols.tolist()
-    # With the two heaviest classes tied at the top, the top tier of some
-    # window ids is both classes' pairs with both ends among those ids.
-    heavy = np.argsort(-kernel.lut, kind="stable")[:2]
-    lut = kernel.lut.copy()
-    lut[heavy[1]] = lut[heavy[0]]
-    monkeypatch.setattr(kernel, "lut", lut)
-    ids = np.arange(0, len(space), 2)
-    p, q = np.int16(metric.c.numerator), np.int16(metric.c.denominator)
-    rho = D1[np.ix_(ids, ids)] * p + D2[np.ix_(ids, ids)] * q
-    rows, cols = np.nonzero(np.triu(np.isin(rho, heavy), 1))
-    top_a, top_b = kernel._top_pairs(ids, lut[heavy[0]])
-    want = list(zip(ids[rows].tolist(), ids[cols].tolist()))
-    assert sorted(zip(top_a.tolist(), top_b.tolist())) == want
+    n = len(space)
+    window = {space.element(pid) for pid in range(n)}
+    for x in (0, n // 2, n - 1):
+        rho = _rho_nums(space, np.full(n, x), np.arange(n))
+        for j, num in enumerate(kernel.nums):
+            size = kernel.counts[num]
+            if size > 4000:
+                continue
+            y = kernel._unrank(np.full(size, x), np.full(size, j), np.arange(size))
+            y = y[y >= 0]
+            assert len(set(y.tolist())) == len(y)
+            assert sorted(y.tolist()) == np.flatnonzero(rho == num).tolist()
+            if x == 0:
+                want = [
+                    (s1, s2)
+                    for t, t2 in kernel.steps[num]
+                    for s1 in _sphere(metric.first, t)
+                    for s2 in _sphere(metric.second, t2)
+                ]
+                assert [space.element(pid) for pid in y.tolist()] == [el for el in want if el in window]
 
 
 KERNEL_METRICS = {"F2xF2": (F2, F2, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}
@@ -658,7 +678,7 @@ def test_an_f2_kernel_at_wr_6_builds_no_square_table():
     # The F2 ball of radius 6 has 1,457 elements, so the two int32 tables the
     # kernel once built (rho1 and rho2) held 2 * 1457**2 * 4 B, about 17 MB,
     # and a cap below 1457**2 refused them.  Built, with its distance data
-    # and pair lists in use, the kernel peaked at 3.5 MB traced.
+    # and rank tables in use, the kernel peaks at a few MB traced.
     import tracemalloc
 
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
@@ -674,22 +694,13 @@ def test_an_f2_kernel_at_wr_6_builds_no_square_table():
     assert peak < 8 * 2**20
 
 
-def test_window_neighbour_lists_count_against_the_cap(monkeypatch):
-    kernel = _fresh_window_kernel()
-    ids = np.arange(len(kernel.space))
-    monkeypatch.setattr(kernel, "cap", 100)
-    with pytest.raises(ResourceCapError, match=r"\(window pair lists\)"):
-        kernel.open_pairs(ids, [SeededRandomness(1)], 0.05)
-    assert kernel._pair_lists == {}
-
-
 F3 = GroupSpec("free", rank=3)
 
 
 @pytest.fixture(scope="module", params=["F3xZ-2/3", "F2xF2-3/2"])
 def window_kernel(request):
-    """The baseline's kernel on a radius-3 window, built as in
-    `test_pi2_and_the_baseline_are_one_percolation`.
+    """The baseline's kernel on a radius-3 window of unequal factors,
+    built as in `test_pi2_and_the_baseline_are_one_percolation`.
 
     - F3 x Z at c = 2/3: the heaviest numerator is 3, a step of Z, and not
       the least rho numerator 2, a step of F3.
@@ -703,42 +714,30 @@ def window_kernel(request):
     return graphing.PercolationKernel(metric, 3)
 
 
-TIER_KEYS = [seed_digest(67, s) for s in range(8)]
+WINDOW_KEYS = [seed_digest(67, s) for s in range(4)]
 
 
-def _top_tier_opens(kernel, emax=1.0) -> dict:
-    """The window's open pairs over `TIER_KEYS` against the reference; the
-    number of open pairs at weight p1 whose u is at least emax * p2, by rho
-    numerator.  Those pairs fail the tile tier's prefilter, so only the top
-    tier opens them."""
-    p1 = kernel.lut.max()
-    p2 = kernel.lut[kernel.lut < p1].max()
-    ids = np.arange(len(kernel.space))
-    got = _assert_seeds_match_reference(kernel, ids, TIER_KEYS, emax)
-    space, out = kernel.space, {}
-    for a, b, u, p in got:
-        sel = (p == p1) & (u >= emax * p2)
-        for n in _rho_nums(space, a, b)[sel].tolist():
-            out[n] = out.get(n, 0) + 1
-    return out
+def test_a_whole_window_of_unequal_factors_matches_the_reference(window_kernel):
+    ids = np.arange(len(window_kernel.space))
+    got = _assert_seeds_match_reference(window_kernel, ids, WINDOW_KEYS, 1.0)
+    # The heaviest class, one step of the second factor, opens pairs.
+    heaviest = window_kernel.space.metric.c.denominator
+    assert heaviest == np.argmax(window_kernel.lut)
+    rho = [_rho_nums(window_kernel.space, a, b) for a, b, _, _ in got]
+    assert (np.concatenate(rho) == heaviest).any()
 
 
-def test_window_tiers_match_the_reference(window_kernel):
-    kernel = window_kernel
-    # The heaviest class is one step of the second factor, rho numerator q.
-    [heaviest] = np.flatnonzero(kernel.lut == kernel.lut.max()).tolist()
-    assert heaviest == kernel.space.metric.c.denominator
-    assert list(_top_tier_opens(kernel)) == [heaviest]
-
-
-def test_window_tiers_with_two_classes_tied_at_the_top(window_kernel, monkeypatch):
-    # The two heaviest numerators share the top weight: both are listed.
+def test_the_weights_are_read_at_each_call(window_kernel, monkeypatch):
+    # Two classes tied at the top weight, read from `lut` when the call is
+    # made (the rank tables, built at the first call, hold no weight).
     kernel = window_kernel
     first, second = np.argsort(-kernel.lut, kind="stable")[:2].tolist()
     lut = kernel.lut.copy()
     lut[second] = lut[first]
     monkeypatch.setattr(kernel, "lut", lut)
-    assert sorted(_top_tier_opens(kernel)) == sorted([first, second])
+    ids = np.arange(len(kernel.space))
+    got = _assert_seeds_match_reference(kernel, ids, WINDOW_KEYS[:2], 1.0)
+    assert {float(p) for _, _, _, ps in got for p in ps} >= {lut[first]}
 
 
 def test_percolation_eps_zero_empty(z_ctx):
@@ -1401,11 +1400,13 @@ def test_baseline_pairs_count_against_the_cap(monkeypatch):
 
     monkeypatch.setattr(graphing, "PercolationKernel", CertainKernel)
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
-    window = len(ProductSpace(metric, 3))  # 217 points, 23,436 pairs
-    rep = coset_line_baseline(metric, 3, 1, [0.0, 1.0], 1, 5, cap=window**2)
+    # At p = 1 the seed opens every rank of every sphere of its 49 points.
+    kernel = CertainKernel(metric, 2)
+    ranks = len(kernel.space) * sum(kernel.counts.values())
+    rep = coset_line_baseline(metric, 2, 1, [0.0, 1.0], 1, 5, cap=ranks)
     assert rep.rows[1].largest_fraction_mean == 1.0
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        coset_line_baseline(metric, 3, 1, [0.0, 1.0], 1, 5, cap=5000)
+        coset_line_baseline(metric, 2, 1, [0.0, 1.0], 1, 5, cap=ranks - 1)
 
 
 def test_baseline_peak_memory_stays_small():

@@ -260,3 +260,37 @@ def test_growth_series_reads_zero_below_radius_0_and_refuses_past_its_horizon():
     for read in (g.volume, g.sphere):
         with pytest.raises(InputError, match=r"^growth horizon too short: need radius 4, have 3$"):
             read(4)
+
+
+C3 = GroupSpec("cyclic", order=3)
+SPHERE_SPECS = {
+    "F2": F2,
+    "F3": GroupSpec("free", rank=3),
+    "F1": GroupSpec("free", rank=1),  # one choice of each next letter
+    "Z": Z1,
+    "Z2": Z2,
+    "Z3": GroupSpec("integer_lattice", dim=3),
+    "Z/2": GroupSpec("cyclic", order=2),  # one element at t = q/2
+    "Z/6": GroupSpec("cyclic", order=6),
+    "Z/7": GroupSpec("cyclic", order=7),
+    "Z/2*Z/3": C2C3,
+    "Z*Z/2*Z/3": GroupSpec("free_product", factors=(Z1, GroupSpec("cyclic", order=2), C3)),
+    "F2xZ": F2xZ,
+    "Z/3xZ/6xF2": GroupSpec("direct_product", factors=(C3, GroupSpec("cyclic", order=6), F2)),
+    "(ZxZ/2)*Z/3": GroupSpec(
+        "free_product", factors=(GroupSpec("direct_product", factors=(Z1, GroupSpec("cyclic", order=2))), C3)
+    ),
+    "(Z/2*Z/3)xZ": GroupSpec("direct_product", factors=(C2C3, Z1)),
+}
+
+
+@pytest.mark.parametrize("spec", SPHERE_SPECS.values(), ids=list(SPHERE_SPECS))
+def test_sphere_element_ranks_the_bfs_sphere(spec):
+    # For t <= 6, rank r of S_t is the r-th element of the BFS sphere: a
+    # bijection of range(|S_t|) onto it, in `ball`'s order.
+    oracle = make_oracle(spec)
+    sizes = oracle.sphere_sizes(6)
+    pairs = ball(oracle, 6, 10**6)
+    for t in range(7):
+        sphere = [el for el, d in pairs if d == t]
+        assert [oracle.sphere_element(t, r) for r in range(sizes[t])] == sphere

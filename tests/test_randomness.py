@@ -207,13 +207,11 @@ def test_seed_digest_distinct():
 THRESHOLD_RNGS = [SeededRandomness(seed_digest(5, s)) for s in range(3)]
 
 
-def _threshold_reference(lo, hi, rngs, tag, k, triangle=False) -> list:
-    """Sorted rows (seed, i, j, bits) of every pair (i, j) of lo x hi, or
-    i < j with `triangle`, whose uniform u = bits * 2**-53 has bits < k:
-    every pair's uniform materialised at once."""
+def _threshold_reference(lo, hi, rngs, tag, k) -> list:
+    """Sorted rows (seed, i, j, bits) of every pair (i, j) of lo x hi whose
+    uniform u = bits * 2**-53 has bits < k: every pair's uniform
+    materialised at once."""
     i, j = np.indices((len(lo), len(hi))).reshape(2, -1)
-    if triangle:
-        i, j = i[i < j], j[i < j]
     rows = []
     for s, rng in enumerate(rngs):
         u = rng.uniforms(combine_digests(lo[i], hi[j]), tag)
@@ -223,9 +221,9 @@ def _threshold_reference(lo, hi, rngs, tag, k, triangle=False) -> list:
     return sorted(rows)
 
 
-def _drawn(lo, hi, rngs, tag, k, cap=10**9, **kwargs) -> list:
+def _drawn(lo, hi, rngs, tag, k, cap=10**9) -> list:
     rows = []
-    for seed, i, j, bits in threshold_pairs(lo, hi, rngs, tag, k, cap, "test pairs", **kwargs):
+    for seed, i, j, bits in threshold_pairs(lo, hi, rngs, tag, k, cap, "test pairs"):
         assert len(seed) == len(i) == len(j) == len(bits) > 0
         rows += zip(seed.tolist(), i.tolist(), j.tolist(), bits.tolist())
     return sorted(rows)
@@ -262,21 +260,6 @@ def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(
         assert len(tiles) > 1
 
 
-@pytest.mark.parametrize("k", list(THRESHOLDS.values()), ids=list(THRESHOLDS))
-@pytest.mark.parametrize("count, tile", [(0, 16), (1, 16), (2, 16), (41, 16), (41, 7), (41, 1 << 15)])
-def test_threshold_pairs_on_a_triangle_match_the_materialised_uniforms(
-    count, tile, k, count_tiles
-):
-    tiles = count_tiles(tile)
-    d = np.sort(_digests(count, "tri"))
-    got = _drawn(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
-    assert got == _threshold_reference(d, d, THRESHOLD_RNGS, STREAM_PERCOLATION, k, triangle=True)
-    if k == 1 << 53:
-        assert len(got) == len(THRESHOLD_RNGS) * count * (count - 1) // 2
-    if k and count * (count - 1) // 2 > tile:
-        assert len(tiles) > 1
-
-
 def test_threshold_pairs_keeps_a_uniform_equal_to_its_bound():
     # u <= t as bits < bits_at_most(t): with t one pair's uniform, that pair
     # is drawn, and with bits_below(t) it is not.
@@ -291,13 +274,12 @@ def test_threshold_pairs_keeps_a_uniform_equal_to_its_bound():
 
 
 def test_threshold_pairs_counts_each_seed_against_the_cap():
-    # Every pair passes, so each seed passes 8 * 9 = 72 pairs, counted from
-    # `counted`; the cap bounds each seed, not the seeds together.
+    # Every pair passes, so each seed passes 8 * 9 = 72 pairs; the cap
+    # bounds each seed, not the seeds together.
     lo, hi = _digests(8, "cap-lo"), _digests(9, "cap-hi")
     assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=72)) == 3 * 72
-    assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=3)) == 3 * 72
-    with pytest.raises(ResourceCapError, match="test pairs exceeded the enumeration cap of 75"):
-        _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=75, counted=4)
+    with pytest.raises(ResourceCapError, match="test pairs exceeded the enumeration cap of 71"):
+        _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=71)
 
 
 @pytest.mark.parametrize("stop", ["exhausted", "closed-early"])
@@ -307,14 +289,12 @@ def test_no_tile_buffer_outlives_its_draw(stop):
     # and are freed with it, whether it runs out or is closed mid-draw.
     import tracemalloc
 
-    lo = np.sort(_digests(300, "buffers"))  # 44,850 pairs: two tiles
+    lo = _digests(300, "buffers")  # 90,000 pairs: three tiles
     buffers = 25 * randomness._TILE
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        draw = threshold_pairs(
-            lo, lo, THRESHOLD_RNGS, STREAM_PERCOLATION, 1 << 53, 10**9, "test pairs", triangle=True
-        )
+        draw = threshold_pairs(lo, lo, THRESHOLD_RNGS, STREAM_PERCOLATION, 1 << 53, 10**9, "test pairs")
         batch = next(draw)
         assert tracemalloc.get_traced_memory()[0] - before > buffers
         if stop == "exhausted":
