@@ -320,7 +320,6 @@ def _per_rank_reference(kernel, ids, rng, emax) -> tuple:
     first, second = metric.first, metric.second
     cp, cq = metric.c.numerator, metric.c.denominator
     top = metric.radius_num(2 * space.radius)
-
     classes = {}
     for t in range(top // cp + 1):
         for t2 in range((top - t * cp) // cq + 1):
@@ -401,7 +400,12 @@ def test_percolation_matches_the_per_rank_reference(perc_ctx):
 Z2_STAR_Z3 = GroupSpec(
     "free_product", factors=(GroupSpec("cyclic", order=2), GroupSpec("cyclic", order=3))
 )
-SMALL_METRICS = {"F2xF2": (F2, F2, 1), "ZxZ": (Z1, Z1, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}
+SMALL_METRICS = {
+    "F2xF2": (F2, F2, 1),
+    "ZxZ": (Z1, Z1, 1),
+    "Z2xF2": (Z2, F2, "1/2"),
+    "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1),
+}
 SMALL = [(name, wr) for wr in (2, 3) for name in SMALL_METRICS]
 
 
@@ -645,7 +649,8 @@ def test_each_sphere_unranks_onto_its_class_in_the_window(first, second, c, wr):
                     for s1 in _sphere(metric.first, t)
                     for s2 in _sphere(metric.second, t2)
                 ]
-                assert [space.element(pid) for pid in y.tolist()] == [el for el in want if el in window]
+                got = [space.element(pid) for pid in y.tolist()]
+                assert got == [el for el in want if el in window]
 
 
 KERNEL_METRICS = {"F2xF2": (F2, F2, 1), "Z2xF2": (Z2, F2, "1/2"), "Z2*Z3xF2": (Z2_STAR_Z3, F2, 1)}

@@ -278,7 +278,8 @@ SPHERE_SPECS = {
     "F2xZ": F2xZ,
     "Z/3xZ/6xF2": GroupSpec("direct_product", factors=(C3, GroupSpec("cyclic", order=6), F2)),
     "(ZxZ/2)*Z/3": GroupSpec(
-        "free_product", factors=(GroupSpec("direct_product", factors=(Z1, GroupSpec("cyclic", order=2))), C3)
+        "free_product",
+        factors=(GroupSpec("direct_product", factors=(Z1, GroupSpec("cyclic", order=2))), C3),
     ),
     "(Z/2*Z/3)xZ": GroupSpec("direct_product", factors=(C2C3, Z1)),
 }
