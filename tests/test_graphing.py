@@ -719,7 +719,7 @@ def window_kernel(request):
     return graphing.PercolationKernel(metric, 3)
 
 
-WINDOW_KEYS = [seed_digest(67, s) for s in range(4)]
+WINDOW_KEYS = [seed_digest(67, s) for s in range(2)]
 
 
 def test_a_whole_window_of_unequal_factors_matches_the_reference(window_kernel):
@@ -741,7 +741,7 @@ def test_the_weights_are_read_at_each_call(window_kernel, monkeypatch):
     lut[second] = lut[first]
     monkeypatch.setattr(kernel, "lut", lut)
     ids = np.arange(len(kernel.space))
-    got = _assert_seeds_match_reference(kernel, ids, WINDOW_KEYS[:2], 1.0)
+    got = _assert_seeds_match_reference(kernel, ids, WINDOW_KEYS, 1.0)
     assert {float(p) for _, _, _, ps in got for p in ps} >= {lut[first]}
 
 
