@@ -147,13 +147,14 @@ class PercolationKernel:
         min(1, emax * p_j): the gaps between open ranks (`_unrank`'s order)
         are floor(log(1 - w) / log(1 - q_j)) (0 at q_j = 1), w the uniform
         of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
-        still inside their sphere.  A rank unranks to y, kept when y is in
-        `ids` and digest(x) < digest(y): so each unordered pair is decided
-        once, at rate emax * p.  Its u is v * q_j < emax * p, v the uniform
-        of (digest(x), j, 2 i + 1), so each epsilon keeps u < epsilon * p.
-        Each seed's open ranks count against `cap` (ResourceCapError) round
-        by round, before any is unranked; those at q_j = 1, every rank,
-        before any draw.
+        still inside their sphere, in blocks of about `_TILE` such cells.
+        A rank unranks to y, kept when y is in `ids` and digest(x) <
+        digest(y): so each unordered pair is decided once, at rate emax * p.
+        Its u is v * q_j < emax * p, v the uniform of (digest(x), j, 2 i +
+        1), so each epsilon keeps u < epsilon * p.  Each seed's open ranks,
+        over all blocks, count against `cap` (ResourceCapError) round by
+        round, before any of the round's block is unranked; those at q_j =
+        1, every rank, before any draw.
         """
         if not rngs:
             return []
@@ -166,33 +167,39 @@ class PercolationKernel:
         if len(ids) * int(sizes[q == 1.0].sum()) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
-        keys = combine_digests(self.digests[ids][:, None], np.arange(len(q), dtype=np.uint64))
         member = np.bincount(ids, minlength=len(self.space)).astype(bool)
+        count, found = np.zeros(len(rngs), dtype=np.int64), [[] for _ in rngs]
+        step = max(1, _TILE // max(1, len(drawn)))
+        for i0 in range(0, max(1, len(ids)), step):
+            block = ids[i0 : i0 + step]
+            keys = combine_digests(self.digests[block][:, None], np.arange(len(q), dtype=np.uint64))
+            for s, rng in enumerate(rngs):
+                ranks, cell, pos = [], np.arange(len(block) * len(drawn)), -1.0
+                for gap in itertools.count():
+                    x, j = np.divmod(cell, len(drawn))
+                    j = drawn[j]
+                    w = rng.uniforms(combine_digests(keys[x, j], 2 * gap), STREAM_PERCOLATION)
+                    pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
+                    inside = np.flatnonzero(pos < sizes[j])
+                    if not len(inside):
+                        break
+                    count[s] += len(inside)
+                    if count[s] > self.cap:
+                        raise ResourceCapError("percolation pairs", self.cap)
+                    cell, pos = cell[inside], pos[inside]
+                    ranks.append((x[inside], j[inside], np.full(len(inside), gap), pos.astype(np.int64)))
+                x, j, gap, rank = map(np.concatenate, zip(*ranks)) if ranks else (ids[:0],) * 4
+                y = self._unrank(block[x], j, rank)
+                keep = np.flatnonzero(y >= 0)
+                keep = keep[member[y[keep]] & (self.digests[block[x[keep]]] < self.digests[y[keep]])]
+                x, j, gap, y = x[keep], j[keep], gap[keep], y[keep]
+                u = rng.uniforms(combine_digests(keys[x, j], 2 * gap + 1), STREAM_PERCOLATION) * q[j]
+                found[s].append((np.minimum(block[x], y), np.maximum(block[x], y), u, p[j]))
         out = []
-        for rng in rngs:
-            found, cell, pos, count = [], np.arange(len(ids) * len(drawn)), -1.0, 0
-            for gap in itertools.count():
-                x, j = np.divmod(cell, len(drawn))
-                j = drawn[j]
-                w = rng.uniforms(combine_digests(keys[x, j], 2 * gap), STREAM_PERCOLATION)
-                pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
-                inside = np.flatnonzero(pos < sizes[j])
-                if not len(inside):
-                    break
-                count += len(inside)
-                if count > self.cap:
-                    raise ResourceCapError("percolation pairs", self.cap)
-                cell, pos = cell[inside], pos[inside]
-                found.append((x[inside], j[inside], np.full(len(inside), gap), pos.astype(np.int64)))
-            x, j, gap, rank = map(np.concatenate, zip(*found)) if found else (ids[:0],) * 4
-            y = self._unrank(ids[x], j, rank)
-            keep = np.flatnonzero(y >= 0)
-            keep = keep[member[y[keep]] & (self.digests[ids[x[keep]]] < self.digests[y[keep]])]
-            x, j, gap, y = x[keep], j[keep], gap[keep], y[keep]
-            u = rng.uniforms(combine_digests(keys[x, j], 2 * gap + 1), STREAM_PERCOLATION) * q[j]
-            a, b = np.minimum(ids[x], y), np.maximum(ids[x], y)
+        for rows in found:
+            a, b, u, pj = map(np.concatenate, zip(*rows))
             order = np.lexsort((b, a))
-            out.append((a[order], b[order], u[order], p[j][order]))
+            out.append((a[order], b[order], u[order], pj[order]))
         return out
 
     @functools.cached_property

@@ -21,7 +21,7 @@ suite.
 from __future__ import annotations
 
 import bisect
-import math
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -278,12 +278,7 @@ class FreeOracle(Oracle):
 
     def sphere_sizes(self, horizon):
         k = self.spec.rank
-        out = [1]
-        if horizon >= 1:
-            out.append(2 * k)
-        for _ in range(2, horizon + 1):
-            out.append(out[-1] * (2 * k - 1))
-        return out[: horizon + 1]
+        return [1] + [2 * k * (2 * k - 1) ** (n - 1) for n in range(1, horizon + 1)]
 
     def exact_growth_rate(self):
         return 2 * self.spec.rank - 1
@@ -342,16 +337,9 @@ class CyclicOracle(Oracle):
         return [("g", 1), ("G", q - 1)]
 
     def sphere_sizes(self, horizon):
+        # The residues n and q - n while 2 n < q, one at 2 n = q, none past.
         q = self.spec.order
-        out = [1]
-        for n in range(1, horizon + 1):
-            if n < (q + 1) // 2:
-                out.append(2)
-            elif n == q // 2 and q % 2 == 0:
-                out.append(1)
-            else:
-                out.append(0)
-        return out
+        return [1] + [min(2, max(0, q + 1 - 2 * n)) for n in range(1, horizon + 1)]
 
     def is_finite(self):
         return True
@@ -362,11 +350,6 @@ class CyclicOracle(Oracle):
     def sphere_element(self, t, rank):
         """t, then q - t (one residue when they agree, 0 at t = 0)."""
         return (t, self.spec.order - t)[rank] % self.spec.order
-
-
-def _l1_sphere(dim: int, s: int) -> int:
-    """The number of points of Z^dim at l1 norm s."""
-    return 1 if s == 0 else sum(2**k * math.comb(dim, k) * math.comb(s - 1, k - 1) for k in range(1, dim + 1))
 
 
 class LatticeOracle(Oracle):
@@ -411,30 +394,34 @@ class LatticeOracle(Oracle):
     def gen_pairs(self):
         pairs = []
         for i in range(self.spec.dim):
-            e = tuple(1 if j == i else 0 for j in range(self.spec.dim))
+            e = tuple(int(j == i) for j in range(self.spec.dim))
             lab = self._axis_label(i)
-            pairs.append((lab, e))
-            pairs.append((_inverse_label(lab), self.inverse(e)))
+            pairs += [(lab, e), (_inverse_label(lab), self.inverse(e))]
         return pairs
 
-    def sphere_sizes(self, horizon):
-        line = [1] + [2] * horizon
-        out = line
-        for _ in range(self.spec.dim - 1):
-            out = _convolve(out, line, horizon)
+    @functools.cache
+    def _sphere_tables(self, horizon):
+        """The sphere counts of Z^k for k = 0 .. dim, to `horizon`."""
+        out = [[1] + [0] * horizon]
+        for _ in range(self.spec.dim):
+            out.append(_convolve(out[-1], [1] + [2] * horizon, horizon))
         return out
+
+    def sphere_sizes(self, horizon):
+        return list(self._sphere_tables(horizon)[-1])
 
     def exact_growth_rate(self):
         return 1
 
     def sphere_element(self, t, rank):
         """Coordinates in lexicographic order, each value skipping the
-        points of the l1 sphere that the smaller values complete."""
+        points of the l1 sphere of the coordinates after it that the
+        smaller values complete."""
         out = []
-        for rest in reversed(range(self.spec.dim)):
+        for n in self._sphere_tables(t)[-2::-1]:
             x = -t
-            while rank >= (n := _l1_sphere(rest, t - abs(x))):
-                rank, x = rank - n, x + 1
+            while rank >= n[t - abs(x)]:
+                rank, x = rank - n[t - abs(x)], x + 1
             out.append(x)
             t -= abs(x)
         return tuple(out)
@@ -483,20 +470,25 @@ class DirectProductOracle(Oracle):
         return "(" + ",".join(p.word_str(x) for p, x in zip(self.parts, a)) + ")"
 
     def gen_pairs(self):
-        pairs = []
-        for i, p in enumerate(self.parts):
-            for lab, g in p.gen_pairs():
-                el = tuple(
-                    g if j == i else q.identity for j, q in enumerate(self.parts)
-                )
-                pairs.append((f"{i}:{lab}", el))
-        return pairs
+        ids = [p.identity for p in self.parts]
+        return [
+            (f"{i}:{lab}", tuple(ids[:i] + [g] + ids[i + 1 :]))
+            for i, p in enumerate(self.parts)
+            for lab, g in p.gen_pairs()
+        ]
+
+    @functools.cache
+    def _sphere_tables(self, horizon):
+        """(sphere counts of part i, of the product of the parts after it)
+        for each part i, to `horizon`."""
+        tail, out = [1] + [0] * horizon, []
+        for part in reversed(self.parts):
+            out.append((part.sphere_sizes(horizon), tail))
+            tail = _convolve(out[-1][0], tail, horizon)
+        return out[::-1]
 
     def sphere_sizes(self, horizon):
-        out = [1] + [0] * horizon
-        for p in self.parts:
-            out = _convolve(out, p.sphere_sizes(horizon), horizon)
-        return out
+        return _convolve(*self._sphere_tables(horizon)[0], horizon)
 
     def is_finite(self):
         return all(p.is_finite() for p in self.parts)
@@ -507,19 +499,10 @@ class DirectProductOracle(Oracle):
             return None
         return max(rates)
 
-    def _sphere_tables(self, t):
-        """(sphere counts of part i, of the product of the parts after it),
-        for each part but the last, to radius t."""
-        tail, out = self.parts[-1].sphere_sizes(t), []
-        for part in reversed(self.parts[:-1]):
-            out.append((part.sphere_sizes(t), tail))
-            tail = _convolve(out[-1][0], tail, t)
-        return out[::-1]
-
     def sphere_element(self, t, rank):
         """The first part's length t0 rising, then its sphere rank, then
         the other parts' element of length t - t0: mixed radix over the
-        parts' sphere counts."""
+        parts' sphere counts (the last part takes all of what is left)."""
         out = []
         for part, (spheres, tail) in zip(self.parts, self._sphere_tables(t)):
             t0 = 0
@@ -528,7 +511,7 @@ class DirectProductOracle(Oracle):
             r0, rank = divmod(rank, tail[t - t0])
             out.append(part.sphere_element(t0, r0))
             t -= t0
-        return tuple(out + [self.parts[-1].sphere_element(t, rank)])
+        return tuple(out)
 
 
 class FreeProductOracle(Oracle):
@@ -579,44 +562,35 @@ class FreeProductOracle(Oracle):
         return ".".join(f"{i}:{self.parts[i].word_str(x)}" for i, x in a)
 
     def gen_pairs(self):
-        pairs = []
-        for i, p in enumerate(self.parts):
-            for lab, g in p.gen_pairs():
-                pairs.append((f"{i}:{lab}", ((i, g),)))
-        return pairs
+        return [(f"{i}:{lab}", ((i, g),)) for i, p in enumerate(self.parts) for lab, g in p.gen_pairs()]
+
+    @functools.cache
+    def _sphere_tables(self, horizon):
+        """(s, b, u), to `horizon`: s[i][l], factor i's sphere counts;
+        b[i][m], the normal forms of length m that start in no syllable of
+        factor i (the identity at m = 0); and u[m], all of length m, those
+        that start with a syllable of factor i of length l summing to
+        s[i][l] * b[i][m - l]."""
+        s = [p.sphere_sizes(horizon) for p in self.parts]
+        b, u = [[1] for _ in s], [1]
+        for n in range(1, horizon + 1):
+            a = [sum(s_i[l] * b_i[n - l] for l in range(1, n + 1)) for s_i, b_i in zip(s, b)]
+            u.append(sum(a))
+            for a_i, b_i in zip(a, b):
+                b_i.append(u[n] - a_i)
+        return s, b, u
 
     def sphere_sizes(self, horizon):
-        # Sphere series U of a free product solves U = A (1 + U) with
-        # A = sum_i S_i / (1 + S_i), S_i the factor sphere series (n >= 1).
-        acc = [0] * (horizon + 1)
-        for p in self.parts:
-            s = p.sphere_sizes(horizon)
-            s[0] = 0
-            acc = _series_add(acc, _series_div(s, _series_add([1], s, horizon), horizon), horizon)
-        u = _series_div(acc, _series_sub([1], acc, horizon), horizon)
-        u[0] = 1
-        return u
+        return list(self._sphere_tables(horizon)[2])
 
     def exact_growth_rate(self):
         return None
-
-    def _sphere_tables(self, t):
-        """(s, b): s[i][l], factor i's sphere counts, and b[i][m], the
-        normal forms of length m that start in no syllable of factor i
-        (the identity at m = 0), to radius t."""
-        s = [p.sphere_sizes(t) for p in self.parts]
-        b = [[1] for _ in s]
-        for n in range(1, t + 1):
-            a = [sum(s_i[l] * b_i[n - l] for l in range(1, n + 1)) for s_i, b_i in zip(s, b)]
-            for a_i, b_i in zip(a, b):
-                b_i.append(sum(a) - a_i)
-        return s, b
 
     def sphere_element(self, t, rank):
         """Syllable by syllable: its factor i, its length l and its factor
         sphere rank, then the rest, a normal form of length t - l that
         starts in another factor (b[i][t - l] of them)."""
-        s, b = self._sphere_tables(t)
+        s, b, _ = self._sphere_tables(t)
         out, last = [], None
         while t:
             for i, l in ((i, l) for i in range(len(s)) if i != last for l in range(1, t + 1)):
@@ -650,34 +624,6 @@ def _convolve(a, b, horizon):
             continue
         for j, y in enumerate(b[: horizon + 1 - i]):
             out[i + j] += x * y
-    return out
-
-
-def _series_add(a, b, horizon=None):
-    n = max(len(a), len(b)) if horizon is None else horizon + 1
-    out = [0] * n
-    for i in range(n):
-        out[i] = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-    return out
-
-
-def _series_sub(a, b, horizon=None):
-    return _series_add(a, [-x for x in b], horizon)
-
-
-def _series_div(a, b, horizon):
-    if not b or b[0] == 0:
-        raise InvariantViolation("series division by a series with zero constant term")
-    out = [0] * (horizon + 1)
-    for n in range(horizon + 1):
-        acc = a[n] if n < len(a) else 0
-        for k in range(1, n + 1):
-            if k < len(b):
-                acc -= b[k] * out[n - k]
-        q, r = divmod(acc, b[0])
-        if r:
-            raise InvariantViolation("series division left a fractional coefficient")
-        out[n] = q
     return out
 
 

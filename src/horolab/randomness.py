@@ -240,7 +240,7 @@ def seed_digest(master_seed: int, seed_index: int) -> int:
     return digest_str(f"seed:{master_seed}:{seed_index}")
 
 
-_TILE = 1 << 15  # pairs hashed per tile of `threshold_pairs`
+_TILE = 1 << 15  # pairs per tile of `threshold_pairs`, cells per block of `open_pairs`
 
 
 def _tiles(rows: int, cols: int):
@@ -250,14 +250,10 @@ def _tiles(rows: int, cols: int):
     pairs with its columns; a row longer than `_TILE` is cut into `_TILE`
     columns.
     """
-    rows = rows if cols else 0
-    i0 = 0
-    while i0 < rows:
-        i1 = min(rows, i0 + max(1, _TILE // cols))
-        step = _TILE // (i1 - i0)
-        for j0 in range(0, cols, step):
-            yield i0, i1, j0, min(j0 + step, cols)
-        i0 = i1
+    height, width = max(1, _TILE // max(1, cols)), min(cols, _TILE)
+    for i0 in range(0, rows if cols else 0, height):
+        for j0 in range(0, cols, width):
+            yield i0, min(i0 + height, rows), j0, min(j0 + width, cols)
 
 
 def threshold_pairs(lo, hi, rngs, tag: str, k: int, cap: int, what: str):

@@ -390,7 +390,7 @@ def perc_ctx(request):
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_percolation_matches_the_per_rank_reference(perc_ctx):
     opened = 0
-    for s in range(8):
+    for s in range(20):
         key = seed_digest(60, s)
         bases = _seed_window(perc_ctx, key).bases.tolist()
         opened += len(_assert_matches_reference(perc_ctx, bases, key)[0.3])
@@ -520,6 +520,24 @@ def test_the_cap_fires_one_below_a_seeds_open_ranks(small_kernel, monkeypatch):
     assert kept < sum(ranks) and sum(ranks) > max(ranks)
     monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs exceeded the enumeration cap"):
+        small_kernel.open_pairs(ids, rngs, 1.0)
+
+
+@pytest.mark.parametrize("tile", [1, 10])
+def test_blocks_of_points_change_neither_the_pairs_nor_the_cap(small_kernel, monkeypatch, tile):
+    # The (point, class) cells are drawn in blocks of about `_TILE` cells,
+    # each draw keyed by its own cell, and a seed's open ranks are counted
+    # across blocks: blocks of one or a few points give the same rows, and
+    # the cap still fires one below the largest seed's open ranks.
+    ids = np.arange(len(small_kernel.space))
+    rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
+    whole = small_kernel.open_pairs(ids, rngs, 1.0)
+    monkeypatch.setattr(graphing, "_TILE", tile)
+    got = _assert_seeds_match_reference(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
+    assert all(x.tobytes() == y.tobytes() for g, w in zip(got, whole) for x, y in zip(g, w))
+    ranks = _open_ranks(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
+    monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
+    with pytest.raises(ResourceCapError, match="percolation pairs"):
         small_kernel.open_pairs(ids, rngs, 1.0)
 
 
@@ -719,7 +737,7 @@ def window_kernel(request):
     return graphing.PercolationKernel(metric, 3)
 
 
-WINDOW_KEYS = [seed_digest(67, s) for s in range(2)]
+WINDOW_KEYS = [seed_digest(67, s) for s in range(4)]
 
 
 def test_a_whole_window_of_unequal_factors_matches_the_reference(window_kernel):
@@ -741,7 +759,7 @@ def test_the_weights_are_read_at_each_call(window_kernel, monkeypatch):
     lut[second] = lut[first]
     monkeypatch.setattr(kernel, "lut", lut)
     ids = np.arange(len(kernel.space))
-    got = _assert_seeds_match_reference(kernel, ids, WINDOW_KEYS, 1.0)
+    got = _assert_seeds_match_reference(kernel, ids, WINDOW_KEYS[:2], 1.0)
     assert {float(p) for _, _, _, ps in got for p in ps} >= {lut[first]}
 
 
