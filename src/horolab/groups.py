@@ -399,7 +399,7 @@ class LatticeOracle(Oracle):
             pairs += [(lab, e), (_inverse_label(lab), self.inverse(e))]
         return pairs
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)  # by (oracle, radius); each make_oracle call is a new key
     def _sphere_tables(self, horizon):
         """The sphere counts of Z^k for k = 0 .. dim, to `horizon`."""
         out = [[1] + [0] * horizon]
@@ -477,7 +477,7 @@ class DirectProductOracle(Oracle):
             for lab, g in p.gen_pairs()
         ]
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)  # by (oracle, radius); each make_oracle call is a new key
     def _sphere_tables(self, horizon):
         """(sphere counts of part i, of the product of the parts after it)
         for each part i, to `horizon`."""
@@ -564,7 +564,7 @@ class FreeProductOracle(Oracle):
     def gen_pairs(self):
         return [(f"{i}:{lab}", ((i, g),)) for i, p in enumerate(self.parts) for lab, g in p.gen_pairs()]
 
-    @functools.cache
+    @functools.lru_cache(maxsize=64)  # by (oracle, radius); each make_oracle call is a new key
     def _sphere_tables(self, horizon):
         """(s, b, u), to `horizon`: s[i][l], factor i's sphere counts;
         b[i][m], the normal forms of length m that start in no syllable of
