@@ -394,9 +394,10 @@ class LatticeOracle(Oracle):
     def gen_pairs(self):
         pairs = []
         for i in range(self.spec.dim):
-            e = tuple(int(j == i) for j in range(self.spec.dim))
+            e = tuple(1 if j == i else 0 for j in range(self.spec.dim))
             lab = self._axis_label(i)
-            pairs += [(lab, e), (_inverse_label(lab), self.inverse(e))]
+            pairs.append((lab, e))
+            pairs.append((_inverse_label(lab), self.inverse(e)))
         return pairs
 
     @functools.lru_cache(maxsize=64)  # by (oracle, radius); each make_oracle call is a new key
