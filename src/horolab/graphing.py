@@ -82,6 +82,17 @@ def _distinct(keys) -> np.ndarray:
     return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
+def _dense(keys) -> tuple:
+    """(ids, firsts): keys[i] is the ids[i]-th distinct entry of the int64
+    array `keys`, and keys[firsts[k]] the k-th; sorted, as `_distinct` says."""
+    order = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
+
+
 class PercolationKernel:
     """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
     percolation they draw on the points of the window.
@@ -147,14 +158,16 @@ class PercolationKernel:
         min(1, emax * p_j): the gaps between open ranks (`_unrank`'s order)
         are floor(log(1 - w) / log(1 - q_j)) (0 at q_j = 1), w the uniform
         of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
-        still inside their sphere, in blocks of about `_TILE` such cells.
-        A rank unranks to y, kept when y is in `ids` and digest(x) <
-        digest(y): so each unordered pair is decided once, at rate emax * p.
-        Its u is v * q_j < emax * p, v the uniform of (digest(x), j, 2 i +
-        1), so each epsilon keeps u < epsilon * p.  Each seed's open ranks,
-        over all blocks, count against `cap` (ResourceCapError) round by
-        round, before any of the round's block is unranked; those at q_j =
-        1, every rank, before any draw.
+        still inside their sphere, in blocks of about `_TILE` such cells
+        whose gap-0 keys, which no seed enters, are hashed once.  A rank
+        unranks to y, kept when y is in `ids` and digest(x) < digest(y): so
+        each unordered pair is decided once, at rate emax * p.  Its u is v *
+        q_j < emax * p, v the uniform of (digest(x), j, 2 i + 1), so each
+        epsilon keeps u < epsilon * p.  Each seed's open ranks, over all
+        blocks, count against `cap` (ResourceCapError) round by round,
+        before any is unranked; those at q_j = 1, every rank, before any
+        draw.  A block's seeds' open ranks are unranked together (`_unrank`)
+        at its end, or once `_TILE` are pending, and split back by seed.
         """
         if not rngs:
             return []
@@ -172,13 +185,13 @@ class PercolationKernel:
         step = max(1, _TILE // max(1, len(drawn)))
         for i0 in range(0, max(1, len(ids)), step):
             block = ids[i0 : i0 + step]
-            keys = combine_digests(self.digests[block][:, None], np.arange(len(q), dtype=np.uint64))
+            keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64)).ravel()
+            first, s0, pending = combine_digests(keys, 0), 0, []
             for s, rng in enumerate(rngs):
-                ranks, cell, pos = [], np.arange(len(block) * len(drawn)), -1.0
+                cell, pos, words = np.arange(len(keys)), -1.0, first
                 for gap in itertools.count():
-                    x, j = np.divmod(cell, len(drawn))
-                    j = drawn[j]
-                    w = rng.uniforms(combine_digests(keys[x, j], 2 * gap), STREAM_PERCOLATION)
+                    j = drawn[cell % len(drawn)]
+                    w = rng.uniforms(words, STREAM_PERCOLATION)
                     pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
                     inside = np.flatnonzero(pos < sizes[j])
                     if not len(inside):
@@ -187,14 +200,26 @@ class PercolationKernel:
                     if count[s] > self.cap:
                         raise ResourceCapError("percolation pairs", self.cap)
                     cell, pos = cell[inside], pos[inside]
-                    ranks.append((x[inside], j[inside], np.full(len(inside), gap), pos.astype(np.int64)))
-                x, j, gap, rank = map(np.concatenate, zip(*ranks)) if ranks else (ids[:0],) * 4
-                y = self._unrank(block[x], j, rank)
+                    pending.append((s, gap, cell, pos.astype(np.int64)))
+                    words = combine_digests(keys[cell], 2 * gap + 2)
+                lens = [len(row[2]) for row in pending]
+                if s + 1 < len(rngs) and sum(lens) < _TILE:
+                    continue
+                tags = np.array([row[:2] for row in pending], dtype=np.int64).reshape(-1, 2)
+                seed, gap = np.repeat(tags, lens, axis=0).T
+                cell, rank = (np.concatenate([ids[:0], *(row[k] for row in pending)]) for k in (2, 3))
+                (x, j), pending = np.divmod(cell, len(drawn)), []
+                x, j = block[x], drawn[j]
+                y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
-                keep = keep[member[y[keep]] & (self.digests[block[x[keep]]] < self.digests[y[keep]])]
-                x, j, gap, y = x[keep], j[keep], gap[keep], y[keep]
-                u = rng.uniforms(combine_digests(keys[x, j], 2 * gap + 1), STREAM_PERCOLATION) * q[j]
-                found[s].append((np.minimum(block[x], y), np.maximum(block[x], y), u, p[j]))
+                keep = keep[member[y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
+                seed, cell, x, j, gap, y = seed[keep], cell[keep], x[keep], j[keep], gap[keep], y[keep]
+                v, a, b = combine_digests(keys[cell], 2 * gap + 1), np.minimum(x, y), np.maximum(x, y)
+                cut = np.searchsorted(seed, np.arange(s0, s + 2))
+                for t, lo, hi in zip(range(s0, s + 1), cut, cut[1:]):
+                    u = rngs[t].uniforms(v[lo:hi], STREAM_PERCOLATION) * q[j[lo:hi]]
+                    found[t].append((a[lo:hi], b[lo:hi], u, p[j[lo:hi]]))
+                s0 = s + 1
         out = []
         for rows in found:
             a, b, u, pj = map(np.concatenate, zip(*rows))
@@ -206,36 +231,36 @@ class PercolationKernel:
     def _ranks(self) -> tuple:
         """`_unrank`'s tables, built on first use: per step (t, t2) of each
         class, in `nums` then `steps` order, its first rank in one rank
-        space over all classes, t, t2 and |S_t2|; each class's first rank;
-        and each factor's `sphere_element`, its recent ranks memoised."""
+        space over all classes and |S_t2|; each class's first rank; and per
+        factor, each step's radius t and ball volume |B_t|."""
         g1, g2 = self._growth
         steps = [(j, t, t2) for j, num in enumerate(self.nums) for t, t2 in self.steps[num]]
         j, t1, t2 = (np.array(col, dtype=np.int64) for col in zip(*steps))
         s2 = np.array([g2.sphere(t) for t in t2.tolist()], dtype=np.int64)
         size = np.array([g1.sphere(t) for t in t1.tolist()], dtype=np.int64) * s2
         start = np.cumsum(size) - size
-        cached = functools.lru_cache(maxsize=1 << 12)  # the small spheres, which most ranks hit
-        elements = [cached(fb.oracle.sphere_element) for fb in (self.space.ball1, self.space.ball2)]
-        return start, t1, t2, s2, start[np.searchsorted(j, np.arange(len(self.nums)))], elements
+        volumes = [np.array(g.volumes, dtype=np.int64)[t] for g, t in ((g1, t1), (g2, t2))]
+        return start, s2, start[np.searchsorted(j, np.arange(len(self.nums)))], (t1, t2), volumes
 
     def _unrank(self, x, j, rank) -> np.ndarray:
         """The window id (-1 outside the window) of y = (x1 s1, x2 s2) for
         each window id x and rank of its sphere_j.  The ranks of sphere_j
         run over its steps (t, t2) in `steps` order, each with s1's rank
-        in S_t major and s2's in S_t2 minor (`Oracle.sphere_element`)."""
-        start, t1, t2, s2, first, elements = self._ranks
+        in S_t major and s2's in S_t2 minor (`Oracle.sphere_element`).  Each
+        distinct (t, rank) is unranked once, each distinct (x_i, s_i) multiplied once."""
+        start, s2, first, radii, volumes = self._ranks
         at = first[j] + rank
         step = np.searchsorted(start, at, side="right") - 1
-        s, index = self.space, []
-        for fb, pts, t, r, element in zip(
-            (s.ball1, s.ball2), (s.pts1, s.pts2), (t1[step], t2[step]),
-            np.divmod(at - start[step], s2[step]), elements,
-        ):
+        s, index, ranks = self.space, [], np.divmod(at - start[step], s2[step])
+        for fb, i, t, v, r in zip((s.ball1, s.ball2), (s.pts1[x], s.pts2[x]), radii, volumes, ranks):
+            e, firsts = _dense(v[step] - r)  # s's place in the ball B_t: |S_t| ranks below |B_t|
+            sphere = list(map(fb.oracle.sphere_element, t[step[firsts]].tolist(), r[firsts].tolist()))
+            y, firsts = _dense(i.astype(np.int64) * len(sphere) + e)  # int32 i would wrap
             products = (
-                fb.index.get(fb.oracle.multiply(fb.elements[i], element(*tr)), -1)
-                for i, *tr in zip(pts[x].tolist(), t.tolist(), r.tolist())
+                fb.index.get(fb.oracle.multiply(fb.elements[a], sphere[b]), -1)
+                for a, b in zip(i[firsts].tolist(), e[firsts].tolist())
             )
-            index.append(np.fromiter(products, dtype=np.int64, count=len(x)))
+            index.append(np.fromiter(products, dtype=np.int64, count=len(firsts))[y])
         return s.lookup(*index)
 
     def row_masses(self, rows) -> np.ndarray:

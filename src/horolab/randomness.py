@@ -32,7 +32,8 @@ drawn under many seeds:
 b < k.  The corner events sample through it, and the diamond process
 draws its centers the same way through `SeededRandomness.below`.  The
 percolation draws far fewer words, by geometric gaps
-(`graphing.PercolationKernel.open_pairs`), through `uniforms`.
+(`graphing.PercolationKernel.open_pairs`), through `uniforms`; its
+keys of gap 0, like a tile's pairs, are hashed once for every seed.
 """
 
 from __future__ import annotations

@@ -315,7 +315,7 @@ def _per_rank_reference(kernel, ids, rng, emax) -> tuple:
     sphere_j gap by gap, unrank each through `groups.ball`'s BFS spheres
     (steps (t, t2) by rising t, the S_t rank major), and keep the pair when
     y is in `ids` and digest(x) < digest(y).  Returns the sorted rows
-    (a, b, u, p) and the number of open ranks."""
+    (a, b, u, p) and the open ranks, as (x, t, t2, s1's rank, s2's rank)."""
     space, metric = kernel.space, kernel.space.metric
     first, second = metric.first, metric.second
     cp, cq = metric.c.numerator, metric.c.denominator
@@ -328,7 +328,7 @@ def _per_rank_reference(kernel, ids, rng, emax) -> tuple:
                 classes.setdefault(metric.rho_num(t, t2), []).append((t, t2, size))
     member = {int(i) for i in ids}
     digests = [int(d) for d in kernel.digests]
-    rows, opened = [], 0
+    rows, opened = [], []
     for x in sorted(member):
         x1, x2 = space.element(x)
         for j, num in enumerate(sorted(classes)):
@@ -348,8 +348,8 @@ def _per_rank_reference(kernel, ids, rng, emax) -> tuple:
                     r -= size
                 else:
                     break
-                opened += 1
                 s1, s2 = divmod(r, len(_sphere(second, t2)))
+                opened.append((x, t, t2, s1, s2))
                 y1 = space.ball1.index.get(first.multiply(x1, _sphere(first, t)[s1]), -1)
                 y2 = space.ball2.index.get(second.multiply(x2, _sphere(second, t2)[s2]), -1)
                 y = int(space.lookup(y1, y2))
@@ -505,7 +505,7 @@ def test_percolation_of_few_bases(certain_kernel, count):
 
 def _open_ranks(kernel, ids, keys, emax) -> list:
     """Each seed's number of open ranks, by the reference."""
-    return [_per_rank_reference(kernel, ids, SeededRandomness(key), emax)[1] for key in keys]
+    return [len(_per_rank_reference(kernel, ids, SeededRandomness(key), emax)[1]) for key in keys]
 
 
 def test_the_cap_fires_one_below_a_seeds_open_ranks(small_kernel, monkeypatch):
@@ -539,6 +539,47 @@ def test_blocks_of_points_change_neither_the_pairs_nor_the_cap(small_kernel, mon
     monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
         small_kernel.open_pairs(ids, rngs, 1.0)
+
+
+@pytest.mark.parametrize("tile", [1, 10, graphing._TILE])
+@pytest.mark.parametrize("emax", [0.3, 1.0])
+def test_a_seeds_rows_do_not_depend_on_the_seeds_drawn_with_it(small_kernel, monkeypatch, emax, tile):
+    # A block's seeds are drawn one after another and their open ranks
+    # unranked together, in batches of about `_TILE`: each seed's rows are
+    # the same bytes drawn alone, among the other seeds, or in reverse order.
+    ids = np.arange(len(small_kernel.space))
+    rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
+    monkeypatch.setattr(graphing, "_TILE", tile)
+    together = small_kernel.open_pairs(ids, rngs, emax)
+    backwards = small_kernel.open_pairs(ids, rngs[::-1], emax)[::-1]
+    for rng, *rows in zip(rngs, together, backwards):
+        [alone] = small_kernel.open_pairs(ids, [rng], emax)
+        assert all(x.tobytes() == y.tobytes() for got in rows for x, y in zip(got, alone))
+    assert sum(len(a) for a, _, _, _ in together) > 0
+
+
+def test_each_distinct_factor_step_is_multiplied_once(monkeypatch):
+    # The 4 seeds' open ranks are unranked in one batch: each factor
+    # multiplies each distinct (factor index, t, rank) once, though the
+    # seeds' open ranks repeat them.
+    kernel = _small_kernel("F2xF2", 3)
+    space, ids, emax = kernel.space, np.arange(len(kernel.space)), 8.0
+    opened = [
+        rank
+        for key in MULTI_SEED_KEYS
+        for rank in _per_rank_reference(kernel, ids, SeededRandomness(key), emax)[1]
+    ]
+    want = [
+        len({(int(space.pts1[x]), t, s1) for x, t, _, s1, _ in opened}),
+        len({(int(space.pts2[x]), t2, s2) for x, _, t2, _, s2 in opened}),
+    ]
+    calls = []
+    for f, fb in enumerate((space.ball1, space.ball2)):
+        multiply = fb.oracle.multiply
+        monkeypatch.setattr(fb.oracle, "multiply", lambda a, b, f=f, m=multiply: calls.append(f) or m(a, b))
+    kernel.open_pairs(ids, [SeededRandomness(key) for key in MULTI_SEED_KEYS], emax)
+    assert [calls.count(0), calls.count(1)] == want
+    assert max(want) < len(opened)
 
 
 def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, monkeypatch):
