@@ -84,7 +84,7 @@ def _distinct(keys) -> np.ndarray:
 
 def _dense(keys) -> tuple:
     """(ids, firsts): keys[i] is the ids[i]-th distinct entry of the int64
-    array `keys`, and keys[firsts[k]] the k-th; sorted, as `_distinct` says."""
+    array `keys`, keys[firsts[k]] the k-th; by argsort, for `_distinct`'s reason."""
     order = np.argsort(keys)
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[order[1:]] != keys[order[:-1]]
@@ -186,7 +186,7 @@ class PercolationKernel:
         for i0 in range(0, max(1, len(ids)), step):
             block = ids[i0 : i0 + step]
             keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64)).ravel()
-            first, s0, pending = combine_digests(keys, 0), 0, []
+            first, pending = combine_digests(keys, 0), []
             for s, rng in enumerate(rngs):
                 cell, pos, words = np.arange(len(keys)), -1.0, first
                 for gap in itertools.count():
@@ -208,18 +208,16 @@ class PercolationKernel:
                 tags = np.array([row[:2] for row in pending], dtype=np.int64).reshape(-1, 2)
                 seed, gap = np.repeat(tags, lens, axis=0).T
                 cell, rank = (np.concatenate([ids[:0], *(row[k] for row in pending)]) for k in (2, 3))
-                (x, j), pending = np.divmod(cell, len(drawn)), []
-                x, j = block[x], drawn[j]
+                x, j, pending = block[cell // len(drawn)], drawn[cell % len(drawn)], []
                 y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
                 keep = keep[member[y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
                 seed, cell, x, j, gap, y = seed[keep], cell[keep], x[keep], j[keep], gap[keep], y[keep]
                 v, a, b = combine_digests(keys[cell], 2 * gap + 1), np.minimum(x, y), np.maximum(x, y)
-                cut = np.searchsorted(seed, np.arange(s0, s + 2))
-                for t, lo, hi in zip(range(s0, s + 1), cut, cut[1:]):
-                    u = rngs[t].uniforms(v[lo:hi], STREAM_PERCOLATION) * q[j[lo:hi]]
-                    found[t].append((a[lo:hi], b[lo:hi], u, p[j[lo:hi]]))
-                s0 = s + 1
+                cut = np.searchsorted(seed, np.arange(len(rngs) + 1))
+                for rng, rows, lo, hi in zip(rngs, found, cut, cut[1:]):
+                    u = rng.uniforms(v[lo:hi], STREAM_PERCOLATION) * q[j[lo:hi]]
+                    rows.append((a[lo:hi], b[lo:hi], u, p[j[lo:hi]]))
         out = []
         for rows in found:
             a, b, u, pj = map(np.concatenate, zip(*rows))
@@ -245,9 +243,9 @@ class PercolationKernel:
     def _unrank(self, x, j, rank) -> np.ndarray:
         """The window id (-1 outside the window) of y = (x1 s1, x2 s2) for
         each window id x and rank of its sphere_j.  The ranks of sphere_j
-        run over its steps (t, t2) in `steps` order, each with s1's rank
-        in S_t major and s2's in S_t2 minor (`Oracle.sphere_element`).  Each
-        distinct (t, rank) is unranked once, each distinct (x_i, s_i) multiplied once."""
+        run over its steps (t, t2) in `steps` order, each with s1's rank in
+        S_t major and s2's in S_t2 minor (`Oracle.sphere_element`), each
+        distinct (t, rank) unranked and each distinct x_i s_i multiplied once."""
         start, s2, first, radii, volumes = self._ranks
         at = first[j] + rank
         step = np.searchsorted(start, at, side="right") - 1
