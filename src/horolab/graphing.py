@@ -6,27 +6,35 @@ build the horizontal descent forest, add an invariant pair percolation,
 break overlaps to a transversal, collapse to the induced graphings, and
 estimate Palm degrees and the cost bound on the margin-trimmed interior.
 
-The per-seed stages read one vertex table, `MarkedWindow`, gathered from
-the covering map's member ranges of the kept diamonds: vertex vi is the
-copy of point v_pid[vi] in kept diamond v_k[vi].  Its copy ranges per
-point and its `vertex_of` lookup are the only maps between points and
-vertices.  Every point id of these stages is an id of the kernel's window
-W; W+ ids, the covering rows, name only the diamond centers.  Every edge
-set, from the open Pi2 pairs to the seed-0 dumps, is an (m, 2) int64 array, and
-`_component_roots` (the least vertex of each component) is the one
-labeller, for Pi3, the Pi5 connectivity check and the coset-line
-baseline.  Both sweeps measure connectivity with one epsilon ladder
-(`_ladder`): a base partition, the Pi1 forest or the coset lines, joined
-by each epsilon's open pairs, which `_open_at` splits off the pairs open
-at the largest epsilon.  phi is a breadth-first search one layer at a
-time over the Pi3 edge array; psi, Pi4 and Pi5 are array reductions of
-it.
+A sweep runs its seeds in batches (`run_seeds`): each seed is sampled on
+its own, and every later stage runs once over the disjoint union of the
+batch's marked windows, whose vertex ids are offset seed by seed.  No
+stage joins two seeds and every draw is keyed by its own seed, so each
+seed's statistics, read from its own slices, are those it has alone;
+`run_seed` is the batch of one.
+
+The stages read one vertex table, `MarkedWindow`, gathered from the
+covering map's member ranges of the kept diamonds: vertex vi is the copy
+of point v_pid[vi] in kept diamond v_k[vi].  A covered point of a seed is
+named by its key (seed << 32) | point, the point id when the window holds
+one seed; its copy ranges and `vertex_of` are the only maps between points
+and vertices.  Every point id of these stages is an id of the kernel's
+window W; W+ ids, the covering rows, name only the diamond centers.  Every
+edge set, from the open Pi2 pairs to the seed-0 dumps, is an (m, 2) int64
+array, and `_component_roots` (the least vertex of each component, so
+within one seed) is the one labeller, for Pi3, the Pi5 connectivity check
+and the coset-line baseline.  Both sweeps measure connectivity with one
+epsilon ladder (`_ladder`): a base partition, the Pi1 forest or the coset
+lines, joined by each epsilon's open pairs, which `_open_at` splits off the
+pairs open at the largest epsilon.  phi is a breadth-first search one
+layer at a time over the Pi3 edges that can still reach a vertex; psi, Pi4
+and Pi5 are array reductions of it.
 Pi1 takes its descent targets from one `GraphingContext.tau` call per
-seed over the distinct (center, y) pairs, in closed form on index arrays
+batch over the distinct (center, y) pairs, in closed form on index arrays
 when the first factor is free.
 
 `PercolationKernel` owns the pair law and the window W, and draws the one
-percolation: the Pi2 stage opens it among a seed's base points, and the
+percolation: the Pi2 stage opens it among each seed's base points, and the
 coset-line baseline among every point of the window.  Each point draws
 the open ranks of its rho spheres by geometric gaps.
 
@@ -152,35 +160,45 @@ class PercolationKernel:
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every open
-        pair a < b of the window ids `ids`, sorted by a, then b.
+        pair a < b of its window ids, sorted by a, then b: `ids` is one array
+        of window ids that every seed shares, or a list of one per seed.
 
-        Each x of `ids` opens each element of its sphere_j with q_j =
+        Each x of a seed's ids opens each element of its sphere_j with q_j =
         min(1, emax * p_j): the gaps between open ranks (`_unrank`'s order)
         are floor(log(1 - w) / log(1 - q_j)) (0 at q_j = 1), w the uniform
         of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
-        still inside their sphere, in blocks of about `_TILE` such cells
-        whose gap-0 keys, which no seed enters, are hashed once.  A rank
-        unranks to y, kept when y is in `ids` and digest(x) < digest(y): so
-        each unordered pair is decided once, at rate emax * p.  Its u is v *
-        q_j < emax * p, v the uniform of (digest(x), j, 2 i + 1), so each
-        epsilon keeps u < epsilon * p.  Each seed's open ranks, over all
-        blocks, count against `cap` (ResourceCapError) round by round,
-        before any is unranked; those at q_j = 1, every rank, before any
-        draw.  A block's seeds' open ranks are unranked together (`_unrank`)
-        at its end, or once `_TILE` are pending, and split back by seed.
+        still inside their sphere.  The cells (x, j) of every seed's points
+        are taken in blocks of about `_TILE`, whose gap-0 keys, which no seed
+        enters, are hashed once; each seed draws the rounds of its own cells.
+        A rank unranks to y, kept when y is among the seed's ids and
+        digest(x) < digest(y): so each unordered pair is decided once, at
+        rate emax * p.  Its u is v * q_j < emax * p, v the uniform of
+        (digest(x), j, 2 i + 1), so each epsilon keeps u < epsilon * p.
+        Each seed's open ranks, over all blocks, count against `cap`
+        (ResourceCapError) round by round, before any is unranked; those at
+        q_j = 1, every rank of its points, before any draw.  A block's
+        seeds' open ranks are unranked together (`_unrank`) at its end, or
+        once `_TILE` are pending, and split back by seed.
         """
         if not rngs:
             return []
-        ids = np.asarray(ids, dtype=np.int64)
+        if isinstance(ids, list):
+            member = np.zeros((len(rngs), len(self.space)), dtype=bool)
+            for row, own in zip(member, ids):
+                row[own] = True
+            largest, ids = max(map(len, ids)), _distinct(np.concatenate(ids))
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            member = np.bincount(ids, minlength=len(self.space)).astype(bool)[None]
+            largest = len(ids)
         p = self.lut[self.nums]
         q = np.minimum(1.0, float(emax) * p)
         with np.errstate(divide="ignore"):
             log_q = np.log1p(-q)  # -inf at q = 1, where every gap is 0
         sizes = np.array([self.counts[num] for num in self.nums], dtype=np.int64)
-        if len(ids) * int(sizes[q == 1.0].sum()) > self.cap:
+        if largest * int(sizes[q == 1.0].sum()) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
-        member = np.bincount(ids, minlength=len(self.space)).astype(bool)
         count, found = np.zeros(len(rngs), dtype=np.int64), [[] for _ in rngs]
         step = max(1, _TILE // max(1, len(drawn)))
         for i0 in range(0, max(1, len(ids)), step):
@@ -189,6 +207,9 @@ class PercolationKernel:
             first, pending = combine_digests(keys, 0), []
             for s, rng in enumerate(rngs):
                 cell, pos, words = np.arange(len(keys)), -1.0, first
+                if len(member) > 1:  # the cells of the seed's own points
+                    cell = np.flatnonzero(np.repeat(member[s, block], len(drawn)))
+                    words = first[cell]
                 for gap in itertools.count():
                     j = drawn[cell % len(drawn)]
                     w = rng.uniforms(words, STREAM_PERCOLATION)
@@ -211,7 +232,9 @@ class PercolationKernel:
                 x, j, pending = block[cell // len(drawn)], drawn[cell % len(drawn)], []
                 y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
-                keep = keep[member[y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
+                # A shared id array is the one row of `member`.
+                mine = member[seed[keep] % len(member), y[keep]]
+                keep = keep[mine & (self.digests[x[keep]] < self.digests[y[keep]])]
                 seed, cell, x, j, gap, y = seed[keep], cell[keep], x[keep], j[keep], gap[keep], y[keep]
                 v, a, b = combine_digests(keys[cell], 2 * gap + 1), np.minimum(x, y), np.maximum(x, y)
                 cut = np.searchsorted(seed, np.arange(len(rngs) + 1))
@@ -320,6 +343,17 @@ class GraphingContext:
         self._tau_cache = {}
         self._ray_cache = {}
 
+    @functools.cached_property
+    def vertices_per_seed(self) -> float:
+        """A seed's expected number of marked vertices: the window members
+        of every kept center, each center drawn at 1 / volume, counted over
+        the covering rows in chunks of `_TILE`."""
+        starts, members = self.pctx.covering.starts, 0
+        for r0 in range(0, len(starts) - 1, _TILE):
+            rows = np.arange(r0, min(r0 + _TILE, len(starts) - 1))
+            members += int(np.diff(starts[r0 : rows[-1] + 2])[self.keeps_center(rows)].sum())
+        return members / self.pctx.volume
+
     def keeps_center(self, pids) -> np.ndarray:
         """Descent-safety rule, elementwise over center W+ ids (covering
         rows): the center's first coordinate must sit beyond the interior
@@ -366,29 +400,37 @@ class GraphingContext:
 
 @dataclass
 class MarkedWindow:
-    """Per-seed vertex table of S' (marked points of the kept diamonds).
+    """Vertex table of S' (marked points of the kept diamonds) of one seed,
+    or of a batch of seeds as the disjoint union of theirs.
 
     Vertex vi is the copy of point v_pid[vi] in kept diamond v_k[vi].
-    Vertices are listed diamond by diamond, each diamond's members in
-    covering-map order (rising point id).  That order is output: phi and
-    psi break ties by vertex index, and edges_seed0.csv lists rows in
-    vertex order.
+    Vertices are listed seed by seed, seed i's from seed_starts[i] to
+    seed_starts[i + 1], and each seed's diamond by diamond, each diamond's
+    members in covering-map order (rising point id).  That order is output:
+    phi and psi break ties by vertex index, and edges_seed0.csv lists rows
+    in vertex order.  The diamond index runs over the whole batch.
 
-    `copies` lists the vertex ids stably sorted by point, so the copies of
-    bases[i] (the covered points, sorted) are copies[starts[i]:starts[i+1]],
-    in rising diamond index.
+    A point covered in seed i is named by its key (i << 32) | pid, which is
+    its id when the window holds one seed; `v_key` is each vertex's.  The
+    `bases` are the covered keys, sorted, seed i's from base_starts[i] to
+    base_starts[i + 1].  `copies` lists the vertex ids stably sorted by key,
+    so the copies of bases[j] are copies[starts[j]:starts[j+1]], in rising
+    diamond index.
     """
 
     ctx: GraphingContext
     centers: np.ndarray  # center W+ id (covering row) of each kept diamond
-    excluded_diamonds: int
+    excluded_diamonds: np.ndarray  # per seed
     v_pid: np.ndarray
     v_k: np.ndarray
+    v_key: np.ndarray
     v_interior: np.ndarray
     marks: np.ndarray  # float64 mark of each kept diamond
     bases: np.ndarray
     copies: np.ndarray
     starts: np.ndarray
+    seed_starts: np.ndarray
+    base_starts: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -397,51 +439,61 @@ class MarkedWindow:
     def vertex_of(self, pids, ks) -> np.ndarray:
         """Vertex of the copy of point pids[i] in kept diamond ks[i], -1
         where there is none (pid -1, or pid not a member of diamond k)."""
-        # Within one point the diamond index rises, so these are sorted.
-        keys = (self.v_pid[self.copies] << 32) | self.v_k[self.copies]
-        want = (np.asarray(pids, dtype=np.int64) << 32) | ks
+        # Diamond by diamond, with rising point ids: these keys rise.
+        keys = (self.v_k.astype(np.int64) << 32) | self.v_pid
+        want = (np.asarray(ks, dtype=np.int64) << 32) | pids
         pos = np.searchsorted(keys, want)
-        return np.where(np.append(keys, -1)[pos] == want, np.append(self.copies, -1)[pos], -1)
+        return np.where(np.append(keys, -1)[pos] == want, pos, -1)
 
 
-def build_marked_window(ctx: GraphingContext, process) -> MarkedWindow:
-    """The vertex table of the kept diamonds: their member ranges of the
-    covering map, gathered in sampling order."""
-    keep = ctx.keeps_center(process.chosen)
-    v_pid, sizes = ctx.pctx.covering.gather(process.chosen[keep])
+def build_marked_window(ctx: GraphingContext, processes) -> MarkedWindow:
+    """The vertex table of the kept diamonds of `processes`, one sampled
+    process per seed: their member ranges of the covering map, gathered
+    seed by seed in sampling order."""
+    drawn = [len(process.chosen) for process in processes]
+    chosen = np.concatenate([process.chosen for process in processes])
+    keep = ctx.keeps_center(chosen)
+    seed = np.repeat(np.arange(len(processes)), drawn)[keep]  # of each kept diamond
+    v_pid, sizes = ctx.pctx.covering.gather(chosen[keep])
     v_k = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    copies = np.argsort(v_pid, kind="stable")
-    bases, starts = np.unique(v_pid[copies], return_index=True)
+    v_key = (seed[v_k] << 32) | v_pid
+    copies = np.argsort(v_key, kind="stable")
+    bases, starts = np.unique(v_key[copies], return_index=True)
+    cut = np.arange(len(processes) + 1)
     return MarkedWindow(
         ctx=ctx,
-        centers=process.chosen[keep],
-        excluded_diamonds=len(keep) - len(sizes),
+        centers=chosen[keep],
+        excluded_diamonds=np.array(drawn) - np.bincount(seed, minlength=len(processes)),
         v_pid=v_pid,
         v_k=v_k,
+        v_key=v_key,
         v_interior=ctx.interior_mask[v_pid],
-        marks=process.marks[keep],
+        marks=np.concatenate([process.marks for process in processes])[keep],
         bases=bases,
         copies=copies,
         starts=np.append(starts, len(v_pid)),
+        seed_starts=np.searchsorted(v_key >> 32, cut),
+        base_starts=np.searchsorted(bases >> 32, cut),
     )
 
 
 @dataclass
 class Pi1Forest:
-    """Horizontal descent forest: one out-edge per non-stalled vertex."""
+    """Horizontal descent forest: one out-edge per non-stalled vertex.  The
+    counts are per seed of the window."""
 
     target: np.ndarray  # vertex index of the out-edge target, -1 when stalled
-    stalled: int
-    interior_violations: int
-    parallel_violations: int
+    stalled: np.ndarray
+    interior_violations: np.ndarray
+    parallel_violations: np.ndarray
 
 
 def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     ctx = mw.ctx
     space = ctx.kernel.space
     y_fi = space.pts1[mw.v_pid]
-    # One tau call per seed, over the distinct (center, y) first-index pairs;
-    # the centers' first coordinates are read from W+, the rest from W.
+    # One tau call per window, over the distinct (center, y) first-index
+    # pairs; the centers' first coordinates are read from W+, the rest from W.
     c_fi = ctx.pctx.space.pts1[mw.centers]
     pairs, inverse = np.unique((c_fi[mw.v_k].astype(np.int64) << 32) | y_fi, return_inverse=True)
     tfi = ctx.tau(pairs >> 32, pairs & 0xFFFFFFFF)[inverse]
@@ -453,20 +505,24 @@ def build_pi1(mw: MarkedWindow) -> Pi1Forest:
     # (second coordinate unchanged, one target first coordinate per group).
     src = np.flatnonzero(~stalled)
     tgt_pid, src_pid = mw.v_pid[target[src]], mw.v_pid[src]
-    _, group = np.unique((mw.v_k[src].astype(np.int64) << 32) | y_fi[src], return_inverse=True)
+    key = (mw.v_k[src].astype(np.int64) << 32) | y_fi[src]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
     moves = _distinct((group << 32) | space.pts1[tgt_pid])
+    seed = mw.v_key >> 32
+    split = seed[src[first]][np.bincount(moves >> 32, minlength=len(first)) > 1]
+    moved = seed[src][space.pts2[tgt_pid] != space.pts2[src_pid]]
+    per_seed = functools.partial(np.bincount, minlength=len(mw.seed_starts) - 1)
     return Pi1Forest(
         target=target,
-        stalled=int(stalled.sum()),
-        interior_violations=int((stalled & mw.v_interior).sum()),
-        parallel_violations=int((space.pts2[tgt_pid] != space.pts2[src_pid]).sum())
-        + int((np.bincount(moves >> 32) > 1).sum()),
+        stalled=per_seed(seed[stalled]),
+        interior_violations=per_seed(seed[stalled & mw.v_interior]),
+        parallel_violations=per_seed(moved) + per_seed(split),
     )
 
 
 def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, eps_list):
-    """Open base-point pairs per epsilon, as (m, 2) arrays of window ids
-    (a, b), a < b, sorted; one uniform per unordered pair.
+    """Open base-point pairs of one seed per epsilon, as (m, 2) arrays of
+    window ids (a, b), a < b, sorted; one uniform per unordered pair.
 
     The same uniforms serve every epsilon, so openness is monotone in
     epsilon by construction.  The kernel's `open_pairs` finds the pairs
@@ -493,12 +549,14 @@ def _open_at(opened, eps_list) -> dict:
     return out
 
 
-def lift_open_pairs(mw: MarkedWindow, open_pairs) -> np.ndarray:
-    """pi^{-1}: every open pair of bases, an (m, 2) array of point ids,
-    lifts to all marked copy pairs.
+def lift_open_pairs(mw: MarkedWindow, open_pairs) -> tuple:
+    """pi^{-1}: every open pair of covered points, an (m, 2) array of their
+    keys (`MarkedWindow.bases`, the point ids for one seed), lifts to all
+    marked copy pairs.
 
-    Returns the (lower, higher) vertex rows, pair by pair, and within a
-    pair the copies of its first point outer, those of its second inner.
+    Returns (rows, pair): the (lower, higher) vertex rows, pair by pair,
+    and within a pair the copies of its first point outer, those of its
+    second inner; and the row of `open_pairs` each row lifts.
     """
     at = np.searchsorted(mw.bases, open_pairs)
     first = mw.starts[at]
@@ -507,7 +565,7 @@ def lift_open_pairs(mw: MarkedWindow, open_pairs) -> np.ndarray:
     pair, rank = ragged(lifts)
     va = mw.copies[first[pair, 0] + rank // count[pair, 1]]
     vb = mw.copies[first[pair, 1] + rank % count[pair, 1]]
-    return np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1)
+    return np.stack([np.minimum(va, vb), np.maximum(va, vb)], axis=1), pair
 
 
 def pi1_edges(pi1: Pi1Forest) -> np.ndarray:
@@ -541,13 +599,24 @@ def surviving_index(k, w):
     return np.clip(np.ceil(k * w), 1, k).astype(np.int64)
 
 
-def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
-    """Keep one marked copy per covered point, selected by the point's
-    overlap label among the copies sorted by mark (then vertex)."""
-    labels = rng.uniforms(mw.ctx.kernel.digests[mw.bases], STREAM_OVERLAP)
+def _uniforms_by_seed(rngs, digests, starts, tag) -> np.ndarray:
+    """rngs[i].uniforms(digests[starts[i]:starts[i + 1]], tag) for each seed
+    i, concatenated."""
+    return np.concatenate([rng.uniforms(digests[lo:hi], tag) for rng, lo, hi in zip(rngs, starts, starts[1:])])
+
+
+def break_overlaps(mw: MarkedWindow, rngs) -> np.ndarray:
+    """Keep one marked copy per covered point of each seed, selected by the
+    point's overlap label under that seed's entry of `rngs` among the
+    copies sorted by mark (then vertex)."""
+    digests = mw.ctx.kernel.digests[mw.bases & 0xFFFFFFFF]
+    labels = _uniforms_by_seed(rngs, digests, mw.base_starts, STREAM_OVERLAP)
     marks = mw.marks[mw.v_k]
-    ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_pid))
-    same_point = np.diff(mw.v_pid[ranked]) == 0
+    # By point, then mark: one key of the point's base index and the mark's
+    # rank.  Only tied marks, which raise below, would need the vertex.
+    mark_rank = np.argsort(np.argsort(mw.marks))
+    ranked = np.argsort(np.searchsorted(mw.bases, mw.v_key) * len(mw.marks) + mark_rank[mw.v_k])
+    same_point = np.diff(mw.v_key[ranked]) == 0
     if (same_point & (np.diff(marks[ranked]) == 0)).any():
         raise MarkCollisionError("overlapping diamonds drew identical marks; reject this seed")
     keep = np.zeros(mw.n_vertices, dtype=bool)
@@ -558,8 +627,9 @@ def break_overlaps(mw: MarkedWindow, rng: SeededRandomness) -> np.ndarray:
 def assign_phi(n: int, edges, sources, w1) -> tuple:
     """Closest S'_0 vertex in Pi3 graph distance, ties by the w1 label
     (then vertex index), by a breadth-first search one layer at a time
-    over the (m, 2) edge array.  Returns (dist, phi): the distance to and
-    the chosen source of every vertex, both -1 where a vertex is unreached
+    over the (m, 2) edge array, each layer walking only the edges whose
+    head is still unreached.  Returns (dist, phi): the distance to and the
+    chosen source of every vertex, both -1 where a vertex is unreached
     (its component has no source)."""
     tail, head = np.concatenate([edges, edges[:, ::-1]]).T  # each edge both ways
     # Sources ranked by (w1, vertex); a newly reached vertex takes the
@@ -571,7 +641,9 @@ def assign_phi(n: int, edges, sources, w1) -> tuple:
     dist[sources] = 0
     d = 0
     while True:
-        step = (dist[tail] == d) & (dist[head] == -1)
+        live = dist[head] == -1
+        tail, head = tail[live], head[live]
+        step = dist[tail] == d
         if not step.any():
             return dist, np.append(ranked, -1)[rank]
         np.minimum.at(rank, head[step], rank[tail[step]])
@@ -590,7 +662,9 @@ def _distinct_pairs(pairs) -> np.ndarray:
 def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
     """F (geodesic-step forest to the transversal), Pi4 on S'_0, Pi5 on S,
     as (m, 2) arrays.  F holds one edge (v, psi(v)) per vertex at positive
-    distance, in rising v; Pi4 and Pi5 rows are (min, max), sorted."""
+    distance, in rising v; Pi4 and Pi5 rows are (min, max), sorted.  Pi5
+    joins the keys of covered points (`MarkedWindow.bases`), the point ids
+    for one seed."""
     dist, phi = assign_phi(mw.n_vertices, edges, np.flatnonzero(s0_mask), w1)
     v, u = np.concatenate([edges, edges[:, ::-1]]).T
     # psi(v): the least (w1, vertex) neighbour one step nearer phi(v).
@@ -603,11 +677,12 @@ def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
     # The ends of an edge share a component, so an unreached edge maps to
     # (-1, -1) and drops out with the other loops.
     pi4 = _distinct_pairs(phi[edges])
+    # Keys pass 2^32, so Pi5's rows are found on base indices, which keep their order.
     return {
         "dist": dist,
         "f_edges": np.stack([v, u[order][first]], axis=1),
         "pi4": pi4,
-        "pi5": _distinct_pairs(mw.v_pid[pi4]),
+        "pi5": mw.bases[_distinct_pairs(np.searchsorted(mw.bases, mw.v_key[pi4]))],
     }
 
 
@@ -627,36 +702,48 @@ def _component_roots(n: int, edges) -> np.ndarray:
             roots = roots[roots]
 
 
-def _ladder(base_roots, pairs_by_eps) -> tuple:
+def _distinct_per_seed(labels, starts) -> np.ndarray:
+    """The number of distinct `labels` in each segment starts[i] ..
+    starts[i + 1] - 1 of the vertex ids, where every label lies."""
+    return np.diff(np.searchsorted(_distinct(labels), starts))
+
+
+def _ladder(base_roots, pairs_by_eps, starts) -> tuple:
     """The epsilon ladder over one base partition, whose labels `base_roots`
     give each vertex the least vertex of its component; `pairs_by_eps` maps
-    each epsilon to its open pairs, an (m, 2) array of vertices.
+    each epsilon to its open pairs, an (m, 2) array of vertices.  The
+    vertices are segments starts[i] .. starts[i + 1] - 1, one per seed,
+    that no component or pair crosses.
 
     Returns (roots, fractions, drops): for each epsilon in rising order,
     the least vertex of every vertex's component once that epsilon's pairs
-    join the base partition, and its `largest_component_fraction`; and the
-    number of times the fraction falls from one epsilon to the next.  Each
-    epsilon joins the base labels of its pairs' ends, so the least label
-    among the base components one component joins is its least vertex; an
-    epsilon that opens no pair keeps the base labels.
+    join the base partition, and each segment's
+    `largest_component_fraction`; and per segment the number of times its
+    fraction falls from one epsilon to the next.  Each epsilon joins the
+    base labels of its pairs' ends, so the least label among the base
+    components one component joins is its least vertex; an epsilon that
+    opens no pair keeps the base labels.
     """
     n = len(base_roots)
     roots, fractions = {}, {}
     for e in sorted(pairs_by_eps):
         pairs = pairs_by_eps[e]
         roots[e] = _component_roots(n, base_roots[pairs])[base_roots] if len(pairs) else base_roots
-        fractions[e] = largest_component_fraction(roots[e])
+        fractions[e] = largest_component_fraction(roots[e], starts)
     steps = list(fractions.values())
-    drops = sum(b < a - 1e-12 for a, b in zip(steps, steps[1:]))
+    drops = sum((b < a - 1e-12 for a, b in zip(steps, steps[1:])), np.zeros(len(starts) - 1, dtype=np.int64))
     return roots, fractions, drops
 
 
-def largest_component_fraction(roots) -> float:
-    """Share of the vertices in the largest component, given the root
-    label of every vertex."""
-    if len(roots) == 0:
-        return 0.0
-    return int(np.bincount(roots).max()) / len(roots)
+def largest_component_fraction(roots, starts) -> np.ndarray:
+    """Share of the vertices in the largest component of each segment
+    starts[i] .. starts[i + 1] - 1, given the root label of every vertex,
+    which lies in its own segment; 0.0 for an empty segment."""
+    counts, out = np.diff(starts), np.zeros(len(starts) - 1)
+    full = counts > 0
+    sizes = np.bincount(roots, minlength=len(roots))
+    out[full] = np.maximum.reduceat(sizes, np.asarray(starts)[:-1][full]) / counts[full]
+    return out
 
 
 @dataclass
@@ -702,60 +789,85 @@ def run_seed(
     primary_eps,
     seed_index=0,
     collect: dict = None,
-):
-    """One full pipeline pass; returns window-scale statistics.
+) -> SeedStats:
+    """One full pipeline pass: `run_seeds` on the one seed `seed_key`."""
+    [st] = run_seeds(ctx, [seed_key], eps_list, primary_eps, [seed_index], collect)
+    return st
 
-    Each epsilon's open pairs are lifted to vertex pairs once
-    (`lift_open_pairs`), for `pi3_edges`, the ladder and `collect`.  The
-    epsilon ladder (`_ladder`) labels each epsilon's Pi3 components over
-    the Pi1 forest's labels, and gives the largest fractions and whether
-    one falls as epsilon grows (`monotone_ok`).  The flagged components
-    and `_pi5_connected` read only the primary epsilon's partition, never
-    the edges, so the Pi3 edge array is built once, at the primary
-    epsilon, for the degrees and the later stages.
+
+def run_seeds(ctx: GraphingContext, keys, eps_list, primary_eps, seed_indices, collect=None) -> list:
+    """One `SeedStats` per seed key of `keys`, its `seed` the matching entry
+    of `seed_indices`, with window-scale statistics (`_run_batch`).
+
+    Each seed is what it would be alone: every draw is keyed by its own
+    seed and no stage joins two seeds.  So a batch that fails is run again
+    seed by seed, and a seed that fails alone is rejected
+    (`SeedStats.rejected`) when overlapping diamonds drew identical marks,
+    and raises any other HorolabError naming its seed (`at_seed`).
+    """
+    try:
+        return _run_batch(ctx, keys, eps_list, primary_eps, seed_indices, collect)
+    except HorolabError as exc:
+        if len(keys) > 1:
+            return [
+                st
+                for key, seed_index in zip(keys, seed_indices)
+                for st in run_seeds(ctx, [key], eps_list, primary_eps, [seed_index])
+            ]
+        if isinstance(exc, MarkCollisionError):
+            return [SeedStats(seed=seed_indices[0], rejected=True)]
+        raise exc.at_seed(seed_indices[0]) from exc
+
+
+def _run_batch(ctx: GraphingContext, keys, eps_list, primary_eps, seed_indices, collect=None) -> list:
+    """The pipeline of `run_seeds`: each seed's diamond process is sampled
+    on its own, and every later stage runs once over the disjoint union of
+    the seeds' marked windows (`build_marked_window`); each seed's
+    statistics are read from its own slices.
+
+    The open pairs at the largest epsilon are lifted to vertex pairs once
+    (`lift_open_pairs`), and each epsilon keeps the rows it opens, for
+    `pi3_edges`, the ladder and `collect`.  The epsilon
+    ladder (`_ladder`) labels each epsilon's Pi3 components over the Pi1
+    forest's labels, and gives the largest fractions and whether one falls
+    as epsilon grows (`monotone_ok`).  The flagged components and
+    `_pi5_connected` read only the primary epsilon's partition, never the
+    edges, so the Pi3 edge array is built once, at the primary epsilon,
+    for the degrees and the later stages.
 
     When `collect` is a dict it receives the marked window and the (m, 2)
     edge array of every stage (for dumps and debugging)."""
-    rng = SeededRandomness(seed_key)
-    process = sample_diamond_process(ctx.pctx, seed_key)
-    mw = build_marked_window(ctx, process)
-    st = SeedStats(seed=seed_index)
-    st.diamonds = len(process.chosen)
-    st.excluded = mw.excluded_diamonds
-    st.vertices = mw.n_vertices
+    rngs = [SeededRandomness(key) for key in keys]
+    processes = [sample_diamond_process(ctx.pctx, key) for key in keys]
+    mw = build_marked_window(ctx, processes)
+    runs = [
+        SeedStats(seed=seed, diamonds=len(process.chosen), excluded=int(excluded), vertices=int(n))
+        for seed, process, excluded, n in zip(
+            seed_indices, processes, mw.excluded_diamonds, np.diff(mw.seed_starts)
+        )
+    ]
     if mw.n_vertices == 0:
-        return st
+        return runs
+    n, starts = mw.n_vertices, mw.seed_starts
     pi1 = build_pi1(mw)
-    st.stalled = pi1.stalled
-    st.pi1_interior_violations = pi1.interior_violations
-    st.parallel_violations = pi1.parallel_violations
-    interior = np.flatnonzero(mw.v_interior)
-    st.interior = len(interior)
-    st.n_bases = len(mw.bases)
-    opens = build_percolation(ctx, mw.bases, rng, sorted(set(list(eps_list) + [primary_eps])))
-    lifts = {e: lift_open_pairs(mw, pairs) for e, pairs in opens.items()}
+    eps = sorted(set(list(eps_list) + [primary_eps]))
+    cut = mw.base_starts
+    opened = ctx.kernel.open_pairs(
+        [mw.bases[lo:hi] & 0xFFFFFFFF for lo, hi in zip(cut, cut[1:])], rngs, max(eps)
+    )
+    rows = [(a | (s << 32), b | (s << 32), u, p) for s, (a, b, u, p) in enumerate(opened)]
+    a, b, u, p = map(np.concatenate, zip(*rows))  # the points as keys
+    lifted, pair = lift_open_pairs(mw, np.stack([a, b], axis=1))
+    lifts = _open_at((lifted[:, 0], lifted[:, 1], u[pair], p[pair]), eps)
     edges = pi3_edges(pi1, lifts[float(primary_eps)])
-    n = mw.n_vertices
-    ladder, st.largest_fraction, drops = _ladder(_component_roots(n, pi1_edges(pi1)), lifts)
-    st.monotone_ok = not drops
+    ladder, fractions, drops = _ladder(_component_roots(n, pi1_edges(pi1)), lifts, starts)
     roots = ladder[float(primary_eps)]
     deg = np.bincount(edges.ravel(), minlength=n)
     out_deg = (pi1.target >= 0).astype(np.int64)
     in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
     perc_deg = deg - out_deg - in_deg
-    if len(interior):
-        st.half_deg_pi1 = float(out_deg[interior].mean())
-        st.perc_deg_interior_mean = float(perc_deg[interior].mean())
-        st.half_deg_pi3 = float(
-            (out_deg[interior] + perc_deg[interior] / 2.0).mean()
-        )
-        st.half_deg_pi3_raw = float(deg[interior].mean() / 2.0)
-        st.mean_deg_pi3_palm = float((2 * out_deg[interior] + perc_deg[interior]).mean())
-        st.boundary_deficit = float(
-            abs(int(in_deg[interior].sum()) - int(out_deg[interior].sum()))
-        ) / len(interior)
-    s0_mask = break_overlaps(mw, rng)
-    w1 = rng.uniforms(ctx.kernel.digests[mw.v_pid], STREAM_PERCOLATION)
+    s0_mask = break_overlaps(mw, rngs)
+    w1 = _uniforms_by_seed(rngs, ctx.kernel.digests[mw.v_pid], starts, STREAM_PERCOLATION)
     stages = build_forest_and_pi45(mw, edges, s0_mask, w1)
     if collect is not None:
         collect.update(
@@ -769,33 +881,59 @@ def run_seed(
             s0_mask=s0_mask,
         )
     unreached = stages["dist"] < 0
-    st.flagged_components = len(_distinct(roots[unreached]))
-    ok_interior = interior[~unreached[interior]]
-    s0_interior = ok_interior[s0_mask[ok_interior]]
-    st.n_sprime_interior = len(ok_interior)
-    st.n_s0_interior = len(s0_interior)
-    if len(s0_interior):
-        lam = len(s0_interior) / len(ok_interior)
-        st.lambda_hat = lam
-        pi5_ends = np.sort(stages["pi5"].ravel())
-        interior_bases = _distinct(mw.v_pid[s0_interior])
-        lhs, se_lhs = _mean_se(
-            np.searchsorted(pi5_ends, interior_bases, side="right")
-            - np.searchsorted(pi5_ends, interior_bases)
-        )
-        palm, se_palm = _mean_se((2 * out_deg + perc_deg)[ok_interior])
-        st.pi5_lhs = lhs
-        st.pi5_rhs = palm / lam - 2.0 / lam + 2.0
-        st.pi5_se = se_lhs + se_palm / lam
-        st.pi5_checked = True
-        st.pi5_ok = st.pi5_lhs <= st.pi5_rhs + 3.0 * st.pi5_se + 1e-9
-    st.pi5_connected_ok = _pi5_connected(roots, stages)
-    return st
+    flagged = _distinct_per_seed(roots[unreached], starts)
+    connected = _pi5_connected(roots, stages, starts)
+    pi5_ends = np.sort(stages["pi5"].ravel())
+    for i, st in enumerate(runs):
+        lo, hi = starts[i], starts[i + 1]
+        if lo == hi:
+            continue
+        st.stalled = int(pi1.stalled[i])
+        st.pi1_interior_violations = int(pi1.interior_violations[i])
+        st.parallel_violations = int(pi1.parallel_violations[i])
+        interior = lo + np.flatnonzero(mw.v_interior[lo:hi])
+        st.interior = len(interior)
+        st.n_bases = int(cut[i + 1] - cut[i])
+        st.largest_fraction = {e: float(f[i]) for e, f in fractions.items()}
+        st.monotone_ok = not drops[i]
+        if len(interior):
+            st.half_deg_pi1 = float(out_deg[interior].mean())
+            st.perc_deg_interior_mean = float(perc_deg[interior].mean())
+            st.half_deg_pi3 = float(
+                (out_deg[interior] + perc_deg[interior] / 2.0).mean()
+            )
+            st.half_deg_pi3_raw = float(deg[interior].mean() / 2.0)
+            st.mean_deg_pi3_palm = float((2 * out_deg[interior] + perc_deg[interior]).mean())
+            st.boundary_deficit = float(
+                abs(int(in_deg[interior].sum()) - int(out_deg[interior].sum()))
+            ) / len(interior)
+        st.flagged_components = int(flagged[i])
+        ok_interior = interior[~unreached[interior]]
+        s0_interior = ok_interior[s0_mask[ok_interior]]
+        st.n_sprime_interior = len(ok_interior)
+        st.n_s0_interior = len(s0_interior)
+        if len(s0_interior):
+            lam = len(s0_interior) / len(ok_interior)
+            st.lambda_hat = lam
+            interior_bases = _distinct(mw.v_key[s0_interior])
+            lhs, se_lhs = _mean_se(
+                np.searchsorted(pi5_ends, interior_bases, side="right")
+                - np.searchsorted(pi5_ends, interior_bases)
+            )
+            palm, se_palm = _mean_se((2 * out_deg + perc_deg)[ok_interior])
+            st.pi5_lhs = lhs
+            st.pi5_rhs = palm / lam - 2.0 / lam + 2.0
+            st.pi5_se = se_lhs + se_palm / lam
+            st.pi5_checked = True
+            st.pi5_ok = st.pi5_lhs <= st.pi5_rhs + 3.0 * st.pi5_se + 1e-9
+        st.pi5_connected_ok = bool(connected[i])
+    return runs
 
 
-def _pi5_connected(roots, stages) -> bool:
-    """Pi5 restricted to each covered Pi3 component must be connected;
-    `roots` labels the Pi3 components.  Sources (dist 0) are never
+def _pi5_connected(roots, stages, starts) -> np.ndarray:
+    """Whether Pi5 restricted to each covered Pi3 component is connected,
+    per segment starts[i] .. starts[i + 1] - 1 of the vertices, one per
+    seed; `roots` labels the Pi3 components.  Sources (dist 0) are never
     flagged, so every source lies in a covered component.  The Pi4 edges
     inside one Pi3 component label finer components, so the sources meet
     as many of those as of the Pi3 ones exactly when each Pi3 component's
@@ -803,7 +941,7 @@ def _pi5_connected(roots, stages) -> bool:
     pi4 = stages["pi4"]
     pi4_roots = _component_roots(len(roots), pi4[roots[pi4[:, 0]] == roots[pi4[:, 1]]])
     sources = np.flatnonzero(stages["dist"] == 0)
-    return len(_distinct(pi4_roots[sources])) == len(_distinct(roots[sources]))
+    return _distinct_per_seed(pi4_roots[sources], starts) == _distinct_per_seed(roots[sources], starts)
 
 
 @dataclass
@@ -853,16 +991,9 @@ def _mean_se(values) -> tuple:
 _WORKER = {}
 
 
-def _seed_job(args, collect=None):
-    key, eps_list, primary_eps, seed_index = args
-    try:
-        return run_seed(
-            _WORKER["ctx"], key, eps_list, primary_eps, seed_index=seed_index, collect=collect
-        )
-    except MarkCollisionError:
-        return SeedStats(seed=seed_index, rejected=True)
-    except HorolabError as exc:
-        raise exc.at_seed(seed_index) from exc
+def _batch_job(args) -> list:
+    keys, eps_list, primary_eps, seed_indices = args
+    return run_seeds(_WORKER["ctx"], keys, eps_list, primary_eps, seed_indices)
 
 
 def cost_report(
@@ -873,8 +1004,17 @@ def cost_report(
     master_seed: int,
     threads: int = 1,
 ) -> CostReport:
-    keys = [(s, seed_digest(master_seed, s)) for s in range(seeds)]
-    jobs = [(key, tuple(eps_list), primary_eps, s) for s, key in keys]
+    """The sweep over `seeds` seeds.  Seeds 1 .. seeds - 1 run in batches
+    (`run_seeds`) of about `_TILE // 4` expected vertices
+    (`GraphingContext.vertices_per_seed`), in this process or on a fork pool
+    of `threads`; seed 0 runs alone (`run_seed`), after them, and keeps its
+    stages."""
+    keys = [seed_digest(master_seed, s) for s in range(seeds)]
+    size = max(1, int(_TILE // 4 // max(1.0, ctx.vertices_per_seed)))
+    jobs = [
+        (keys[s : s + size], tuple(eps_list), primary_eps, list(range(s, min(s + size, seeds))))
+        for s in range(1, seeds, size)
+    ]
     seed0_stages = {}
     _WORKER["ctx"] = ctx  # inherited by fork, avoids pickling the context
     try:
@@ -882,12 +1022,14 @@ def cost_report(
             import multiprocessing as mp
 
             with mp.get_context("fork").Pool(threads) as pool:
-                runs = pool.map(_seed_job, jobs[1:])
+                batches = pool.map(_batch_job, jobs)
         else:
-            runs = [_seed_job(job) for job in jobs[1:]]
+            batches = [_batch_job(job) for job in jobs]
+        runs = [st for batch in batches for st in batch]
         # Seed 0 runs in this process, so its stages need no pickling; it
         # runs after the pool, so forked workers do not inherit its memory.
-        runs += [_seed_job(job, collect=seed0_stages) for job in jobs[:1]]
+        if seeds:
+            runs.append(run_seed(ctx, keys[0], eps_list, primary_eps, 0, collect=seed0_stages))
     finally:
         _WORKER.clear()
     runs.sort(key=lambda st: st.seed)
@@ -1096,11 +1238,11 @@ def coset_line_baseline(
     rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
     for opened in kernel.open_pairs(np.arange(n), rngs, emax):
         pairs = _open_at(opened, eps_list)
-        _, fractions, drops = _ladder(lines, pairs)
-        monotone_violations += drops > 0
+        _, fractions, drops = _ladder(lines, pairs, [0, n])
+        monotone_violations += int(drops[0] > 0)
         for e, frac in fractions.items():
             perc_deg = np.bincount(pairs[e].ravel(), minlength=n)
-            rows[e]["largest"].append(frac)
+            rows[e]["largest"].append(float(frac[0]))
             rows[e]["half"].append(float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0))
     out_rows = [
         BaselineRow(e, *_mean_se(rows[e]["largest"]), *_mean_se(rows[e]["half"]), expected_half[e])

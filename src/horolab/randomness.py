@@ -200,14 +200,19 @@ class SeededRandomness:
         return key
 
     def words(self, digests, tag: str) -> np.ndarray:
-        d = np.asarray(digests, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = _mix(d ^ self._seed_mixed)
-            z = _mix(z ^ self._stream64(tag))
+        """The word of each digest: `_mix` of it under the seed, then under
+        the stream's key, run in place on a copy with one scratch array."""
+        z = np.array(digests, dtype=np.uint64)
+        tmp = np.empty_like(z)
+        np.bitwise_xor(z, self._seed_mixed, out=z)
+        _mix_into(z, tmp)
+        np.bitwise_xor(z, self._stream64(tag), out=z)
+        _mix_into(z, tmp)
         return z
 
     def uniforms(self, digests, tag: str) -> np.ndarray:
-        return to_uniforms(self.words(digests, tag) >> _DROP11)
+        z = self.words(digests, tag)
+        return to_uniforms(np.right_shift(z, _DROP11, out=z))
 
     def heads_into(self, folded, tag: str, out, tmp) -> np.ndarray:
         """The head d of every word of `words(digests, tag)`, from the

@@ -698,14 +698,16 @@ def test_report_artifacts_are_written_from_their_dataclass_fields(tmp_path):
 
 
 def test_runs_csv_marks_a_rejected_seed(tmp_path, monkeypatch):
-    run_seed = graphing.run_seed
+    # Injected at the batch entry: the batch holding seed 2 collides, is run
+    # again seed by seed, and only seed 2 collides alone.
+    run_batch = graphing._run_batch
 
-    def colliding(ctx, key, *args, seed_index=0, **kwargs):
-        if seed_index == 2:
+    def colliding(ctx, keys, eps_list, primary_eps, seed_indices, collect=None):
+        if 2 in seed_indices:
             raise MarkCollisionError("overlapping diamonds drew identical marks")
-        return run_seed(ctx, key, *args, seed_index=seed_index, **kwargs)
+        return run_batch(ctx, keys, eps_list, primary_eps, seed_indices, collect)
 
-    monkeypatch.setattr(graphing, "run_seed", colliding)
+    monkeypatch.setattr(graphing, "_run_batch", colliding)
     assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 0
     rows = _read_rows(tmp_path / "runs.csv")
     assert [r["rejected"] for r in rows] == ["False", "False", "True", "False"]
@@ -713,15 +715,16 @@ def test_runs_csv_marks_a_rejected_seed(tmp_path, monkeypatch):
 
 
 def test_a_pi1_violation_keeps_runs_csv_and_names_its_seeds(tmp_path, monkeypatch, capsys):
-    run_seed = graphing.run_seed
+    run_batch = graphing._run_batch
 
-    def violating(*args, seed_index=0, **kwargs):
-        st = run_seed(*args, seed_index=seed_index, **kwargs)
-        if seed_index == 1:
-            st.pi1_interior_violations = 2
-        return st
+    def violating(*args, **kwargs):
+        runs = run_batch(*args, **kwargs)
+        for st in runs:
+            if st.seed == 1:
+                st.pi1_interior_violations = 2
+        return runs
 
-    monkeypatch.setattr(graphing, "run_seed", violating)
+    monkeypatch.setattr(graphing, "_run_batch", violating)
     assert cli.main(["graphing", "--out", str(tmp_path)], config_overrides=SMALL) == 1
     rows = _read_rows(tmp_path / "runs.csv")
     assert [r["pi1_interior_violations"] for r in rows] == ["0", "2", "0", "0"]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -25,6 +26,7 @@ from horolab.graphing import (
     lift_open_pairs,
     pi3_edges,
     run_seed,
+    run_seeds,
     surviving_index,
 )
 from horolab.diamonds import in_diamond
@@ -38,7 +40,7 @@ from horolab.randomness import (
     combine_digests,
     seed_digest,
 )
-from horolab.schedule import build_schedule, linear_schedule
+from horolab.schedule import build_schedule, linear_schedule, schedule_for
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -59,6 +61,13 @@ def z_ctx():
     sched = linear_schedule(1, 30, growth=g, growth2=g)
     metric = ProductMetric(make_oracle(Z1), make_oracle(Z1), 1)
     return GraphingContext(metric, sched, 12, 6, 2)
+
+
+@pytest.fixture(scope="module")
+def f2f3_ctx():
+    """F2 x F3 at c = 2/3: an unequal pair, wr 3 and margin 1."""
+    metric = ProductMetric(make_oracle(F2), make_oracle(GroupSpec("free", rank=3)), "2/3")
+    return GraphingContext(metric, schedule_for(F2, metric.second.spec, "2/3", 12), 2, 3, 1)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +137,7 @@ def test_kernel_invariance(f2_ctx):
 
 def _seed_window(ctx, key):
     proc = sample_diamond_process(ctx.pctx, key)
-    return build_marked_window(ctx, proc)
+    return build_marked_window(ctx, [proc])
 
 
 def _copies_at(mw) -> dict:
@@ -888,12 +897,13 @@ def test_lifting_to_marked_copies(f2_ctx):
     multi = [pid for pid in pids if len(copies[pid]) >= 2]
     assert len(multi) >= 3
     pairs = [(pids[0], pids[1]), (multi[0], multi[-1]), tuple(sorted((multi[1], pids[2])))]
-    lifted = lift_open_pairs(mw, np.asarray(pairs, dtype=np.int64))
+    lifted, pair = lift_open_pairs(mw, np.asarray(pairs, dtype=np.int64))
     # pair by pair, the copies of the first point outer
     want = [
         (min(va, vb), max(va, vb)) for pa, pb in pairs for va in copies[pa] for vb in copies[pb]
     ]
     assert _rows(lifted) == want
+    assert pair.tolist() == [i for i, (pa, pb) in enumerate(pairs) for _ in copies[pa] for _ in copies[pb]]
 
 
 # Overlap breaking -----------------------------------------------------------
@@ -921,7 +931,7 @@ def test_mark_collision_rejects_seed(f2_ctx):
     k1, k2 = int(mw.v_k[copies[0]]), int(mw.v_k[copies[1]])
     mw.marks[k2] = mw.marks[k1]
     with pytest.raises(MarkCollisionError):
-        break_overlaps(mw, SeededRandomness(seed_digest(35, 0)))
+        break_overlaps(mw, [SeededRandomness(seed_digest(35, 0))])
 
 
 def _overlap_window(ctx):
@@ -947,7 +957,7 @@ def test_break_overlaps_matches_scalar_labels(f2_ctx):
             ranked = sorted(copies, key=lambda vi: (mw.marks[int(mw.v_k[vi])], vi))
             w = rng.uniform(int(pd[pid]), STREAM_OVERLAP)
             expected[ranked[surviving_index(len(ranked), w) - 1]] = True
-        np.testing.assert_array_equal(break_overlaps(mw, rng), expected)
+        np.testing.assert_array_equal(break_overlaps(mw, [rng]), expected)
 
 
 def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
@@ -958,14 +968,14 @@ def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
     last = [copies for copies in _copies_at(mw).values() if len(copies) >= 2][-1]
     mw.marks[int(mw.v_k[last[1]])] = mw.marks[int(mw.v_k[last[0]])]
     with pytest.raises(MarkCollisionError):
-        break_overlaps(mw, SeededRandomness(key))
+        break_overlaps(mw, [SeededRandomness(key)])
 
 
 def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
     from horolab import graphing, randomness
 
-    def tied_window(ctx, process):
-        mw = build_marked_window(ctx, process)
+    def tied_window(ctx, processes):
+        mw = build_marked_window(ctx, processes)
         for copies in _copies_at(mw).values():
             if len(copies) >= 2:
                 mw.marks[int(mw.v_k[copies[1]])] = mw.marks[int(mw.v_k[copies[0]])]
@@ -984,18 +994,25 @@ def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
     ids=lambda e: type(e).__name__,
 )
 def test_worker_failure_names_its_seed(f2_ctx, monkeypatch, threads, error):
-    from horolab import graphing, randomness
+    # The error is injected at the batch entry: a batch holding seed 3
+    # fails, and is run again seed by seed, which names the seed.
+    from horolab import graphing
     from horolab.graphing import SeedStats
 
-    def failing_run_seed(ctx, key, eps_list, primary_eps, seed_index=0, collect=None):
-        if seed_index == 3:
-            raise error
-        return SeedStats(seed=seed_index)
+    batches = []
 
-    monkeypatch.setattr(graphing, "run_seed", failing_run_seed)
+    def failing_batch(ctx, keys, eps_list, primary_eps, seed_indices, collect=None):
+        batches.append(list(seed_indices))
+        if 3 in seed_indices:
+            raise error
+        return [SeedStats(seed=s) for s in seed_indices]
+
+    monkeypatch.setattr(graphing, "_run_batch", failing_batch)
     with pytest.raises(type(error), match=r"^seed 3: ") as info:
         cost_report(f2_ctx, 5, [0.05], 0.05, 1, threads=threads)
     assert str(error) in str(info.value)
+    if threads == 1:
+        assert batches == [[1, 2, 3, 4], [1], [2], [3]]
 
 
 def test_a_slope_whose_numerators_pass_int32_is_an_input_error():
@@ -1035,7 +1052,7 @@ def test_s0_projects_bijectively(f2_ctx):
 
     mw = _seed_window(f2_ctx, seed_digest(33, 0))
     rng = SeededRandomness(seed_digest(33, 0))
-    keep = break_overlaps(mw, rng)
+    keep = break_overlaps(mw, [rng])
     kept_pids = [int(mw.v_pid[vi]) for vi in np.flatnonzero(keep)]
     assert len(kept_pids) == len(set(kept_pids)) == len(mw.bases)
 
@@ -1044,7 +1061,9 @@ def test_s0_projects_bijectively(f2_ctx):
 
 
 def _fake_mw(n, pids):
-    return SimpleNamespace(n_vertices=n, v_pid=np.asarray(pids, dtype=np.int64))
+    """The fields of a one-seed window that the phi and Pi4/Pi5 stages read."""
+    pids = np.asarray(pids, dtype=np.int64)
+    return SimpleNamespace(n_vertices=n, v_pid=pids, v_key=pids, bases=np.unique(pids))
 
 
 def _edges(pairs):
@@ -1095,8 +1114,10 @@ def test_pi5_connected_joins_the_sources_of_each_component():
     out = build_forest_and_pi45(mw, edges, s0, np.array([0.1, 0.2, 0.3, 0.4]))
     assert _rows(out["pi4"]) == [(0, 2)]
     roots = _component_roots(4, edges)
-    assert _pi5_connected(roots, out)
-    assert not _pi5_connected(roots, {**out, "pi4": _edges([])})
+    assert _pi5_connected(roots, out, [0, 4]).tolist() == [True]
+    assert _pi5_connected(roots, {**out, "pi4": _edges([])}, [0, 4]).tolist() == [False]
+    # Two seeds' segments: {0, 1, 2} stays joined, {3} alone is connected.
+    assert _pi5_connected(roots, {**out, "pi4": _edges([])}, [0, 3, 4]).tolist() == [False, True]
 
 
 def test_forest_accounting_matches_deleted_points(f2_ctx):
@@ -1106,7 +1127,7 @@ def test_forest_accounting_matches_deleted_points(f2_ctx):
     pi1 = build_pi1(mw)
     rng = SeededRandomness(seed_digest(34, 0))
     edges = pi3_edges(pi1, _edges([]))
-    keep = break_overlaps(mw, rng)
+    keep = break_overlaps(mw, [rng])
     w1 = rng.uniforms(point_digests(f2_ctx.kernel.space)[mw.v_pid], "w1:percolation")
     out = build_forest_and_pi45(mw, edges, keep, w1)
     flagged = set(np.flatnonzero(out["dist"] < 0).tolist())
@@ -1285,15 +1306,106 @@ def test_cost_report_zxz(z_ctx):
     assert 1.0 <= st["pi3"]["half_degree_mean"] <= 1.0 + 0.05
 
 
+def _stats(runs) -> list:
+    """Every field of each SeedStats, NaN read as a string so that it equals
+    itself, the largest fractions as sorted items."""
+    return [
+        [
+            sorted(value.items()) if isinstance(value, dict) else "nan" if value != value else value
+            for value in (getattr(st, f.name) for f in dataclasses.fields(st))
+        ]
+        for st in runs
+    ]
+
+
 def test_cost_report_threads_deterministic(z_ctx):
     a = cost_report(z_ctx, 6, [0.05], 0.05, 11, threads=1)
     b = cost_report(z_ctx, 6, [0.05], 0.05, 11, threads=2)
-    np.testing.assert_array_equal(
-        [r.half_deg_pi3 for r in a.runs], [r.half_deg_pi3 for r in b.runs]
-    )
-    np.testing.assert_array_equal(
-        [r.lambda_hat for r in a.runs], [r.lambda_hat for r in b.runs]
-    )
+    assert _stats(a.runs) == _stats(b.runs)
+    assert any(r.pi5_checked for r in a.runs) and any(r.pi5_se != r.pi5_se for r in a.runs)
+
+
+BATCH_KEYS = [seed_digest(90, s) for s in range(6)]
+
+
+@pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "f2f3_ctx"], indirect=True)
+def test_a_seeds_stats_do_not_depend_on_its_batch(perc_ctx, monkeypatch):
+    # Each seed's stages run over the disjoint union of its batch's marked
+    # windows, and its statistics are read from its own slices: alone, in
+    # batches of 3, in one batch and in reverse order, every field is the
+    # same.  z_ctx has a lattice first factor, so Pi1 reads the memoised
+    # tau of each (center, y).
+    ctx, eps = perc_ctx, [0.01, 0.05, 0.2]
+
+    def batch(order):
+        return run_seeds(ctx, [BATCH_KEYS[s] for s in order], eps, 0.05, list(order))
+
+    alone = [run_seed(ctx, key, eps, 0.05, seed_index=s) for s, key in enumerate(BATCH_KEYS)]
+    assert sum(r.vertices for r in alone) > 0 and not any(r.rejected for r in alone)
+    assert _stats(batch([0, 1, 2]) + batch([3, 4, 5])) == _stats(alone)
+    assert _stats(batch(range(6))) == _stats(alone)
+    assert _stats(batch(range(5, -1, -1))[::-1]) == _stats(alone)
+    # The sweep sizes its batches from `_TILE`: one seed, three, and all
+    # but seed 0, which runs alone.
+    run, calls = graphing.run_seeds, []
+    monkeypatch.setattr(graphing, "run_seeds", lambda c, k, *a: calls.append(len(k)) or run(c, k, *a))
+    for size in (1, 3, 5):
+        monkeypatch.setattr(graphing, "_TILE", 4 * size * math.ceil(ctx.vertices_per_seed))
+        calls.clear()
+        assert _stats(cost_report(ctx, 6, eps, 0.05, 90).runs) == _stats(alone)
+        assert calls == [size] * (5 // size) + [5 % size] * (5 % size > 0) + [1]
+
+
+def test_a_seed_without_vertices_in_a_batch(f2_ctx, monkeypatch):
+    # A seed whose process draws no center has empty slices: it reports its
+    # counts and defaults, as alone, and the other seeds are unchanged.
+    def sample(pctx, key):
+        process = sample_diamond_process(pctx, key)
+        if key == BATCH_KEYS[1]:
+            process.chosen, process.marks = process.chosen[:0], process.marks[:0]
+        return process
+
+    alone = [run_seed(f2_ctx, key, [0.05], 0.05, seed_index=s) for s, key in enumerate(BATCH_KEYS[:3])]
+    monkeypatch.setattr(graphing, "sample_diamond_process", sample)
+    runs = run_seeds(f2_ctx, BATCH_KEYS[:3], [0.05], 0.05, [0, 1, 2])
+    assert _stats(runs) == _stats([alone[0], graphing.SeedStats(seed=1), alone[2]])
+    assert _stats(runs[1:2]) == _stats([run_seed(f2_ctx, BATCH_KEYS[1], [0.05], 0.05, seed_index=1)])
+
+
+def test_a_mark_collision_rejects_only_its_seed(f2_ctx, monkeypatch):
+    # Two copies of one point of seed 2 drew the same mark: the batch is run
+    # again seed by seed, and only seed 2 is rejected.
+    keys = [seed_digest(35, s) for s in range(4)]
+    alone = [run_seed(f2_ctx, key, [0.05], 0.05, seed_index=s) for s, key in enumerate(keys)]
+
+    def tied_window(ctx, processes):
+        mw = build_marked_window(ctx, processes)
+        for i, process in enumerate(processes):
+            if process.seed == keys[2]:
+                [multi, *_] = np.flatnonzero((np.diff(mw.starts) > 1) & (mw.bases >> 32 == i))
+                a, b = mw.copies[mw.starts[multi] : mw.starts[multi] + 2]
+                mw.marks[mw.v_k[b]] = mw.marks[mw.v_k[a]]
+        return mw
+
+    monkeypatch.setattr(graphing, "build_marked_window", tied_window)
+    runs = run_seeds(f2_ctx, keys, [0.05], 0.05, [0, 1, 2, 3])
+    assert [r.rejected for r in runs] == [False, False, True, False]
+    assert _stats(runs[:2] + runs[3:]) == _stats(alone[:2] + alone[3:])
+
+
+def test_a_percolation_cap_hit_names_its_seed_in_a_batch(f2_ctx, monkeypatch):
+    # The cap counts each seed's open ranks: set just below the most a seed
+    # of the batch opens, only that seed exceeds it, and the error names it.
+    keys, emax = [seed_digest(36, s) for s in range(4)], 1.0
+    kernel = f2_ctx.kernel
+    ranks = [
+        _open_ranks(kernel, np.sort(_seed_window(f2_ctx, key).bases), [key], emax)[0] for key in keys
+    ]
+    k = int(np.argmax(ranks))
+    assert sorted(ranks)[-2] < ranks[k]
+    monkeypatch.setattr(kernel, "cap", ranks[k] - 1)
+    with pytest.raises(ResourceCapError, match=rf"^seed {20 + k}: percolation pairs exceeded"):
+        run_seeds(f2_ctx, keys, [0.05, emax], 0.05, [20, 21, 22, 23])
 
 
 def test_run_seed_collect_stages(z_ctx):
@@ -1376,14 +1488,14 @@ def test_ladder_labels_each_eps_as_its_own_pi3(perc_ctx):
         pi1 = build_pi1(mw)
         forest = _component_roots(mw.n_vertices, graphing.pi1_edges(pi1))
         opens = build_percolation(perc_ctx, mw.bases, SeededRandomness(key), LADDER_EPS)
-        lifts = {e: lift_open_pairs(mw, pairs) for e, pairs in opens.items()}
-        roots, fractions, drops = graphing._ladder(forest, lifts)
+        lifts = {e: lift_open_pairs(mw, pairs)[0] for e, pairs in opens.items()}
+        roots, fractions, drops = graphing._ladder(forest, lifts, [0, mw.n_vertices])
         assert list(roots) == list(fractions) == sorted(opens)
-        assert drops == 0
+        assert drops.tolist() == [0]
         for e, pairs in opens.items():
             want = _component_roots(mw.n_vertices, pi3_edges(pi1, lifts[e]))
             assert roots[e].tolist() == want.tolist()
-            assert fractions[e] == largest_component_fraction(want)
+            assert fractions[e].tolist() == [np.bincount(want).max() / mw.n_vertices]
             ends = forest[lifts[e]]
             empty += e > 0 and len(pairs) == 0
             joined += bool((ends[:, 0] != ends[:, 1]).any())
@@ -1408,11 +1520,14 @@ def test_distinct_is_np_unique(keys):
 
 
 def test_largest_component_fraction():
-    assert largest_component_fraction(_component_roots(4, [(0, 1), (2, 3)])) == 0.5
-    assert largest_component_fraction(_component_roots(3, [(0, 1), (1, 2)])) == 1.0
-    assert largest_component_fraction([0, 0, 2, 3]) == 0.5
-    assert largest_component_fraction(_component_roots(0, [])) == 0.0
-    assert largest_component_fraction([]) == 0.0
+    assert largest_component_fraction(_component_roots(4, [(0, 1), (2, 3)]), [0, 4]).tolist() == [0.5]
+    assert largest_component_fraction(_component_roots(3, [(0, 1), (1, 2)]), [0, 3]).tolist() == [1.0]
+    assert largest_component_fraction([0, 0, 2, 3], [0, 4]).tolist() == [0.5]
+    assert largest_component_fraction(_component_roots(0, []), [0, 0]).tolist() == [0.0]
+    assert largest_component_fraction([], [0, 0]).tolist() == [0.0]
+    # Segments, one per seed: their labels lie in them, and one may be empty.
+    roots = [0, 0, 0, 3, 4, 4, 4, 4]
+    assert largest_component_fraction(roots, [0, 3, 3, 8]).tolist() == [1.0, 0.0, 0.8]
 
 
 # Baseline -------------------------------------------------------------------
@@ -1492,9 +1607,14 @@ def test_baseline_peak_memory_stays_small():
 
 def test_both_sweeps_count_the_seeds_whose_fraction_drops(f2_ctx, monkeypatch):
     # Every fraction read falls below the one before, so each seed's ladder
-    # of three epsilons drops twice, and each seed counts once.
+    # of three epsilons drops twice, and each seed counts once; one read
+    # gives every seed of a batch its fraction.
     falling = itertools.count()
-    monkeypatch.setattr(graphing, "largest_component_fraction", lambda roots: -next(falling))
+
+    def fraction(roots, starts):
+        return np.full(len(starts) - 1, -next(falling), dtype=np.float64)
+
+    monkeypatch.setattr(graphing, "largest_component_fraction", fraction)
     rep = cost_report(f2_ctx, 4, [0.01, 0.05, 0.2], 0.05, 35)
     assert all(r.vertices and not r.rejected for r in rep.runs)
     assert rep.monotone_violations == 4

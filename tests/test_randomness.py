@@ -61,6 +61,22 @@ def test_scalar_matches_vector_path():
     assert vec[1] == r.uniform(int(d[1]), STREAM_MARKS)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, -3])
+def test_words_run_in_place_are_the_mix_composition(seed):
+    # `words` runs the two seeded rounds in place on one copy; the words are
+    # the two `_mix` rounds composed on fresh arrays, bit for bit, and the
+    # caller's digests are left as they were.
+    digests = np.random.default_rng(seed & 0xFFFF).integers(0, 2**64, 3000, dtype=np.uint64)
+    kept = digests.copy()
+    r = SeededRandomness(seed)
+    with np.errstate(over="ignore"):
+        want = randomness._mix(randomness._mix(digests ^ r._seed_mixed) ^ r._stream64(STREAM_MARKS))
+    assert r.words(digests, STREAM_MARKS).tobytes() == want.tobytes()
+    assert (digests == kept).all()
+    assert r.uniforms(digests, STREAM_MARKS).tobytes() == to_uniforms(want >> np.uint64(11)).tobytes()
+    assert r.uniform(int(digests[0]), STREAM_MARKS) == float(to_uniforms(want[:1] >> np.uint64(11))[0])
+
+
 def test_uniform_range_and_rough_moments():
     d = np.array([digest_str(f"x{i}") for i in range(20000)], dtype=np.uint64)
     u = SeededRandomness(42).uniforms(d, STREAM_CENTERS)
