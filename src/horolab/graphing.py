@@ -160,8 +160,8 @@ class PercolationKernel:
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every open
-        pair a < b of its window ids, sorted by a, then b: `ids` is one array
-        of window ids that every seed shares, or a list of one per seed.
+        pair a < b of its window ids, sorted by a, then b: `ids` lists one
+        array of window ids per seed.
 
         Each x of a seed's ids opens each element of its sphere_j with q_j =
         min(1, emax * p_j): the gaps between open ranks (`_unrank`'s order)
@@ -182,15 +182,10 @@ class PercolationKernel:
         """
         if not rngs:
             return []
-        if isinstance(ids, list):
-            member = np.zeros((len(rngs), len(self.space)), dtype=bool)
-            for row, own in zip(member, ids):
-                row[own] = True
-            largest, ids = max(map(len, ids)), _distinct(np.concatenate(ids))
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            member = np.bincount(ids, minlength=len(self.space)).astype(bool)[None]
-            largest = len(ids)
+        member = np.zeros((len(rngs), len(self.space)), dtype=bool)
+        for row, own in zip(member, ids):
+            row[own] = True
+        largest, ids = max(map(len, ids)), np.flatnonzero(member.any(axis=0))
         p = self.lut[self.nums]
         q = np.minimum(1.0, float(emax) * p)
         with np.errstate(divide="ignore"):
@@ -206,10 +201,8 @@ class PercolationKernel:
             keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64)).ravel()
             first, pending = combine_digests(keys, 0), []
             for s, rng in enumerate(rngs):
-                cell, pos, words = np.arange(len(keys)), -1.0, first
-                if len(member) > 1:  # the cells of the seed's own points
-                    cell = np.flatnonzero(np.repeat(member[s, block], len(drawn)))
-                    words = first[cell]
+                cell, pos = np.flatnonzero(np.repeat(member[s, block], len(drawn))), -1.0
+                words = first[cell]  # the cells of the seed's own points
                 for gap in itertools.count():
                     j = drawn[cell % len(drawn)]
                     w = rng.uniforms(words, STREAM_PERCOLATION)
@@ -232,9 +225,7 @@ class PercolationKernel:
                 x, j, pending = block[cell // len(drawn)], drawn[cell % len(drawn)], []
                 y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
-                # A shared id array is the one row of `member`.
-                mine = member[seed[keep] % len(member), y[keep]]
-                keep = keep[mine & (self.digests[x[keep]] < self.digests[y[keep]])]
+                keep = keep[member[seed[keep], y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
                 seed, cell, x, j, gap, y = seed[keep], cell[keep], x[keep], j[keep], gap[keep], y[keep]
                 v, a, b = combine_digests(keys[cell], 2 * gap + 1), np.minimum(x, y), np.maximum(x, y)
                 cut = np.searchsorted(seed, np.arange(len(rngs) + 1))
@@ -533,7 +524,7 @@ def build_percolation(ctx: GraphingContext, base_pids, rng: SeededRandomness, ep
     if not eps_list:
         return {}
     bases = np.sort(np.asarray(base_pids, dtype=np.int64))
-    [opened] = ctx.kernel.open_pairs(bases, [rng], max(eps_list))
+    [opened] = ctx.kernel.open_pairs([bases], [rng], max(eps_list))
     return _open_at(opened, eps_list)
 
 
@@ -602,7 +593,8 @@ def surviving_index(k, w):
 def _uniforms_by_seed(rngs, digests, starts, tag) -> np.ndarray:
     """rngs[i].uniforms(digests[starts[i]:starts[i + 1]], tag) for each seed
     i, concatenated."""
-    return np.concatenate([rng.uniforms(digests[lo:hi], tag) for rng, lo, hi in zip(rngs, starts, starts[1:])])
+    parts = [rng.uniforms(digests[lo:hi], tag) for rng, lo, hi in zip(rngs, starts, starts[1:])]
+    return np.concatenate(parts)
 
 
 def break_overlaps(mw: MarkedWindow, rngs) -> np.ndarray:
@@ -612,10 +604,7 @@ def break_overlaps(mw: MarkedWindow, rngs) -> np.ndarray:
     digests = mw.ctx.kernel.digests[mw.bases & 0xFFFFFFFF]
     labels = _uniforms_by_seed(rngs, digests, mw.base_starts, STREAM_OVERLAP)
     marks = mw.marks[mw.v_k]
-    # By point, then mark: one key of the point's base index and the mark's
-    # rank.  Only tied marks, which raise below, would need the vertex.
-    mark_rank = np.argsort(np.argsort(mw.marks))
-    ranked = np.argsort(np.searchsorted(mw.bases, mw.v_key) * len(mw.marks) + mark_rank[mw.v_k])
+    ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_key))
     same_point = np.diff(mw.v_key[ranked]) == 0
     if (same_point & (np.diff(marks[ranked]) == 0)).any():
         raise MarkCollisionError("overlapping diamonds drew identical marks; reject this seed")
@@ -1236,7 +1225,7 @@ def coset_line_baseline(
     monotone_violations = 0
     emax = max(eps_list, default=0.0)
     rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
-    for opened in kernel.open_pairs(np.arange(n), rngs, emax):
+    for opened in kernel.open_pairs([np.arange(n)] * seeds, rngs, emax):
         pairs = _open_at(opened, eps_list)
         _, fractions, drops = _ladder(lines, pairs, [0, n])
         monotone_violations += int(drops[0] > 0)

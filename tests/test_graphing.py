@@ -444,7 +444,7 @@ def _assert_seeds_match_reference(kernel, base_ids, keys, emax) -> list:
     `base_ids` against the per-rank reference of each seed: the same rows
     (a, b, u, p), in the same order.  Returns the call's rows."""
     S = np.sort(np.asarray(base_ids, dtype=np.int64))
-    got = kernel.open_pairs(S, [SeededRandomness(key) for key in keys], emax)
+    got = kernel.open_pairs([S] * len(keys), [SeededRandomness(key) for key in keys], emax)
     assert len(got) == len(keys)
     for key, (a, b, u, p) in zip(keys, got):
         assert a.dtype == b.dtype == np.int64 and u.dtype == p.dtype == np.float64
@@ -485,7 +485,7 @@ def test_percolation_clamps_at_certain_opening(certain_kernel):
     # = 1, as at eps 1), eps = 0 none.
     kernel = certain_kernel
     ids = np.arange(0, len(kernel.space), 3)
-    [opened] = kernel.open_pairs(ids, [SeededRandomness(seed_digest(62, 0))], 4096.0)
+    [opened] = kernel.open_pairs([ids], [SeededRandomness(seed_digest(62, 0))], 4096.0)
     [again] = _assert_seeds_match_reference(kernel, ids, [seed_digest(62, 0)], 1.0)
     assert all(x.tobytes() == y.tobytes() for x, y in zip(opened, again))
     got = {e: _rows(pairs) for e, pairs in graphing._open_at(opened, [0.0, 1.0, 4096.0]).items()}
@@ -499,7 +499,7 @@ def test_a_pair_opens_only_strictly_below_its_threshold(monkeypatch):
     # and one float step above u opens it.
     kernel = _small_kernel("ZxZ", 2)
     monkeypatch.setattr(kernel, "lut", np.ones_like(kernel.lut))
-    [opened] = kernel.open_pairs(np.array([0, 1]), [SeededRandomness(seed_digest(66, 0))], 1.0)
+    [opened] = kernel.open_pairs([np.array([0, 1])], [SeededRandomness(seed_digest(66, 0))], 1.0)
     [u] = opened[2].tolist()
     got = graphing._open_at(opened, [u, np.nextafter(u, 1.0)])
     assert _rows(got[u]) == [] and _rows(got[np.nextafter(u, 1.0)]) == [(0, 1)]
@@ -525,11 +525,11 @@ def test_the_cap_fires_one_below_a_seeds_open_ranks(small_kernel, monkeypatch):
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
     ranks = _open_ranks(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
     monkeypatch.setattr(small_kernel, "cap", max(ranks))
-    kept = sum(len(a) for a, _, _, _ in small_kernel.open_pairs(ids, rngs, 1.0))
+    kept = sum(len(a) for a, _, _, _ in small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0))
     assert kept < sum(ranks) and sum(ranks) > max(ranks)
     monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs exceeded the enumeration cap"):
-        small_kernel.open_pairs(ids, rngs, 1.0)
+        small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0)
 
 
 @pytest.mark.parametrize("tile", [1, 10])
@@ -540,14 +540,14 @@ def test_blocks_of_points_change_neither_the_pairs_nor_the_cap(small_kernel, mon
     # the cap still fires one below the largest seed's open ranks.
     ids = np.arange(len(small_kernel.space))
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
-    whole = small_kernel.open_pairs(ids, rngs, 1.0)
+    whole = small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0)
     monkeypatch.setattr(graphing, "_TILE", tile)
     got = _assert_seeds_match_reference(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
     assert all(x.tobytes() == y.tobytes() for g, w in zip(got, whole) for x, y in zip(g, w))
     ranks = _open_ranks(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
     monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        small_kernel.open_pairs(ids, rngs, 1.0)
+        small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0)
 
 
 @pytest.mark.parametrize("tile", [1, 10, graphing._TILE])
@@ -559,10 +559,10 @@ def test_a_seeds_rows_do_not_depend_on_the_seeds_drawn_with_it(small_kernel, mon
     ids = np.arange(len(small_kernel.space))
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
     monkeypatch.setattr(graphing, "_TILE", tile)
-    together = small_kernel.open_pairs(ids, rngs, emax)
-    backwards = small_kernel.open_pairs(ids, rngs[::-1], emax)[::-1]
+    together = small_kernel.open_pairs([ids] * len(rngs), rngs, emax)
+    backwards = small_kernel.open_pairs([ids] * len(rngs), rngs[::-1], emax)[::-1]
     for rng, *rows in zip(rngs, together, backwards):
-        [alone] = small_kernel.open_pairs(ids, [rng], emax)
+        [alone] = small_kernel.open_pairs([ids], [rng], emax)
         assert all(x.tobytes() == y.tobytes() for got in rows for x, y in zip(got, alone))
     assert sum(len(a) for a, _, _, _ in together) > 0
 
@@ -586,7 +586,7 @@ def test_each_distinct_factor_step_is_multiplied_once(monkeypatch):
     for f, fb in enumerate((space.ball1, space.ball2)):
         multiply = fb.oracle.multiply
         monkeypatch.setattr(fb.oracle, "multiply", lambda a, b, f=f, m=multiply: calls.append(f) or m(a, b))
-    kernel.open_pairs(ids, [SeededRandomness(key) for key in MULTI_SEED_KEYS], emax)
+    kernel.open_pairs([ids] * len(MULTI_SEED_KEYS), [SeededRandomness(key) for key in MULTI_SEED_KEYS], emax)
     assert [calls.count(0), calls.count(1)] == want
     assert max(want) < len(opened)
 
@@ -600,7 +600,7 @@ def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, mon
     assert ranks == len(ids) * sum(kernel.counts.values())
     rng = SeededRandomness(MULTI_SEED_KEYS[0])
     monkeypatch.setattr(kernel, "cap", ranks)
-    kernel.open_pairs(ids, [rng], 1.0)
+    kernel.open_pairs([ids], [rng], 1.0)
     monkeypatch.setattr(kernel, "cap", ranks - 1)
 
     def never(*args):
@@ -609,7 +609,7 @@ def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, mon
     monkeypatch.setattr(rng, "uniforms", never)
     monkeypatch.setattr(kernel, "_unrank", never)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        kernel.open_pairs(ids, [rng], 1.0)
+        kernel.open_pairs([ids], [rng], 1.0)
 
 
 def test_open_pairs_checks_the_cap_after_each_round(monkeypatch):
@@ -623,7 +623,7 @@ def test_open_pairs_checks_the_cap_after_each_round(monkeypatch):
     monkeypatch.setattr(rng, "uniforms", lambda *a: calls.append(1) or draw(*a))
     monkeypatch.setattr(kernel, "cap", len(ids) * len(kernel.nums) // 2)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
-        kernel.open_pairs(ids, [rng], 1.0)
+        kernel.open_pairs([ids], [rng], 1.0)
     assert len(calls) == 1
 
 
@@ -655,7 +655,7 @@ def test_open_pairs_per_weight_class_match_their_expectation(specs):
     seeds, emax = 100, 1.0
     rngs = [SeededRandomness(seed_digest(70, s)) for s in range(seeds)]
     opened = np.zeros(len(kernel.lut))
-    for a, b, _, _ in kernel.open_pairs(np.arange(n), rngs, emax):
+    for a, b, _, _ in kernel.open_pairs([np.arange(n)] * seeds, rngs, emax):
         opened += np.bincount(_rho_nums(kernel.space, a, b), minlength=len(kernel.lut))
     q = emax * kernel.lut
     mean, var = seeds * classes * q, seeds * classes * q * (1 - q)
@@ -759,7 +759,7 @@ def test_an_f2_kernel_at_wr_6_builds_no_square_table():
     try:
         kernel = graphing.PercolationKernel(metric, 6, cap=1457**2 - 1)
         kernel.row_masses(np.arange(3))
-        kernel.open_pairs(np.arange(0, len(kernel.space), 7), [SeededRandomness(1)], 0.05)
+        kernel.open_pairs([np.arange(0, len(kernel.space), 7)], [SeededRandomness(1)], 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -871,7 +871,7 @@ def test_pi2_and_the_baseline_are_one_percolation(perc_ctx):
         bases = _seed_window(ctx, key).bases.tolist()
         pi2 = build_percolation(ctx, bases, SeededRandomness(key), [0.3])[0.3]
         got = {frozenset((space.element(a), space.element(b))) for a, b in pi2}
-        [(a, b, _, _)] = kernel.open_pairs(np.arange(len(window)), [SeededRandomness(key)], 0.3)
+        [(a, b, _, _)] = kernel.open_pairs([np.arange(len(window))], [SeededRandomness(key)], 0.3)
         on_bases = {space.element(pid) for pid in bases}
         want = {
             pair
@@ -1334,11 +1334,12 @@ def test_a_seeds_stats_do_not_depend_on_its_batch(perc_ctx, monkeypatch):
     # windows, and its statistics are read from its own slices: alone, in
     # batches of 3, in one batch and in reverse order, every field is the
     # same.  z_ctx has a lattice first factor, so Pi1 reads the memoised
-    # tau of each (center, y).
+    # tau of each (center, y).  The batches call `_run_batch` itself, which
+    # has no seed-by-seed fallback, so a batch that fails fails the test.
     ctx, eps = perc_ctx, [0.01, 0.05, 0.2]
 
     def batch(order):
-        return run_seeds(ctx, [BATCH_KEYS[s] for s in order], eps, 0.05, list(order))
+        return graphing._run_batch(ctx, [BATCH_KEYS[s] for s in order], eps, 0.05, list(order))
 
     alone = [run_seed(ctx, key, eps, 0.05, seed_index=s) for s, key in enumerate(BATCH_KEYS)]
     assert sum(r.vertices for r in alone) > 0 and not any(r.rejected for r in alone)
@@ -1346,9 +1347,10 @@ def test_a_seeds_stats_do_not_depend_on_its_batch(perc_ctx, monkeypatch):
     assert _stats(batch(range(6))) == _stats(alone)
     assert _stats(batch(range(5, -1, -1))[::-1]) == _stats(alone)
     # The sweep sizes its batches from `_TILE`: one seed, three, and all
-    # but seed 0, which runs alone.
-    run, calls = graphing.run_seeds, []
-    monkeypatch.setattr(graphing, "run_seeds", lambda c, k, *a: calls.append(len(k)) or run(c, k, *a))
+    # but seed 0, which runs alone.  A batch run again seed by seed would
+    # add one-seed calls.
+    run, calls = graphing._run_batch, []
+    monkeypatch.setattr(graphing, "_run_batch", lambda c, k, *a: calls.append(len(k)) or run(c, k, *a))
     for size in (1, 3, 5):
         monkeypatch.setattr(graphing, "_TILE", 4 * size * math.ceil(ctx.vertices_per_seed))
         calls.clear()
@@ -1367,7 +1369,7 @@ def test_a_seed_without_vertices_in_a_batch(f2_ctx, monkeypatch):
 
     alone = [run_seed(f2_ctx, key, [0.05], 0.05, seed_index=s) for s, key in enumerate(BATCH_KEYS[:3])]
     monkeypatch.setattr(graphing, "sample_diamond_process", sample)
-    runs = run_seeds(f2_ctx, BATCH_KEYS[:3], [0.05], 0.05, [0, 1, 2])
+    runs = graphing._run_batch(f2_ctx, BATCH_KEYS[:3], [0.05], 0.05, [0, 1, 2])
     assert _stats(runs) == _stats([alone[0], graphing.SeedStats(seed=1), alone[2]])
     assert _stats(runs[1:2]) == _stats([run_seed(f2_ctx, BATCH_KEYS[1], [0.05], 0.05, seed_index=1)])
 
