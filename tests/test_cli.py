@@ -773,7 +773,13 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # covering centers, the change that moved the most ids on an unbalanced
 # product (97,313 of the 210,713 points of the earlier center window at
 # n = 2, wr 3), with digests taken before that change.
+# The free-product and direct-product runs were pinned before factor balls
+# became arrays (closed-form free balls, a right-step table and tree-walked
+# quotient tables), with digests taken before that change.
+F2 = {"kind": "free", "rank": 2}
 F3 = {"kind": "free", "rank": 3}
+C2C3 = {"kind": "free_product", "factors": [{"kind": "cyclic", "order": q} for q in (2, 3)]}
+F2xZ = {"kind": "direct_product", "factors": [F2, {"kind": "integer_lattice", "dim": 1}]}
 PINNED_RUNS = {
     "all": ("all", SMALL),
     "graphing": ("graphing", {"graphing": {"window_radius": 4, "seeds": 5, "eps": 1.0}}),
@@ -800,6 +806,11 @@ PINNED_RUNS = {
         },
     ),
     "prop13": ("prop13", {"prop13": {"window_radius": 3, "seeds": 3}}),
+    "graphing-c2c3xf2": (
+        "graphing",
+        {"group": C2C3, "group2": F2, "c": "1/2", "graphing": {"window_radius": 4, "seeds": 10}},
+    ),
+    "graphing-f2zxf2": ("graphing", {"group": F2xZ, "graphing": {"window_radius": 4, "seeds": 5}}),
 }
 PINNED_DIGESTS = {
     "all": {
@@ -873,6 +884,20 @@ PINNED_DIGESTS = {
         "plot.csv": "23e786332385289ca97ebf0e6ec4544c2333048b3a504db43f11a840d7c3ba02",
         "summary.json": "669080493e42026e122abfe73245b0f85532c53462c5766d3ce013161a111f08",
     },
+    "graphing-c2c3xf2": {
+        "cost_report.json": "1be86c4273fba7805d58c2ca78b74ad64282771554e27bcfa4186c830064ba95",
+        "edges_seed0.csv": "ea8759b9b2a083c018b01439167bb91cc1b07f9ca069e0d8ba6d6efe74c74541",
+        "pi5_seed0.csv": "5bf39717e398c13e0cc60ac7c381ec1fb74858f66b1e1a78f522ad9d2d58d8dc",
+        "plot.csv": "21b9c7ca433b1abb97da89315db2c7989cff5473ae9a13fcc93e7a5ebaf14559",
+        "runs.csv": "e5e038670ee3ef6e249401db834a4403d6c2d04a2aac52097c9e9f3c31c3ff07",
+    },
+    "graphing-f2zxf2": {
+        "cost_report.json": "424f7959c21c77de4d4ccffd74e0e6131f1d927f62dcbf78da323f2111080df8",
+        "edges_seed0.csv": "54739db7c234bbf41869bcf4d3d2e563586d52aa0d0936db353edbecbc803a31",
+        "pi5_seed0.csv": "89368c304bb49ab8bfb7696530202b260886c8562fa1e5de47791a1da623d284",
+        "plot.csv": "c35b90d6acdc57ed40ddc974829dab7fe2e7d48069d1bc9a07e72a7b9fbced61",
+        "runs.csv": "f3d54bf00365a0e35ee9bc70bd030eccdf74166634282e49ace0e2f848423164",
+    },
 }
 
 
@@ -895,7 +920,7 @@ def test_center_draw_is_the_uniforms_threshold_on_the_pinned_wr4_seeds():
             want = np.flatnonzero(u <= 1.0 / ctx.volume)
             assert sample_diamond_process(ctx, key).chosen.tolist() == want.tolist()
             checked += 1
-    assert checked == 4 + 5 + 30
+    assert checked == 4 + 5 + 30 + 10 + 5
 
 
 @pytest.mark.parametrize("run", sorted(PINNED_RUNS))
