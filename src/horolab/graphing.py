@@ -1207,11 +1207,9 @@ def coset_line_baseline(
     kernel = PercolationKernel(metric, window_radius, cap)
     space = kernel.space
     interior = space.mask_within(window_radius - margin)
-    gen = first.generator_map()[first.gen_pairs()[0][0]]
     n = len(space)
-    ball1 = space.ball1
-    # First-ball index of y * gen: the quotient y * (gen^-1)^-1.
-    succ = ball1.quotient_table(len(ball1), [first.inverse(gen)])[:, 0]
+    # First-ball index of y * gen, gen the first generator: its step column.
+    succ = space.ball1.step[:, 0]
     tgt = space.lookup(succ[space.pts1], space.pts2)
     src = np.flatnonzero(tgt >= 0)
     lo, hi = np.minimum(src, tgt[src]), np.maximum(src, tgt[src])

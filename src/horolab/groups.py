@@ -10,18 +10,23 @@ vectorised function of two index arrays: in closed form for free groups,
 cyclic groups, lattices and direct products, and from one capped table
 (the only one) for free products.
 
-Ball enumeration is plain BFS with a hard element cap; `ball` keeps each
-group's largest enumeration for the process and serves smaller radii as
-its prefixes.  Sphere counts are also available through exact truncated
-power-series arithmetic, which reaches radii far beyond what enumeration
-can store; the two routes are checked against each other in the test
-suite.
+A ball (`Ball`) is its BFS tree as arrays: each element's distance,
+parent and last generator, and a right-step table of its products with
+the generators.  A free group's ball is built level by level in closed
+form; every other group's by a BFS over canonical forms that keeps the
+products it computes.  `enumerate_ball` is the plain BFS, the independent
+reference.  `ball` checks the element cap against the exact sphere counts
+before anything is built, keeps each group's largest ball for the process
+and serves smaller radii as its prefixes.  Sphere counts come from exact
+truncated power-series arithmetic, which reaches radii far beyond what
+enumeration can store; the two routes are checked against each other in
+the test suite.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -631,34 +636,167 @@ def _convolve(a, b, horizon):
 # Balls and growth ---------------------------------------------------------
 
 
-# Group spec -> (radius, ball): the largest ball of each group enumerated
-# so far in this process.  Balls are sorted by distance first, so every
-# smaller ball is an index prefix of it.
+class Ball:
+    """The elements within `radius` of the identity as a BFS tree, indexed
+    in (distance, sort_key) order, so a smaller ball is an index prefix.
+
+    For the element of index i, `dist[i]` is its distance, `parent[i]` the
+    index of an element one step closer to the identity (0 for the
+    identity itself), `gen[i]` the column g, in `oracle.gen_pairs()`
+    order, with elements[parent[i]] * g = elements[i] (-1 for the
+    identity), and `step[i, g]` the index of elements[i] * g, -1 outside
+    the ball; `inverse[g]` is the column of g's inverse.  The arrays are
+    int32 and read-only.  The element tuples, their `index` and their
+    `words` are built on first use; iterating gives `enumerate_ball`'s
+    (element, distance) pairs.
+    """
+
+    def __init__(self, oracle: Oracle, radius: int, dist, parent, gen, step, elements=None):
+        self.oracle, self.radius = oracle, radius
+        self.dist, self.parent, self.gen, self.step = dist, parent, gen, step
+        for a in (dist, parent, gen, step):
+            a.flags.writeable = False
+        if elements is not None:
+            self.__dict__["elements"] = elements  # the cached_property's value
+        gens = [g for _, g in oracle.gen_pairs()]
+        self.inverse = np.array([gens.index(oracle.inverse(g)) for g in gens])
+        self._prefixes = {}
+
+    def __len__(self):
+        return len(self.dist)
+
+    def __iter__(self):
+        return zip(self.elements, self.dist.tolist())
+
+    def prefix(self, radius: int) -> "Ball":
+        """The ball of `radius` <= self.radius: its index prefix, with the
+        steps that leave it set to -1; one object per radius."""
+        if radius == self.radius:
+            return self
+        if radius not in self._prefixes:
+            n = int(np.searchsorted(self.dist, radius, side="right"))
+            step = np.where(self.step[:n] < n, self.step[:n], np.int32(-1))
+            elements = self.__dict__.get("elements")
+            self._prefixes[radius] = Ball(
+                self.oracle, radius, self.dist[:n], self.parent[:n], self.gen[:n], step,
+                None if elements is None else elements[:n],
+            )
+        return self._prefixes[radius]
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The canonical forms, each its parent's times its last generator."""
+        gens = [g for _, g in self.oracle.gen_pairs()]
+        out = [self.oracle.identity]
+        for p, g in zip(self.parent[1:].tolist(), self.gen[1:].tolist()):
+            out.append(self.oracle.multiply(out[p], gens[g]))
+        return tuple(out)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {el: i for i, el in enumerate(self.elements)}
+
+    @functools.cached_property
+    def words(self) -> list:
+        """`oracle.word_str` of each element.  A free group's reduced word
+        is its parent's plus one letter, so those are built along the tree,
+        without the element tuples."""
+        orc = self.oracle
+        if not isinstance(orc, FreeOracle):
+            return [orc.word_str(el) for el in self.elements]
+        letters, out = [orc.word_str(g) for _, g in orc.gen_pairs()], [""]
+        for p, g in zip(self.parent[1:].tolist(), self.gen[1:].tolist()):
+            out.append(out[p] + letters[g])
+        out[0] = orc.word_str(orc.identity)
+        return out
+
+
+def _free_ball(oracle: FreeOracle, radius: int) -> Ball:
+    """`ball` of a free group in closed form, level by level: the words of
+    length m + 1 are those of length m, in order, each followed by every
+    letter but the inverse of its last one, in the letters' order -k < ...
+    < -1 < 1 < ... < k, which is the order of `sort_key`."""
+    letters = [g[0] for _, g in oracle.gen_pairs()]
+    cols = np.argsort(letters).astype(np.int32)
+    inverse = np.array([letters.index(-x) for x in letters] + [-1])  # [-1]: the identity's
+    parent, gen = [np.zeros(1, dtype=np.int32)], [np.full(1, -1, dtype=np.int32)]
+    lo = 0
+    for _ in range(radius):
+        keep = cols[None, :] != inverse[gen[-1]][:, None]
+        rows, _ = np.nonzero(keep)
+        parent.append((rows + lo).astype(np.int32))
+        gen.append(np.broadcast_to(cols, keep.shape)[keep])
+        lo += len(keep)
+    sizes = [len(level) for level in parent]
+    parent, gen = np.concatenate(parent), np.concatenate(gen)
+    n = len(parent)
+    step = np.full((n, len(letters)), -1, dtype=np.int32)
+    step[parent[1:], gen[1:]] = np.arange(1, n, dtype=np.int32)
+    step[np.arange(1, n), inverse[gen[1:]]] = parent[1:]
+    dist = np.repeat(np.arange(radius + 1, dtype=np.int32), sizes)
+    return Ball(oracle, radius, dist, parent, gen, step)
+
+
+def _bfs_ball(oracle: Oracle, radius: int) -> Ball:
+    """`ball` by BFS over canonical forms, which keeps every product el * g
+    it computes as a step, then sorts each sphere by `sort_key`."""
+    gens = [g for _, g in oracle.gen_pairs()]
+    els, index = [oracle.identity], {oracle.identity: 0}
+    parent, gen, dist, step = array("i", [0]), array("i", [-1]), array("i", [0]), array("i")
+    for i, el in enumerate(els):  # els grows while it is read: the BFS queue
+        for g, x in enumerate(gens):
+            nb = oracle.multiply(el, x)
+            j = index.get(nb)
+            if j is None and dist[i] < radius:
+                j = index[nb] = len(els)
+                els.append(nb)
+                parent.append(i)
+                gen.append(g)
+                dist.append(dist[i] + 1)
+            step.append(-1 if j is None else j)
+    del index
+    order = np.array(sorted(range(len(els)), key=lambda i: (dist[i], oracle.sort_key(els[i]))))
+    rank = np.full(len(els) + 1, -1, dtype=np.int32)  # rank[-1] = -1 keeps a missing step
+    rank[order] = np.arange(len(els))
+    return Ball(
+        oracle,
+        radius,
+        np.asarray(dist)[order],
+        rank[np.asarray(parent)[order]],
+        np.asarray(gen)[order],
+        rank[np.asarray(step).reshape(len(els), len(gens))[order]],
+        tuple(els[i] for i in order.tolist()),
+    )
+
+
+# Group spec -> the largest ball of that group built so far in this
+# process, of which every smaller ball is a prefix.
 _BALLS = {}
 
 
-def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
-    """All elements within `radius` of the identity, as a new list of
-    (element, distance) sorted by (distance, sort_key).
+def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP) -> Ball:
+    """All elements within `radius` of the identity, as a read-only `Ball`.
 
-    The largest ball asked for so far is kept per group spec for the rest
-    of the process; a smaller radius is served as its prefix, a larger one
-    enumerates again and replaces it.  The cap is checked on every call:
-    ResourceCapError exactly when the ball has more than `cap` elements.
+    The cap is checked on every call against the exact sphere counts,
+    before anything is built: ResourceCapError exactly when the ball has
+    more than `cap` elements.  The largest ball asked for so far is kept
+    per group spec for the rest of the process; a smaller radius is served
+    as its prefix, a larger one is built again and replaces it.
     """
     if radius < 0:
         raise InputError("ball radius must be >= 0")
-    kept = _BALLS.get(oracle.spec)
-    if kept is None or kept[0] < radius:
-        kept = _BALLS[oracle.spec] = (radius, enumerate_ball(oracle, radius, cap))
-    size = bisect.bisect_right(kept[1], radius, key=lambda pair: pair[1])
-    if size > cap:
+    if sum(oracle.sphere_sizes(radius)) > cap:
         raise ResourceCapError("ball enumeration", cap)
-    return kept[1][:size]
+    kept = _BALLS.get(oracle.spec)
+    if kept is None or kept.radius < radius:
+        build = _free_ball if isinstance(oracle, FreeOracle) else _bfs_ball
+        kept = _BALLS[oracle.spec] = build(oracle, radius)
+    return kept.prefix(radius)
 
 
 def enumerate_ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
-    """`ball` by plain BFS, without the per-spec memo."""
+    """The (element, distance) pairs of `ball` by plain BFS, sorted by
+    (distance, sort_key), without the memo: the reference for `Ball`."""
     gens = [g for _, g in oracle.gen_pairs()]
     dist = {oracle.identity: 0}
     frontier = deque([oracle.identity])
@@ -775,10 +913,7 @@ def growth_series(
 
 
 def _spheres_by_bfs(oracle, horizon, cap):
-    counts = [0] * (horizon + 1)
-    for _, d in ball(oracle, horizon, cap):
-        counts[d] += 1
-    return counts
+    return np.bincount(ball(oracle, horizon, cap).dist, minlength=horizon + 1).tolist()
 
 
 def generator_bound(*oracles) -> int:

@@ -125,23 +125,25 @@ class FreeRaySteps:
     by the ray's next letter when y lies on the ray, and y's parent (y
     without its last letter) otherwise.
 
-    The tables are built once per ball, whose elements are listed by
-    length (`FactorBall`).  For the element of index i: `prefix[k, i]` is
-    the index of its length-min(k, |i|) prefix (the prefix ids per level),
-    `last[i]` its last letter (0 for e), `run[i]` the length of its
-    trailing run of that letter, and `child[i, x + rank]` the index of i
-    followed by the letter x, -1 outside the ball.
+    The tables are built once per ball from its BFS tree (`FactorBall`),
+    whose elements are listed by length; a reduced word's parent is the
+    word without its last letter.  For the element of index i:
+    `prefix[k, i]` is the index of its length-min(k, |i|) prefix (the
+    prefix ids per level), `last[i]` its last letter (0 for e), `run[i]`
+    the length of its trailing run of that letter, and the ball's
+    `step[i, column[x + rank]]` the index of i followed by the letter x,
+    -1 outside the ball.
     """
 
     def __init__(self, ball):
-        els, rank = ball.elements, ball.oracle.spec.rank
-        size, radius = len(els), ball.radius
-        self.rank = rank
+        rank, size, radius = ball.oracle.spec.rank, len(ball), ball.radius
+        letters = np.array([g[0] for _, g in ball.oracle.gen_pairs()])
+        self.rank, self.step = rank, ball.step
+        self.column = np.zeros(2 * rank + 1, dtype=np.int64)
+        self.column[letters + rank] = np.arange(2 * rank)
         self.length = ball.dist.astype(np.int64)
-        self.parent = np.fromiter(
-            (ball.index[el[:-1]] if el else 0 for el in els), dtype=np.int64, count=size
-        )
-        self.last = np.fromiter((el[-1] if el else 0 for el in els), dtype=np.int64, count=size)
+        self.parent = ball.parent.astype(np.int64)
+        self.last = np.append(letters, 0)[ball.gen]  # gen -1, the identity's, reads 0
         self.run = np.zeros(size, dtype=np.int64)
         self.prefix = np.zeros((radius + 1, size), dtype=np.int32)
         # Level by level: a word's parent is one level shorter, so it is done.
@@ -152,8 +154,6 @@ class FreeRaySteps:
             self.run[lo:hi] = np.where(same, self.run[up] + 1, 1)
             self.prefix[:m, lo:hi] = self.prefix[:m, up]
             self.prefix[m:, lo:hi] = np.arange(lo, hi)
-        self.child = np.full((size, 2 * rank + 1), -1, dtype=np.int64)
-        self.child[self.parent[1:], self.last[1:] + rank] = np.arange(1, size)
 
     def __call__(self, center, y) -> np.ndarray:
         """Ball index of the descent step of each y[i] toward the end of
@@ -172,7 +172,7 @@ class FreeRaySteps:
             & ((m == n) | ((self.last[y] == last_c) & (self.run[y] >= m - n))),
         )
         step = np.where(short, next_in_c, last_c)
-        return np.where(on_ray, self.child[y, step + self.rank], self.parent[y])
+        return np.where(on_ray, self.step[y, self.column[step + self.rank]], self.parent[y])
 
 
 class Horofunction:

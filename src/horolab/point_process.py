@@ -37,7 +37,7 @@ from .randomness import (
     SeededRandomness,
     bits_at_most,
     combine_digests,
-    digest_str,
+    digest_strs,
     seed_digest,
     threshold_pairs,
 )
@@ -51,18 +51,13 @@ _FACTOR_DIGESTS = {}
 
 
 def factor_digests(ball: FactorBall, tag: str) -> np.ndarray:
-    """Stable 64-bit digest per element, keyed by the canonical word;
-    a read-only array."""
+    """Stable 64-bit digest per element, `digest_str(tag + ":" + word)` of
+    its canonical word; a read-only array.  The words are the ball's own,
+    built once and shared by every tag."""
     key = (ball.oracle.spec, tag)
     kept = _FACTOR_DIGESTS.get(key)
     if kept is None or len(kept) < len(ball):
-        kept = np.fromiter(
-            (digest_str(tag + ":" + w) for w in ball.words()),
-            dtype=np.uint64,
-            count=len(ball),
-        )
-        kept.flags.writeable = False
-        _FACTOR_DIGESTS[key] = kept
+        kept = _FACTOR_DIGESTS[key] = digest_strs(tag + ":", ball.words)
     return kept[: len(ball)]
 
 
@@ -146,8 +141,8 @@ class ProcessContext:
         if len(window) * len(off1) > cap:
             raise ResourceCapError("covering map (window points x diamond offsets)", cap)
         w1, w2 = window.pts1, window.pts2
-        q1 = ball1.quotient_table(w1.max() + 1, ball1.elements[: off1.max() + 1])
-        q2 = ball2.quotient_table(w2.max() + 1, ball2.elements[: off2.max() + 1])
+        q1 = ball1.quotient_table(w1.max() + 1, np.arange(off1.max() + 1))
+        q2 = ball2.quotient_table(w2.max() + 1, np.arange(off2.max() + 1))
         keys = q1[w1][:, off1].ravel()  # packed in place: one gathered array at a time
         keys <<= 32
         keys |= q2[w2][:, off2].ravel()

@@ -19,8 +19,10 @@ process's W+; only windows build their points' rho numerators (`rho_num`).
 pair of index arrays through its oracle (`Oracle.distances`): in closed
 form for free groups (|x| + |y| - 2 lcp(x, y), from per-level prefix ids),
 lattices (the l1 norm of x - y), cyclic groups and direct products, from
-one capped table for free products.  `FactorBall.quotient_table` (x c^-1
-by index) is how the covering map and the coset lines find partners.
+one capped table for free products.  A `FactorBall` reads its BFS tree
+from `groups.ball`: `FactorBall.quotient_table` (x c^-1 by index, walked
+through the right-step table) is how the covering map finds its centers,
+and a step column gives the coset lines' successors.
 """
 
 from __future__ import annotations
@@ -80,9 +82,6 @@ class ProductMetric:
     def multiply(self, x, y):
         return (self.first.multiply(x[0], y[0]), self.second.multiply(x[1], y[1]))
 
-    def word_str(self, x) -> str:
-        return f"{self.first.word_str(x[0])}|{self.second.word_str(x[1])}"
-
 
 def perfect_diamond(metric: ProductMetric, center, radius, cap=DEFAULT_ENUM_CAP):
     """All points of the rho_c ball around `center`: list of (point, rho).
@@ -137,39 +136,56 @@ class FactorBall:
     """One factor's ball, indexed in (distance, length-lex) order.
 
     The first v_r entries are exactly the ball of radius r, so radius
-    selections are index prefixes.
+    selections are index prefixes.  `tree` is the `groups.ball` it reads:
+    `dist`, `parent`, `gen` and `step` are its BFS tree's arrays, and the
+    element tuples, their `index` and the words come from it on first use.
     """
 
     def __init__(self, oracle: Oracle, radius: int, cap=DEFAULT_ENUM_CAP):
         self.oracle = oracle
         self.radius = radius
         self.cap = cap
-        pairs = ball(oracle, radius, cap)
-        self.elements = [el for el, _ in pairs]
-        self.dist = np.fromiter((d for _, d in pairs), dtype=np.int32, count=len(pairs))
-        self.index = {el: i for i, el in enumerate(self.elements)}
+        self.tree = tree = ball(oracle, radius, cap)
+        self.dist, self.parent, self.gen, self.step = tree.dist, tree.parent, tree.gen, tree.step
         self.volumes = np.searchsorted(self.dist, np.arange(radius + 1), side="right").tolist()
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.dist)
+
+    @property
+    def elements(self) -> tuple:
+        return self.tree.elements
+
+    @property
+    def index(self) -> dict:
+        return self.tree.index
+
+    @property
+    def words(self) -> list:
+        return self.tree.words
 
     def volume(self, r: int) -> int:
         if r < 0:
             return 0
         return self.volumes[min(r, self.radius)]
 
-    def words(self):
-        return [self.oracle.word_str(el) for el in self.elements]
-
     def quotient_table(self, rows: int, cols) -> np.ndarray:
-        """Index of elements[i] * c^-1 for i < rows, one column per element
-        c of `cols`; -1 where the product leaves the ball."""
-        orc = self.oracle
-        inv = [orc.inverse(el) for el in cols]
-        return np.array(
-            [[self.index.get(orc.multiply(y, v), -1) for v in inv] for y in self.elements[:rows]],
-            dtype=np.int64,
-        )
+        """Index of elements[i] * elements[c]^-1 for i < rows, one column
+        per ball index c of `cols`, as int64.  Each row walks c's tree word
+        backwards from i, one step by the inverse of each last generator up
+        c's parents, and reads -1 once a step leaves the ball.  So an entry
+        is exact wherever |elements[i]| + |elements[c]| <= radius, and in a
+        free group, where distance to the identity along a geodesic path
+        has no interior maximum, wherever the product lies in the ball."""
+        node = np.asarray(cols, dtype=np.int64)
+        out = np.repeat(np.arange(rows, dtype=np.int64)[:, None], len(node), axis=1)
+        for _ in range(int(self.dist[node].max(initial=0))):
+            walk = node > 0
+            at = out[:, walk]
+            moved = self.step[at, self.tree.inverse[self.gen[node[walk]]]]
+            out[:, walk] = np.where(at >= 0, moved, -1)
+            node = self.parent[node]
+        return out
 
     def slices(self, other: "FactorBall", reach, cap: int, what: str, dtype=np.int64) -> tuple:
         """The slice union {(i, j): dist[i] = d, other.dist[j] <= reach[d]}
@@ -261,7 +277,8 @@ class ProductSpace:
         )
 
     def word_str(self, pid: int) -> str:
-        return self.metric.word_str(self.element(pid))
+        """The point's two canonical words, "first|second"."""
+        return f"{self.ball1.words[int(self.pts1[pid])]}|{self.ball2.words[int(self.pts2[pid])]}"
 
     def mask_within(self, radius) -> np.ndarray:
         return self.rho_num <= self.metric.radius_num(radius)

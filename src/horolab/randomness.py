@@ -91,6 +91,16 @@ def digest_str(text: str) -> int:
     return digest_bytes(text.encode("utf-8"))
 
 
+def digest_strs(prefix: str, texts) -> np.ndarray:
+    """`digest_str(prefix + text)` of each of `texts`, as a read-only uint64
+    array: one pass of blake2b digests joined into one buffer."""
+    blake2b = hashlib.blake2b
+    return np.frombuffer(
+        b"".join([blake2b((prefix + t).encode("utf-8"), digest_size=8).digest() for t in texts]),
+        dtype="<u8",
+    )
+
+
 def premix(a) -> np.ndarray:
     """The first mixing round of `combine_digests(a, b)`, which depends on
     `a` alone: computed once per point, it serves every pair led by it."""

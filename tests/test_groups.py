@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -137,16 +138,16 @@ def test_memo_ball_equals_a_cold_bfs(fresh_memo, radii):
     for r in radii:
         for spec in MEMO_SPECS:
             o = make_oracle(spec)
-            assert ball(o, r) == enumerate_ball(o, r), (spec, r)
+            assert list(ball(o, r)) == enumerate_ball(o, r), (spec, r)
 
 
 def test_memo_keeps_the_largest_ball(fresh_memo):
     o = make_oracle(F2)
     ball(o, 4)
     ball(o, 2)
-    assert fresh_memo[F2][0] == 4
+    assert fresh_memo[F2].radius == 4
     ball(o, 5)
-    assert fresh_memo[F2][0] == 5
+    assert fresh_memo[F2].radius == 5
 
 
 def test_cap_raises_after_a_larger_ball_is_kept(fresh_memo):
@@ -165,18 +166,38 @@ def test_a_capped_enumeration_keeps_nothing(fresh_memo):
     ball(o, 2)
     with pytest.raises(ResourceCapError):
         ball(o, 6, cap=100)
-    assert fresh_memo[F2][0] == 2
-    assert ball(o, 3) == enumerate_ball(o, 3)
+    assert fresh_memo[F2].radius == 2
+    assert list(ball(o, 3)) == enumerate_ball(o, 3)
+
+
+def test_the_cap_is_checked_before_a_ball_is_built(fresh_memo):
+    # |B_10| of F2 is 118,097: the exact sphere counts refuse it before any
+    # array or element exists.
+    o = make_oracle(F2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="ball enumeration"):
+            ball(o, 10, cap=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert F2 not in fresh_memo
 
 
 def test_a_returned_ball_is_the_callers_own(fresh_memo):
+    # A returned ball is shared with the memo, so no caller can change it:
+    # its arrays are read-only and its elements a tuple.
     o = make_oracle(F2)
     for r in (3, 3, 2):  # a miss, a full-size hit and a prefix hit
         got = ball(o, r)
-        got[0] = ("junk", -1)
-        got.append(("junk", 99))
-    assert ball(o, 3) == enumerate_ball(o, 3)
-    assert ball(o, 2) == enumerate_ball(o, 2)
+        for array in (got.dist, got.parent, got.gen, got.step):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(TypeError):
+            got.elements[0] = ("junk",)
+    assert list(ball(o, 3)) == enumerate_ball(o, 3)
+    assert list(ball(o, 2)) == enumerate_ball(o, 2)
 
 
 def test_growth_series_f2_closed_form():

@@ -450,7 +450,7 @@ def test_factor_digests_prefixes_equal_a_fresh_computation(monkeypatch, radii):
         for spec in (F2, GroupSpec("free", rank=3), GroupSpec("integer_lattice", dim=2)):
             fb = FactorBall(make_oracle(spec), r)
             for tag in ("G", "G2"):
-                fresh = [digest_str(f"{tag}:{w}") for w in fb.words()]
+                fresh = [digest_str(f"{tag}:{w}") for w in fb.words]
                 got = factor_digests(fb, tag)
                 assert got.tolist() == fresh, (spec, r, tag)
                 # Read-only, and no caller can make it writable: no caller

@@ -143,6 +143,80 @@ def test_rho_symmetry_random_words(data):
     assert (m.rho(x, y) == 0) == (x == y)
 
 
+def _cyclic(q):
+    return GroupSpec("cyclic", order=q)
+
+
+def _product(kind, *factors):
+    return GroupSpec(kind, factors=factors)
+
+
+# Every family, nested products included: free groups, lattices, cyclic
+# groups, four free products and three direct products.
+BALL_SPECS = {
+    "F1": GroupSpec("free", rank=1),
+    "F2": F2,
+    "F3": GroupSpec("free", rank=3),
+    "Z": Z1,
+    "Z2": GroupSpec("integer_lattice", dim=2),
+    "Z3": GroupSpec("integer_lattice", dim=3),
+    **{f"Z/{q}": _cyclic(q) for q in (2, 3, 4, 6, 7, 8)},
+    "Z/2*Z/3": _product("free_product", _cyclic(2), _cyclic(3)),
+    "Z/2*Z/2": _product("free_product", _cyclic(2), _cyclic(2)),
+    "Z*Z/2*Z/3": _product("free_product", Z1, _cyclic(2), _cyclic(3)),
+    "(ZxZ/2)*Z/3": _product(
+        "free_product", _product("direct_product", Z1, _cyclic(2)), _cyclic(3)
+    ),
+    "F2xZ": _product("direct_product", F2, Z1),
+    "Z/3xZ/6xF2": _product("direct_product", _cyclic(3), _cyclic(6), F2),
+    "(Z/2*Z/3)xZ": _product(
+        "direct_product", _product("free_product", _cyclic(2), _cyclic(3)), Z1
+    ),
+}
+
+
+def _quotient_loop(oracle, elements, rows, cols) -> np.ndarray:
+    """The Python double loop `FactorBall.quotient_table` once was: the
+    index of elements[i] * elements[c]^-1 among `elements`, -1 outside."""
+    index = {el: i for i, el in enumerate(elements)}
+    inv = [oracle.inverse(elements[c]) for c in cols]
+    table = [[index.get(oracle.multiply(y, v), -1) for v in inv] for y in elements[:rows]]
+    return np.array(table, dtype=np.int64).reshape(rows, len(cols))
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "prefix"])
+@pytest.mark.parametrize("spec", BALL_SPECS.values(), ids=list(BALL_SPECS))
+def test_factor_ball_arrays_match_the_reference(monkeypatch, spec, cold):
+    # The ball's arrays against the plain BFS and `Oracle.multiply`, built
+    # cold and as the prefix of a larger kept ball.
+    monkeypatch.setattr(groups, "_BALLS", {})
+    o = make_oracle(spec)
+    radius = 5 if sum(o.sphere_sizes(5)) <= 3000 else 4
+    if not cold:
+        ball(o, radius + 1)
+    fb = FactorBall(o, radius)
+    ref = groups.enumerate_ball(o, radius)
+    els = [el for el, _ in ref]
+    assert list(fb.tree) == ref
+    assert fb.dist.tolist() == [d for _, d in ref]
+    gens = [g for _, g in o.gen_pairs()]
+    assert fb.parent[0] == 0 and fb.gen[0] == -1
+    for i in range(1, len(els)):
+        assert fb.dist[fb.parent[i]] == fb.dist[i] - 1
+        assert o.multiply(els[fb.parent[i]], gens[fb.gen[i]]) == els[i]
+    index = {el: i for i, el in enumerate(els)}
+    want = [[index.get(o.multiply(el, g), -1) for g in gens] for el in els]
+    assert fb.step.tolist() == want
+    assert fb.words == [o.word_str(el) for el in els]
+    # Walks are exact where |y| + |c| <= radius, and everywhere in a free group.
+    for r in range(radius + 1):
+        rows, cols = fb.volume(r), np.arange(fb.volume(radius - r))
+        assert (fb.quotient_table(rows, cols) == _quotient_loop(o, els, rows, cols)).all()
+    if spec.kind == "free":
+        every = np.arange(len(els))
+        assert (fb.quotient_table(len(els), every) == _quotient_loop(o, els, len(els), every)).all()
+
+
 def test_factor_ball_prefix_structure():
     fb = FactorBall(make_oracle(F2), 3)
     assert fb.volume(0) == 1
@@ -159,7 +233,7 @@ def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
     o = make_oracle(F2)
     ball(o, 5)
     fb = FactorBall(o, 2)
-    table = fb.quotient_table(len(fb), fb.elements)
+    table = fb.quotient_table(len(fb), np.arange(len(fb)))
     index = {el: i for i, (el, _) in enumerate(groups.enumerate_ball(o, 2))}
     expected = [
         [index.get(o.multiply(y, o.inverse(v)), -1) for v in fb.elements] for y in fb.elements
@@ -171,17 +245,17 @@ def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
     # over the whole ball.
     for t in range(fb.radius + 1):
         s_t = slice(fb.volume(t - 1), fb.volume(t))
-        assert (fb.quotient_table(len(fb), fb.elements[s_t]) == table[:, s_t]).all()
+        assert (fb.quotient_table(len(fb), np.arange(len(fb))[s_t]) == table[:, s_t]).all()
 
 
 def test_quotient_table_takes_one_column_per_element_given():
-    # Any elements, one column each in the order given, for the first rows
-    # of the ball: the baseline's one column gen^-1 and the covering map's
-    # offset prefix are such calls.
+    # Any elements, by ball index, one column each in the order given, for
+    # the first rows of the ball: the covering map's offset prefix is such
+    # a call.
     fb = FactorBall(make_oracle(F2), 3)
-    table = fb.quotient_table(len(fb), fb.elements)
-    assert (fb.quotient_table(len(fb), [fb.elements[7], fb.elements[2]]) == table[:, [7, 2]]).all()
-    assert (fb.quotient_table(5, fb.elements[:9]) == table[:5, :9]).all()
+    table = fb.quotient_table(len(fb), np.arange(len(fb)))
+    assert (fb.quotient_table(len(fb), [7, 2]) == table[:, [7, 2]]).all()
+    assert (fb.quotient_table(5, np.arange(9)) == table[:5, :9]).all()
     assert fb.quotient_table(len(fb), []).shape == (len(fb), 0)
 
 
