@@ -683,12 +683,17 @@ class Ball:
             )
         return self._prefixes[radius]
 
+    def _edges(self):
+        """(parent, gen) of every element but the identity, as Python ints
+        made one at a time (a memoryview, not a list of the whole ball)."""
+        return zip(memoryview(self.parent[1:]), memoryview(self.gen[1:]))
+
     @functools.cached_property
     def elements(self) -> tuple:
         """The canonical forms, each its parent's times its last generator."""
         gens = [g for _, g in self.oracle.gen_pairs()]
         out = [self.oracle.identity]
-        for p, g in zip(self.parent[1:].tolist(), self.gen[1:].tolist()):
+        for p, g in self._edges():
             out.append(self.oracle.multiply(out[p], gens[g]))
         return tuple(out)
 
@@ -705,7 +710,7 @@ class Ball:
         if not isinstance(orc, FreeOracle):
             return [orc.word_str(el) for el in self.elements]
         letters, out = [orc.word_str(g) for _, g in orc.gen_pairs()], [""]
-        for p, g in zip(self.parent[1:].tolist(), self.gen[1:].tolist()):
+        for p, g in self._edges():
             out.append(out[p] + letters[g])
         out[0] = orc.word_str(orc.identity)
         return out

@@ -152,15 +152,15 @@ class FactorBall:
     def __len__(self):
         return len(self.dist)
 
-    @property
+    @functools.cached_property
     def elements(self) -> tuple:
         return self.tree.elements
 
-    @property
+    @functools.cached_property
     def index(self) -> dict:
         return self.tree.index
 
-    @property
+    @functools.cached_property
     def words(self) -> list:
         return self.tree.words
 

@@ -93,12 +93,12 @@ def digest_str(text: str) -> int:
 
 def digest_strs(prefix: str, texts) -> np.ndarray:
     """`digest_str(prefix + text)` of each of `texts`, as a read-only uint64
-    array: one pass of blake2b digests joined into one buffer."""
-    blake2b = hashlib.blake2b
-    return np.frombuffer(
-        b"".join([blake2b((prefix + t).encode("utf-8"), digest_size=8).digest() for t in texts]),
-        dtype="<u8",
-    )
+    array: one pass of blake2b digests appended to one buffer, which is all
+    it holds besides the texts."""
+    blake2b, buf = hashlib.blake2b, bytearray()
+    for t in texts:
+        buf += blake2b((prefix + t).encode("utf-8"), digest_size=8).digest()
+    return np.frombuffer(bytes(buf), dtype="<u8")
 
 
 def premix(a) -> np.ndarray:
