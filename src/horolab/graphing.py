@@ -101,6 +101,16 @@ def _dense(keys) -> tuple:
     return ids, order[new]
 
 
+def _gap0_reach(sizes, log_q) -> np.ndarray:
+    """Each class's gap-0 reach: an upper bound on the uniforms w that open
+    a rank at gap 0 of a sphere of `sizes` at log(1 - q) = `log_q`, where
+    the test floor(log1p(-w) / log_q) < size is monotone in w and passes
+    exactly below 1 - (1 - q)^size.  That bound is widened by a relative
+    1e-9 and an absolute 2^-50 for the rounding of either side, and capped
+    at 1, which it is at q = 1."""
+    return np.minimum(1.0, -np.expm1(sizes * log_q) * (1.0 + 1e-9) + 2.0**-50)
+
+
 class PercolationKernel:
     """Invariant pair weights p(x,y) = 2^-(j+1) / |sphere_j|, and the one
     percolation they draw on the points of the window.
@@ -170,6 +180,11 @@ class PercolationKernel:
         still inside their sphere.  The cells (x, j) of every seed's points
         are taken in blocks of about `_TILE`, whose gap-0 keys, which no seed
         enters, are hashed once; each seed draws the rounds of its own cells.
+        At gap 0 the rank is the gap itself, and that test is monotone in w:
+        a cell can open a rank only when w is below its class's reach, an
+        upper bound on 1 - (1 - q_j)^|sphere_j| (`_gap0_reach`), so the
+        exact test runs on those cells alone, most of a round's being
+        closed.
         A rank unranks to y, kept when y is among the seed's ids and
         digest(x) < digest(y): so each unordered pair is decided once, at
         rate emax * p.  Its u is v * q_j < emax * p, v the uniform of
@@ -194,6 +209,7 @@ class PercolationKernel:
         if largest * int(sizes[q == 1.0].sum()) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
+        reach = _gap0_reach(sizes[drawn], log_q[drawn])
         count, found = np.zeros(len(rngs), dtype=np.int64), [[] for _ in rngs]
         step = max(1, _TILE // max(1, len(drawn)))
         for i0 in range(0, max(1, len(ids)), step):
@@ -204,8 +220,11 @@ class PercolationKernel:
                 cell, pos = np.flatnonzero(np.repeat(member[s, block], len(drawn))), -1.0
                 words = first[cell]  # the cells of the seed's own points
                 for gap in itertools.count():
-                    j = drawn[cell % len(drawn)]
                     w = rng.uniforms(words, STREAM_PERCOLATION)
+                    if not gap:  # only a cell whose w is below its class's reach can open a rank
+                        near = np.flatnonzero(w.reshape(-1, max(1, len(drawn))) < reach)
+                        cell, w = cell[near], w[near]
+                    j = drawn[cell % len(drawn)]
                     pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
                     inside = np.flatnonzero(pos < sizes[j])
                     if not len(inside):
@@ -258,21 +277,38 @@ class PercolationKernel:
         """The window id (-1 outside the window) of y = (x1 s1, x2 s2) for
         each window id x and rank of its sphere_j.  The ranks of sphere_j
         run over its steps (t, t2) in `steps` order, each with s1's rank in
-        S_t major and s2's in S_t2 minor (`Oracle.sphere_element`), each
-        distinct (t, rank) unranked and each distinct x_i s_i multiplied once."""
+        S_t major and s2's in S_t2 minor (`Oracle.sphere_element`).  Each
+        distinct (t, rank) is unranked and each distinct x_i s_i found once.
+
+        On a free factor s_i is unranked to its letters as step columns
+        (`FreeOracle.sphere_columns`) and x_i walks the ball's step table
+        one letter a step, reading -1 for good once a step leaves the ball.
+        That is exact: the letters of a reduced word trace a geodesic of the
+        tree, along which the distance to the identity has no interior
+        maximum, so the walk stays in the ball exactly when x_i s_i lies in
+        it.  Other factors multiply by `Oracle.multiply` and look the
+        product up in the ball's index."""
         start, s2, first, radii, volumes = self._ranks
         at = first[j] + rank
         step = np.searchsorted(start, at, side="right") - 1
         s, index, ranks = self.space, [], np.divmod(at - start[step], s2[step])
         for fb, i, t, v, r in zip((s.ball1, s.ball2), (s.pts1[x], s.pts2[x]), radii, volumes, ranks):
             e, firsts = _dense(v[step] - r)  # s's place in the ball B_t: |S_t| ranks below |B_t|
-            sphere = list(map(fb.oracle.sphere_element, t[step[firsts]].tolist(), r[firsts].tolist()))
-            y, firsts = _dense(i.astype(np.int64) * len(sphere) + e)  # int32 i would wrap
-            products = (
-                fb.index.get(fb.oracle.multiply(fb.elements[a], sphere[b]), -1)
-                for a, b in zip(i[firsts].tolist(), e[firsts].tolist())
-            )
-            index.append(np.fromiter(products, dtype=np.int64, count=len(firsts))[y])
+            t, r = t[step[firsts]], r[firsts]
+            y, firsts = _dense(i.astype(np.int64) * len(t) + e)  # int32 i would wrap
+            a, b = i[firsts].astype(np.int64), e[firsts]
+            if isinstance(fb.oracle, FreeOracle):
+                for col in fb.oracle.sphere_columns(t, r)[:, b]:
+                    live = np.flatnonzero((a >= 0) & (col >= 0))
+                    a[live] = fb.step[a[live], col[live]]
+            else:
+                sphere = list(map(fb.oracle.sphere_element, t.tolist(), r.tolist()))
+                products = (
+                    fb.index.get(fb.oracle.multiply(fb.elements[a], sphere[b]), -1)
+                    for a, b in zip(a.tolist(), b.tolist())
+                )
+                a = np.fromiter(products, dtype=np.int64, count=len(a))
+            index.append(a[y])
         return s.lookup(*index)
 
     def row_masses(self, rows) -> np.ndarray:

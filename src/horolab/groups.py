@@ -289,16 +289,33 @@ class FreeOracle(Oracle):
         return 2 * self.spec.rank - 1
 
     def sphere_element(self, t, rank):
-        """Mixed radix: 2k choices of the first letter, then 2k - 1 of each
-        next one (all but the inverse of the one before), each in the
-        letters' order -k < ... < -1 < 1 < ... < k."""
-        k, word = self.spec.rank, []
-        for i in range(t):
-            d, rank = divmod(rank, (2 * k - 1) ** (t - 1 - i))
-            if word:  # pass over the inverse of the last letter w, at -w + k (- 1 if -w > 0)
-                d += d >= k - word[-1] - (word[-1] < 0)
-            word.append(d - k + (d >= k))
-        return tuple(word)
+        """The letters of `sphere_columns`, read back through `gen_pairs`."""
+        gens = self.gen_pairs()
+        return tuple(gens[col][1][0] for col in self.sphere_columns([t], [rank])[:, 0].tolist())
+
+    def sphere_columns(self, t, rank) -> np.ndarray:
+        """The letters of `sphere_element` of each (t[i], rank[i]) as
+        columns of `gen_pairs`, vectorised: row m holds every word's (m +
+        1)-th letter, -1 past its end.  Mixed radix: 2k choices of the first
+        letter, then 2k - 1 of each next one (all but the inverse of the one
+        before), each in the letters' order -k < ... < -1 < 1 < ... < k.
+        After the first letter the rest of a rank is scaled by (2k -
+        1)^(rows - t), so that every word's next letter is the next digit
+        of one length, read with one divisor a row."""
+        k, t, rank = self.spec.rank, np.asarray(t, dtype=np.int64), np.asarray(rank, dtype=np.int64)
+        rows = int(t.max(initial=0))
+        power = (2 * k - 1) ** np.arange(max(1, rows), dtype=np.int64)
+        cols = np.argsort([g[0] for _, g in self.gen_pairs()])  # the column of each letter, in order
+        out = np.empty((rows, len(t)), dtype=np.int64)
+        letter, rest = np.divmod(rank, power[np.maximum(t - 1, 0)])  # the first letter's place
+        rest *= power[rows - np.maximum(t, 1)]
+        for m, row in enumerate(out):
+            if m:
+                d = rest // power[rows - 1 - m]
+                rest -= d * power[rows - 1 - m]
+                letter = d + (d >= 2 * k - 1 - letter)  # pass over the last letter's inverse
+            row[:] = (cols[letter] + 1) * (t > m) - 1
+        return out
 
 
 class CyclicOracle(Oracle):

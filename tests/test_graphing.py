@@ -568,27 +568,25 @@ def test_a_seeds_rows_do_not_depend_on_the_seeds_drawn_with_it(small_kernel, mon
 
 
 def test_each_distinct_factor_step_is_multiplied_once(monkeypatch):
-    # The 4 seeds' open ranks are unranked in one batch: each factor
+    # The 4 seeds' open ranks are unranked in one batch: the Z^2 factor
     # multiplies each distinct (factor index, t, rank) once, though the
-    # seeds' open ranks repeat them.
-    kernel = _small_kernel("F2xF2", 3)
+    # seeds' open ranks repeat them, and the free factor, whose products
+    # are walks along its step table, never calls `multiply`.
+    kernel = _small_kernel("Z2xF2", 3)
     space, ids, emax = kernel.space, np.arange(len(kernel.space)), 8.0
     opened = [
         rank
         for key in MULTI_SEED_KEYS
         for rank in _per_rank_reference(kernel, ids, SeededRandomness(key), emax)[1]
     ]
-    want = [
-        len({(int(space.pts1[x]), t, s1) for x, t, _, s1, _ in opened}),
-        len({(int(space.pts2[x]), t2, s2) for x, _, t2, _, s2 in opened}),
-    ]
+    want = len({(int(space.pts1[x]), t, s1) for x, t, _, s1, _ in opened})
     calls = []
     for f, fb in enumerate((space.ball1, space.ball2)):
         multiply = fb.oracle.multiply
         monkeypatch.setattr(fb.oracle, "multiply", lambda a, b, f=f, m=multiply: calls.append(f) or m(a, b))
     kernel.open_pairs([ids] * len(MULTI_SEED_KEYS), [SeededRandomness(key) for key in MULTI_SEED_KEYS], emax)
-    assert [calls.count(0), calls.count(1)] == want
-    assert max(want) < len(opened)
+    assert [calls.count(0), calls.count(1)] == [want, 0]
+    assert want < len(opened)
 
 
 def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, monkeypatch):
@@ -635,6 +633,76 @@ def test_q_just_below_one_matches_the_reference(monkeypatch):
     ids = np.arange(0, len(kernel.space), 4)
     [(a, _, _, _)] = _assert_seeds_match_reference(kernel, ids, MULTI_SEED_KEYS[:1], 1.0)
     assert 0 < len(a) <= len(ids) * (len(ids) - 1) // 2
+
+
+# emax on the kernel's own lut, then every class's p forced to 1e-15 (hardly
+# a rank opens) and to 1 - 2^-40 (hardly a rank is skipped).
+REACH_CASES = {
+    "emax-0.2": (None, 0.2),
+    "emax-1": (None, 1.0),
+    "emax-64": (None, 64.0),
+    "lut-1e-15": (1e-15, 1.0),
+    "lut-1-2^-40": (1.0 - 2.0**-40, 1.0),
+}
+
+
+def _reach_kernel(monkeypatch, wr, lut):
+    kernel = _small_kernel("F2xF2", wr)
+    if lut is not None:
+        monkeypatch.setattr(kernel, "lut", np.full_like(kernel.lut, lut))
+    return kernel
+
+
+@pytest.mark.parametrize("lut, emax", REACH_CASES.values(), ids=list(REACH_CASES))
+@pytest.mark.parametrize("wr", [3, 4])
+def test_gap0_reach_bounds_every_uniform_that_opens_a_rank(monkeypatch, wr, lut, emax):
+    # At gap 0 a cell opens a rank when floor(log1p(-w) / log(1 - q)) is
+    # below its sphere's size, which holds for w = b 2^-53 up to some
+    # largest b (bisected per class): that w lies below the class's reach,
+    # and within a hair of it, so the reach test drops the cells it can.
+    kernel = _reach_kernel(monkeypatch, wr, lut)
+    q = np.minimum(1.0, emax * kernel.lut[kernel.nums])
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-q)
+    sizes = np.array([kernel.counts[num] for num in kernel.nums], dtype=np.int64)
+    reach = graphing._gap0_reach(sizes, log_q)
+
+    def opens(b):
+        return -1.0 + 1.0 + np.floor(np.log1p(-(b * 2.0**-53)) / log_q) < sizes
+
+    lo, hi = np.zeros(len(sizes), dtype=np.int64), np.full(len(sizes), 2**53, dtype=np.int64)
+    assert opens(lo).all()
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        lo, hi = np.where(opens(mid), mid, lo), np.where(opens(mid), hi, mid)
+    last = lo * 2.0**-53
+    assert (last < reach).all()
+    assert (reach <= np.minimum(1.0, last * (1.0 + 1e-8) + 2.0**-48)).all()
+    assert (reach[q == 1.0] == 1.0).all() and (reach < 1.0).any() == (lut != 1.0 - 2.0**-40)
+
+
+DRAWN_REACH_CASES = {name: case for name, case in REACH_CASES.items() if name != "lut-1-2^-40"}
+
+
+@pytest.mark.parametrize("lut, emax", DRAWN_REACH_CASES.values(), ids=list(DRAWN_REACH_CASES))
+@pytest.mark.parametrize("wr", [3, 4])
+def test_gap0_reach_changes_no_row(monkeypatch, wr, lut, emax):
+    # The reach test only skips the exact test on cells that cannot open:
+    # with every reach 1, so that each cell takes the exact test, the rows
+    # are the same bytes.  (At p = 1 - 2^-40 every reach is already 1, and
+    # a window's every rank opens, one round a rank: that case is left to
+    # the bound test above.)
+    kernel = _reach_kernel(monkeypatch, wr, lut)
+    ids = np.arange(len(kernel.space))
+
+    def draw():
+        rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
+        return kernel.open_pairs([ids] * len(rngs), rngs, emax)
+
+    got = draw()
+    monkeypatch.setattr(graphing, "_gap0_reach", lambda sizes, log_q: np.ones(len(sizes)))
+    assert all(x.tobytes() == y.tobytes() for g, w in zip(got, draw()) for x, y in zip(g, w))
+    assert (sum(len(a) for a, _, _, _ in got) > 0) == (lut != 1e-15)
 
 
 CALIBRATION = {"F2xF2": (F2, F2, 1), "Z2xF2-1/2": (Z2, F2, "1/2")}
