@@ -288,33 +288,35 @@ class FreeOracle(Oracle):
     def exact_growth_rate(self):
         return 2 * self.spec.rank - 1
 
+    def _next_letter(self, rank, place, last) -> tuple:
+        """One step of the mixed radix that ranks a sphere, on ints or
+        elementwise on arrays: 2k choices of the first letter (`last` -1),
+        then 2k - 1 of each next one (all but the inverse of the last
+        letter, at 2k - 1 - last), each in the letters' order -k < ... < -1
+        < 1 < ... < k.  `place` is (2k - 1) to the number of letters after
+        this one.  Returns the letter's index in that order and the rest of
+        the rank."""
+        d, rest = divmod(rank, place)
+        return d + (d >= 2 * self.spec.rank - 1 - last), rest
+
     def sphere_element(self, t, rank):
-        """The letters of `sphere_columns`, read back through `gen_pairs`."""
-        gens = self.gen_pairs()
-        return tuple(gens[col][1][0] for col in self.sphere_columns([t], [rank])[:, 0].tolist())
+        k, word, last = self.spec.rank, [], -1
+        for i in range(t):
+            last, rank = self._next_letter(rank, (2 * k - 1) ** (t - 1 - i), last)
+            word.append(last - k + (last >= k))
+        return tuple(word)
 
     def sphere_columns(self, t, rank) -> np.ndarray:
         """The letters of `sphere_element` of each (t[i], rank[i]) as
         columns of `gen_pairs`, vectorised: row m holds every word's (m +
-        1)-th letter, -1 past its end.  Mixed radix: 2k choices of the first
-        letter, then 2k - 1 of each next one (all but the inverse of the one
-        before), each in the letters' order -k < ... < -1 < 1 < ... < k.
-        After the first letter the rest of a rank is scaled by (2k -
-        1)^(rows - t), so that every word's next letter is the next digit
-        of one length, read with one divisor a row."""
+        1)-th letter, -1 past its end."""
         k, t, rank = self.spec.rank, np.asarray(t, dtype=np.int64), np.asarray(rank, dtype=np.int64)
-        rows = int(t.max(initial=0))
-        power = (2 * k - 1) ** np.arange(max(1, rows), dtype=np.int64)
+        power = (2 * k - 1) ** np.arange(int(t.max(initial=0)), dtype=np.int64)
         cols = np.argsort([g[0] for _, g in self.gen_pairs()])  # the column of each letter, in order
-        out = np.empty((rows, len(t)), dtype=np.int64)
-        letter, rest = np.divmod(rank, power[np.maximum(t - 1, 0)])  # the first letter's place
-        rest *= power[rows - np.maximum(t, 1)]
-        for m, row in enumerate(out):
-            if m:
-                d = rest // power[rows - 1 - m]
-                rest -= d * power[rows - 1 - m]
-                letter = d + (d >= 2 * k - 1 - letter)  # pass over the last letter's inverse
-            row[:] = (cols[letter] + 1) * (t > m) - 1
+        out, last = np.empty((len(power), len(t)), dtype=np.int64), np.full(len(t), -1)
+        for m, row in enumerate(out):  # past a word's end its place is 1 and its rest 0
+            last, rank = self._next_letter(rank, power[np.maximum(t - 1 - m, 0)], last)
+            row[:] = (cols[last] + 1) * (t > m) - 1
         return out
 
 

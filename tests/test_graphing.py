@@ -674,7 +674,8 @@ def test_gap0_reach_bounds_every_uniform_that_opens_a_rank(monkeypatch, wr, lut,
     assert opens(lo).all()
     while (hi - lo > 1).any():
         mid = (lo + hi) // 2
-        lo, hi = np.where(opens(mid), mid, lo), np.where(opens(mid), hi, mid)
+        below = opens(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     last = lo * 2.0**-53
     assert (last < reach).all()
     assert (reach <= np.minimum(1.0, last * (1.0 + 1e-8) + 2.0**-48)).all()

@@ -316,3 +316,18 @@ def test_sphere_element_ranks_the_bfs_sphere(spec):
     for t in range(7):
         sphere = [el for el, d in pairs if d == t]
         assert [oracle.sphere_element(t, r) for r in range(sizes[t])] == sphere
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sphere_columns_spell_each_sphere_element(rank):
+    # Every rank of S_0 .. S_5 unranked in one call, words of unequal
+    # lengths side by side: column i spells sphere_element(t_i, rank_i) as
+    # `gen_pairs` columns, then reads -1 past the word's end.
+    oracle = make_oracle(GroupSpec("free", rank=rank))
+    gens = [g for _, g in oracle.gen_pairs()]
+    t, r = zip(*((t, r) for t, size in enumerate(oracle.sphere_sizes(5)) for r in range(size)))
+    cols = oracle.sphere_columns(t, r)
+    assert cols.shape == (5, len(t))
+    for i, (ti, ri) in enumerate(zip(t, r)):
+        word = oracle.sphere_element(ti, ri)
+        assert cols[:, i].tolist() == [gens.index((x,)) for x in word] + [-1] * (5 - ti)
