@@ -32,6 +32,7 @@ from .errors import InvariantViolation, ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, make_oracle
 from .product import FactorBall, ProductSpace, ragged, slice_volume
 from .randomness import (
+    _TILE,
     STREAM_CENTERS,
     STREAM_MARKS,
     SeededRandomness,
@@ -39,7 +40,6 @@ from .randomness import (
     combine_digests,
     digest_strs,
     seed_digest,
-    threshold_pairs,
 )
 from .schedule import SlopeSchedule
 
@@ -257,26 +257,27 @@ def corner_event_probability(
     The exact value is the Bernoulli closed form 1 - (1 - 1/v'')^{|A|}.
     The empirical value is the share of `seeds` seeds under which some
     center of A_{n,T} is drawn: A_{n,T} is the union of two clause
-    rectangles of factor-ball prefix ranges, and `threshold_pairs` draws
-    their centers' digests `combine_digests(d1[i], d2[j])` tile by tile on
-    the center stream at u <= 1/v'', exactly as the process sampler does;
-    no corner set is held.  Over at least six breakpoints the exact
-    sequence must be eventually decreasing along each breakpoint-parity
-    class (the crossing rule alternates sides, so the interleaved sequence
-    legitimately oscillates); shorter ranges skip the check.  Before
-    anything is drawn, every corner set's closed-form size counts against
-    `cap`.
+    rectangles of factor-ball prefix ranges, cut into row blocks of at most
+    `_TILE` pairs (a longer row is a block of its own).  Each block's
+    center digests `combine_digests(d1[i], d2[j])` are made once and drawn
+    by `SeededRandomness.below` on the center stream at u <= 1/v'', exactly
+    as the process sampler does, under each seed without a hit so far: a
+    seed stops at its first hit, and no corner set is held.  Over at least
+    six breakpoints the exact sequence must be eventually decreasing along
+    each breakpoint-parity class (the crossing rule alternates sides, so
+    the interleaved sequence legitimately oscillates); shorter ranges skip
+    the check.  Before anything is drawn, every corner set's closed-form
+    size counts against `cap`.
     """
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
     n_range = list(n_range)
     counts = [(n, corner_count(schedule, n, T)) for n in n_range]
     need_emp = seeds > 0 and bool(n_range)
-    names = {n: f"corner set A_{{n,T}} at n = {n}, T = {T}" for n in n_range}
     if need_emp:
         for n, stats in counts:
             if stats.count > cap:
-                raise ResourceCapError(names[n], cap)
+                raise ResourceCapError(f"corner set A_{{n,T}} at n = {n}, T = {T}", cap)
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)
         b1 = FactorBall(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
@@ -304,8 +305,11 @@ def corner_event_probability(
             k = bits_at_most(1.0 / v)
             hit = np.zeros(seeds, dtype=bool)
             for lo, hi in clauses:
-                for seed, _, _, _ in threshold_pairs(lo, hi, rngs, STREAM_CENTERS, k, cap, names[n]):
-                    hit[seed] = True
+                height = max(1, _TILE // max(1, len(hi)))
+                for i0 in range(0, len(lo), height):
+                    pairs = combine_digests(lo[i0 : i0 + height, None], hi).ravel()
+                    for s in np.flatnonzero(~hit):
+                        hit[s] = len(rngs[s].below(pairs, STREAM_CENTERS, k)) > 0
             emp = int(hit.sum()) / seeds
         rows.append(
             CornerEventRow(

@@ -381,11 +381,18 @@ def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
 def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
     # The radius-8 F2 balls (13,121 elements) and the radius-3 window's
     # covering map fit a cap of 20,000; the n = 8 corner set, with 26,241
-    # centers, does not.
+    # centers, does not.  Once the corner stage starts, no center digest is
+    # made and none is drawn.
     def never(*args, **kwargs):
         raise AssertionError("a corner set was drawn")
 
-    monkeypatch.setattr(point_process, "threshold_pairs", never)
+    def corner_stage(*args, **kwargs):
+        monkeypatch.setattr(point_process, "combine_digests", never)
+        monkeypatch.setattr(SeededRandomness, "below", never)
+        return corner_events(*args, **kwargs)
+
+    corner_events = cli.corner_event_probability
+    monkeypatch.setattr(cli, "corner_event_probability", corner_stage)
     overrides = {"enum_cap": 20_000, "process": {"seeds": 2, "window_radius": 3}}
     assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
     captured = capsys.readouterr()

@@ -401,12 +401,66 @@ def _corner_hits_reference(sched, n, T, seeds, master_seed) -> float:
     return hits / seeds
 
 
+@pytest.mark.parametrize("tile", [1, 10, point_process._TILE])
 @pytest.mark.parametrize("T", [1, 2])
-def test_corner_event_empirical_matches_the_materialised_reference(sched, T):
+def test_corner_event_empirical_matches_the_materialised_reference(sched, T, tile, monkeypatch):
+    # Row blocks of one pair, where every row longer than one pair is a
+    # block of its own; of ten pairs, over which a rectangle splits into
+    # many blocks; and of the default size.
+    monkeypatch.setattr(point_process, "_TILE", tile)
     rows = corner_event_probability(sched, range(1, 7), T, seeds=50, master_seed=17)
     got = [r.empirical_probability for r in rows]
     assert got == [_corner_hits_reference(sched, n, T, 50, 17) for n in range(1, 7)]
     assert any(0 < p < 1 for p in got)
+
+
+def test_a_corner_seed_stops_drawing_at_its_first_hit(sched, monkeypatch):
+    # Over row blocks of ten pairs, `below` is called under a seed until its
+    # first hit at that n and never after it; a seed without a hit draws
+    # every block.
+    monkeypatch.setattr(point_process, "_TILE", 10)
+    below, calls = SeededRandomness.below, []
+
+    def counted(self, digests, tag, k):
+        found = below(self, digests, tag, k)
+        calls.append((self.master_seed, len(found) > 0))
+        return found
+
+    monkeypatch.setattr(SeededRandomness, "below", counted)
+    stopped_early = 0
+    for n in range(1, 7):
+        calls.clear()
+        (row,) = corner_event_probability(sched, [n], 1, seeds=50, master_seed=17)
+        drawn = {}
+        for seed, found in calls:
+            drawn.setdefault(seed, []).append(found)
+        blocks = max(map(len, drawn.values()))
+        assert sum(found[-1] for found in drawn.values()) / 50 == row.empirical_probability
+        for found in drawn.values():
+            assert not any(found[:-1])
+            assert found[-1] or len(found) == blocks
+            stopped_early += found[-1] and len(found) < blocks
+    assert stopped_early > 0
+
+
+def test_a_corner_draw_holds_no_corner_set(sched):
+    # The n = 9, T = 2 corner set has 787,285 centers in 24 row blocks.  A
+    # first call builds and keeps the factor balls and their digests; a
+    # second one then holds nothing once it returns, and at its peak less
+    # than a quarter of the set's digests (8 B a center).
+    import tracemalloc
+
+    corner_event_probability(sched, [9], 2, seeds=5, master_seed=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (row,) = corner_event_probability(sched, [9], 2, seeds=5, master_seed=3)
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert row.corner_count == 787_285
+    assert held < 4096
+    assert peak < 8 * row.corner_count // 4
 
 
 def test_corner_event_t0_is_zero(sched):

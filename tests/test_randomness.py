@@ -5,24 +5,17 @@ import numpy as np
 import pytest
 
 from horolab import randomness
-from horolab.errors import ResourceCapError
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
-    STREAM_PERCOLATION,
     SeededRandomness,
     bits_at_most,
-    bits_below,
     combine_digests,
-    combine_into,
     combine_unordered,
     digest_str,
-    fold_into,
     head_bits,
     head_limit,
-    premix,
     seed_digest,
-    threshold_pairs,
     to_uniforms,
 )
 
@@ -91,37 +84,6 @@ def test_combine_unordered_symmetric():
     assert combine_digests(a, b) != combine_digests(b, a)
 
 
-def test_fused_pair_hash_matches_uniforms():
-    # The split hash: the seedless round and the folded half-step once, the
-    # rest of the seeded rounds to the heads, then the last step; 0 and
-    # 2**64 - 1 are edge digests.
-    d = np.array([digest_str(f"p{i}") for i in range(38)] + [0, 2**64 - 1], dtype=np.uint64)
-    d = np.sort(d)
-    lo, hi = d[:15], d[15:]  # sorted, so lo[i] <= hi[j]: the unordered min
-    out = np.empty((15, 25), dtype=np.uint64)
-    tmp = np.empty_like(out)
-    pair = combine_into(premix(lo)[:, None], hi[None, :], out, tmp)
-    assert pair is out
-    assert (pair == combine_digests(lo[:, None], hi[None, :])).all()
-    folded = fold_into(pair.copy(), tmp)
-    assert (folded == pair ^ (pair >> np.uint64(30))).all()
-    edge = np.array([0, 2**64 - 1], dtype=np.uint64)
-    edge_tmp = np.empty_like(edge)
-    for seed in (0, 9, 2**64 - 1):
-        r = SeededRandomness(seed)
-        # The fold commutes with the seed: w ^ s folds to fold(w) ^ fold(s).
-        shifted = fold_into(edge ^ r._seed_mixed, edge_tmp)
-        assert (shifted == fold_into(edge.copy(), edge_tmp) ^ r._seed_folded).all()
-        heads = r.heads_into(folded, STREAM_PERCOLATION, np.empty_like(out), tmp)
-        want = r.uniforms(combine_unordered(lo[:, None], hi[None, :]), STREAM_PERCOLATION)
-        assert to_uniforms(head_bits(heads)).tobytes() == want.tobytes()
-        # The edge words themselves as folded digests.
-        folded_edge = fold_into(edge.copy(), edge_tmp)
-        heads = r.heads_into(folded_edge, STREAM_PERCOLATION, np.empty_like(edge), edge_tmp)
-        want = r.uniforms(edge, STREAM_PERCOLATION)
-        assert to_uniforms(head_bits(heads)).tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize(
     "k", [1, 2, 3, 2**22, 2**22 + 1, 2**40 + 12345, 2**53 - 2**22, 2**53 - 2**22 + 1, 2**53]
 )
@@ -161,16 +123,13 @@ def test_below_is_the_bits_test_of_the_uniforms(k):
     # u <= t keeps the digest whose uniform is t, u < t does not.
     t = float(rng.uniforms(d[17], STREAM_CENTERS))
     assert 17 in rng.below(d, STREAM_CENTERS, bits_at_most(t))
-    assert 17 not in rng.below(d, STREAM_CENTERS, bits_below(t))
+    assert 17 not in rng.below(d, STREAM_CENTERS, bits_at_most(t) - 1)
 
 
 def test_only_randomness_reaches_into_the_hash_rounds():
-    # The folds, heads and mixing rounds are the randomness module's own:
-    # every other module draws through `uniforms`, `below` or
-    # `threshold_pairs`.
-    internals = {
-        "heads_into", "fold_into", "head_limit", "head_bits", "combine_into", "premix", "_mix_into"
-    }
+    # The heads and mixing rounds are the randomness module's own: every
+    # other module draws through `words`, `uniforms` or `below`.
+    internals = {"head_limit", "head_bits", "_mix_into"}
     offenders = []
     for path in sorted(Path(randomness.__file__).parent.glob("*.py")):
         if path.name == "randomness.py":
@@ -185,18 +144,6 @@ def test_only_randomness_reaches_into_the_hash_rounds():
     assert offenders == []
 
 
-def test_bits_below_is_the_exact_integer_form_of_u_below_t():
-    u = SeededRandomness(5).uniforms(
-        np.array([digest_str(f"t{i}") for i in range(2000)], dtype=np.uint64), STREAM_MARKS
-    )
-    bits = (u * 2.0**53).astype(np.uint64)
-    low = float(u.min())  # small, so t * 2**53 just above it is not an integer
-    for t in [0.0, -1.0, 1e-300, 2.0**-53, 0.3, low, np.nextafter(low, 1), 1.0, 3.0]:
-        assert ((bits < np.uint64(bits_below(t))) == (u < t)).all(), t
-    assert bits_below(1.0) == bits_below(1e300) == 2**53
-    assert bits_below(0.0) == bits_below(float("nan")) == 0
-
-
 def test_bits_at_most_is_the_exact_integer_form_of_u_at_most_t():
     u = SeededRandomness(5).uniforms(
         np.array([digest_str(f"t{i}") for i in range(2000)], dtype=np.uint64), STREAM_MARKS
@@ -207,7 +154,7 @@ def test_bits_at_most_is_the_exact_integer_form_of_u_at_most_t():
     # u == t must be kept.
     for t in [0.0, -1.0, 1e-300, 2.0**-53, 0.3, low, np.nextafter(low, 1), float(u[7]), 1.0, 3.0]:
         assert ((bits < np.uint64(bits_at_most(t))) == (u <= t)).all(), t
-    assert bits_at_most(low) == bits_below(low) + 1
+    assert bits_at_most(low) == int(low * 2.0**53) + 1
     assert bits_at_most(2.0**-53) == 2 and bits_at_most(0.0) == 1
     assert bits_at_most(1.0) == bits_at_most(1e300) == 2**53
     assert bits_at_most(-1e-300) == bits_at_most(float("nan")) == 0
@@ -216,109 +163,3 @@ def test_bits_at_most_is_the_exact_integer_form_of_u_at_most_t():
 def test_seed_digest_distinct():
     keys = {seed_digest(5, i) for i in range(100)}
     assert len(keys) == 100
-
-
-# Tiled threshold sampler ------------------------------------------------------
-
-THRESHOLD_RNGS = [SeededRandomness(seed_digest(5, s)) for s in range(3)]
-
-
-def _threshold_reference(lo, hi, rngs, tag, k) -> list:
-    """Sorted rows (seed, i, j, bits) of every pair (i, j) of lo x hi whose
-    uniform u = bits * 2**-53 has bits < k: every pair's uniform
-    materialised at once."""
-    i, j = np.indices((len(lo), len(hi))).reshape(2, -1)
-    rows = []
-    for s, rng in enumerate(rngs):
-        u = rng.uniforms(combine_digests(lo[i], hi[j]), tag)
-        bits = (u * 2.0**53).astype(np.uint64)  # exact: u = bits * 2**-53
-        hit = bits < np.uint64(k)
-        rows += zip([s] * int(hit.sum()), i[hit].tolist(), j[hit].tolist(), bits[hit].tolist())
-    return sorted(rows)
-
-
-def _drawn(lo, hi, rngs, tag, k, cap=10**9) -> list:
-    rows = []
-    for seed, i, j, bits in threshold_pairs(lo, hi, rngs, tag, k, cap, "test pairs"):
-        assert len(seed) == len(i) == len(j) == len(bits) > 0
-        rows += zip(seed.tolist(), i.tolist(), j.tolist(), bits.tolist())
-    return sorted(rows)
-
-
-def _digests(count, salt) -> np.ndarray:
-    return np.array([digest_str(f"t{salt}:{i}") for i in range(count)], dtype=np.uint64)
-
-
-THRESHOLDS = {
-    "below-0.3": bits_below(0.3),
-    "at-most-0.05": bits_at_most(0.05),
-    "below-saturated": bits_below(1.0 - 2.0**-40),  # head_limit is 2**64 - 1
-    "all": 1 << 53,
-    "none": 0,
-}
-
-
-@pytest.mark.parametrize("k", list(THRESHOLDS.values()), ids=list(THRESHOLDS))
-@pytest.mark.parametrize(
-    "rows, cols, tile",
-    [(0, 5, 16), (5, 0, 16), (0, 0, 16), (1, 40, 16), (7, 9, 16), (30, 30, 16), (30, 30, 1 << 15)],
-)
-def test_threshold_pairs_on_a_rectangle_match_the_materialised_uniforms(
-    rows, cols, tile, k, count_tiles
-):
-    tiles = count_tiles(tile)
-    lo, hi = _digests(rows, "lo"), _digests(cols, "hi")
-    got = _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
-    assert got == _threshold_reference(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, k)
-    if k == 1 << 53:
-        assert len(got) == len(THRESHOLD_RNGS) * rows * cols
-    if k and rows * cols > tile:
-        assert len(tiles) > 1
-
-
-def test_threshold_pairs_keeps_a_uniform_equal_to_its_bound():
-    # u <= t as bits < bits_at_most(t): with t one pair's uniform, that pair
-    # is drawn, and with bits_below(t) it is not.
-    lo, hi = _digests(6, "eq-lo"), _digests(9, "eq-hi")
-    rng = THRESHOLD_RNGS[0]
-    t = float(rng.uniforms(combine_digests(lo[4], hi[7]), STREAM_MARKS))
-    at_most = _drawn(lo, hi, [rng], STREAM_MARKS, bits_at_most(t))
-    below = _drawn(lo, hi, [rng], STREAM_MARKS, bits_below(t))
-    assert (0, 4, 7) in [row[:3] for row in at_most]
-    assert (0, 4, 7) not in [row[:3] for row in below]
-    assert len(at_most) == len(below) + 1
-
-
-def test_threshold_pairs_counts_each_seed_against_the_cap():
-    # Every pair passes, so each seed passes 8 * 9 = 72 pairs; the cap
-    # bounds each seed, not the seeds together.
-    lo, hi = _digests(8, "cap-lo"), _digests(9, "cap-hi")
-    assert len(_drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=72)) == 3 * 72
-    with pytest.raises(ResourceCapError, match="test pairs exceeded the enumeration cap of 71"):
-        _drawn(lo, hi, THRESHOLD_RNGS, STREAM_CENTERS, 1 << 53, cap=71)
-
-
-@pytest.mark.parametrize("stop", ["exhausted", "closed-early"])
-def test_no_tile_buffer_outlives_its_draw(stop):
-    # Every pair passes, so the draw yields a batch after each tile.  Its four
-    # tile buffers (3 * 8 + 1 bytes a pair, about 800 KB) live while it runs
-    # and are freed with it, whether it runs out or is closed mid-draw.
-    import tracemalloc
-
-    lo = _digests(300, "buffers")  # 90,000 pairs: three tiles
-    buffers = 25 * randomness._TILE
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        draw = threshold_pairs(lo, lo, THRESHOLD_RNGS, STREAM_PERCOLATION, 1 << 53, 10**9, "test pairs")
-        batch = next(draw)
-        assert tracemalloc.get_traced_memory()[0] - before > buffers
-        if stop == "exhausted":
-            assert len(list(draw)) > 0
-        else:
-            draw.close()
-        del batch
-        assert tracemalloc.get_traced_memory()[0] - before < buffers // 8
-    finally:
-        tracemalloc.stop()
-    assert not hasattr(randomness, "_buffers")
