@@ -6,7 +6,7 @@ At first-factor distance d from the center its slice reaches f(r_n - d)
 in the second factor (`SlopeSchedule.diamond_reach`), so its volume has
 the exact slice decomposition sum_d s_d v'_{f(r_n - d)}
 (`product.slice_volume`), which the enumeration oracle must reproduce;
-`point_process` builds its members with `FactorBall.slices`.  `in_diamond`
+`point_process` builds its members with `groups.Ball.slices`.  `in_diamond`
 is the pointwise definition of membership, which tests compare against;
 the sandwich check applies the slice radii to a whole `ProductSpace`
 window at once, through the window's factor-index arrays.

@@ -61,9 +61,9 @@ import numpy as np
 
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
-from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series
+from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series, ragged
 from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
-from .product import ProductMetric, ProductSpace, ragged
+from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, point_digests, sample_diamond_process
 from .randomness import (
     STREAM_OVERLAP,
@@ -129,7 +129,8 @@ class PercolationKernel:
     `space` = ProductSpace(metric, window_radius) with its point `digests`;
     every point id it takes or returns is a window id, and the covering
     map, the vertex table and Pi2 share them.  `prob` is lut at
-    `rho_num(d(a1, b1), d'(a2, b2))`, from each factor ball's `distances`.
+    `rho_num(d(a1, b1), d'(a2, b2))`, from the pair distances of each
+    window factor ball (`_distances`).
     The Pi2 stage and the coset-line baseline are this one percolation
     restricted to two point sets: each point draws the open ranks of its
     spheres by geometric gaps (`open_pairs`).
@@ -164,9 +165,17 @@ class PercolationKernel:
     def prob(self, a, b) -> np.ndarray:
         """p(a, b) for window ids a and b, elementwise: lut at the rho_c
         numerator d p + d' q of their factor distances."""
+        s, (dist1, dist2) = self.space, self._distances
+        d1 = dist1(s.pts1[a], s.pts1[b])
+        return self.lut[s.metric.rho_num(d1, dist2(s.pts2[a], s.pts2[b]))]
+
+    @functools.cached_property
+    def _distances(self) -> tuple:
+        """d(elements[i], elements[j]) for index arrays i and j, elementwise,
+        per window factor ball (`Oracle.distances` over it, built on first
+        use); a free product's table counts against the kernel's cap."""
         s = self.space
-        d1 = s.ball1.distances(s.pts1[a], s.pts1[b])
-        return self.lut[s.metric.rho_num(d1, s.ball2.distances(s.pts2[a], s.pts2[b]))]
+        return tuple(b.oracle.distances(b.elements, self.cap) for b in (s.ball1, s.ball2))
 
     def open_pairs(self, ids, rngs, emax) -> list:
         """For each SeededRandomness of `rngs`, (a, b, u, p) for every open
@@ -325,7 +334,7 @@ class PercolationKernel:
         Those rows, of a ball's m elements, are multiplied by p and q before
         the gather, not through `rho_num` after it on n/m times longer rows.
         """
-        s = self.space
+        s, (dist1, dist2) = self.space, self._distances
         n = len(s)
         out = np.empty(len(rows), dtype=np.float64)
         ring = np.arange(1, n)
@@ -336,8 +345,8 @@ class PercolationKernel:
             i = rows[r0 : r0 + step, None]
             j = (i + ring) % n
             k = np.arange(len(i))[:, None]
-            row1 = s.ball1.distances(s.pts1[i], all1) * p
-            row2 = s.ball2.distances(s.pts2[i], all2) * q
+            row1 = dist1(s.pts1[i], all1) * p
+            row2 = dist2(s.pts2[i], all2) * q
             mass = self.lut[row1[k, s.pts1[j]] + row2[k, s.pts2[j]]]
             out[r0 : r0 + step] = np.cumsum(mass, axis=1)[:, -1]
         return out

@@ -14,13 +14,16 @@ A ball (`Ball`) is its BFS tree as arrays: each element's distance,
 parent and last generator, and a right-step table of its products with
 the generators.  A free group's ball is built level by level in closed
 form; every other group's by a BFS over canonical forms that keeps the
-products it computes.  `enumerate_ball` is the plain BFS, the independent
-reference.  `ball` checks the element cap against the exact sphere counts
-before anything is built, keeps each group's largest ball for the process
-and serves smaller radii as its prefixes.  Sphere counts come from exact
-truncated power-series arithmetic, which reaches radii far beyond what
-enumeration can store; the two routes are checked against each other in
-the test suite.
+products it computes.  A ball gives its volumes, its slice unions with
+another ball as index arrays (`Ball.slices`, through `ragged`, the one
+ragged expansion) and its quotient tables x c^-1 by index, walked through
+the right-step table (`Ball.quotient_table`).  `enumerate_ball` is the
+plain BFS, the independent reference.  `ball` checks the element cap
+against the exact sphere counts before anything is built, keeps each
+group's largest ball for the process and serves smaller radii as its
+prefixes.  Sphere counts come from exact truncated power-series
+arithmetic, which reaches radii far beyond what enumeration can store; the
+two routes are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -655,6 +658,15 @@ def _convolve(a, b, horizon):
 # Balls and growth ---------------------------------------------------------
 
 
+def ragged(counts, dtype=np.int64) -> tuple:
+    """(owner, rank): every pair (i, r) with 0 <= r < counts[i], by i then
+    r, as two arrays of `dtype`; `counts` is an integer array."""
+    owner = np.repeat(np.arange(len(counts), dtype=dtype), counts)
+    rank = np.arange(len(owner), dtype=dtype)
+    rank -= np.repeat((np.cumsum(counts) - counts).astype(dtype), counts)
+    return owner, rank
+
+
 class Ball:
     """The elements within `radius` of the identity as a BFS tree, indexed
     in (distance, sort_key) order, so a smaller ball is an index prefix.
@@ -665,9 +677,9 @@ class Ball:
     order, with elements[parent[i]] * g = elements[i] (-1 for the
     identity), and `step[i, g]` the index of elements[i] * g, -1 outside
     the ball; `inverse[g]` is the column of g's inverse.  The arrays are
-    int32 and read-only.  The element tuples, their `index` and their
-    `words` are built on first use; iterating gives `enumerate_ball`'s
-    (element, distance) pairs.
+    int32 and read-only.  `volumes[r]` is the size of the radius-r prefix.
+    The element tuples, their `index` and their `words` are built on first
+    use; iterating gives `enumerate_ball`'s (element, distance) pairs.
     """
 
     def __init__(self, oracle: Oracle, radius: int, dist, parent, gen, step, elements=None):
@@ -679,6 +691,7 @@ class Ball:
             self.__dict__["elements"] = elements  # the cached_property's value
         gens = [g for _, g in oracle.gen_pairs()]
         self.inverse = np.array([gens.index(oracle.inverse(g)) for g in gens])
+        self.volumes = np.searchsorted(dist, np.arange(radius + 1), side="right").tolist()
         self._prefixes = {}
 
     def __len__(self):
@@ -733,6 +746,52 @@ class Ball:
             out.append(out[p] + letters[g])
         out[0] = orc.word_str(orc.identity)
         return out
+
+    def volume(self, r: int) -> int:
+        if r < 0:
+            return 0
+        return self.volumes[min(r, self.radius)]
+
+    def quotient_table(self, rows: int, cols) -> np.ndarray:
+        """Index of elements[i] * elements[c]^-1 for i < rows, one column
+        per ball index c of `cols`, as int64.  Each row walks c's tree word
+        backwards from i, one step by the inverse of each last generator up
+        c's parents, and reads -1 once a step leaves the ball.  So an entry
+        is exact wherever |elements[i]| + |elements[c]| <= radius, and in a
+        free group, where distance to the identity along a geodesic path
+        has no interior maximum, wherever the product lies in the ball."""
+        node = np.asarray(cols, dtype=np.int64)
+        out = np.repeat(np.arange(rows, dtype=np.int64)[:, None], len(node), axis=1)
+        for _ in range(int(self.dist[node].max(initial=0))):
+            walk = node > 0
+            at = out[:, walk]
+            moved = self.step[at, self.inverse[self.gen[node[walk]]]]
+            out[:, walk] = np.where(at >= 0, moved, -1)
+            node = self.parent[node]
+        return out
+
+    def slices(self, other: "Ball", reach, cap: int, what: str, dtype=np.int64) -> tuple:
+        """The slice union {(i, j): dist[i] = d, other.dist[j] <= reach[d]}
+        as two index arrays into this ball and `other`, by i then j.  A
+        reach past other.radius takes all of `other`.  The union's size
+        counts against `cap` (ResourceCapError names `what`) before it is
+        built."""
+        vols = np.array([other.volume(r) for r in reach], dtype=np.int64)
+        counts = vols[self.dist[: self.volume(len(reach) - 1)]]
+        if int(counts.sum()) > cap:
+            raise ResourceCapError(what, cap)
+        return ragged(counts, dtype)
+
+    def distance_matrix(self, count=None, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+        """Pairwise word distances among the first `count` elements, as a
+        table from `Oracle.distances`; the m^2 entries count against `cap`.
+        Kept only because perfbench/layers.py times the traced name
+        `product.FactorBall.distance_matrix`; it goes with that name."""
+        m = len(self) if count is None else count
+        if m * m > cap:
+            raise ResourceCapError("distance table", cap)
+        i = np.arange(m)
+        return self.oracle.distances(self.elements, cap)(i[:, None], i[None, :])
 
 
 def _free_ball(oracle: FreeOracle, radius: int) -> Ball:

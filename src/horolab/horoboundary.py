@@ -125,7 +125,7 @@ class FreeRaySteps:
     by the ray's next letter when y lies on the ray, and y's parent (y
     without its last letter) otherwise.
 
-    The tables are built once per ball from its BFS tree (`FactorBall`),
+    The tables are built once per ball from its BFS tree (`groups.Ball`),
     whose elements are listed by length; a reduced word's parent is the
     word without its last letter.  For the element of index i:
     `prefix[k, i]` is the index of its length-min(k, |i|) prefix (the

@@ -4,7 +4,7 @@ Centers are sampled with probability 1/v''_n at every covering center: a
 point whose diamond meets the observation window W.  The diamond's slice
 at first distance d reaches f(r_n - d) in the second factor
 (`SlopeSchedule.diamond_reach`); its members around the origin are that
-slice union, built by `FactorBall.slices`.  The centers covering a window
+slice union, built by `groups.Ball.slices`.  The centers covering a window
 point y are y * u^-1 for the diamond's members u, so the center window W+
 is exactly the covering centers, enumerated from the window and the
 diamond: no other center is ever observed, so the window restriction is
@@ -29,8 +29,8 @@ import numpy as np
 
 from .diamonds import corner_count, diamond_volume
 from .errors import InvariantViolation, ResourceCapError
-from .groups import DEFAULT_ENUM_CAP, make_oracle
-from .product import FactorBall, ProductSpace, ragged, slice_volume
+from .groups import DEFAULT_ENUM_CAP, Ball, ball, make_oracle, ragged
+from .product import ProductSpace, slice_volume
 from .randomness import (
     _TILE,
     STREAM_CENTERS,
@@ -50,7 +50,7 @@ from .schedule import SlopeSchedule
 _FACTOR_DIGESTS = {}
 
 
-def factor_digests(ball: FactorBall, tag: str) -> np.ndarray:
+def factor_digests(ball: Ball, tag: str) -> np.ndarray:
     """Stable 64-bit digest per element, `digest_str(tag + ":" + word)` of
     its canonical word; a read-only array.  The words are the ball's own,
     built once and shared by every tag."""
@@ -121,8 +121,8 @@ class ProcessContext:
         self.n = n
         reach = schedule.diamond_reach(n)
         # A covering center y * u^-1 lies within |y| + |u| in each factor.
-        ball1 = FactorBall(metric.first, window.ball1.radius + len(reach) - 1, cap)
-        ball2 = FactorBall(metric.second, window.ball2.radius + int(reach[0]), cap)
+        ball1 = ball(metric.first, window.ball1.radius + len(reach) - 1, cap)
+        ball2 = ball(metric.second, window.ball2.radius + int(reach[0]), cap)
         self.offsets = ball1.slices(ball2, reach, cap, "diamond offsets")
         self.volume = diamond_volume(schedule, n)
         if self.volume != len(self.offsets[0]):
@@ -132,7 +132,7 @@ class ProcessContext:
         self.window_ids = self.space.lookup(window.pts1, window.pts2)
         self.center_digests = point_digests(self.space)
 
-    def _covering_map(self, ball1: FactorBall, ball2: FactorBall, cap: int) -> tuple:
+    def _covering_map(self, ball1: Ball, ball2: Ball, cap: int) -> tuple:
         """(keys, covering): the rising packed key of every center whose
         diamond meets the window, and its members in the window.  The (window
         point, diamond offset) pairs count against `cap` before any is built."""
@@ -257,17 +257,17 @@ def corner_event_probability(
     The exact value is the Bernoulli closed form 1 - (1 - 1/v'')^{|A|}.
     The empirical value is the share of `seeds` seeds under which some
     center of A_{n,T} is drawn: A_{n,T} is the union of two clause
-    rectangles of factor-ball prefix ranges, cut into row blocks of at most
-    `_TILE` pairs (a longer row is a block of its own).  Each block's
-    center digests `combine_digests(d1[i], d2[j])` are made once and drawn
-    by `SeededRandomness.below` on the center stream at u <= 1/v'', exactly
-    as the process sampler does, under each seed without a hit so far: a
-    seed stops at its first hit, and no corner set is held.  Over at least
-    six breakpoints the exact sequence must be eventually decreasing along
-    each breakpoint-parity class (the crossing rule alternates sides, so
-    the interleaved sequence legitimately oscillates); shorter ranges skip
-    the check.  Before anything is drawn, every corner set's closed-form
-    size counts against `cap`.
+    rectangles of factor-ball prefix ranges, cut into blocks of at most
+    `_TILE` pairs: whole rows, or column blocks of a longer row.  Each
+    block's center digests `combine_digests(d1[i], d2[j])` are made once
+    and drawn by `SeededRandomness.below` on the center stream at u <=
+    1/v'', exactly as the process sampler does, under each seed without a
+    hit so far: a seed stops at its first hit, and no corner set is held.
+    Over at least six breakpoints the exact sequence must be eventually
+    decreasing along each breakpoint-parity class (the crossing rule
+    alternates sides, so the interleaved sequence legitimately oscillates);
+    shorter ranges skip the check.  Before anything is drawn, every corner
+    set's closed-form size counts against `cap`.
     """
     growth, growth2 = schedule.growth, schedule.growth2
     rows = []
@@ -280,8 +280,8 @@ def corner_event_probability(
                 raise ResourceCapError(f"corner set A_{{n,T}} at n = {n}, T = {T}", cap)
         r_max = max(schedule.r[n] for n in n_range)
         rp_max = max(schedule.r_prime[n] for n in n_range)
-        b1 = FactorBall(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
-        b2 = FactorBall(make_oracle(growth2.spec), max(rp_max + T - 1, T - 1, 0), cap)
+        b1 = ball(make_oracle(growth.spec), max(r_max + T - 1, T - 1, 0), cap)
+        b2 = ball(make_oracle(growth2.spec), max(rp_max + T - 1, T - 1, 0), cap)
         d1 = factor_digests(b1, "G")
         d2 = factor_digests(b2, "G2")
         rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
@@ -305,11 +305,13 @@ def corner_event_probability(
             k = bits_at_most(1.0 / v)
             hit = np.zeros(seeds, dtype=bool)
             for lo, hi in clauses:
-                height = max(1, _TILE // max(1, len(hi)))
+                width = max(1, min(len(hi), _TILE))
+                height = _TILE // width
                 for i0 in range(0, len(lo), height):
-                    pairs = combine_digests(lo[i0 : i0 + height, None], hi).ravel()
-                    for s in np.flatnonzero(~hit):
-                        hit[s] = len(rngs[s].below(pairs, STREAM_CENTERS, k)) > 0
+                    for j0 in range(0, len(hi), width):
+                        pairs = combine_digests(lo[i0 : i0 + height, None], hi[j0 : j0 + width]).ravel()
+                        for s in np.flatnonzero(~hit):
+                            hit[s] = len(rngs[s].below(pairs, STREAM_CENTERS, k)) > 0
             emp = int(hit.sum()) / seeds
         rows.append(
             CornerEventRow(

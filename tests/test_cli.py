@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from horolab import acceptance, cli, graphing, point_process
+from horolab import acceptance, cli, graphing, groups, point_process
 from horolab.errors import MarkCollisionError
 from horolab.graphing import BaselineRow, CostReport, SeedStats
 from horolab.point_process import ProcessContext, sample_diamond_process
@@ -407,7 +407,7 @@ def test_a_covering_map_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys
     def never(*args, **kwargs):
         raise AssertionError("a quotient table was built")
 
-    monkeypatch.setattr(point_process.FactorBall, "quotient_table", never)
+    monkeypatch.setattr(groups.Ball, "quotient_table", never)
     overrides = {"enum_cap": 20_000}
     assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
     err = capsys.readouterr().err

@@ -15,7 +15,7 @@ from horolab.diamonds import (
 from horolab.errors import InputError
 from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.horoboundary import ProductHorofunction, horofunction_from_ray
-from horolab.product import FactorBall, ProductMetric, ProductSpace
+from horolab.product import ProductMetric, ProductSpace
 from horolab.schedule import build_schedule, linear_schedule, schedule_for
 
 F2 = GroupSpec("free", rank=2)
@@ -89,8 +89,8 @@ def test_diamond_reach_agrees_with_in_diamond(first, c, n_values):
     for n in n_values:
         reach = sched.diamond_reach(n)
         assert len(reach) == sched.r[n] + 1
-        b1 = FactorBall(m.first, sched.r[n] + 1)
-        b2 = FactorBall(m.second, int(reach.max()) + 1)
+        b1 = ball(m.first, sched.r[n] + 1)
+        b2 = ball(m.second, int(reach.max()) + 1)
         for u, d1 in zip(b1.elements, b1.dist.tolist()):
             for w, d2 in zip(b2.elements, b2.dist.tolist()):
                 inside = d1 < len(reach) and d2 <= reach[d1]

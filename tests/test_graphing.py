@@ -304,12 +304,10 @@ def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):
 
 def _rho_nums(space, a, b) -> np.ndarray:
     """The rho_c numerators d p + d' q of the point pairs (a, b) of
-    `space`, from each factor ball's `distances`."""
+    `space`, from each factor ball's `Oracle.distances`."""
     c = space.metric.c
-    return (
-        space.ball1.distances(space.pts1[a], space.pts1[b]) * c.numerator
-        + space.ball2.distances(space.pts2[a], space.pts2[b]) * c.denominator
-    )
+    d1, d2 = (fb.oracle.distances(fb.elements) for fb in (space.ball1, space.ball2))
+    return d1(space.pts1[a], space.pts1[b]) * c.numerator + d2(space.pts2[a], space.pts2[b]) * c.denominator
 
 
 @functools.lru_cache(maxsize=None)
@@ -834,6 +832,20 @@ def test_an_f2_kernel_at_wr_6_builds_no_square_table():
         tracemalloc.stop()
     assert len(kernel.space.ball1) == len(kernel.space.ball2) == 1457
     assert peak < 8 * 2**20
+
+
+def test_the_kernels_free_product_distance_table_counts_against_its_cap():
+    # The Z/2*Z/3 x Z window at wr 3 has 40 points over a first factor ball
+    # of m = 14 elements, whose one distance table of m^2 entries is the
+    # kernel's own, built on first use: at a cap of m^2 - 1 every other cap
+    # site fits and the first `row_masses` refuses the table; at m^2 it runs.
+    metric = ProductMetric(make_oracle(Z2_STAR_Z3), make_oracle(Z1), 1)
+    m = len(graphing.PercolationKernel(metric, 3).space.ball1)
+    assert m == 14
+    kernel = graphing.PercolationKernel(metric, 3, cap=m * m - 1)
+    with pytest.raises(ResourceCapError, match="distance table"):
+        kernel.row_masses(np.arange(2))
+    assert len(graphing.PercolationKernel(metric, 3, cap=m * m).row_masses(np.arange(2))) == 2
 
 
 F3 = GroupSpec("free", rank=3)

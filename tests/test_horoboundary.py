@@ -13,7 +13,6 @@ from horolab.horoboundary import (
     horofunction_from_ray,
     spell,
 )
-from horolab.product import FactorBall
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -186,7 +185,7 @@ def test_values_do_not_depend_on_the_probe_radius(spec, labels):
 )
 def test_free_ray_steps_are_the_horofunction_descent(spec, center_radius, radius):
     o = make_oracle(spec)
-    b = FactorBall(o, radius)
+    b = ball(o, radius)
     steps = FreeRaySteps(b)
     ys = np.arange(len(b))
     seen = {"on ray": 0, "past the center": 0, "off the ray": 0, "leaves the ball": 0}

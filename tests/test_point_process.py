@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from horolab import point_process
 from horolab.diamonds import diamond_volume, in_diamond
 from horolab.errors import InvariantViolation
-from horolab.groups import GroupSpec, growth_series, make_oracle
+from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.point_process import (
     DiamondProcess,
     ProcessContext,
@@ -21,7 +21,7 @@ from horolab.point_process import (
     point_digests,
     sample_diamond_process,
 )
-from horolab.product import FactorBall, ProductMetric, ProductSpace
+from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
@@ -202,16 +202,16 @@ def test_covering_map_is_the_in_diamond_enumeration(request, which, covering, po
 
 
 def test_a_first_factor_ball_one_radius_short_loses_a_covering_center(sched, monkeypatch):
-    # The first FactorBall a ProcessContext builds is W+'s first factor.
+    # The first ball a ProcessContext builds is W+'s first factor.
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     window = ProductSpace(metric, 3)
     built = []
 
     def first_short(oracle, radius, cap):
         built.append(radius)
-        return FactorBall(oracle, radius - (len(built) == 1), cap)
+        return ball(oracle, radius - (len(built) == 1), cap)
 
-    monkeypatch.setattr(point_process, "FactorBall", first_short)
+    monkeypatch.setattr(point_process, "ball", first_short)
     with pytest.raises(InvariantViolation, match="a covering center left its factor ball"):
         ProcessContext(window, sched, 2)
     assert built[0] == 3 + sched.r[2]
@@ -385,8 +385,8 @@ def _corner_hits_reference(sched, n, T, seeds, master_seed) -> float:
     with A_{n,T} materialised: the ball pairs (i, j) with i < v1(r_n + T - 1)
     and j < v2(T - 1), or i < v1(T - 1) and j < v2(r'_n + T - 1)."""
     radius = max(sched.r[n], sched.r_prime[n]) + T
-    b1 = FactorBall(make_oracle(sched.growth.spec), radius)
-    b2 = FactorBall(make_oracle(sched.growth2.spec), radius)
+    b1 = ball(make_oracle(sched.growth.spec), radius)
+    b2 = ball(make_oracle(sched.growth2.spec), radius)
     clauses = [
         np.indices((b1.volume(sched.r[n] + T - 1), b2.volume(T - 1))).reshape(2, -1),
         np.indices((b1.volume(T - 1), b2.volume(sched.r_prime[n] + T - 1))).reshape(2, -1),
@@ -404,9 +404,9 @@ def _corner_hits_reference(sched, n, T, seeds, master_seed) -> float:
 @pytest.mark.parametrize("tile", [1, 10, point_process._TILE])
 @pytest.mark.parametrize("T", [1, 2])
 def test_corner_event_empirical_matches_the_materialised_reference(sched, T, tile, monkeypatch):
-    # Row blocks of one pair, where every row longer than one pair is a
-    # block of its own; of ten pairs, over which a rectangle splits into
-    # many blocks; and of the default size.
+    # Blocks of one pair; of ten pairs, over which a rectangle splits into
+    # many row blocks and a longer row into column blocks; and of the
+    # default size.
     monkeypatch.setattr(point_process, "_TILE", tile)
     rows = corner_event_probability(sched, range(1, 7), T, seeds=50, master_seed=17)
     got = [r.empirical_probability for r in rows]
@@ -441,6 +441,31 @@ def test_a_corner_seed_stops_drawing_at_its_first_hit(sched, monkeypatch):
             assert found[-1] or len(found) == blocks
             stopped_early += found[-1] and len(found) < blocks
     assert stopped_early > 0
+
+
+def test_a_long_corner_row_is_drawn_in_column_blocks(sched, monkeypatch):
+    # At T = 1 the second clause is one row of v2(r'_n) - 1 centers, 13,120
+    # at n = 8.  Cut into column blocks of 1,024 pairs, it draws as the
+    # materialised reference does, and a call peaks at a few blocks' digests
+    # (8 B a center), not at the whole row's 13 blocks, held about three
+    # times over.  The reference's larger balls are kept first, so the
+    # measured call builds no ball prefix.
+    import tracemalloc
+
+    tile = 1024
+    monkeypatch.setattr(point_process, "_TILE", tile)
+    want = _corner_hits_reference(sched, 8, 1, 20, 5)
+    (row,) = corner_event_probability(sched, [8], 1, seeds=20, master_seed=5)
+    assert row.empirical_probability == want
+    assert 0 < want < 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corner_event_probability(sched, [8], 1, seeds=20, master_seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * tile
 
 
 def test_a_corner_draw_holds_no_corner_set(sched):
@@ -502,7 +527,7 @@ def test_factor_digests_prefixes_equal_a_fresh_computation(monkeypatch, radii):
     monkeypatch.setattr(point_process, "_FACTOR_DIGESTS", {})
     for r in radii:
         for spec in (F2, GroupSpec("free", rank=3), GroupSpec("integer_lattice", dim=2)):
-            fb = FactorBall(make_oracle(spec), r)
+            fb = ball(make_oracle(spec), r)
             for tag in ("G", "G2"):
                 fresh = [digest_str(f"{tag}:{w}") for w in fb.words]
                 got = factor_digests(fb, tag)

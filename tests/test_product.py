@@ -6,18 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horolab import groups, product
+from horolab import groups
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
-from horolab.groups import GroupSpec, ball, growth_series, make_oracle
-from horolab.product import (
-    FactorBall,
-    ProductMetric,
-    ProductSpace,
-    as_slope,
-    ball_slice_volume,
-    perfect_diamond,
-    ragged,
-)
+from horolab.groups import GroupSpec, ball, growth_series, make_oracle, ragged
+from horolab.product import ProductMetric, ProductSpace, as_slope, ball_slice_volume, perfect_diamond
 
 F2 = GroupSpec("free", rank=2)
 Z1 = GroupSpec("integer_lattice", dim=1)
@@ -176,7 +168,7 @@ BALL_SPECS = {
 
 
 def _quotient_loop(oracle, elements, rows, cols) -> np.ndarray:
-    """The Python double loop `FactorBall.quotient_table` once was: the
+    """The Python double loop `Ball.quotient_table` once was: the
     index of elements[i] * elements[c]^-1 among `elements`, -1 outside."""
     index = {el: i for i, el in enumerate(elements)}
     inv = [oracle.inverse(elements[c]) for c in cols]
@@ -194,10 +186,10 @@ def test_factor_ball_arrays_match_the_reference(monkeypatch, spec, cold):
     radius = 5 if sum(o.sphere_sizes(5)) <= 3000 else 4
     if not cold:
         ball(o, radius + 1)
-    fb = FactorBall(o, radius)
+    fb = ball(o, radius)
     ref = groups.enumerate_ball(o, radius)
     els = [el for el, _ in ref]
-    assert list(fb.tree) == ref
+    assert list(fb) == ref
     assert fb.dist.tolist() == [d for _, d in ref]
     gens = [g for _, g in o.gen_pairs()]
     assert fb.parent[0] == 0 and fb.gen[0] == -1
@@ -218,7 +210,7 @@ def test_factor_ball_arrays_match_the_reference(monkeypatch, spec, cold):
 
 
 def test_factor_ball_prefix_structure():
-    fb = FactorBall(make_oracle(F2), 3)
+    fb = ball(make_oracle(F2), 3)
     assert fb.volume(0) == 1
     assert fb.volume(2) == 17
     assert all(fb.dist[i] <= fb.dist[i + 1] for i in range(len(fb) - 1))
@@ -232,7 +224,7 @@ def test_quotient_table_stays_inside_its_own_ball(monkeypatch):
     monkeypatch.setattr(groups, "_BALLS", {})
     o = make_oracle(F2)
     ball(o, 5)
-    fb = FactorBall(o, 2)
+    fb = ball(o, 2)
     table = fb.quotient_table(len(fb), np.arange(len(fb)))
     index = {el: i for i, (el, _) in enumerate(groups.enumerate_ball(o, 2))}
     expected = [
@@ -252,7 +244,7 @@ def test_quotient_table_takes_one_column_per_element_given():
     # Any elements, by ball index, one column each in the order given, for
     # the first rows of the ball: the covering map's offset prefix is such
     # a call.
-    fb = FactorBall(make_oracle(F2), 3)
+    fb = ball(make_oracle(F2), 3)
     table = fb.quotient_table(len(fb), np.arange(len(fb)))
     assert (fb.quotient_table(len(fb), [7, 2]) == table[:, [7, 2]]).all()
     assert (fb.quotient_table(5, np.arange(9)) == table[:5, :9]).all()
@@ -269,6 +261,14 @@ def test_product_space_window(m_f2):
     assert pid >= 0
     assert sp.element(pid) == (m_f2.first.canon(["a"]), m_f2.second.identity)
     assert sp.word_str(pid) == "a|e"
+
+
+def test_a_window_holds_the_memos_own_factor_balls():
+    # Not copies: the window's factor balls are those `groups.ball` serves.
+    m = ProductMetric(make_oracle(F2), make_oracle(Z1), "3/2")
+    sp = ProductSpace(m, 3)
+    assert sp.ball1 is ball(m.first, 3)
+    assert sp.ball2 is ball(m.second, 4)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ def test_product_space_requires_rational():
 
 
 def test_distance_matrix():
-    fb = FactorBall(make_oracle(F2), 2)
+    fb = ball(make_oracle(F2), 2)
     D = fb.distance_matrix()
     o = fb.oracle
     for i in range(0, len(fb), 3):
@@ -330,19 +330,20 @@ DISTANCE_FAMILIES = {
 def test_closed_form_distance_matrix_matches_the_oracle_loop(spec, radius, prefix):
     # Every pair, so x = y on the diagonal and, in a direct product, the
     # pairs that share one coordinate (a part's x = y) are all compared.
-    fb = FactorBall(make_oracle(spec), radius)
+    fb = ball(make_oracle(spec), radius)
     o, els = fb.oracle, fb.elements
     count = fb.volume(radius - 1) + 1 if prefix else len(fb)
     reference = np.array([[o.distance(x, y) for y in els[:count]] for x in els[:count]])
     grid = np.arange(count)
-    D = fb.distances(grid[:, None], grid)
+    dist = o.distances(els)
+    D = dist(grid[:, None], grid)
     assert D.shape == reference.shape == (count, count)
     assert (D == reference).all()
     # Random index pairs as two flat arrays, the form `prob` passes.
     rng = np.random.default_rng(radius)
     i, j = rng.integers(0, count, 400), rng.integers(0, count, 400)
-    assert (fb.distances(i, j) == reference[i, j]).all()
-    assert D.dtype == fb.distances(i, j).dtype == np.int32
+    assert (dist(i, j) == reference[i, j]).all()
+    assert D.dtype == dist(i, j).dtype == np.int32
 
 
 def test_cyclic_distances_of_an_order_past_int32():
@@ -392,21 +393,21 @@ def test_free_distances_match_the_oracle_loop(case):
 
 
 def test_distance_matrix_counts_its_entries_against_the_cap():
-    fb = FactorBall(make_oracle(F2), 3, cap=1000)  # 161 elements
-    assert fb.distance_matrix(31).shape == (31, 31)  # 961 entries
+    fb = ball(make_oracle(F2), 3)  # 161 elements
+    assert fb.distance_matrix(31, cap=1000).shape == (31, 31)  # 961 entries
     with pytest.raises(ResourceCapError, match="distance table"):
-        fb.distance_matrix(32)
+        fb.distance_matrix(32, cap=1000)
     with pytest.raises(ResourceCapError, match="distance table"):
-        fb.distance_matrix()
+        fb.distance_matrix(cap=1000)
 
 
 def test_only_the_free_product_table_counts_against_the_cap():
     # Closed forms hold O(m) data and take any cap; the free product's one
     # table of m^2 entries is refused above it, before it is built.
     for spec, radius in (DISTANCE_FAMILIES["f2"], DISTANCE_FAMILIES["f2xz"]):
-        fb = FactorBall(make_oracle(spec), radius)
+        fb = ball(make_oracle(spec), radius)
         fb.oracle.distances(fb.elements, cap=1)
-    fb = FactorBall(make_oracle(FREE_PRODUCT), 5)
+    fb = ball(make_oracle(FREE_PRODUCT), 5)
     m = len(fb)
     fb.oracle.distances(fb.elements, cap=m * m)
     with pytest.raises(ResourceCapError, match="distance table"):
@@ -437,7 +438,7 @@ C4 = GroupSpec("cyclic", order=4)  # radius 4: its spheres 3 and 4 are empty
     ids=["f2-past-radius", "f2-short", "c4-first", "c4-second", "empty"],
 )
 def test_slices_match_a_brute_filter(first, r1, second, r2, reach):
-    b1, b2 = FactorBall(make_oracle(first), r1), FactorBall(make_oracle(second), r2)
+    b1, b2 = ball(make_oracle(first), r1), ball(make_oracle(second), r2)
     i, j = b1.slices(b2, reach, 10_000, "slices")
     brute = [
         (a, b)
@@ -455,8 +456,8 @@ def test_slices_count_the_cap_before_anything_is_built(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a slice union was built")
 
-    monkeypatch.setattr(product, "ragged", never)
-    b1 = FactorBall(m.first, 3)
+    monkeypatch.setattr(groups, "ragged", never)
+    b1 = ball(m.first, 3)
     with pytest.raises(ResourceCapError, match="diamond offsets"):
         b1.slices(b1, [3, 2, 1, 0], size - 1, "diamond offsets")
     with pytest.raises(ResourceCapError, match="product window enumeration"):
