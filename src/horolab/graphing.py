@@ -69,9 +69,11 @@ from .randomness import (
     STREAM_OVERLAP,
     STREAM_PERCOLATION,
     SeededRandomness,
+    _DROP11,
     _TILE,
     combine_digests,
     seed_digest,
+    to_uniforms,
 )
 from .schedule import SlopeSchedule
 
@@ -99,6 +101,13 @@ def _dense(keys) -> tuple:
     ids = np.empty(len(keys), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ids, order[new]
+
+
+def _gap0_bound(reach) -> np.ndarray:
+    """K = ceil(reach * 2^53) per class, as uint64: a uniform w = b * 2^-53
+    is below `reach` exactly when its 53-bit integer b < K, since reach *
+    2^53 is exact and b an integer."""
+    return np.ceil(reach * 2.0**53).astype(np.uint64)
 
 
 def _gap0_reach(sizes, log_q) -> np.ndarray:
@@ -193,7 +202,12 @@ class PercolationKernel:
         a cell can open a rank only when w is below its class's reach, an
         upper bound on 1 - (1 - q_j)^|sphere_j| (`_gap0_reach`), so the
         exact test runs on those cells alone, most of a round's being
-        closed.
+        closed.  Gap 0 allocates no array of a seed's cells: its rows of the
+        block's gap-0 keys are gathered into a word buffer held for the call,
+        hashed there in place (`SeededRandomness.words`), and their 53-bit
+        integers b are tested against K = ceil(reach 2^53) per class into a
+        held bool array, b < K being exactly w < reach (`_gap0_bound`);
+        only the cells that pass are made floats.
         A rank unranks to y, kept when y is among the seed's ids and
         digest(x) < digest(y): so each unordered pair is decided once, at
         rate emax * p.  Its u is v * q_j < emax * p, v the uniform of
@@ -218,22 +232,28 @@ class PercolationKernel:
         if largest * int(sizes[q == 1.0].sum()) > self.cap:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
-        reach = _gap0_reach(sizes[drawn], log_q[drawn])
+        width, bound = len(drawn), _gap0_bound(_gap0_reach(sizes[drawn], log_q[drawn]))
         count, found = np.zeros(len(rngs), dtype=np.int64), [[] for _ in rngs]
-        step = max(1, _TILE // max(1, len(drawn)))
+        step = max(1, _TILE // max(1, width))
+        held = min(step, len(ids)) * width  # the gap-0 buffers, held for the call
+        bits, tmp, near = np.empty(held, np.uint64), np.empty(held, np.uint64), np.empty(held, bool)
         for i0 in range(0, max(1, len(ids)), step):
             block = ids[i0 : i0 + step]
-            keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64)).ravel()
-            first, pending = combine_digests(keys, 0), []
+            keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64))
+            first, keys, pending = combine_digests(keys, 0), keys.ravel(), []
             for s, rng in enumerate(rngs):
-                cell, pos = np.flatnonzero(np.repeat(member[s, block], len(drawn))), -1.0
-                words = first[cell]  # the cells of the seed's own points
+                own = np.flatnonzero(member[s, block])  # the block's rows of the seed's points
+                m = len(own) * width
+                z = np.take(first, own, axis=0, out=bits[:m].reshape(len(own), width))
+                rng.words(z, STREAM_PERCOLATION, out=z, tmp=tmp[:m].reshape(z.shape))
+                np.right_shift(z, _DROP11, out=z)  # a uniform's 53 bits
+                np.less(z, bound, out=near[:m].reshape(z.shape))
+                cell = np.flatnonzero(near[:m])  # only these can open a rank
+                w, cell, pos = to_uniforms(bits[cell]), own[cell // width] * width + cell % width, -1.0
                 for gap in itertools.count():
-                    w = rng.uniforms(words, STREAM_PERCOLATION)
-                    if not gap:  # only a cell whose w is below its class's reach can open a rank
-                        near = np.flatnonzero(w.reshape(-1, max(1, len(drawn))) < reach)
-                        cell, w = cell[near], w[near]
-                    j = drawn[cell % len(drawn)]
+                    if gap:
+                        w = rng.uniforms(combine_digests(keys[cell], 2 * gap), STREAM_PERCOLATION)
+                    j = drawn[cell % width]
                     pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
                     inside = np.flatnonzero(pos < sizes[j])
                     if not len(inside):
@@ -243,14 +263,13 @@ class PercolationKernel:
                         raise ResourceCapError("percolation pairs", self.cap)
                     cell, pos = cell[inside], pos[inside]
                     pending.append((s, gap, cell, pos.astype(np.int64)))
-                    words = combine_digests(keys[cell], 2 * gap + 2)
                 lens = [len(row[2]) for row in pending]
                 if s + 1 < len(rngs) and sum(lens) < _TILE:
                     continue
                 tags = np.array([row[:2] for row in pending], dtype=np.int64).reshape(-1, 2)
                 seed, gap = np.repeat(tags, lens, axis=0).T
                 cell, rank = (np.concatenate([ids[:0], *(row[k] for row in pending)]) for k in (2, 3))
-                x, j, pending = block[cell // len(drawn)], drawn[cell % len(drawn)], []
+                x, j, pending = block[cell // width], drawn[cell % width], []
                 y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
                 keep = keep[member[seed[keep], y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
@@ -1235,11 +1254,15 @@ def coset_line_baseline(
 
     The percolation is the kernel's on the window: one `open_pairs` call
     draws the open pairs of every seed, and the expected half-degree sums the
-    interior rows' `row_masses`, in their fixed order.  Each seed's pairs
-    are split by epsilon (`_open_at`, so a repeated epsilon is one row)
-    and measured on the epsilon ladder over the coset lines' labels
-    (`_ladder`), as the graphing sweep's Pi3 is over the Pi1 forest's;
-    `monotone_violations` counts the seeds whose largest fraction falls.
+    interior rows' `row_masses`, in their fixed order.  As in the graphing
+    sweep's batches, seed s's copy of window point i is vertex s n + i of
+    the disjoint union of the seeds' windows, one segment a seed: the
+    seeds' pairs are split by epsilon once (`_open_at`, so a repeated
+    epsilon is one row) and measured on one epsilon ladder over the coset
+    lines' labels (`_ladder`), as Pi3 is over the Pi1 forest's.  Each
+    seed's largest fraction is its segment's, its half-degree the mean
+    over its interior rows, and `monotone_violations` counts the segments
+    whose largest fraction falls.
     """
     if margin < 1 or margin >= window_radius:
         raise InputError("margin must satisfy 1 <= margin < window radius")
@@ -1264,26 +1287,24 @@ def coset_line_baseline(
     lines = _component_roots(n, np.stack([lo, hi], axis=1))
     mass = kernel.row_masses(int_ids)
     expected_half = {float(e): 1.0 + float(e) * float(mass.mean()) / 2.0 for e in eps_list}
-    rows = {e: {"largest": [], "half": []} for e in expected_half}
-    monotone_violations = 0
     emax = max(eps_list, default=0.0)
     rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
-    for opened in kernel.open_pairs([np.arange(n)] * seeds, rngs, emax):
-        pairs = _open_at(opened, eps_list)
-        _, fractions, drops = _ladder(lines, pairs, [0, n])
-        monotone_violations += int(drops[0] > 0)
-        for e, frac in fractions.items():
-            perc_deg = np.bincount(pairs[e].ravel(), minlength=n)
-            rows[e]["largest"].append(float(frac[0]))
-            rows[e]["half"].append(float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0))
-    out_rows = [
-        BaselineRow(e, *_mean_se(rows[e]["largest"]), *_mean_se(rows[e]["half"]), expected_half[e])
-        for e in sorted(rows)
-    ]
+    opened = kernel.open_pairs([np.arange(n)] * seeds, rngs, emax)
+    # Point i of seed s is vertex s n + i of the seeds' disjoint union.
+    starts = n * np.arange(seeds + 1)
+    rows = [(a + lo, b + lo, u, p) for lo, (a, b, u, p) in zip(starts, opened)]
+    union = [np.concatenate(col) for col in zip(*rows)] if seeds else [np.zeros(0, dtype=np.int64)] * 4
+    pairs = _open_at(union, eps_list)
+    _, fractions, drops = _ladder((lines + starts[:-1, None]).ravel(), pairs, starts)
+    out_rows = []
+    for e in sorted(pairs):
+        deg = np.bincount(pairs[e].ravel(), minlength=seeds * n).reshape(seeds, n)[:, int_ids]
+        half = (line_deg[int_ids] + deg).mean(axis=1) / 2.0
+        out_rows.append(BaselineRow(e, *_mean_se(fractions[e]), *_mean_se(half), expected_half[e]))
     return BaselineReport(
         seeds=seeds,
         rows=out_rows,
         line_partition_ok=line_partition_ok,
-        monotone_violations=monotone_violations,
+        monotone_violations=int((drops > 0).sum()),
         truncation_mass=float(kernel.truncation_mass),
     )

@@ -262,7 +262,8 @@ def corner_event_probability(
     block's center digests `combine_digests(d1[i], d2[j])` are made once
     and drawn by `SeededRandomness.below` on the center stream at u <=
     1/v'', exactly as the process sampler does, under each seed without a
-    hit so far: a seed stops at its first hit, and no corner set is held.
+    hit so far, into one word buffer held for the call: a seed stops at its
+    first hit, and no corner set is held.
     Over at least six breakpoints the exact sequence must be eventually
     decreasing along each breakpoint-parity class (the crossing rule
     alternates sides, so the interleaved sequence legitimately oscillates);
@@ -285,6 +286,7 @@ def corner_event_probability(
         d1 = factor_digests(b1, "G")
         d2 = factor_digests(b2, "G2")
         rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
+        words, tmp = np.empty(_TILE, dtype=np.uint64), np.empty(_TILE, dtype=np.uint64)
     for n, stats in counts:
         v = diamond_volume(schedule, n)
         # 1 - (1 - 1/v)^|A| in log space; the direct power saturates at 1.
@@ -310,8 +312,9 @@ def corner_event_probability(
                 for i0 in range(0, len(lo), height):
                     for j0 in range(0, len(hi), width):
                         pairs = combine_digests(lo[i0 : i0 + height, None], hi[j0 : j0 + width]).ravel()
+                        m = len(pairs)
                         for s in np.flatnonzero(~hit):
-                            hit[s] = len(rngs[s].below(pairs, STREAM_CENTERS, k)) > 0
+                            hit[s] = len(rngs[s].below(pairs, STREAM_CENTERS, k, words[:m], tmp[:m])) > 0
             emp = int(hit.sum()) / seeds
         rows.append(
             CornerEventRow(

@@ -6,18 +6,24 @@ That makes samples reproducible bit-for-bit and independent of enumeration
 order, and serves as the finite-seed surrogate for equivariant i.i.d.
 markings: translating the window translates the digests with it.
 
-The mixer is a splitmix64-style finalizer applied twice, vectorised over
-numpy uint64 arrays.
+The mixer is a splitmix64-style finalizer, z ^= z >> 30, z *= M1, z ^=
+z >> 27, z *= M2, z ^= z >> 31, run in place on numpy uint64 arrays with
+one scratch array (`_mix_into`); no step allocates.  `combine_digests`
+mixes twice on one array of its inputs' broadcast shape, and
+`SeededRandomness.words` is the one hash path of the draws: twice, under
+the seed and the stream, into a fresh array or a buffer the caller holds
+(`out`, with its scratch `tmp`), which may be the digests themselves.
 
 A Bernoulli choice at rate t keeps the digests whose uniform u = b *
 2**-53 has bits b < k = `bits_at_most(t)`, the exact integer form of u <=
-t.  `SeededRandomness.below` is the one draw of that test: it runs the
-rounds of `words` in place up to the head d, the word before its last step
-d ^ (d >> 31), and finishes only the heads at most `head_limit(k)`.  It
-draws the diamond centers, and the corner events over row blocks of
-digest pairs (`point_process.corner_event_probability`).  The percolation
-draws far fewer words, by geometric gaps
-(`graphing.PercolationKernel.open_pairs`), through `uniforms`.
+t.  `SeededRandomness.below` is the one draw of that test: it runs `words`
+up to the head d, the word before its last step d ^ (d >> 31), and
+finishes only the heads at most `head_limit(k)`.  It draws the diamond
+centers, and the corner events over row blocks of digest pairs into one
+buffer (`point_process.corner_event_probability`).  The percolation draws
+far fewer words, by geometric gaps (`graphing.PercolationKernel.open_pairs`):
+its first round hashes into buffers held for the call, and its later
+rounds go through `uniforms`.
 """
 
 from __future__ import annotations
@@ -42,20 +48,14 @@ STREAM_PERCOLATION = "w1:percolation"
 STREAM_OVERLAP = "w2:overlap"
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _SH[0])) * _M1
-    z = (z ^ (z >> _SH[1])) * _M2
-    return z ^ (z >> _SH[2])
-
-
-# `_mix` as five in-place steps: the even ones z ^= z >> shift, the odd
+# The mixer as five in-place steps: the even ones z ^= z >> shift, the odd
 # ones z *= multiplier.
 _STEPS = (_SH[0], _M1, _SH[1], _M2, _SH[2])
 
 
 def _mix_into(z: np.ndarray, tmp: np.ndarray, stop: int = len(_STEPS)) -> None:
-    """Steps 0 .. stop - 1 of `_mix` in place on a uint64 array; `tmp` is
-    scratch of its shape."""
+    """Steps 0 .. stop - 1 of the mixer in place on a uint64 array; `tmp`
+    is scratch of its shape."""
     for step in range(stop):
         if step % 2:
             np.multiply(z, _STEPS[step], out=z)
@@ -84,11 +84,19 @@ def digest_strs(prefix: str, texts) -> np.ndarray:
 
 
 def combine_digests(a, b):
-    """Digest of an ordered pair; accepts ints or uint64 arrays."""
+    """Digest of an ordered pair, mix((mix(a + golden) ^ b) + golden);
+    accepts ints or uint64 arrays, and is run in place on one array of
+    their broadcast shape (a numpy scalar for scalars)."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix((_mix(a + _GOLDEN) ^ b) + _GOLDEN)
+    z = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    np.add(a, _GOLDEN, out=z)
+    _mix_into(z, tmp)
+    np.bitwise_xor(z, b, out=z)
+    np.add(z, _GOLDEN, out=z)
+    _mix_into(z, tmp)
+    return z[()]
 
 
 def combine_unordered(a, b):
@@ -139,8 +147,10 @@ class SeededRandomness:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
-        with np.errstate(over="ignore"):
-            self._seed_mixed = _mix(np.uint64(self.master_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
+        z = np.array(self.master_seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        np.add(z, _GOLDEN, out=z)
+        _mix_into(z, np.empty_like(z))
+        self._seed_mixed = z[()]
         self._streams = {}
 
     def _stream64(self, tag: str) -> np.uint64:
@@ -150,32 +160,34 @@ class SeededRandomness:
             self._streams[tag] = key
         return key
 
-    def words(self, digests, tag: str) -> np.ndarray:
-        """The word of each digest: `_mix` of it under the seed, then under
-        the stream's key, run in place on a copy with one scratch array."""
-        z = np.array(digests, dtype=np.uint64)
-        tmp = np.empty_like(z)
-        np.bitwise_xor(z, self._seed_mixed, out=z)
+    def words(self, digests, tag: str, out=None, tmp=None, stop: int = len(_STEPS)) -> np.ndarray:
+        """The word of each digest: the mixer run on it under the seed, then
+        under the stream's key, up to step `stop` of the second round.
+
+        The rounds run in place on `out`, a uint64 array of the digests'
+        shape (the digests themselves may be it), with `tmp` as scratch of
+        that shape; either is allocated when not given.  `out` is returned.
+        """
+        digests = np.asarray(digests, dtype=np.uint64)
+        z = np.empty_like(digests) if out is None else out
+        tmp = np.empty_like(z) if tmp is None else tmp
+        np.bitwise_xor(digests, self._seed_mixed, out=z)
         _mix_into(z, tmp)
         np.bitwise_xor(z, self._stream64(tag), out=z)
-        _mix_into(z, tmp)
+        _mix_into(z, tmp, stop)
         return z
 
     def uniforms(self, digests, tag: str) -> np.ndarray:
         z = self.words(digests, tag)
         return to_uniforms(np.right_shift(z, _DROP11, out=z))
 
-    def below(self, digests, tag: str, k: int) -> np.ndarray:
+    def below(self, digests, tag: str, k: int, out=None, tmp=None) -> np.ndarray:
         """The positions of the `digests` whose `uniforms(digests, tag)` have
-        bits b < k, 0 < k <= 2**53, in rising order: the rounds of `words`
-        run in place on a copy up to the heads, and only the heads at most
-        `head_limit(k)` are finished (`head_bits`)."""
-        heads = np.array(digests, dtype=np.uint64)
-        tmp = np.empty_like(heads)
-        np.bitwise_xor(heads, self._seed_mixed, out=heads)
-        _mix_into(heads, tmp)
-        np.bitwise_xor(heads, self._stream64(tag), out=heads)
-        _mix_into(heads, tmp, stop=4)
+        bits b < k, 0 < k <= 2**53, in rising order: `words` runs up to the
+        heads, before its last step, and only the heads at most
+        `head_limit(k)` are finished (`head_bits`).  `out` and `tmp` are as
+        for `words`."""
+        heads = self.words(digests, tag, out, tmp, stop=len(_STEPS) - 1)
         passed = np.flatnonzero(heads <= head_limit(k))
         return passed[head_bits(heads[passed]) < k]
 

@@ -39,6 +39,7 @@ from horolab.randomness import (
     SeededRandomness,
     combine_digests,
     seed_digest,
+    to_uniforms,
 )
 from horolab.schedule import build_schedule, linear_schedule, schedule_for
 
@@ -589,7 +590,8 @@ def test_each_distinct_factor_step_is_multiplied_once(monkeypatch):
 
 def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, monkeypatch):
     # At q = 1 a seed's open ranks are every rank of every sphere: counted
-    # from the sphere sizes, before any uniform is drawn or rank unranked.
+    # from the sphere sizes, before any word is hashed (gap 0 hashes its
+    # words in place, the later rounds draw uniforms) or rank unranked.
     kernel = certain_kernel
     ids = np.arange(5)
     [ranks] = _open_ranks(kernel, ids, MULTI_SEED_KEYS[:1], 1.0)
@@ -602,6 +604,7 @@ def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, mon
     def never(*args):
         raise AssertionError("drew or unranked past the cap")
 
+    monkeypatch.setattr(rng, "words", never)
     monkeypatch.setattr(rng, "uniforms", never)
     monkeypatch.setattr(kernel, "_unrank", never)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
@@ -610,13 +613,15 @@ def test_certain_ranks_count_against_the_cap_before_any_draw(certain_kernel, mon
 
 def test_open_pairs_checks_the_cap_after_each_round(monkeypatch):
     # At q = 0.9 nearly every (x, j) opens a rank in the first round, more
-    # than the cap: the call raises before the second round is drawn.
+    # than the cap: the call raises before the second round is drawn.  Every
+    # round hashes its words through `words`, gap 0 in place and the later
+    # rounds inside `uniforms`.
     kernel = _small_kernel("F2xF2", 3)
     monkeypatch.setattr(kernel, "lut", np.full_like(kernel.lut, 0.9))
     ids = np.arange(len(kernel.space))
     rng = SeededRandomness(MULTI_SEED_KEYS[0])
-    calls, draw = [], rng.uniforms
-    monkeypatch.setattr(rng, "uniforms", lambda *a: calls.append(1) or draw(*a))
+    calls, draw = [], rng.words
+    monkeypatch.setattr(rng, "words", lambda *a, **k: calls.append(1) or draw(*a, **k))
     monkeypatch.setattr(kernel, "cap", len(ids) * len(kernel.nums) // 2)
     with pytest.raises(ResourceCapError, match="percolation pairs"):
         kernel.open_pairs([ids], [rng], 1.0)
@@ -678,6 +683,21 @@ def test_gap0_reach_bounds_every_uniform_that_opens_a_rank(monkeypatch, wr, lut,
     assert (last < reach).all()
     assert (reach <= np.minimum(1.0, last * (1.0 + 1e-8) + 2.0**-48)).all()
     assert (reach[q == 1.0] == 1.0).all() and (reach < 1.0).any() == (lut != 1.0 - 2.0**-40)
+
+
+@pytest.mark.parametrize(
+    "reach",
+    [1.0, 2.0**-50, 2.0**-50 + 2.0**-80, 0.375, 1.0 - 2.0**-53, 0.1],
+    ids=["one", "2^-50", "just-above-2^-50", "integer-3/8", "integer-below-one", "0.1"],
+)
+def test_gap0_bound_is_the_float_reach_test(reach):
+    # Gap 0 tests the 53-bit integer b of each word against K = ceil(reach *
+    # 2^53) in place of its uniform w = b 2^-53 against reach: the two agree
+    # at b = K - 1, K and K + 1, also where reach * 2^53 is an integer and w
+    # = reach must fail.
+    [K] = graphing._gap0_bound(np.array([reach])).tolist()
+    bits = np.array([K - 1, K, K + 1], dtype=np.uint64)
+    assert (bits < np.uint64(K)).tolist() == (to_uniforms(bits) < reach).tolist() == [True, False, False]
 
 
 DRAWN_REACH_CASES = {name: case for name, case in REACH_CASES.items() if name != "lut-1-2^-40"}
@@ -1634,6 +1654,54 @@ def test_baseline_monotone_and_expected_half():
     for r in rep.rows:
         se = max(r.half_degree_se, 1e-6)
         assert abs(r.half_degree_mean - r.expected_half_degree) <= 4 * se
+
+
+def _baseline_by_seed(metric, wr, margin, eps_list, seeds, master_seed) -> tuple:
+    """(rows, monotone violations) of `coset_line_baseline` seed by seed:
+    each seed's open pairs measured on the epsilon ladder over the coset
+    lines of its own window, one seed at a time; rows maps each epsilon to
+    the (mean, se) of the largest fractions and of the half-degrees."""
+    kernel = graphing.PercolationKernel(metric, wr)
+    space, n = kernel.space, len(kernel.space)
+    int_ids = np.flatnonzero(space.mask_within(wr - margin))
+    tgt = space.lookup(space.ball1.step[:, 0][space.pts1], space.pts2)
+    src = np.flatnonzero(tgt >= 0)
+    lines = np.stack([np.minimum(src, tgt[src]), np.maximum(src, tgt[src])], axis=1)
+    line_deg = np.bincount(lines.ravel(), minlength=n)
+    roots = _component_roots(n, lines)
+    rows = {float(e): {"largest": [], "half": []} for e in eps_list}
+    violations = 0
+    rngs = [SeededRandomness(seed_digest(master_seed, s)) for s in range(seeds)]
+    for opened in kernel.open_pairs([np.arange(n)] * seeds, rngs, max(eps_list)):
+        pairs = graphing._open_at(opened, eps_list)
+        _, fractions, drops = graphing._ladder(roots, pairs, [0, n])
+        violations += int(drops[0] > 0)
+        for e, frac in fractions.items():
+            perc_deg = np.bincount(pairs[e].ravel(), minlength=n)
+            rows[e]["largest"].append(float(frac[0]))
+            rows[e]["half"].append(float((line_deg[int_ids] + perc_deg[int_ids]).mean() / 2.0))
+    return {e: (*graphing._mean_se(r["largest"]), *graphing._mean_se(r["half"])) for e, r in rows.items()}, violations
+
+
+@pytest.mark.parametrize(
+    "specs, wr, margin",
+    [((F2, F2), 3, 1), ((F2, F2), 4, 2), ((Z1, Z1), 5, 2)],
+    ids=["F2xF2-3", "F2xF2-4", "ZxZ-5"],
+)
+def test_baseline_rows_are_those_of_its_seeds_one_by_one(specs, wr, margin):
+    # The baseline runs one ladder over the disjoint union of its seeds'
+    # windows; every row and the violation count are, to the bit, those of
+    # each seed measured alone.
+    metric = ProductMetric(*(make_oracle(spec) for spec in specs), 1)
+    eps_list = [0.0, 0.05, 0.2, 1.0, 0.2]
+    rep = coset_line_baseline(metric, wr, margin, eps_list, 6, 31)
+    want, violations = _baseline_by_seed(metric, wr, margin, eps_list, 6, 31)
+    got = {
+        r.eps: (r.largest_fraction_mean, r.largest_fraction_se, r.half_degree_mean, r.half_degree_se)
+        for r in rep.rows
+    }
+    assert got == want and rep.monotone_violations == violations
+    assert len({v[0] for v in got.values()}) > 1 and len(rep.rows) == 4
 
 
 @pytest.mark.parametrize("specs", [(F2, F2, 1), (Z2, F2, "1/2")], ids=["f2xf2", "z2xf2"])

@@ -421,8 +421,8 @@ def test_a_corner_seed_stops_drawing_at_its_first_hit(sched, monkeypatch):
     monkeypatch.setattr(point_process, "_TILE", 10)
     below, calls = SeededRandomness.below, []
 
-    def counted(self, digests, tag, k):
-        found = below(self, digests, tag, k)
+    def counted(self, digests, tag, k, *buffers):
+        found = below(self, digests, tag, k, *buffers)
         calls.append((self.master_seed, len(found) > 0))
         return found
 

@@ -54,18 +54,41 @@ def test_scalar_matches_vector_path():
     assert vec[1] == r.uniform(int(d[1]), STREAM_MARKS)
 
 
+def _mix(z):
+    """The splitmix64-style finalizer as allocating expressions: the
+    definition that `randomness._mix_into` runs in place."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _combine(a, b):
+    """`combine_digests` by its allocating definition."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix((_mix(a + golden) ^ b) + golden)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, -3])
 def test_words_run_in_place_are_the_mix_composition(seed):
-    # `words` runs the two seeded rounds in place on one copy; the words are
-    # the two `_mix` rounds composed on fresh arrays, bit for bit, and the
-    # caller's digests are left as they were.
+    # `words` runs the two seeded rounds in place on a fresh array, or on the
+    # caller's `out`, which may be the digests themselves; the words are the
+    # two `_mix` rounds composed on fresh arrays, bit for bit, and the
+    # caller's digests are left as they were unless they are `out`.
     digests = np.random.default_rng(seed & 0xFFFF).integers(0, 2**64, 3000, dtype=np.uint64)
     kept = digests.copy()
     r = SeededRandomness(seed)
-    with np.errstate(over="ignore"):
-        want = randomness._mix(randomness._mix(digests ^ r._seed_mixed) ^ r._stream64(STREAM_MARKS))
+    assert r._seed_mixed == _mix(np.uint64((seed + 0x9E3779B97F4A7C15) % 2**64))
+    want = _mix(_mix(digests ^ r._seed_mixed) ^ r._stream64(STREAM_MARKS))
     assert r.words(digests, STREAM_MARKS).tobytes() == want.tobytes()
     assert (digests == kept).all()
+    out, tmp = np.empty((2, 3000), dtype=np.uint64)
+    assert r.words(digests, STREAM_MARKS, out=out, tmp=tmp) is out
+    assert out.tobytes() == want.tobytes() and (digests == kept).all()
+    own = digests.copy()
+    assert r.words(own, STREAM_MARKS, out=own) is own and own.tobytes() == want.tobytes()
     assert r.uniforms(digests, STREAM_MARKS).tobytes() == to_uniforms(want >> np.uint64(11)).tobytes()
     assert r.uniform(int(digests[0]), STREAM_MARKS) == float(to_uniforms(want[:1] >> np.uint64(11))[0])
 
@@ -76,6 +99,27 @@ def test_uniform_range_and_rough_moments():
     assert ((0 <= u) & (u < 1)).all()
     assert abs(u.mean() - 0.5) < 0.01
     assert abs(u.var() - 1 / 12) < 0.005
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (5, 7),
+        (0, 2**64 - 1),
+        (2**64 - 1, 2**64 - 1),  # a + golden wraps past 2^64
+        (np.arange(2**64 - 40, 2**64 - 1, dtype=np.uint64), 3),
+        (np.arange(100, dtype=np.uint64), np.arange(100, dtype=np.uint64)[::-1]),
+        (np.arange(2**64 - 9, 2**64 - 1, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64)),
+    ],
+    ids=["scalars", "zero-and-max", "wrapping-scalars", "wrapping-1d", "1d", "block-by-classes"],
+)
+def test_combine_digests_in_place_is_the_allocating_definition(a, b):
+    # One array of the broadcast shape, mixed in place: the same bits as the
+    # two allocating mixes, the (B, 1) x (D,) block of `open_pairs` included,
+    # and a numpy scalar for scalar inputs.
+    got, want = combine_digests(a, b), _combine(a, b)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+    assert isinstance(got, np.uint64) == (np.ndim(want) == 0)
 
 
 def test_combine_unordered_symmetric():
@@ -112,13 +156,15 @@ def test_head_limit_keeps_every_head_whose_bits_pass(k):
 
 @pytest.mark.parametrize("k", [1, 2**22 + 1, 2**40 + 12345, 2**52, 2**53])
 def test_below_is_the_bits_test_of_the_uniforms(k):
-    # `below` keeps exactly the positions whose uniform has bits < k, and
-    # leaves its digests as they were.
+    # `below` keeps exactly the positions whose uniform has bits < k, with
+    # its words in fresh arrays or the caller's, and leaves its digests as
+    # they were.
     d = np.random.default_rng(k % 2**32).integers(0, 2**64, 5000, dtype=np.uint64)
     kept = d.copy()
     rng = SeededRandomness(k)
     want = np.flatnonzero(rng.words(d, STREAM_CENTERS) >> np.uint64(11) < np.uint64(k))
     assert rng.below(d, STREAM_CENTERS, k).tolist() == want.tolist()
+    assert rng.below(d, STREAM_CENTERS, k, *np.empty((2, len(d)), dtype=np.uint64)).tolist() == want.tolist()
     assert (d == kept).all()
     # u <= t keeps the digest whose uniform is t, u < t does not.
     t = float(rng.uniforms(d[17], STREAM_CENTERS))
