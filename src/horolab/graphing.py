@@ -11,7 +11,12 @@ its own, and every later stage runs once over the disjoint union of the
 batch's marked windows, whose vertex ids are offset seed by seed.  No
 stage joins two seeds and every draw is keyed by its own seed, so each
 seed's statistics, read from its own slices, are those it has alone;
-`run_seed` is the batch of one.
+`run_seed` is the batch of one.  The batch's per-seed draws (overlap
+labels, w1 and the percolation's rounds) hash in one call each, every
+digest under its own seed (`SeededRandomness.words`), and its statistics
+are per-seed integer sums (`np.bincount`).  Where a stage orders by a
+float label (marks, w1), it sorts one int64 key of the label's dense rank
+and an integer tie-breaker (`_lex_keys`), not a lexsort on floats.
 
 The stages read one vertex table, `MarkedWindow`, gathered from the
 covering map's member ranges of the kept diamonds: vertex vi is the copy
@@ -72,6 +77,7 @@ from .randomness import (
     _DROP11,
     _TILE,
     combine_digests,
+    mixed_seeds,
     seed_digest,
     to_uniforms,
 )
@@ -93,14 +99,34 @@ def _distinct(keys) -> np.ndarray:
 
 
 def _dense(keys) -> tuple:
-    """(ids, firsts): keys[i] is the ids[i]-th distinct entry of the int64
-    array `keys`, keys[firsts[k]] the k-th; by argsort, for `_distinct`'s reason."""
+    """(ids, firsts): keys[i] is the ids[i]-th distinct entry of the array
+    `keys`, keys[firsts[k]] the k-th; by argsort, for `_distinct`'s reason."""
     order = np.argsort(keys)
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[order[1:]] != keys[order[:-1]]
     ids = np.empty(len(keys), dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ids, order[new]
+
+
+def _lex_keys(major, floats, minor, size) -> np.ndarray:
+    """One int64 key per row (major[i], floats[i], minor[i]), in the rows'
+    lexicographic order, equal exactly when the rows are: the floats enter
+    by their dense rank (`_dense`), `minor` holds non-negative ints below
+    `size` (0 below 1 for none), and `major` non-negative ints, or is None
+    for none.
+    numpy's default argsort on distinct keys gives a lexsort's order, at a
+    fraction of the cost of a stable sort on a float column.  Where the
+    packing would pass int64, the (float, minor) pairs are ranked densely
+    again first."""
+    rank, firsts = _dense(floats)
+    inner, span = rank * size + minor, len(firsts) * size
+    if major is None:
+        return inner
+    if len(major) and int(major.max()) >= np.iinfo(np.int64).max // max(1, span):
+        inner, firsts = _dense(inner)
+        span = len(firsts)
+    return major * span + inner
 
 
 def _gap0_bound(reach) -> np.ndarray:
@@ -118,6 +144,24 @@ def _gap0_reach(sizes, log_q) -> np.ndarray:
     1e-9 and an absolute 2^-50 for the rounding of either side, and capped
     at 1, which it is at q = 1."""
     return np.minimum(1.0, -np.expm1(sizes * log_q) * (1.0 + 1e-9) + 2.0**-50)
+
+
+def _groups(member, block, capacity):
+    """The seeds in runs, as (seeds, rows), rows holding each seed's rows
+    of `block`, the positions of its points there (`member` has one bool
+    row per seed over the window): consecutive seeds while their rows
+    number at most `capacity`, what the held buffers take in one pass; a
+    seed with more rows runs alone."""
+    seeds, rows = [], []
+    for s, row in enumerate(member):
+        own = np.flatnonzero(row[block])
+        if seeds and sum(map(len, rows)) + len(own) > capacity:
+            yield seeds, rows
+            seeds, rows = [], []
+        seeds.append(s)
+        rows.append(own)
+    if seeds:
+        yield seeds, rows
 
 
 class PercolationKernel:
@@ -197,7 +241,11 @@ class PercolationKernel:
         of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
         still inside their sphere.  The cells (x, j) of every seed's points
         are taken in blocks of about `_TILE`, whose gap-0 keys, which no seed
-        enters, are hashed once; each seed draws the rounds of its own cells.
+        enters, are hashed once.  The seeds whose rows of a block fit the
+        buffers held for the call together draw their cells' rounds in one
+        pass, each cell under its own seed (`SeededRandomness.words`'s
+        per-element seeds); a seed that fills them alone, as each of the
+        baseline's does, draws under its one seed.
         At gap 0 the rank is the gap itself, and that test is monotone in w:
         a cell can open a rank only when w is below its class's reach, an
         upper bound on 1 - (1 - q_j)^|sphere_j| (`_gap0_reach`), so the
@@ -216,7 +264,8 @@ class PercolationKernel:
         (ResourceCapError) round by round, before any is unranked; those at
         q_j = 1, every rank of its points, before any draw.  A block's
         seeds' open ranks are unranked together (`_unrank`) at its end, or
-        once `_TILE` are pending, and split back by seed.
+        once `_TILE` are pending, and their v uniforms drawn in one call;
+        the pairs are split back by seed at the end.
         """
         if not rngs:
             return []
@@ -233,58 +282,66 @@ class PercolationKernel:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
         width, bound = len(drawn), _gap0_bound(_gap0_reach(sizes[drawn], log_q[drawn]))
-        count, found = np.zeros(len(rngs), dtype=np.int64), [[] for _ in rngs]
+        count, found, mixed = np.zeros(len(rngs), dtype=np.int64), [], mixed_seeds(rngs)
         step = max(1, _TILE // max(1, width))
-        held = min(step, len(ids)) * width  # the gap-0 buffers, held for the call
-        bits, tmp, near = np.empty(held, np.uint64), np.empty(held, np.uint64), np.empty(held, bool)
+        rows = min(step, len(ids))  # the gap-0 buffers, held for the call, hold this many rows
+        bits, tmp, near = (np.empty(rows * width, t) for t in (np.uint64, np.uint64, bool))
         for i0 in range(0, max(1, len(ids)), step):
             block = ids[i0 : i0 + step]
             keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64))
             first, keys, pending = combine_digests(keys, 0), keys.ravel(), []
-            for s, rng in enumerate(rngs):
-                own = np.flatnonzero(member[s, block])  # the block's rows of the seed's points
-                m = len(own) * width
-                z = np.take(first, own, axis=0, out=bits[:m].reshape(len(own), width))
-                rng.words(z, STREAM_PERCOLATION, out=z, tmp=tmp[:m].reshape(z.shape))
+            for group, own in _groups(member, block, rows):
+                rng, one = rngs[group[0]], len(group) == 1
+                own_rows = own[0] if one else np.concatenate(own)
+                seed = None if one else np.repeat(group, list(map(len, own)))  # of each row
+                m = len(own_rows) * width
+                z = np.take(first, own_rows, axis=0, out=bits[:m].reshape(len(own_rows), width))
+                col = None if one else mixed[seed][:, None]
+                rng.words(z, STREAM_PERCOLATION, out=z, tmp=tmp[:m].reshape(z.shape), seeds=col)
                 np.right_shift(z, _DROP11, out=z)  # a uniform's 53 bits
                 np.less(z, bound, out=near[:m].reshape(z.shape))
                 cell = np.flatnonzero(near[:m])  # only these can open a rank
-                w, cell, pos = to_uniforms(bits[cell]), own[cell // width] * width + cell % width, -1.0
+                w, (row, cls), pos = to_uniforms(bits[cell]), np.divmod(cell, width), -1.0
+                seed = np.full(len(row), group[0]) if one else seed[row]
+                cell = own_rows[row] * width + cls
                 for gap in itertools.count():
                     if gap:
-                        w = rng.uniforms(combine_digests(keys[cell], 2 * gap), STREAM_PERCOLATION)
+                        digests = combine_digests(keys[cell], 2 * gap)
+                        w = rng.uniforms(digests, STREAM_PERCOLATION, seeds=None if one else mixed[seed])
                     j = drawn[cell % width]
                     pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
                     inside = np.flatnonzero(pos < sizes[j])
                     if not len(inside):
                         break
-                    count[s] += len(inside)
-                    if count[s] > self.cap:
+                    seed, cell, pos = seed[inside], cell[inside], pos[inside]
+                    if one:  # as many open ranks as cells, all of one seed
+                        count[group[0]] += len(inside)
+                        most = count[group[0]]
+                    else:
+                        count += np.bincount(seed, minlength=len(rngs))
+                        most = count.max()
+                    if most > self.cap:
                         raise ResourceCapError("percolation pairs", self.cap)
-                    cell, pos = cell[inside], pos[inside]
-                    pending.append((s, gap, cell, pos.astype(np.int64)))
+                    pending.append((seed, gap, cell, pos.astype(np.int64)))
                 lens = [len(row[2]) for row in pending]
-                if s + 1 < len(rngs) and sum(lens) < _TILE:
+                if group[-1] + 1 < len(rngs) and sum(lens) < _TILE:
                     continue
-                tags = np.array([row[:2] for row in pending], dtype=np.int64).reshape(-1, 2)
-                seed, gap = np.repeat(tags, lens, axis=0).T
-                cell, rank = (np.concatenate([ids[:0], *(row[k] for row in pending)]) for k in (2, 3))
+                gap = np.repeat(np.array([row[1] for row in pending], dtype=np.int64), lens)
+                seed, cell, rank = (np.concatenate([ids[:0], *(row[k] for row in pending)]) for k in (0, 2, 3))
                 x, j, pending = block[cell // width], drawn[cell % width], []
                 y = self._unrank(x, j, rank)
                 keep = np.flatnonzero(y >= 0)
                 keep = keep[member[seed[keep], y[keep]] & (self.digests[x[keep]] < self.digests[y[keep]])]
                 seed, cell, x, j, gap, y = seed[keep], cell[keep], x[keep], j[keep], gap[keep], y[keep]
-                v, a, b = combine_digests(keys[cell], 2 * gap + 1), np.minimum(x, y), np.maximum(x, y)
-                cut = np.searchsorted(seed, np.arange(len(rngs) + 1))
-                for rng, rows, lo, hi in zip(rngs, found, cut, cut[1:]):
-                    u = rng.uniforms(v[lo:hi], STREAM_PERCOLATION) * q[j[lo:hi]]
-                    rows.append((a[lo:hi], b[lo:hi], u, p[j[lo:hi]]))
-        out = []
-        for rows in found:
-            a, b, u, pj = map(np.concatenate, zip(*rows))
-            order = np.lexsort((b, a))
-            out.append((a[order], b[order], u[order], pj[order]))
-        return out
+                v = combine_digests(keys[cell], 2 * gap + 1)
+                u = rng.uniforms(v, STREAM_PERCOLATION, seeds=mixed[seed]) * q[j]
+                found.append((seed, np.minimum(x, y), np.maximum(x, y), u, p[j]))
+        seed, a, b, u, pj = (np.concatenate([ids[:0], *col]) for col in zip(*found))
+        order = np.argsort(a * len(self.space) + b)  # by (a, b), then stably by seed
+        order = order[np.argsort(seed[order], kind="stable")]
+        cut = np.searchsorted(seed[order], np.arange(len(rngs) + 1))
+        a, b, u, pj = (col[order] for col in (a, b, u, pj))
+        return [(a[lo:hi], b[lo:hi], u[lo:hi], pj[lo:hi]) for lo, hi in zip(cut, cut[1:])]
 
     @functools.cached_property
     def _ranks(self) -> tuple:
@@ -654,26 +711,32 @@ def surviving_index(k, w):
     return np.clip(np.ceil(k * w), 1, k).astype(np.int64)
 
 
-def _uniforms_by_seed(rngs, digests, starts, tag) -> np.ndarray:
-    """rngs[i].uniforms(digests[starts[i]:starts[i + 1]], tag) for each seed
-    i, concatenated."""
-    parts = [rng.uniforms(digests[lo:hi], tag) for rng, lo, hi in zip(rngs, starts, starts[1:])]
-    return np.concatenate(parts)
+def _uniforms_by_seed(rngs, digests, seed, tag) -> np.ndarray:
+    """rngs[seed[i]].uniforms(digests[i], tag) for each i, in one call
+    under per-element seeds."""
+    return rngs[0].uniforms(digests, tag, seeds=mixed_seeds(rngs)[seed])
 
 
 def break_overlaps(mw: MarkedWindow, rngs) -> np.ndarray:
     """Keep one marked copy per covered point of each seed, selected by the
     point's overlap label under that seed's entry of `rngs` among the
-    copies sorted by mark (then vertex)."""
-    digests = mw.ctx.kernel.digests[mw.bases & 0xFFFFFFFF]
-    labels = _uniforms_by_seed(rngs, digests, mw.base_starts, STREAM_OVERLAP)
-    marks = mw.marks[mw.v_k]
-    ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_key))
-    same_point = np.diff(mw.v_key[ranked]) == 0
-    if (same_point & (np.diff(marks[ranked]) == 0)).any():
-        raise MarkCollisionError("overlapping diamonds drew identical marks; reject this seed")
+    copies sorted by mark.  A lone copy survives whatever its label
+    (`surviving_index(1, w) == 1`), so only the points with two or more
+    copies draw a label and are sorted; two of their copies with one mark
+    raise MarkCollisionError."""
+    count = np.diff(mw.starts)
     keep = np.zeros(mw.n_vertices, dtype=bool)
-    keep[ranked[mw.starts[:-1] + surviving_index(np.diff(mw.starts), labels) - 1]] = True
+    keep[mw.copies[mw.starts[:-1][count == 1]]] = True
+    multi = np.flatnonzero(count > 1)
+    base, count = mw.bases[multi], count[multi]
+    point, rank = ragged(count)
+    copies = mw.copies[mw.starts[multi][point] + rank]
+    key = _lex_keys(point, mw.marks[mw.v_k[copies]], 0, 1)
+    ranked = np.argsort(key)
+    if (np.diff(key[ranked]) == 0).any():
+        raise MarkCollisionError("overlapping diamonds drew identical marks; reject this seed")
+    labels = _uniforms_by_seed(rngs, mw.ctx.kernel.digests[base & 0xFFFFFFFF], base >> 32, STREAM_OVERLAP)
+    keep[copies[ranked[np.cumsum(count) - count + surviving_index(count, labels) - 1]]] = True
     return keep
 
 
@@ -687,7 +750,7 @@ def assign_phi(n: int, edges, sources, w1) -> tuple:
     tail, head = np.concatenate([edges, edges[:, ::-1]]).T  # each edge both ways
     # Sources ranked by (w1, vertex); a newly reached vertex takes the
     # least rank among its neighbours one layer nearer.
-    ranked = sources[np.lexsort((sources, w1[sources]))]
+    ranked = sources[np.argsort(_lex_keys(None, w1[sources], sources, n))]
     rank = np.full(n, len(ranked))
     rank[ranked] = np.arange(len(ranked))
     dist = np.full(n, -1)
@@ -723,8 +786,10 @@ def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
     # psi(v): the least (w1, vertex) neighbour one step nearer phi(v).
     step = (dist[v] > 0) & (dist[u] == dist[v] - 1) & (phi[u] == phi[v])
     v, u = v[step], u[step]
-    order = np.lexsort((u, w1[u], v))
-    v, first = np.unique(v[order], return_index=True)
+    order = np.argsort(_lex_keys(v, w1[u], u, mw.n_vertices))
+    v, u = v[order], u[order]
+    first = np.flatnonzero(np.diff(v, prepend=-1))
+    v = v[first]
     if len(v) < int((dist > 0).sum()):
         raise InvariantViolation("no geodesic step toward the phi target")
     # The ends of an edge share a component, so an unreached edge maps to
@@ -733,7 +798,7 @@ def build_forest_and_pi45(mw: MarkedWindow, edges, s0_mask, w1) -> dict:
     # Keys pass 2^32, so Pi5's rows are found on base indices, which keep their order.
     return {
         "dist": dist,
-        "f_edges": np.stack([v, u[order][first]], axis=1),
+        "f_edges": np.stack([v, u[first]], axis=1),
         "pi4": pi4,
         "pi5": mw.bases[_distinct_pairs(np.searchsorted(mw.bases, mw.v_key[pi4]))],
     }
@@ -920,7 +985,7 @@ def _run_batch(ctx: GraphingContext, keys, eps_list, primary_eps, seed_indices, 
     in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
     perc_deg = deg - out_deg - in_deg
     s0_mask = break_overlaps(mw, rngs)
-    w1 = _uniforms_by_seed(rngs, ctx.kernel.digests[mw.v_pid], starts, STREAM_PERCOLATION)
+    w1 = _uniforms_by_seed(rngs, ctx.kernel.digests[mw.v_pid], mw.v_key >> 32, STREAM_PERCOLATION)
     stages = build_forest_and_pi45(mw, edges, s0_mask, w1)
     if collect is not None:
         collect.update(
@@ -936,46 +1001,46 @@ def _run_batch(ctx: GraphingContext, keys, eps_list, primary_eps, seed_indices, 
     unreached = stages["dist"] < 0
     flagged = _distinct_per_seed(roots[unreached], starts)
     connected = _pi5_connected(roots, stages, starts)
-    pi5_ends = np.sort(stages["pi5"].ravel())
+    # Per seed, the integer sums behind each mean, over its interior (ok:
+    # reached; s0: reached and kept), and the ranges of its S0 bases and
+    # reached interior vertices, for the two standard errors.
+    seed, per_seed = mw.v_key >> 32, functools.partial(np.bincount, minlength=len(runs))
+    interior = np.flatnonzero(mw.v_interior)
+    ok = interior[~unreached[interior]]
+    s0 = ok[s0_mask[ok]]
+    palm = 2 * out_deg + perc_deg
+    n_interior, n_ok, n_s0 = (per_seed(seed[vs]) for vs in (interior, ok, s0))
+    sums = [per_seed(seed[interior], x[interior]) for x in (out_deg, in_deg, perc_deg, palm, deg)]
+    pi5_ends, s0_bases = np.sort(stages["pi5"].ravel()), _distinct(mw.v_key[s0])
+    pi5_deg = np.searchsorted(pi5_ends, s0_bases, side="right") - np.searchsorted(pi5_ends, s0_bases)
+    bounds = np.arange(len(runs) + 1)
+    base_cut, ok_cut = np.searchsorted(s0_bases >> 32, bounds), np.searchsorted(seed[ok], bounds)
     for i, st in enumerate(runs):
-        lo, hi = starts[i], starts[i + 1]
-        if lo == hi:
+        if starts[i] == starts[i + 1]:
             continue
         st.stalled = int(pi1.stalled[i])
         st.pi1_interior_violations = int(pi1.interior_violations[i])
         st.parallel_violations = int(pi1.parallel_violations[i])
-        interior = lo + np.flatnonzero(mw.v_interior[lo:hi])
-        st.interior = len(interior)
+        st.interior = k = int(n_interior[i])
         st.n_bases = int(cut[i + 1] - cut[i])
         st.largest_fraction = {e: float(f[i]) for e, f in fractions.items()}
         st.monotone_ok = not drops[i]
-        if len(interior):
-            st.half_deg_pi1 = float(out_deg[interior].mean())
-            st.perc_deg_interior_mean = float(perc_deg[interior].mean())
-            st.half_deg_pi3 = float(
-                (out_deg[interior] + perc_deg[interior] / 2.0).mean()
-            )
-            st.half_deg_pi3_raw = float(deg[interior].mean() / 2.0)
-            st.mean_deg_pi3_palm = float((2 * out_deg[interior] + perc_deg[interior]).mean())
-            st.boundary_deficit = float(
-                abs(int(in_deg[interior].sum()) - int(out_deg[interior].sum()))
-            ) / len(interior)
+        if k:
+            sum_out, sum_in, sum_perc, sum_palm, sum_deg = (float(x[i]) for x in sums)
+            st.half_deg_pi1 = sum_out / k
+            st.perc_deg_interior_mean = sum_perc / k
+            st.half_deg_pi3 = sum_palm / 2.0 / k  # the mean of out + perc / 2, each a half-integer
+            st.half_deg_pi3_raw = sum_deg / k / 2.0
+            st.mean_deg_pi3_palm = sum_palm / k
+            st.boundary_deficit = abs(sum_in - sum_out) / k
         st.flagged_components = int(flagged[i])
-        ok_interior = interior[~unreached[interior]]
-        s0_interior = ok_interior[s0_mask[ok_interior]]
-        st.n_sprime_interior = len(ok_interior)
-        st.n_s0_interior = len(s0_interior)
-        if len(s0_interior):
-            lam = len(s0_interior) / len(ok_interior)
-            st.lambda_hat = lam
-            interior_bases = _distinct(mw.v_key[s0_interior])
-            lhs, se_lhs = _mean_se(
-                np.searchsorted(pi5_ends, interior_bases, side="right")
-                - np.searchsorted(pi5_ends, interior_bases)
-            )
-            palm, se_palm = _mean_se((2 * out_deg + perc_deg)[ok_interior])
+        st.n_sprime_interior, st.n_s0_interior = int(n_ok[i]), int(n_s0[i])
+        if st.n_s0_interior:
+            lam = st.lambda_hat = st.n_s0_interior / st.n_sprime_interior
+            lhs, se_lhs = _mean_se(pi5_deg[base_cut[i] : base_cut[i + 1]])
+            palm_mean, se_palm = _mean_se(palm[ok[ok_cut[i] : ok_cut[i + 1]]])
             st.pi5_lhs = lhs
-            st.pi5_rhs = palm / lam - 2.0 / lam + 2.0
+            st.pi5_rhs = palm_mean / lam - 2.0 / lam + 2.0
             st.pi5_se = se_lhs + se_palm / lam
             st.pi5_checked = True
             st.pi5_ok = st.pi5_lhs <= st.pi5_rhs + 3.0 * st.pi5_se + 1e-9
@@ -1058,12 +1123,12 @@ def cost_report(
     threads: int = 1,
 ) -> CostReport:
     """The sweep over `seeds` seeds.  Seeds 1 .. seeds - 1 run in batches
-    (`run_seeds`) of about `_TILE // 4` expected vertices
-    (`GraphingContext.vertices_per_seed`), in this process or on a fork pool
-    of `threads`; seed 0 runs alone (`run_seed`), after them, and keeps its
-    stages."""
+    (`run_seeds`) of about `_TILE // 2` expected vertices
+    (`GraphingContext.vertices_per_seed`), `_TILE` read as the sweep runs,
+    in this process or on a fork pool of `threads`; seed 0 runs alone
+    (`run_seed`), after them, and keeps its stages."""
     keys = [seed_digest(master_seed, s) for s in range(seeds)]
-    size = max(1, int(_TILE // 4 // max(1.0, ctx.vertices_per_seed)))
+    size = max(1, int(_TILE // 2 // max(1.0, ctx.vertices_per_seed)))
     jobs = [
         (keys[s : s + size], tuple(eps_list), primary_eps, list(range(s, min(s + size, seeds))))
         for s in range(1, seeds, size)

@@ -13,6 +13,9 @@ mixes twice on one array of its inputs' broadcast shape, and
 `SeededRandomness.words` is the one hash path of the draws: twice, under
 the seed and the stream, into a fresh array or a buffer the caller holds
 (`out`, with its scratch `tmp`), which may be the digests themselves.
+Its seed is the instance's, or one per digest (`seeds`, an array of
+`mixed_seeds` broadcast against the digests), so a batch of seeds draws
+its labels in one call, each digest's word the one its own seed gives.
 
 A Bernoulli choice at rate t keeps the digests whose uniform u = b *
 2**-53 has bits b < k = `bits_at_most(t)`, the exact integer form of u <=
@@ -160,25 +163,28 @@ class SeededRandomness:
             self._streams[tag] = key
         return key
 
-    def words(self, digests, tag: str, out=None, tmp=None, stop: int = len(_STEPS)) -> np.ndarray:
+    def words(self, digests, tag: str, out=None, tmp=None, stop: int = len(_STEPS), seeds=None) -> np.ndarray:
         """The word of each digest: the mixer run on it under the seed, then
         under the stream's key, up to step `stop` of the second round.
 
-        The rounds run in place on `out`, a uint64 array of the digests'
-        shape (the digests themselves may be it), with `tmp` as scratch of
-        that shape; either is allocated when not given.  `out` is returned.
+        `seeds`, when given, is an array of mixed seeds (`mixed_seeds`)
+        broadcast against the digests, and replaces this one's: each digest
+        is hashed under its own seed, as that seed's `words` would.  The
+        rounds run in place on `out`, a uint64 array of the digests' shape
+        (the digests themselves may be it), with `tmp` as scratch of that
+        shape; either is allocated when not given.  `out` is returned.
         """
         digests = np.asarray(digests, dtype=np.uint64)
         z = np.empty_like(digests) if out is None else out
         tmp = np.empty_like(z) if tmp is None else tmp
-        np.bitwise_xor(digests, self._seed_mixed, out=z)
+        np.bitwise_xor(digests, self._seed_mixed if seeds is None else seeds, out=z)
         _mix_into(z, tmp)
         np.bitwise_xor(z, self._stream64(tag), out=z)
         _mix_into(z, tmp, stop)
         return z
 
-    def uniforms(self, digests, tag: str) -> np.ndarray:
-        z = self.words(digests, tag)
+    def uniforms(self, digests, tag: str, seeds=None) -> np.ndarray:
+        z = self.words(digests, tag, seeds=seeds)
         return to_uniforms(np.right_shift(z, _DROP11, out=z))
 
     def below(self, digests, tag: str, k: int, out=None, tmp=None) -> np.ndarray:
@@ -193,6 +199,12 @@ class SeededRandomness:
 
     def uniform(self, digest: int, tag: str) -> float:
         return float(self.uniforms(np.uint64(digest), tag))
+
+
+def mixed_seeds(rngs) -> np.ndarray:
+    """The mixed seed of each SeededRandomness of `rngs`, the `seeds` that
+    `SeededRandomness.words` takes."""
+    return np.array([rng._seed_mixed for rng in rngs], dtype=np.uint64)
 
 
 def seed_digest(master_seed: int, seed_index: int) -> int:

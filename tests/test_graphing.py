@@ -35,6 +35,7 @@ from horolab.groups import GroupSpec, ball, growth_series, make_oracle
 from horolab.point_process import point_digests, sample_diamond_process
 from horolab.product import ProductMetric
 from horolab.randomness import (
+    STREAM_OVERLAP,
     STREAM_PERCOLATION,
     SeededRandomness,
     combine_digests,
@@ -519,16 +520,19 @@ def _open_ranks(kernel, ids, keys, emax) -> list:
 def test_the_cap_fires_one_below_a_seeds_open_ranks(small_kernel, monkeypatch):
     # The cap bounds each seed's open ranks, not the seeds' together nor the
     # pairs kept: at the largest seed's count every seed passes, one below
-    # it the call raises.
+    # it the call raises.  Each seed on the whole window draws alone; each
+    # on a third of it shares its passes through the held buffers.
     ids = np.arange(len(small_kernel.space))
     rngs = [SeededRandomness(key) for key in MULTI_SEED_KEYS]
-    ranks = _open_ranks(small_kernel, ids, MULTI_SEED_KEYS, 1.0)
-    monkeypatch.setattr(small_kernel, "cap", max(ranks))
-    kept = sum(len(a) for a, _, _, _ in small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0))
-    assert kept < sum(ranks) and sum(ranks) > max(ranks)
-    monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
-    with pytest.raises(ResourceCapError, match="percolation pairs exceeded the enumeration cap"):
-        small_kernel.open_pairs([ids] * len(rngs), rngs, 1.0)
+    for share in (1, 3):
+        own = [ids[ids % share == s % share] for s in range(len(rngs))]
+        ranks = [_open_ranks(small_kernel, o, [key], 1.0)[0] for o, key in zip(own, MULTI_SEED_KEYS)]
+        monkeypatch.setattr(small_kernel, "cap", max(ranks))
+        kept = sum(len(a) for a, _, _, _ in small_kernel.open_pairs(own, rngs, 1.0))
+        assert kept < sum(ranks) and sum(ranks) > max(ranks)
+        monkeypatch.setattr(small_kernel, "cap", max(ranks) - 1)
+        with pytest.raises(ResourceCapError, match="percolation pairs exceeded the enumeration cap"):
+            small_kernel.open_pairs(own, rngs, 1.0)
 
 
 @pytest.mark.parametrize("tile", [1, 10])
@@ -626,6 +630,67 @@ def test_open_pairs_checks_the_cap_after_each_round(monkeypatch):
     with pytest.raises(ResourceCapError, match="percolation pairs"):
         kernel.open_pairs([ids], [rng], 1.0)
     assert len(calls) == 1
+
+
+FACTOR_CASES = {
+    "F2xF2-3": (F2, F2, 3),
+    "Z2xZ2-4": (Z2, Z2, 4),
+    "Z2*Z3xZ2*Z3-3": (Z2_STAR_Z3, Z2_STAR_Z3, 3),
+}
+
+
+def _translations(metric) -> list:
+    """Two translations g of the product: a generator of each factor, and
+    a word of length 2 in the first factor; rho(e, g) = 2 for both at c = 1."""
+    (_, s1), *gens1 = metric.first.gen_pairs()
+    [(_, s2), *_] = metric.second.gen_pairs()
+    word = next(metric.first.multiply(s1, t) for _, t in gens1 if metric.first.length(metric.first.multiply(s1, t)) == 2)
+    return [(s1, s2), (word, metric.second.identity)]
+
+
+def _translate(small, big, g) -> np.ndarray:
+    """The id in `big`'s window of g^-1 x for each point x of `small`'s."""
+    s, b = small.space, big.space
+    index = []
+    for ball, into, pts, gi in ((s.ball1, b.ball1, s.pts1, g[0]), (s.ball2, b.ball2, s.pts2, g[1])):
+        inv = ball.oracle.inverse(gi)
+        index.append(np.array([into.index[ball.oracle.multiply(inv, x)] for x in ball.elements])[pts])
+    ids = b.lookup(*index)
+    assert (ids >= 0).all()
+    return ids
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+def test_the_percolation_is_a_factor_of_the_digest_field(case, monkeypatch):
+    # A factor map commutes with translation.  On B(wr) under the shifted
+    # field x -> digest(g^-1 x), the open pairs, their u and p are those on
+    # g^-1 B(wr), which B(wr + 2) holds, under the plain field, mapped back
+    # by x -> g^-1 x.  Four seeds draw in one call, each on half of the
+    # points (so several share a pass through the held buffers); the
+    # overlap and w1 labels of a batch read the same field.
+    first, second, wr = FACTOR_CASES[case]
+    metric = ProductMetric(make_oracle(first), make_oracle(second), 1)
+    small, big = graphing.PercolationKernel(metric, wr), graphing.PercolationKernel(metric, wr + 2)
+    rngs = [SeededRandomness(seed_digest(46, s)) for s in range(4)]
+    ids = np.arange(len(small.space))
+    own = [ids[ids % 2 == s % 2] for s in range(4)]
+    opened = 0
+    for g in _translations(metric):
+        at = _translate(small, big, g)
+        monkeypatch.setattr(small, "digests", big.digests[at])
+        got = small.open_pairs(own, rngs, 4.0)
+        want = big.open_pairs([at[o] for o in own], rngs, 4.0)
+        for (a, b, u, p), (a2, b2, u2, p2) in zip(got, want):
+            lo, hi = np.minimum(at[a], at[b]), np.maximum(at[a], at[b])
+            order = np.lexsort((hi, lo))
+            assert (lo[order].tolist(), hi[order].tolist()) == (a2.tolist(), b2.tolist())
+            assert u[order].tobytes() == u2.tobytes() and p[order].tobytes() == p2.tobytes()
+            opened += len(a)
+        seed = ids % 4
+        for tag in (STREAM_OVERLAP, STREAM_PERCOLATION):
+            labels = graphing._uniforms_by_seed(rngs, small.digests[ids], seed, tag)
+            assert labels.tobytes() == graphing._uniforms_by_seed(rngs, big.digests[at], seed, tag).tobytes()
+    assert opened > 0
 
 
 def test_q_just_below_one_matches_the_reference(monkeypatch):
@@ -1072,6 +1137,81 @@ def test_forced_mark_tie_at_last_overlap_raises(f2_ctx):
         break_overlaps(mw, [SeededRandomness(key)])
 
 
+def test_lex_keys_order_rows_as_lexsort():
+    # Rows (major, float, minor) drawn from a few values each, so that every
+    # column ties: a key is less than another exactly when its row is, and
+    # equal exactly when the rows are, so numpy's default argsort on the
+    # keys of distinct rows is the lexsort's order.  A major column near
+    # 2^62 takes the dense re-ranking that keeps the packing inside int64.
+    gen = np.random.default_rng(46)
+    for trial in range(40):
+        n = int(gen.integers(0, 60))
+        floats = gen.choice([0.0, 2.0**-53, 0.25, 0.5, 0.75], n)
+        minor = gen.integers(0, 5, n)
+        major = gen.integers(0, 4, n) + (2**62 if trial % 4 == 3 else 0)
+        for cols in ((major, floats, minor), (None, floats, minor)):
+            key = graphing._lex_keys(*cols, 5)
+            rows = list(zip(*(c.tolist() for c in cols if c is not None)))
+            for i, j in itertools.product(range(n), repeat=2):
+                assert (key[i] < key[j], key[i] == key[j]) == (rows[i] < rows[j], rows[i] == rows[j])
+            distinct = np.unique(np.stack([np.zeros(n) if c is None else c for c in cols]), axis=1, return_index=True)[1]
+            want = np.lexsort(tuple(c[distinct] for c in cols[::-1] if c is not None))
+            assert np.argsort(key[distinct]).tolist() == want.tolist()
+
+
+def _break_overlaps_reference(mw, rngs) -> np.ndarray:
+    """Every covered point's copies by (mark, vertex), one lexsort over the
+    vertices, and its label drawn under its own seed's entry of `rngs`."""
+    digests = mw.ctx.kernel.digests[mw.bases & 0xFFFFFFFF]
+    cut = mw.base_starts
+    labels = np.concatenate([r.uniforms(digests[lo:hi], STREAM_OVERLAP) for r, lo, hi in zip(rngs, cut, cut[1:])])
+    marks = mw.marks[mw.v_k]
+    ranked = np.lexsort((np.arange(mw.n_vertices), marks, mw.v_key))
+    keep = np.zeros(mw.n_vertices, dtype=bool)
+    keep[ranked[mw.starts[:-1] + surviving_index(np.diff(mw.starts), labels) - 1]] = True
+    return keep
+
+
+def test_break_overlaps_of_a_batch_with_tied_marks_matches_the_lexsort(f2_ctx):
+    # Three seeds' windows in one batch: each diamond of seed 1 takes the
+    # mark of a diamond of seed 0, and in seed 2 diamonds that share no
+    # point tie too.  No point sees a tie, so nothing raises, and the kept
+    # copies are the lexsort's; lone copies are always kept.
+    from horolab.graphing import break_overlaps
+
+    keys = [seed_digest(36, s) for s in range(3)]
+    mw = build_marked_window(f2_ctx, [sample_diamond_process(f2_ctx.pctx, key) for key in keys])
+    seed_of = (mw.v_key >> 32)[np.searchsorted(mw.v_k, np.arange(len(mw.marks)))]  # of each diamond
+    k0, k1, k2 = (np.flatnonzero(seed_of == s) for s in range(3))
+    m = min(len(k0), len(k1))
+    mw.marks[k1[:m]] = mw.marks[k0[:m]]
+    points, tied = {int(k): set(mw.v_pid[mw.v_k == k].tolist()) for k in k2}, set()
+    for a, b in itertools.combinations(k2.tolist(), 2):
+        if not points[a] & points[b] and not tied & {a, b}:
+            mw.marks[b] = mw.marks[a]
+            tied |= {a, b}
+    assert m > 0 and tied and (np.diff(mw.starts) > 1).any()
+    rngs = [SeededRandomness(key) for key in keys]
+    keep = break_overlaps(mw, rngs)
+    assert keep.tolist() == _break_overlaps_reference(mw, rngs).tolist()
+    assert keep[mw.copies[mw.starts[:-1][np.diff(mw.starts) == 1]]].all()
+
+
+def test_a_mark_tie_at_a_point_of_one_seed_of_a_batch_raises(f2_ctx):
+    from horolab.errors import MarkCollisionError
+    from horolab.graphing import break_overlaps
+
+    keys = [seed_digest(35, s) for s in range(4)]
+    mw = build_marked_window(f2_ctx, [sample_diamond_process(f2_ctx.pctx, key) for key in keys])
+    rngs = [SeededRandomness(key) for key in keys]
+    break_overlaps(mw, rngs)
+    [multi, *_] = np.flatnonzero((np.diff(mw.starts) > 1) & (mw.bases >> 32 == 2))
+    a, b = mw.copies[mw.starts[multi] : mw.starts[multi] + 2]
+    mw.marks[mw.v_k[b]] = mw.marks[mw.v_k[a]]
+    with pytest.raises(MarkCollisionError):
+        break_overlaps(mw, rngs)
+
+
 def test_mark_tie_rejects_the_seed_in_a_sweep(f2_ctx, monkeypatch):
     from horolab import graphing, randomness
 
@@ -1453,10 +1593,92 @@ def test_a_seeds_stats_do_not_depend_on_its_batch(perc_ctx, monkeypatch):
     run, calls = graphing._run_batch, []
     monkeypatch.setattr(graphing, "_run_batch", lambda c, k, *a: calls.append(len(k)) or run(c, k, *a))
     for size in (1, 3, 5):
-        monkeypatch.setattr(graphing, "_TILE", 4 * size * math.ceil(ctx.vertices_per_seed))
+        monkeypatch.setattr(graphing, "_TILE", 2 * size * math.ceil(ctx.vertices_per_seed))
         calls.clear()
         assert _stats(cost_report(ctx, 6, eps, 0.05, 90).runs) == _stats(alone)
         assert calls == [size] * (5 // size) + [5 % size] * (5 % size > 0) + [1]
+
+
+def _seed_means_reference(mw, pi1, edges, s0_mask, dist, pi5, i) -> dict:
+    """Seed i's degree and Pi5 statistics, as means over its own vertices."""
+    n, lo, hi = mw.n_vertices, mw.seed_starts[i], mw.seed_starts[i + 1]
+    deg = np.bincount(edges.ravel(), minlength=n)
+    out_deg = (pi1.target >= 0).astype(np.int64)
+    in_deg = np.bincount(pi1.target[pi1.target >= 0], minlength=n)
+    perc_deg = deg - out_deg - in_deg
+    interior = lo + np.flatnonzero(mw.v_interior[lo:hi])
+    ok = interior[dist[interior] >= 0]
+    s0 = ok[s0_mask[ok]]
+    out = {"interior": len(interior), "n_sprime_interior": len(ok), "n_s0_interior": len(s0)}
+    if len(interior):
+        out.update(
+            half_deg_pi1=float(out_deg[interior].mean()),
+            perc_deg_interior_mean=float(perc_deg[interior].mean()),
+            half_deg_pi3=float((out_deg[interior] + perc_deg[interior] / 2.0).mean()),
+            half_deg_pi3_raw=float(deg[interior].mean() / 2.0),
+            mean_deg_pi3_palm=float((2 * out_deg[interior] + perc_deg[interior]).mean()),
+            boundary_deficit=float(abs(int(in_deg[interior].sum()) - int(out_deg[interior].sum())))
+            / len(interior),
+        )
+    if len(s0):
+        lam = len(s0) / len(ok)
+        ends = np.sort(pi5.ravel())
+        bases = np.unique(mw.v_key[s0])
+        lhs, se_lhs = graphing._mean_se(np.searchsorted(ends, bases, side="right") - np.searchsorted(ends, bases))
+        palm, se_palm = graphing._mean_se((2 * out_deg + perc_deg)[ok])
+        rhs, se = palm / lam - 2.0 / lam + 2.0, se_lhs + se_palm / lam
+        out.update(lambda_hat=lam, pi5_lhs=lhs, pi5_rhs=rhs, pi5_se=se, pi5_checked=True)
+        out.update(pi5_ok=lhs <= rhs + 3.0 * se + 1e-9)
+    return out
+
+
+def test_the_per_seed_means_are_each_seeds_own(f2_ctx, monkeypatch):
+    # The batch sums each seed's statistics by bincount.  In a batch where
+    # seed 0 has unreached interior vertices, seed 1 no interior vertex and
+    # seed 2 no S0 vertex in its interior, every mean is the one taken over
+    # the seed's own vertices, bit for bit, and seeds 1 and 2 keep their
+    # NaN defaults.
+    keys, seen = [seed_digest(36, s) for s in range(4)], {}
+
+    def window(ctx, processes):
+        mw = seen["mw"] = build_marked_window(ctx, processes)
+        mw.v_interior[mw.seed_starts[1] : mw.seed_starts[2]] = False
+        return mw
+
+    def overlaps(mw, rngs):
+        keep = seen["s0"] = break_overlaps(mw, rngs)
+        keep[mw.seed_starts[2] : mw.seed_starts[3]] &= ~mw.v_interior[mw.seed_starts[2] : mw.seed_starts[3]]
+        return keep
+
+    def forest(mw, edges, s0_mask, w1):
+        # Every other interior vertex of seed 0 away from S0 is read as
+        # unreached, so that its reached interior differs from its interior.
+        out = build_forest_and_pi45(mw, edges, s0_mask, w1)
+        inner = np.flatnonzero(mw.v_interior[: mw.seed_starts[1]] & (out["dist"][: mw.seed_starts[1]] > 0))
+        out["dist"][inner[::2]] = -1
+        seen.update(edges=edges, dist=out["dist"], pi5=out["pi5"])
+        return out
+
+    def pi1(mw):
+        seen["pi1"] = build_pi1(mw)
+        return seen["pi1"]
+
+    break_overlaps = graphing.break_overlaps
+    monkeypatch.setattr(graphing, "build_marked_window", window)
+    monkeypatch.setattr(graphing, "build_pi1", pi1)
+    monkeypatch.setattr(graphing, "break_overlaps", overlaps)
+    monkeypatch.setattr(graphing, "build_forest_and_pi45", forest)
+    runs = graphing._run_batch(f2_ctx, keys, [1.0], 1.0, [0, 1, 2, 3])  # many Pi2 degrees
+    got = [seen[k] for k in ("mw", "pi1", "edges", "s0", "dist", "pi5")]
+    stats = [_seed_means_reference(*got, i) for i in range(4)]
+    assert stats[1]["interior"] == 0 and stats[2]["interior"] > 0 == stats[2]["n_s0_interior"]
+    assert stats[0]["n_s0_interior"] and stats[3]["n_s0_interior"]
+    assert 0 < stats[0]["n_sprime_interior"] < stats[0]["interior"]
+    for run, want in zip(runs, stats):
+        for name, value in want.items():
+            assert np.float64(getattr(run, name)).tobytes() == np.float64(value).tobytes(), name
+    assert math.isnan(runs[1].half_deg_pi1) and math.isnan(runs[1].lambda_hat)
+    assert math.isnan(runs[2].lambda_hat) and not runs[2].pi5_checked
 
 
 def test_a_seed_without_vertices_in_a_batch(f2_ctx, monkeypatch):

@@ -8,6 +8,7 @@ from horolab import randomness
 from horolab.randomness import (
     STREAM_CENTERS,
     STREAM_MARKS,
+    STREAM_OVERLAP,
     SeededRandomness,
     bits_at_most,
     combine_digests,
@@ -15,6 +16,7 @@ from horolab.randomness import (
     digest_str,
     head_bits,
     head_limit,
+    mixed_seeds,
     seed_digest,
     to_uniforms,
 )
@@ -91,6 +93,28 @@ def test_words_run_in_place_are_the_mix_composition(seed):
     assert r.words(own, STREAM_MARKS, out=own) is own and own.tobytes() == want.tobytes()
     assert r.uniforms(digests, STREAM_MARKS).tobytes() == to_uniforms(want >> np.uint64(11)).tobytes()
     assert r.uniform(int(digests[0]), STREAM_MARKS) == float(to_uniforms(want[:1] >> np.uint64(11))[0])
+
+
+def test_words_under_per_element_seeds_are_each_seeds_words():
+    # One call under an array of mixed seeds, one per digest, hashes each
+    # digest as its own seed's call would; a (rows, 1) seed column is
+    # broadcast over the columns of a (rows, classes) block, in place too.
+    rngs = [SeededRandomness(seed) for seed in (0, 7, 2**64 - 1, -3)]
+    digests = np.random.default_rng(5).integers(0, 2**64, (4, 300), dtype=np.uint64)
+    seeds = mixed_seeds(rngs)
+    assert seeds.dtype == np.uint64 and seeds.tolist() == [int(r._seed_mixed) for r in rngs]
+    want = np.stack([r.words(row, STREAM_MARKS) for r, row in zip(rngs, digests)])
+    got = rngs[1].words(digests, STREAM_MARKS, seeds=seeds[:, None])
+    assert got.tobytes() == want.tobytes()
+    own = digests.copy()
+    rngs[0].words(own, STREAM_MARKS, out=own, tmp=np.empty_like(own), seeds=seeds[:, None])
+    assert own.tobytes() == want.tobytes()
+    flat, seed = digests.ravel(), np.repeat(np.arange(4), 300)
+    order = np.random.default_rng(6).permutation(len(flat))
+    got = rngs[2].uniforms(flat[order], STREAM_OVERLAP, seeds=seeds[seed[order]])
+    want = np.concatenate([r.uniforms(row, STREAM_OVERLAP) for r, row in zip(rngs, digests)])
+    assert got.tobytes() == want[order].tobytes()
+    assert rngs[3].uniforms(flat[:0], STREAM_OVERLAP, seeds=seeds[:0]).shape == (0,)
 
 
 def test_uniform_range_and_rough_moments():
