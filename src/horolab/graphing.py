@@ -117,14 +117,14 @@ def _lex_keys(major, floats, minor, size) -> np.ndarray:
     for none.
     numpy's default argsort on distinct keys gives a lexsort's order, at a
     fraction of the cost of a stable sort on a float column.  Where the
-    packing would pass int64, the (float, minor) pairs are ranked densely
-    again first."""
+    packing would pass int64, `major` and the (float, minor) pairs enter by
+    their dense ranks too, both below the row count, whose square fits."""
     rank, firsts = _dense(floats)
     inner, span = rank * size + minor, len(firsts) * size
     if major is None:
         return inner
     if len(major) and int(major.max()) >= np.iinfo(np.int64).max // max(1, span):
-        inner, firsts = _dense(inner)
+        (inner, firsts), (major, _) = _dense(inner), _dense(major)
         span = len(firsts)
     return major * span + inner
 
@@ -241,11 +241,13 @@ class PercolationKernel:
         of (digest(x), j, 2 i) for gap i, drawn in rounds over the (x, j)
         still inside their sphere.  The cells (x, j) of every seed's points
         are taken in blocks of about `_TILE`, whose gap-0 keys, which no seed
-        enters, are hashed once.  The seeds whose rows of a block fit the
-        buffers held for the call together draw their cells' rounds in one
-        pass, each cell under its own seed (`SeededRandomness.words`'s
-        per-element seeds); a seed that fills them alone, as each of the
-        baseline's does, draws under its one seed.
+        enters, are hashed once.  A block's seeds run in runs whose rows fit
+        the buffers held for the call (`_groups`), and a run draws its
+        cells' gap-0 pass and each round in one call, every cell under its
+        own seed (`SeededRandomness.words`'s per-element seeds).  The
+        baseline's seeds all hold the whole window, so each runs alone in
+        a full block and they share runs only in a last block of at most
+        half a block's rows.
         At gap 0 the rank is the gap itself, and that test is monotone in w:
         a cell can open a rank only when w is below its class's reach, an
         upper bound on 1 - (1 - q_j)^|sphere_j| (`_gap0_reach`), so the
@@ -282,7 +284,7 @@ class PercolationKernel:
             raise ResourceCapError("percolation pairs", self.cap)
         drawn = np.flatnonzero(q > 0.0)
         width, bound = len(drawn), _gap0_bound(_gap0_reach(sizes[drawn], log_q[drawn]))
-        count, found, mixed = np.zeros(len(rngs), dtype=np.int64), [], mixed_seeds(rngs)
+        count, found, mixed, rng = np.zeros(len(rngs), dtype=np.int64), [], mixed_seeds(rngs), rngs[0]
         step = max(1, _TILE // max(1, width))
         rows = min(step, len(ids))  # the gap-0 buffers, held for the call, hold this many rows
         bits, tmp, near = (np.empty(rows * width, t) for t in (np.uint64, np.uint64, bool))
@@ -291,36 +293,28 @@ class PercolationKernel:
             keys = combine_digests(self.digests[block][:, None], drawn.astype(np.uint64))
             first, keys, pending = combine_digests(keys, 0), keys.ravel(), []
             for group, own in _groups(member, block, rows):
-                rng, one = rngs[group[0]], len(group) == 1
-                own_rows = own[0] if one else np.concatenate(own)
-                seed = None if one else np.repeat(group, list(map(len, own)))  # of each row
+                own_rows = np.concatenate(own)
+                seed = np.repeat(group, list(map(len, own)))  # of each row
                 m = len(own_rows) * width
                 z = np.take(first, own_rows, axis=0, out=bits[:m].reshape(len(own_rows), width))
-                col = None if one else mixed[seed][:, None]
-                rng.words(z, STREAM_PERCOLATION, out=z, tmp=tmp[:m].reshape(z.shape), seeds=col)
+                rng.words(z, STREAM_PERCOLATION, out=z, tmp=tmp[:m].reshape(z.shape), seeds=mixed[seed][:, None])
                 np.right_shift(z, _DROP11, out=z)  # a uniform's 53 bits
                 np.less(z, bound, out=near[:m].reshape(z.shape))
                 cell = np.flatnonzero(near[:m])  # only these can open a rank
                 w, (row, cls), pos = to_uniforms(bits[cell]), np.divmod(cell, width), -1.0
-                seed = np.full(len(row), group[0]) if one else seed[row]
-                cell = own_rows[row] * width + cls
+                seed, cell = seed[row], own_rows[row] * width + cls
                 for gap in itertools.count():
                     if gap:
                         digests = combine_digests(keys[cell], 2 * gap)
-                        w = rng.uniforms(digests, STREAM_PERCOLATION, seeds=None if one else mixed[seed])
+                        w = rng.uniforms(digests, STREAM_PERCOLATION, seeds=mixed[seed])
                     j = drawn[cell % width]
                     pos = pos + 1.0 + np.floor(np.log1p(-w) / log_q[j])
                     inside = np.flatnonzero(pos < sizes[j])
                     if not len(inside):
                         break
                     seed, cell, pos = seed[inside], cell[inside], pos[inside]
-                    if one:  # as many open ranks as cells, all of one seed
-                        count[group[0]] += len(inside)
-                        most = count[group[0]]
-                    else:
-                        count += np.bincount(seed, minlength=len(rngs))
-                        most = count.max()
-                    if most > self.cap:
+                    count += np.bincount(seed, minlength=len(rngs))  # one open rank a cell
+                    if count.max() > self.cap:
                         raise ResourceCapError("percolation pairs", self.cap)
                     pending.append((seed, gap, cell, pos.astype(np.int64)))
                 lens = [len(row[2]) for row in pending]

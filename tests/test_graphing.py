@@ -1141,14 +1141,16 @@ def test_lex_keys_order_rows_as_lexsort():
     # Rows (major, float, minor) drawn from a few values each, so that every
     # column ties: a key is less than another exactly when its row is, and
     # equal exactly when the rows are, so numpy's default argsort on the
-    # keys of distinct rows is the lexsort's order.  A major column near
-    # 2^62 takes the dense re-ranking that keeps the packing inside int64.
+    # keys of distinct rows is the lexsort's order.  A major column that
+    # spans 0 to 2^62 takes the dense re-ranking that keeps the packing
+    # inside int64: 2^62 times any span of 2 or more wraps there.
     gen = np.random.default_rng(46)
+    high = [0, 1, 2**62, 2**62 + 1]
     for trial in range(40):
         n = int(gen.integers(0, 60))
         floats = gen.choice([0.0, 2.0**-53, 0.25, 0.5, 0.75], n)
         minor = gen.integers(0, 5, n)
-        major = gen.integers(0, 4, n) + (2**62 if trial % 4 == 3 else 0)
+        major = gen.choice(high, n) if trial % 4 == 3 else gen.integers(0, 4, n)
         for cols in ((major, floats, minor), (None, floats, minor)):
             key = graphing._lex_keys(*cols, 5)
             rows = list(zip(*(c.tolist() for c in cols if c is not None)))
@@ -1157,6 +1159,10 @@ def test_lex_keys_order_rows_as_lexsort():
             distinct = np.unique(np.stack([np.zeros(n) if c is None else c for c in cols]), axis=1, return_index=True)[1]
             want = np.lexsort(tuple(c[distinct] for c in cols[::-1] if c is not None))
             assert np.argsort(key[distinct]).tolist() == want.tolist()
+    for span in (2, 4):  # (float, minor) pairs after the re-rank
+        major, minor = np.repeat(np.array([2**62, 0]), 2), np.arange(4) % span
+        key = graphing._lex_keys(major, np.full(4, 0.5), minor, 5)
+        assert np.argsort(key).tolist() == [2, 3, 0, 1] and len(set(key.tolist())) == 4
 
 
 def _break_overlaps_reference(mw, rngs) -> np.ndarray:
