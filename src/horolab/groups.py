@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -678,8 +677,9 @@ class Ball:
     identity), and `step[i, g]` the index of elements[i] * g, -1 outside
     the ball; `inverse[g]` is the column of g's inverse.  The arrays are
     int32 and read-only.  `volumes[r]` is the size of the radius-r prefix.
-    The element tuples, their `index` and their `words` are built on first
-    use; iterating gives `enumerate_ball`'s (element, distance) pairs.
+    The element tuples and their `index` are built on first use and kept;
+    `words` is built on every read and kept by no one, and `word(i)` reads
+    one.  Iterating gives `enumerate_ball`'s (element, distance) pairs.
     """
 
     def __init__(self, oracle: Oracle, radius: int, dist, parent, gen, step, elements=None):
@@ -733,11 +733,11 @@ class Ball:
     def index(self) -> dict:
         return {el: i for i, el in enumerate(self.elements)}
 
-    @functools.cached_property
+    @property
     def words(self) -> list:
-        """`oracle.word_str` of each element.  A free group's reduced word
-        is its parent's plus one letter, so those are built along the tree,
-        without the element tuples."""
+        """`oracle.word_str` of each element, as a new list.  A free group's
+        reduced word is its parent's plus one letter, so those are built
+        along the tree, without the element tuples."""
         orc = self.oracle
         if not isinstance(orc, FreeOracle):
             return [orc.word_str(el) for el in self.elements]
@@ -746,6 +746,18 @@ class Ball:
             out.append(out[p] + letters[g])
         out[0] = orc.word_str(orc.identity)
         return out
+
+    def word(self, i: int) -> str:
+        """`words[i]` alone: a free group's word read up the tree from i,
+        without the element tuples."""
+        orc = self.oracle
+        if not isinstance(orc, FreeOracle):
+            return orc.word_str(self.elements[i])
+        gens, path = orc.gen_pairs(), []
+        while i:
+            path.append(gens[self.gen[i]][1][0])
+            i = self.parent[i]
+        return orc.word_str(tuple(reversed(path)))
 
     def volume(self, r: int) -> int:
         if r < 0:
@@ -879,23 +891,24 @@ def ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP) -> Ball:
 
 def enumerate_ball(oracle: Oracle, radius: int, cap: int = DEFAULT_ENUM_CAP):
     """The (element, distance) pairs of `ball` by plain BFS, sorted by
-    (distance, sort_key), without the memo: the reference for `Ball`."""
+    (distance, sort_key), without the memo: the reference for `Ball`.  It
+    runs sphere by sphere, each sorted as it is made.  A neighbour of the
+    sphere at d lies at d - 1, d or d + 1, so only the last two spheres are
+    kept as sets."""
     gens = [g for _, g in oracle.gen_pairs()]
-    dist = {oracle.identity: 0}
-    frontier = deque([oracle.identity])
-    while frontier:
-        el = frontier.popleft()
-        d = dist[el]
-        if d == radius:
-            continue
-        for g in gens:
-            nb = oracle.multiply(el, g)
-            if nb not in dist:
-                dist[nb] = d + 1
-                if len(dist) > cap:
-                    raise ResourceCapError("ball enumeration", cap)
-                frontier.append(nb)
-    return sorted(dist.items(), key=lambda kv: (kv[1], oracle.sort_key(kv[0])))
+    out, inner, sphere = [(oracle.identity, 0)], set(), {oracle.identity}
+    for d in range(1, radius + 1):
+        outer = set()
+        for el in sphere:
+            for g in gens:
+                nb = oracle.multiply(el, g)
+                if nb not in inner and nb not in sphere and nb not in outer:
+                    outer.add(nb)
+                    if len(out) + len(outer) > cap:
+                        raise ResourceCapError("ball enumeration", cap)
+        out.extend((el, d) for el in sorted(outer, key=oracle.sort_key))
+        inner, sphere = sphere, outer
+    return out
 
 
 @dataclass

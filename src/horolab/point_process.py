@@ -52,8 +52,8 @@ _FACTOR_DIGESTS = {}
 
 def factor_digests(ball: Ball, tag: str) -> np.ndarray:
     """Stable 64-bit digest per element, `digest_str(tag + ":" + word)` of
-    its canonical word; a read-only array.  The words are the ball's own,
-    built once and shared by every tag."""
+    its canonical word; a read-only array.  The words are built for the
+    hashing and dropped with it: only the digests are kept."""
     key = (ball.oracle.spec, tag)
     kept = _FACTOR_DIGESTS.get(key)
     if kept is None or len(kept) < len(ball):
@@ -63,18 +63,20 @@ def factor_digests(ball: Ball, tag: str) -> np.ndarray:
 
 def point_digests(space: ProductSpace) -> np.ndarray:
     """Stable 64-bit digest per point of `space`: the ordered-pair digest of
-    its two coordinates' canonical words.  Every random label of a point is
-    drawn from this digest."""
-    return combine_digests(
-        factor_digests(space.ball1, "G")[space.pts1],
-        factor_digests(space.ball2, "G2")[space.pts2],
-    )
+    its two coordinates' canonical words, `_TILE` points at a time.  Every
+    random label of a point is drawn from this digest."""
+    d1, d2 = factor_digests(space.ball1, "G"), factor_digests(space.ball2, "G2")
+    out = np.empty(len(space), dtype=np.uint64)
+    for k in range(0, len(space), _TILE):
+        out[k : k + _TILE] = combine_digests(d1[space.pts1[k : k + _TILE]], d2[space.pts2[k : k + _TILE]])
+    return out
 
 
 @dataclass(frozen=True)
 class CoveringMap:
     """The covering map in CSR form: the sorted window ids of the members
-    of the center of W+ id i in `members[starts[i]:starts[i + 1]]`."""
+    of the center of W+ id i in `members[starts[i]:starts[i + 1]]`, both
+    int32."""
 
     starts: np.ndarray
     members: np.ndarray
@@ -87,11 +89,11 @@ class CoveringMap:
 
     def gather(self, rows) -> tuple:
         """(members, counts): the member ranges of the centers at `rows`,
-        concatenated in that order, and the length of each."""
+        concatenated in that order, and the length of each, as int64."""
         lo = self.starts[rows]
-        counts = self.starts[rows + 1] - lo
+        counts = (self.starts[rows + 1] - lo).astype(np.int64)
         owner, rank = ragged(counts)
-        return self.members[lo[owner] + rank], counts
+        return self.members[lo[owner] + rank].astype(np.int64), counts
 
 
 class ProcessContext:
@@ -135,25 +137,54 @@ class ProcessContext:
     def _covering_map(self, ball1: Ball, ball2: Ball, cap: int) -> tuple:
         """(keys, covering): the rising packed key of every center whose
         diamond meets the window, and its members in the window.  The (window
-        point, diamond offset) pairs count against `cap` before any is built."""
+        point, diamond offset) pairs count against `cap` before any is built.
+
+        A pair is one int64 key (i, j, k): the center's factor-ball indices
+        i and j above the window id k, each in the bits its range needs.
+        One in-place sort orders the pairs by center, and each center's
+        members by window id.  The keys are filled, and then split into
+        centers and int32 members, `_TILE` at a time."""
         window = self.window
         off1, off2 = self.offsets
-        if len(window) * len(off1) > cap:
+        pairs = len(window) * len(off1)
+        if pairs > cap:
             raise ResourceCapError("covering map (window points x diamond offsets)", cap)
+        if pairs >= 1 << 31:
+            raise ResourceCapError(f"covering map offsets ({pairs} pairs, past int32)", cap)
+        kbits, jbits, ibits = ((len(x) - 1).bit_length() for x in (window, ball2, ball1))
+        if ibits + jbits + kbits > 63:
+            raise ResourceCapError(f"covering map keys ({ibits + jbits + kbits} bits, past 63)", cap)
         w1, w2 = window.pts1, window.pts2
         q1 = ball1.quotient_table(w1.max() + 1, np.arange(off1.max() + 1))
         q2 = ball2.quotient_table(w2.max() + 1, np.arange(off2.max() + 1))
-        keys = q1[w1][:, off1].ravel()  # packed in place: one gathered array at a time
-        keys <<= 32
-        keys |= q2[w2][:, off2].ravel()
-        order = np.argsort(keys, kind="stable")  # members stay in window order
-        keys = keys[order]
+        keys = np.empty(pairs, dtype=np.int64)
+        step = max(1, _TILE // len(off1))
+        for k0 in range(0, len(window), step):
+            k = np.arange(k0, min(k0 + step, len(window)))
+            block = keys[k0 * len(off1) : (k0 + len(k)) * len(off1)].reshape(len(k), len(off1))
+            np.left_shift(q1[w1[k, None], off1], jbits + kbits, out=block)
+            block |= q2[w2[k, None], off2] << kbits
+            block |= k[:, None]
+        keys.sort()
         if keys[0] < 0:  # a quotient outside its factor ball is -1: a negative key
             raise InvariantViolation("a covering center left its factor ball")
-        starts = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
-        # The pairs are listed by window point, len(off1) to a point.
-        members = order // len(off1)
-        return keys[starts[:-1]], CoveringMap(starts=starts, members=members)
+        # Each block's centers are written over the keys already read, so
+        # the W+ keys end as a prefix of the buffer, which is then shrunk.
+        members = np.empty(pairs, dtype=np.int32)
+        starts, found, last = [], 0, -1
+        for p0 in range(0, pairs, _TILE):
+            block = keys[p0 : p0 + _TILE]
+            members[p0 : p0 + len(block)] = block & ((1 << kbits) - 1)
+            center = block >> kbits
+            new = np.flatnonzero(np.diff(center, prepend=last))
+            starts.append((new + p0).astype(np.int32))
+            last, center = center[-1], center[new]
+            keys[found : found + len(new)] = ((center >> jbits) << 32) | (center & ((1 << jbits) - 1))
+            found += len(new)
+        del block
+        keys.resize(found)
+        starts.append(np.array([pairs], dtype=np.int32))
+        return keys, CoveringMap(starts=np.concatenate(starts), members=members)
 
 
 @dataclass
@@ -193,11 +224,16 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
     b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
     equals the bound: `SeededRandomness.below` draws that test over
-    `ctx.center_digests`.
+    `ctx.center_digests`, `_TILE` at a time into one word buffer.
     """
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
-    chosen = rng.below(ctx.center_digests, STREAM_CENTERS, bits_at_most(param))
+    digests, k = ctx.center_digests, bits_at_most(param)
+    words, tmp = np.empty(_TILE, dtype=np.uint64), np.empty(_TILE, dtype=np.uint64)
+    chosen = np.concatenate([
+        rng.below(digests[r : r + _TILE], STREAM_CENTERS, k, words[: len(digests) - r], tmp[: len(digests) - r]) + r
+        for r in range(0, len(digests), _TILE)
+    ])
     return DiamondProcess(
         ctx=ctx,
         seed=seed,

@@ -31,8 +31,14 @@ rounds go through `uniforms`.
 
 from __future__ import annotations
 
-import hashlib
 import math
+
+# hashlib's blake2b is this module's; taken from here, it leaves hashlib's
+# OpenSSL backend (`_hashlib` and libcrypto) unloaded.
+try:
+    from _blake2 import blake2b
+except ImportError:  # a Python built without its own blake2
+    from hashlib import blake2b
 
 import numpy as np
 
@@ -69,7 +75,7 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray, stop: int = len(_STEPS)) -> None:
 
 def digest_bytes(data: bytes) -> int:
     """Stable 64-bit digest of arbitrary bytes (blake2b prefix)."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 def digest_str(text: str) -> int:
@@ -80,7 +86,7 @@ def digest_strs(prefix: str, texts) -> np.ndarray:
     """`digest_str(prefix + text)` of each of `texts`, as a read-only uint64
     array: one pass of blake2b digests appended to one buffer, which is all
     it holds besides the texts."""
-    blake2b, buf = hashlib.blake2b, bytearray()
+    buf = bytearray()
     for t in texts:
         buf += blake2b((prefix + t).encode("utf-8"), digest_size=8).digest()
     return np.frombuffer(bytes(buf), dtype="<u8")

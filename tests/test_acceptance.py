@@ -89,6 +89,20 @@ def test_criterion_01_times_a_cold_bfs_and_checks_the_memo(monkeypatch):
     assert "memo's prefix" in result.detail
 
 
+@pytest.mark.parametrize(
+    "edit", [lambda pairs: pairs[:-1], lambda pairs: [pairs[0], pairs[2], pairs[1], *pairs[3:]]], ids=["short", "swapped"]
+)
+def test_criterion_01_fails_a_memo_ball_one_short_or_out_of_order(monkeypatch, edit):
+    # Criterion 1 compares pair by pair, so a memo ball one element short
+    # (which `zip` alone would pass) or with two elements of one sphere
+    # swapped fails it.
+    cold = acceptance.enumerate_ball
+    monkeypatch.setattr(acceptance, "ball", lambda o, r: edit(cold(o, r)))
+    result = acceptance.criterion_1_growth(None)
+    assert not result.passed
+    assert "differs from the memo's prefix" in result.detail
+
+
 def test_all_criteria_lists_the_module_functions_in_order():
     # The benchmark finds each criterion by `__name__` and rebinds every
     # reference to it, which needs the list entry to be the module global.

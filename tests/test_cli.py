@@ -378,6 +378,28 @@ def test_resource_cap_exits_3(tmp_path, capsys, command, overrides):
     assert "resource cap:" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "patch, cap, what",
+    [
+        ((groups.Ball, "__len__", lambda self: 1 << 31), 20_000_000, "covering map keys"),
+        ((ProductSpace, "__len__", lambda self: 1 << 26), 1 << 32, "covering map offsets"),
+    ],
+    ids=["keys-past-63-bits", "offsets-past-int32"],
+)
+def test_a_covering_map_past_its_integer_widths_exits_3(tmp_path, capsys, monkeypatch, patch, cap, what):
+    # Factor balls of 2^31 elements each leave no room for the window id in
+    # a 63-bit key; a window of 2^26 points makes 2^31 pairs or more under
+    # a cap that admits them.  Either is refused before any key is made.
+    def never(*args):
+        raise AssertionError("a covering center was listed")
+
+    monkeypatch.setattr(*patch)
+    monkeypatch.setattr(groups.Ball, "quotient_table", never)
+    overrides = {"enum_cap": cap, "process": {"seeds": 1, "window_radius": 2, "corner_seeds": 0}}
+    assert cli.main(["process", "--out", str(tmp_path)], config_overrides=overrides) == 3
+    assert what in capsys.readouterr().err
+
+
 def test_a_corner_set_over_the_cap_exits_3_before_it_is_built(tmp_path, capsys, monkeypatch):
     # The radius-8 F2 balls (13,121 elements) and the radius-3 window's
     # covering map fit a cap of 20,000; the n = 8 corner set, with 26,241

@@ -32,8 +32,8 @@ from horolab.graphing import (
 from horolab.diamonds import in_diamond
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, ball, growth_series, make_oracle
-from horolab.point_process import point_digests, sample_diamond_process
-from horolab.product import ProductMetric
+from horolab.point_process import ProcessContext, point_digests, sample_diamond_process
+from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
     STREAM_OVERLAP,
     STREAM_PERCOLATION,
@@ -691,6 +691,43 @@ def test_the_percolation_is_a_factor_of_the_digest_field(case, monkeypatch):
             labels = graphing._uniforms_by_seed(rngs, small.digests[ids], seed, tag)
             assert labels.tobytes() == graphing._uniforms_by_seed(rngs, big.digests[at], seed, tag).tobytes()
     assert opened > 0
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+def test_the_center_draw_is_a_factor_of_the_digest_field(case, monkeypatch):
+    # The same translation on the center stage: on B(wr) under the shifted
+    # field, each window point's covering centers, the centers drawn and
+    # their marks are those of g^-1 B(wr), which B(wr + 2) holds, under the
+    # plain field, mapped by x -> g^-1 x.  W+ of B(wr + 2) holds every
+    # center covering g^-1 B(wr).
+    first, second, wr = FACTOR_CASES[case]
+    metric = ProductMetric(make_oracle(first), make_oracle(second), 1)
+    sched = schedule_for(first, second, 1, 12)
+    small, big = (ProcessContext(ProductSpace(metric, r), sched, 2) for r in (wr, wr + 2))
+
+    def covered(ctx, window_ids, center_ids):
+        """(window id << 32) | W+ id of each covering pair, mapped, sorted."""
+        cov = ctx.covering
+        rows = np.repeat(np.arange(len(cov)), np.diff(cov.starts))
+        return np.sort((window_ids[cov.members].astype(np.int64) << 32) | center_ids[rows])
+
+    drawn = 0
+    for g in _translations(metric):
+        at = _translate(small, big, g)
+        at_window = _translate(SimpleNamespace(space=small.window), SimpleNamespace(space=big.window), g)
+        on_big = np.full(len(big.window), -1)
+        on_big[at_window] = at_window
+        want = covered(big, on_big, np.arange(len(big.space)))
+        assert covered(small, at_window, at).tolist() == want[want >= 0].tolist()
+        monkeypatch.setattr(small, "center_digests", big.center_digests[at])
+        for s in range(3):
+            got, full = sample_diamond_process(small, seed_digest(47, s)), sample_diamond_process(big, seed_digest(47, s))
+            order = np.argsort(at[got.chosen])
+            inside = np.isin(full.chosen, at)
+            assert at[got.chosen][order].tolist() == full.chosen[inside].tolist()
+            assert got.marks[order].tobytes() == full.marks[inside].tobytes()
+            drawn += len(got.chosen)
+    assert drawn > 0
 
 
 def test_q_just_below_one_matches_the_reference(monkeypatch):

@@ -1,6 +1,7 @@
 """What importing the package does to the interpreter, checked in fresh
 child interpreters."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,19 +10,20 @@ from pathlib import Path
 import pytest
 
 import horolab
+from horolab import randomness
 
 SRC = str(Path(horolab.__file__).resolve().parents[1])
 PROBE = "import os, horolab; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
 
 
-def _import_horolab(**env) -> list:
-    """(threads, OPENBLAS_NUM_THREADS) of a fresh interpreter once it has
-    imported horolab, with `env` over this one's, the variable unset unless
-    given."""
+def _import_horolab(probe: str = PROBE, **env) -> list:
+    """The words `probe` prints in a fresh interpreter, by default (threads,
+    OPENBLAS_NUM_THREADS) once it has imported horolab, with `env` over this
+    one's, the variable unset unless given."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [base.get("PYTHONPATH")])])
     run = subprocess.run(
-        [sys.executable, "-c", PROBE], env={**base, **env}, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env={**base, **env}, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
     return run.stdout.split()
@@ -36,3 +38,19 @@ def test_importing_horolab_starts_no_blas_thread():
 
 def test_a_users_blas_thread_count_is_kept():
     assert _import_horolab(OPENBLAS_NUM_THREADS="3")[1] == "3"
+
+
+def test_horolab_hashes_without_loading_openssl():
+    # blake2b comes from `_blake2`, which hashlib re-exports: the CLI and a
+    # digest load neither hashlib nor its OpenSSL backend.
+    probe = (
+        "import sys, horolab.cli; from horolab.randomness import digest_str; digest_str('e');"
+        "print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+    )
+    assert _import_horolab(probe) == ["False", "False"]
+
+
+@pytest.mark.parametrize("data", [b"", b"e", b"G:ab", bytes(range(256))])
+def test_digest_bytes_is_hashlibs_blake2b(data):
+    want = int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    assert randomness.digest_bytes(data) == want

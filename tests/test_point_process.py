@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from horolab import point_process
 from horolab.diamonds import diamond_volume, in_diamond
 from horolab.errors import InvariantViolation
-from horolab.groups import GroupSpec, ball, growth_series, make_oracle
+from horolab.groups import DEFAULT_ENUM_CAP, GroupSpec, ball, growth_series, make_oracle
 from horolab.point_process import (
     DiamondProcess,
     ProcessContext,
@@ -215,6 +216,37 @@ def test_a_first_factor_ball_one_radius_short_loses_a_covering_center(sched, mon
     with pytest.raises(InvariantViolation, match="a covering center left its factor ball"):
         ProcessContext(window, sched, 2)
     assert built[0] == 3 + sched.r[2]
+
+
+def test_the_covering_map_is_int32_and_costs_what_its_pairs_cost(sched):
+    # F2 x F2 at wr 6 and n 2: 11,665 window points x 33 offsets.  The
+    # second build finds its balls and their digests kept, so tracemalloc
+    # sees the context's own arrays: the build's peak, and what the covering
+    # map holds (starts, members and W+'s keys).  Packed into one sorted
+    # int64 a pair, with int32 members and starts, they cost 17.2 and 8.4 B
+    # a pair; an argsort over int64 members costs 33.0 and 13.8.
+    metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
+    window = ProductSpace(metric, 6)
+    ctx = ProcessContext(window, sched, 2)
+    pairs = len(window) * ctx.volume
+    assert pairs == 384_945
+    cov = ctx.covering
+    assert cov.starts.dtype == cov.members.dtype == np.int32
+    members, counts = cov.gather(np.arange(0, len(cov), 7))
+    assert members.dtype == counts.dtype == np.int64
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ProcessContext(window, sched, 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        start = tracemalloc.get_traced_memory()[0]
+        kept = ctx._covering_map(ctx.space.ball1, ctx.space.ball2, DEFAULT_ENUM_CAP)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * pairs
+    assert held <= 9 * pairs
+    assert kept[0].tobytes() == ctx.space.keys.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
