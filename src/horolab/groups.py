@@ -677,9 +677,9 @@ class Ball:
     identity), and `step[i, g]` the index of elements[i] * g, -1 outside
     the ball; `inverse[g]` is the column of g's inverse.  The arrays are
     int32 and read-only.  `volumes[r]` is the size of the radius-r prefix.
-    The element tuples and their `index` are built on first use and kept;
-    `words` is built on every read and kept by no one, and `word(i)` reads
-    one.  Iterating gives `enumerate_ball`'s (element, distance) pairs.
+    The element tuples, their `index` and their `words` are built on first
+    use; `word_list` builds the words without keeping them.  Iterating
+    gives `enumerate_ball`'s (element, distance) pairs.
     """
 
     def __init__(self, oracle: Oracle, radius: int, dist, parent, gen, step, elements=None):
@@ -733,8 +733,7 @@ class Ball:
     def index(self) -> dict:
         return {el: i for i, el in enumerate(self.elements)}
 
-    @property
-    def words(self) -> list:
+    def word_list(self) -> list:
         """`oracle.word_str` of each element, as a new list.  A free group's
         reduced word is its parent's plus one letter, so those are built
         along the tree, without the element tuples."""
@@ -747,17 +746,8 @@ class Ball:
         out[0] = orc.word_str(orc.identity)
         return out
 
-    def word(self, i: int) -> str:
-        """`words[i]` alone: a free group's word read up the tree from i,
-        without the element tuples."""
-        orc = self.oracle
-        if not isinstance(orc, FreeOracle):
-            return orc.word_str(self.elements[i])
-        gens, path = orc.gen_pairs(), []
-        while i:
-            path.append(gens[self.gen[i]][1][0])
-            i = self.parent[i]
-        return orc.word_str(tuple(reversed(path)))
+    # Kept for the artifacts that print words; the digests hash a new list.
+    words = functools.cached_property(word_list)
 
     def volume(self, r: int) -> int:
         if r < 0:

@@ -53,11 +53,11 @@ _FACTOR_DIGESTS = {}
 def factor_digests(ball: Ball, tag: str) -> np.ndarray:
     """Stable 64-bit digest per element, `digest_str(tag + ":" + word)` of
     its canonical word; a read-only array.  The words are built for the
-    hashing and dropped with it: only the digests are kept."""
+    hashing and dropped with it, for each tag: only the digests are kept."""
     key = (ball.oracle.spec, tag)
     kept = _FACTOR_DIGESTS.get(key)
     if kept is None or len(kept) < len(ball):
-        kept = _FACTOR_DIGESTS[key] = digest_strs(tag + ":", ball.words)
+        kept = _FACTOR_DIGESTS[key] = digest_strs(tag + ":", ball.word_list())
     return kept[: len(ball)]
 
 

@@ -180,7 +180,7 @@ class ProductSpace:
 
     def word_str(self, pid: int) -> str:
         """The point's two canonical words, "first|second"."""
-        return f"{self.ball1.word(int(self.pts1[pid]))}|{self.ball2.word(int(self.pts2[pid]))}"
+        return f"{self.ball1.words[int(self.pts1[pid])]}|{self.ball2.words[int(self.pts2[pid])]}"
 
     def mask_within(self, radius) -> np.ndarray:
         return self.rho_num <= self.metric.radius_num(radius)
