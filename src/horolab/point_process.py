@@ -169,7 +169,7 @@ class ProcessContext:
         if keys[0] < 0:  # a quotient outside its factor ball is -1: a negative key
             raise InvariantViolation("a covering center left its factor ball")
         # Each block's centers are written over the keys already read, so
-        # the W+ keys end as a prefix of the buffer, which is then shrunk.
+        # the W+ keys end as a prefix of the buffer.
         members = np.empty(pairs, dtype=np.int32)
         starts, found, last = [], 0, -1
         for p0 in range(0, pairs, _TILE):
@@ -181,8 +181,8 @@ class ProcessContext:
             last, center = center[-1], center[new]
             keys[found : found + len(new)] = ((center >> jbits) << 32) | (center & ((1 << jbits) - 1))
             found += len(new)
-        del block
-        keys.resize(found)
+        del block  # the buffer's last view: the copy below frees it
+        keys = keys[:found].copy()
         starts.append(np.array([pairs], dtype=np.int32))
         return keys, CoveringMap(starts=np.concatenate(starts), members=members)
 
@@ -224,15 +224,17 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
     b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
     equals the bound: `SeededRandomness.below` draws that test over
-    `ctx.center_digests`, `_TILE` at a time into one word buffer.
+    `ctx.center_digests`, `2 * _TILE` at a time into one word buffer, so
+    that a large W+ is hashed in cache and never all at once.
     """
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
     digests, k = ctx.center_digests, bits_at_most(param)
-    words, tmp = np.empty(_TILE, dtype=np.uint64), np.empty(_TILE, dtype=np.uint64)
+    size = min(len(digests), 2 * _TILE)
+    words, tmp = np.empty((2, size), dtype=np.uint64)
     chosen = np.concatenate([
-        rng.below(digests[r : r + _TILE], STREAM_CENTERS, k, words[: len(digests) - r], tmp[: len(digests) - r]) + r
-        for r in range(0, len(digests), _TILE)
+        rng.below(digests[r : r + size], STREAM_CENTERS, k, words[: len(digests) - r], tmp[: len(digests) - r]) + r
+        for r in range(0, len(digests), size)
     ])
     return DiamondProcess(
         ctx=ctx,

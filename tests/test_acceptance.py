@@ -77,30 +77,18 @@ def test_criterion_11_determinism(sc, capsys):
 def test_criterion_01_times_a_cold_bfs_and_checks_the_memo(monkeypatch):
     # Criterion 1 reads nothing of the suite.  It enumerates cold even when
     # the memo already holds the ball, and fails when the memo's prefix
-    # differs from the cold BFS.
+    # differs from the cold BFS: reversed, one element short (which a bare
+    # `zip` would pass) or with two elements of one sphere swapped.
     cold = acceptance.enumerate_ball
     radii = []
     monkeypatch.setattr(acceptance, "enumerate_ball", lambda o, r: radii.append(r) or cold(o, r))
     assert acceptance.criterion_1_growth(None).passed
     assert radii == [8]
-    monkeypatch.setattr(acceptance, "ball", lambda o, r: cold(o, r)[::-1])
-    result = acceptance.criterion_1_growth(None)
-    assert not result.passed
-    assert "memo's prefix" in result.detail
-
-
-@pytest.mark.parametrize(
-    "edit", [lambda pairs: pairs[:-1], lambda pairs: [pairs[0], pairs[2], pairs[1], *pairs[3:]]], ids=["short", "swapped"]
-)
-def test_criterion_01_fails_a_memo_ball_one_short_or_out_of_order(monkeypatch, edit):
-    # Criterion 1 compares pair by pair, so a memo ball one element short
-    # (which `zip` alone would pass) or with two elements of one sphere
-    # swapped fails it.
-    cold = acceptance.enumerate_ball
-    monkeypatch.setattr(acceptance, "ball", lambda o, r: edit(cold(o, r)))
-    result = acceptance.criterion_1_growth(None)
-    assert not result.passed
-    assert "differs from the memo's prefix" in result.detail
+    for edit in (lambda p: p[::-1], lambda p: p[:-1], lambda p: [p[0], p[2], p[1], *p[3:]]):
+        monkeypatch.setattr(acceptance, "ball", lambda o, r, edit=edit: edit(cold(o, r)))
+        result = acceptance.criterion_1_growth(None)
+        assert not result.passed
+        assert "differs from the memo's prefix" in result.detail
 
 
 def test_all_criteria_lists_the_module_functions_in_order():

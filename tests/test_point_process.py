@@ -223,7 +223,7 @@ def test_the_covering_map_is_int32_and_costs_what_its_pairs_cost(sched):
     # second build finds its balls and their digests kept, so tracemalloc
     # sees the context's own arrays: the build's peak, and what the covering
     # map holds (starts, members and W+'s keys).  Packed into one sorted
-    # int64 a pair, with int32 members and starts, they cost 17.2 and 8.4 B
+    # int64 a pair, with int32 members and starts, they cost 18.3 and 8.4 B
     # a pair; an argsort over int64 members costs 33.0 and 13.8.
     metric = ProductMetric(make_oracle(F2), make_oracle(F2), 1)
     window = ProductSpace(metric, 6)
