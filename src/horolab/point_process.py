@@ -224,17 +224,14 @@ def sample_diamond_process(ctx: ProcessContext, seed: int) -> DiamondProcess:
     STREAM_CENTERS) satisfies u <= 1/v''_n, with u = b * 2**-53 for 53 bits
     b, that is when b < k = bits_at_most(1/v''_n), exactly, also where u
     equals the bound: `SeededRandomness.below` draws that test over
-    `ctx.center_digests`, `2 * _TILE` at a time into one word buffer, so
-    that a large W+ is hashed in cache and never all at once.
+    `ctx.center_digests`, `2 * _TILE` at a time, so that a large W+ is
+    never hashed all at once.
     """
     rng = SeededRandomness(seed)
     param = 1.0 / ctx.volume
-    digests, k = ctx.center_digests, bits_at_most(param)
-    size = min(len(digests), 2 * _TILE)
-    words, tmp = np.empty((2, size), dtype=np.uint64)
+    digests, k, size = ctx.center_digests, bits_at_most(param), 2 * _TILE
     chosen = np.concatenate([
-        rng.below(digests[r : r + size], STREAM_CENTERS, k, words[: len(digests) - r], tmp[: len(digests) - r]) + r
-        for r in range(0, len(digests), size)
+        rng.below(digests[r : r + size], STREAM_CENTERS, k) + r for r in range(0, len(digests), size)
     ])
     return DiamondProcess(
         ctx=ctx,
