@@ -40,12 +40,13 @@ from .diamonds import (
     growth_dominance,
     sandwich_check,
 )
-from .graphing import connect_then_descend, touching_paths
+from .graphing import touching_paths
 from .groups import GroupSpec, ball, enumerate_ball, growth_series, make_oracle
 from .horoboundary import (
     GeodesicRay,
     Horofunction,
     ProductHorofunction,
+    connect_then_descend,
     horofunction_from_ray,
 )
 from .point_process import corner_event_probability, eventually_decreasing_split

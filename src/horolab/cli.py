@@ -538,7 +538,7 @@ def run_process(run: Run, out: Path):
     )
     write_plot(out, plot)
     summary = {
-        "window_points": len(ctx.window_ids),
+        "window_points": len(ctx.window),
         "diamond_volume": ctx.volume,
         "corner_decay": split,
     }

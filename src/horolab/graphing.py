@@ -35,8 +35,7 @@ pairs open at the largest epsilon.  phi is a breadth-first search one
 layer at a time over the Pi3 edges that can still reach a vertex; psi, Pi4
 and Pi5 are array reductions of it.
 Pi1 takes its descent targets from one `GraphingContext.tau` call per
-batch over the distinct (center, y) pairs, in closed form on index arrays
-when the first factor is free.
+batch over the distinct (center, y) pairs, by `horoboundary.ray_steps`.
 
 `PercolationKernel` owns the pair law and the window W, and draws the one
 percolation: the Pi2 stage opens it among each seed's base points, and the
@@ -67,7 +66,7 @@ import numpy as np
 from .errors import HorolabError, InputError, InvariantViolation, MarkCollisionError
 from .errors import ResourceCapError
 from .groups import DEFAULT_ENUM_CAP, FreeOracle, growth_series, ragged
-from .horoboundary import FreeRaySteps, GeodesicRay, Horofunction, ProductHorofunction, spell
+from .horoboundary import ProductHorofunction, ray_steps
 from .product import ProductMetric, ProductSpace
 from .point_process import ProcessContext, point_digests, sample_diamond_process
 from .randomness import (
@@ -422,8 +421,15 @@ class PercolationKernel:
         return out
 
 
+def _interior_radius(window_radius: int, margin: int) -> int:
+    """The radius of the interior, where the statistics are read."""
+    if margin < 1 or margin >= window_radius:
+        raise InputError("margin must satisfy 1 <= margin < window radius")
+    return window_radius - margin
+
+
 class GraphingContext:
-    """Window geometry, kernel and descent cache shared across seeds."""
+    """Window geometry, kernel and descent steps shared across seeds."""
 
     def __init__(
         self,
@@ -434,20 +440,15 @@ class GraphingContext:
         margin: int,
         cap: int = DEFAULT_ENUM_CAP,
     ):
-        if margin < 1 or margin >= window_radius:
-            raise InputError("margin must satisfy 1 <= margin < window radius")
+        self.interior_radius = _interior_radius(window_radius, margin)
         self.metric = metric
         self.schedule = schedule
         self.n = n
         self.window_radius = window_radius
-        self.interior_radius = window_radius - margin
         self.kernel = PercolationKernel(metric, window_radius, cap)
         self.pctx = ProcessContext(self.kernel.space, schedule, n, cap)
         self.interior_mask = self.kernel.space.mask_within(self.interior_radius)
-        free = isinstance(metric.first, FreeOracle)
-        self._free_steps = FreeRaySteps(self.pctx.space.ball1) if free else None
-        self._tau_cache = {}
-        self._ray_cache = {}
+        self._steps = ray_steps(self.pctx.space.ball1)
 
     @functools.cached_property
     def vertices_per_seed(self) -> float:
@@ -469,39 +470,9 @@ class GraphingContext:
         return space.ball1.dist[space.pts1[pids]] > self.interior_radius
 
     def tau(self, center_fi, y_fi) -> np.ndarray:
-        """First-coordinate descent targets toward the centers' directions:
-        for each pair i, the neighbour of y_fi[i] one step down the
-        horofunction of the ray `GeodesicRay.through(center)`, center being
-        center_fi[i], as a first-ball index (-1 outside the ball).
-
-        On a free first factor this is the closed form of `FreeRaySteps`
-        over the whole arrays.  Other factors descend a memoised
-        `Horofunction` per center, taking among the descending neighbours
-        the one nearest the center, then the ElementOrder-least: on a
-        lattice two neighbours can descend, and the farther one can leave
-        the diamond.  Their targets are memoised per (center, y)."""
-        if self._free_steps is not None:
-            return self._free_steps(center_fi, y_fi)
-        out = np.empty(len(center_fi), dtype=np.int64)
-        for i, key in enumerate(zip(center_fi.tolist(), y_fi.tolist())):
-            hit = self._tau_cache.get(key)
-            if hit is None:
-                hit = self._tau_cache[key] = self._descend(*key)
-            out[i] = hit
-        return out
-
-    def _descend(self, center_fi: int, y_fi: int) -> int:
-        ball1, first = self.pctx.space.ball1, self.metric.first
-        h = self._ray_cache.get(center_fi)
-        if h is None:
-            ray = GeodesicRay.through(first, ball1.elements[center_fi])
-            h = Horofunction(first, ray, probe_radius=ball1.radius + 2)
-            self._ray_cache[center_fi] = h
-        c1 = ball1.elements[center_fi]
-        target = h.descend(
-            ball1.elements[y_fi], key=lambda nb: (first.distance(nb, c1), first.sort_key(nb))
-        )
-        return ball1.index.get(target, -1)
+        """First-ball index of the descent step of each y_fi[i] toward the
+        ray through center_fi[i], -1 outside the ball (`ray_steps`)."""
+        return self._steps(center_fi, y_fi)
 
 
 @dataclass
@@ -1259,20 +1230,6 @@ def touching_paths(
     )
 
 
-def connect_then_descend(oracle, start, end, h, extra_steps: int) -> tuple:
-    """Path start -> end along a geodesic word, then `extra_steps` descent
-    steps of the factor horofunction h.  Returns (path, k)."""
-    word = spell(oracle, oracle.multiply(oracle.inverse(start), end))
-    gens = oracle.generator_map()
-    path = [start]
-    for lab in word:
-        path.append(oracle.multiply(path[-1], gens[lab]))
-    k = len(path) - 1
-    for _ in range(extra_steps):
-        path.append(h.descend(path[-1]))
-    return path, k
-
-
 # Coset-line baseline --------------------------------------------------------
 
 
@@ -1323,8 +1280,7 @@ def coset_line_baseline(
     over its interior rows, and `monotone_violations` counts the segments
     whose largest fraction falls.
     """
-    if margin < 1 or margin >= window_radius:
-        raise InputError("margin must satisfy 1 <= margin < window radius")
+    interior_radius = _interior_radius(window_radius, margin)
     first = metric.first
     if first.spec.kind not in ("free", "integer_lattice"):
         raise InputError(
@@ -1333,7 +1289,7 @@ def coset_line_baseline(
         )
     kernel = PercolationKernel(metric, window_radius, cap)
     space = kernel.space
-    interior = space.mask_within(window_radius - margin)
+    interior = space.mask_within(interior_radius)
     n = len(space)
     # First-ball index of y * gen, gen the first generator: its step column.
     succ = space.ball1.step[:, 0]

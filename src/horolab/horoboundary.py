@@ -5,19 +5,19 @@ geodesic rays; a horofunction's values are the limits d(x, ray_N) - N,
 exact on tree-like and lattice factors and verified by probing two ray
 lengths.  A horofunction is defined on the whole group; values are
 computed lazily and memoised, so only the points asked about are ever
-evaluated.  In a free group the descent toward the ray through a center
-has a closed form, which `FreeRaySteps` evaluates on arrays of
-factor-ball indices.
+evaluated.  Pi1's descent toward the ray through a center is owned here,
+on arrays of factor-ball indices (`ray_steps`).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ApproximationError, InputError, InvariantViolation
-from .groups import Oracle
+from .groups import FreeOracle, Oracle
 from .product import as_slope
 
 RAY_PROBE_ATTEMPTS = 3
@@ -217,6 +217,44 @@ class Horofunction:
         if not down:
             raise InvariantViolation("horofunction has no descending neighbor")
         return min(down, key=key or self.oracle.sort_key)
+
+
+class HorofunctionSteps:
+    """`FreeRaySteps` on any factor ball, pair by pair: y descends the
+    `Horofunction` of the ray through c, one kept per center, to the
+    neighbour nearest c, then the ElementOrder-least (on a lattice two
+    neighbours can descend, and the farther can leave the diamond)."""
+
+    def __init__(self, ball):
+        self.ball, self._descents = ball, {}
+
+    def __call__(self, center, y) -> np.ndarray:
+        ball, oracle = self.ball, self.ball.oracle
+        out = np.empty(len(center), dtype=np.int64)
+        for i, (ci, yi) in enumerate(zip(center.tolist(), y.tolist())):
+            if ci not in self._descents:
+                c = ball.elements[ci]
+                h = Horofunction(oracle, GeodesicRay.through(oracle, c), probe_radius=ball.radius + 2)
+                self._descents[ci] = h, lambda nb, c=c: (oracle.distance(nb, c), oracle.sort_key(nb))
+            h, nearest = self._descents[ci]
+            out[i] = ball.index.get(h.descend(ball.elements[yi], key=nearest), -1)
+        return out
+
+
+def ray_steps(ball):
+    """Pi1's descent steps on `ball`: the closed form on a free ball."""
+    return FreeRaySteps(ball) if isinstance(ball.oracle, FreeOracle) else HorofunctionSteps(ball)
+
+
+def connect_then_descend(oracle, start, end, h, extra_steps: int) -> tuple:
+    """Path start -> end along a geodesic word, then `extra_steps` descent
+    steps of the factor horofunction h.  Returns (path, k)."""
+    word = spell(oracle, oracle.multiply(oracle.inverse(start), end))
+    gens = oracle.generator_map()
+    path = list(itertools.accumulate([gens[lab] for lab in word], oracle.multiply, initial=start))
+    for _ in range(extra_steps):
+        path.append(h.descend(path[-1]))
+    return path, len(word)
 
 
 # perfbench/layers.py times descent under this name.

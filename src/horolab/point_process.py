@@ -104,8 +104,7 @@ class ProcessContext:
     radii |y| + |u| for window points y and diamond members u: W's radii
     plus r_n and f(r_n).  Its ids name diamond centers and are the rows of
     `covering`, the covering map as CSR arrays; `center_digests` are their
-    digests.  `window_ids[k]` is the W+ id of window point k, which covers
-    itself.  `offsets` are the members (u, w) of the diamond centered at
+    digests.  `offsets` are the members (u, w) of the diamond centered at
     the origin, as factor-ball index arrays by u, so that the centers
     covering y are exactly (y1 * u^-1, y2 * w^-1).
     """
@@ -131,8 +130,12 @@ class ProcessContext:
             raise InvariantViolation("diamond slice-sum volume disagrees with offset enumeration")
         keys, self.covering = self._covering_map(ball1, ball2, cap)
         self.space = ProductSpace.of_keys(metric, ball1, ball2, keys)
-        self.window_ids = self.space.lookup(window.pts1, window.pts2)
         self.center_digests = point_digests(self.space)
+
+    @functools.cached_property
+    def window_ids(self) -> np.ndarray:
+        """The W+ id of each window point, which covers itself."""
+        return self.space.lookup(self.window.pts1, self.window.pts2)
 
     def _covering_map(self, ball1: Ball, ball2: Ball, cap: int) -> tuple:
         """(keys, covering): the rising packed key of every center whose

@@ -31,6 +31,7 @@ rounds go through `uniforms`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # hashlib's blake2b is this module's; taken from here, it leaves hashlib's
@@ -151,6 +152,12 @@ def to_uniforms(bits) -> np.ndarray:
     return bits.astype(np.float64) * _U53
 
 
+@functools.lru_cache(maxsize=64)
+def _stream64(tag: str) -> np.uint64:
+    """The key of stream `tag`, which no seed changes: hashed once per tag."""
+    return np.uint64(digest_str("stream:" + tag))
+
+
 class SeededRandomness:
     """Pure uniform labels u(seed, stream, digest) in [0, 1)."""
 
@@ -160,14 +167,6 @@ class SeededRandomness:
         np.add(z, _GOLDEN, out=z)
         _mix_into(z, np.empty_like(z))
         self._seed_mixed = z[()]
-        self._streams = {}
-
-    def _stream64(self, tag: str) -> np.uint64:
-        key = self._streams.get(tag)
-        if key is None:
-            key = np.uint64(digest_str("stream:" + tag))
-            self._streams[tag] = key
-        return key
 
     def words(self, digests, tag: str, out=None, tmp=None, stop: int = len(_STEPS), seeds=None) -> np.ndarray:
         """The word of each digest: the mixer run on it under the seed, then
@@ -185,7 +184,7 @@ class SeededRandomness:
         tmp = np.empty_like(z) if tmp is None else tmp
         np.bitwise_xor(digests, self._seed_mixed if seeds is None else seeds, out=z)
         _mix_into(z, tmp)
-        np.bitwise_xor(z, self._stream64(tag), out=z)
+        np.bitwise_xor(z, _stream64(tag), out=z)
         _mix_into(z, tmp, stop)
         return z
 

@@ -149,6 +149,19 @@ def test_negative_eps_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["graphing", "prop13"])
+def test_a_margin_as_wide_as_the_window_exits_2_before_the_kernel_is_built(tmp_path, capsys, monkeypatch, command):
+    # Both sweeps read statistics on the window less its margin, which must
+    # leave an interior; the rule is checked before any kernel is built.
+    def never(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(graphing.PercolationKernel, "__init__", never)
+    overrides = {command: {"window_radius": 3, "margin": 3}}
+    assert cli.main([command, "--out", str(tmp_path)], config_overrides=overrides) == 2
+    assert "config error: margin must satisfy 1 <= margin < window radius" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"threads": "2"}, {"threads": 1.5}, {"threads": 0}, {"graphing": {"seeds": "3"}}],
@@ -781,7 +794,7 @@ def test_all_builds_its_schedule_once(tmp_path, monkeypatch):
 # when the stages after Pi3 moved to edge arrays, the `all` run before
 # the runners came to share one resolved `Run`).  A change that alters
 # these bytes on purpose updates the pins and says which and why.  The
-# Z^2 x F2 run reaches the `Horofunction` branch of `GraphingContext.tau`
+# Z^2 x F2 run reaches the `Horofunction` branch of `horoboundary.ray_steps`
 # and the linear schedule; it was re-pinned when `tau` came to take the
 # descending neighbour nearest the center, which took its cost report's
 # pi1_interior_violations from 15 to 0.  `diamond/summary.json` was

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +34,7 @@ from horolab.graphing import (
 from horolab.diamonds import in_diamond
 from horolab.errors import InputError, InvariantViolation, ResourceCapError
 from horolab.groups import GroupSpec, ball, growth_series, make_oracle
+from horolab.horoboundary import HorofunctionSteps
 from horolab.point_process import ProcessContext, point_digests, sample_diamond_process
 from horolab.product import ProductMetric, ProductSpace
 from horolab.randomness import (
@@ -240,9 +243,10 @@ def test_pi1_counts_match_the_loop_on_a_broken_lookup(f2_ctx, monkeypatch):
 @pytest.mark.parametrize("perc_ctx", ["f2_ctx", "z_ctx", "z2f2_ctx"], indirect=True)
 def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
     # The reference descends the memoised Horofunction of each center
-    # (`_descend`), also on the free f2_ctx, whose `tau` is the closed form;
-    # z_ctx and z2f2_ctx have a lattice first factor.
+    # (`HorofunctionSteps`), also on the free f2_ctx, whose `tau` is the
+    # closed form; z_ctx and z2f2_ctx have a lattice first factor.
     ctx, space, window = perc_ctx, perc_ctx.pctx.space, perc_ctx.kernel.space
+    steps = HorofunctionSteps(space.ball1)
     tau = graphing.GraphingContext.tau
     calls = []
 
@@ -251,7 +255,7 @@ def test_pi1_targets_match_a_per_vertex_tau_loop(perc_ctx, monkeypatch):
         return tau(self, center_fi, y_fi)
 
     monkeypatch.setattr(graphing.GraphingContext, "tau", counted_tau)
-    descend = functools.lru_cache(maxsize=None)(ctx._descend)
+    descend = functools.lru_cache(maxsize=None)(lambda c, y: int(steps(np.array([c]), np.array([y]))[0]))
     for s in range(3):
         mw = _seed_window(ctx, seed_digest(26, s))
         calls.clear()
@@ -280,8 +284,23 @@ def test_tau_on_arrays_is_the_horofunction_descent(f2_ctx, pairs):
     size = len(f2_ctx.pctx.space.ball1)
     c = np.array([a % size for a, _ in pairs], dtype=np.int64)
     y = np.array([b % size for _, b in pairs], dtype=np.int64)
-    want = [f2_ctx._descend(a, b) for a, b in zip(c.tolist(), y.tolist())]
-    assert f2_ctx.tau(c, y).tolist() == want
+    want = HorofunctionSteps(f2_ctx.pctx.space.ball1)(c, y)
+    assert f2_ctx.tau(c, y).tolist() == want.tolist()
+
+
+def test_graphing_leaves_the_descent_rule_to_horoboundary():
+    # Pi1's descent step has one owner, `horoboundary.ray_steps`: graphing
+    # names none of the rays, horofunctions or spellings it is made of.
+    path = Path(graphing.__file__)
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        for name in {"GeodesicRay", "Horofunction", "spell"}.intersection(names):
+            offenders.append(f"graphing.py:{node.lineno} names {name}")
+    assert offenders == []
 
 
 def test_overlapping_diamonds_have_distinct_vertices(f2_ctx):

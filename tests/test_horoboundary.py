@@ -3,14 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horolab import horoboundary
 from horolab.errors import InputError, InvariantViolation
 from horolab.groups import GroupSpec, ball, make_oracle
 from horolab.horoboundary import (
     FreeRaySteps,
     GeodesicRay,
     Horofunction,
+    HorofunctionSteps,
     ProductHorofunction,
     horofunction_from_ray,
+    ray_steps,
     spell,
 )
 
@@ -200,3 +203,17 @@ def test_free_ray_steps_are_the_horofunction_descent(spec, center_radius, radius
             seen["past the center"] += down and len(y) > len(center)
             seen["leaves the ball"] += target < 0
     assert min(seen.values()) > 0, seen
+
+
+def test_ray_steps_take_the_closed_form_on_a_free_ball_and_one_horofunction_per_center(monkeypatch):
+    assert isinstance(ray_steps(ball(make_oracle(F2), 3)), FreeRaySteps)
+    b = ball(make_oracle(Z2), 3)
+    steps = ray_steps(b)
+    assert isinstance(steps, HorofunctionSteps)
+    rays = []
+    through = GeodesicRay.through
+    monkeypatch.setattr(horoboundary.GeodesicRay, "through", lambda o, el: rays.append(el) or through(o, el))
+    c = np.array([b.index[(2, 1)], b.index[(0, -2)]])
+    steps(c, np.array([0, b.index[(1, 1)]]))
+    steps(np.repeat(c, 2), np.arange(4))  # no ray is traced twice
+    assert rays == [(2, 1), (0, -2)]

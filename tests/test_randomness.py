@@ -83,7 +83,7 @@ def test_words_run_in_place_are_the_mix_composition(seed):
     kept = digests.copy()
     r = SeededRandomness(seed)
     assert r._seed_mixed == _mix(np.uint64((seed + 0x9E3779B97F4A7C15) % 2**64))
-    want = _mix(_mix(digests ^ r._seed_mixed) ^ r._stream64(STREAM_MARKS))
+    want = _mix(_mix(digests ^ r._seed_mixed) ^ randomness._stream64(STREAM_MARKS))
     assert r.words(digests, STREAM_MARKS).tobytes() == want.tobytes()
     assert (digests == kept).all()
     out, tmp = np.empty((2, 3000), dtype=np.uint64)
@@ -93,6 +93,20 @@ def test_words_run_in_place_are_the_mix_composition(seed):
     assert r.words(own, STREAM_MARKS, out=own) is own and own.tobytes() == want.tobytes()
     assert r.uniforms(digests, STREAM_MARKS).tobytes() == to_uniforms(want >> np.uint64(11)).tobytes()
     assert r.uniform(int(digests[0]), STREAM_MARKS) == float(to_uniforms(want[:1] >> np.uint64(11))[0])
+
+
+def test_each_stream_key_is_hashed_once_per_tag(monkeypatch):
+    # A batch makes one SeededRandomness per seed; a stream's key depends on
+    # its tag alone, so the process hashes each tag once, whatever the seed.
+    calls = []
+    digest = randomness.digest_str
+    monkeypatch.setattr(randomness, "digest_str", lambda s: calls.append(s) or digest(s))
+    randomness._stream64.cache_clear()
+    d = np.arange(5, dtype=np.uint64)
+    for seed in range(4):
+        SeededRandomness(seed).uniforms(d, STREAM_MARKS)
+        SeededRandomness(seed).below(d, STREAM_CENTERS, 2**52)
+    assert sorted(calls) == ["stream:" + STREAM_CENTERS, "stream:" + STREAM_MARKS]
 
 
 def test_words_under_per_element_seeds_are_each_seeds_words():
